@@ -22,6 +22,7 @@ route around limitations instead of discovering them as runtime errors.
 from __future__ import annotations
 
 import abc
+import inspect
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Union
 
 from repro.errors import BackendError
@@ -33,6 +34,7 @@ from repro.sql.render import ANSI_DIALECT, SqlDialect
 
 __all__ = [
     "Backend",
+    "accepted_options",
     "available_backends",
     "create_backend",
     "register_backend",
@@ -123,6 +125,30 @@ def available_backends() -> List[str]:
     return names
 
 
+def _factory(name: str) -> Callable[..., Backend]:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise BackendError(
+            f"unknown backend {name!r} (available: {', '.join(available_backends())})"
+        ) from None
+
+
+def accepted_options(name: str, options: Dict[str, Any]) -> Dict[str, Any]:
+    """The subset of *options* the factory registered as *name* takes as
+    keyword arguments (all of them for a ``**kwargs`` factory), so one
+    option set can be offered to several backends."""
+    parameters = inspect.signature(_factory(name)).parameters.values()
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
+        return dict(options)
+    names = {
+        p.name
+        for p in parameters
+        if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    }
+    return {key: value for key, value in options.items() if key in names}
+
+
 def create_backend(
     name: str,
     database: Database,
@@ -136,12 +162,6 @@ def create_backend(
     shares an existing executor with the memory backend).  *tracer*
     observes the initial materialization (``materialize`` span).
     """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise BackendError(
-            f"unknown backend {name!r} (available: {', '.join(available_backends())})"
-        ) from None
-    backend = factory(**options)
+    backend = _factory(name)(**options)
     backend.load(database, tracer=tracer)
     return backend

@@ -2,7 +2,7 @@
 
 :class:`DiskBackend` materializes the bound
 :class:`~repro.relational.database.Database` into a directory of
-slotted-page heap files and secondary indexes
+heap files of column-wise pages and secondary indexes
 (:func:`repro.storage.materialize.materialize`), then serves SELECTs by
 running the **same** compiled-plan executor
 (:class:`~repro.relational.executor.Executor`) over a

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-from repro.backends.base import Backend, create_backend
+from repro.backends.base import (
+    Backend,
+    accepted_options,
+    available_backends,
+    create_backend,
+)
 from repro.backends.memory import MemoryBackend
 from repro.cancellation import current_token
 from repro.analysis.pattern_analyzers import analyze_interpretation_set
@@ -199,7 +204,21 @@ class KeywordSearchEngine:
             "memory": MemoryBackend(executor=self.executor)
         }
         self._backend_lock = threading.Lock()
+        # one flat option set for all backends: each backend is given the
+        # options its constructor accepts (``pool_capacity`` reaches disk,
+        # not sqlite); an option nobody accepts is a mistake, caught here
         self._backend_options = dict(backend_options or {})
+        unclaimed = set(self._backend_options).difference(
+            *(
+                accepted_options(name, self._backend_options)
+                for name in available_backends()
+            )
+        )
+        if unclaimed:
+            raise ValueError(
+                f"backend option(s) {sorted(unclaimed)} accepted by no "
+                f"registered backend ({', '.join(available_backends())})"
+            )
         self.backend = self.get_backend(backend)
         self.is_normalized = database_is_normalized(database, fds)
         self.view: Optional[NormalizedView] = None
@@ -251,7 +270,7 @@ class KeywordSearchEngine:
         with self._backend_lock:
             backend = self._backends.get(name)
             if backend is None:
-                options = dict(self._backend_options)
+                options = accepted_options(name, self._backend_options)
                 if name == "disk":
                     # the disk executor costs plans with disk-calibrated
                     # coefficients; the ablation flag flows through too
@@ -267,8 +286,6 @@ class KeywordSearchEngine:
             return backend
 
     def available_backends(self) -> List[str]:
-        from repro.backends.base import available_backends
-
         return available_backends()
 
     # ------------------------------------------------------------------

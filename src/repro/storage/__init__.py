@@ -2,7 +2,8 @@
 
 The paper's evaluation datasets fit in RAM; the ROADMAP's north star does
 not.  This package is the storage tier that closes the gap: tables live
-in slotted-page **heap files**, every page access goes through a
+in **heap files** of column-wise pages decoded a page at a time
+(:mod:`repro.storage.page`), every page access goes through a
 fixed-capacity **LRU buffer pool** (pin/unpin, dirty write-back,
 hit/miss/eviction counters), and three secondary index families answer
 the access paths :class:`~repro.relational.plan.CompiledPlan` pushes
@@ -38,7 +39,6 @@ from repro.storage.materialize import (
     materialize,
     materialization_is_fresh,
 )
-from repro.storage.page import SlottedPage
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool, Pager
 from repro.storage.spimi import SpimiBuilder, SpimiIndex
 
@@ -50,7 +50,6 @@ __all__ = [
     "HeapFile",
     "MANIFEST_FILE",
     "Pager",
-    "SlottedPage",
     "SpimiBuilder",
     "SpimiIndex",
     "StorageEngine",

@@ -1,14 +1,19 @@
-"""Heap files: a relation's rows in slotted pages, read through the pool.
+"""Heap files: a relation's rows in column-wise pages, read through the pool.
 
 A heap file is bulk-built once per materialization (tables are
 append-only between data-version bumps, so there is no in-place update
-path) and then served read-only.  The read path exposes the rows as
-:class:`HeapRows`, a lazy sequence:
+path) and then served read-only.  The unit of work on the read path is
+the page: :meth:`HeapFile._page_rows` pins a frame, decodes the whole
+page once (:func:`~repro.storage.page.decode_page`) and leaves the
+decoded rows **on the frame**, so they live exactly as long as the page
+is resident — the pool's page budget bounds decoded data too, and there
+is no second cache.  The rows are exposed as :class:`HeapRows`, a lazy
+sequence:
 
 * ``rows[pos]`` — the row-position access pattern index-backed scans
-  use; binary-searches the per-page record counts for the owning page,
-  pins it, decodes one record, unpins;
-* ``iter(rows)`` / ``list(rows)`` — a sequential scan pinning one page
+  use; binary-searches the per-page row counts for the owning page and
+  indexes its decoded rows;
+* ``iter(rows)`` / ``list(rows)`` — a sequential scan, one page's rows
   at a time;
 * ``len(rows)`` — from the manifest, no I/O.
 
@@ -21,14 +26,13 @@ index-scan machinery.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.schema import RelationSchema
-from repro.storage.page import SlottedPage
+from repro.storage.page import PageFill, decode_page, encode_page
 from repro.storage.pager import BufferPool, Pager
-from repro.storage.serde import decode_row, encode_row
 
 __all__ = ["HeapFile", "HeapRows", "build_heap"]
 
@@ -41,30 +45,36 @@ def build_heap(
     rows: Iterable[Sequence[Any]],
     page_size: int,
 ) -> List[int]:
-    """Write *rows* into a fresh heap file; returns records-per-page.
+    """Write *rows* into a fresh heap file; returns rows-per-page.
 
     The build path writes pages sequentially through a private
     :class:`Pager` (no pool: nothing is re-read during a build, caching
     would only evict pages the serving side wants).
     """
+    fill = PageFill(schema, page_size)
     pager = Pager(path, page_size, create=True)
     try:
         page_counts: List[int] = []
-        data = bytearray(page_size)
-        page = SlottedPage.initialize(data)
+
+        def write_page() -> None:
+            pager.write_page(
+                pager.page_count, encode_page(fill.rows, schema, page_size)
+            )
+            page_counts.append(len(fill.rows))
+            fill.reset()
+
         for row in rows:
-            record = encode_row(row, schema)
-            if page.insert(record) is None:
-                pager.write_page(pager.page_count, bytes(data))
-                page_counts.append(page.slot_count)
-                page = SlottedPage.initialize(data)
-                if page.insert(record) is None:  # pragma: no cover - guarded
-                    raise StorageError(
-                        f"{schema.name}: record does not fit a blank page"
-                    )
-        if page.slot_count:
-            pager.write_page(pager.page_count, bytes(data))
-            page_counts.append(page.slot_count)
+            if fill.add(row):
+                continue
+            if fill.rows:
+                write_page()
+                if fill.add(row):
+                    continue
+            raise StorageError(
+                f"{schema.name}: record does not fit a blank page"
+            )
+        if fill.rows:
+            write_page()
         pager.sync()
     finally:
         pager.close()
@@ -97,8 +107,26 @@ class HeapFile:
     def rows(self) -> "HeapRows":
         return HeapRows(self)
 
+    def _page_rows(self, page_no: int) -> List[Row]:
+        """The decoded rows of one page, cached on its frame."""
+        frame = self.pool.pin(self.file_id, page_no)
+        try:
+            rows = frame.decoded
+            if rows is None:
+                rows = decode_page(frame.data, self.schema)
+                if len(rows) != self.page_counts[page_no]:
+                    raise StorageError(
+                        f"{self.schema.name}: page {page_no} holds "
+                        f"{len(rows)} rows, manifest says "
+                        f"{self.page_counts[page_no]}"
+                    )
+                frame.decoded = rows
+        finally:
+            self.pool.unpin(frame)
+        return rows
+
     def row(self, position: int) -> Row:
-        """Decode the row at dense *position* (one page pin)."""
+        """The row at dense *position* (one page pin)."""
         if not (0 <= position < self.row_count):
             raise StorageError(
                 f"{self.schema.name}: row position {position} out of range "
@@ -106,28 +134,11 @@ class HeapFile:
             )
         page_no = bisect_right(self._cumulative, position)
         first = self._cumulative[page_no - 1] if page_no else 0
-        frame = self.pool.pin(self.file_id, page_no)
-        try:
-            record = SlottedPage(frame.data).record(position - first)
-        finally:
-            self.pool.unpin(frame)
-        return decode_row(record, self.schema)
+        return self._page_rows(page_no)[position - first]
 
     def scan(self) -> Iterator[Row]:
         """All rows in position order, one page pinned at a time."""
-        for page_no, expected in enumerate(self.page_counts):
-            frame = self.pool.pin(self.file_id, page_no)
-            try:
-                page = SlottedPage(frame.data)
-                if page.slot_count != expected:
-                    raise StorageError(
-                        f"{self.schema.name}: page {page_no} holds "
-                        f"{page.slot_count} records, manifest says {expected}"
-                    )
-                decoded = [decode_row(record, self.schema) for record in page.records()]
-            finally:
-                self.pool.unpin(frame)
-            yield from decoded
+        return chain.from_iterable(map(self._page_rows, range(self.page_count)))
 
     def __len__(self) -> int:
         return self.row_count

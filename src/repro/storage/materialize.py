@@ -2,7 +2,7 @@
 
 :func:`materialize` lays the whole database out as one directory:
 
-* ``<table>.heap`` — slotted-page heap file per table;
+* ``<table>.heap`` — heap file of column-wise pages per table;
 * ``<table>.<column>.bpt`` — B+-tree per numeric (INT/FLOAT) column,
   keyed by ``float(value)`` exactly like the in-memory ``NumericIndex``;
 * ``<table>.<column>.hash`` — hash index per text (TEXT/DATE) column,
@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 MANIFEST_FILE = "MANIFEST.json"
-MANIFEST_FORMAT = 1
+#: 2: column-wise heap pages.  A directory written under another format
+#: reads as stale and is rebuilt, never decoded.
+MANIFEST_FORMAT = 2
 POSTINGS_FILE = "postings.bin"
 DICT_FILE = "postings.dict.json"
 _NUMERIC = (DataType.INT, DataType.FLOAT)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import StorageError
 
@@ -30,8 +30,8 @@ __all__ = ["DEFAULT_PAGE_SIZE", "MIN_PAGE_SIZE", "BufferPool", "Frame", "Pager"]
 
 DEFAULT_PAGE_SIZE = 4096
 #: Small enough that unit tests can force many pages (and B+-tree splits)
-#: from tiny datasets; large enough for the slotted-page header plus one
-#: modest record.
+#: from tiny datasets; large enough for a heap page's header and
+#: per-column bytes plus one modest row.
 MIN_PAGE_SIZE = 64
 
 
@@ -122,9 +122,15 @@ class Pager:
 
 
 class Frame:
-    """One resident page: its bytes, pin count and dirty flag."""
+    """One resident page: its bytes, pin count and dirty flag.
 
-    __slots__ = ("file_id", "page_no", "data", "pins", "dirty")
+    ``decoded`` is the page owner's to use: whatever it decoded from
+    ``data`` (a heap file keeps the page's rows there), so that decoded
+    data is dropped with the frame and the pool's page budget bounds it
+    too.  It is reset when the frame is unpinned dirty.
+    """
+
+    __slots__ = ("file_id", "page_no", "data", "pins", "dirty", "decoded")
 
     def __init__(self, file_id: str, page_no: int, data: bytearray) -> None:
         self.file_id = file_id
@@ -132,6 +138,7 @@ class Frame:
         self.data = data
         self.pins = 0
         self.dirty = False
+        self.decoded: Any = None
 
 
 class BufferPool:
@@ -152,6 +159,8 @@ class BufferPool:
         self._pagers: Dict[str, Pager] = {}
         # insertion/access order == recency; least recently used first
         self._frames: "OrderedDict[Tuple[str, int], Frame]" = OrderedDict()
+        # resident frames with pins > 0 (eviction only takes unpinned ones)
+        self._pinned = 0
         self.stats: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -185,7 +194,8 @@ class BufferPool:
 
     @property
     def pinned(self) -> int:
-        return sum(1 for frame in self._frames.values() if frame.pins)
+        """Number of resident frames with at least one pin."""
+        return self._pinned
 
     def pin(self, file_id: str, page_no: int) -> Frame:
         """Return the frame for a page, faulting it in if absent.
@@ -205,10 +215,16 @@ class BufferPool:
             self.stats["max_resident"] = max(
                 self.stats["max_resident"], len(self._frames)
             )
+        self._count_pin(frame)
+        return frame
+
+    def _count_pin(self, frame: Frame) -> None:
+        if not frame.pins:
+            self._pinned += 1
+            if self._pinned > self.stats["max_pinned"]:
+                self.stats["max_pinned"] = self._pinned
         frame.pins += 1
         self.stats["pins"] += 1
-        self.stats["max_pinned"] = max(self.stats["max_pinned"], self.pinned)
-        return frame
 
     def new_page(self, file_id: str) -> Frame:
         """Allocate a fresh page in *file_id* and pin its (dirty) frame."""
@@ -216,14 +232,12 @@ class BufferPool:
         page_no = pager.allocate()
         self._make_room()
         frame = Frame(file_id, page_no, bytearray(pager.page_size))
-        frame.pins = 1
         frame.dirty = True
         self._frames[(file_id, page_no)] = frame
-        self.stats["pins"] += 1
         self.stats["max_resident"] = max(
             self.stats["max_resident"], len(self._frames)
         )
-        self.stats["max_pinned"] = max(self.stats["max_pinned"], self.pinned)
+        self._count_pin(frame)
         return frame
 
     def unpin(self, frame: Frame, dirty: bool = False) -> None:
@@ -232,7 +246,12 @@ class BufferPool:
                 f"unpin of unpinned page {frame.file_id}:{frame.page_no}"
             )
         frame.pins -= 1
-        frame.dirty = frame.dirty or dirty
+        # a frame dropped while pinned (drop_file / clear) no longer counts
+        if not frame.pins and self._frames.get((frame.file_id, frame.page_no)) is frame:
+            self._pinned -= 1
+        if dirty:
+            frame.dirty = True
+            frame.decoded = None
         self.stats["unpins"] += 1
 
     def _make_room(self) -> None:
@@ -271,12 +290,14 @@ class BufferPool:
             for key, frame in self._frames.items()
             if frame.file_id != file_id
         )
+        self._pinned = sum(1 for frame in self._frames.values() if frame.pins)
         self._pagers.pop(file_id, None)
 
     def clear(self) -> None:
         """Flush and drop every frame and registration."""
         self.flush()
         self._frames.clear()
+        self._pinned = 0
         self._pagers.clear()
 
     def counters(self) -> Dict[str, int]:

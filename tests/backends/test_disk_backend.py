@@ -4,6 +4,7 @@ rematerialization, and tempdir hygiene."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -140,6 +141,30 @@ class TestRematerialization:
             second.close()
         # an explicit path is the caller's: close() must not remove it
         assert os.path.isdir(directory)
+
+    def test_format_1_materialization_is_rebuilt(self, tmp_path):
+        database = university_database()
+        directory = str(tmp_path / "disk")
+        first = DiskBackend(path=directory)
+        first.load(database)
+        first.close()
+        manifest_path = os.path.join(directory, "MANIFEST.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["format"] = 1  # what the record-at-a-time heap format wrote
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        tracer = Tracer()
+        second = DiskBackend(path=directory)
+        try:
+            second.load(database, tracer=tracer)
+            assert tracer.registry.counter("materializations") == 1
+            assert tracer.registry.counter("materializations_reused") == 0
+            assert second.storage_manifest()["format"] == 2
+            count = second.execute(parse("SELECT COUNT(*) FROM Student")).scalar()
+            assert count == len(database.table("Student").rows)
+        finally:
+            second.close()
 
     def test_materialize_span_and_row_counters(self):
         database = university_database()

@@ -55,6 +55,16 @@ class TestRowsMatch:
     def test_summation_noise_is_absorbed(self):
         assert rows_match([(0.1 + 0.2,)], [(0.3,)])
 
+    def test_sums_straddling_a_rounding_boundary_match(self):
+        # the two sides of ...0625 round to different 12-digit values
+        # (AVG amount GROUPBY part at SF 1, memory against SQLite)
+        low, high = 138907.54906249, 138907.54906251
+        assert canonical_value(low) != canonical_value(high)
+        assert rows_match([("part", low)], [("part", high)])
+
+    def test_a_relative_1e_6_difference_is_a_mismatch(self):
+        assert not rows_match([(138907.549062,)], [(138907.549062 * (1 + 1e-6),)])
+
     def test_bool_and_int_agree(self):
         assert rows_match([(True,)], [(1,)])
 

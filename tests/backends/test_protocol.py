@@ -124,6 +124,25 @@ class TestEngineIntegration:
         result = engine.execute("AVG Credit")
         assert result.rows == [(4.0,)]
 
+    def test_one_option_set_serves_every_backend(self, university_db):
+        # pool_capacity is a disk option: sqlite and memory must not be
+        # handed it (that was a TypeError on the first sqlite request)
+        engine = KeywordSearchEngine(
+            university_db, backend_options={"pool_capacity": 49}
+        )
+        rows = {
+            name: engine.search("Green SUM Credit", backend=name).best.execute().rows
+            for name in ("memory", "sqlite", "disk")
+        }
+        assert rows["memory"] == rows["sqlite"] == rows["disk"]
+        assert engine.get_backend("disk").pool_capacity == 49
+
+    def test_option_no_backend_accepts_is_rejected(self, university_db):
+        with pytest.raises(ValueError, match="pool_capcity"):
+            KeywordSearchEngine(
+                university_db, backend_options={"pool_capcity": 49}
+            )
+
     def test_abstract_backend_cannot_instantiate(self):
         with pytest.raises(TypeError):
             Backend()  # abstract: load/execute missing

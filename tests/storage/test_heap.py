@@ -40,8 +40,9 @@ class TestHeapFile:
 
     def test_positional_access(self, tmp_path):
         heap, _, _ = open_heap(tmp_path)
-        for position in (0, 1, 25, len(ROWS) - 1):
-            assert heap.row(position) == ROWS[position]
+        scanned = list(heap.scan())
+        for position in range(len(ROWS)):
+            assert heap.row(position) == scanned[position] == ROWS[position]
 
     def test_scan_preserves_order(self, tmp_path):
         heap, _, _ = open_heap(tmp_path)
@@ -57,6 +58,56 @@ class TestHeapFile:
         assert list(heap.scan()) == ROWS
         assert pool.stats["max_resident"] <= 2
         assert pool.stats["evictions"] > 0
+
+    def test_decoded_rows_leave_with_their_frame(self, tmp_path):
+        """Decoded rows are cached on resident frames only, so the pool's
+        page budget bounds them: eviction drops them with the frame."""
+        heap, _, pool = open_heap(tmp_path, pool_capacity=2)
+        assert heap.page_count > 2 * pool.capacity
+        ever_resident = {}
+        for _ in heap.scan():
+            ever_resident.update(pool._frames)
+        assert len(ever_resident) == heap.page_count
+        assert pool.stats["max_resident"] <= pool.capacity
+        kept = [frame.decoded for frame in pool._frames.values()]
+        assert 0 < len(kept) <= pool.capacity
+        for key, frame in ever_resident.items():
+            if key not in pool._frames:
+                assert all(frame.decoded is not rows for rows in kept)
+        pool.clear()
+        assert pool.resident == 0
+
+    def test_resident_page_is_decoded_once(self, tmp_path):
+        heap, _, pool = open_heap(tmp_path, pool_capacity=4)
+        first = heap.row(0)
+        frame = pool._frames[("T.heap", 0)]
+        rows = frame.decoded
+        assert heap.row(1) is rows[1] and heap.row(0) is first
+        assert frame.decoded is rows and pool.stats["hits"] == 2
+
+    def test_row_count_is_checked_against_the_manifest(self, tmp_path):
+        """On scans and on point reads alike."""
+        _, page_counts, pool = open_heap(tmp_path)
+        wrong = list(page_counts)
+        wrong[1] += 1
+        wrong[2] -= 1
+        for read in (lambda h: list(h.scan()), lambda h: h.row(page_counts[0])):
+            pool.clear()
+            pool.register("T.heap", Pager(str(tmp_path / "T.heap"), 128))
+            with pytest.raises(StorageError, match="manifest says"):
+                read(HeapFile(pool, "T.heap", SCHEMA, wrong))
+
+    def test_corrupt_page_is_a_storage_error(self, tmp_path):
+        heap, page_counts, pool = open_heap(tmp_path)
+        path = pool.pager("T.heap").path
+        with open(path, "r+b") as handle:
+            handle.seek(128 + 2)  # page 1's used-bytes field
+            handle.write(b"\xff\xff")
+        assert heap.row(0) == ROWS[0]
+        with pytest.raises(StorageError, match="corrupt page"):
+            heap.row(page_counts[0])
+        with pytest.raises(StorageError, match="corrupt page"):
+            list(heap.scan())
 
     def test_empty_table(self, tmp_path):
         heap, page_counts, _ = open_heap(tmp_path, rows=[])

@@ -86,6 +86,20 @@ class TestManifest:
         with pytest.raises(StorageError, match="unsupported manifest format"):
             load_manifest(str(tmp_path))
 
+    def test_format_1_directory_is_stale(self, tmp_path):
+        """A directory of the record-at-a-time heap format (manifest
+        format 1) must be rebuilt, never decoded as column-wise pages."""
+        db = small_db()
+        materialize(db, str(tmp_path), page_size=PAGE)
+        path = tmp_path / MANIFEST_FILE
+        document = json.loads(path.read_text(encoding="utf-8"))
+        assert document["format"] == 2
+        document["format"] = 1
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        with pytest.raises(StorageError, match="unsupported manifest format 1"):
+            StorageEngine(str(tmp_path), db.schema)
+
     def test_truncated_data_file_is_stale(self, tmp_path):
         """The half-written shape a crash during rebuild leaves."""
         db = small_db()

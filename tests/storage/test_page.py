@@ -1,68 +1,147 @@
-"""Slotted-page layout: insertion, retrieval, fullness."""
+"""Filling column-wise pages: exact size accounting, many small pages."""
+
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage import SlottedPage
-from repro.storage.page import PAGE_HEADER_SIZE, SLOT_SIZE
+from repro.relational.schema import DatabaseSchema
+from repro.relational.types import DataType
+from repro.storage import BufferPool, HeapFile, Pager
+from repro.storage.heap import build_heap
+from repro.storage.page import MAX_PAGE_SIZE, PageFill, decode_page, encode_page
+from repro.storage.pager import MIN_PAGE_SIZE
+
+#: ints on both sides of each width boundary, the last beyond 64 bits
+EDGE_INTS = [
+    edge + step
+    for bits in (7, 15, 31, 63)
+    for edge in (-(1 << bits), (1 << bits) - 1)
+    for step in (-1, 0, 1)
+]
+#: every value encodes to at most 26 bytes with its per-column overhead,
+#: so a row of two columns always fits the 64-byte minimum page and a row
+#: of four a 128-byte one
+VALUES = {
+    DataType.INT: st.one_of(
+        st.integers(-5, 5),
+        st.sampled_from(EDGE_INTS),
+        st.integers(-(1 << 64), 1 << 64),
+    ),
+    DataType.FLOAT: st.floats(allow_nan=False),
+    DataType.BOOL: st.booleans(),
+    DataType.TEXT: st.text(max_size=5),
+    DataType.DATE: st.sampled_from(["2016-03-15", "1999-12-31"]),
+}
 
 
-def blank(page_size=64):
-    return SlottedPage.initialize(bytearray(page_size))
+def relation(dtypes):
+    schema = DatabaseSchema("pages")
+    schema.add_relation(
+        "T", [(f"c{i}", dtype) for i, dtype in enumerate(dtypes)], ["c0"]
+    )
+    return schema.relation("T")
 
 
-class TestSlottedPage:
-    def test_blank_page(self):
-        page = blank()
-        assert page.slot_count == 0
-        assert len(page) == 0
-        assert page.free_space == 64 - PAGE_HEADER_SIZE
+@st.composite
+def tables(draw, max_columns):
+    """A generated schema (columns of any dtype) and rows for it, NULLs
+    in any column, from empty to a few dozen rows."""
+    dtypes = draw(
+        st.lists(st.sampled_from(list(DataType)), min_size=1, max_size=max_columns)
+    )
+    row = st.tuples(*(st.one_of(st.none(), VALUES[dtype]) for dtype in dtypes))
+    return relation(dtypes), draw(st.lists(row, max_size=40))
 
-    def test_insert_and_record_roundtrip(self):
-        page = blank()
-        assert page.insert(b"alpha") == 0
-        assert page.insert(b"beta") == 1
-        assert page.record(0) == b"alpha"
-        assert page.record(1) == b"beta"
-        assert list(page.records()) == [b"alpha", b"beta"]
 
-    def test_empty_records_are_representable(self):
-        page = blank()
-        assert page.insert(b"") == 0
-        assert page.record(0) == b""
+def types_of(rows):
+    return [[type(value) for value in row] for row in rows]
 
-    def test_page_full_returns_none(self):
-        page = blank()
-        record = b"x" * 8
-        inserted = 0
-        while page.insert(record) is not None:
-            inserted += 1
-        assert inserted == SlottedPage.capacity_for(8, 64)
-        assert inserted >= 2
-        # the page is full but intact
-        assert list(page.records()) == [record] * inserted
 
-    def test_record_too_big_for_any_page_raises(self):
-        page = blank()
-        too_big = b"x" * (64 - PAGE_HEADER_SIZE - SLOT_SIZE + 1)
-        with pytest.raises(StorageError, match="cannot fit"):
-            page.insert(too_big)
+class TestPageFill:
+    @settings(max_examples=150, deadline=None)
+    @given(tables(max_columns=6))
+    def test_predicted_size_is_the_encoded_size(self, table):
+        schema, rows = table
+        fill = PageFill(schema, MAX_PAGE_SIZE)
+        for row in rows:
+            assert fill.add(row)
+            page = encode_page(fill.rows, schema, MAX_PAGE_SIZE)
+            assert struct.unpack_from("<HH", page) == (len(fill.rows), fill.size)
 
-    def test_slot_out_of_range(self):
-        page = blank()
-        page.insert(b"only")
-        with pytest.raises(StorageError, match="slot 1 out of range"):
-            page.record(1)
-        with pytest.raises(StorageError, match="out of range"):
-            page.record(-1)
+    def test_refused_row_leaves_the_page_as_it_was(self):
+        schema = relation([DataType.INT, DataType.TEXT])
+        fill = PageFill(schema, 64)
+        assert fill.add((1, "a" * 20))
+        size = fill.size
+        # would widen the INT array, add a bitmap and overflow the page
+        assert not fill.add((2**40, "b" * 40))
+        assert (fill.rows, fill.size) == ([(1, "a" * 20)], size)
+        assert fill.add((None, "c"))
+        page = encode_page(fill.rows, schema, 64)
+        assert struct.unpack_from("<HH", page) == (2, fill.size)
 
-    def test_mutations_write_through_to_the_buffer(self):
-        data = bytearray(64)
-        page = SlottedPage.initialize(data)
-        page.insert(b"shared")
-        # a second view over the same buffer sees the record
-        assert SlottedPage(data).record(0) == b"shared"
+    def test_reset_starts_a_blank_page(self):
+        schema = relation([DataType.INT])
+        fill = PageFill(schema, 64)
+        blank = fill.size
+        assert fill.add((2**70,)) and fill.add((None,))
+        fill.reset()
+        assert (fill.rows, fill.size) == ([], blank)
+        assert fill.add((1,))
+        assert fill.size == blank + 1  # narrow again, no bitmap
 
-    def test_capacity_for_degenerate_sizes(self):
-        assert SlottedPage.capacity_for(1000, 64) == 0
-        assert SlottedPage.capacity_for(1, 64) == (64 - PAGE_HEADER_SIZE) // 5
+    def test_page_size_ceiling(self):
+        with pytest.raises(StorageError, match="above maximum"):
+            PageFill(relation([DataType.INT]), MAX_PAGE_SIZE + 1)
+
+
+def check_heap_roundtrip(directory, schema, rows, page_size):
+    """Values *and* types survive build -> scan / point reads, and every
+    page but the last is packed full."""
+    path = str(directory / "T.heap")
+    page_counts = build_heap(path, schema, rows, page_size)
+    assert sum(page_counts) == len(rows) and 0 not in page_counts
+    pager = Pager(path, page_size)
+    try:
+        pool = BufferPool(2)
+        pool.register("T.heap", pager)
+        heap = HeapFile(pool, "T.heap", schema, page_counts)
+        scanned = list(heap.scan())
+        assert scanned == rows and types_of(scanned) == types_of(rows)
+        points = [heap.row(position) for position in range(len(rows))]
+        assert points == rows and types_of(points) == types_of(rows)
+        first = 0
+        for page_no, count in enumerate(page_counts[:-1]):
+            fill = PageFill(schema, page_size)
+            assert all(fill.add(row) for row in rows[first:first + count])
+            assert not fill.add(rows[first + count])
+            assert len(decode_page(pager.read_page(page_no), schema)) == count
+            first += count
+    finally:
+        pager.close()
+
+
+class TestManySmallPages:
+    @settings(max_examples=150, deadline=None)
+    @given(tables(max_columns=2))
+    def test_heap_roundtrip_at_the_minimum_page_size(self, tmp_path_factory, table):
+        check_heap_roundtrip(tmp_path_factory.mktemp("heap"), *table, MIN_PAGE_SIZE)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables(max_columns=4))
+    def test_heap_roundtrip_with_more_columns(self, tmp_path_factory, table):
+        check_heap_roundtrip(tmp_path_factory.mktemp("heap"), *table, 2 * MIN_PAGE_SIZE)
+
+    def test_single_row_table(self, tmp_path):
+        schema = relation([DataType.INT, DataType.TEXT])
+        path = str(tmp_path / "T.heap")
+        assert build_heap(path, schema, [(1, "one")], MIN_PAGE_SIZE) == [1]
+
+    def test_record_that_cannot_fit_a_blank_page(self, tmp_path):
+        schema = relation([DataType.INT, DataType.TEXT])
+        rows = [(1, "fits"), (2, "x" * MIN_PAGE_SIZE)]
+        with pytest.raises(StorageError, match="does not fit a blank page"):
+            build_heap(str(tmp_path / "T.heap"), schema, rows, MIN_PAGE_SIZE)

@@ -189,6 +189,49 @@ class TestBufferPool:
         assert counters["pins"] == counters["unpins"] == 1
         pager.close()
 
+    def test_pinned_count_tracks_the_frames(self, tmp_path):
+        """``pinned`` / ``max_pinned`` are kept incrementally; they must
+        read what a recount over the resident frames reads."""
+        pager = make_pager(tmp_path, pages=4)
+        pool = BufferPool(3)
+        pool.register("f", pager)
+
+        def recount():
+            return sum(1 for frame in pool._frames.values() if frame.pins)
+
+        a = pool.pin("f", 0)
+        again = pool.pin("f", 0)  # a second pin of a pinned frame
+        b = pool.pin("f", 1)
+        assert pool.pinned == recount() == 2
+        pool.unpin(again)
+        assert pool.pinned == recount() == 2
+        pool.unpin(a)
+        assert pool.pinned == recount() == 1
+        fresh = pool.new_page("f")
+        assert pool.pinned == recount() == 2
+        pool.unpin(pool.pin("f", 2))  # evicts the unpinned page 0
+        assert pool.pinned == recount() == 2
+        assert pool.stats["max_pinned"] == 3
+        pool.drop_file("f")  # drops b and fresh while pinned
+        assert pool.pinned == recount() == 0
+        pool.unpin(b)
+        pool.unpin(fresh)
+        assert pool.pinned == 0
+        assert pool.counters()["max_pinned"] == 3
+        pager.close()
+
+    def test_dirty_unpin_drops_what_was_decoded(self, tmp_path):
+        pager = make_pager(tmp_path, pages=1)
+        pool = BufferPool(1)
+        pool.register("f", pager)
+        frame = pool.pin("f", 0)
+        frame.decoded = ["rows"]
+        pool.unpin(frame)
+        assert pool.pin("f", 0).decoded == ["rows"]
+        pool.unpin(frame, dirty=True)
+        assert frame.decoded is None
+        pager.close()
+
     def test_capacity_floor(self):
         with pytest.raises(StorageError, match="capacity"):
             BufferPool(0)
