@@ -5,9 +5,8 @@ harness compares (top-k semantic interpretations plus the SQAK baseline
 statements — see ``repro.backends.differential``) is executed end to end
 on both registered backends, best-of-N per backend.  The interesting
 number is the **ratio** (sqlite_ms / memory_ms), which is relative to
-the machine the way ``check_regression.py``'s other gates are: both
-backends run in the same process on the same data and statements, so the
-ratio is stable where raw milliseconds are not.
+the machine: both backends run in the same process on the same data and
+statements, so the ratio is stable where raw milliseconds are not.
 
 Two things are asserted before any timing means anything:
 
@@ -16,10 +15,7 @@ Two things are asserted before any timing means anything:
   two backends that disagree measures nothing);
 * the mix is non-empty for every dataset.
 
-Numbers go to ``BENCH_backends.json``; ``check_regression.py`` compares
-them against the committed ``BENCH_backends_baseline.json``.  Refresh
-the baseline by copying the result file over it after an intentional
-backend change.
+Numbers go to ``BENCH_backends.json`` (a run output, not committed).
 
 Run standalone (``python benchmarks/bench_backends.py``) or via
 ``pytest benchmarks/bench_backends.py``.
@@ -44,7 +40,6 @@ REPEATS = 3  # best-of-N to shed scheduler noise
 
 _HERE = Path(__file__).resolve().parent
 RESULT_PATH = _HERE / "BENCH_backends.json"
-BASELINE_PATH = _HERE / "BENCH_backends_baseline.json"
 
 # the memory backend (compiled plans, hash joins, plan cache) must never
 # be slower than round-tripping SQL text through SQLite by more than

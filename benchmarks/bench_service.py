@@ -31,10 +31,8 @@ Acceptance gates (``check``):
 
 The result cache runs with ``ttl=0`` so every admitted request does real
 engine work (single-flight coalescing still applies, as it would in
-production); numbers are written to ``BENCH_service.json`` and compared
-against the committed ``BENCH_service_baseline.json`` by
-``check_regression.py``.  Refresh the baseline by copying the result
-file over it after an intentional serving-layer change.
+production); numbers are written to ``BENCH_service.json`` (a run
+output, not committed).
 
 Run standalone (``python benchmarks/bench_service.py``) or via
 ``pytest benchmarks/bench_service.py``.
@@ -86,7 +84,6 @@ QUERIES = [
 
 _HERE = Path(__file__).resolve().parent
 RESULT_PATH = _HERE / "BENCH_service.json"
-BASELINE_PATH = _HERE / "BENCH_service_baseline.json"
 
 
 def _build_service(spec: Dict[str, object]) -> QueryService:

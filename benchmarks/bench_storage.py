@@ -23,10 +23,7 @@ Three things are asserted before any timing means anything:
   (``DiskBackend.execute`` raises otherwise);
 * the mix is non-empty for every dataset.
 
-Numbers go to ``BENCH_storage.json``; ``check_regression.py`` compares
-them against the committed ``BENCH_storage_baseline.json``.  Refresh the
-baseline by copying the result file over it after an intentional storage
-change.
+Numbers go to ``BENCH_storage.json`` (a run output, not committed).
 
 Run standalone (``python benchmarks/bench_storage.py``) or via
 ``pytest benchmarks/bench_storage.py``.
@@ -56,7 +53,6 @@ PAGE_SIZE = 2048
 
 _HERE = Path(__file__).resolve().parent
 RESULT_PATH = _HERE / "BENCH_storage.json"
-BASELINE_PATH = _HERE / "BENCH_storage_baseline.json"
 
 # the disk backend pays for page decode + pool bookkeeping on every
 # access; it must still stay within this factor of the in-memory

@@ -5,7 +5,7 @@ A downstream user's workflow on a fresh domain (a tiny movie-rental shop):
 
 1. declare a schema and load rows,
 2. save it to a CSV directory and reload it (``repro.relational.io``),
-3. profile it (``repro.relational.statistics``),
+3. profile it (``engine.analyze_stats()``, the planner's statistics),
 4. let the engine suggest starter queries (``repro.keywords.suggest``),
 5. run keyword aggregate queries against it.
 
@@ -26,7 +26,6 @@ from repro.relational import (
     DatabaseSchema,
     DataType,
     ForeignKey,
-    analyze_database,
     load_database,
     save_database,
 )
@@ -108,9 +107,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     # profile
     # ------------------------------------------------------------------
+    engine = KeywordSearchEngine(db)
     print()
-    for stats in analyze_database(db).values():
-        print(stats.format())
+    for profile in engine.analyze_stats().values():
+        print(profile.format())
 
     # ------------------------------------------------------------------
     # suggestions
@@ -126,7 +126,6 @@ def main() -> None:
     # ------------------------------------------------------------------
     # keyword aggregate queries
     # ------------------------------------------------------------------
-    engine = KeywordSearchEngine(db)
     queries = [
         "COUNT Member GROUPBY Movie",
         "AVG fee GROUPBY genre",

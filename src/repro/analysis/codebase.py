@@ -1,8 +1,7 @@
 """Codebase-level static analysis: shared AST loading plus the LR rules.
 
-This module is the home of the *codebase gate* that used to live in
-``tools/lint_repro.py`` (the tool remains as a thin CLI shim so CI
-invocations are unchanged).  It has two layers:
+This module is the *codebase gate* CI runs as ``python -m
+repro.analysis.codebase``.  It has two layers:
 
 * a shared whole-program loader — :func:`load_tree` parses every module
   under a package root once into :class:`SourceFile` values (AST, module
@@ -51,8 +50,8 @@ invocations are unchanged).  It has two layers:
     :func:`repro.planner.params_for_backend` instead of forking their
     own coefficients, so calibration happens in exactly one place.
 
-Findings are plain ``(path, lineno, code, message)`` tuples for the CLI
-shim, and :func:`as_diagnostics` lifts them into the shared
+Findings are plain ``(path, lineno, code, message)`` tuples for the CLI,
+and :func:`as_diagnostics` lifts them into the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` model.
 """
 
@@ -587,7 +586,7 @@ def analyze_source(source: SourceFile) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Public lint entry points (used by the tools/lint_repro.py shim)
+# Public lint entry points
 # ----------------------------------------------------------------------
 def lint_file(root: Path, path: Path) -> List[Finding]:
     return analyze_source(load_source_file(root, path))
@@ -619,5 +618,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     return min(len(findings), 1)
 
 
-if __name__ == "__main__":  # pragma: no cover - module CLI convenience
+if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -9,13 +9,14 @@ its implementation:
   type: ``contains`` needs a TEXT/DATE column; ``numeric-eq`` needs a
   numeric column probed with a number; ``hash-eq`` needs a TEXT/DATE
   column probed with a string.  An unsound lookup would return a candidate
-  set that diverges from the interpreted executor;
+  set that misses rows the predicate closure accepts;
 * **S021** — every pushed predicate may reference only the scan's own
   alias (a cross-scan predicate evaluated on one table reads garbage).
 
 Two planner-facing advisories read the optimizer's
 :class:`~repro.planner.optimizer.PlanDecisions` when the plan carries
-them (``plan.decisions`` is ``None`` under ``optimizer=off``):
+them (``plan.decisions`` is ``None`` for a plan built without an
+optimizer):
 
 * **S022** (warning) — the estimated joined cardinality exceeds the
   *row_budget*, so the statement is predicted to materialize an
@@ -142,7 +143,7 @@ def _check_table_scan(scan: _TableScan, location: str) -> List[Diagnostic]:
                     f"({dtype}): {problem}",
                     location,
                     hint="index strategies must agree with the column "
-                    "datatype, else index and interpreted paths diverge",
+                    "datatype, else index and sequential scans diverge",
                 )
             )
     return diagnostics

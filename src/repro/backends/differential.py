@@ -201,23 +201,18 @@ def diff_dataset(
     tracer: Any = NULL_TRACER,
     report: Optional[DiffReport] = None,
     backends: Tuple[str, ...] = ("sqlite",),
-    optimizer: str = "cost",
 ) -> DiffReport:
     """Differential sweep over one dataset's workload.
 
     Each backend named in *backends* is diffed against the in-memory
     reference on every statement (``("sqlite", "disk")`` makes the sweep
-    three-way).  *optimizer* sets the plan-choice policy on the legs that
-    compile plans (memory and disk); the sweep is the cross-backend gate
-    that cost-based join reordering never changes results."""
+    three-way); the sweep is the cross-backend gate that cost-based join
+    reordering never changes results."""
     report = report if report is not None else DiffReport()
     database, statements = collect_statements(dataset, k=k, skip_sqak=skip_sqak)
-    memory = MemoryBackend(optimizer=optimizer)
+    memory = MemoryBackend()
     memory.load(database)
-    legs = []
-    for name in backends:
-        options: Dict[str, Any] = {"optimizer": optimizer} if name == "disk" else {}
-        legs.append(create_backend(name, database, tracer=tracer, **options))
+    legs = [create_backend(name, database, tracer=tracer) for name in backends]
     try:
         for qid, source, select in statements:
             report.statements += 1
@@ -275,16 +270,6 @@ def build_diff_parser() -> argparse.ArgumentParser:
             "paged storage engine)"
         ),
     )
-    parser.add_argument(
-        "--optimizer",
-        choices=("cost", "off"),
-        default="cost",
-        help=(
-            "plan-choice policy on the compiling legs: cost (default, "
-            "statistics-driven join reordering) or off (size-only greedy "
-            "heuristic)"
-        ),
-    )
     return parser
 
 
@@ -304,7 +289,6 @@ def run_diff(argv: Optional[List[str]] = None, out: Any = None) -> int:
         diff_dataset(
             dataset, k=args.top, skip_sqak=args.skip_sqak,
             tracer=tracer, report=report, backends=backends,
-            optimizer=args.optimizer,
         )
         bad = len(report.mismatches) - before
         status = "ok" if bad == 0 else f"{bad} MISMATCHES"

@@ -68,16 +68,12 @@ class DiskBackend(Backend):
         pool_capacity: int = DEFAULT_POOL_CAPACITY,
         page_size: int = DEFAULT_PAGE_SIZE,
         block_budget: int = DEFAULT_BLOCK_BUDGET,
-        optimizer: str = "cost",
     ) -> None:
         super().__init__()
         self.path = path
         self.pool_capacity = pool_capacity
         self.page_size = page_size
         self.block_budget = block_budget
-        # plan-choice policy for the executor over paged storage; "cost"
-        # uses disk-calibrated coefficients (index probes pay page reads)
-        self.optimizer = optimizer
         self._tempdir: Optional[str] = None
         self._engine: Optional[StorageEngine] = None
         self._executor: Optional[Executor] = None
@@ -124,10 +120,11 @@ class DiskBackend(Backend):
             self._engine = StorageEngine(
                 directory, database.schema, pool_capacity=self.pool_capacity
             )
+        # the label selects disk-calibrated cost coefficients (index
+        # probes pay page reads) as well as naming the execute span
         self._executor = Executor(
             self._engine.database,  # type: ignore[arg-type]  # duck-typed
             backend_label=self.name,
-            optimizer=self.optimizer,
         )
         self._loaded_version = database.data_version
 

@@ -30,31 +30,16 @@ class MemoryBackend(Backend):
     dialect = ANSI_DIALECT
     capabilities = frozenset({"python-values", "compiled-plans", "trace-operators"})
 
-    def __init__(
-        self,
-        executor: Optional[Executor] = None,
-        compile_plans: bool = True,
-        use_hash_joins: bool = True,
-        optimizer: str = "cost",
-    ) -> None:
+    def __init__(self, executor: Optional[Executor] = None) -> None:
         super().__init__()
         self._executor = executor
-        self._compile_plans = compile_plans
-        self._use_hash_joins = use_hash_joins
-        self._optimizer = optimizer
         if executor is not None:
             self.database = executor.database
 
     @property
     def executor(self) -> Executor:
         if self._executor is None:
-            database = self._require_database()
-            self._executor = Executor(
-                database,
-                compile_plans=self._compile_plans,
-                use_hash_joins=self._use_hash_joins,
-                optimizer=self._optimizer,
-            )
+            self._executor = Executor(self._require_database())
         return self._executor
 
     def load(self, database: Database, tracer: Any = NULL_TRACER) -> None:

@@ -14,7 +14,6 @@ Examples::
     python -m repro diff --dataset acmdl-unnorm
     python -m repro diff --backend disk --dataset university
     python -m repro stats --dataset tpch --table Customer
-    python -m repro --dataset tpch --optimizer off "SUM amount GROUPBY nname"
     python -m repro gen --dataset tpch --sf 4 --out ./tpch-sf4
     python -m repro serve --port 8080 --datasets university,tpch
     python -m repro --reproduce
@@ -109,17 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default), a real SQLite database, or the paged on-disk "
             "storage engine materialized from the dataset (see "
             "docs/BACKENDS.md and docs/STORAGE.md)"
-        ),
-    )
-    parser.add_argument(
-        "--optimizer",
-        choices=("cost", "off"),
-        default="cost",
-        help=(
-            "plan-choice policy: cost (default, statistics-driven join "
-            "reordering and access-path selection — see docs/PLANNER.md) "
-            "or off (the size-only greedy heuristic, byte-for-byte the "
-            "pre-planner behavior)"
         ),
     )
     parser.add_argument(
@@ -371,10 +359,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         if args.schema:
             print(database.summary(), file=out)
             engine = KeywordSearchEngine(
-                database,
-                fds=fds or None,
-                name_hints=name_hints or None,
-                optimizer=args.optimizer,
+                database, fds=fds or None, name_hints=name_hints or None
             )
             print(file=out)
             print(engine.graph.describe(), file=out)
@@ -385,10 +370,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             if args.backend != "memory":
                 from repro.backends import create_backend
 
-                options = (
-                    {"optimizer": args.optimizer} if args.backend == "disk" else {}
-                )
-                backend = create_backend(args.backend, database, **options)
+                backend = create_backend(args.backend, database)
                 try:
                     print(backend.execute(args.query).format_table(), file=out)
                 finally:
@@ -396,12 +378,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 return 0
             from repro.relational.executor import execute_sql
 
-            print(
-                execute_sql(
-                    database, args.query, optimizer=args.optimizer
-                ).format_table(),
-                file=out,
-            )
+            print(execute_sql(database, args.query).format_table(), file=out)
             return 0
         if args.sqak:
             if args.backend != "memory":
@@ -409,10 +386,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             sqak = SqakEngine(database, extra_joins=extra_joins)
             return _run_sqak(sqak, args.query, args.explain, out)
         engine = KeywordSearchEngine(
-            database,
-            fds=fds or None,
-            name_hints=name_hints or None,
-            optimizer=args.optimizer,
+            database, fds=fds or None, name_hints=name_hints or None
         )
         return _run_semantic(
             engine,

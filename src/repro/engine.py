@@ -165,9 +165,6 @@ class KeywordSearchEngine:
         disambiguate: bool = True,
         rewrite_sql: bool = True,
         check_fds: bool = False,
-        compile_plans: bool = True,
-        use_hash_joins: bool = True,
-        optimizer: str = "cost",
         strict: bool = False,
         backend: str = "memory",
         backend_options: Optional[Dict[str, object]] = None,
@@ -177,23 +174,13 @@ class KeywordSearchEngine:
         # strict mode: statically analyze every compiled interpretation and
         # refuse to return one with error-severity diagnostics
         self.strict = strict
-        self.compile_plans = compile_plans
         # cross-query metrics sink; traced searches report into it too
         self.metrics = MetricsRegistry()
         # ablation knobs (see DESIGN.md section 5)
         self.dedup_relationships = dedup_relationships
         self.disambiguate = disambiguate
         self.rewrite_sql = rewrite_sql
-        # plan-choice policy: "cost" = statistics-driven join reordering
-        # and access-path selection (repro.planner); "off" = the greedy
-        # pre-planner heuristics, kept as the ablation baseline
-        self.optimizer_mode = optimizer
-        self.executor = Executor(
-            database,
-            use_hash_joins=use_hash_joins,
-            compile_plans=compile_plans,
-            optimizer=optimizer,
-        )
+        self.executor = Executor(database)
         # execution backends, keyed by name.  The memory backend wraps the
         # engine's own executor (sharing its plan cache); others — e.g.
         # "sqlite" — materialize the database on first use and are cached
@@ -271,11 +258,7 @@ class KeywordSearchEngine:
             backend = self._backends.get(name)
             if backend is None:
                 options = accepted_options(name, self._backend_options)
-                if name == "disk":
-                    # the disk executor costs plans with disk-calibrated
-                    # coefficients; the ablation flag flows through too
-                    options.setdefault("optimizer", self.optimizer_mode)
-                elif name == "sqlite" and self.optimizer_mode != "off":
+                if name == "sqlite":
                     # statistics-driven secondary indexes on top of the
                     # foreign-key ones the backend always creates
                     options.setdefault("index_hints", "auto")
@@ -468,10 +451,9 @@ class KeywordSearchEngine:
         """Statically analyze the top-k interpretations of a query.
 
         Compiles (without executing) and runs all analyzer families —
-        pattern, translation, SQL/type, rewrite postconditions and, when
-        plan compilation is on, physical-plan soundness.  The per-
-        interpretation findings are also attached to each interpretation's
-        ``diagnostics`` list.
+        pattern, translation, SQL/type, rewrite postconditions and
+        physical-plan soundness.  The per-interpretation findings are also
+        attached to each interpretation's ``diagnostics`` list.
         """
         interpretations = self.compile(query_text, k, tracer=tracer)
         return self._analyze_compiled(query_text, interpretations, tracer=tracer)
@@ -520,9 +502,8 @@ class KeywordSearchEngine:
                 findings.extend(
                     analyze_dialect(parts.final, self.backend.dialect, location)
                 )
-                if self.compile_plans:
-                    plan = self.executor.plan_for(parts.final, tracer)
-                    findings.extend(analyze_plan(plan, location))
+                plan = self.executor.plan_for(parts.final, tracer)
+                findings.extend(analyze_plan(plan, location))
                 interpretation.diagnostics = findings
                 report.extend(findings)
             tracer.count("diagnostics", len(report))

@@ -15,9 +15,8 @@ The package sits above :mod:`repro.relational` and below the engine:
   :data:`DP_RELATION_LIMIT` relations, per-predicate index-vs-seq-scan
   choices, per-operator row estimates).
 
-The executor consults this package lazily (``optimizer="cost"``, the
-default) and not at all under the ``optimizer="off"`` ablation; see
-``docs/PLANNER.md`` for the full model.  Lint rule LR009 keeps
+The executor builds its :class:`Optimizer` lazily, on the first plan it
+compiles; see ``docs/PLANNER.md`` for the full model.  Lint rule LR009 keeps
 cost-model constants and statistics sampling confined here.
 """
 

@@ -48,7 +48,7 @@ def closure_selectivity(
     """Fraction of sample rows satisfying *every* closure, smoothed.
 
     Returns None when the sample is empty.  A closure that raises on a
-    sample row (the interpreter's strict mixed-type comparisons) counts
+    sample row (strict mixed-type comparisons) counts
     as a non-match — if it raises on real rows, execution fails anyway
     and the estimate is moot.
     """

@@ -20,8 +20,8 @@ rendered SQL and ``data_version``) and produces a
 
 The optimizer only *reorders* the same hash joins and *disables*
 index lookups the scan would otherwise consult — every path it picks
-exists in today's executor, which is why ``optimizer=off`` restores the
-previous behavior byte-for-byte.
+is one a :class:`~repro.relational.plan.CompiledPlan` built without an
+optimizer can also take, so its choices never change a result set.
 """
 
 from __future__ import annotations

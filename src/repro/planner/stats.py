@@ -6,7 +6,8 @@ tuples (``random.Random`` seeded from :class:`StatsConfig`, so profiles
 are deterministic), and per-column summaries derived from the sample —
 sampled NDV (a GEE-style extrapolation when the table is larger than the
 sample), an equi-height histogram and an MCV list (both built by the
-deterministic constructors in :mod:`repro.relational.statistics`).
+deterministic, sampling-free :func:`build_equi_height` and
+:func:`build_mcv` below).
 
 :class:`StatisticsCatalog` caches one profile per relation, keyed to
 :attr:`Database.data_version` — any mutation epoch drops every cached
@@ -23,18 +24,16 @@ import math
 import random
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.observability import NULL_TRACER
 from repro.relational.algebra import null_safe_sort_key
-from repro.relational.statistics import (
-    EquiHeightHistogram,
-    MostCommonValues,
-    build_equi_height,
-    build_mcv,
-)
 
 __all__ = [
+    "EquiHeightHistogram",
+    "MostCommonValues",
+    "build_equi_height",
+    "build_mcv",
     "StatsConfig",
     "ColumnProfile",
     "TableProfile",
@@ -63,6 +62,143 @@ class StatsConfig:
     histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS
     mcv_size: int = DEFAULT_MCV_SIZE
     seed: int = DEFAULT_SEED
+
+
+@dataclass(frozen=True)
+class EquiHeightHistogram:
+    """An equi-height (equi-depth) histogram over numeric values.
+
+    ``bounds`` holds ``buckets + 1`` non-decreasing bucket boundaries;
+    every bucket summarizes the same number of values (``total /
+    buckets``).  Selectivities are estimated by linear interpolation
+    inside the containing bucket, so they are guaranteed to stay within
+    ``[0, 1]`` and to be monotone under range widening — the two
+    invariants the planner's property tests pin down.
+    """
+
+    bounds: Tuple[float, ...]
+    total: int
+
+    @property
+    def buckets(self) -> int:
+        return len(self.bounds) - 1
+
+    def le_fraction(self, value: float) -> float:
+        """Estimated fraction of summarized values ``<= value``.
+
+        Monotone non-decreasing in *value* and clamped to ``[0, 1]``.
+        """
+        bounds = self.bounds
+        buckets = self.buckets
+        if self.total <= 0 or buckets <= 0:
+            return 0.0
+        if value < bounds[0]:
+            return 0.0
+        if value >= bounds[-1]:
+            return 1.0
+        per_bucket = 1.0 / buckets
+        acc = 0.0
+        for i in range(buckets):
+            low, high = bounds[i], bounds[i + 1]
+            if value >= high:
+                acc += per_bucket
+                continue
+            if value < low:  # pragma: no cover - bounds are non-decreasing
+                break
+            width = high - low
+            if width > 0:
+                acc += per_bucket * ((value - low) / width)
+            break
+        return min(1.0, max(0.0, acc))
+
+    def range_selectivity(
+        self, low: Optional[float] = None, high: Optional[float] = None
+    ) -> float:
+        """Estimated fraction of values in ``[low, high]``.
+
+        ``None`` leaves that end open.  Bucket-boundary mass is
+        approximated by interpolation, so point predicates should go
+        through MCV/NDV estimates instead; the guarantee here is the
+        pair of invariants above, not point accuracy.
+        """
+        high_fraction = 1.0 if high is None else self.le_fraction(high)
+        low_fraction = 0.0 if low is None else self.le_fraction(low)
+        return min(1.0, max(0.0, high_fraction - low_fraction))
+
+
+@dataclass(frozen=True)
+class MostCommonValues:
+    """The most frequent values of a column with their frequency.
+
+    ``fractions`` are relative to the summarized (non-null) values; the
+    planner combines them with the column's null fraction.
+    """
+
+    values: Tuple[Any, ...]
+    fractions: Tuple[float, ...]
+
+    @property
+    def coverage(self) -> float:
+        """Fraction of non-null values captured by the list."""
+        return min(1.0, sum(self.fractions))
+
+    def fraction_of(self, value: Any) -> Optional[float]:
+        for candidate, fraction in zip(self.values, self.fractions):
+            if candidate == value:
+                return fraction
+        return None
+
+
+def _numeric_values(values: Iterable[Any]) -> List[float]:
+    return [
+        float(value)
+        for value in values
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    ]
+
+
+def build_equi_height(
+    values: Iterable[Any], buckets: int = 16
+) -> Optional[EquiHeightHistogram]:
+    """Build an equi-height histogram from the numeric values in *values*.
+
+    Non-numeric and NULL values are ignored; returns None when nothing
+    numeric remains.  Deterministic: no sampling happens here.
+    """
+    data = sorted(_numeric_values(values))
+    count = len(data)
+    if count == 0:
+        return None
+    buckets = max(1, min(buckets, count))
+    bounds = [data[0]]
+    for k in range(1, buckets + 1):
+        index = min(count - 1, math.ceil(k * count / buckets) - 1)
+        bounds.append(data[index])
+    return EquiHeightHistogram(bounds=tuple(bounds), total=count)
+
+
+def build_mcv(values: Iterable[Any], size: int = 8) -> Optional[MostCommonValues]:
+    """Build a most-common-value list from the non-null values in *values*.
+
+    Ties are broken by value order (via :func:`null_safe_sort_key`) so the
+    result is deterministic.  Returns None when every value is NULL.
+    """
+    counts: Dict[Any, int] = {}
+    total = 0
+    for value in values:
+        if value is None:
+            continue
+        total += 1
+        counts[value] = counts.get(value, 0) + 1
+    if not total or size <= 0:
+        return None
+    ranked = sorted(
+        counts.items(), key=lambda item: (-item[1], null_safe_sort_key(item[0]))
+    )[:size]
+    return MostCommonValues(
+        values=tuple(value for value, _ in ranked),
+        fractions=tuple(count / total for _, count in ranked),
+    )
 
 
 @dataclass(frozen=True)

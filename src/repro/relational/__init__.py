@@ -12,19 +12,11 @@ from repro.relational.io import (
     schema_to_dict,
 )
 from repro.relational.schema import Column, DatabaseSchema, ForeignKey, RelationSchema
-from repro.relational.statistics import (
-    ColumnStatistics,
-    TableStatistics,
-    analyze_database,
-    analyze_table,
-    estimated_join_selectivity,
-)
 from repro.relational.table import Table
 from repro.relational.types import DataType
 
 __all__ = [
     "Column",
-    "ColumnStatistics",
     "CompiledPlan",
     "DataType",
     "Database",
@@ -37,10 +29,6 @@ __all__ = [
     "QueryResult",
     "RelationSchema",
     "Table",
-    "TableStatistics",
-    "analyze_database",
-    "analyze_table",
-    "estimated_join_selectivity",
     "execute_sql",
     "export_result_csv",
     "load_database",

@@ -3,17 +3,16 @@
 A :class:`Rowset` is the executor's intermediate representation: a list of
 tuples plus a :class:`~repro.relational.expressions.Binding` describing each
 position as ``(alias, column)``.  The operators here are pure functions used
-by the hash-join planner in :mod:`repro.relational.executor`.
+by the compiled plans in :mod:`repro.relational.plan`.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.cancellation import CHECK_STRIDE, current_token
-from repro.relational.expressions import Binding, ColumnLabel, evaluate
-from repro.sql.ast import Expr
+from repro.relational.expressions import Binding, ColumnLabel
 
 # join loops poll the ambient cancellation token once per _STRIDE outer
 # iterations so a runaway join aborts mid-flight (see repro.cancellation)
@@ -37,31 +36,6 @@ class Rowset:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def relabel(self, qualifier: str) -> "Rowset":
-        """Re-qualify every column with *qualifier* (used for FROM aliases)."""
-        labels = [(qualifier, name) for _, name in self.binding.labels]
-        return Rowset(Binding(labels), self.rows)
-
-
-def select_rows(rowset: Rowset, predicate: Expr) -> Rowset:
-    """sigma: keep rows satisfying *predicate*."""
-    binding = rowset.binding
-    token = current_token()
-    kept: List[Tuple[Any, ...]] = []
-    append = kept.append
-    for i, row in enumerate(rowset.rows):
-        if not (i & _STRIDE_MASK):
-            token.check()
-        if evaluate(predicate, row, binding):
-            append(row)
-    return Rowset(binding, kept)
-
-
-def project(rowset: Rowset, positions: Sequence[int], labels: Sequence[ColumnLabel]) -> Rowset:
-    """pi: keep the columns at *positions*, relabelled as *labels*."""
-    rows = [tuple(row[i] for i in positions) for row in rowset.rows]
-    return Rowset(Binding(labels), rows)
 
 
 def distinct(rowset: Rowset) -> Rowset:
@@ -175,14 +149,6 @@ def hash_join(
             for build_row in bucket:
                 append(build_row + probe_row)
     return Rowset(binding, out)
-
-
-def sort_rows(
-    rowset: Rowset,
-    key: Callable[[Tuple[Any, ...]], Any],
-    descending: bool = False,
-) -> Rowset:
-    return Rowset(rowset.binding, sorted(rowset.rows, key=key, reverse=descending))
 
 
 def null_safe_sort_key(value: Any) -> Tuple[int, Any]:

@@ -1,85 +1,43 @@
 """SQL executor: runs a :class:`~repro.sql.ast.Select` against a
 :class:`~repro.relational.database.Database`.
 
-The planner is deliberately simple but not naive: single-table predicates
-are pushed down before joins, equality predicates drive hash joins, and
-remaining components fall back to cartesian products.  This is enough to run
-every SQL statement the semantic engine and the SQAK baseline generate —
-including derived tables, self-joins, DISTINCT projections, GROUP BY and
-nested aggregates — at the dataset scales of the evaluation.
+Every statement is compiled into a
+:class:`~repro.relational.plan.CompiledPlan` — single-table predicates
+pushed down to (index-backed) scans, equality predicates driving hash
+joins in the order the cost-based :class:`repro.planner.Optimizer`
+chose, remaining components combined by cartesian product — and the plan
+is cached.  This runs every SQL statement the semantic engine and the
+SQAK baseline generate, including derived tables, self-joins, DISTINCT
+projections, GROUP BY and nested aggregates.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
-from repro.cancellation import current_token
 from repro.errors import SqlExecutionError
 from repro.observability import NULL_TRACER
-from repro.relational.algebra import (
-    Rowset,
-    cross_join,
-    distinct,
-    hash_join,
-    null_safe_sort_key,
-    select_rows,
-)
 from repro.relational.database import Database
-from repro.relational.expressions import (
-    Binding,
-    evaluate,
-    evaluate_with_aggregates,
-)
 from repro.relational.plan import CompiledPlan
 from repro.relational.result import QueryResult
-from repro.sql.ast import (
-    BinaryOp,
-    ColumnRef,
-    DerivedTable,
-    Expr,
-    Select,
-    TableRef,
-)
+from repro.sql.ast import Select
 from repro.sql.parser import parse
 from repro.sql.render import render
 
 __all__ = ["Executor", "QueryResult", "execute_sql"]
 
 
-class _Component:
-    """A connected group of FROM items during join planning."""
-
-    __slots__ = ("aliases", "rowset")
-
-    def __init__(self, aliases: Set[str], rowset: Rowset) -> None:
-        self.aliases = aliases
-        self.rowset = rowset
-
-
 class Executor:
     """Executes SELECT statements against one database.
 
-    By default every ``Select`` is compiled once into a
+    Every ``Select`` is compiled once into a
     :class:`~repro.relational.plan.CompiledPlan` (closure predicates,
-    index-backed scans) and cached by its rendered SQL; cache entries are
-    invalidated when :attr:`Database.data_version` changes and by
-    :meth:`clear_plan_cache`.  ``compile_plans=False`` selects the original
-    interpreted path (per-row AST walks), kept as the ablation baseline.
-
-    ``use_hash_joins=False`` disables the equi-join planner in both paths:
-    components are combined with cartesian products and filtered afterwards.
-    Semantically identical, asymptotically worse — kept for the planner
-    ablation benchmark (DESIGN.md section 5).
-
-    ``optimizer`` selects the plan-choice policy for compiled plans:
-    ``"cost"`` (the default) lazily constructs a
-    :class:`repro.planner.Optimizer` — statistics-driven join reordering,
-    access-path selection and per-operator row estimates — while
-    ``"off"`` is the ablation that preserves the pre-planner behavior
-    byte-for-byte (greedy size-product join order, index whenever one
-    exists).  The interpreted path never consults the optimizer.
+    index-backed scans; join order, access paths and per-operator row
+    estimates from a lazily built :class:`repro.planner.Optimizer`) and
+    cached by its rendered SQL; cache entries are invalidated when
+    :attr:`Database.data_version` changes and by :meth:`clear_plan_cache`.
 
     ``validate=True`` runs the static SQL analyzers
     (:func:`repro.analysis.analyze_select`) over every statement before
@@ -93,26 +51,16 @@ class Executor:
     def __init__(
         self,
         database: Database,
-        use_hash_joins: bool = True,
         tracer=None,
-        compile_plans: bool = True,
         validate: bool = False,
         backend_label: str = "memory",
-        optimizer: str = "cost",
     ) -> None:
-        if optimizer not in ("cost", "off"):
-            raise ValueError(
-                f"unknown optimizer mode {optimizer!r}: expected 'cost' or 'off'"
-            )
         self.database = database
-        self.use_hash_joins = use_hash_joins
         self.tracer = tracer or NULL_TRACER
-        self.compile_plans = compile_plans
         self.validate = validate
         # shown as the execute-span's backend attribute; the disk backend
         # runs this same executor over paged storage under its own label
         self.backend_label = backend_label
-        self.optimizer_mode = optimizer
         self._optimizer: Any = None
         self._plan_cache: "OrderedDict[str, Tuple[Any, CompiledPlan]]" = OrderedDict()
         self._plan_lock = threading.Lock()
@@ -132,10 +80,7 @@ class Executor:
         if self.validate:
             self._validate(select, tracer)
         with tracer.span("execute", backend=self.backend_label):
-            if self.compile_plans:
-                plan = self.plan_for(select, tracer)
-                return plan.execute(tracer)
-            return self._execute_select(select, tracer)
+            return self.plan_for(select, tracer).execute(tracer)
 
     def plan_for(self, select: Select, tracer=NULL_TRACER) -> CompiledPlan:
         """The cached :class:`CompiledPlan` for *select*, compiling on miss.
@@ -154,11 +99,7 @@ class Executor:
                 tracer.count("plan_cache_hits")
                 return entry[1]
         plan = CompiledPlan(
-            select,
-            self.database,
-            use_hash_joins=self.use_hash_joins,
-            optimizer=self.optimizer,
-            tracer=tracer,
+            select, self.database, optimizer=self.optimizer, tracer=tracer
         )
         tracer.count("plan_cache_misses")
         tracer.count("compiled_predicates", plan.compiled_predicates)
@@ -186,11 +127,7 @@ class Executor:
 
     @property
     def optimizer(self) -> Any:
-        """The lazily built :class:`repro.planner.Optimizer`, or None when
-        the mode is ``"off"`` (or hash joins are disabled — there is no
-        join order to choose under the cross-join ablation)."""
-        if self.optimizer_mode == "off" or not self.use_hash_joins:
-            return None
+        """The lazily built :class:`repro.planner.Optimizer`."""
         with self._plan_lock:
             if self._optimizer is None:
                 # imported lazily: repro.planner depends on repro.relational,
@@ -204,18 +141,10 @@ class Executor:
             return self._optimizer
 
     def statistics(self, tracer=NULL_TRACER) -> Dict[str, Any]:
-        """Table profiles for every relation (``engine.analyze_stats()``).
-
-        Served from the optimizer's statistics catalog when one is active
-        (so a later query costs nothing to plan); with the optimizer off
-        a throwaway catalog still answers the inspection request.
-        """
-        optimizer = self.optimizer
-        if optimizer is not None:
-            return optimizer.catalog.profiles(tracer)
-        from repro.planner import StatisticsCatalog
-
-        return StatisticsCatalog(self.database).profiles(tracer)
+        """Table profiles for every relation (``engine.analyze_stats()``),
+        served from the optimizer's statistics catalog so a later query
+        costs nothing to plan."""
+        return self.optimizer.catalog.profiles(tracer)
 
     def clear_plan_cache(self) -> None:
         """Drop cached plans *and* the optimizer's statistics + memos."""
@@ -230,292 +159,11 @@ class Executor:
         with self._plan_lock:
             return len(self._plan_cache)
 
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-    def _execute_select(self, select: Select, tracer=NULL_TRACER) -> QueryResult:
-        # cancellation checkpoints: the ambient token (repro.cancellation)
-        # is polled at every operator boundary here and inside the row
-        # loops of repro.relational.algebra, so a served query with a
-        # deadline aborts mid-plan instead of hogging its worker
-        token = current_token()
-        token.check()
-        components = self._load_from_items(select, tracer)
-        pending = select.where_conjuncts()
-        pending = self._apply_local_predicates(components, pending, tracer)
-        merged = self._join_components(components, pending, tracer)
-        token.check()
-        return self._project(select, merged.rowset, tracer)
-
-    def _load_from_items(self, select: Select, tracer=NULL_TRACER) -> List[_Component]:
-        if not select.from_items:
-            raise SqlExecutionError("FROM clause is empty")
-        components: List[_Component] = []
-        seen_aliases: Set[str] = set()
-        for item in select.from_items:
-            if item.alias in seen_aliases:
-                raise SqlExecutionError(f"duplicate alias {item.alias!r} in FROM")
-            seen_aliases.add(item.alias)
-            if isinstance(item, TableRef):
-                table = self.database.table(item.table)
-                labels = [(item.alias, name) for name in table.schema.column_names]
-                rowset = Rowset(Binding(labels), list(table.rows))
-                tracer.count("rows_scanned", len(rowset))
-            elif isinstance(item, DerivedTable):
-                inner = self._execute_select(item.select, tracer)
-                labels = [(item.alias, name) for name in inner.columns]
-                rowset = Rowset(Binding(labels), inner.rows)
-            else:  # pragma: no cover - defensive
-                raise SqlExecutionError(f"unknown FROM item {item!r}")
-            components.append(_Component({item.alias}, rowset))
-        return components
-
-    def _aliases_of(self, expr: Expr, components: Sequence[_Component]) -> Set[str]:
-        """The set of FROM aliases an expression references."""
-        aliases: Set[str] = set()
-        for node in expr.walk():
-            if not isinstance(node, ColumnRef):
-                continue
-            if node.qualifier is not None:
-                aliases.add(node.qualifier)
-                continue
-            owner_aliases = {
-                q
-                for component in components
-                for q, name in component.rowset.binding.labels
-                if name.lower() == node.name.lower()
-            }
-            if not owner_aliases:
-                raise SqlExecutionError(f"unknown column {node}")
-            if len(owner_aliases) > 1:
-                raise SqlExecutionError(f"ambiguous column {node}")
-            aliases.add(next(iter(owner_aliases)))
-        return aliases
-
-    def _apply_local_predicates(
-        self,
-        components: List[_Component],
-        conjuncts: List[Expr],
-        tracer=NULL_TRACER,
-    ) -> List[Expr]:
-        """Push single-component predicates down; return the remainder."""
-        remaining: List[Expr] = []
-        for conjunct in conjuncts:
-            aliases = self._aliases_of(conjunct, components)
-            owner = None
-            for component in components:
-                if aliases <= component.aliases:
-                    owner = component
-                    break
-            if owner is not None:
-                before = len(owner.rowset)
-                owner.rowset = select_rows(owner.rowset, conjunct)
-                tracer.count("predicates_pushed")
-                tracer.count("rows_filtered", before - len(owner.rowset))
-            else:
-                remaining.append(conjunct)
-        return remaining
-
-    def _join_components(
-        self,
-        components: List[_Component],
-        pending: List[Expr],
-        tracer=NULL_TRACER,
-    ) -> _Component:
-        """Merge components with hash joins until one remains."""
-        token = current_token()
-        while len(components) > 1:
-            token.check()
-            pair = (
-                self._pick_join_pair(components, pending)
-                if self.use_hash_joins
-                else None
-            )
-            if pair is None:
-                # no connecting predicate: cartesian product of two smallest
-                components.sort(key=lambda component: len(component.rowset))
-                left, right = components[0], components[1]
-                merged_rowset = cross_join(left.rowset, right.rowset)
-                merged = _Component(left.aliases | right.aliases, merged_rowset)
-                components = [merged] + components[2:]
-                tracer.count("cross_joins")
-                tracer.count("cross_join_rows", len(merged_rowset))
-            else:
-                left, right = pair
-                merged = self._hash_join_pair(left, right, pending, components)
-                components = [
-                    component
-                    for component in components
-                    if component is not left and component is not right
-                ]
-                components.append(merged)
-                tracer.count("hash_joins")
-                tracer.count("hash_join_rows", len(merged.rowset))
-            pending = self._apply_local_predicates(components, pending, tracer)
-        if pending:
-            # every alias is now in one component; apply what is left
-            only = components[0]
-            for conjunct in pending:
-                only.rowset = select_rows(only.rowset, conjunct)
-        return components[0]
-
-    def _pick_join_pair(
-        self, components: List[_Component], pending: List[Expr]
-    ) -> Optional[Tuple[_Component, _Component]]:
-        """The joinable component pair with the smallest size product —
-        a cheap greedy join order that keeps intermediate results small."""
-        best: Optional[Tuple[_Component, _Component]] = None
-        best_cost: Optional[int] = None
-        for conjunct in pending:
-            if not self._is_equi_join(conjunct):
-                continue
-            aliases = self._aliases_of(conjunct, components)
-            touched = [
-                component
-                for component in components
-                if aliases & component.aliases
-            ]
-            if len(touched) != 2:
-                continue
-            cost = len(touched[0].rowset) * len(touched[1].rowset)
-            if best_cost is None or cost < best_cost:
-                best = (touched[0], touched[1])
-                best_cost = cost
-        return best
-
-    @staticmethod
-    def _is_equi_join(expr: Expr) -> bool:
-        return (
-            isinstance(expr, BinaryOp)
-            and expr.op == "="
-            and isinstance(expr.left, ColumnRef)
-            and isinstance(expr.right, ColumnRef)
-        )
-
-    def _hash_join_pair(
-        self,
-        left: _Component,
-        right: _Component,
-        pending: List[Expr],
-        components: List[_Component],
-    ) -> _Component:
-        """Join two components on every equi-predicate linking them."""
-        left_positions: List[int] = []
-        right_positions: List[int] = []
-        used: List[Expr] = []
-        for conjunct in pending:
-            if not self._is_equi_join(conjunct):
-                continue
-            aliases = self._aliases_of(conjunct, components)
-            if not (aliases & left.aliases and aliases & right.aliases):
-                continue
-            if not aliases <= (left.aliases | right.aliases):
-                continue
-            assert isinstance(conjunct, BinaryOp)
-            lhs, rhs = conjunct.left, conjunct.right
-            assert isinstance(lhs, ColumnRef) and isinstance(rhs, ColumnRef)
-            lhs_aliases = self._aliases_of(lhs, components)
-            if lhs_aliases <= left.aliases:
-                left_positions.append(left.rowset.binding.resolve(lhs))
-                right_positions.append(right.rowset.binding.resolve(rhs))
-            else:
-                left_positions.append(left.rowset.binding.resolve(rhs))
-                right_positions.append(right.rowset.binding.resolve(lhs))
-            used.append(conjunct)
-        for conjunct in used:
-            pending.remove(conjunct)
-        joined = hash_join(left.rowset, right.rowset, left_positions, right_positions)
-        return _Component(left.aliases | right.aliases, joined)
-
-    # ------------------------------------------------------------------
-    # Projection / grouping
-    # ------------------------------------------------------------------
-    def _project(
-        self, select: Select, rowset: Rowset, tracer=NULL_TRACER
-    ) -> QueryResult:
-        binding = rowset.binding
-        columns = [
-            item.output_name(default=f"col{i + 1}")
-            for i, item in enumerate(select.items)
-        ]
-        aggregated = select.has_aggregates() or bool(select.group_by)
-        if aggregated:
-            groups = self._group_rows(select, rowset)
-            tracer.count("groups_formed", len(groups))
-            out_rows = [
-                tuple(
-                    evaluate_with_aggregates(item.expr, group_rows, binding)
-                    for item in select.items
-                )
-                for group_rows in groups
-            ]
-        else:
-            out_rows = [
-                tuple(evaluate(item.expr, row, binding) for item in select.items)
-                for row in rowset.rows
-            ]
-        result = Rowset(Binding([(None, name) for name in columns]), out_rows)
-        if select.distinct:
-            result = distinct(result)
-        if select.order_by:
-            # stable multi-key sort honouring each key's direction: sort by
-            # the least-significant key first, most-significant last
-            rows = list(result.rows)
-            for item in reversed(select.order_by):
-                rows.sort(
-                    key=lambda row, item=item: null_safe_sort_key(
-                        self._order_value(item.expr, row, result, rowset, select)
-                    ),
-                    reverse=item.descending,
-                )
-            result = Rowset(result.binding, rows)
-        rows = result.rows
-        if select.limit is not None:
-            rows = rows[: select.limit]
-        tracer.count("rows_output", len(rows))
-        return QueryResult(columns, rows)
-
-    def _order_value(
-        self,
-        expr: Expr,
-        out_row: Tuple[Any, ...],
-        out_rowset: Rowset,
-        in_rowset: Rowset,
-        select: Select,
-    ) -> Any:
-        if isinstance(expr, ColumnRef) and expr.qualifier is None:
-            try:
-                return out_row[out_rowset.binding.resolve(expr)]
-            except SqlExecutionError:
-                pass
-        # fall back: expression must match a select item
-        for index, item in enumerate(select.items):
-            if item.expr == expr:
-                return out_row[index]
-        raise SqlExecutionError(
-            f"ORDER BY expression {expr!r} must reference an output column"
-        )
-
-    def _group_rows(self, select: Select, rowset: Rowset) -> List[List[Tuple[Any, ...]]]:
-        if not select.group_by:
-            return [rowset.rows]
-        binding = rowset.binding
-        groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-        order: List[Tuple[Any, ...]] = []
-        for row in rowset.rows:
-            key = tuple(evaluate(expr, row, binding) for expr in select.group_by)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        return [groups[key] for key in order]
-
 
 def execute_sql(
     database: Database,
     sql: Union[Select, str],
     validate: bool = False,
-    optimizer: str = "cost",
 ) -> QueryResult:
     """One-shot convenience wrapper around :class:`Executor`."""
-    return Executor(database, validate=validate, optimizer=optimizer).execute(sql)
+    return Executor(database, validate=validate).execute(sql)

@@ -67,83 +67,6 @@ class Binding:
         return len(self.labels)
 
 
-def evaluate(expr: Expr, row: Sequence[Any], binding: Binding) -> Any:
-    """Evaluate a scalar expression on one row.
-
-    Aggregate calls are rejected here; they are evaluated per-group by
-    :func:`evaluate_aggregate`.
-    """
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        return row[binding.resolve(expr)]
-    if isinstance(expr, Contains):
-        value = evaluate(expr.column, row, binding)
-        if value is None:
-            return False
-        return expr.phrase.lower() in str(value).lower()
-    if isinstance(expr, IsNull):
-        value = evaluate(expr.operand, row, binding)
-        return (value is not None) if expr.negated else (value is None)
-    if isinstance(expr, BinaryOp):
-        return _evaluate_binary(expr, row, binding)
-    if isinstance(expr, FuncCall):
-        if expr.is_aggregate:
-            raise SqlExecutionError(
-                f"aggregate {expr.name} used outside GROUP BY evaluation"
-            )
-        raise SqlExecutionError(f"unknown function {expr.name!r}")
-    if isinstance(expr, Star):
-        raise SqlExecutionError("'*' is only valid inside COUNT(*)")
-    raise SqlExecutionError(f"cannot evaluate expression {expr!r}")
-
-
-def _evaluate_binary(expr: BinaryOp, row: Sequence[Any], binding: Binding) -> Any:
-    op = expr.op.upper()
-    if op == "AND":
-        return bool(evaluate(expr.left, row, binding)) and bool(
-            evaluate(expr.right, row, binding)
-        )
-    if op == "OR":
-        return bool(evaluate(expr.left, row, binding)) or bool(
-            evaluate(expr.right, row, binding)
-        )
-    left = evaluate(expr.left, row, binding)
-    right = evaluate(expr.right, row, binding)
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        if left is None or right is None:
-            return False  # SQL UNKNOWN, treated as not-satisfied
-        left, right = _align_comparable(left, right)
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
-    if op in ("+", "-", "*", "/"):
-        if left is None or right is None:
-            return None
-        if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-            raise SqlExecutionError(
-                f"arithmetic on non-numeric values {left!r}, {right!r}"
-            )
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if right == 0:
-            raise SqlExecutionError("division by zero")
-        return left / right
-    raise SqlExecutionError(f"unknown operator {expr.op!r}")
-
-
 def _align_comparable(left: Any, right: Any) -> Tuple[Any, Any]:
     """Allow int/float comparisons; otherwise require matching types."""
     if isinstance(left, bool) or isinstance(right, bool):
@@ -157,98 +80,21 @@ def _align_comparable(left: Any, right: Any) -> Tuple[Any, Any]:
     raise SqlExecutionError(f"cannot compare {left!r} with {right!r}")
 
 
-def evaluate_aggregate(
-    call: FuncCall, rows: Sequence[Sequence[Any]], binding: Binding
-) -> Any:
-    """Evaluate one aggregate call over the rows of a group.
-
-    Results are routed through
-    :func:`repro.relational.result.normalize_aggregate` so output types
-    follow SQL semantics (COUNT int, AVG float, empty-group SUM NULL) on
-    every execution path.
-    """
-    # imported lazily: result -> algebra -> expressions would otherwise
-    # form a module-level import cycle
-    from repro.relational.result import normalize_aggregate
-
-    name = call.name.upper()
-    if name == "COUNT":
-        if len(call.args) == 1 and isinstance(call.args[0], Star):
-            return normalize_aggregate(name, len(rows))
-        values = [
-            value
-            for value in (evaluate(call.args[0], row, binding) for row in rows)
-            if value is not None
-        ]
-        if call.distinct:
-            return normalize_aggregate(name, len(set(values)))
-        return normalize_aggregate(name, len(values))
-    if len(call.args) != 1:
-        raise SqlExecutionError(f"{name} takes exactly one argument")
-    values = [
-        value
-        for value in (evaluate(call.args[0], row, binding) for row in rows)
-        if value is not None
-    ]
-    if call.distinct:
-        values = list(set(values))
-    if not values:
-        return None
-    if name == "SUM":
-        _require_numeric(values, name)
-        return normalize_aggregate(name, sum(values))
-    if name == "AVG":
-        _require_numeric(values, name)
-        return normalize_aggregate(name, sum(values) / len(values))
-    if name == "MIN":
-        return normalize_aggregate(name, min(values))
-    if name == "MAX":
-        return normalize_aggregate(name, max(values))
-    raise SqlExecutionError(f"unknown aggregate {name!r}")
-
-
 def _require_numeric(values: Sequence[Any], func: str) -> None:
     for value in values:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SqlExecutionError(f"{func} over non-numeric value {value!r}")
 
 
-def evaluate_with_aggregates(
-    expr: Expr,
-    group_rows: Sequence[Sequence[Any]],
-    binding: Binding,
-) -> Any:
-    """Evaluate an expression that may mix aggregates and scalars.
-
-    Scalar sub-expressions are evaluated on the group's first row (legal
-    because translators only put group-by expressions outside aggregates).
-    """
-    if isinstance(expr, FuncCall) and expr.is_aggregate:
-        return evaluate_aggregate(expr, group_rows, binding)
-    if isinstance(expr, BinaryOp) and expr.contains_aggregate():
-        op = expr.op.upper()
-        if op in ("AND", "OR"):
-            raise SqlExecutionError("boolean aggregates are not supported")
-        left = evaluate_with_aggregates(expr.left, group_rows, binding)
-        right = evaluate_with_aggregates(expr.right, group_rows, binding)
-        return _evaluate_binary(
-            BinaryOp(expr.op, Literal(left), Literal(right)), (), binding
-        )
-    if not group_rows:
-        return None
-    return evaluate(expr, group_rows[0], binding)
-
-
 # ----------------------------------------------------------------------
 # Closure compilation
 # ----------------------------------------------------------------------
-# The compiled physical plans (repro.relational.plan) evaluate expressions
-# through closures built once per (expression, binding) pair instead of
-# walking the AST and re-resolving column references on every row.  The
-# closures mirror :func:`evaluate` / :func:`evaluate_aggregate` exactly —
-# including NULL comparison semantics, type alignment errors and
-# division-by-zero — so the interpreted and compiled paths are
-# interchangeable.
+# Compiled plans (repro.relational.plan) evaluate expressions through
+# closures built once per (expression, binding) pair instead of walking
+# the AST and re-resolving column references on every row.  Evaluation
+# errors (unknown column, type mismatch, division by zero) surface when a
+# closure is called on a row, never at compile time, so a statement over
+# an empty input still succeeds.
 
 ScalarFn = Callable[[Sequence[Any]], Any]
 GroupFn = Callable[[Sequence[Sequence[Any]]], Any]
@@ -264,8 +110,8 @@ _COMPARISON_OPS = {
 
 
 def _raising(message: str) -> ScalarFn:
-    """A closure that raises at call time, matching the interpreter's
-    behaviour of only surfacing evaluation errors when a row is evaluated."""
+    """A closure that raises at call time: evaluation errors surface
+    only when a row is evaluated."""
 
     def fail(_row: Sequence[Any]) -> Any:
         raise SqlExecutionError(message)
@@ -308,7 +154,11 @@ def compile_scalar(expr: Expr, binding: Binding) -> ScalarFn:
             return lambda row: operand(row) is not None
         return lambda row: operand(row) is None
     if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, binding)
+        return _binary_closure(
+            expr.op,
+            compile_scalar(expr.left, binding),
+            compile_scalar(expr.right, binding),
+        )
     if isinstance(expr, FuncCall):
         if expr.is_aggregate:
             return _raising(
@@ -320,10 +170,11 @@ def compile_scalar(expr: Expr, binding: Binding) -> ScalarFn:
     return _raising(f"cannot evaluate expression {expr!r}")
 
 
-def _compile_binary(expr: BinaryOp, binding: Binding) -> ScalarFn:
-    op = expr.op.upper()
-    left = compile_scalar(expr.left, binding)
-    right = compile_scalar(expr.right, binding)
+def _binary_closure(op_text: str, left: Callable, right: Callable) -> Callable:
+    """``left <op> right`` over compiled operands.  The operands take
+    whatever the result is called with — a row for scalar expressions,
+    a group's rows for arithmetic over aggregates."""
+    op = op_text.upper()
     if op == "AND":
         return lambda row: bool(left(row)) and bool(right(row))
     if op == "OR":
@@ -363,12 +214,11 @@ def _compile_binary(expr: BinaryOp, binding: Binding) -> ScalarFn:
             return a / b
 
         return arithmetic
-    return _raising(f"unknown operator {expr.op!r}")
+    return _raising(f"unknown operator {op_text!r}")
 
 
 def compile_predicate(expr: Expr, binding: Binding) -> ScalarFn:
-    """Compile a WHERE conjunct; the result is used for truthiness, exactly
-    like :func:`evaluate` inside ``select_rows``."""
+    """Compile a WHERE conjunct; the result is used for truthiness."""
     return compile_scalar(expr, binding)
 
 
@@ -429,26 +279,21 @@ def _compile_aggregate_call(call: FuncCall, binding: Binding) -> GroupFn:
 
 def compile_aggregate(expr: Expr, binding: Binding) -> GroupFn:
     """Compile an output expression that may mix aggregates and scalars
-    into a ``group_rows -> value`` closure (the compiled counterpart of
-    :func:`evaluate_with_aggregates`)."""
+    into a ``group_rows -> value`` closure.
+
+    Scalar sub-expressions are evaluated on the group's first row (legal
+    because translators only put group-by expressions outside aggregates).
+    """
     if isinstance(expr, FuncCall) and expr.is_aggregate:
         return _compile_aggregate_call(expr, binding)
     if isinstance(expr, BinaryOp) and expr.contains_aggregate():
-        op = expr.op.upper()
-        if op in ("AND", "OR"):
+        if expr.op.upper() in ("AND", "OR"):
             return _raising_group("boolean aggregates are not supported")
-        left = compile_aggregate(expr.left, binding)
-        right = compile_aggregate(expr.right, binding)
-        template = expr.op
-
-        def combine(rows: Sequence[Sequence[Any]]) -> Any:
-            return _evaluate_binary(
-                BinaryOp(template, Literal(left(rows)), Literal(right(rows))),
-                (),
-                binding,
-            )
-
-        return combine
+        return _binary_closure(
+            expr.op,
+            compile_aggregate(expr.left, binding),
+            compile_aggregate(expr.right, binding),
+        )
     scalar = compile_scalar(expr, binding)
 
     def first_row(rows: Sequence[Sequence[Any]]) -> Any:

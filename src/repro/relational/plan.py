@@ -6,7 +6,7 @@ the data up front:
 
 * every WHERE conjunct is classified (single-table pushdown vs. join
   predicate vs. residual filter) and its referenced aliases are resolved
-  once — the interpreted executor re-derives them on every execution;
+  once;
 * pushed-down ``contains`` and equality predicates are matched to an index
   strategy (:class:`~repro.relational.index.InvertedIndex`,
   :class:`~repro.relational.index.NumericIndex` or a per-table
@@ -16,19 +16,18 @@ the data up front:
   into closures (:func:`~repro.relational.expressions.compile_scalar` and
   friends), eliminating the per-row AST walk and column re-resolution.
 
-Join *order* is decided in one of two ways.  Without an optimizer (the
-``optimizer="off"`` ablation, and direct ``CompiledPlan(...)``
-construction) it stays a greedy runtime decision — smallest size product
-first — exactly mirroring the interpreted executor.  When the executor
-passes a cost-based optimizer (``repro.planner``, the default), its
-:class:`PlanDecisions` are computed at compile time: a DP-chosen join
-order (applied step by step in :meth:`CompiledPlan._join`, falling back
-to the greedy order if the decisions ever stop matching the runtime
-components), per-predicate index-vs-seq-scan choices, and per-operator
-row estimates that :meth:`CompiledPlan.execute` pairs with actuals in
-:attr:`CompiledPlan.last_run` (surfaced by ``--explain``).  Both modes
-produce identical result *sets* — the semantics-equivalence tests run
-every experiment query through both.  Executor-level caching and
+Join *order* comes from the cost-based optimizer (``repro.planner``) the
+executor passes in: its :class:`PlanDecisions` are computed at compile
+time — a DP-chosen join order (applied step by step in
+:meth:`CompiledPlan._join`), per-predicate index-vs-seq-scan choices, and
+per-operator row estimates that :meth:`CompiledPlan.execute` pairs with
+actuals in :attr:`CompiledPlan.last_run` (surfaced by ``--explain``).
+Where there are no decided steps to follow — a join component wider than
+the optimizer's DP limit, decisions that stopped matching the runtime
+components, or a plan constructed without an optimizer — the order is a
+greedy runtime decision, smallest size product first.  Either order
+produces the same result *set*; ``tests/integration/test_plan_equivalence.py``
+runs every experiment statement through both.  Executor-level caching and
 invalidation (by rendered SQL and :attr:`Database.data_version`) live in
 :class:`~repro.relational.executor.Executor`.
 """
@@ -147,7 +146,7 @@ class _Pushed:
     sets it to False when a sequential scan beats the index probe (the
     closure verifies every row either way, so the choice is purely
     physical).  Without an optimizer it stays True — index whenever one
-    exists, today's heuristic."""
+    exists."""
 
     __slots__ = ("expr", "closure", "lookup", "use_lookup")
 
@@ -185,7 +184,7 @@ class _TableScan:
         """Match a pushed conjunct to an index, when sound.
 
         Gated on column/literal type agreement so the index path can never
-        diverge from the interpreter (which may raise on mixed-type
+        diverge from the predicate closure (which raises on mixed-type
         comparisons that a hash lookup would silently miss)."""
         if isinstance(expr, Contains):
             column = self._own_column(expr.column)
@@ -285,17 +284,12 @@ class _DerivedScan:
         self,
         item: DerivedTable,
         database: Database,
-        use_hash_joins: bool,
         optimizer: Any = None,
         tracer=NULL_TRACER,
     ) -> None:
         self.alias = item.alias
         self.subplan = CompiledPlan(
-            item.select,
-            database,
-            use_hash_joins=use_hash_joins,
-            optimizer=optimizer,
-            tracer=tracer,
+            item.select, database, optimizer=optimizer, tracer=tracer
         )
         self.labels: Tuple[ColumnLabel, ...] = tuple(
             (item.alias, name) for name in self.subplan.output_columns
@@ -438,16 +432,15 @@ class CompiledPlan:
         self,
         select: Select,
         database: Database,
-        use_hash_joins: bool = True,
         optimizer: Any = None,
         tracer=NULL_TRACER,
     ) -> None:
         self.select = select
         self.database = database
-        self.use_hash_joins = use_hash_joins
         # duck-typed repro.planner.Optimizer (this module must not import
-        # upper layers); None keeps the greedy heuristics byte-for-byte
-        self._optimizer = optimizer if use_hash_joins else None
+        # upper layers); None leaves the join order to the greedy runtime
+        # heuristic and every index in use
+        self._optimizer = optimizer
         self._compile_tracer = tracer
         self.decisions: Any = None
         self.last_run: Optional[PlanRun] = None
@@ -493,7 +486,6 @@ class CompiledPlan:
                     _DerivedScan(
                         item,
                         self.database,
-                        self.use_hash_joins,
                         optimizer=self._optimizer,
                         tracer=self._compile_tracer,
                     )
@@ -503,7 +495,7 @@ class CompiledPlan:
 
     def _column_owner_map(self) -> Dict[str, List[str]]:
         """lowercased column name -> aliases providing it (for resolving
-        unqualified references, mirroring the interpreted planner)."""
+        unqualified references)."""
         owners: Dict[str, List[str]] = {}
         for scan in self.scans:
             for alias, name in scan.labels:
@@ -536,14 +528,13 @@ class CompiledPlan:
                 owner = (
                     scans_by_alias.get(next(iter(aliases)))
                     if aliases
-                    else self.scans[0]  # constant predicate: first scan,
-                    # as in the interpreted path
+                    else self.scans[0]  # constant predicate: first scan
                 )
                 if owner is not None:
                     owner.push(expr, self.database)
                     continue
                 # unknown qualifier: leave pending; fails per-row at the
-                # end of the join phase, like the interpreter
+                # end of the join phase
                 self.pending.append(_Conjunct(expr, aliases, False))
                 continue
             is_equi = (
@@ -593,9 +584,10 @@ class CompiledPlan:
     # Execution
     # ------------------------------------------------------------------
     def execute(self, tracer=NULL_TRACER) -> QueryResult:
-        # cancellation checkpoints mirror the interpreted executor: polled
-        # at operator boundaries here and strided inside the algebra join
-        # loops, so deadlines from repro.service abort a plan mid-flight
+        # cancellation checkpoints: the ambient token (repro.cancellation)
+        # is polled at operator boundaries here and strided inside the
+        # algebra join loops, so a served query with a deadline aborts
+        # mid-plan instead of hogging its worker
         token = current_token()
         token.check()
         run = PlanRun() if self.decisions is not None else None
@@ -655,7 +647,7 @@ class CompiledPlan:
     ) -> _Component:
         token = current_token()
         steps: List[Any] = []
-        if self.decisions is not None and self.use_hash_joins:
+        if self.decisions is not None:
             steps = list(self.decisions.join_steps)
         while len(components) > 1:
             token.check()
@@ -672,9 +664,10 @@ class CompiledPlan:
                 else:
                     step = candidate
                     tracer.count("planner_steps_applied")
-            if pair is None and self.use_hash_joins:
+            if pair is None:
                 pair = self._pick_join_pair(components, pending)
             if pair is None:
+                # no connecting predicate: cartesian product of two smallest
                 components.sort(key=lambda component: len(component.rowset))
                 left, right = components[0], components[1]
                 merged_rowset = cross_join(left.rowset, right.rowset)
@@ -728,6 +721,8 @@ class CompiledPlan:
     def _pick_join_pair(
         self, components: List[_Component], pending: List[_Conjunct]
     ) -> Optional[Tuple[_Component, _Component]]:
+        """The joinable component pair with the smallest size product —
+        a cheap greedy join order that keeps intermediate results small."""
         best: Optional[Tuple[_Component, _Component]] = None
         best_cost: Optional[int] = None
         for conjunct in pending:
@@ -749,6 +744,7 @@ class CompiledPlan:
     def _hash_join_pair(
         self, left: _Component, right: _Component, pending: List[_Conjunct]
     ) -> _Component:
+        """Join two components on every equi-predicate linking them."""
         left_positions: List[int] = []
         right_positions: List[int] = []
         used: List[_Conjunct] = []
@@ -833,8 +829,8 @@ class CompiledPlan:
         return [groups[group_key] for group_key in order]
 
     def _compile_order_value(self, expr: Expr):
-        """Static counterpart of the interpreter's ``_order_value``: an
-        unqualified output-column reference wins, then a select-item match."""
+        """An ORDER BY key as a closure over an output row: an unqualified
+        output-column reference wins, then a select-item match."""
         if isinstance(expr, ColumnRef) and expr.qualifier is None:
             try:
                 index = self._output_binding.resolve(expr)
@@ -860,6 +856,8 @@ class CompiledPlan:
             result = distinct(result)
         rows = result.rows
         if self._order_keys:
+            # stable multi-key sort honouring each key's direction: sort by
+            # the least-significant key first, most-significant last
             rows = list(rows)
             for fn, descending in reversed(self._order_keys):
                 rows.sort(
@@ -887,8 +885,7 @@ class CompiledPlan:
             lines.extend(scan.describe(indent, estimate, actual))
         for conjunct in self.pending:
             kind = "equi-join" if conjunct.is_equi else "filter"
-            join_mode = "hash" if self.use_hash_joins else "cross+filter"
-            lines.append(f"{indent}{kind} {render_expr(conjunct.expr)} [{join_mode}]")
+            lines.append(f"{indent}{kind} {render_expr(conjunct.expr)}")
         if self.decisions is not None and self.decisions.join_steps:
             for number, step in enumerate(self.decisions.join_steps, 1):
                 actual = run.actual_for(f"join {step.describe()}") if run else None

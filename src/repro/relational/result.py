@@ -1,8 +1,7 @@
 """Materialized query results.
 
-:class:`QueryResult` is the output type of both execution paths (the
-interpreted executor and the compiled physical plans); it lives in its own
-module so :mod:`repro.relational.plan` and
+:class:`QueryResult` is the output type of every compiled plan; it
+lives in its own module so :mod:`repro.relational.plan` and
 :mod:`repro.relational.executor` can share it without a circular import.
 """
 
@@ -17,9 +16,8 @@ from repro.relational.algebra import null_safe_sort_key
 def normalize_aggregate(func: str, value: Any) -> Any:
     """Normalize an aggregate's result to its SQL type.
 
-    Both execution paths of the in-memory engine (interpreted and compiled)
-    route every aggregate value through this one function so their output
-    types agree with each other *and* with a real SQL backend:
+    Every aggregate closure routes its value through this one function
+    so output types agree with a real SQL backend:
 
     * ``COUNT`` is always an ``int`` (never a bool, never a float);
     * ``AVG`` is always a ``float`` when non-NULL, even when the mean of

@@ -7,7 +7,7 @@ from repro.analysis.diagnostics import Severity
 from repro.analysis.plan_analyzers import analyze_plan
 from repro.datasets import university_database
 from repro.relational.executor import Executor
-from repro.relational.plan import IndexLookup, _TableScan
+from repro.relational.plan import CompiledPlan, IndexLookup, _TableScan
 from repro.sql.ast import ColumnRef, eq
 from repro.sql.parser import parse
 
@@ -18,15 +18,14 @@ def database():
 
 
 @pytest.fixture(scope="module")
-def executor(database):
-    # soundness checks target the heuristic pipeline; the planner
-    # advisories (S022/S023) get their own cost-mode executor below
-    return Executor(database, compile_plans=True, optimizer="off")
-
-
-@pytest.fixture(scope="module")
 def cost_executor(database):
-    return Executor(database, compile_plans=True, optimizer="cost")
+    return Executor(database)
+
+
+def bare_plan(database, sql):
+    # soundness checks need no optimizer decisions; the planner
+    # advisories (S022/S023) go through cost_executor
+    return CompiledPlan(parse(sql), database)
 
 
 def plan_for(executor, sql):
@@ -53,13 +52,13 @@ class TestCleanPlans:
             "FROM Enrol GROUP BY Code) X",
         ],
     )
-    def test_compiled_plans_are_sound(self, executor, sql):
-        assert analyze_plan(plan_for(executor, sql)) == []
+    def test_compiled_plans_are_sound(self, database, sql):
+        assert analyze_plan(bare_plan(database, sql)) == []
 
 
 class TestBrokenLookups:
-    def _scan_with_lookup(self, executor, sql):
-        plan = plan_for(executor, sql)
+    def _scan_with_lookup(self, database, sql):
+        plan = bare_plan(database, sql)
         scans = [
             scan
             for scan in table_scans(plan)
@@ -68,49 +67,49 @@ class TestBrokenLookups:
         assert scans, "expected a pushed index lookup"
         return plan, scans[0]
 
-    def test_s020_contains_on_numeric_column(self, executor):
+    def test_s020_contains_on_numeric_column(self, database):
         plan, scan = self._scan_with_lookup(
-            executor, "SELECT Sid FROM Student WHERE Sname LIKE '%Green%'"
+            database, "SELECT Sid FROM Student WHERE Sname LIKE '%Green%'"
         )
         pushed = next(p for p in scan.pushed if p.lookup is not None)
         pushed.lookup = IndexLookup("contains", "Student", "Age", "Green")
         assert codes(analyze_plan(plan)) == ["S020"]
 
-    def test_s020_numeric_eq_on_text_column(self, executor):
+    def test_s020_numeric_eq_on_text_column(self, database):
         plan, scan = self._scan_with_lookup(
-            executor, "SELECT Sid FROM Student WHERE Age = 24"
+            database, "SELECT Sid FROM Student WHERE Age = 24"
         )
         pushed = next(p for p in scan.pushed if p.lookup is not None)
         pushed.lookup = IndexLookup("numeric-eq", "Student", "Sname", 24)
         assert codes(analyze_plan(plan)) == ["S020"]
 
-    def test_s020_non_numeric_probe(self, executor):
+    def test_s020_non_numeric_probe(self, database):
         plan, scan = self._scan_with_lookup(
-            executor, "SELECT Sid FROM Student WHERE Age = 24"
+            database, "SELECT Sid FROM Student WHERE Age = 24"
         )
         pushed = next(p for p in scan.pushed if p.lookup is not None)
         pushed.lookup = IndexLookup("numeric-eq", "Student", "Age", "24")
         assert codes(analyze_plan(plan)) == ["S020"]
 
-    def test_s020_unknown_kind(self, executor):
+    def test_s020_unknown_kind(self, database):
         plan, scan = self._scan_with_lookup(
-            executor, "SELECT Sid FROM Student WHERE Age = 24"
+            database, "SELECT Sid FROM Student WHERE Age = 24"
         )
         pushed = next(p for p in scan.pushed if p.lookup is not None)
         pushed.lookup = IndexLookup("bitmap", "Student", "Age", 24)
         assert codes(analyze_plan(plan)) == ["S020"]
 
-    def test_s021_lookup_column_not_in_relation(self, executor):
+    def test_s021_lookup_column_not_in_relation(self, database):
         plan, scan = self._scan_with_lookup(
-            executor, "SELECT Sid FROM Student WHERE Age = 24"
+            database, "SELECT Sid FROM Student WHERE Age = 24"
         )
         pushed = next(p for p in scan.pushed if p.lookup is not None)
         pushed.lookup = IndexLookup("numeric-eq", "Student", "Credit", 24)
         assert codes(analyze_plan(plan)) == ["S021"]
 
-    def test_never_lookups_are_fine(self, executor):
+    def test_never_lookups_are_fine(self, database):
         plan, scan = self._scan_with_lookup(
-            executor, "SELECT Sid FROM Student WHERE Age = 24"
+            database, "SELECT Sid FROM Student WHERE Age = 24"
         )
         pushed = next(p for p in scan.pushed if p.lookup is not None)
         pushed.lookup = IndexLookup("never", "Student", "Age", None)
@@ -118,9 +117,9 @@ class TestBrokenLookups:
 
 
 class TestPushedScope:
-    def test_s021_foreign_alias_in_pushed_predicate(self, executor):
-        plan = plan_for(
-            executor, "SELECT S.Sid FROM Student S WHERE S.Age = 24"
+    def test_s021_foreign_alias_in_pushed_predicate(self, database):
+        plan = bare_plan(
+            database, "SELECT S.Sid FROM Student S WHERE S.Age = 24"
         )
         scan = table_scans(plan)[0]
         assert scan.pushed, "expected a pushed predicate"
@@ -130,9 +129,9 @@ class TestPushedScope:
         found = analyze_plan(plan)
         assert "S021" in codes(found)
 
-    def test_derived_scans_recurse(self, executor):
-        plan = plan_for(
-            executor,
+    def test_derived_scans_recurse(self, database):
+        plan = bare_plan(
+            database,
             "SELECT AVG(n) AS a FROM (SELECT Code, COUNT(Sid) AS n "
             "FROM Enrol WHERE Grade LIKE '%A%' GROUP BY Code) X",
         )
@@ -141,8 +140,8 @@ class TestPushedScope:
 
 
 class TestPlannerAdvisories:
-    def test_no_advisories_without_decisions(self, executor):
-        plan = plan_for(executor, "SELECT Sid FROM Student WHERE Age = 24")
+    def test_no_advisories_without_decisions(self, database):
+        plan = bare_plan(database, "SELECT Sid FROM Student WHERE Age = 24")
         assert plan.decisions is None
         assert analyze_plan(plan, row_budget=0) == []
 

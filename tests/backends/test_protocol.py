@@ -142,6 +142,11 @@ class TestEngineIntegration:
             KeywordSearchEngine(
                 university_db, backend_options={"pool_capcity": 49}
             )
+        # the plan policy is not an option of any backend
+        with pytest.raises(ValueError, match="optimizer"):
+            KeywordSearchEngine(
+                university_db, backend_options={"optimizer": "off"}
+            )
 
     def test_abstract_backend_cannot_instantiate(self):
         with pytest.raises(TypeError):

@@ -1,126 +1,74 @@
-"""Compiled plans must be result-identical to the interpreted executor on
-every evaluation query, for both engines, normalized and unnormalized.
+"""The cost-chosen join order must be result-identical to the greedy
+runtime order on every workload statement, for both engines, normalized
+and unnormalized.
 
-This is the acceptance gate for the physical-plan layer: same SQL, same
-database, two execution strategies, equal :class:`QueryResult`s.
+Same SQL, same database, two join orders and access-path choices —
+``Executor`` plans with the optimizer, ``CompiledPlan(select, db)``
+without one — equal :class:`QueryResult`s.  Equality against an
+independent engine (SQLite) on the same statements lives in
+``tests/backends/test_differential.py``.
 """
 
-import pytest
+import functools
 
-from repro.baselines import SqakEngine
+from repro.backends.differential import collect_statements
 from repro.engine import KeywordSearchEngine
-from repro.errors import ReproError, UnsupportedQueryError
-from repro.experiments import ACMDL_QUERIES, TPCH_QUERIES, pick_interpretation
 from repro.relational.executor import Executor
+from repro.relational.plan import CompiledPlan
 
 
-def _assert_equivalent(database, select):
-    interpreted = Executor(database, compile_plans=False).execute(select)
-    # optimizer off: byte-for-byte the pre-planner pipeline, including
-    # row order
-    heuristic = Executor(
-        database, compile_plans=True, optimizer="off"
-    ).execute(select)
-    assert heuristic == interpreted
-    assert heuristic.rows == interpreted.rows  # same order as well
-    # cost-based optimizer: join reordering may permute rows, but the
-    # result must stay multiset-identical (QueryResult == canonicalizes)
-    optimized = Executor(
-        database, compile_plans=True, optimizer="cost"
-    ).execute(select)
-    assert optimized == interpreted
+@functools.lru_cache(maxsize=None)
+def _workload(dataset):
+    return collect_statements(dataset)
 
 
-def _semantic_selects(engine, specs):
-    selects = []
-    for spec in specs:
-        try:
-            interpretations = engine.compile(spec.text)
-        except ReproError:
-            continue
-        selects.append((spec.qid, pick_interpretation(interpretations, spec).select))
+def _assert_orders_agree(dataset, source):
+    database, statements = _workload(dataset)
+    executor = Executor(database)
+    selects = [select for _, origin, select in statements if origin == source]
     assert selects
-    return selects
-
-
-def _sqak_selects(sqak, specs):
-    selects = []
-    for spec in specs:
-        try:
-            statement = sqak.compile(spec.text)
-        except (UnsupportedQueryError, ReproError):
-            continue
-        selects.append((spec.qid, statement.select))
-    assert selects
-    return selects
+    for select in selects:
+        # join reordering may permute rows, but the result must stay
+        # multiset-identical (QueryResult == canonicalizes)
+        assert executor.execute(select) == CompiledPlan(select, database).execute()
 
 
 class TestSemanticEngineEquivalence:
-    def test_tpch(self, tpch_engine):
-        for qid, select in _semantic_selects(tpch_engine, TPCH_QUERIES):
-            _assert_equivalent(tpch_engine.database, select)
+    def test_small_datasets(self):
+        _assert_orders_agree("university", "semantic")
+        _assert_orders_agree("enrolment", "semantic")
 
-    def test_acmdl(self, acmdl_engine):
-        for qid, select in _semantic_selects(acmdl_engine, ACMDL_QUERIES):
-            _assert_equivalent(acmdl_engine.database, select)
+    def test_tpch(self):
+        _assert_orders_agree("tpch", "semantic")
 
-    def test_tpch_unnormalized(self, tpch_unnorm_engine):
-        for qid, select in _semantic_selects(tpch_unnorm_engine, TPCH_QUERIES):
-            _assert_equivalent(tpch_unnorm_engine.database, select)
+    def test_acmdl(self):
+        _assert_orders_agree("acmdl", "semantic")
 
-    def test_acmdl_unnormalized(self, acmdl_unnorm_engine):
-        for qid, select in _semantic_selects(acmdl_unnorm_engine, ACMDL_QUERIES):
-            _assert_equivalent(acmdl_unnorm_engine.database, select)
+    def test_tpch_unnormalized(self):
+        _assert_orders_agree("tpch-unnorm", "semantic")
+
+    def test_acmdl_unnormalized(self):
+        _assert_orders_agree("acmdl-unnorm", "semantic")
 
 
 class TestSqakEquivalence:
-    def test_tpch(self, tpch_sqak):
-        for qid, select in _sqak_selects(tpch_sqak, TPCH_QUERIES):
-            _assert_equivalent(tpch_sqak.database, select)
+    def test_tpch(self):
+        _assert_orders_agree("tpch", "sqak")
 
-    def test_acmdl(self, acmdl_sqak):
-        for qid, select in _sqak_selects(acmdl_sqak, ACMDL_QUERIES):
-            _assert_equivalent(acmdl_sqak.database, select)
+    def test_acmdl(self):
+        _assert_orders_agree("acmdl", "sqak")
 
-    def test_tpch_unnormalized(self, tpch_unnorm_sqak):
-        for qid, select in _sqak_selects(tpch_unnorm_sqak, TPCH_QUERIES):
-            _assert_equivalent(tpch_unnorm_sqak.database, select)
+    def test_tpch_unnormalized(self):
+        _assert_orders_agree("tpch-unnorm", "sqak")
 
-    def test_acmdl_unnormalized(self, acmdl_unnorm_sqak):
-        for qid, select in _sqak_selects(acmdl_unnorm_sqak, ACMDL_QUERIES):
-            _assert_equivalent(acmdl_unnorm_sqak.database, select)
+    def test_acmdl_unnormalized(self):
+        _assert_orders_agree("acmdl-unnorm", "sqak")
 
 
 class TestEngineKnob:
-    def test_compile_plans_flag_reaches_executor(self, university_db):
-        fast = KeywordSearchEngine(university_db)
-        slow = KeywordSearchEngine(university_db, compile_plans=False)
-        assert fast.executor.compile_plans
-        assert not slow.executor.compile_plans
-        query = "Green SUM Credit"
-        assert fast.execute(query) == slow.execute(query)
-
     def test_clear_cache_drops_plans(self, university_db):
         engine = KeywordSearchEngine(university_db)
         engine.execute("Green SUM Credit")
         assert engine.executor.plan_cache_len > 0
         engine.clear_cache()
         assert engine.executor.plan_cache_len == 0
-
-    def test_ablation_without_hash_joins_still_equivalent(self, university_db):
-        sql = (
-            "SELECT S.Sname, SUM(C.Credit) FROM Student S, Enrol E, Course C "
-            "WHERE S.Sid = E.Sid AND E.Code = C.Code GROUP BY S.Sname"
-        )
-        baseline = Executor(university_db, compile_plans=False).execute(sql)
-        for use_hash_joins in (True, False):
-            result = Executor(
-                university_db,
-                use_hash_joins=use_hash_joins,
-                compile_plans=True,
-            ).execute(sql)
-            assert result == baseline
-
-
-def test_sqak_executor_compiles_by_default(tpch_sqak):
-    assert tpch_sqak.executor.compile_plans

@@ -1,8 +1,12 @@
 """The optimizer: plan decisions, DP join ordering, memoization,
-staleness, access-path choices, and executor integration."""
+staleness, access-path choices, executor integration, and plan quality
+against the greedy runtime order (``CompiledPlan(select, db)``)."""
+
+import statistics
 
 import pytest
 
+from repro.backends.normalize import rows_match
 from repro.cli import load_dataset
 from repro.engine import KeywordSearchEngine
 from repro.observability import Tracer
@@ -14,6 +18,7 @@ from repro.planner import (
 )
 from repro.relational.database import Database
 from repro.relational.executor import Executor
+from repro.relational.plan import CompiledPlan
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
 from repro.sql.parser import parse
@@ -27,7 +32,7 @@ def tpch():
 
 @pytest.fixture(scope="module")
 def executor(tpch):
-    return Executor(tpch, optimizer="cost")
+    return Executor(tpch)
 
 
 def plan_for(executor, sql, tracer=None):
@@ -100,8 +105,8 @@ class TestExecutionAgreement:
     )
     def test_cost_and_off_agree(self, tpch, sql):
         select = parse(sql)
-        on = Executor(tpch, optimizer="cost").execute(select)
-        off = Executor(tpch, optimizer="off").execute(select)
+        on = Executor(tpch).execute(select)
+        off = CompiledPlan(select, tpch).execute()
         assert on == off
 
     def test_observed_actuals_after_execute(self, executor):
@@ -142,7 +147,7 @@ class TestMemoAndStaleness:
 
     def test_memo_hit_on_repeat_decide(self):
         db = self._database()
-        executor = Executor(db, optimizer="cost")
+        executor = Executor(db)
         tracer = Tracer()
         executor.plan_for(parse(self.SQL), tracer)
         assert executor.optimizer.memo_len == 1
@@ -160,7 +165,7 @@ class TestMemoAndStaleness:
         # the satellite regression: mutate a table between two searches
         # and the second one must plan from fresh statistics
         db = self._database()
-        executor = Executor(db, optimizer="cost")
+        executor = Executor(db)
         tracer = Tracer()
         first = executor.execute(parse(self.SQL), tracer=tracer)
         catalog = executor.optimizer.catalog
@@ -186,11 +191,10 @@ class TestMemoAndStaleness:
 
     def test_optimizer_off_never_builds_planner_state(self):
         db = self._database()
-        executor = Executor(db, optimizer="off")
-        executor.execute(parse(self.SQL))
-        assert executor.optimizer is None
-        plan = executor.plan_for(parse(self.SQL))
+        plan = CompiledPlan(parse(self.SQL), db)
+        assert len(plan.execute().rows) == 20
         assert plan.decisions is None
+        assert plan.last_run is None
 
 
 class TestGreedyFallback:
@@ -207,7 +211,7 @@ class TestGreedyFallback:
             f"{aliases[i]}.id = {aliases[i + 1]}.id" for i in range(n - 1)
         )
         sql = f"SELECT {aliases[0]}.id FROM {froms} WHERE {conds}"
-        executor = Executor(db, optimizer="cost")
+        executor = Executor(db)
         tracer = Tracer()
         plan = executor.plan_for(parse(sql), tracer)
         assert plan.decisions.search == "greedy-runtime"
@@ -215,6 +219,101 @@ class TestGreedyFallback:
         assert tracer.registry.counter("planner_greedy_fallbacks") >= 1
         result = executor.execute(parse(sql))
         assert len(result.rows) == 4
+
+
+#: the >= 4-relation join-aggregates, where join order dominates.  The
+#: cyclic ones (TPC-H Q5 shape: the supplier-customer nation/region edge
+#: closes a cycle) are the traps: the greedy min-product pick joins the
+#: expanding many-to-many edge early, the DP search defers it.
+BIG_JOINS = {
+    "q5-cycle": (
+        "tpch",
+        'SELECT N.nname, SUM(O.amount) AS rev FROM Customer C, "Order" O, '
+        "Lineitem L, Supplier S, Nation N WHERE C.custkey = O.custkey "
+        "AND O.orderkey = L.orderkey AND L.suppkey = S.suppkey "
+        "AND S.nationkey = C.nationkey AND N.nationkey = C.nationkey "
+        "GROUP BY N.nname",
+    ),
+    "region-cycle": (
+        "tpch",
+        "SELECT R.rname, SUM(O.amount) AS rev FROM Region R, Nation N1, "
+        'Nation N2, Customer C, "Order" O, Lineitem L, Supplier S '
+        "WHERE C.nationkey = N1.nationkey AND S.nationkey = N2.nationkey "
+        "AND N1.regionkey = R.regionkey AND N2.regionkey = R.regionkey "
+        "AND O.custkey = C.custkey AND L.orderkey = O.orderkey "
+        "AND L.suppkey = S.suppkey GROUP BY R.rname",
+    ),
+    "nation-revenue": (
+        "tpch",
+        "SELECT N.nname, SUM(O.amount) AS total FROM Supplier S, Customer C, "
+        '"Order" O, Nation N WHERE S.nationkey = N.nationkey '
+        "AND C.nationkey = N.nationkey AND O.custkey = C.custkey "
+        "GROUP BY N.nname",
+    ),
+    "france-parts": (
+        "tpch",
+        "SELECT P.type, COUNT(L.quantity) AS n FROM Part P, Lineitem L, "
+        "Supplier S, Nation N WHERE L.partkey = P.partkey "
+        "AND L.suppkey = S.suppkey AND S.nationkey = N.nationkey "
+        "AND N.nname = 'FRANCE' GROUP BY P.type",
+    ),
+    "publisher-authors": (
+        "acmdl",
+        "SELECT U.name, COUNT(A.lname) AS n FROM Publisher U, Proceeding P, "
+        "Paper R, Write W, Author A WHERE P.publisherid = U.publisherid "
+        "AND R.procid = P.procid AND W.paperid = R.paperid "
+        "AND W.authorid = A.authorid GROUP BY U.name",
+    ),
+    "editor-papers": (
+        "acmdl",
+        "SELECT E.lname, COUNT(R.paperid) AS n FROM Editor E, Edit D, "
+        "Proceeding P, Paper R WHERE D.editorid = E.editorid "
+        "AND D.procid = P.procid AND R.procid = P.procid GROUP BY E.lname",
+    ),
+    "long-proceedings": (
+        "acmdl",
+        "SELECT A.lname, COUNT(P.procid) AS n FROM Author A, Write W, "
+        "Paper R, Proceeding P WHERE W.authorid = A.authorid "
+        "AND W.paperid = R.paperid AND R.procid = P.procid "
+        "AND P.pages > 200 GROUP BY A.lname",
+    ),
+}
+
+
+class TestPlanQuality:
+    """Cost-chosen vs greedy order, counted in rows, not timed."""
+
+    @pytest.fixture(scope="class")
+    def databases(self, tpch):
+        return {"tpch": tpch, "acmdl": load_dataset("acmdl")[0]}
+
+    @staticmethod
+    def _run(plan):
+        tracer = Tracer()
+        with tracer.span("run"):
+            result = plan.execute(tracer)
+        return result, tracer.trace.counter("hash_join_rows")
+
+    @pytest.mark.parametrize("qid", list(BIG_JOINS))
+    def test_cost_order_joins_no_more_rows_than_greedy(self, databases, qid):
+        dataset, sql = BIG_JOINS[qid]
+        database, select = databases[dataset], parse(sql)
+        cost, cost_rows = self._run(Executor(database).plan_for(select))
+        greedy, greedy_rows = self._run(CompiledPlan(select, database))
+        # a different join order sums floats in a different order
+        assert rows_match(cost.rows, greedy.rows)
+        assert cost_rows <= greedy_rows
+        if qid == "region-cycle":
+            assert cost_rows < greedy_rows
+
+    def test_median_q_error(self, databases):
+        q_errors = []
+        for dataset, sql in BIG_JOINS.values():
+            plan = Executor(databases[dataset]).plan_for(parse(sql))
+            plan.execute()
+            q_errors.extend(plan.last_run.q_errors())
+        # the estimator may be wrong in the tails, not in the middle
+        assert statistics.median(q_errors) <= 4.0
 
 
 class TestCostParams:

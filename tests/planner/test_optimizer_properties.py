@@ -1,8 +1,9 @@
 """Property-based planner guarantees.
 
 * The cost-based optimizer never changes results: over generated
-  schemas, data and join-aggregate queries, the optimizer-on answer is
-  multiset-identical to the optimizer-off (heuristic) answer.
+  schemas, data and join-aggregate queries, the cost-planned answer is
+  multiset-identical to the greedy-order answer of a plan built without
+  an optimizer.
 * Histogram-derived selectivities stay inside [0, 1] and grow
   monotonically as a range predicate widens (the second half of that
   property lives in ``test_stats.py`` next to the histogram unit tests).
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.planner.stats import profile_table
 from repro.relational.database import Database
 from repro.relational.executor import Executor
+from repro.relational.plan import CompiledPlan
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
 from repro.sql.ast import (
@@ -73,8 +75,8 @@ def build_database(
 
 
 def assert_same_multiset(db: Database, select: Select) -> None:
-    on = Executor(db, optimizer="cost").execute(select)
-    off = Executor(db, optimizer="off").execute(select)
+    on = Executor(db).execute(select)
+    off = CompiledPlan(select, db).execute()
     # QueryResult equality canonicalizes to a row multiset
     assert on == off
     assert sorted(map(repr, on.rows)) == sorted(map(repr, off.rows))

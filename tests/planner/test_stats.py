@@ -12,9 +12,9 @@ from repro.planner import (
     estimate_ndv,
     profile_table,
 )
+from repro.planner.stats import build_equi_height, build_mcv
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
-from repro.relational.statistics import build_equi_height, build_mcv
 from repro.relational.types import DataType
 
 

@@ -8,10 +8,7 @@ from repro.relational.algebra import (
     distinct,
     hash_join,
     null_safe_sort_key,
-    project,
-    select_rows,
 )
-from repro.sql.ast import BinaryOp, ColumnRef, Literal
 
 
 def make_rowset(qualifier, names, rows) -> Rowset:
@@ -19,24 +16,9 @@ def make_rowset(qualifier, names, rows) -> Rowset:
 
 
 class TestSelectProject:
-    def test_select_rows(self):
-        rs = make_rowset("R", ["a"], [(1,), (2,), (3,)])
-        predicate = BinaryOp(">", ColumnRef("a"), Literal(1))
-        assert [row[0] for row in select_rows(rs, predicate).rows] == [2, 3]
-
-    def test_project(self):
-        rs = make_rowset("R", ["a", "b"], [(1, "x"), (2, "y")])
-        out = project(rs, [1], [(None, "b")])
-        assert out.rows == [("x",), ("y",)]
-
     def test_distinct_preserves_first_seen_order(self):
         rs = make_rowset("R", ["a"], [(2,), (1,), (2,), (1,)])
         assert distinct(rs).rows == [(2,), (1,)]
-
-    def test_relabel(self):
-        rs = make_rowset("R", ["a"], [(1,)])
-        out = rs.relabel("X")
-        assert out.binding.labels == (("X", "a"),)
 
 
 class TestJoins:

@@ -3,7 +3,7 @@
 The acceptance test for the serving layer's deadlines lives here: a
 query with a short deadline against a deliberately explosive join must
 abort at a checkpoint *while running* — long before the join would have
-completed — in both the compiled-plan and interpreted executor paths.
+completed.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from repro.cancellation import (
     current_token,
 )
 from repro.errors import DeadlineExceededError
-from repro.relational.algebra import Rowset, cross_join, hash_join, select_rows
+from repro.relational.algebra import Rowset, cross_join, hash_join
 from repro.relational.database import Database
 from repro.relational.executor import Executor
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
-from repro.sql.ast import BinaryOp, ColumnRef, Literal
 
 
 class TestCancellationToken:
@@ -101,17 +100,6 @@ class TestCancellationScope:
 class TestOperatorCheckpoints:
     """Cancelled tokens abort the row loops at their strides."""
 
-    def test_select_rows_aborts(self):
-        rowset = Rowset.from_labels(
-            [("R", "a")], [(i,) for i in range(CHECK_STRIDE * 3)]
-        )
-        predicate = BinaryOp(">", ColumnRef("a"), Literal(-1))
-        token = CancellationToken()
-        token.cancel()
-        with cancellation_scope(token):
-            with pytest.raises(DeadlineExceededError):
-                select_rows(rowset, predicate)
-
     def test_cross_join_aborts(self):
         side = Rowset.from_labels([("L", "a")], [(i,) for i in range(256)])
         other = Rowset.from_labels([("R", "b")], [(i,) for i in range(256)])
@@ -164,10 +152,9 @@ class TestMidQueryDeadline:
         executor.execute(SLOW_SQL)
         return time.perf_counter() - started
 
-    @pytest.mark.parametrize("compile_plans", [True, False])
-    def test_deadline_aborts_mid_join(self, compile_plans):
+    def test_deadline_aborts_mid_join(self):
         database = explosive_database()
-        executor = Executor(database, compile_plans=compile_plans)
+        executor = Executor(database)
         full = self._full_runtime(executor)
         if full < DEADLINE_S * 3:
             pytest.skip(f"machine too fast for a meaningful abort ({full:.3f}s)")

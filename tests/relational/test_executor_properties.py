@@ -1,8 +1,7 @@
 """Property-based tests: the executor against a pure-Python oracle.
 
 Random small tables and random (structured) queries; each engine answer is
-recomputed with plain Python over the same rows.  Also checks that the
-hash-join planner and the naive cartesian planner always agree.
+recomputed with plain Python over the same rows.
 """
 
 from __future__ import annotations
@@ -136,25 +135,6 @@ def test_equi_join_matches_nested_loop_oracle(left_rows, right_rows):
         if r[1] == l[0]
     )
     assert got == expected
-
-
-@settings(max_examples=80, deadline=None)
-@given(left_rows_strategy, right_rows_strategy)
-def test_hash_and_naive_planners_agree(left_rows, right_rows):
-    db = build_database(left_rows, right_rows)
-    select = Select(
-        items=(
-            SelectItem(ColumnRef("tag", "L")),
-            SelectItem(agg("COUNT", ColumnRef("rid", "R")), alias="n"),
-            SelectItem(agg("SUM", ColumnRef("score", "R")), alias="s"),
-        ),
-        from_items=(TableRef.of("L"), TableRef.of("R")),
-        where=eq(ColumnRef("lid", "R"), ColumnRef("lid", "L")),
-        group_by=(ColumnRef("tag", "L"),),
-    )
-    fast = Executor(db, use_hash_joins=True).execute(select)
-    slow = Executor(db, use_hash_joins=False).execute(select)
-    assert fast == slow
 
 
 @settings(max_examples=120, deadline=None)

@@ -5,9 +5,8 @@ import pytest
 from repro.errors import SqlExecutionError
 from repro.relational.expressions import (
     Binding,
-    evaluate,
-    evaluate_aggregate,
-    evaluate_with_aggregates,
+    compile_aggregate,
+    compile_scalar,
 )
 from repro.sql.ast import (
     BinaryOp,
@@ -27,6 +26,14 @@ def binding() -> Binding:
 
 
 ROW = ("s1", "Green", 24)
+
+
+def evaluate(expr, row, binding):
+    return compile_scalar(expr, binding)(row)
+
+
+def evaluate_group(expr, rows, binding):
+    return compile_aggregate(expr, binding)(rows)
 
 
 class TestBinding:
@@ -121,55 +128,89 @@ GROUP = [("s1", "a", 10), ("s2", "b", 20), ("s3", "c", None)]
 
 class TestAggregates:
     def test_count_star(self, binding):
-        assert evaluate_aggregate(FuncCall("COUNT", (Star(),)), GROUP, binding) == 3
+        assert evaluate_group(FuncCall("COUNT", (Star(),)), GROUP, binding) == 3
 
     def test_count_ignores_nulls(self, binding):
-        assert evaluate_aggregate(agg("COUNT", ColumnRef("Age")), GROUP, binding) == 2
+        assert evaluate_group(agg("COUNT", ColumnRef("Age")), GROUP, binding) == 2
 
     def test_count_distinct(self, binding):
         rows = [("s1", "a", 10), ("s2", "b", 10)]
         call = agg("COUNT", ColumnRef("Age"), distinct=True)
-        assert evaluate_aggregate(call, rows, binding) == 1
+        assert evaluate_group(call, rows, binding) == 1
 
     def test_sum_avg_min_max(self, binding):
-        assert evaluate_aggregate(agg("SUM", ColumnRef("Age")), GROUP, binding) == 30
-        assert evaluate_aggregate(agg("AVG", ColumnRef("Age")), GROUP, binding) == 15
-        assert evaluate_aggregate(agg("MIN", ColumnRef("Age")), GROUP, binding) == 10
-        assert evaluate_aggregate(agg("MAX", ColumnRef("Age")), GROUP, binding) == 20
+        assert evaluate_group(agg("SUM", ColumnRef("Age")), GROUP, binding) == 30
+        assert evaluate_group(agg("AVG", ColumnRef("Age")), GROUP, binding) == 15
+        assert evaluate_group(agg("MIN", ColumnRef("Age")), GROUP, binding) == 10
+        assert evaluate_group(agg("MAX", ColumnRef("Age")), GROUP, binding) == 20
 
     def test_empty_group_aggregates_are_null(self, binding):
-        assert evaluate_aggregate(agg("SUM", ColumnRef("Age")), [], binding) is None
-        assert evaluate_aggregate(agg("MAX", ColumnRef("Age")), [], binding) is None
+        assert evaluate_group(agg("SUM", ColumnRef("Age")), [], binding) is None
+        assert evaluate_group(agg("MAX", ColumnRef("Age")), [], binding) is None
 
     def test_count_of_empty_group_is_zero(self, binding):
-        assert evaluate_aggregate(agg("COUNT", ColumnRef("Age")), [], binding) == 0
+        assert evaluate_group(agg("COUNT", ColumnRef("Age")), [], binding) == 0
 
     def test_sum_over_text_raises(self, binding):
         with pytest.raises(SqlExecutionError):
-            evaluate_aggregate(agg("SUM", ColumnRef("Sname", "S")), GROUP, binding)
+            evaluate_group(agg("SUM", ColumnRef("Sname", "S")), GROUP, binding)
 
     def test_min_max_over_dates(self, binding):
         rows = [("s1", "a", None)]
         b = Binding([(None, "d")])
         date_rows = [("2001-01-01",), ("1999-12-31",)]
-        assert evaluate_aggregate(agg("MAX", ColumnRef("d")), date_rows, b) == "2001-01-01"
-        assert evaluate_aggregate(agg("MIN", ColumnRef("d")), date_rows, b) == "1999-12-31"
+        assert evaluate_group(agg("MAX", ColumnRef("d")), date_rows, b) == "2001-01-01"
+        assert evaluate_group(agg("MIN", ColumnRef("d")), date_rows, b) == "1999-12-31"
 
 
 class TestMixedEvaluation:
     def test_scalar_on_first_row(self, binding):
-        value = evaluate_with_aggregates(ColumnRef("Sid", "S"), GROUP, binding)
+        value = evaluate_group(ColumnRef("Sid", "S"), GROUP, binding)
         assert value == "s1"
 
     def test_aggregate(self, binding):
-        value = evaluate_with_aggregates(agg("SUM", ColumnRef("Age")), GROUP, binding)
+        value = evaluate_group(agg("SUM", ColumnRef("Age")), GROUP, binding)
         assert value == 30
 
     def test_arithmetic_over_aggregates(self, binding):
         expr = BinaryOp(
             "/", agg("SUM", ColumnRef("Age")), agg("COUNT", ColumnRef("Age"))
         )
-        assert evaluate_with_aggregates(expr, GROUP, binding) == 15
+        assert evaluate_group(expr, GROUP, binding) == 15
 
     def test_empty_group_scalar_is_null(self, binding):
-        assert evaluate_with_aggregates(ColumnRef("Age"), [], binding) is None
+        assert evaluate_group(ColumnRef("Age"), [], binding) is None
+
+    def test_arithmetic_over_two_aggregates(self, binding):
+        age = ColumnRef("Age")
+        mean = BinaryOp("/", agg("SUM", age), FuncCall("COUNT", (Star(),)))
+        assert evaluate_group(mean, GROUP, binding) == 10  # 30 / 3 rows
+        spread = BinaryOp("-", agg("MAX", age), agg("MIN", age))
+        assert evaluate_group(spread, GROUP, binding) == 10
+
+    def test_division_by_zero_aggregate_raises(self, binding):
+        expr = BinaryOp(
+            "/", agg("SUM", ColumnRef("Age")), agg("COUNT", ColumnRef("Age"))
+        )
+        all_null = [("s1", "a", None)]
+        # SUM is NULL there, so the division short-circuits to NULL ...
+        assert evaluate_group(expr, all_null, binding) is None
+        # ... but a non-NULL numerator over a zero count must raise
+        expr = BinaryOp(
+            "/", FuncCall("COUNT", (Star(),)), agg("COUNT", ColumnRef("Age"))
+        )
+        with pytest.raises(SqlExecutionError, match="division by zero"):
+            evaluate_group(expr, all_null, binding)
+
+    def test_null_aggregate_operand_is_null(self, binding):
+        expr = BinaryOp(
+            "+", agg("MAX", ColumnRef("Age")), FuncCall("COUNT", (Star(),))
+        )
+        assert evaluate_group(expr, [], binding) is None
+
+    def test_boolean_over_aggregates_raises(self, binding):
+        expr = BinaryOp(
+            "AND", agg("MAX", ColumnRef("Age")), agg("MIN", ColumnRef("Age"))
+        )
+        with pytest.raises(SqlExecutionError, match="boolean aggregates"):
+            evaluate_group(expr, GROUP, binding)

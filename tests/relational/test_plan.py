@@ -1,13 +1,17 @@
 """Compiled physical plans: closure semantics, index pushdown, caching.
 
-The compiled path must be indistinguishable from the interpreted executor
-on results (including row order, errors and NULL semantics); these tests
-pin the places where the two could plausibly diverge.  Full query-set
-equivalence lives in ``tests/integration/test_plan_equivalence.py``.
+These tests pin the places where closures and index-backed scans could
+plausibly diverge from SQL semantics (NULLs, lazy errors, substring
+matching), with SQLite as the independent reference.  The full workload
+runs against SQLite in ``tests/backends/test_differential.py``.
 """
+
+import inspect
 
 import pytest
 
+from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends.differential import diff_statement
 from repro.errors import SqlExecutionError
 from repro.observability import Tracer
 from repro.relational.database import Database
@@ -48,10 +52,8 @@ def shop_db():
     return db
 
 
-def both_paths(db, sql):
-    compiled = Executor(db, compile_plans=True).execute(sql)
-    interpreted = Executor(db, compile_plans=False).execute(sql)
-    return compiled, interpreted
+def execute(db, sql):
+    return Executor(db).execute(sql)
 
 
 class TestCompiledSemantics:
@@ -72,20 +74,22 @@ class TestCompiledSemantics:
         ],
     )
     def test_matches_interpreter(self, shop_db, sql):
-        compiled, interpreted = both_paths(shop_db, sql)
-        assert compiled == interpreted
-        assert compiled.rows == interpreted.rows  # identical order, too
+        memory = MemoryBackend()
+        memory.load(shop_db)
+        sqlite = SqliteBackend()
+        sqlite.load(shop_db)
+        try:
+            assert diff_statement(memory, sqlite, parse(sql)) is None
+        finally:
+            sqlite.close()
 
     def test_null_comparisons_not_satisfied(self, shop_db):
-        compiled, interpreted = both_paths(
-            shop_db, "SELECT Id FROM Item WHERE Price > 0"
-        )
-        assert compiled == interpreted
-        assert 4 not in compiled.column("Id")  # NULL price filtered out
+        result = execute(shop_db, "SELECT Id FROM Item WHERE Price > 0")
+        assert sorted(result.column("Id")) == [1, 2, 3, 5]  # NULL price out
 
     def test_division_by_zero_raised_lazily(self, shop_db):
         # the error surfaces at execution (on the offending row), never at
-        # plan-compilation time — matching the interpreter
+        # plan-compilation time
         sql = "SELECT Id / Stock FROM Item WHERE Stock IS NOT NULL"
         plan = CompiledPlan(parse(sql), shop_db)
         with pytest.raises(SqlExecutionError, match="division by zero"):
@@ -93,27 +97,20 @@ class TestCompiledSemantics:
 
     def test_mixed_type_comparison_raises_like_interpreter(self, shop_db):
         sql = "SELECT Id FROM Item WHERE Name = 3"
-        with pytest.raises(SqlExecutionError):
-            Executor(shop_db, compile_plans=False).execute(sql)
-        with pytest.raises(SqlExecutionError):
-            Executor(shop_db, compile_plans=True).execute(sql)
+        with pytest.raises(SqlExecutionError, match="cannot compare"):
+            execute(shop_db, sql)
 
     def test_unknown_column_raises(self, shop_db):
         with pytest.raises(SqlExecutionError, match="unknown column"):
-            Executor(shop_db, compile_plans=True).execute(
-                "SELECT Nope FROM Item WHERE Nope = 1"
-            )
+            execute(shop_db, "SELECT Nope FROM Item WHERE Nope = 1")
 
 
 class TestIndexPushdown:
     def test_contains_pushdown_is_substring_exact(self, shop_db):
         """'roy' must match 'royal', "Roy's" and 'viceroy' — token-exact
         candidate generation would miss the first and last."""
-        compiled, interpreted = both_paths(
-            shop_db, "SELECT Id FROM Item WHERE Name LIKE '%roy%'"
-        )
-        assert sorted(compiled.column("Id")) == [1, 2, 5]
-        assert compiled == interpreted
+        result = execute(shop_db, "SELECT Id FROM Item WHERE Name LIKE '%roy%'")
+        assert sorted(result.column("Id")) == [1, 2, 5]
 
     def test_contains_uses_inverted_index(self, shop_db):
         plan = CompiledPlan(
@@ -142,11 +139,7 @@ class TestIndexPushdown:
         assert plan.execute().column("Id") == [3]
 
     def test_equality_with_null_literal_matches_nothing(self, shop_db):
-        compiled, interpreted = both_paths(
-            shop_db, "SELECT Id FROM Item WHERE Price = NULL"
-        )
-        assert len(compiled) == 0
-        assert compiled == interpreted
+        assert len(execute(shop_db, "SELECT Id FROM Item WHERE Price = NULL")) == 0
 
     def test_index_results_track_mutations(self, shop_db):
         executor = Executor(shop_db)
@@ -163,6 +156,16 @@ class TestIndexPushdown:
         assert len(executor.execute(sql)) == 2
         shop_db.table("Item").insert((7, "cheap olive", 4.5, 2))
         assert sorted(executor.execute(sql).column("Id")) == [1, 3, 7]
+
+
+def test_executor_has_one_execution_path():
+    # no mode switch: any execution-strategy keyword is a TypeError
+    assert list(inspect.signature(Executor).parameters) == [
+        "database", "tracer", "validate", "backend_label",
+    ]
+    assert list(inspect.signature(CompiledPlan).parameters) == [
+        "select", "database", "optimizer", "tracer",
+    ]
 
 
 class TestPlanCache:
@@ -242,14 +245,11 @@ class TestExplain:
         plan = CompiledPlan(
             parse(
                 "SELECT S.Sname FROM Student S, Enrol E "
-                "WHERE S.Sid = E.Sid AND E.Grade = 'A+'"
+                "WHERE S.Sid = E.Sid AND E.Grade = 'A+' AND S.Sname <> E.Grade"
             ),
             university_db,
         )
-        assert "equi-join" in plan.explain()
-        no_hash = CompiledPlan(
-            parse("SELECT S.Sname FROM Student S, Enrol E WHERE S.Sid = E.Sid"),
-            university_db,
-            use_hash_joins=False,
-        )
-        assert "cross+filter" in no_hash.explain()
+        lines = plan.explain().splitlines()
+        assert "equi-join S.Sid = E.Sid" in lines
+        # a non-equi conjunct across scans is a filter after the join
+        assert "filter S.Sname <> E.Grade" in lines

@@ -1,8 +1,8 @@
 """Aggregate output types are pinned (repro.relational.result.normalize_aggregate).
 
-Both execution paths — interpreted and compiled — must produce the same
-Python types a real SQL backend would: COUNT is int, AVG is float,
-SUM/MIN/MAX of an empty or all-NULL group is NULL.  The differential
+Executed statements must produce the same Python types a real SQL
+backend would: COUNT is int, AVG is float, SUM/MIN/MAX of an empty or
+all-NULL group is NULL.  The differential
 harness compares types strictly, so any drift here fails `repro diff`.
 """
 
@@ -65,9 +65,9 @@ def _db():
     return database
 
 
-@pytest.fixture(params=[True, False], ids=["compiled", "interpreted"])
-def executor(request):
-    return Executor(_db(), compile_plans=request.param)
+@pytest.fixture()
+def executor():
+    return Executor(_db())
 
 
 class TestBothExecutionPaths:

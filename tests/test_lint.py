@@ -1,18 +1,13 @@
-"""The project AST lint (tools/lint_repro.py): rules fire, tree is clean."""
+"""The project AST lint (repro.analysis.codebase): rules fire, tree is clean."""
 
-import importlib.util
 import textwrap
 from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.analysis import codebase as lint_repro
 
-spec = importlib.util.spec_from_file_location(
-    "lint_repro", REPO_ROOT / "tools" / "lint_repro.py"
-)
-lint_repro = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(lint_repro)
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def lint_source(tmp_path, relative, source):
