@@ -87,6 +87,7 @@ CODE_CATALOG: Dict[str, str] = {
     "S021": "pushed predicate references a column outside its scan",
     "S022": "estimated plan cardinality exceeds the row budget",
     "S023": "index lookup available but the plan chose a sequential scan",
+    "S024": "elided DISTINCT or sideways key filter is not justified by the schema",
     # -- rewrite analyzers ---------------------------------------------
     "R001": "rewritten SQL references a relation outside the base schema",
     "R002": "rewrite changed the GROUP BY keys",

@@ -26,17 +26,32 @@ optimizer):
   access-path decision (informational: skipping an unselective index is
   usually the *right* call, see ``docs/PLANNER.md``).
 
+One check covers what the plan skips or narrows on the strength of a
+schema argument, re-derived from the statement's AST and the schema
+alone (nothing ``CompiledPlan`` computed is trusted):
+
+* **S024** — a DISTINCT the plan elides must project plain columns of
+  exactly one base table covering its primary key (otherwise the
+  DISTINCT could remove rows); and a derived scan the plan may hand join
+  keys to (``plan.key_sources``) must expose the join column as a plain
+  copy of a base-table column — through sub-selects that neither
+  aggregate nor LIMIT — of the same type class (numeric / text) as the
+  column the keys come from, else the filter could drop rows the hash
+  join would have matched.
+
 Derived scans are analyzed recursively through their sub-plans.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.type_inference import build_scope, infer_expr_type
 from repro.relational.plan import CompiledPlan, _DerivedScan, _TableScan
+from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
-from repro.sql.ast import ColumnRef
+from repro.sql.ast import ColumnRef, DerivedTable, Select, TableRef
 from repro.sql.render import render_expr
 
 _TEXT_LIKE = (DataType.TEXT, DataType.DATE)
@@ -68,7 +83,114 @@ def analyze_plan(
             )
             diagnostics.extend(_check_pushed_scope(scan, location))
     diagnostics.extend(_check_decisions(plan, location, row_budget))
+    diagnostics.extend(_check_key_passing(plan, location))
     return diagnostics
+
+
+def _check_key_passing(plan: CompiledPlan, location: str) -> List[Diagnostic]:
+    """S024: DISTINCT elision and sideways key passing, from the AST."""
+    schema = plan.database.schema
+    select = plan.select
+    problems: List[str] = []
+    if plan.distinct_elided_key is not None:
+        problem = _elision_problem(select, schema)
+        if problem:
+            problems.append(f"DISTINCT elided but {problem}")
+    items = {item.alias: item for item in select.from_items}
+    scope = build_scope(select, schema)
+    for alias, sources in plan.key_sources.items():
+        for source in sources:
+            own = f"{alias}.{source.column}"
+            if not _is_plain_base_column(items.get(alias), source.column, schema):
+                problems.append(
+                    f"keys offered to {own}, which is not a plain copy of "
+                    "a base-table column"
+                )
+                continue
+            own_type = infer_expr_type(ColumnRef(source.column, alias), scope)
+            other_type = infer_expr_type(source.other_ref, scope)
+            if _type_class(own_type) is None or _type_class(
+                own_type
+            ) != _type_class(other_type):
+                problems.append(
+                    f"keys offered to {own} ({own_type}) come from "
+                    f"{source.other_ref} ({other_type})"
+                )
+    return [
+        Diagnostic(
+            "S024",
+            Severity.ERROR,
+            problem,
+            location,
+            hint="the plan would drop rows the unoptimized plan keeps",
+        )
+        for problem in problems
+    ]
+
+
+def _type_class(dtype: Optional[DataType]) -> Optional[str]:
+    if dtype in _NUMERIC:
+        return "numeric"
+    if dtype in _TEXT_LIKE:
+        return "text"
+    return None
+
+
+def _elision_problem(select: Select, schema: DatabaseSchema) -> str:
+    """Why *select*'s DISTINCT could remove a row ('' when it cannot)."""
+    if select.has_aggregates() or select.group_by:
+        return "the select aggregates"
+    if len(select.from_items) != 1 or not isinstance(
+        select.from_items[0], TableRef
+    ):
+        return "its FROM is not exactly one base table"
+    relation = schema.find_relation(select.from_items[0].table)
+    if relation is None:
+        return "its table is not in the schema"
+    projected = set()
+    for item in select.items:
+        if not isinstance(item.expr, ColumnRef):
+            return f"{render_expr(item.expr)} is not a plain column"
+        projected.add(item.expr.name.lower())
+    missing = [c for c in relation.primary_key if c.lower() not in projected]
+    if missing:
+        return f"its projection drops key column(s) {', '.join(missing)}"
+    return ""
+
+
+def _is_plain_base_column(
+    item: object, column: str, schema: DatabaseSchema
+) -> bool:
+    """Whether *column* of FROM *item* is a base-table column copied
+    unchanged through every derived table in between, none of which
+    aggregates or LIMITs."""
+    if isinstance(item, TableRef):
+        relation = schema.find_relation(item.table)
+        return relation is not None and column.lower() in {
+            name.lower() for name in relation.column_names
+        }
+    if not isinstance(item, DerivedTable):
+        return False
+    select = item.select
+    if select.has_aggregates() or select.group_by or select.limit is not None:
+        return False
+    scope = build_scope(select, schema)
+    for index, sub in enumerate(select.items):
+        if sub.output_name(default=f"col{index + 1}").lower() != column.lower():
+            continue
+        ref = sub.expr
+        if not isinstance(ref, ColumnRef):
+            return False
+        owners = [
+            alias
+            for alias, columns in scope.items()
+            if ref.name.lower() in columns and ref.qualifier in (None, alias)
+        ]
+        if len(owners) != 1:
+            return False
+        inner = next(i for i in select.from_items if i.alias == owners[0])
+        return _is_plain_base_column(inner, ref.name, schema)
+    return False
 
 
 def _check_decisions(

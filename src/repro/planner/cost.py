@@ -76,9 +76,14 @@ def seq_scan_cost(params: CostParams, rows: float) -> float:
     return params.seq_row * max(0.0, rows)
 
 
-def index_scan_cost(params: CostParams, candidates: float) -> float:
-    """Probe an index, then fetch + verify each candidate position."""
-    return params.index_probe + params.index_row * max(0.0, candidates)
+def index_scan_cost(
+    params: CostParams, candidates: float, probes: float = 1.0
+) -> float:
+    """Probe an index (once per key looked up), then fetch + verify each
+    candidate position."""
+    return params.index_probe * max(0.0, probes) + params.index_row * max(
+        0.0, candidates
+    )
 
 
 def hash_join_cost(

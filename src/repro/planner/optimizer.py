@@ -18,10 +18,16 @@ rendered SQL and ``data_version``) and produces a
   the final result, surfaced as ``est≈`` annotations in ``--explain``
   and compared against actuals after each execution.
 
-The optimizer only *reorders* the same hash joins and *disables*
-index lookups the scan would otherwise consult — every path it picks
-is one a :class:`~repro.relational.plan.CompiledPlan` built without an
-optimizer can also take, so its choices never change a result set.
+At run time the same cost comparison answers one more question
+(:meth:`Optimizer.key_filter_rows`): whether a scan handed the join keys
+its sibling already holds should fetch their rows through an index, one
+probe per key, or be scanned as before.
+
+The optimizer only *reorders* the same hash joins, *disables* index
+lookups the scan would otherwise consult and *narrows* a scan to rows
+the join it feeds would keep — so its choices never change a result
+set; a :class:`~repro.relational.plan.CompiledPlan` built without an
+optimizer is the reference the equivalence sweeps hold it to.
 """
 
 from __future__ import annotations
@@ -143,6 +149,23 @@ class _Edge:
         self.selectivity = selectivity
 
 
+class _DerivedProfile:
+    """A derived scan's columns seen through to the base tables: an
+    output that is a plain copy of a base column has that column's
+    profile (the callers cap its NDV by the sub-plan's estimated
+    output); any other output has none."""
+
+    def __init__(self, scan: Any, catalog: StatisticsCatalog) -> None:
+        self._scan = scan
+        self._catalog = catalog
+
+    def column(self, name: str) -> Optional[ColumnProfile]:
+        target = self._scan.key_target(name)
+        if target is None:
+            return None
+        return self._catalog.profile(target.scan.table_name).column(target.column)
+
+
 class Optimizer:
     """Statistics-driven decisions for :class:`CompiledPlan`.
 
@@ -207,11 +230,37 @@ class Optimizer:
                 self._memo.popitem(last=False)
         return decisions
 
+    def key_filter_rows(
+        self, relation: str, column: str, keys: float
+    ) -> Optional[float]:
+        """Rows of *relation* expected to hold one of *keys* distinct
+        values in *column* — when fetching them through an index, one
+        probe per key, costs less than the sequential scan it would
+        replace; None when it does not.
+
+        Asked at run time by a scan that was handed the join keys its
+        sibling already holds (``CompiledPlan`` sideways key passing), so
+        *keys* is an actual count; the NDV comes from the catalog."""
+        profile = self.catalog.profile(relation)
+        stats = profile.column(column)
+        rows = float(profile.rows)
+        matching = rows
+        if stats is not None:
+            matching = rows * (1.0 - stats.null_fraction) / max(1.0, stats.ndv)
+        candidates = min(rows, keys * matching)
+        if index_scan_cost(self.params, candidates, probes=keys) < seq_scan_cost(
+            self.params, rows
+        ):
+            return candidates
+        return None
+
     # ------------------------------------------------------------------
     # Decision pipeline
     # ------------------------------------------------------------------
     def _decide(self, plan: Any, tracer: Any) -> PlanDecisions:
-        profiles: Dict[str, Optional[TableProfile]] = {}
+        # alias -> TableProfile | _DerivedProfile: all _ref_ndv needs of
+        # either is column(name)
+        profiles: Dict[str, Any] = {}
         scans: Dict[str, ScanDecision] = {}
         for scan in plan.scans:
             decision, profile = self._scan_decision(scan, tracer)
@@ -259,7 +308,7 @@ class Optimizer:
 
     def _scan_decision(
         self, scan: Any, tracer: Any
-    ) -> Tuple[ScanDecision, Optional[TableProfile]]:
+    ) -> Tuple[ScanDecision, Any]:
         table_name = getattr(scan, "table_name", None)
         if table_name is None:
             # derived table: estimates flow up from the sub-plan
@@ -276,7 +325,7 @@ class Optimizer:
                     est_rows=max(0.0, min(base, est)),
                     index_choices=tuple(None for _ in scan.pushed),
                 ),
-                None,
+                _DerivedProfile(scan, self.catalog),
             )
         profile = self.catalog.profile(table_name, tracer)
         column_of = self._column_resolver(scan, profile)
@@ -332,7 +381,7 @@ class Optimizer:
         self,
         plan: Any,
         scans: Dict[str, ScanDecision],
-        profiles: Dict[str, Optional[TableProfile]],
+        profiles: Dict[str, Any],
     ) -> Tuple[List[_Edge], List[Tuple[FrozenSet[str], float]]]:
         edges: List[_Edge] = []
         residuals: List[Tuple[FrozenSet[str], float]] = []
@@ -363,7 +412,7 @@ class Optimizer:
         ref: Optional[ColumnRef],
         alias: str,
         scans: Dict[str, ScanDecision],
-        profiles: Dict[str, Optional[TableProfile]],
+        profiles: Dict[str, Any],
     ) -> float:
         est_rows = max(1.0, scans[alias].est_rows)
         profile = profiles.get(alias)
@@ -501,7 +550,7 @@ class Optimizer:
         self,
         plan: Any,
         est_joined: float,
-        profiles: Dict[str, Optional[TableProfile]],
+        profiles: Dict[str, Any],
         scans: Dict[str, ScanDecision],
     ) -> Tuple[Optional[float], float]:
         select = plan.select
@@ -520,6 +569,17 @@ class Optimizer:
             est_output = est_groups
         else:
             est_output = est_joined
+            if select.distinct and plan.distinct_elided_key is None:
+                # DISTINCT groups by every output column
+                est_output = group_output_estimate(
+                    est_joined,
+                    [
+                        self._group_key_ndv(
+                            plan, item.expr, profiles, scans, est_joined
+                        )
+                        for item in select.items
+                    ],
+                )
         if select.limit is not None:
             est_output = min(est_output, float(select.limit))
         return est_groups, est_output
@@ -528,7 +588,7 @@ class Optimizer:
         self,
         plan: Any,
         expr: Expr,
-        profiles: Dict[str, Optional[TableProfile]],
+        profiles: Dict[str, Any],
         scans: Dict[str, ScanDecision],
         est_joined: float,
     ) -> float:

@@ -40,13 +40,7 @@ class Rowset:
 
 def distinct(rowset: Rowset) -> Rowset:
     """delta: remove duplicate rows, preserving first-seen order."""
-    seen = set()
-    unique: List[Tuple[Any, ...]] = []
-    for row in rowset.rows:
-        if row not in seen:
-            seen.add(row)
-            unique.append(row)
-    return Rowset(rowset.binding, unique)
+    return Rowset(rowset.binding, list(dict.fromkeys(rowset.rows)))
 
 
 def cross_join(left: Rowset, right: Rowset) -> Rowset:

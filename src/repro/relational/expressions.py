@@ -81,6 +81,10 @@ def _align_comparable(left: Any, right: Any) -> Tuple[Any, Any]:
 
 
 def _require_numeric(values: Sequence[Any], func: str) -> None:
+    # bool is its own type, so a column of True/False still reaches the
+    # raising loop below
+    if {int, float}.issuperset(map(type, values)):
+        return
     for value in values:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SqlExecutionError(f"{func} over non-numeric value {value!r}")
@@ -238,7 +242,7 @@ def _compile_aggregate_call(call: FuncCall, binding: Binding) -> GroupFn:
             return lambda rows: len(
                 {value for value in map(arg, rows) if value is not None}
             )
-        return lambda rows: sum(1 for row in rows if arg(row) is not None)
+        return lambda rows: len(rows) - list(map(arg, rows)).count(None)
     if len(call.args) != 1:
         return _raising_group(f"{name} takes exactly one argument")
     arg = compile_scalar(call.args[0], binding)

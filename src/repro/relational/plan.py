@@ -27,8 +27,19 @@ the optimizer's DP limit, decisions that stopped matching the runtime
 components, or a plan constructed without an optimizer — the order is a
 greedy runtime decision, smallest size product first.  Either order
 produces the same result *set*; ``tests/integration/test_plan_equivalence.py``
-runs every experiment statement through both.  Executor-level caching and
-invalidation (by rendered SQL and :attr:`Database.data_version`) live in
+runs every experiment statement through both.
+
+Decided steps also say *when* a derived table runs: a
+:class:`_DerivedScan` a step reaches is executed with that step, and if
+the other side is built by then its distinct join keys are handed down
+(:class:`_KeyFilter`, an ``execute`` argument) through plain-column
+projections to the base :class:`_TableScan`, which starts from an index
+on them when the optimizer's cost comparison on the actual key count
+says so — *sideways key passing*, ``docs/PLANNER.md``.  A DISTINCT whose
+projection keeps a whole primary key is elided at compile time.
+
+Executor-level caching and invalidation (by rendered SQL and
+:attr:`Database.data_version`) live in
 :class:`~repro.relational.executor.Executor`.
 """
 
@@ -36,7 +47,17 @@ from __future__ import annotations
 
 import operator
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cancellation import CHECK_STRIDE, current_token
 from repro.errors import SqlExecutionError
@@ -157,11 +178,63 @@ class _Pushed:
         self.use_lookup = True
 
 
+class _KeyFilter:
+    """The distinct non-NULL join keys one side of an equi-join already
+    holds, offered to the scan that feeds the other side.
+
+    Made per execution and handed down as an ``execute`` argument, never
+    stored on the (shared, cached) plan.  The table scan owning the
+    column decides from the key count whether to start from an index and
+    writes the outcome here, which is how the caller records and explains
+    it.  ``keys`` is None in an explain-only forecast, where ``count`` is
+    an estimate."""
+
+    __slots__ = ("source", "keys", "count", "outcome", "est_rows")
+
+    def __init__(
+        self, source: str, keys: Optional[Set[Any]], count: Optional[float] = None
+    ) -> None:
+        self.source = source
+        self.keys = keys
+        self.count = len(keys) if keys is not None else count
+        self.outcome = ""
+        self.est_rows: Optional[float] = None  # set when pushed
+
+    def describe(self, actual: Optional[int]) -> str:
+        if self.keys is None:
+            text = f"keys from {self.source} (est≈{self.count:,.0f}) {self.outcome}"
+            if self.est_rows is not None:
+                text += f" → est≈{self.est_rows:,.0f} rows"
+            return text
+        text = f"keys from {self.source} ({self.count:,}) {self.outcome}"
+        if self.est_rows is not None and actual is not None:
+            text += f" → {actual:,} rows"
+        return text
+
+
+class _KeyTarget(NamedTuple):
+    """The base-table column behind a scan's output column."""
+
+    scan: "_TableScan"
+    column: str
+
+    @property
+    def numeric(self) -> bool:
+        return self.scan._dtype(self.column) in _NUMERIC_TYPES
+
+
+#: a scan's key filters: (its own column name, the keys offered for it)
+KeyFilters = Sequence[Tuple[str, _KeyFilter]]
+
+
 class _TableScan:
     """Scan of one base table, with pushed-down predicates."""
 
-    def __init__(self, item: TableRef, database: Database) -> None:
+    def __init__(
+        self, item: TableRef, database: Database, optimizer: Any = None
+    ) -> None:
         table = database.table(item.table)
+        self._optimizer = optimizer
         self.table_name = item.table
         self.alias = item.alias
         self.schema = table.schema
@@ -230,7 +303,62 @@ class _TableScan:
     def _dtype(self, column: str) -> DataType:
         return self.schema.column(column).dtype
 
-    def execute(self, database: Database, tracer=NULL_TRACER) -> Rowset:
+    def key_target(self, column: str) -> Optional[_KeyTarget]:
+        """This scan's *column* as a key-filter target: set when an index
+        can answer equality on it (numeric or text), else None."""
+        name = self._own_column(ColumnRef(column))
+        if name is None or self._dtype(name) not in _NUMERIC_TYPES + _TEXT_TYPES:
+            return None
+        return _KeyTarget(self, name)
+
+    def cost_key_filter(self, column: str, key_filter: _KeyFilter) -> bool:
+        """Whether to answer *key_filter* from the index on *column*:
+        the optimizer's index-vs-sequential comparison, on the filter's
+        key count.  Writes the outcome onto the filter."""
+        est_rows = self._optimizer.key_filter_rows(
+            self.table_name, column, key_filter.count
+        )
+        if est_rows is None:
+            key_filter.outcome = "not pushed (a sequential scan costs less)"
+            return False
+        numeric = self._dtype(column) in _NUMERIC_TYPES
+        index_name = "NumericIndex" if numeric else "HashIndex"
+        key_filter.outcome = f"via {index_name}[{self.table_name}.{column}]"
+        key_filter.est_rows = est_rows
+        return True
+
+    def _key_positions(
+        self, database: Database, column: str, keys: Set[Any]
+    ) -> Optional[Set[int]]:
+        """Candidate positions of rows whose *column* is one of *keys*,
+        through the seams :class:`IndexLookup` uses; None when the index
+        cannot answer for some key."""
+        if self._dtype(column) in _NUMERIC_TYPES:
+            index = database.numeric_index
+
+            def lookup(key: Any) -> Optional[Set[int]]:
+                return index.positions_for_value(self.table_name, column, key)
+
+        else:
+            hashed = database.hash_index(self.table_name, (column,))
+
+            def lookup(key: Any) -> Optional[Set[int]]:
+                return hashed.positions((key,))
+
+        positions: Set[int] = set()
+        for key in keys:
+            found = lookup(key)
+            if found is None:
+                return None
+            positions |= found
+        return positions
+
+    def execute(
+        self,
+        database: Database,
+        tracer=NULL_TRACER,
+        key_filters: KeyFilters = (),
+    ) -> Rowset:
         current_token().check()
         table = database.table(self.table_name)
         rows = table.rows
@@ -244,13 +372,38 @@ class _TableScan:
                 continue
             lookups += 1
             positions = found if positions is None else positions & found
+        # (row position of the column, keys): candidates are verified by
+        # set membership, the hash join's own equality
+        verify: List[Tuple[int, Set[Any]]] = []
+        for column, key_filter in key_filters:
+            column = self._own_column(ColumnRef(column))  # as the schema spells it
+            if not self.cost_key_filter(column, key_filter):
+                continue
+            found = self._key_positions(database, column, key_filter.keys)
+            if found is None:
+                key_filter.outcome = "not pushed (no index answers)"
+                key_filter.est_rows = None
+                continue
+            lookups += 1
+            tracer.count("key_filters_pushed")
+            tracer.count("key_filter_keys", len(key_filter.keys))
+            positions = found if positions is None else positions & found
+            verify.append((self.schema.column_index(column), key_filter.keys))
         if positions is not None:
             tracer.count("index_scans", lookups)
             tracer.count("rows_skipped_by_index", len(rows) - len(positions))
-            selected: List[Tuple[Any, ...]] = [rows[pos] for pos in sorted(positions)]
+            ordered = sorted(positions)
+            rows_at = getattr(rows, "rows_at", None)  # a heap: page by page
+            selected: List[Tuple[Any, ...]] = (
+                rows_at(ordered) if rows_at else [rows[pos] for pos in ordered]
+            )
         else:
             selected = list(rows)
         tracer.count("rows_scanned", len(selected))
+        for index, keys in verify:
+            before = len(selected)
+            selected = [row for row in selected if row[index] in keys]
+            tracer.count("rows_filtered", before - len(selected))
         for pred in self.pushed:
             before = len(selected)
             fn = pred.closure
@@ -296,12 +449,50 @@ class _DerivedScan:
         )
         self.binding = Binding(self.labels)
         self.pushed: List[_Pushed] = []
+        self._hops = self._key_hops()
 
     def push(self, expr: Expr, database: Database) -> None:
         self.pushed.append(_Pushed(expr, compile_predicate(expr, self.binding), None))
 
-    def execute(self, database: Database, tracer=NULL_TRACER) -> Rowset:
-        inner = self.subplan.execute(tracer)
+    def _key_hops(self) -> Dict[str, Tuple[Any, str]]:
+        """Lowercased output column -> (sub-plan scan, its column), for
+        every output that is a plain column of a non-aggregated,
+        un-LIMITed sub-select.  Selecting on such a column commutes with
+        the projection, its DISTINCT and the sub-select's own joins, so
+        join keys offered for it may be handed to that scan instead."""
+        sub = self.subplan
+        if sub._aggregated or sub.select.limit is not None:
+            return {}
+        scans = {scan.alias: scan for scan in sub.scans}
+        hops: Dict[str, Tuple[Any, str]] = {}
+        for name, item in zip(sub.output_columns, sub.select.items):
+            if not isinstance(item.expr, ColumnRef):
+                continue
+            try:
+                scan = scans.get(sub._alias_of_ref(item.expr))
+            except SqlExecutionError:
+                continue  # unknown / ambiguous: fails when executed
+            if scan is not None:
+                hops.setdefault(name.lower(), (scan, item.expr.name))
+        return hops
+
+    def key_target(self, column: str) -> Optional[_KeyTarget]:
+        """The base-table column *column* is a plain copy of (through
+        nested derived tables too), when keys can be pushed that far."""
+        hop = self._hops.get(column.lower())
+        return hop[0].key_target(hop[1]) if hop else None
+
+    def execute(
+        self,
+        database: Database,
+        tracer=NULL_TRACER,
+        key_filters: KeyFilters = (),
+    ) -> Rowset:
+        handed: Dict[str, List[Tuple[str, _KeyFilter]]] = {}
+        for column, key_filter in key_filters:
+            scan, inner_column = self._hops[column.lower()]
+            handed.setdefault(scan.alias, []).append((inner_column, key_filter))
+        inner = self.subplan.execute(tracer, handed)
         selected = inner.rows
         for pred in self.pushed:
             before = len(selected)
@@ -314,9 +505,12 @@ class _DerivedScan:
     def describe(
         self, indent: str = "", estimate: Optional[float] = None,
         actual: Optional[int] = None,
+        key_filters: Sequence[_KeyFilter] = (),
     ) -> List[str]:
         lines = [f"{indent}derived {self.alias}{_rows_note(estimate, actual)}:"]
         lines.extend(self.subplan.describe(indent + "  "))
+        for key_filter in key_filters:
+            lines.append(f"{indent}  {key_filter.describe(actual)}")
         for pred in self.pushed:
             lines.append(
                 f"{indent}  push {render_expr(pred.expr)} via compiled filter"
@@ -358,19 +552,25 @@ class PlanRun:
     Stored on :attr:`CompiledPlan.last_run` after every optimized
     execution; the plan-quality benchmark and ``--explain`` read it."""
 
-    __slots__ = ("operators",)
+    __slots__ = ("operators", "key_filters")
 
     def __init__(self) -> None:
         self.operators: List[Observation] = []
+        #: alias of a deferred scan -> the sibling keys it was offered
+        self.key_filters: Dict[str, List[_KeyFilter]] = {}
 
     def record(self, label: str, estimated: float, actual: int) -> None:
         self.operators.append(Observation(label, estimated, actual))
 
-    def actual_for(self, label: str) -> Optional[int]:
+    def observation(self, label: str) -> Optional[Observation]:
         for observation in self.operators:
             if observation.label == label:
-                return observation.actual
+                return observation
         return None
+
+    def actual_for(self, label: str) -> Optional[int]:
+        observation = self.observation(label)
+        return observation.actual if observation else None
 
     def q_errors(self) -> List[float]:
         return [observation.q_error for observation in self.operators]
@@ -413,6 +613,24 @@ class _Conjunct:
         if fn is None:
             fn = self._closures.setdefault(key, compile_predicate(self.expr, binding))
         return fn
+
+
+class _KeySource(NamedTuple):
+    """An equi-conjunct through which a deferred scan can be offered the
+    other side's join keys: its own *column*, the other side's ref."""
+
+    column: str
+    other_ref: ColumnRef
+    other_alias: str
+
+
+def _one_alias_sides(step: Any):
+    """``(alias, other side)`` for each side of a decided join step that
+    is a single FROM item — the way every alias enters its join tree."""
+    for own, other in ((step.left, step.right), (step.right, step.left)):
+        if len(own) == 1:
+            (alias,) = own
+            yield alias, other
 
 
 class _Component:
@@ -464,9 +682,16 @@ class CompiledPlan:
         self._projector_cache: Dict[Tuple[ColumnLabel, ...], Callable] = {}
         self._group_key_cache: Dict[Tuple[ColumnLabel, ...], Callable] = {}
         self._aggregate_cache: Dict[Tuple[ColumnLabel, ...], List[Callable]] = {}
+        #: the primary key that makes this statement's DISTINCT a no-op
+        self.distinct_elided_key = self._redundant_distinct_key()
+        #: derived scans run when their decided join step does, and the
+        #: conjuncts that can then hand them the other side's keys
+        self.deferred: frozenset = frozenset()
+        self.key_sources: Dict[str, List[_KeySource]] = {}
         if self._optimizer is not None:
             self.decisions = self._optimizer.decide(self, tracer)
             self._apply_index_choices()
+            self._plan_deferrals()
 
     # ------------------------------------------------------------------
     # Compilation
@@ -480,7 +705,9 @@ class CompiledPlan:
                 raise SqlExecutionError(f"duplicate alias {item.alias!r} in FROM")
             seen.add(item.alias)
             if isinstance(item, TableRef):
-                self.scans.append(_TableScan(item, self.database))
+                self.scans.append(
+                    _TableScan(item, self.database, self._optimizer)
+                )
             elif isinstance(item, DerivedTable):
                 self.scans.append(
                     _DerivedScan(
@@ -569,6 +796,63 @@ class CompiledPlan:
                 if choice is False and pred.lookup is not None:
                     pred.use_lookup = False
 
+    def _redundant_distinct_key(self) -> Optional[Tuple[str, ...]]:
+        """The primary key this statement's DISTINCT projection keeps
+        whole, so that it cannot remove a row — else None.
+
+        Holds for a non-aggregated select of plain columns over exactly
+        one base table: ``Table`` enforces key uniqueness on every insert
+        (and the disk tier is materialized from it), so rows that differ
+        on the key stay distinct under any projection covering it."""
+        if not self.select.distinct or self._aggregated or len(self.scans) != 1:
+            return None
+        scan = self.scans[0]
+        if not isinstance(scan, _TableScan):
+            return None
+        projected = {scan._own_column(item.expr) for item in self.select.items}
+        key = scan.schema.primary_key
+        table = self.database.table(scan.table_name)
+        if (
+            None in projected
+            or not set(key) <= projected
+            or not getattr(table, "enforce_key", True)
+        ):
+            return None
+        return key
+
+    def _plan_deferrals(self) -> None:
+        """Defer every derived scan a decided join step reaches (each
+        alias of an ordered component enters through a one-alias side),
+        and list the equi-conjuncts whose two columns are plain copies of
+        same-typed base columns: through those, the step can hand the
+        scan the keys its other side holds."""
+        scans = {scan.alias: scan for scan in self.scans}
+        self.deferred = frozenset(
+            alias
+            for step in self.decisions.join_steps
+            for alias, _ in _one_alias_sides(step)
+            if isinstance(scans[alias], _DerivedScan)
+        )
+        for conjunct in self.pending:
+            if not conjunct.is_equi or len(conjunct.aliases) != 2:
+                continue
+            refs = (conjunct.left_ref, conjunct.right_ref)
+            for own_ref, other_ref in (refs, refs[::-1]):
+                own_alias = self._alias_of_ref(own_ref)
+                other = scans.get(self._alias_of_ref(other_ref))
+                if own_alias not in self.deferred or other is None:
+                    continue
+                own_target = scans[own_alias].key_target(own_ref.name)
+                other_target = other.key_target(other_ref.name)
+                if (
+                    own_target is not None
+                    and other_target is not None
+                    and own_target.numeric == other_target.numeric
+                ):
+                    self.key_sources.setdefault(own_alias, []).append(
+                        _KeySource(own_ref.name, other_ref, other.alias)
+                    )
+
     @property
     def compiled_predicates(self) -> int:
         """Number of predicate closures compiled into this plan (pushed +
@@ -583,7 +867,15 @@ class CompiledPlan:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, tracer=NULL_TRACER) -> QueryResult:
+    def execute(
+        self,
+        tracer=NULL_TRACER,
+        key_filters: Optional[Dict[str, KeyFilters]] = None,
+    ) -> QueryResult:
+        """Run the plan.  *key_filters* (alias -> filters) is how an
+        enclosing plan hands this sub-plan's scans the join keys it
+        already holds; it travels as an argument because the plan itself
+        is shared between executions."""
         # cancellation checkpoints: the ambient token (repro.cancellation)
         # is polled at operator boundaries here and strided inside the
         # algebra join loops, so a served query with a deadline aborts
@@ -591,17 +883,19 @@ class CompiledPlan:
         token = current_token()
         token.check()
         run = PlanRun() if self.decisions is not None else None
-        components = []
+        handed = key_filters or {}
+        components: List[_Component] = []
+        deferred: Dict[str, Any] = {}
         for scan in self.scans:
-            rowset = scan.execute(self.database, tracer)
-            if run is not None:
-                decision = self.decisions.scans.get(scan.alias)
-                if decision is not None:
-                    run.record(f"scan {scan.alias}", decision.est_rows, len(rowset))
-            components.append(_Component({scan.alias}, rowset))
+            if scan.alias in self.deferred:
+                deferred[scan.alias] = scan
+            else:
+                components.append(
+                    self._run_scan(scan, handed.get(scan.alias, ()), tracer, run)
+                )
         pending = list(self.pending)
         pending = self._apply_pending(components, pending, tracer)
-        merged = self._join(components, pending, tracer, run)
+        merged = self._join(components, deferred, handed, pending, tracer, run)
         token.check()
         result = self._project(merged.rowset, tracer)
         if run is not None:
@@ -611,6 +905,39 @@ class CompiledPlan:
             self.last_run = run
             tracer.count("planner_runs_observed")
         return result
+
+    def _run_scan(
+        self, scan: Any, key_filters: KeyFilters, tracer, run: Optional[PlanRun]
+    ) -> _Component:
+        rowset = scan.execute(self.database, tracer, key_filters)
+        decision = self.decisions.scans.get(scan.alias) if run is not None else None
+        if decision is not None:
+            # a pushed key filter re-estimated the scan from the actual
+            # key count; that, not the unfiltered estimate, is what ran
+            estimate = min(
+                [decision.est_rows]
+                + [f.est_rows for _, f in key_filters if f.est_rows is not None]
+            )
+            run.record(f"scan {scan.alias}", estimate, len(rowset))
+        return _Component({scan.alias}, rowset)
+
+    def _sibling_keys(
+        self, scan: Any, other: frozenset, components: List[_Component]
+    ) -> List[Tuple[str, _KeyFilter]]:
+        """Key filters for deferred *scan* from the component its join
+        step pairs it with — none when that side is not built yet."""
+        holder = next((c for c in components if c.aliases == other), None)
+        if holder is None:
+            return []
+        filters: List[Tuple[str, _KeyFilter]] = []
+        for source in self.key_sources.get(scan.alias, ()):
+            if source.other_alias not in other:
+                continue
+            position = holder.rowset.binding.resolve(source.other_ref)
+            keys = set(map(operator.itemgetter(position), holder.rowset.rows))
+            keys.discard(None)  # NULL never joins
+            filters.append((source.column, _KeyFilter(str(source.other_ref), keys)))
+        return filters
 
     def _apply_pending(
         self,
@@ -641,6 +968,8 @@ class CompiledPlan:
     def _join(
         self,
         components: List[_Component],
+        deferred: Dict[str, Any],
+        handed: Dict[str, KeyFilters],
         pending: List[_Conjunct],
         tracer,
         run: Optional[PlanRun] = None,
@@ -649,12 +978,20 @@ class CompiledPlan:
         steps: List[Any] = []
         if self.decisions is not None:
             steps = list(self.decisions.join_steps)
-        while len(components) > 1:
+        while len(components) + len(deferred) > 1:
             token.check()
             pair = None
             step = None
             if steps:
                 candidate = steps.pop(0)
+                for alias, other in _one_alias_sides(candidate):
+                    scan = deferred.pop(alias, None)
+                    if scan is None:
+                        continue
+                    offered = self._sibling_keys(scan, other, components)
+                    run.key_filters[scan.alias] = [f for _, f in offered]
+                    offered.extend(handed.get(scan.alias, ()))
+                    components.append(self._run_scan(scan, offered, tracer, run))
                 pair = self._find_step_pair(components, candidate)
                 if pair is None:
                     # the decided order no longer matches the runtime
@@ -665,6 +1002,13 @@ class CompiledPlan:
                     step = candidate
                     tracer.count("planner_steps_applied")
             if pair is None:
+                # no decided step will reach them: run what is left now,
+                # unfiltered, as a plan without decisions does up front
+                for scan in deferred.values():
+                    components.append(
+                        self._run_scan(scan, handed.get(scan.alias, ()), tracer, run)
+                    )
+                deferred.clear()
                 pair = self._pick_join_pair(components, pending)
             if pair is None:
                 # no connecting predicate: cartesian product of two smallest
@@ -850,9 +1194,11 @@ class CompiledPlan:
             out_rows = [tuple(fn(group) for fn in fns) for group in groups]
         else:
             projector = self._projector_for(rowset.binding)
-            out_rows = [projector(row) for row in rowset.rows]
+            out_rows = list(map(projector, rowset.rows))
         result = Rowset(self._output_binding, out_rows)
-        if self.select.distinct:
+        if self.distinct_elided_key is not None:
+            tracer.count("distinct_elided")
+        elif self.select.distinct:
             result = distinct(result)
         rows = result.rows
         if self._order_keys:
@@ -875,14 +1221,24 @@ class CompiledPlan:
     def describe(self, indent: str = "") -> List[str]:
         lines: List[str] = []
         run = self.last_run
+        key_filters = run.key_filters if run else self._forecast_key_filters()
         for scan in self.scans:
-            estimate = None
-            if self.decisions is not None:
+            estimate = actual = None
+            observed = run.observation(f"scan {scan.alias}") if run else None
+            if observed is not None:
+                estimate, actual = observed.estimated, observed.actual
+            elif self.decisions is not None:
                 decision = self.decisions.scans.get(scan.alias)
                 if decision is not None:
                     estimate = decision.est_rows
-            actual = run.actual_for(f"scan {scan.alias}") if run else None
-            lines.extend(scan.describe(indent, estimate, actual))
+            if scan.alias in self.deferred:
+                lines.extend(
+                    scan.describe(
+                        indent, estimate, actual, key_filters.get(scan.alias, ())
+                    )
+                )
+            else:
+                lines.extend(scan.describe(indent, estimate, actual))
         for conjunct in self.pending:
             kind = "equi-join" if conjunct.is_equi else "filter"
             lines.append(f"{indent}{kind} {render_expr(conjunct.expr)}")
@@ -901,7 +1257,10 @@ class CompiledPlan:
             summary.append("aggregate " + ", ".join(self.output_columns))
         else:
             summary.append("project " + ", ".join(self.output_columns))
-        if self.select.distinct:
+        if self.distinct_elided_key is not None:
+            kept = ", ".join(self.distinct_elided_key)
+            summary.append(f"distinct elided (keeps key {kept})")
+        elif self.select.distinct:
             summary.append("distinct")
         if self.select.order_by:
             summary.append("sort")
@@ -913,6 +1272,37 @@ class CompiledPlan:
             summary_line += _rows_note(self.decisions.est_output, actual)
         lines.append(summary_line)
         return lines
+
+    def _forecast_key_filters(self) -> Dict[str, List[_KeyFilter]]:
+        """Explain before any execution: walk the decided steps as
+        :meth:`_join` will and cost each deferred scan's key filters on
+        the optimizer's row estimate of the side that will supply them,
+        in place of the actual key count."""
+        if not self.deferred:
+            return {}
+        scans = {scan.alias: scan for scan in self.scans}
+        built = {
+            frozenset((alias,)): decision.est_rows
+            for alias, decision in self.decisions.scans.items()
+            if alias not in self.deferred
+        }
+        forecast: Dict[str, List[_KeyFilter]] = {}
+        for step in self.decisions.join_steps:
+            for alias, other in _one_alias_sides(step):
+                own = frozenset((alias,))
+                if own in built:
+                    continue
+                forecast[alias] = []
+                for source in self.key_sources.get(alias, ()):
+                    if other not in built or source.other_alias not in other:
+                        continue
+                    key_filter = _KeyFilter(str(source.other_ref), None, built[other])
+                    target = scans[alias].key_target(source.column)
+                    target.scan.cost_key_filter(target.column, key_filter)
+                    forecast[alias].append(key_filter)
+                built[own] = self.decisions.scans[alias].est_rows
+            built[step.left | step.right] = step.est_rows
+        return forecast
 
     def explain(self) -> str:
         """Human-readable physical plan, shown by ``repro --explain``."""

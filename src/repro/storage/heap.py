@@ -10,9 +10,12 @@ is resident — the pool's page budget bounds decoded data too, and there
 is no second cache.  The rows are exposed as :class:`HeapRows`, a lazy
 sequence:
 
-* ``rows[pos]`` — the row-position access pattern index-backed scans
-  use; binary-searches the per-page row counts for the owning page and
-  indexes its decoded rows;
+* ``rows[pos]`` — a point read; binary-searches the per-page row counts
+  for the owning page and indexes its decoded rows;
+* ``rows.rows_at(sorted_positions)`` — the access pattern index-backed
+  scans use: the positions are walked page by page, so each page
+  touched is searched for, pinned and decoded once however many of its
+  rows are wanted;
 * ``iter(rows)`` / ``list(rows)`` — a sequential scan, one page's rows
   at a time;
 * ``len(rows)`` — from the manifest, no I/O.
@@ -136,6 +139,31 @@ class HeapFile:
         first = self._cumulative[page_no - 1] if page_no else 0
         return self._page_rows(page_no)[position - first]
 
+    def rows_at(self, positions: Sequence[int]) -> List[Row]:
+        """The rows at ascending *positions*, each owning page pinned once.
+
+        What an index-started scan calls with its sorted candidate
+        positions: one bisect and one :meth:`_page_rows` per page
+        touched, where ``row()`` would pay both per row."""
+        out: List[Row] = []
+        if not positions:
+            return out
+        if positions[0] < 0 or positions[-1] >= self.row_count:
+            raise StorageError(
+                f"{self.schema.name}: row positions {positions[0]}.."
+                f"{positions[-1]} out of range (0..{self.row_count - 1})"
+            )
+        cumulative = self._cumulative
+        end = 0  # first position beyond the current page
+        for position in positions:
+            if position >= end:
+                page_no = bisect_right(cumulative, position)
+                first = cumulative[page_no - 1] if page_no else 0
+                end = cumulative[page_no]
+                page = self._page_rows(page_no)
+            out.append(page[position - first])
+        return out
+
     def scan(self) -> Iterator[Row]:
         """All rows in position order, one page pinned at a time."""
         return chain.from_iterable(map(self._page_rows, range(self.page_count)))
@@ -177,6 +205,11 @@ class HeapRows(Sequence[Row]):
 
     def __iter__(self) -> Iterator[Row]:
         return self._heap.scan()
+
+    def rows_at(self, positions: Sequence[int]) -> List[Row]:
+        """Rows at ascending *positions*, page by page
+        (:meth:`HeapFile.rows_at`)."""
+        return self._heap.rows_at(positions)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HeapRows({self._heap.schema.name!r}, n={len(self)})"

@@ -54,7 +54,7 @@ class TestCodeCatalog:
         expected = (
             [f"P{i:03d}" for i in range(1, 10)]
             + [f"S{i:03d}" for i in range(1, 17)]
-            + ["S020", "S021"]
+            + ["S020", "S021", "S022", "S023", "S024"]
             + [f"R{i:03d}" for i in range(1, 6)]
             + [f"C{i:03d}" for i in range(1, 9)]
         )

@@ -1,5 +1,6 @@
-"""Plan analyzers: index-lookup soundness, pushed-predicate scope, and
-the planner advisories (S022 row budget, S023 skipped index)."""
+"""Plan analyzers: index-lookup soundness, pushed-predicate scope, the
+planner advisories (S022 row budget, S023 skipped index) and the schema
+arguments behind DISTINCT elision and sideways key passing (S024)."""
 
 import pytest
 
@@ -7,7 +8,12 @@ from repro.analysis.diagnostics import Severity
 from repro.analysis.plan_analyzers import analyze_plan
 from repro.datasets import university_database
 from repro.relational.executor import Executor
-from repro.relational.plan import CompiledPlan, IndexLookup, _TableScan
+from repro.relational.plan import (
+    CompiledPlan,
+    IndexLookup,
+    _KeySource,
+    _TableScan,
+)
 from repro.sql.ast import ColumnRef, eq
 from repro.sql.parser import parse
 
@@ -182,3 +188,92 @@ class TestPlannerAdvisories:
         report = AnalysisReport()
         report.extend(analyze_plan(plan))
         assert not report.has_findings
+
+
+KEYED_SQL = (
+    "SELECT S.Sname, COUNT(E.Code) AS n FROM (SELECT DISTINCT Sid, Code "
+    "FROM Enrol) E, Student S WHERE E.Sid = S.Sid AND S.Age = 24 "
+    "GROUP BY S.Sname"
+)
+
+
+class TestKeyPassingSoundness:
+    """S024 trusts nothing the plan computed: each case breaks what the
+    plan advertises and expects the AST to contradict it."""
+
+    def test_sound_plans_are_clean(self, cost_executor):
+        plan = plan_for(cost_executor, KEYED_SQL)
+        assert plan.key_sources["E"] == [
+            _KeySource("Sid", ColumnRef("Sid", "S"), "S")
+        ]
+        elided = plan_for(cost_executor, "SELECT DISTINCT Sid, Code, Grade FROM Enrol")
+        assert elided.distinct_elided_key == ("Sid", "Code")
+        assert "S024" not in codes(analyze_plan(plan) + analyze_plan(elided))
+
+    @pytest.mark.parametrize(
+        "sql, reason",
+        [
+            ("SELECT DISTINCT Sid, Grade FROM Enrol", "drops key column"),
+            (
+                "SELECT DISTINCT E.Sid, E.Code FROM Enrol E, Course C "
+                "WHERE E.Code = C.Code",
+                "one base table",
+            ),
+            (
+                "SELECT DISTINCT Sid, Code FROM (SELECT Sid, Code FROM Enrol) E",
+                "one base table",
+            ),
+            ("SELECT DISTINCT Code, Credit + 0 AS c FROM Course", "plain column"),
+            (
+                "SELECT DISTINCT Code, COUNT(Sid) AS n FROM Enrol GROUP BY Code",
+                "aggregates",
+            ),
+        ],
+    )
+    def test_s024_unjustified_elision(self, database, sql, reason):
+        plan = bare_plan(database, sql)
+        assert plan.distinct_elided_key is None
+        plan.distinct_elided_key = ("Code",)
+        found = [d for d in analyze_plan(plan) if d.code == "S024"]
+        assert len(found) == 1 and found[0].severity is Severity.ERROR
+        assert reason in found[0].message
+
+    @staticmethod
+    def _credit_join(executor, inner):
+        return plan_for(
+            executor,
+            f"SELECT S.Sname FROM ({inner}) E, Student S WHERE E.Credit = S.Age",
+        )
+
+    def test_renamed_plain_column_is_a_plain_copy(self, cost_executor):
+        plan = self._credit_join(
+            cost_executor, "SELECT C.Credit AS Credit, Code FROM Course C"
+        )
+        assert plan.key_sources["E"] == [
+            _KeySource("Credit", ColumnRef("Age", "S"), "S")
+        ]
+        assert "S024" not in codes(analyze_plan(plan))
+
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            "SELECT Credit, COUNT(Code) AS n FROM Course GROUP BY Credit",
+            "SELECT Credit, Code FROM Course LIMIT 2",
+            "SELECT Credit + 0 AS Credit, Code FROM Course",
+        ],
+    )
+    def test_s024_key_column_is_not_a_plain_copy(self, cost_executor, inner):
+        plan = self._credit_join(cost_executor, inner)
+        assert plan.key_sources == {}
+        plan.key_sources = {
+            "E": [_KeySource("Credit", ColumnRef("Age", "S"), "S")]
+        }
+        found = [d for d in analyze_plan(plan) if d.code == "S024"]
+        assert len(found) == 1 and "not a plain copy" in found[0].message
+
+    def test_s024_type_class_mismatch(self, database):
+        # a private executor: the shared one caches the plan mutated here
+        plan = plan_for(Executor(database), KEYED_SQL)
+        plan.key_sources = {"E": [_KeySource("Sid", ColumnRef("Age", "S"), "S")]}
+        found = [d for d in analyze_plan(plan) if d.code == "S024"]
+        assert len(found) == 1 and "come from S.Age" in found[0].message

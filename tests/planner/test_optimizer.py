@@ -129,6 +129,61 @@ class TestExecutionAgreement:
         assert "join order" in text
 
 
+#: T2 and T3 of the paper's TPC-H workload, as the translator emits them
+T2_INNER_SQL = (
+    "SELECT S1.nationkey, COUNT(L1.orderkey) AS numorderkey FROM "
+    "(SELECT DISTINCT suppkey, orderkey, partkey FROM Lineitem) L1, Supplier S1 "
+    "WHERE L1.suppkey = S1.suppkey GROUP BY S1.nationkey"
+)
+T3_SQL = (
+    "SELECT P1.partkey, COUNT(L1.orderkey) AS numorderkey FROM "
+    "(SELECT DISTINCT partkey, orderkey, suppkey FROM Lineitem) L1, Part P1 "
+    "WHERE L1.partkey = P1.partkey AND P1.pname LIKE '%royal olive%' "
+    "GROUP BY P1.partkey"
+)
+
+
+class TestEstimatesThroughDerivedTables:
+    def test_join_on_a_derived_column_uses_the_base_column_ndv(self, executor):
+        # L1.suppkey has Lineitem.suppkey's 60 distinct values, not one
+        # per row: every Lineitem row finds its supplier
+        plan = plan_for(executor, T2_INNER_SQL)
+        plan.execute()
+        (step,) = plan.decisions.join_steps
+        observed = plan.last_run.observation(f"join {step.describe()}")
+        assert observed.actual == 3343
+        assert observed.q_error <= 2.0
+
+    def test_distinct_output_is_capped_by_the_ndv_product(self, executor):
+        plan = plan_for(executor, "SELECT DISTINCT suppkey FROM Lineitem")
+        assert plan.decisions.est_output == pytest.approx(60, rel=0.25)
+
+    def test_key_filtered_scan_records_the_push_estimate(self, executor):
+        plan = plan_for(executor, T3_SQL)
+        tracer = Tracer()
+        with tracer.span("run"):
+            plan.execute(tracer)
+        assert tracer.trace.counter("key_filters_pushed") == 1
+        scan = plan.last_run.observation("scan L1")
+        unfiltered = plan.decisions.scans["L1"].est_rows
+        assert scan.estimated < unfiltered / 4
+        assert scan.q_error <= 4.0
+
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_push_rule_on_both_cost_presets(self, tpch, backend):
+        # sideways keys are pushed when one probe per key plus the
+        # expected candidates cost less than the scan: T3's handful of
+        # part keys do, T2's supplier keys (all 60 of 60) never
+        from repro.planner import Optimizer
+
+        optimizer = Optimizer(tpch, cost_params=params_for_backend(backend))
+        rows = len(tpch.table("Lineitem").rows)
+        few = optimizer.key_filter_rows("Lineitem", "partkey", 2)
+        assert few is not None and few < rows / 10
+        assert optimizer.key_filter_rows("Lineitem", "suppkey", 60) is None
+        assert optimizer.key_filter_rows("Lineitem", "partkey", 0) == 0.0
+
+
 class TestMemoAndStaleness:
     def _database(self):
         schema = DatabaseSchema("memo")

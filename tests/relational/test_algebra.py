@@ -20,6 +20,14 @@ class TestSelectProject:
         rs = make_rowset("R", ["a"], [(2,), (1,), (2,), (1,)])
         assert distinct(rs).rows == [(2,), (1,)]
 
+    def test_distinct_keeps_the_first_of_equal_rows(self):
+        # set semantics: 1 == 1.0, NULL rows collapse; the survivor is
+        # the first one seen
+        rs = make_rowset("R", ["a", "b"], [(1, None), (1.0, None), (None, 2), (1, None)])
+        rows = distinct(rs).rows
+        assert rows == [(1, None), (None, 2)]
+        assert type(rows[0][0]) is int
+
 
 class TestJoins:
     def test_cross_join(self):

@@ -151,6 +151,25 @@ class TestAggregates:
     def test_count_of_empty_group_is_zero(self, binding):
         assert evaluate_group(agg("COUNT", ColumnRef("Age")), [], binding) == 0
 
+    def test_count_counts_falsy_values_but_not_nulls(self, binding):
+        rows = [("s1", "a", 0), ("s2", "b", None), ("s3", "", 0.0), ("s4", None, None)]
+        assert evaluate_group(agg("COUNT", ColumnRef("Age")), rows, binding) == 2
+        assert evaluate_group(agg("COUNT", ColumnRef("Sname", "S")), rows, binding) == 3
+        all_null = [("s1", "a", None), ("s2", "b", None)]
+        assert evaluate_group(agg("COUNT", ColumnRef("Age")), all_null, binding) == 0
+
+    def test_sum_over_int_float_mix(self, binding):
+        rows = [("s1", "a", 1), ("s2", "b", 2.5), ("s3", "c", None)]
+        assert evaluate_group(agg("SUM", ColumnRef("Age")), rows, binding) == 3.5
+        assert evaluate_group(agg("AVG", ColumnRef("Age")), rows, binding) == 1.75
+
+    @pytest.mark.parametrize("func", ["SUM", "AVG"])
+    def test_sum_over_bool_raises(self, binding, func):
+        # bool is an int to isinstance, not to the numeric check
+        rows = [("s1", "a", 1), ("s2", "b", True)]
+        with pytest.raises(SqlExecutionError, match="non-numeric"):
+            evaluate_group(agg(func, ColumnRef("Age")), rows, binding)
+
     def test_sum_over_text_raises(self, binding):
         with pytest.raises(SqlExecutionError):
             evaluate_group(agg("SUM", ColumnRef("Sname", "S")), GROUP, binding)

@@ -53,6 +53,32 @@ class TestHeapFile:
         with pytest.raises(StorageError):
             heap.row(len(ROWS))
 
+    def test_rows_at_pins_each_page_once(self, tmp_path):
+        heap, page_counts, pool = open_heap(tmp_path, pool_capacity=2)
+        assert len(page_counts) >= 4
+        # every row of pages 0 and 2, one row of the last page
+        first_of = [sum(page_counts[:i]) for i in range(len(page_counts))]
+        positions = (
+            list(range(first_of[0], first_of[1]))
+            + list(range(first_of[2], first_of[3]))
+            + [len(ROWS) - 1]
+        )
+        before = pool.stats["pins"]
+        assert heap.rows_at(positions) == [ROWS[pos] for pos in positions]
+        assert pool.stats["pins"] - before == 3
+        assert heap.rows.rows_at(positions) == [heap.rows[pos] for pos in positions]
+        assert pool.stats["max_resident"] <= 2
+
+    def test_rows_at_edges(self, tmp_path):
+        heap, _, pool = open_heap(tmp_path)
+        before = pool.stats["pins"]
+        assert heap.rows_at([]) == []
+        assert pool.stats["pins"] == before
+        with pytest.raises(StorageError):
+            heap.rows_at([0, len(ROWS)])
+        with pytest.raises(StorageError):
+            heap.rows_at([-1, 0])
+
     def test_scan_respects_small_pool(self, tmp_path):
         heap, _, pool = open_heap(tmp_path, pool_capacity=2)
         assert list(heap.scan()) == ROWS
