@@ -49,6 +49,13 @@ repro.analysis.codebase``.  It has two layers:
     the planner package — other layers import
     :func:`repro.planner.params_for_backend` instead of forking their
     own coefficients, so calibration happens in exactly one place.
+  * **LR010** — no database-wide version: a ``*Database`` class may not
+    define a ``version`` (or ``<anything>_version``) member, and nothing
+    may read one off a ``database`` / ``db``.  Everything derived from
+    table data keys on the versions of the tables it reads
+    (``Table.version``, ``Database.versions(names)``); one key for the
+    whole database made a write to one table rebuild every index,
+    profile, plan and backend copy of all the others.
 
 Findings are plain ``(path, lineno, code, message)`` tuples for the CLI,
 and :func:`as_diagnostics` lifts them into the shared
@@ -60,6 +67,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import re
 import sys
 import tokenize
 from dataclasses import dataclass
@@ -196,6 +204,12 @@ _STORAGE_IO_OS_FUNCS = ("pread", "pwrite", "preadv", "pwritev")
 # file path substrings where importing random is allowed (LR009): the
 # planner samples for statistics, the dataset generators draw values
 RANDOM_ALLOWED = ("repro/planner/", "repro/datasets/")
+
+# LR010: member names that are one version for a whole database
+# ("versions", the per-table accessor, is not one), and the names a
+# database goes by where it is read
+_WHOLE_VERSION_RE = re.compile(r"(^|_)version$")
+_DATABASE_NAMES = ("database", "db")
 
 # module-level constant-name suffix the cost model owns (LR009)
 _COST_CONSTANT_SUFFIX = "_COST_PARAMS"
@@ -378,6 +392,37 @@ def _open_mode(node: ast.Call) -> Optional[str]:
     return mode
 
 
+def _database_wide_versions(node: ast.AST) -> Iterator[Tuple[int, str]]:
+    """LR010: ``(lineno, member)`` for each database-wide version *node*
+    defines (a member of a ``*Database`` class) or reads (an attribute
+    of something called ``database`` / ``db``)."""
+    if isinstance(node, ast.ClassDef) and node.name.endswith("Database"):
+        for statement in node.body:
+            names: List[str] = []
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [statement.name]
+            elif isinstance(statement, ast.Assign):
+                names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+            elif isinstance(statement, ast.AnnAssign) and isinstance(
+                statement.target, ast.Name
+            ):
+                names = [statement.target.id]
+            for name in names:
+                if _WHOLE_VERSION_RE.search(name):
+                    yield statement.lineno, f"{node.name}.{name}"
+    if isinstance(node, ast.Attribute) and _WHOLE_VERSION_RE.search(node.attr):
+        owner = node.value
+        owner_name = (
+            owner.id
+            if isinstance(owner, ast.Name)
+            else owner.attr
+            if isinstance(owner, ast.Attribute)
+            else ""
+        )
+        if owner_name.lstrip("_") in _DATABASE_NAMES:
+            yield node.lineno, f"{owner_name}.{node.attr}"
+
+
 def analyze_source(source: SourceFile) -> List[Finding]:
     """Run every LR rule over one parsed module (a single AST walk)."""
     findings: List[Finding] = []
@@ -474,6 +519,16 @@ def analyze_source(source: SourceFile) -> List[Finding]:
                     f"os.{node.attr} used outside repro/storage/; "
                     f"byte-level file access belongs to the storage "
                     f"engine",
+                )
+            )
+        for lineno, member in _database_wide_versions(node):
+            findings.append(
+                (
+                    source.path,
+                    lineno,
+                    "LR010",
+                    f"database-wide {member}; key on the versions of the "
+                    f"tables read (Table.version, Database.versions) instead",
                 )
             )
         if isinstance(node, ast.ExceptHandler) and node.type is None:

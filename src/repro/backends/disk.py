@@ -12,10 +12,14 @@ reusing the engine's physical plans; what differs is purely the storage
 tier underneath them, which is exactly what the differential harness
 (``python -m repro diff --backend disk``) pins down.
 
-Materialization is lazy and keyed to :attr:`Database.data_version`, like
-the SQLite backend: the first ``execute`` after a data change detects
-the stale (or half-written — manifests are written last, atomically)
-directory and rebuilds it.  With no ``path`` given, the backend
+The directory follows each table's :attr:`~repro.relational.table.Table.
+version`, lazily, like the SQLite backend: the first ``execute`` after a
+write compares versions table by table.  Where tables only gained rows,
+they are appended in place (:meth:`~repro.storage.engine.StorageEngine.
+append`) and the open engine, its pool and the executor with its plans
+and statistics carry on; an update or delete (an epoch bump), or a
+stale or half-written directory — manifests are written last,
+atomically — is rebuilt whole.  With no ``path`` given, the backend
 materializes into a private temporary directory removed on
 :meth:`close`.
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import threading
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.backends.base import Backend, register_backend
 from repro.errors import StorageError
@@ -77,7 +81,6 @@ class DiskBackend(Backend):
         self._tempdir: Optional[str] = None
         self._engine: Optional[StorageEngine] = None
         self._executor: Optional[Executor] = None
-        self._loaded_version: Optional[Tuple[int, int]] = None
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -126,14 +129,39 @@ class DiskBackend(Backend):
             self._engine.database,  # type: ignore[arg-type]  # duck-typed
             backend_label=self.name,
         )
-        self._loaded_version = database.data_version
 
     def _ensure_fresh(self, tracer: Any = NULL_TRACER) -> Executor:
         database = self._require_database()
-        if self._executor is None or self._loaded_version != database.data_version:
+        if self._engine is None or self._executor is None:
             self._materialize(tracer)
+        else:
+            names = [relation.name for relation in database.schema]
+            held = self._engine.database.versions(names)
+            wanted = database.versions(names)
+            if held != wanted:
+                if all(
+                    have[0] == want[0] and have[1] <= want[1]
+                    for have, want in zip(held, wanted)
+                ):
+                    self._append(database, tracer)
+                else:
+                    self._materialize(tracer)
         assert self._executor is not None
         return self._executor
+
+    def _append(self, database: Database, tracer: Any) -> None:
+        """Tables only gained rows: grow the open directory in place."""
+        assert self._engine is not None
+        with tracer.span("materialize", backend=self.name, path=self.directory):
+            try:
+                rows = self._engine.append(database, self.block_budget)
+            except BaseException:
+                # half-appended, manifest gone: rebuild next time
+                self._engine.close()
+                self._engine = None
+                self._executor = None
+                raise
+            tracer.count("materialized_rows", rows)
 
     # ------------------------------------------------------------------
     # Execution
@@ -189,7 +217,6 @@ class DiskBackend(Backend):
                 self._engine.close()
                 self._engine = None
             self._executor = None
-            self._loaded_version = None
             if self._tempdir is not None:
                 shutil.rmtree(self._tempdir, ignore_errors=True)
                 if self.path == self._tempdir:

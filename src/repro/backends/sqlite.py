@@ -22,10 +22,12 @@ Statements are rendered with :data:`~repro.sql.render.SQLITE_DIALECT`
 ``CAST``-protected division) and executed by SQLite itself, so translator
 bugs that the in-memory executor would share cannot hide.
 
-Materialization is lazy and keyed to :attr:`Database.data_version`: the
-first ``execute`` after a data change rebuilds the SQLite side.  This is
-the only module in the repo allowed to import ``sqlite3`` (lint rule
-LR006).
+The copy follows each table's :attr:`~repro.relational.table.Table.
+version`, lazily: the first ``execute`` after a write inserts the
+rows an appended table gained, and deletes and reloads a table whose
+epoch moved (update, delete); tables the write did not touch are not
+touched here either.  This is the only module in the repo allowed to
+import ``sqlite3`` (lint rule LR006).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.observability import NULL_TRACER
 from repro.relational.database import Database
 from repro.relational.result import QueryResult
 from repro.relational.schema import RelationSchema
+from repro.relational.table import Table
 from repro.relational.types import DataType
 from repro.sql.ast import Select
 from repro.sql.render import SQLITE_DIALECT, quote_identifier, render
@@ -89,7 +92,8 @@ class SqliteBackend(Backend):
         self.path = path
         self.index_hints = index_hints
         self._conn: Optional[sqlite3.Connection] = None
-        self._loaded_version: Optional[Tuple[int, int]] = None
+        # table -> the version of it the SQLite side holds
+        self._loaded: Dict[str, Tuple[int, int]] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -101,6 +105,7 @@ class SqliteBackend(Backend):
             self._materialize(tracer)
 
     def _materialize(self, tracer: Any = NULL_TRACER) -> None:
+        """Build the SQLite side from nothing: tables, rows, indexes."""
         database = self._require_database()
         if self._conn is not None:
             self._conn.close()
@@ -108,32 +113,63 @@ class SqliteBackend(Backend):
         target = self.path if self.path is not None else ":memory:"
         # one connection shared across threads, serialized by self._lock
         conn = sqlite3.connect(target, check_same_thread=False)
+        self._loaded = {}
         with tracer.span("materialize", backend=self.name):
-            rows_loaded = 0
             try:
                 for relation in database.schema:
                     conn.execute(f"DROP TABLE IF EXISTS {_q(relation.name)}")
                     conn.execute(self._create_table_sql(relation))
-                for relation in database.schema:
-                    table = database.table(relation.name)
-                    if not table.rows:
-                        continue
-                    placeholders = ", ".join("?" for _ in relation.columns)
-                    conn.executemany(
-                        f"INSERT INTO {_q(relation.name)} VALUES ({placeholders})",
-                        (tuple(_to_storage(v) for v in row) for row in table.rows),
-                    )
-                    rows_loaded += len(table.rows)
+                self._copy_changes(conn, self._stale(database), tracer)
                 for statement in self._index_sql(database):
                     conn.execute(statement)
-                conn.execute("PRAGMA foreign_keys = ON")
                 conn.commit()
             except sqlite3.Error as exc:
                 conn.close()
                 raise BackendError(f"sqlite materialization failed: {exc}") from exc
-            tracer.count("materialized_rows", rows_loaded)
         self._conn = conn
-        self._loaded_version = database.data_version
+
+    def _stale(self, database: Database) -> List[Table]:
+        """The tables whose version is not the one the SQLite side holds."""
+        tables = (database.table(relation.name) for relation in database.schema)
+        return [
+            table
+            for table in tables
+            if self._loaded.get(table.schema.name) != table.version
+        ]
+
+    def _copy_changes(
+        self, conn: sqlite3.Connection, stale: List[Table], tracer: Any
+    ) -> None:
+        """Bring each of *stale* up to date: the new rows of an appended
+        table, all rows of one whose epoch moved."""
+        rows_loaded = 0
+        # a delta may name its parent rows later in the same pass (the
+        # datasets load parents and children together), so enforcement
+        # is off while copying; foreign_key_violations() checks the whole
+        conn.execute("PRAGMA foreign_keys = OFF")
+        for table in stale:
+            relation = table.schema
+            epoch, rows = version = table.version
+            have = self._loaded.get(relation.name)
+            start = 0
+            if have is not None:
+                if have[0] == epoch:
+                    start = have[1]
+                else:
+                    conn.execute(f"DELETE FROM {_q(relation.name)}")
+            placeholders = ", ".join("?" for _ in relation.columns)
+            conn.executemany(
+                f"INSERT INTO {_q(relation.name)} VALUES ({placeholders})",
+                (
+                    tuple(_to_storage(v) for v in row)
+                    for row in table.rows[start:rows]
+                ),
+            )
+            rows_loaded += rows - start
+            self._loaded[relation.name] = version
+        conn.commit()
+        conn.execute("PRAGMA foreign_keys = ON")
+        tracer.count("materialized_rows", rows_loaded)
 
     def _create_table_sql(self, relation: RelationSchema) -> str:
         columns = [
@@ -201,8 +237,18 @@ class SqliteBackend(Backend):
     # ------------------------------------------------------------------
     def _ensure_fresh(self, tracer: Any = NULL_TRACER) -> sqlite3.Connection:
         database = self._require_database()
-        if self._conn is None or self._loaded_version != database.data_version:
+        stale = self._stale(database)
+        if self._conn is None:
             self._materialize(tracer)
+        elif stale:
+            with tracer.span("materialize", backend=self.name):
+                try:
+                    self._copy_changes(self._conn, stale, tracer)
+                except sqlite3.Error as exc:
+                    # half-copied: start from nothing next time
+                    self._conn.close()
+                    self._conn = None
+                    raise BackendError(f"sqlite refresh failed: {exc}") from exc
         assert self._conn is not None
         return self._conn
 
@@ -268,7 +314,6 @@ class SqliteBackend(Backend):
             if self._conn is not None:
                 self._conn.close()
                 self._conn = None
-                self._loaded_version = None
 
 
 register_backend("sqlite", SqliteBackend)

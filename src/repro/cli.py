@@ -312,11 +312,10 @@ def run_stats(argv: Optional[List[str]] = None, out=None) -> int:
         for name in names:
             print(catalog.profile(name, tracer).format(), file=out)
             print(file=out)
-        print(
-            f"profiled {len(names)} tables "
-            f"(data version {database.data_version})",
-            file=out,
+        versions = ", ".join(
+            f"{name} {database.table(name).version}" for name in names
         )
+        print(f"profiled {len(names)} tables (versions: {versions})", file=out)
         return 0
     except ReproError as exc:
         print(f"error: {exc}", file=out)

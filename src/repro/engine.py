@@ -227,8 +227,8 @@ class KeywordSearchEngine:
         self._pattern_cache_lock = threading.Lock()
         self.cache_size = 128
         # caches registered against this engine (the serving layer's TTL
-        # result cache): clear_cache() resets them too, so a
-        # Database.data_version bump can never serve stale responses
+        # result cache): clear_cache() resets them too, so a write
+        # followed by clear_cache() can never serve stale responses
         self._invalidation_hooks: List[Callable[[], None]] = []
 
     def register_invalidation_hook(self, hook: Callable[[], None]) -> None:
@@ -316,8 +316,12 @@ class KeywordSearchEngine:
         return ranked
 
     def clear_cache(self) -> None:
-        """Drop cached patterns, compiled plans and registered downstream
-        caches (after mutating the underlying data)."""
+        """Drop what is derived from *queries* — cached patterns,
+        compiled plans, optimizer memos, registered downstream caches —
+        after mutating the underlying data.  What is derived from *data*
+        (indexes, planner statistics, backend copies) is not dropped: it
+        follows each table's version and catches up with the write on
+        its own."""
         with self._pattern_cache_lock:
             self._pattern_cache.clear()
         self.executor.clear_plan_cache()
@@ -459,14 +463,17 @@ class KeywordSearchEngine:
         return self._analyze_compiled(query_text, interpretations, tracer=tracer)
 
     def analyze_stats(self, tracer=NULL_TRACER) -> Dict[str, Any]:
-        """Collect (or serve cached) planner statistics for every table.
+        """ANALYZE: collect planner statistics for every table in a new
+        full pass each.
 
         Returns ``{relation: TableProfile}`` — sampled NDV, null
         fractions, min/max, equi-height histograms and MCV lists (see
         ``docs/PLANNER.md``).  Profiles live in the executor's optimizer
-        catalog, so collecting them here warms the cost-based planner;
-        they are invalidated by :attr:`Database.data_version` and by
-        :meth:`clear_cache`.  CLI entry point: ``python -m repro stats``.
+        catalog, so collecting them here warms the cost-based planner.
+        Afterwards they follow their table's version on their own — an
+        append continues the table's pass over the new rows, an update
+        or delete runs it again — and :meth:`clear_cache` leaves them
+        alone.  CLI entry point: ``python -m repro stats``.
         """
         return self.executor.statistics(tracer)
 

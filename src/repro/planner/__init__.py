@@ -4,8 +4,9 @@ reordering and access-path selection.
 The package sits above :mod:`repro.relational` and below the engine:
 
 * :mod:`repro.planner.stats` — sampled table profiles (reservoir
-  sample, sampled NDV, equi-height histograms, MCV lists) cached per
-  :attr:`Database.data_version` in a :class:`StatisticsCatalog`;
+  sample, sampled NDV, equi-height histograms, MCV lists) kept per
+  table in a :class:`StatisticsCatalog` that follows each table's
+  version (an append continues the table's pass);
 * :mod:`repro.planner.cardinality` — selectivity and output-size
   estimates for predicates, equi-joins and GROUP BY;
 * :mod:`repro.planner.cost` — per-backend cost coefficients (memory vs

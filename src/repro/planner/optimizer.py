@@ -1,8 +1,8 @@
 """Cost-based plan decisions: join order and access paths.
 
 :meth:`Optimizer.decide` runs once per compiled plan (memoized by
-rendered SQL and ``data_version``) and produces a
-:class:`PlanDecisions`:
+rendered SQL, stamped with the versions of the tables the statement
+reads) and produces a :class:`PlanDecisions`:
 
 * per-scan row estimates and **access-path choices** — for every pushed
   predicate with an index strategy, cost a probe (fixed setup plus
@@ -170,10 +170,12 @@ class Optimizer:
     """Statistics-driven decisions for :class:`CompiledPlan`.
 
     One instance is owned by each :class:`~repro.relational.executor.
-    Executor` (lazily, when its ``optimizer`` mode is ``"cost"``); the
-    statistics catalog and the decision memo are both dropped by
-    :meth:`invalidate` and keyed to ``data_version``, so mutation epochs
-    can never serve stale decisions.
+    Executor` (lazily).  The decision memo is dropped by
+    :meth:`invalidate` and each entry is stamped with the versions of
+    the tables its statement reads; the statistics catalog follows those
+    versions itself (:class:`~repro.planner.stats.StatisticsCatalog`),
+    so a write can never serve stale decisions and never costs more
+    than the tables it touched.
     """
 
     memo_size = 256
@@ -188,15 +190,15 @@ class Optimizer:
         self.database = database
         self.params = cost_params or MEMORY_COST_PARAMS
         self.catalog = catalog or StatisticsCatalog(database, config)
-        self._memo: "OrderedDict[Any, PlanDecisions]" = OrderedDict()
+        # rendered SQL -> (versions of the tables read, decisions)
+        self._memo: "OrderedDict[str, Tuple[Any, PlanDecisions]]" = OrderedDict()
         self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop cached statistics and plan decisions."""
-        self.catalog.invalidate()
+        """Drop memoized plan decisions."""
         with self._memo_lock:
             self._memo.clear()
 
@@ -206,14 +208,16 @@ class Optimizer:
             return len(self._memo)
 
     def decide(self, plan: Any, tracer: Any = NULL_TRACER) -> PlanDecisions:
-        """Decisions for *plan*, memoized by SQL text and data version."""
-        key = (render(plan.select), self.database.data_version)
+        """Decisions for *plan*, memoized by SQL text for as long as the
+        tables it reads keep their versions."""
+        key = render(plan.select)
+        versions = self.database.versions(plan.select.tables())
         with self._memo_lock:
             cached = self._memo.get(key)
-            if cached is not None:
+            if cached is not None and cached[0] == versions:
                 self._memo.move_to_end(key)
                 tracer.count("planner_memo_hits")
-                return cached
+                return cached[1]
         with tracer.span("plan_costing"):
             decisions = self._decide(plan, tracer)
         tracer.count("planner_plans_costed")
@@ -224,7 +228,7 @@ class Optimizer:
         tracer.count("planner_index_paths_kept", decisions.indexes_kept)
         tracer.count("planner_index_paths_skipped", decisions.indexes_skipped)
         with self._memo_lock:
-            self._memo[key] = decisions
+            self._memo[key] = (versions, decisions)
             self._memo.move_to_end(key)
             while len(self._memo) > self.memo_size:
                 self._memo.popitem(last=False)

@@ -9,10 +9,17 @@ sample), an equi-height histogram and an MCV list (both built by the
 deterministic, sampling-free :func:`build_equi_height` and
 :func:`build_mcv` below).
 
-:class:`StatisticsCatalog` caches one profile per relation, keyed to
-:attr:`Database.data_version` — any mutation epoch drops every cached
-profile, and :meth:`invalidate` does so explicitly for
-``engine.clear_cache()``.
+:class:`TablePass` is that single pass as an object: the reservoir, the
+generator's state, null counts, min/max and the row total.  Because a
+reservoir pass over ``rows[:n]`` followed by ``rows[n:]`` *is* the pass
+over ``rows``, :class:`StatisticsCatalog` keeps each table's pass and,
+when the table's version says "same epoch, more rows", continues it over
+the new rows only — the profile that results equals
+:func:`profile_table` over the whole table, sample order included, so
+there is nothing to tune and no staleness to bound.  An epoch bump
+(update, delete) starts that table's pass over;
+:meth:`StatisticsCatalog.analyze` (``engine.analyze_stats()``, ANALYZE)
+starts every table's over.
 
 Lint rule LR009 confines statistics *sampling* (and the cost-model
 constants next door in ``repro.planner.cost``) to this package.
@@ -24,6 +31,7 @@ import math
 import random
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.observability import NULL_TRACER
@@ -37,6 +45,7 @@ __all__ = [
     "StatsConfig",
     "ColumnProfile",
     "TableProfile",
+    "TablePass",
     "StatisticsCatalog",
     "estimate_ndv",
     "profile_table",
@@ -305,144 +314,208 @@ def estimate_ndv(sample_counts: Dict[Any, int], rows: int, sampled: int) -> floa
     return float(min(rows, max(distinct, estimate)))
 
 
+class TablePass:
+    """One single pass over a table's rows, resumable.
+
+    :meth:`feed` visits rows exactly once each, in order; :meth:`profile`
+    summarizes everything fed so far.  Feeding ``rows[:n]`` and then
+    ``rows[n:]`` leaves the same state — reservoir contents *and* order,
+    generator state, counts, extremes — as feeding ``rows`` at once,
+    which is what lets the catalog continue a pass after an append.
+    """
+
+    def __init__(
+        self,
+        relation: str,
+        column_names: Tuple[str, ...],
+        config: StatsConfig,
+    ) -> None:
+        self.relation = relation
+        self.column_names = column_names
+        self.config = config
+        width = len(column_names)
+        self._rng = random.Random(config.seed)
+        self._reservoir: List[Tuple[Any, ...]] = []
+        self._nulls = [0] * width
+        self._minimums: List[Optional[Any]] = [None] * width
+        self._maximums: List[Optional[Any]] = [None] * width
+        self._min_keys: List[Any] = [None] * width
+        self._max_keys: List[Any] = [None] * width
+        #: rows fed so far
+        self.total = 0
+
+    def feed(self, rows: Iterable[Any]) -> None:
+        """Continue the pass over *rows* (any iterable of tuples — an
+        in-memory table's row list or a disk table's lazy heap-backed
+        sequence)."""
+        width = len(self.column_names)
+        rng = self._rng
+        reservoir = self._reservoir
+        nulls = self._nulls
+        minimums, maximums = self._minimums, self._maximums
+        min_keys, max_keys = self._min_keys, self._max_keys
+        total = self.total
+        sample_size = max(1, self.config.sample_size)
+        for row in rows:
+            total += 1
+            if len(reservoir) < sample_size:
+                reservoir.append(tuple(row))
+            else:
+                slot = rng.randrange(total)
+                if slot < sample_size:
+                    reservoir[slot] = tuple(row)
+            for index in range(width):
+                value = row[index]
+                if value is None:
+                    nulls[index] += 1
+                    continue
+                key = null_safe_sort_key(value)
+                if minimums[index] is None or key < min_keys[index]:
+                    minimums[index] = value
+                    min_keys[index] = key
+                if maximums[index] is None or key > max_keys[index]:
+                    maximums[index] = value
+                    max_keys[index] = key
+        self.total = total
+
+    def profile(self) -> TableProfile:
+        """The profile of the rows fed so far."""
+        total = self.total
+        reservoir = self._reservoir
+        columns = []
+        for index, name in enumerate(self.column_names):
+            sample_values = [row[index] for row in reservoir]
+            counts: Dict[Any, int] = {}
+            for value in sample_values:
+                if value is None:
+                    continue
+                counts[value] = counts.get(value, 0) + 1
+            columns.append(
+                ColumnProfile(
+                    column=name,
+                    ndv=estimate_ndv(counts, total, len(reservoir)),
+                    null_fraction=self._nulls[index] / total if total else 0.0,
+                    minimum=self._minimums[index],
+                    maximum=self._maximums[index],
+                    histogram=build_equi_height(
+                        sample_values, buckets=self.config.histogram_buckets
+                    ),
+                    mcv=build_mcv(sample_values, size=self.config.mcv_size),
+                )
+            )
+        return TableProfile(
+            relation=self.relation,
+            rows=total,
+            sample=tuple(reservoir),
+            columns=tuple(columns),
+        )
+
+
 def profile_table(
     relation: str,
     column_names: Tuple[str, ...],
     rows: Any,
     config: StatsConfig = StatsConfig(),
 ) -> TableProfile:
-    """Profile one table in a single pass over *rows*.
+    """Profile one table in a single pass over *rows* (ANALYZE
+    semantics: every row is visited exactly once)."""
+    table_pass = TablePass(relation, column_names, config)
+    table_pass.feed(rows)
+    return table_pass.profile()
 
-    *rows* may be any sequence of tuples — an in-memory table's row list
-    or a disk table's lazy heap-backed sequence; either way every row is
-    visited exactly once (ANALYZE semantics).
-    """
-    width = len(column_names)
-    rng = random.Random(config.seed)
-    reservoir: List[Tuple[Any, ...]] = []
-    nulls = [0] * width
-    minimums: List[Optional[Any]] = [None] * width
-    maximums: List[Optional[Any]] = [None] * width
-    min_keys: List[Any] = [None] * width
-    max_keys: List[Any] = [None] * width
-    total = 0
-    sample_size = max(1, config.sample_size)
-    for row in rows:
-        total += 1
-        if len(reservoir) < sample_size:
-            reservoir.append(tuple(row))
-        else:
-            slot = rng.randrange(total)
-            if slot < sample_size:
-                reservoir[slot] = tuple(row)
-        for index in range(width):
-            value = row[index]
-            if value is None:
-                nulls[index] += 1
-                continue
-            key = null_safe_sort_key(value)
-            if minimums[index] is None or key < min_keys[index]:
-                minimums[index] = value
-                min_keys[index] = key
-            if maximums[index] is None or key > max_keys[index]:
-                maximums[index] = value
-                max_keys[index] = key
-    columns = []
-    for index, name in enumerate(column_names):
-        sample_values = [row[index] for row in reservoir]
-        counts: Dict[Any, int] = {}
-        for value in sample_values:
-            if value is None:
-                continue
-            counts[value] = counts.get(value, 0) + 1
-        columns.append(
-            ColumnProfile(
-                column=name,
-                ndv=estimate_ndv(counts, total, len(reservoir)),
-                null_fraction=nulls[index] / total if total else 0.0,
-                minimum=minimums[index],
-                maximum=maximums[index],
-                histogram=build_equi_height(
-                    sample_values, buckets=config.histogram_buckets
-                ),
-                mcv=build_mcv(sample_values, size=config.mcv_size),
-            )
-        )
-    return TableProfile(
-        relation=relation,
-        rows=total,
-        sample=tuple(reservoir),
-        columns=tuple(columns),
-    )
+
+class _Kept:
+    """What the catalog keeps per relation: the pass, the epoch it runs
+    under and the profile of the rows it has seen."""
+
+    __slots__ = ("epoch", "table_pass", "profile")
+
+    def __init__(self, epoch: int, table_pass: TablePass, profile: TableProfile) -> None:
+        self.epoch = epoch
+        self.table_pass = table_pass
+        self.profile = profile
 
 
 class StatisticsCatalog:
-    """Version-keyed cache of :class:`TableProfile` for one database.
+    """One :class:`TableProfile` per relation, kept in step with the
+    relation's :attr:`~repro.relational.table.Table.version`.
 
     Accepts anything duck-typed like
-    :class:`~repro.relational.database.Database` (``schema``, ``table()``,
-    ``data_version``) — the disk backend's ``DiskDatabase`` included.
-    Profiles built under one ``data_version`` are dropped as soon as the
-    version moves, so a mutation epoch can never serve stale statistics.
+    :class:`~repro.relational.database.Database` (``schema``,
+    ``table()`` whose result has ``version`` and ``rows``) — the disk
+    backend's ``DiskDatabase`` included.  A profile is served as long as
+    its table's version stands; after an append the table's pass is
+    continued over the new rows, after an epoch bump it is run again.
+    Other tables' profiles are untouched either way.
     """
 
     def __init__(self, database: Any, config: Optional[StatsConfig] = None) -> None:
         self.database = database
         self.config = config or StatsConfig()
-        self._profiles: Dict[str, TableProfile] = {}
-        self._version: Any = None
+        self._kept: Dict[str, _Kept] = {}
+        # held across a pass: a pass mutates its state, so two threads
+        # must never continue the same one
         self._lock = threading.Lock()
+        #: full passes run (a continued pass is not one)
         self.builds = 0
-
-    @property
-    def version(self) -> Any:
-        with self._lock:
-            return self._version
 
     @property
     def cached_relations(self) -> Tuple[str, ...]:
         with self._lock:
-            return tuple(sorted(self._profiles))
-
-    def invalidate(self) -> None:
-        """Drop every cached profile (``engine.clear_cache()`` hook)."""
-        with self._lock:
-            self._profiles.clear()
-            self._version = None
+            return tuple(sorted(self._kept))
 
     def profile(self, relation: str, tracer: Any = NULL_TRACER) -> TableProfile:
-        """The profile of *relation*, building (and caching) on miss."""
-        version = self.database.data_version
+        """The profile of *relation* at its current version."""
+        table = self.database.table(relation)
+        epoch, rows = table.version
         key = relation.lower()
         with self._lock:
-            if version != self._version:
-                self._profiles.clear()
-                self._version = version
-            cached = self._profiles.get(key)
-            if cached is not None:
+            kept = self._kept.get(key)
+            if kept is None or kept.epoch != epoch:
+                return self._full_pass(key, table, epoch, rows, tracer)
+            seen = kept.table_pass.total
+            if seen == rows:
                 tracer.count("planner_stats_hits")
-                return cached
-        table = self.database.table(relation)
-        with tracer.span("analyze_table", relation=relation):
-            built = profile_table(
-                table.schema.name,
-                tuple(table.schema.column_names),
-                table.rows,
-                self.config,
-            )
+                return kept.profile
+            kept.table_pass.feed(table.rows[seen:rows])
+            kept.profile = kept.table_pass.profile()
+            tracer.count("planner_stats_catchups")
+            tracer.count("planner_stats_rows_profiled", rows - seen)
+            return kept.profile
+
+    def _full_pass(
+        self, key: str, table: Any, epoch: int, rows: int, tracer: Any
+    ) -> TableProfile:
+        """Run a new pass over the first *rows* rows of *table* and keep
+        it (caller holds ``_lock``)."""
+        table_pass = TablePass(
+            table.schema.name, tuple(table.schema.column_names), self.config
+        )
+        with tracer.span("analyze_table", relation=table.schema.name):
+            table_pass.feed(islice(table.rows, rows))
+        built = table_pass.profile()
         tracer.count("planner_stats_builds")
         tracer.count("planner_stats_rows_profiled", built.rows)
-        with self._lock:
-            # a concurrent mutation during the build makes this entry
-            # stale immediately; only publish it under the version we read
-            if self._version == version and self.database.data_version == version:
-                self._profiles[key] = built
-            self.builds += 1
+        self._kept[key] = _Kept(epoch, table_pass, built)
+        self.builds += 1
         return built
 
     def profiles(self, tracer: Any = NULL_TRACER) -> Dict[str, TableProfile]:
-        """Profiles for every relation of the schema (ANALYZE everything)."""
+        """Profiles for every relation of the schema."""
         return {
             relation.name: self.profile(relation.name, tracer)
             for relation in self.database.schema
         }
+
+    def analyze(self, tracer: Any = NULL_TRACER) -> Dict[str, TableProfile]:
+        """ANALYZE: profile every relation in a new full pass, whatever
+        is kept, and keep the results."""
+        profiles = {}
+        for relation in self.database.schema:
+            table = self.database.table(relation.name)
+            epoch, rows = table.version
+            with self._lock:
+                profiles[relation.name] = self._full_pass(
+                    relation.name.lower(), table, epoch, rows, tracer
+                )
+        return profiles

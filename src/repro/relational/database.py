@@ -26,15 +26,12 @@ class Database:
         self._tables: Dict[str, Table] = {
             rel.name: Table(rel) for rel in schema
         }
+        # lazy indexes: created on first use and from then on caught up
+        # with their tables' versions, never dropped.  The lock guards the
+        # three slots; each index guards its own postings.
         self._text_index: Optional[InvertedIndex] = None
         self._numeric_index: Optional[NumericIndex] = None
         self._hash_indexes: Dict[Tuple[str, Tuple[str, ...]], HashIndex] = {}
-        # data-version bookkeeping: bumped on bulk loads and combined with
-        # the total row count, so direct table appends are detected too.
-        # The executor's compiled-plan cache and the lazy indexes key their
-        # freshness off this value.
-        self._mutation_counter = 0
-        self._index_version: Optional[Tuple[int, int]] = None
         self._index_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -76,10 +73,7 @@ class Database:
         return self.table(table_name).insert_dict(values)
 
     def load(self, table_name: str, rows: Iterable[Sequence[Any]]) -> None:
-        table = self.table(table_name)
-        for row in rows:
-            table.insert(row)
-        self._invalidate_indexes()
+        self.table(table_name).extend(rows)
 
     def check_foreign_keys(self) -> None:
         """Verify referential integrity of the whole database.
@@ -94,80 +88,63 @@ class Database:
                 child_indices = [
                     table.schema.column_index(col) for col in fk.columns
                 ]
-                for row in table.rows:
-                    key = tuple(row[i] for i in child_indices)
+                # each distinct value probed once, in first-seen order
+                for key in dict.fromkeys(
+                    tuple(row[i] for i in child_indices) for row in table.rows
+                ):
                     if any(part is None for part in key):
                         continue  # NULL FK is allowed (no reference)
-                    if not parent_index.lookup(key):
+                    if not parent_index.positions(key):
                         raise ForeignKeyError(
                             f"{table.schema.name}: {fk} dangling value {key!r}"
                         )
 
     # ------------------------------------------------------------------
-    # Indexes
+    # Versions and indexes
     # ------------------------------------------------------------------
-    @property
-    def data_version(self) -> Tuple[int, int]:
-        """A value that changes whenever table data changes.
-
-        Combines an explicit mutation counter (bumped by :meth:`load`) with
-        the total row count, which also catches rows appended directly via
-        ``db.table(name).insert(...)``.  Rows are append-only, so equal
-        versions imply identical data.
-        """
-        return (
-            self._mutation_counter,
-            sum(len(table) for table in self._tables.values()),
-        )
-
-    def _invalidate_indexes(self) -> None:
-        with self._index_lock:
-            self._mutation_counter += 1
-            self._text_index = None
-            self._numeric_index = None
-            self._hash_indexes.clear()
-            self._index_version = None
-
-    def _refresh_indexes(self) -> None:
-        """Drop lazy indexes built against a stale data version (caller
-        must hold the index lock)."""
-        version = self.data_version
-        if self._index_version != version:
-            self._text_index = None
-            self._numeric_index = None
-            self._hash_indexes.clear()
-            self._index_version = version
+    def versions(self, table_names: Iterable[str]) -> Tuple[Tuple[int, int], ...]:
+        """The :attr:`Table.version` of each named table, in order: what
+        a cached plan, memo or backend copy is stamped with, so that a
+        write invalidates only what reads the table it touched."""
+        return tuple(self.table(name).version for name in table_names)
 
     @property
     def text_index(self) -> InvertedIndex:
-        """Lazily built full-text index over every text column."""
+        """Lazily built full-text index over every text column, caught
+        up with the tables' current versions."""
         with self._index_lock:
-            self._refresh_indexes()
             if self._text_index is None:
-                index = InvertedIndex()
-                index.add_tables(self._tables.values())
-                self._text_index = index
+                self._text_index = InvertedIndex()
+                self._text_index.add_tables(self._tables.values())
+            else:
+                self._text_index.catch_up()
             return self._text_index
 
     @property
     def numeric_index(self) -> NumericIndex:
-        """Lazily built exact-value index over every numeric column."""
+        """Lazily built exact-value index over every numeric column,
+        caught up with the tables' current versions."""
         with self._index_lock:
-            self._refresh_indexes()
             if self._numeric_index is None:
-                index = NumericIndex()
-                index.add_tables(self._tables.values())
-                self._numeric_index = index
+                self._numeric_index = NumericIndex()
+                self._numeric_index.add_tables(self._tables.values())
+            else:
+                self._numeric_index.catch_up()
             return self._numeric_index
 
     def hash_index(self, table_name: str, columns: Sequence[str]) -> HashIndex:
-        """Lazily built hash index on ``table(columns)``."""
+        """Lazily built hash index on ``table(columns)``, caught up with
+        the table's current version."""
         with self._index_lock:
-            self._refresh_indexes()
             key = (table_name, tuple(columns))
-            if key not in self._hash_indexes:
-                self._hash_indexes[key] = HashIndex(self.table(table_name), columns)
-            return self._hash_indexes[key]
+            index = self._hash_indexes.get(key)
+            if index is None:
+                index = self._hash_indexes[key] = HashIndex(
+                    self.table(table_name), columns
+                )
+            else:
+                index.catch_up()
+            return index
 
     # ------------------------------------------------------------------
     # Introspection

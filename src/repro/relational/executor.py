@@ -36,8 +36,10 @@ class Executor:
     :class:`~repro.relational.plan.CompiledPlan` (closure predicates,
     index-backed scans; join order, access paths and per-operator row
     estimates from a lazily built :class:`repro.planner.Optimizer`) and
-    cached by its rendered SQL; cache entries are invalidated when
-    :attr:`Database.data_version` changes and by :meth:`clear_plan_cache`.
+    cached by its rendered SQL.  An entry is stamped with the versions
+    of the tables the statement reads, so a write invalidates the plans
+    over the table it touched and no others; :meth:`clear_plan_cache`
+    drops them all.
 
     ``validate=True`` runs the static SQL analyzers
     (:func:`repro.analysis.analyze_select`) over every statement before
@@ -62,7 +64,10 @@ class Executor:
         # runs this same executor over paged storage under its own label
         self.backend_label = backend_label
         self._optimizer: Any = None
-        self._plan_cache: "OrderedDict[str, Tuple[Any, CompiledPlan]]" = OrderedDict()
+        # rendered SQL -> (tables read, their versions at compile, plan)
+        self._plan_cache: "OrderedDict[str, Tuple[Any, Any, CompiledPlan]]" = (
+            OrderedDict()
+        )
         self._plan_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -87,24 +92,26 @@ class Executor:
 
         Keyed by the statement's canonical rendered SQL, so structurally
         identical ASTs share one plan.  An entry is stale — and recompiled —
-        once the database's data version moves past the one it was compiled
-        under (index-backed position sets would otherwise be wrong).
+        once a table the statement reads moves past the version the plan
+        was compiled under (its estimates and join order would otherwise
+        describe other data).
         """
         key = render(select)
-        version = self.database.data_version
         with self._plan_lock:
             entry = self._plan_cache.get(key)
-            if entry is not None and entry[0] == version:
+            if entry is not None and entry[1] == self.database.versions(entry[0]):
                 self._plan_cache.move_to_end(key)
                 tracer.count("plan_cache_hits")
-                return entry[1]
+                return entry[2]
+        tables = select.tables()
+        versions = self.database.versions(tables)
         plan = CompiledPlan(
             select, self.database, optimizer=self.optimizer, tracer=tracer
         )
         tracer.count("plan_cache_misses")
         tracer.count("compiled_predicates", plan.compiled_predicates)
         with self._plan_lock:
-            self._plan_cache[key] = (version, plan)
+            self._plan_cache[key] = (tables, versions, plan)
             self._plan_cache.move_to_end(key)
             while len(self._plan_cache) > self.plan_cache_size:
                 self._plan_cache.popitem(last=False)
@@ -141,13 +148,15 @@ class Executor:
             return self._optimizer
 
     def statistics(self, tracer=NULL_TRACER) -> Dict[str, Any]:
-        """Table profiles for every relation (``engine.analyze_stats()``),
-        served from the optimizer's statistics catalog so a later query
-        costs nothing to plan."""
-        return self.optimizer.catalog.profiles(tracer)
+        """Profile every relation afresh (``engine.analyze_stats()``,
+        ANALYZE) into the optimizer's statistics catalog, so a later
+        query costs nothing to plan."""
+        return self.optimizer.catalog.analyze(tracer)
 
     def clear_plan_cache(self) -> None:
-        """Drop cached plans *and* the optimizer's statistics + memos."""
+        """Drop cached plans and the optimizer's decision memo (what is
+        derived from statements; statistics are derived from data and
+        follow the tables' versions instead)."""
         with self._plan_lock:
             self._plan_cache.clear()
             optimizer = self._optimizer

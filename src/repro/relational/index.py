@@ -1,22 +1,34 @@
 """Indexes over table data.
 
-Two index kinds are provided:
+Three index kinds are provided:
 
 * :class:`HashIndex` — equi-join / point-lookup acceleration used by the
   executor's hash-join planner.
+* :class:`NumericIndex` — exact-value postings over every numeric column.
 * :class:`InvertedIndex` — a token -> (relation, attribute) full-text index
   over all text columns of a database, used by the keyword matcher to find
   which relations a query term can refer to, and by the ``contains``
   predicate semantics of generated SQL.
+
+All three are maintained, not rebuilt: ``catch_up()`` compares each
+table's :attr:`~repro.relational.table.Table.version` with what the
+index covers and indexes only ``rows[covered:]`` when the epoch is
+unchanged (an append), starting that table over when it is not (an
+update or delete).  **Reader/writer rule:** an index owns one lock;
+``catch_up`` mutates postings only while holding it and every probe
+reads them while holding it, so a probe sees the postings of some whole
+number of rows — never a dictionary mid-growth — and positions it
+returns are valid in ``table.rows`` because rows under one epoch only
+grow.  Updates and deletes move rows a running reader may hold
+positions for, so they need the readers of that table quiesced.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.relational.schema import RelationSchema
 from repro.relational.table import Row, Table
 from repro.relational.types import DataType
 
@@ -34,26 +46,156 @@ class HashIndex:
     def __init__(self, table: Table, columns: Sequence[str]) -> None:
         self.table = table
         self.columns = tuple(columns)
-        indices = [table.schema.column_index(col) for col in self.columns]
-        self._buckets: Dict[Tuple[Any, ...], List[int]] = defaultdict(list)
-        for pos, row in enumerate(table.rows):
-            key = tuple(row[i] for i in indices)
-            self._buckets[key].append(pos)
+        self._indices = [table.schema.column_index(col) for col in self.columns]
+        self._lock = threading.Lock()
+        self._buckets: Dict[Tuple[Any, ...], List[int]] = {}
+        self._covered = _Covered()
+        self.catch_up()
+
+    def catch_up(self) -> None:
+        """Index the rows the table gained (all of them after an epoch
+        bump); a no-op when the index is current."""
+        with self._lock:
+            start, stop = self._covered.advance(self.table)
+            if start == 0:
+                self._buckets = {}
+            indices = self._indices
+            buckets = self._buckets
+            for pos, row in _rows_between(self.table, start, stop):
+                key = tuple(row[i] for i in indices)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [pos]
+                else:
+                    bucket.append(pos)
 
     def lookup(self, key: Tuple[Any, ...]) -> List[Row]:
-        positions = self._buckets.get(tuple(key), [])
+        with self._lock:
+            positions = list(self._buckets.get(tuple(key), ()))
         rows = self.table.rows
         return [rows[pos] for pos in positions]
 
     def positions(self, key: Tuple[Any, ...]) -> Set[int]:
         """Row positions holding *key* (used for index-backed scans)."""
-        return set(self._buckets.get(tuple(key), ()))
+        with self._lock:
+            return set(self._buckets.get(tuple(key), ()))
 
     def __len__(self) -> int:
-        return len(self._buckets)
+        with self._lock:
+            return len(self._buckets)
 
 
-class NumericIndex:
+class _Covered:
+    """How much of one table an index holds: the version it caught up to."""
+
+    __slots__ = ("epoch", "rows")
+
+    def __init__(self) -> None:
+        self.epoch: Optional[int] = None
+        self.rows = 0
+
+    def advance(self, table: Table) -> Tuple[int, int]:
+        """Move to *table*'s current version; returns the ``[start,
+        stop)`` positions left to index — ``start == 0`` says what was
+        indexed before is void (first call, or the epoch moved)."""
+        epoch, stop = table.version
+        start = self.rows if epoch == self.epoch else 0
+        self.epoch, self.rows = epoch, stop
+        return start, stop
+
+
+def _rows_between(table: Table, start: int, stop: int) -> Iterable[Tuple[int, Row]]:
+    """``(position, row)`` for ``start <= position < stop``."""
+    rows = table.rows if start == 0 else table.rows[start:stop]
+    return zip(range(start, stop), rows)
+
+
+class _PostingsIndex:
+    """``term -> {(relation, attribute): row positions}`` over the
+    columns of some kinds of every registered table, maintained by
+    :meth:`catch_up` under the reader/writer rule of the module
+    docstring.  Subclasses say which column types they index and which
+    terms a value contributes."""
+
+    _dtypes: Tuple[DataType, ...] = ()
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._postings: Dict[Any, Dict[Tuple[str, str], Set[int]]] = {}
+        self._tables: Dict[str, Table] = {}
+        self._covered: Dict[str, _Covered] = {}
+
+    def _terms(self, value: Any) -> Iterable[Any]:
+        raise NotImplementedError
+
+    def add_table(self, table: Table) -> None:
+        """Register *table* and index its columns of this index's kinds."""
+        with self._lock:
+            self._tables[table.schema.name] = table
+            self._covered[table.schema.name] = _Covered()
+            self._catch_up_table(table)
+
+    def add_tables(self, tables: Iterable[Table]) -> None:
+        for table in tables:
+            self.add_table(table)
+
+    def catch_up(self) -> None:
+        """Index what every registered table gained since the last call
+        (a table whose epoch moved is forgotten and indexed again)."""
+        with self._lock:
+            for table in self._tables.values():
+                self._catch_up_table(table)
+
+    def _catch_up_table(self, table: Table) -> None:
+        """Caller holds ``_lock``."""
+        schema = table.schema
+        covered = self._covered[schema.name]
+        had = covered.rows
+        start, stop = covered.advance(table)
+        if start == 0 and had:
+            self._forget(schema.name)
+        columns = [
+            (i, col.name)
+            for i, col in enumerate(schema.columns)
+            if col.dtype in self._dtypes
+        ]
+        if not columns or start == stop:
+            return
+        postings = self._postings
+        terms_of = self._terms
+        for pos, row in _rows_between(table, start, stop):
+            for col_idx, col_name in columns:
+                value = row[col_idx]
+                if value is None:
+                    continue
+                for term in terms_of(value):
+                    slots = postings.get(term)
+                    if slots is None:
+                        slots = postings[term] = {}
+                    slot = slots.get((schema.name, col_name))
+                    if slot is None:
+                        slot = slots[(schema.name, col_name)] = set()
+                    slot.add(pos)
+
+    def _forget(self, relation: str) -> None:
+        """Drop every posting of *relation* (caller holds ``_lock``)."""
+        for term in list(self._postings):
+            slots = self._postings[term]
+            for slot in [slot for slot in slots if slot[0] == relation]:
+                del slots[slot]
+            if not slots:
+                del self._postings[term]
+
+    def postings(self) -> Dict[Any, Dict[Tuple[str, str], Set[int]]]:
+        """A copy of the whole index (what the equivalence tests compare)."""
+        with self._lock:
+            return {
+                term: {slot: set(positions) for slot, positions in slots.items()}
+                for term, slots in self._postings.items()
+            }
+
+
+class NumericIndex(_PostingsIndex):
     """Exact-value index over the numeric columns of a set of tables.
 
     Lets keyword terms that parse as numbers match tuple values (``24``
@@ -61,33 +203,10 @@ class NumericIndex:
     :class:`InvertedIndex`.
     """
 
-    def __init__(self) -> None:
-        self._postings: Dict[Any, Dict[Tuple[str, str], Set[int]]] = defaultdict(dict)
-        self._tables: Dict[str, Table] = {}
+    _dtypes = (DataType.INT, DataType.FLOAT)
 
-    def add_table(self, table: Table) -> None:
-        schema = table.schema
-        self._tables[schema.name] = table
-        numeric_columns = [
-            (i, col.name)
-            for i, col in enumerate(schema.columns)
-            if col.dtype in (DataType.INT, DataType.FLOAT)
-        ]
-        if not numeric_columns:
-            return
-        for pos, row in enumerate(table.rows):
-            for col_idx, col_name in numeric_columns:
-                value = row[col_idx]
-                if value is None:
-                    continue
-                slot = self._postings[float(value)].setdefault(
-                    (schema.name, col_name), set()
-                )
-                slot.add(pos)
-
-    def add_tables(self, tables: Iterable[Table]) -> None:
-        for table in tables:
-            self.add_table(table)
+    def _terms(self, value: Any) -> Iterable[Any]:
+        return (float(value),)
 
     def match_number(self, text: str) -> List[ValueMatch]:
         """Matches for a term that parses as a number; [] otherwise."""
@@ -95,11 +214,13 @@ class NumericIndex:
             needle = float(text)
         except ValueError:
             return []
-        slots = self._postings.get(needle, {})
-        results = [
-            ValueMatch(relation, attribute, set(positions))
-            for (relation, attribute), positions in slots.items()
-        ]
+        with self._lock:
+            results = [
+                ValueMatch(relation, attribute, set(positions))
+                for (relation, attribute), positions in self._postings.get(
+                    needle, {}
+                ).items()
+            ]
         results.sort(key=lambda match: (match.relation, match.attribute))
         return results
 
@@ -117,7 +238,10 @@ class NumericIndex:
             needle = float(value)
         except (TypeError, ValueError):
             return None
-        return set(self._postings.get(needle, {}).get((relation, attribute), ()))
+        with self._lock:
+            return set(
+                self._postings.get(needle, {}).get((relation, attribute), ())
+            )
 
 
 class ValueMatch:
@@ -137,7 +261,7 @@ class ValueMatch:
         )
 
 
-class InvertedIndex:
+class InvertedIndex(_PostingsIndex):
     """Full-text index over the text/date columns of a set of tables.
 
     The index maps each token to the set of row positions per
@@ -146,33 +270,10 @@ class InvertedIndex:
     substring check, mirroring SQL ``contains`` semantics.
     """
 
-    def __init__(self) -> None:
-        self._postings: Dict[str, Dict[Tuple[str, str], Set[int]]] = defaultdict(dict)
-        self._tables: Dict[str, Table] = {}
+    _dtypes = (DataType.TEXT, DataType.DATE)
 
-    def add_table(self, table: Table) -> None:
-        """Index every text-typed column of *table*."""
-        schema: RelationSchema = table.schema
-        self._tables[schema.name] = table
-        text_columns = [
-            (i, col.name)
-            for i, col in enumerate(schema.columns)
-            if col.dtype in (DataType.TEXT, DataType.DATE)
-        ]
-        if not text_columns:
-            return
-        for pos, row in enumerate(table.rows):
-            for col_idx, col_name in text_columns:
-                value = row[col_idx]
-                if value is None:
-                    continue
-                for token in set(tokenize_text(str(value))):
-                    slot = self._postings[token].setdefault((schema.name, col_name), set())
-                    slot.add(pos)
-
-    def add_tables(self, tables: Iterable[Table]) -> None:
-        for table in tables:
-            self.add_table(table)
+    def _terms(self, value: Any) -> Iterable[Any]:
+        return set(tokenize_text(str(value)))
 
     # ------------------------------------------------------------------
     # Queries
@@ -187,19 +288,19 @@ class InvertedIndex:
         tokens = tokenize_text(phrase)
         if not tokens:
             return []
-        candidate_slots = self._postings.get(tokens[0], {})
+        by_slot: Dict[Tuple[str, str], Set[int]] = {}
+        with self._lock:
+            for slot, positions in self._postings.get(tokens[0], {}).items():
+                candidates = set(positions)
+                for token in tokens[1:]:
+                    candidates &= self._postings.get(token, {}).get(slot, set())
+                    if not candidates:
+                        break
+                if candidates:
+                    by_slot[slot] = candidates
         results: List[ValueMatch] = []
         needle = phrase.lower()
-        for (relation, attribute), positions in candidate_slots.items():
-            candidates = set(positions)
-            for token in tokens[1:]:
-                other = self._postings.get(token, {}).get((relation, attribute))
-                if not other:
-                    candidates = set()
-                    break
-                candidates &= other
-            if not candidates:
-                continue
+        for (relation, attribute), candidates in by_slot.items():
             table = self._tables[relation]
             col_idx = table.schema.column_index(attribute)
             verified = {
@@ -238,11 +339,12 @@ class InvertedIndex:
         first = tokens[0]
         slot = (relation, attribute)
         candidates: Set[int] = set()
-        for token, slots in self._postings.items():
-            if first in token:
-                hit = slots.get(slot)
-                if hit:
-                    candidates |= hit
+        with self._lock:
+            for token, slots in self._postings.items():
+                if first in token:
+                    hit = slots.get(slot)
+                    if hit:
+                        candidates |= hit
         if not candidates:
             return set()
         col_idx = table.schema.column_index(attribute)
@@ -260,13 +362,17 @@ class InvertedIndex:
         lowered = prefix.lower()
         if not lowered:
             return []
-        matches = [token for token in self._postings if token.startswith(lowered)]
+        with self._lock:
+            matches = [
+                token for token in self._postings if token.startswith(lowered)
+            ]
         matches.sort(key=lambda token: (len(token), token))
         return matches[:limit]
 
     def slots_of_token(self, token: str) -> List[Tuple[str, str]]:
         """The (relation, attribute) slots a token occurs in."""
-        return sorted(self._postings.get(token.lower(), {}))
+        with self._lock:
+            return sorted(self._postings.get(token.lower(), {}))
 
     def matching_values(self, relation: str, attribute: str, phrase: str) -> Set[Any]:
         """Distinct values of ``relation.attribute`` containing *phrase*."""

@@ -38,8 +38,8 @@ on them when the optimizer's cost comparison on the actual key count
 says so — *sideways key passing*, ``docs/PLANNER.md``.  A DISTINCT whose
 projection keeps a whole primary key is elided at compile time.
 
-Executor-level caching and invalidation (by rendered SQL and
-:attr:`Database.data_version`) live in
+Executor-level caching and invalidation (by rendered SQL and the
+versions of the tables a statement reads) live in
 :class:`~repro.relational.executor.Executor`.
 """
 
@@ -101,7 +101,8 @@ class IndexLookup:
     ``positions()`` returns candidate row positions (a superset of the
     matching rows for ``numeric-eq``, exact for the others) or None when the
     index cannot answer; the scan verifies candidates with the compiled
-    predicate closures either way.  Results are memoized per data version.
+    predicate closures either way.  Results are memoized per version of
+    the table probed.
     """
 
     __slots__ = (
@@ -126,7 +127,7 @@ class IndexLookup:
         self._lock = threading.Lock()
 
     def positions(self, database: Database) -> Optional[Set[int]]:
-        version = database.data_version
+        version = database.table(self.table).version
         with self._lock:
             if self._cached_version == version:
                 return self._cached

@@ -4,13 +4,22 @@ Rows are stored as tuples in insertion order.  The table enforces primary-key
 uniqueness and type coercion on insert; foreign-key enforcement happens at
 the :class:`~repro.relational.database.Database` level because it needs the
 parent table.
+
+Everything derived from a table — indexes, statistics, compiled plans,
+backend copies — keys on :attr:`Table.version`, the pair ``(epoch,
+rows)``.  :meth:`Table.insert` only grows ``rows``, so a consumer that
+covered the first *n* rows under the same epoch catches up over
+``rows[n:]``; :meth:`Table.update` and :meth:`Table.delete` change rows
+a consumer may already have covered and therefore bump ``epoch``, which
+tells every consumer to start over.  All mutation goes through these
+methods: :attr:`Table.rows` is handed out for reading only.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import DuplicateKeyError, SchemaError
+from repro.errors import DuplicateKeyError, IntegrityError, SchemaError
 from repro.relational.schema import RelationSchema
 from repro.relational.types import coerce
 
@@ -26,33 +35,41 @@ class Table:
         self._rows: List[Row] = []
         self._key_indices = tuple(schema.column_index(col) for col in schema.primary_key)
         self._key_set: Dict[Row, int] = {}
+        self._epoch = 0
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def insert(self, row: Sequence[Any]) -> Row:
         """Insert one row (sequence ordered like the schema columns)."""
+        coerced = self._coerce(row)
+        if self.enforce_key:
+            self._key_set[self._new_key(coerced)] = len(self._rows)
+        self._rows.append(coerced)
+        return coerced
+
+    def _coerce(self, row: Sequence[Any]) -> Row:
         if len(row) != len(self.schema.columns):
             raise SchemaError(
                 f"{self.schema.name}: expected {len(self.schema.columns)} values, "
                 f"got {len(row)}"
             )
-        coerced = tuple(
+        return tuple(
             coerce(value, col.dtype) for value, col in zip(row, self.schema.columns)
         )
-        if self.enforce_key:
-            key = tuple(coerced[i] for i in self._key_indices)
-            if any(part is None for part in key):
-                raise DuplicateKeyError(
-                    f"{self.schema.name}: NULL in primary key {self.schema.primary_key}"
-                )
-            if key in self._key_set:
-                raise DuplicateKeyError(
-                    f"{self.schema.name}: duplicate primary key {key!r}"
-                )
-            self._key_set[key] = len(self._rows)
-        self._rows.append(coerced)
-        return coerced
+
+    def _new_key(self, row: Row) -> Row:
+        """The primary key of *row*, checked to be non-NULL and unused."""
+        key = tuple(row[i] for i in self._key_indices)
+        if any(part is None for part in key):
+            raise DuplicateKeyError(
+                f"{self.schema.name}: NULL in primary key {self.schema.primary_key}"
+            )
+        if key in self._key_set:
+            raise DuplicateKeyError(
+                f"{self.schema.name}: duplicate primary key {key!r}"
+            )
+        return key
 
     def insert_dict(self, values: Dict[str, Any]) -> Row:
         """Insert one row from a column-name -> value mapping.
@@ -71,11 +88,63 @@ class Table:
         for row in rows:
             self.insert(row)
 
+    def update(self, key: Sequence[Any], values: Dict[str, Any]) -> Row:
+        """Set the columns named in *values* on the row with primary key
+        *key*; returns the new row.  The row keeps its position."""
+        position = self._position_of(key)
+        old = self._rows[position]
+        changed = dict(zip(self.schema.column_names, old))
+        unknown = set(values) - set(changed)
+        if unknown:
+            raise SchemaError(
+                f"{self.schema.name}: unknown columns {sorted(unknown)}"
+            )
+        changed.update(values)
+        new = self._coerce([changed[name] for name in self.schema.column_names])
+        old_key = tuple(old[i] for i in self._key_indices)
+        if tuple(new[i] for i in self._key_indices) != old_key:
+            new_key = self._new_key(new)  # raises before anything moves
+            self._key_set[new_key] = self._key_set.pop(old_key)
+        self._rows[position] = new
+        self._epoch += 1
+        return new
+
+    def delete(self, key: Sequence[Any]) -> Row:
+        """Remove the row with primary key *key*; returns it.  Later
+        rows move up one position."""
+        position = self._position_of(key)
+        removed = self._rows.pop(position)
+        del self._key_set[tuple(key)]
+        for other, at in self._key_set.items():
+            if at > position:
+                self._key_set[other] = at - 1
+        self._epoch += 1
+        return removed
+
+    def _position_of(self, key: Sequence[Any]) -> int:
+        position = self._key_set.get(tuple(key))
+        if position is None:
+            raise IntegrityError(
+                f"{self.schema.name}: no row with primary key {tuple(key)!r}"
+            )
+        return position
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     @property
+    def version(self) -> Tuple[int, int]:
+        """``(epoch, rows)``: ``rows`` grows on insert, ``epoch`` is
+        bumped by :meth:`update` and :meth:`delete`.  Equal versions
+        mean equal data; an equal epoch with more rows means the rows
+        covered so far are unchanged and the rest were appended."""
+        return (self._epoch, len(self._rows))
+
+    @property
     def rows(self) -> List[Row]:
+        """The live row list, **read-only**: mutate through
+        :meth:`insert`, :meth:`update` and :meth:`delete`, which keep the
+        key map and :attr:`version` in step."""
         return self._rows
 
     def __len__(self) -> int:

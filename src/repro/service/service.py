@@ -356,8 +356,8 @@ class QueryService:
 
         The engine's cache-invalidation hook is wired so
         ``engine.clear_cache()`` also drops this dataset's cached
-        service responses (stale-response protection across
-        ``Database.data_version`` bumps).
+        service responses (stale-response protection across writes
+        to the dataset's tables).
         """
         if name in self._runtimes:
             raise ValueError(f"dataset {name!r} already registered")

@@ -217,6 +217,14 @@ class Select:
         """Directly nested derived-table subqueries."""
         return [item.select for item in self.from_items if isinstance(item, DerivedTable)]
 
+    def tables(self) -> Tuple[str, ...]:
+        """Every base table the statement reads, derived tables
+        included, each once, sorted."""
+        names = {item.table for item in self.from_items if isinstance(item, TableRef)}
+        for select in self.subqueries():
+            names.update(select.tables())
+        return tuple(sorted(names))
+
 
 def column(name: str, qualifier: Optional[str] = None) -> ColumnRef:
     """Shorthand constructor used throughout translators and tests."""

@@ -21,7 +21,8 @@ down:
 :class:`~repro.relational.database.Database` out as a directory of these
 files (manifest written last, atomically, so half-written directories
 are detected and rebuilt), and :class:`~repro.storage.engine.StorageEngine`
-opens one for execution.  The registered ``disk`` backend
+opens one for execution and appends to it in place when the source
+tables gain rows.  The registered ``disk`` backend
 (:class:`~repro.backends.disk.DiskBackend`) is the public face.
 
 This package is the only place in the repo allowed to touch file-I/O

@@ -23,8 +23,10 @@ can hold a key); insert descends with ``bisect_right`` (equal keys go to
 the right), splitting full nodes bottom-up and growing a new root when
 the old one splits.  :meth:`BPlusTree.bulk_build` packs sorted pairs
 into full leaves and builds the internal levels in one bottom-up pass —
-that is the materializer's path; :meth:`BPlusTree.insert` is the
-incremental path the property tests exercise at tiny page sizes.
+that is the materializer's path; :meth:`BPlusTree.insert` is the path
+of rows appended afterwards
+(:meth:`repro.storage.engine.StorageEngine.append`): positions ascend,
+so equal keys stay in position order, as a bulk build leaves them.
 """
 
 from __future__ import annotations
@@ -334,22 +336,15 @@ class BPlusTree:
             kind, count, nxt = _NODE_HEADER.unpack_from(data, 0)
             node = _Node(is_leaf=(kind == _LEAF))
             offset = _NODE_HEADER.size
-            node.keys = [
-                _KEY.unpack_from(data, offset + i * _KEY.size)[0]
-                for i in range(count)
-            ]
+            node.keys = list(struct.unpack_from(f"<{count}d", data, offset))
             offset += count * _KEY.size
             if node.is_leaf:
                 node.next = nxt
-                node.values = [
-                    _PTR.unpack_from(data, offset + i * _PTR.size)[0]
-                    for i in range(count)
-                ]
+                node.values = list(struct.unpack_from(f"<{count}I", data, offset))
             else:
-                node.children = [
-                    _PTR.unpack_from(data, offset + i * _PTR.size)[0]
-                    for i in range(count + 1)
-                ]
+                node.children = list(
+                    struct.unpack_from(f"<{count + 1}I", data, offset)
+                )
         finally:
             self.pool.unpin(frame)
         return node
@@ -359,13 +354,10 @@ class BPlusTree:
         kind = _LEAF if node.is_leaf else _INTERNAL
         _NODE_HEADER.pack_into(data, 0, kind, len(node.keys), node.next)
         offset = _NODE_HEADER.size
-        for key in node.keys:
-            _KEY.pack_into(data, offset, key)
-            offset += _KEY.size
+        struct.pack_into(f"<{len(node.keys)}d", data, offset, *node.keys)
+        offset += len(node.keys) * _KEY.size
         pointers = node.values if node.is_leaf else node.children
-        for pointer in pointers:
-            _PTR.pack_into(data, offset, pointer)
-            offset += _PTR.size
+        struct.pack_into(f"<{len(pointers)}I", data, offset, *pointers)
 
     def _write_at(self, page_no: int, node: _Node) -> None:
         frame = self.pool.pin(self.file_id, page_no)

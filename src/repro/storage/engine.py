@@ -9,10 +9,11 @@ surface :class:`~repro.relational.executor.Executor` and
 :class:`~repro.relational.plan.CompiledPlan` consume:
 
 * ``schema`` / ``table(name)`` → :class:`DiskTable`, whose ``rows`` is a
-  lazy page-at-a-time sequence (:class:`~repro.storage.heap.HeapRows`);
-* ``data_version`` — the version the materialization was taken at, so
-  the executor's plan cache and ``IndexLookup`` memos stay valid for the
-  lifetime of a materialization;
+  lazy page-at-a-time sequence (:class:`~repro.storage.heap.HeapRows`)
+  and whose ``version`` is the source table's version as of the last
+  rebuild or append, so the executor's plan cache, ``IndexLookup`` memos
+  and statistics follow a write exactly as they do in memory;
+* ``versions(names)`` — those versions, in order;
 * ``text_index`` / ``numeric_index`` / ``hash_index(...)`` — adapters
   answering index probes from the on-disk SPIMI, B+-tree and hash
   structures.  Each may return a *superset* of the matching positions
@@ -20,8 +21,13 @@ surface :class:`~repro.relational.executor.Executor` and
   candidates): sound, because the compiled plan re-verifies every
   candidate row against its predicate closures.
 
-The engine is read-only; rebuilding after a data change is the
-responsibility of :class:`~repro.backends.disk.DiskBackend`.
+Writes come in one shape: :meth:`StorageEngine.append` grows the open
+directory in place by the rows the source tables gained — through the
+same pool, so the page budget holds while it runs and every handle
+(heaps, trees, hash files, the executor above them) stays valid.
+Anything else (update, delete) is a full rebuild, which is
+:class:`~repro.backends.disk.DiskBackend`'s decision; ``docs/STORAGE.md``
+§Writes has the protocol and its crash ordering.
 """
 
 from __future__ import annotations
@@ -32,22 +38,30 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import StorageError, UnknownTableError
 from repro.relational.index import HashIndex, tokenize_text
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.types import DataType
 from repro.storage.bptree import BPlusTree
 from repro.storage.hashindex import HashFile
 from repro.storage.heap import HeapFile, HeapRows
-from repro.storage.materialize import load_manifest
+from repro.storage.materialize import (
+    DELTA_DICT_FILE,
+    DELTA_POSTINGS_FILE,
+    MANIFEST_FILE,
+    NUMERIC,
+    TEXTUAL,
+    column_items,
+    load_manifest,
+    manifest_versions,
+    write_manifest,
+)
 from repro.storage.pager import BufferPool, Pager
-from repro.storage.spimi import SpimiIndex
+from repro.storage.spimi import DEFAULT_BLOCK_BUDGET, SpimiIndex
 
 __all__ = ["DEFAULT_POOL_CAPACITY", "DiskDatabase", "DiskTable", "StorageEngine"]
 
 DEFAULT_POOL_CAPACITY = 64
-_TEXT_TYPES = (DataType.TEXT, DataType.DATE)
 
 
 class StorageEngine:
-    """Read-side handle over one materialized directory."""
+    """Handle over one materialized directory: reads, and appends."""
 
     def __init__(
         self,
@@ -78,6 +92,11 @@ class StorageEngine:
                 os.path.join(self.directory, spimi["postings"]),
                 os.path.join(self.directory, spimi["dict"]),
             )
+            if "delta" in spimi:
+                self.spimi.delta = SpimiIndex(
+                    os.path.join(self.directory, spimi["delta"]["postings"]),
+                    os.path.join(self.directory, spimi["delta"]["dict"]),
+                )
         except Exception:
             self.close()
             raise
@@ -143,6 +162,74 @@ class StorageEngine:
         return index
 
     # ------------------------------------------------------------------
+    # Append in place
+    # ------------------------------------------------------------------
+    def epoch(self, table_name: str) -> int:
+        """The source table's epoch the directory was built under."""
+        return manifest_versions(self.manifest)[table_name][0]
+
+    def append(self, database: Any, block_budget: int = DEFAULT_BLOCK_BUDGET) -> int:
+        """Append to every table the rows *database* holds beyond those
+        materialized; returns how many.  The caller has checked that
+        this is all that differs (same epochs, no table shorter).
+
+        Order is the rebuild's: the manifest goes first, so a crash
+        anywhere below leaves a directory that reads as stale; then the
+        heaps, trees, hash files and the SPIMI delta segment, flushed
+        and synced; then the new manifest with the new row counts and
+        file sizes."""
+        manifest_path = os.path.join(self.directory, MANIFEST_FILE)
+        if os.path.exists(manifest_path):
+            os.unlink(manifest_path)
+        tokens: List[Tuple[str, str, str, int]] = []
+        appended = 0
+        for relation in self.schema:
+            name = relation.name
+            heap = self._heaps[name]
+            start = heap.row_count
+            source = database.table(name)
+            stop = source.version[1]
+            if stop == start:
+                continue
+            rows = source.rows[start:stop]
+            heap.append(rows)
+            for col_idx, column in enumerate(relation.columns):
+                if column.dtype in NUMERIC:
+                    tree = self.bptree(name, column.name)
+                    for key, pos in column_items(rows, col_idx, float, start):
+                        tree.insert(key, pos)
+                elif column.dtype in TEXTUAL:
+                    hashed = self.hash_file(name, column.name)
+                    for value, pos in column_items(rows, col_idx, str, start):
+                        hashed.insert(value, pos)
+                        tokens.extend(
+                            (token, name, column.name, pos)
+                            for token in set(tokenize_text(value))
+                        )
+            entry = self.manifest["tables"][name]
+            entry["rows"] = heap.row_count
+            entry["page_counts"] = list(heap.page_counts)
+            appended += stop - start
+        if tokens:
+            spimi = self.manifest["spimi"]
+            spimi["delta"] = {"postings": DELTA_POSTINGS_FILE, "dict": DELTA_DICT_FILE}
+            self.spimi.append(
+                tokens,
+                os.path.join(self.directory, DELTA_POSTINGS_FILE),
+                os.path.join(self.directory, DELTA_DICT_FILE),
+                block_budget,
+            )
+        self.pool.flush()
+        for pager in self._pagers:
+            pager.sync()
+        self.manifest["totals"] = {
+            "rows": sum(heap.row_count for heap in self._heaps.values()),
+            "pages": sum(heap.page_count for heap in self._heaps.values()),
+        }
+        write_manifest(self.directory, self.manifest)
+        return appended
+
+    # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, int]:
@@ -152,8 +239,8 @@ class StorageEngine:
         spimi = getattr(self, "spimi", None)
         if spimi is not None:
             spimi.close()
-        # read-only engine: no frame is ever dirty, so clear() drops
-        # everything without actual write-back I/O
+        # an append flushes what it dirtied, so clear() finds nothing
+        # to write back
         self.pool.clear()
         for pager in self._pagers:
             pager.close()
@@ -169,15 +256,23 @@ class StorageEngine:
 class DiskTable:
     """Duck-typed ``Table``: schema plus a lazy on-disk row sequence."""
 
-    __slots__ = ("schema", "_heap")
+    __slots__ = ("schema", "_heap", "_epoch")
 
-    def __init__(self, schema: RelationSchema, heap: HeapFile) -> None:
+    def __init__(self, schema: RelationSchema, heap: HeapFile, epoch: int) -> None:
         self.schema = schema
         self._heap = heap
+        self._epoch = epoch
 
     @property
     def rows(self) -> HeapRows:
         return self._heap.rows
+
+    @property
+    def version(self) -> Tuple[int, int]:
+        """The source table's ``(epoch, rows)`` this directory holds: the
+        epoch is fixed for the engine's lifetime (a new one means a
+        rebuild, and a new engine), the rows grow with every append."""
+        return (self._epoch, self._heap.row_count)
 
     def __len__(self) -> int:
         return self._heap.row_count
@@ -198,7 +293,7 @@ class _DiskTextIndex:
         schema = self._engine.schema.find_relation(relation)
         if schema is None:
             return None
-        if schema.column(attribute).dtype not in _TEXT_TYPES:
+        if schema.column(attribute).dtype not in TEXTUAL:
             return None  # only text columns are indexed; scan instead
         tokens = tokenize_text(phrase)
         if not tokens:
@@ -241,7 +336,7 @@ class _DiskHashAdapter:
 
 
 class DiskDatabase:
-    """Duck-typed ``Database`` over a :class:`StorageEngine` (read-only)."""
+    """Duck-typed ``Database`` over a :class:`StorageEngine`."""
 
     def __init__(self, engine: StorageEngine) -> None:
         self._engine = engine
@@ -251,13 +346,9 @@ class DiskDatabase:
         self._numeric_index = _DiskNumericIndex(engine)
         self._fallback_hash: Dict[Tuple[str, Tuple[str, ...]], HashIndex] = {}
 
-    @property
-    def data_version(self) -> Tuple[int, int]:
-        """The source database's version at materialization time —
-        constant for the lifetime of this object, so compiled plans and
-        index memos built over it never go stale."""
-        version = self._engine.manifest["data_version"]
-        return (version[0], version[1])
+    def versions(self, table_names: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
+        """The :attr:`DiskTable.version` of each named table, in order."""
+        return tuple(self.table(name).version for name in table_names)
 
     def table(self, name: str) -> DiskTable:
         table = self._tables.get(name)
@@ -268,7 +359,8 @@ class DiskDatabase:
                     f"no table {name!r} in database {self.schema.name!r}"
                 )
             table = self._tables.setdefault(
-                name, DiskTable(relation, self._engine.heap(name))
+                name,
+                DiskTable(relation, self._engine.heap(name), self._engine.epoch(name)),
             )
         return table
 
@@ -304,6 +396,8 @@ class DiskDatabase:
             fallback = self._fallback_hash.setdefault(
                 key, HashIndex(self.table(table_name), cols)
             )
+        else:
+            fallback.catch_up()
         return fallback
 
     def row_counts(self) -> Dict[str, int]:

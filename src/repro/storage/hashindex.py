@@ -2,10 +2,12 @@
 
 Disk counterpart of the ``hash-eq`` seam of
 :class:`~repro.relational.plan.IndexLookup` (which always probes a
-single TEXT/DATE column with a string literal).  The index is built once
-per materialization over the column's non-NULL values and is read-only
-afterwards, so a *static* hash table suffices — no directories, no
-splits.
+single TEXT/DATE column with a string literal).  The index is built by a
+materialization over the column's non-NULL values, sized for them; rows
+appended afterwards go through :meth:`HashFile.insert` into their
+bucket's chain, which grows by overflow pages until the next materialization
+sizes the table again.  So a *static* hash table suffices — no
+directories, no splits.
 
 Layout (one page file)::
 
@@ -58,7 +60,7 @@ def _entries_per_page(page_size: int) -> int:
 
 
 class HashFile:
-    """Read-side handle over a built hash-index page file."""
+    """Handle over a built hash-index page file: probes, and inserts."""
 
     def __init__(self, pool: BufferPool, file_id: str) -> None:
         self.pool = pool
@@ -150,6 +152,40 @@ class HashFile:
             finally:
                 self.pool.unpin(frame)
         return found
+
+    # ------------------------------------------------------------------
+    # Insert
+    # ------------------------------------------------------------------
+    def insert(self, value: str, position: int) -> None:
+        """Add one ``(value, position)`` pair at the end of its bucket's
+        chain, linking a new overflow page when the last one is full.
+        One page is pinned at a time."""
+        hashed = hash_key(value)
+        page_no = (hashed % self.buckets) + 1
+        while True:
+            frame = self.pool.pin(self.file_id, page_no)
+            count, next_no = _BUCKET_HEADER.unpack_from(frame.data, 0)
+            if count < self._capacity:
+                _ENTRY.pack_into(
+                    frame.data,
+                    _BUCKET_HEADER.size + count * _ENTRY.size,
+                    hashed,
+                    position,
+                )
+                _BUCKET_HEADER.pack_into(frame.data, 0, count + 1, next_no)
+                self.pool.unpin(frame, dirty=True)
+                return
+            self.pool.unpin(frame)
+            if next_no == _NO_PAGE:
+                break
+            page_no = next_no
+        fresh = self.pool.new_page(self.file_id)
+        _BUCKET_HEADER.pack_into(fresh.data, 0, 1, _NO_PAGE)
+        _ENTRY.pack_into(fresh.data, _BUCKET_HEADER.size, hashed, position)
+        self.pool.unpin(fresh, dirty=True)
+        frame = self.pool.pin(self.file_id, page_no)
+        _BUCKET_HEADER.pack_into(frame.data, 0, count, fresh.page_no)
+        self.pool.unpin(frame, dirty=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HashFile({self.file_id!r}, buckets={self.buckets})"

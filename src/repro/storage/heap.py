@@ -1,9 +1,11 @@
 """Heap files: a relation's rows in column-wise pages, read through the pool.
 
-A heap file is bulk-built once per materialization (tables are
-append-only between data-version bumps, so there is no in-place update
-path) and then served read-only.  The unit of work on the read path is
-the page: :meth:`HeapFile._page_rows` pins a frame, decodes the whole
+A heap file is bulk-built by a materialization (:func:`build_heap`) and
+grown in place when its table is appended to (:meth:`HeapFile.append`);
+an update or delete has no in-place path and rebuilds it.  Both writers
+pack pages with the same :func:`_pack`, so an appended file is byte for
+byte the file a rebuild would write.  The unit of work on the read path
+is the page: :meth:`HeapFile._page_rows` pins a frame, decodes the whole
 page once (:func:`~repro.storage.page.decode_page`) and leaves the
 decoded rows **on the frame**, so they live exactly as long as the page
 is resident — the pool's page budget bounds decoded data too, and there
@@ -18,7 +20,7 @@ sequence:
   rows are wanted;
 * ``iter(rows)`` / ``list(rows)`` — a sequential scan, one page's rows
   at a time;
-* ``len(rows)`` — from the manifest, no I/O.
+* ``len(rows)`` — from the per-page row counts, no I/O.
 
 Row *positions* are the same dense 0..n-1 insertion-order positions the
 in-memory indexes use, so position sets computed by the disk indexes
@@ -54,38 +56,39 @@ def build_heap(
     :class:`Pager` (no pool: nothing is re-read during a build, caching
     would only evict pages the serving side wants).
     """
-    fill = PageFill(schema, page_size)
     pager = Pager(path, page_size, create=True)
     try:
         page_counts: List[int] = []
-
-        def write_page() -> None:
-            pager.write_page(
-                pager.page_count, encode_page(fill.rows, schema, page_size)
-            )
-            page_counts.append(len(fill.rows))
-            fill.reset()
-
-        for row in rows:
-            if fill.add(row):
-                continue
-            if fill.rows:
-                write_page()
-                if fill.add(row):
-                    continue
-            raise StorageError(
-                f"{schema.name}: record does not fit a blank page"
-            )
-        if fill.rows:
-            write_page()
+        for page in _pack(PageFill(schema, page_size), rows):
+            pager.write_page(pager.page_count, encode_page(page, schema, page_size))
+            page_counts.append(len(page))
         pager.sync()
     finally:
         pager.close()
     return page_counts
 
 
+def _pack(fill: PageFill, rows: Iterable[Sequence[Any]]) -> Iterator[List[Row]]:
+    """Pack *rows* into pages after whatever *fill* already holds, each
+    page as full as it gets; yields every page's rows, the last one
+    possibly partial."""
+    for row in rows:
+        if fill.add(row):
+            continue
+        if fill.rows:
+            yield fill.rows
+            fill.reset()
+            if fill.add(row):
+                continue
+        raise StorageError(
+            f"{fill.schema.name}: record does not fit a blank page"
+        )
+    if fill.rows:
+        yield fill.rows
+
+
 class HeapFile:
-    """Read-side handle for one materialized relation."""
+    """Handle for one materialized relation: reads, and appends."""
 
     def __init__(
         self,
@@ -163,6 +166,31 @@ class HeapFile:
                 page = self._page_rows(page_no)
             out.append(page[position - first])
         return out
+
+    def append(self, rows: Iterable[Sequence[Any]]) -> None:
+        """Add *rows* after the last one: the last page is re-encoded
+        with as many of them as still fit, the rest fill new pages.  The
+        pages are written through the pool (dirty frames); making them
+        durable is the caller's flush and sync."""
+        page_size = self.pool.pager(self.file_id).page_size
+        fill = PageFill(self.schema, page_size)
+        page_no = max(self.page_count - 1, 0)
+        if self.page_counts:
+            for row in self._page_rows(page_no):
+                fill.add(row)  # they fit: they came off one page
+        for page in _pack(fill, rows):
+            data = encode_page(page, self.schema, page_size)
+            if page_no < self.page_count:
+                frame = self.pool.pin(self.file_id, page_no)
+                self.page_counts[page_no] = len(page)
+            else:
+                frame = self.pool.new_page(self.file_id)
+                self.page_counts.append(len(page))
+            frame.data[:] = data
+            self.pool.unpin(frame, dirty=True)
+            page_no += 1
+        self._cumulative = list(accumulate(self.page_counts))
+        self.row_count = self._cumulative[-1] if self._cumulative else 0
 
     def scan(self) -> Iterator[Row]:
         """All rows in position order, one page pinned at a time."""

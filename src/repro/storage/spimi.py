@@ -19,6 +19,14 @@ and it is complete for substring semantics because a phrase occurring in
 a value always places its first token inside a single token of that
 value.
 
+Rows appended after the build do not rewrite the base files: their
+postings live in one *delta segment*, a second pair of files in the same
+format, which :meth:`SpimiIndex.append` rewrites as "what it held plus
+the new entries" and every probe consults beside the base.  Appended
+rows sit at positions past every base row, so a token's delta positions
+simply follow its base positions.  The next full build folds the delta
+into the base.
+
 Postings file format, per token (byte extent recorded in the dict)::
 
     [n_slots: u32]
@@ -34,7 +42,7 @@ import os
 import struct
 from collections import OrderedDict
 from heapq import merge
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import StorageError
 
@@ -165,10 +173,12 @@ class SpimiBuilder:
 
 
 class SpimiIndex:
-    """Read-only view over a finalized SPIMI index."""
+    """View over a finalized SPIMI index, plus its delta segment."""
 
     def __init__(self, postings_path: str, dict_path: str) -> None:
         self.postings_path = str(postings_path)
+        #: the postings of rows appended since this index was built
+        self.delta: Optional[SpimiIndex] = None
         try:
             with open(dict_path, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
@@ -186,15 +196,62 @@ class SpimiIndex:
 
     def close(self) -> None:
         self._handle.close()
+        if self.delta is not None:
+            self.delta.close()
 
     def __len__(self) -> int:
-        return len(self._vocabulary)
+        return sum(1 for _ in self.vocabulary())
 
     def vocabulary(self) -> Iterator[str]:
-        return iter(self._vocabulary)
+        """Every token, base first, then those only the delta has."""
+        yield from self._vocabulary
+        if self.delta is not None:
+            for token in self.delta.vocabulary():
+                if token not in self._vocabulary:
+                    yield token
+
+    def append(
+        self,
+        entries: Iterable[Tuple[str, str, str, int]],
+        postings_path: str,
+        dict_path: str,
+        block_budget: int = DEFAULT_BLOCK_BUDGET,
+    ) -> Dict[str, int]:
+        """Rewrite the delta segment at the two paths as what it holds
+        now plus *entries* — ``(token, relation, attribute, position)``
+        of appended rows — and consult it from here on.  Returns the
+        segment's build statistics."""
+        builder = SpimiBuilder(os.path.dirname(postings_path), block_budget)
+        if self.delta is not None:
+            for token in self.delta.vocabulary():
+                for (relation, attribute), positions in self.delta.postings(
+                    token
+                ).items():
+                    for position in positions:
+                        builder.add(token, relation, attribute, position)
+            self.delta.close()
+            self.delta = None
+        for token, relation, attribute, position in entries:
+            builder.add(token, relation, attribute, position)
+        stats = builder.finalize(postings_path, dict_path)
+        self.delta = SpimiIndex(postings_path, dict_path)
+        return stats
 
     def postings(self, token: str) -> Dict[Slot, List[int]]:
-        """The slot -> positions map for one exact token ({} if absent)."""
+        """The slot -> positions map for one exact token ({} if absent),
+        base and delta together."""
+        base = self._base_postings(token)
+        if self.delta is None:
+            return base
+        added = self.delta.postings(token)
+        if not added:
+            return base
+        merged = dict(base)
+        for slot, positions in added.items():
+            merged[slot] = merged.get(slot, []) + positions
+        return merged
+
+    def _base_postings(self, token: str) -> Dict[Slot, List[int]]:
         extent = self._vocabulary.get(token)
         if extent is None:
             return {}
@@ -254,7 +311,7 @@ class SpimiIndex:
         actual values."""
         slot = (relation, attribute)
         found: Set[int] = set()
-        for token in self._vocabulary:
+        for token in self.vocabulary():
             if first_token in token:
                 hit = self.postings(token).get(slot)
                 if hit:

@@ -103,23 +103,48 @@ class TestPageBudget:
 
 
 class TestRematerialization:
-    def test_data_version_bump_triggers_rebuild(self):
+    def test_append_is_applied_in_place(self):
+        """Rows loaded into one table reach the open engine without a
+        rebuild: same engine, same executor, only the new rows written."""
         database = university_database()
         tracer = Tracer()
         backend = DiskBackend(pool_capacity=16)
+        count = parse("SELECT COUNT(*) FROM Student")
+        named = parse("SELECT Sid FROM Student WHERE Sname LIKE '%zimmer%'")
         try:
             backend.load(database, tracer=tracer)
-            before = backend.execute(
-                parse("SELECT COUNT(*) FROM Student"), tracer=tracer
-            ).scalar()
-            first_version = backend.storage_manifest()["data_version"]
+            before = backend.execute(count, tracer=tracer).scalar()
+            engine, executor = backend._engine, backend._executor
+            loaded = tracer.registry.counter("materialized_rows")
             database.load("Student", [(9901, "Zed Zimmer", 21)])
-            after = backend.execute(
-                parse("SELECT COUNT(*) FROM Student"), tracer=tracer
-            ).scalar()
-            assert after == before + 1
+            assert backend.execute(count, tracer=tracer).scalar() == before + 1
+            assert backend.execute(named, tracer=tracer).column("Sid") == ["9901"]
+            assert backend._engine is engine and backend._executor is executor
+            assert tracer.registry.counter("materializations") == 1
+            assert tracer.registry.counter("materialized_rows") == loaded + 1
+            manifest = backend.storage_manifest()
+            assert manifest["tables"]["Student"]["rows"] == before + 1
+            assert "delta" in manifest["spimi"]
+        finally:
+            backend.close()
+
+    def test_data_version_bump_triggers_rebuild(self):
+        """An update or delete moves the table's epoch, which has no
+        in-place path: the whole directory is rebuilt."""
+        database = university_database()
+        tracer = Tracer()
+        backend = DiskBackend(pool_capacity=16)
+        count = parse("SELECT COUNT(*) FROM Student")
+        try:
+            backend.load(database, tracer=tracer)
+            before = backend.execute(count, tracer=tracer).scalar()
+            assert "epoch" not in backend.storage_manifest()["tables"]["Student"]
+            key = database.table("Student").rows[0][:1]
+            database.table("Student").delete(key)
+            assert backend.execute(count, tracer=tracer).scalar() == before - 1
             assert tracer.registry.counter("materializations") == 2
-            assert backend.storage_manifest()["data_version"] != first_version
+            assert backend.storage_manifest()["tables"]["Student"]["epoch"] == 1
+            assert "delta" not in backend.storage_manifest()["spimi"]
         finally:
             backend.close()
 

@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+from repro.backends import create_backend
 from repro.backends.normalize import rows_match
 from repro.cli import load_dataset
 from repro.engine import KeywordSearchEngine
@@ -218,31 +219,70 @@ class TestMemoAndStaleness:
 
     def test_mutation_between_searches_recollects_stats(self):
         # the satellite regression: mutate a table between two searches
-        # and the second one must plan from fresh statistics
+        # and the second one must plan from fresh statistics — an append
+        # by continuing the table's pass, an update or delete by running
+        # it again — and answer from fresh data on every backend
         db = self._database()
         executor = Executor(db)
+        others = [create_backend(name, db) for name in ("sqlite", "disk")]
         tracer = Tracer()
-        first = executor.execute(parse(self.SQL), tracer=tracer)
-        catalog = executor.optimizer.catalog
-        version_before = catalog.version
-        assert len(first.rows) == 20
-        db.insert("A", (99, 0))
-        second = executor.execute(parse(self.SQL), tracer=tracer)
-        assert len(second.rows) == 21
-        assert catalog.version != version_before
-        assert executor.optimizer.catalog.profile("A").rows == 21
+        select = parse(self.SQL)
 
-    def test_clear_cache_drops_stats_and_memo(self):
+        def rows_everywhere():
+            counts = {len(executor.execute(select, tracer=tracer).rows)}
+            counts.update(len(backend.execute(select).rows) for backend in others)
+            (count,) = counts
+            return count
+
+        try:
+            assert rows_everywhere() == 20
+            catalog = executor.optimizer.catalog
+            assert catalog.builds == 2  # A and B, one full pass each
+            db.insert("A", (99, 0))
+            assert rows_everywhere() == 21
+            assert catalog.profile("A").rows == 21
+            assert catalog.builds == 2  # caught up, not rebuilt
+            assert tracer.registry.counter("planner_stats_catchups") == 1
+            db.table("A").update((99,), {"bid": 77})  # 77 joins nothing
+            assert rows_everywhere() == 20
+            assert catalog.profile("A").column("bid").maximum == 77
+            assert catalog.builds == 3  # epoch moved: A's pass ran again
+            db.table("A").delete((99,))
+            assert rows_everywhere() == 20
+            assert catalog.profile("A").rows == 20
+            assert catalog.profile("A").column("bid").maximum == 4
+            assert catalog.builds == 4
+            # B was never written: its first profile served throughout
+            assert tracer.registry.counter("planner_stats_rows_profiled") == (
+                20 + 5 + 1 + 21 + 20
+            )
+        finally:
+            for backend in others:
+                backend.close()
+
+    def test_clear_cache_drops_memo_keeps_stats(self):
+        # clear_cache() drops what is derived from statements; statistics
+        # are derived from data and follow the tables' versions instead
         db = self._database()
         engine = KeywordSearchEngine(db)
         executor = engine.executor
         executor.plan_for(parse(self.SQL), Tracer())
         optimizer = executor.optimizer
+        kept = optimizer.catalog.profile("A")
         assert optimizer.memo_len == 1
-        assert optimizer.catalog.cached_relations
         engine.clear_cache()
         assert optimizer.memo_len == 0
-        assert optimizer.catalog.cached_relations == ()
+        assert executor.plan_cache_len == 0
+        assert optimizer.catalog.cached_relations == ("a", "b")
+        assert optimizer.catalog.profile("A") is kept
+        db.insert("A", (99, 0))
+        engine.clear_cache()
+        caught_up = optimizer.catalog.profile("A")
+        assert caught_up.rows == 21 and optimizer.catalog.builds == 2
+        # ANALYZE is the one call that profiles afresh regardless
+        analyzed = engine.analyze_stats()
+        assert analyzed["A"] == caught_up and analyzed["A"] is not caught_up
+        assert optimizer.catalog.builds == 4
 
     def test_optimizer_off_never_builds_planner_state(self):
         db = self._database()

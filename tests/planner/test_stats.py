@@ -150,7 +150,7 @@ class TestCatalog:
         assert catalog.profile("T") is first
         assert catalog.builds == 1
 
-    def test_mutation_epoch_drops_profiles(self):
+    def test_append_continues_the_pass_epoch_bump_restarts_it(self):
         db = small_database([(i, i, "x") for i in range(10)])
         catalog = StatisticsCatalog(db)
         before = catalog.profile("T")
@@ -158,15 +158,27 @@ class TestCatalog:
         after = catalog.profile("T")
         assert after is not before
         assert after.rows == before.rows + 1
-        assert catalog.builds == 2
+        assert after.column("v").maximum == 99
+        assert catalog.builds == 1  # the same pass, continued
+        assert catalog.profile("T") is after
+        db.table("T").update((99,), {"v": -5})
+        updated = catalog.profile("T")
+        assert updated.column("v").minimum == -5
+        assert updated.column("v").maximum == 9
+        assert catalog.builds == 2  # the epoch moved: a new pass
+        db.table("T").delete((99,))
+        assert catalog.profile("T") == before
+        assert catalog.builds == 3
 
-    def test_explicit_invalidation(self):
+    def test_analyze_runs_every_pass_again(self):
         db = small_database([(1, 1, "x")])
         catalog = StatisticsCatalog(db)
-        catalog.profile("T")
+        first = catalog.profile("T")
         assert catalog.cached_relations == ("t",)
-        catalog.invalidate()
-        assert catalog.cached_relations == ()
+        analyzed = catalog.analyze()
+        assert analyzed["T"] == first and analyzed["T"] is not first
+        assert catalog.builds == 2
+        assert catalog.profile("T") is analyzed["T"]
 
     def test_profiles_covers_every_relation(self):
         catalog = StatisticsCatalog(university_database())

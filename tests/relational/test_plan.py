@@ -10,7 +10,12 @@ import inspect
 
 import pytest
 
-from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends import (
+    MemoryBackend,
+    SqliteBackend,
+    available_backends,
+    create_backend,
+)
 from repro.backends.differential import diff_statement
 from repro.errors import SqlExecutionError
 from repro.observability import Tracer
@@ -142,15 +147,47 @@ class TestIndexPushdown:
         assert len(execute(shop_db, "SELECT Id FROM Item WHERE Price = NULL")) == 0
 
     def test_index_results_track_mutations(self, shop_db):
-        executor = Executor(shop_db)
-        sql = "SELECT Id FROM Item WHERE Name LIKE '%olive%'"
-        assert len(executor.execute(sql)) == 2
-        shop_db.load("Item", [(6, "green olive", 3.0, 1)])
-        assert sorted(executor.execute(sql).column("Id")) == [1, 3, 6]
+        # one statement per index family (inverted, numeric, hash), on
+        # every backend, across an append, an update and a delete: each
+        # answers from the data as it is now, never from positions or
+        # copies taken before the write
+        backends = [create_backend(name, shop_db) for name in available_backends()]
+        item = shop_db.table("Item")
+        statements = {
+            "olive": "SELECT Id FROM Item WHERE Name LIKE '%olive%'",
+            "4.5": "SELECT Id FROM Item WHERE Price = 4.5",
+            "tea": "SELECT Id FROM Item WHERE Name = 'viceroy tea'",
+        }
+
+        def ids():
+            answers = {
+                tuple(
+                    tuple(sorted(backend.execute(sql).column("Id")))
+                    for sql in statements.values()
+                )
+                for backend in backends
+            }
+            (answer,) = answers  # the backends agree
+            return dict(zip(statements, answer))
+
+        try:
+            assert ids() == {"olive": (1, 3), "4.5": (1, 3), "tea": (5,)}
+            shop_db.load("Item", [(6, "green olive", 4.5, 1)])
+            assert ids() == {"olive": (1, 3, 6), "4.5": (1, 3, 6), "tea": (5,)}
+            item.update((1,), {"Name": "viceroy tea", "Price": 1.0})
+            assert ids() == {"olive": (3, 6), "4.5": (3, 6), "tea": (1, 5)}
+            item.delete((3,))  # every later row moves up one position
+            assert ids() == {"olive": (6,), "4.5": (6,), "tea": (1, 5)}
+            item.delete((6,))
+            shop_db.insert("Item", (3, "olive again", 4.5, 2))
+            assert ids() == {"olive": (3,), "4.5": (3,), "tea": (1, 5)}
+        finally:
+            for backend in backends:
+                backend.close()
 
     def test_pushdown_survives_direct_insert(self, shop_db):
-        # rows appended via table.insert() bypass load(); the data version
-        # must still move (via the row-count component)
+        # rows appended via table.insert() bypass load(); the table's
+        # version must still move (its row count is half of it)
         executor = Executor(shop_db)
         sql = "SELECT Id FROM Item WHERE Price = 4.5"
         assert len(executor.execute(sql)) == 2
@@ -201,9 +238,37 @@ class TestPlanCache:
     def test_mutation_invalidates_cached_plan(self, shop_db):
         executor = Executor(shop_db)
         select = parse("SELECT Id FROM Item")
-        first = executor.plan_for(select)
-        shop_db.load("Item", [(8, "new", 1.0, 1)])
-        assert executor.plan_for(select) is not first
+        item = shop_db.table("Item")
+        for mutate in (
+            lambda: shop_db.load("Item", [(8, "new", 1.0, 1)]),
+            lambda: item.update((8,), {"Stock": 2}),
+            lambda: item.delete((8,)),
+        ):
+            before = executor.plan_for(select)
+            assert executor.plan_for(select) is before
+            mutate()
+            assert executor.plan_for(select) is not before
+
+    def test_mutation_spares_plans_over_other_tables(self):
+        db = Database.from_definitions(
+            "two",
+            [
+                ("A", [("id", DataType.INT)], ["id"], []),
+                ("B", [("id", DataType.INT)], ["id"], []),
+            ],
+        )
+        executor = Executor(db)
+        over_a = executor.plan_for(parse("SELECT id FROM A"))
+        nested = executor.plan_for(
+            parse("SELECT X.id FROM (SELECT id FROM B) X, A WHERE X.id = A.id")
+        )
+        tracer = Tracer()
+        db.load("B", [(1,)])
+        with tracer.span("t"):
+            assert executor.plan_for(parse("SELECT id FROM A"), tracer) is over_a
+            assert executor.plan_for(nested.select, tracer) is not nested
+        assert tracer.trace.counter("plan_cache_hits") == 1
+        assert tracer.trace.counter("plan_cache_misses") == 1
 
     def test_cache_is_bounded_lru(self, shop_db):
         executor = Executor(shop_db)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DuplicateKeyError, SchemaError
+from repro.errors import DuplicateKeyError, IntegrityError, SchemaError
 from repro.relational.schema import Column, RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import DataType
@@ -61,6 +61,61 @@ class TestInsert:
     def test_extend(self, student_table):
         student_table.extend([("s1", "a", 1), ("s2", "b", 2)])
         assert len(student_table) == 2
+
+
+class TestUpdateDelete:
+    @pytest.fixture
+    def three(self, student_table):
+        student_table.extend(
+            [("s1", "George", 22), ("s2", "Green", 24), ("s3", "Gray", 26)]
+        )
+        return student_table
+
+    def test_insert_grows_rows_under_one_epoch(self, student_table):
+        assert student_table.version == (0, 0)
+        student_table.insert(("s1", "George", 22))
+        assert student_table.version == (0, 1)
+
+    def test_update_keeps_position_and_bumps_epoch(self, three):
+        row = three.update(("s2",), {"Age": "25"})
+        assert row == ("s2", "Green", 25)  # coerced like an insert
+        assert three.rows[1] == row
+        assert three.get_by_key(("s2",)) == row
+        assert three.version == (1, 3)
+
+    def test_update_may_move_the_key(self, three):
+        three.update(("s2",), {"Sid": "s9"})
+        assert three.get_by_key(("s2",)) is None
+        assert three.get_by_key(("s9",)) == ("s9", "Green", 24)
+        three.insert(("s2", "Again", 30))  # the old key is free again
+
+    def test_update_cannot_take_a_used_or_null_key(self, three):
+        with pytest.raises(DuplicateKeyError):
+            three.update(("s2",), {"Sid": "s1"})
+        with pytest.raises(DuplicateKeyError):
+            three.update(("s2",), {"Sid": None})
+        assert three.version == (0, 3)  # nothing changed
+        assert three.get_by_key(("s2",)) == ("s2", "Green", 24)
+
+    def test_update_unknown_column_or_key(self, three):
+        with pytest.raises(SchemaError):
+            three.update(("s2",), {"Nope": 1})
+        with pytest.raises(IntegrityError):
+            three.update(("s7",), {"Age": 1})
+
+    def test_delete_moves_later_rows_up(self, three):
+        assert three.delete(("s1",)) == ("s1", "George", 22)
+        assert three.rows == [("s2", "Green", 24), ("s3", "Gray", 26)]
+        assert three.get_by_key(("s1",)) is None
+        assert three.get_by_key(("s3",)) == ("s3", "Gray", 26)
+        assert three.version == (1, 2)
+        three.insert(("s1", "Back", 20))
+        assert three.get_by_key(("s1",)) == ("s1", "Back", 20)
+
+    def test_delete_unknown_key(self, three):
+        with pytest.raises(IntegrityError):
+            three.delete(("s7",))
+        assert three.version == (0, 3)
 
 
 class TestAccess:

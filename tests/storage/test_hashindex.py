@@ -39,6 +39,30 @@ class TestHashFile:
         assert index.positions("dup") == set(range(20))
         assert index.positions("other") == {99}
 
+    def test_insert_fills_the_last_page_then_links_a_new_one(self, tmp_path):
+        # one bucket, four entries a page: every fifth insert links an
+        # overflow page; probes see each pair as soon as it is in
+        index = open_index(tmp_path, [("dup", 0)])
+        assert index.buckets == 1
+        pages = index.pool.pager(index.file_id)
+        assert pages.page_count == 2  # meta + the one bucket
+        for position in range(1, 11):
+            index.insert("dup" if position % 2 else "other", position)
+            assert index.positions("dup") == {0, *range(1, position + 1, 2)}
+        assert index.positions("other") == set(range(2, 11, 2))
+        assert pages.page_count == 2 + 2  # 11 entries: two overflow pages
+
+    def test_insert_needs_one_frame(self, tmp_path):
+        path = str(tmp_path / "one.hash")
+        HashFile.build(path, [("a", 0)], PAGE)
+        pool = BufferPool(1)
+        pool.register("one.hash", Pager(path, PAGE))
+        index = HashFile(pool, "one.hash")
+        for position in range(1, 30):
+            index.insert("a", position)
+        assert index.positions("a") == set(range(30))
+        assert pool.stats["max_resident"] == 1
+
     def test_empty_index(self, tmp_path):
         index = open_index(tmp_path, [])
         assert index.buckets >= 1

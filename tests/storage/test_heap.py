@@ -156,3 +156,34 @@ class TestHeapRows:
         heap, _, _ = open_heap(tmp_path)
         with pytest.raises((IndexError, StorageError)):
             heap.rows[len(ROWS)]
+
+
+class TestAppend:
+    def test_append_writes_the_bytes_a_build_would(self, tmp_path):
+        """Whatever the split — nothing built yet, mid-page, exactly at a
+        page boundary, one row short — appending the rest re-packs the
+        last page and leaves the file a full build writes."""
+        whole = tmp_path / "whole"
+        whole.mkdir()
+        _, whole_counts, _ = open_heap(whole)
+        expected = (whole / "T.heap").read_bytes()
+        for built in (0, 1, whole_counts[0], whole_counts[0] + 3, len(ROWS) - 1):
+            directory = tmp_path / f"split{built}"
+            directory.mkdir()
+            heap, _, pool = open_heap(directory, rows=ROWS[:built], pool_capacity=2)
+            if built:
+                heap.row(built - 1)  # the last page sits decoded on its frame
+            heap.append(ROWS[built:])
+            assert list(heap.scan()) == ROWS and len(heap) == len(ROWS)
+            assert heap.page_counts == whole_counts
+            assert heap.row(len(ROWS) - 1) == ROWS[-1]
+            assert pool.stats["max_resident"] <= 2
+            pool.flush()
+            pool.pager("T.heap").sync()
+            assert (directory / "T.heap").read_bytes() == expected
+
+    def test_append_of_a_row_no_page_holds_raises(self, tmp_path):
+        heap, _, _ = open_heap(tmp_path)
+        with pytest.raises(StorageError, match="does not fit a blank page"):
+            heap.append([(1000, "x" * 500)])
+

@@ -9,6 +9,8 @@ from repro.errors import StorageError
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
+from repro.backends import DiskBackend
+from repro.observability import Tracer
 from repro.storage import (
     MANIFEST_FILE,
     StorageEngine,
@@ -16,6 +18,7 @@ from repro.storage import (
     materialization_is_fresh,
     materialize,
 )
+from repro.storage.materialize import manifest_versions
 
 PAGE = 256
 
@@ -121,11 +124,20 @@ class TestManifest:
 
     def test_data_version_bump_is_stale(self, tmp_path):
         db = small_db()
-        materialize(db, str(tmp_path), page_size=PAGE)
-        db.load("T", [(5, "gamma", 9.0)])
-        assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-        materialize(db, str(tmp_path), page_size=PAGE)
-        assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        table = db.table("T")
+        for write in (
+            lambda: db.load("T", [(5, "gamma", 9.0)]),
+            lambda: table.update((5,), {"score": 1.0}),
+            lambda: table.delete((5,)),
+            # back to the first row count, under another epoch
+            lambda: (table.delete((4,)), table.insert((4, None, None))),
+        ):
+            materialize(db, str(tmp_path), page_size=PAGE)
+            assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+            write()
+            assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        manifest = materialize(db, str(tmp_path), page_size=PAGE)
+        assert manifest_versions(manifest) == {"T": table.version} == {"T": (3, 4)}
 
     def test_foreign_database_is_stale(self, tmp_path):
         db = small_db()
@@ -152,6 +164,151 @@ class TestManifest:
         with pytest.raises(RuntimeError):
             materialize(db, str(tmp_path), page_size=PAGE)
         assert not (tmp_path / MANIFEST_FILE).exists()
+        assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+
+
+MORE = [(5, "gamma delta", 9.0), (6, "alpha", None), (7, None, 2.5)]
+
+
+def appended(directory, db):
+    """Materialize *db*, load ``MORE`` and append it in place."""
+    materialize(db, str(directory), page_size=PAGE)
+    engine = StorageEngine(str(directory), db.schema, pool_capacity=4)
+    try:
+        db.load("T", MORE)
+        assert engine.append(db) == len(MORE)
+    finally:
+        engine.close()
+    return load_manifest(str(directory))
+
+
+class TestAppendCrashShapes:
+    """An append keeps the rebuild's ordering — manifest unlinked first,
+    written last with the new sizes — so every half-done or damaged
+    shape reads as stale and is rebuilt, never decoded."""
+
+    def test_completed_append_is_fresh_and_lists_what_it_touched(self, tmp_path):
+        db = small_db()
+        before = materialize(db, str(tmp_path), page_size=PAGE)
+        manifest = appended(tmp_path, db)
+        assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        assert manifest_versions(manifest) == {"T": (0, 7)}
+        assert manifest["totals"]["rows"] == 7
+        added = set(manifest["files"]) - set(before["files"])
+        assert added == {"postings.delta.bin", "postings.delta.dict.json"}
+        for file_name, size in manifest["files"].items():
+            assert os.path.getsize(tmp_path / file_name) == size
+
+    def test_truncated_or_missing_file_is_stale_and_rebuilt(self, tmp_path):
+        db = small_db()
+        manifest = appended(tmp_path, db)
+        # the heap, every .bpt and .hash, both delta files (and the
+        # untouched base postings): each one truncated, then dropped
+        assert len(manifest["files"]) == 8
+        for file_name in manifest["files"]:
+            path = tmp_path / file_name
+            intact = path.read_bytes()
+            for damage in (lambda: path.write_bytes(intact[:-1]), path.unlink):
+                damage()
+                assert not materialization_is_fresh(
+                    str(tmp_path), db, page_size=PAGE
+                ), file_name
+                self.assert_rebuilt(tmp_path, db)
+                manifest_now = appended(tmp_path, small_db())
+                assert manifest_now["files"] == manifest["files"]
+
+    def test_stop_before_the_manifest_is_stale_and_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        db = small_db()
+        materialize(db, str(tmp_path), page_size=PAGE)
+        engine = StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
+        db.load("T", MORE)
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("simulated crash before the manifest")
+
+        monkeypatch.setattr("repro.storage.engine.write_manifest", crash)
+        try:
+            with pytest.raises(RuntimeError):
+                engine.append(db)
+        finally:
+            engine.close()
+        monkeypatch.undo()
+        assert not (tmp_path / MANIFEST_FILE).exists()
+        assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        self.assert_rebuilt(tmp_path, db)
+
+    def test_backend_drops_the_engine_an_append_failed_in(
+        self, tmp_path, monkeypatch
+    ):
+        db = small_db()
+        backend = DiskBackend(path=str(tmp_path), page_size=PAGE, pool_capacity=4)
+        tracer = Tracer()
+        try:
+            backend.load(db, tracer=tracer)
+            db.load("T", MORE)
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    "repro.storage.hashindex.HashFile.insert",
+                    lambda *args: (_ for _ in ()).throw(StorageError("disk full")),
+                )
+                with pytest.raises(StorageError, match="disk full"):
+                    backend.execute("SELECT COUNT(*) FROM T")
+            assert backend.execute("SELECT COUNT(*) FROM T", tracer=tracer).scalar() == 7
+            assert tracer.registry.counter("materializations") == 2
+        finally:
+            backend.close()
+
+    @staticmethod
+    def assert_rebuilt(directory, db):
+        tracer = Tracer()
+        backend = DiskBackend(path=str(directory), page_size=PAGE, pool_capacity=4)
+        try:
+            backend.load(db, tracer=tracer)
+            assert tracer.registry.counter("materializations") == 1
+            assert tracer.registry.counter("materializations_reused") == 0
+            rows = backend.execute("SELECT id, name, score FROM T").rows
+            assert sorted(rows, key=lambda row: row[0]) == db.table("T").rows
+            assert "delta" not in backend.storage_manifest()["spimi"]
+        finally:
+            backend.close()
+
+
+class TestParentManifest:
+    """The data files a fresh ``materialize()`` writes did not change
+    with per-table versions, only the manifest did: the parent commit's
+    carried one database-wide ``data_version`` and no epochs."""
+
+    def as_parent_wrote_it(self, directory, db):
+        manifest = materialize(db, str(directory), page_size=PAGE)
+        assert not any("epoch" in entry for entry in manifest["tables"].values())
+        manifest["data_version"] = [1, manifest["totals"]["rows"]]
+        (directory / MANIFEST_FILE).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
+        )
+
+    def test_opens_serves_and_takes_appends(self, tmp_path):
+        db = small_db()
+        self.as_parent_wrote_it(tmp_path, db)
+        assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        engine = StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
+        try:
+            table = engine.database.table("T")
+            assert table.version == db.table("T").version == (0, 4)
+            assert list(table.rows) == db.table("T").rows
+            db.load("T", MORE)
+            engine.append(db)
+            assert list(table.rows) == db.table("T").rows
+            assert engine.hash_file("T", "name").positions("alpha") == {0, 2, 5}
+        finally:
+            engine.close()
+        assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+
+    def test_is_stale_once_an_epoch_moved(self, tmp_path):
+        db = small_db()
+        self.as_parent_wrote_it(tmp_path, db)
+        db.table("T").update((1,), {"name": "omega"})
         assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
 
 

@@ -445,6 +445,59 @@ class TestRules:
         assert [code for code, _ in findings] == ["LR004"]
 
 
+    def test_lr010_database_wide_version_defined(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "relational/x.py",
+            """
+            class ShardedDatabase:
+                schema_version = 3
+
+                @property
+                def data_version(self):
+                    return (0, 0)
+
+                def versions(self, table_names):  # per table: fine
+                    return ()
+            """,
+        )
+        assert [code for code, _ in findings] == ["LR010", "LR010"]
+        assert "ShardedDatabase.data_version" in findings[1][1]
+
+    def test_lr010_database_wide_version_read(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "planner/x.py",
+            """
+            def stale(self, database, plan):
+                return (
+                    database.data_version != plan.stamp
+                    or self._db.version != plan.stamp
+                    or self.database.version is None
+                )
+            """,
+        )
+        assert [code for code, _ in findings] == ["LR010"] * 3
+
+    def test_lr010_per_table_versions_are_fine(self, tmp_path):
+        assert (
+            lint_source(
+                tmp_path,
+                "planner/x.py",
+                """
+                def stamp(database, select, table, manifest):
+                    return (
+                        database.versions(select.tables()),
+                        database.table("T").version,
+                        table.version,
+                        manifest.format_version,
+                    )
+                """,
+            )
+            == []
+        )
+
+
 class TestTree:
     def test_src_repro_is_clean(self):
         findings = lint_repro.lint_tree(REPO_ROOT / "src" / "repro")
