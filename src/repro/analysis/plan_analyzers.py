@@ -1,10 +1,10 @@
 """Physical-plan analyzers: CompiledPlan consistency checks.
 
 :func:`analyze_plan` re-derives the soundness invariant that
-``CompiledPlan._index_strategy`` is supposed to maintain, independently of
+``TableScan._index_strategy`` is supposed to maintain, independently of
 its implementation:
 
-* **S020** — every :class:`~repro.relational.plan.IndexLookup` kind must be
+* **S020** — every :class:`~repro.relational.scan.IndexLookup` kind must be
   sound for the scanned column's datatype and the probe value's Python
   type: ``contains`` needs a TEXT/DATE column; ``numeric-eq`` needs a
   numeric column probed with a number; ``hash-eq`` needs a TEXT/DATE
@@ -48,7 +48,8 @@ from typing import List, Optional
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.type_inference import build_scope, infer_expr_type
-from repro.relational.plan import CompiledPlan, _DerivedScan, _TableScan
+from repro.relational.plan import CompiledPlan
+from repro.relational.scan import DerivedScan, TableScan
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
 from repro.sql.ast import ColumnRef, DerivedTable, Select, TableRef
@@ -70,9 +71,9 @@ def analyze_plan(
     """Soundness + planner diagnostics for one compiled physical plan."""
     diagnostics: List[Diagnostic] = []
     for scan in plan.scans:
-        if isinstance(scan, _TableScan):
+        if isinstance(scan, TableScan):
             diagnostics.extend(_check_table_scan(scan, location))
-        elif isinstance(scan, _DerivedScan):
+        elif isinstance(scan, DerivedScan):
             sub_location = (
                 f"{location}/derived {scan.alias}"
                 if location
@@ -215,7 +216,7 @@ def _check_decisions(
             )
         )
     for scan in plan.scans:
-        if not isinstance(scan, _TableScan):
+        if not isinstance(scan, TableScan):
             continue
         decision = decisions.scans.get(scan.alias)
         if decision is None:
@@ -236,7 +237,7 @@ def _check_decisions(
     return diagnostics
 
 
-def _check_table_scan(scan: _TableScan, location: str) -> List[Diagnostic]:
+def _check_table_scan(scan: TableScan, location: str) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     diagnostics.extend(_check_pushed_scope(scan, location))
     for pushed in scan.pushed:

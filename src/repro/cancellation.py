@@ -4,9 +4,10 @@ The serving layer (:mod:`repro.service`) must be able to abort a slow
 query *while it runs* — a cross join that exploded, a pathological
 pattern — instead of letting it hog a worker thread until completion.
 Python threads cannot be killed, so cancellation is cooperative: the
-executor's row loops poll a :class:`CancellationToken` at checkpoints
-(operator boundaries plus a strided check inside the join loops) and
-raise :class:`~repro.errors.DeadlineExceededError` the moment the token
+executor polls a :class:`CancellationToken` at checkpoints (every
+operator boundary — its operators are whole-column passes — plus once
+per outer row of a cross join, whose output multiplies) and
+raises :class:`~repro.errors.DeadlineExceededError` the moment the token
 is cancelled or its deadline passes.
 
 The token travels *ambiently* rather than through every signature: a
@@ -35,19 +36,11 @@ from contextlib import contextmanager
 from repro.errors import DeadlineExceededError
 
 __all__ = [
-    "CHECK_STRIDE",
     "CancellationToken",
     "NULL_TOKEN",
     "cancellation_scope",
     "current_token",
 ]
-
-#: Row-loop polling stride: hot loops call ``token.check()`` once every
-#: ``CHECK_STRIDE`` iterations (``if not (i & (CHECK_STRIDE - 1)): ...``)
-#: so the disabled-mode overhead stays far below the observability
-#: budget while a runaway join still aborts within a few thousand rows.
-CHECK_STRIDE = 1024
-
 
 class CancellationToken:
     """One request's cancellation state: an explicit flag plus an

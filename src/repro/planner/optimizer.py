@@ -338,7 +338,8 @@ class Optimizer:
             predicate_selectivity(pred.expr, pred.closure, profile, column_of)
             for pred in scan.pushed
         ]
-        joint = scan_selectivity(
+        # one predicate: its own selectivity is the joint one
+        joint = selectivities[0] if len(selectivities) == 1 else scan_selectivity(
             [pred.expr for pred in scan.pushed],
             [pred.closure for pred in scan.pushed],
             profile,

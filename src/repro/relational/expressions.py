@@ -1,18 +1,27 @@
 """Scalar and aggregate expression evaluation for the executor.
 
-A :class:`Binding` maps column references (qualified or not) to positions in
-a working row.  NULL semantics follow SQL where it matters for the paper's
-queries: comparisons involving NULL are not satisfied, aggregates ignore
-NULLs, and ``SUM``/``MIN``/``MAX``/``AVG`` over an empty or all-NULL input
-yield NULL.
+A :class:`Binding` maps column references (qualified or not) to *slots*:
+positions in the label list of everything a statement's FROM clause
+provides.  What flows between operators is :class:`Columns` — some rows
+held as one vector per slot — and an expression is compiled once into a
+:class:`Kernel` that reads the vectors of the slots it references and
+answers with a vector (:func:`compile_kernel`), or, for the select items
+of an aggregated statement, into a :class:`GroupKernel` answering with
+one value per group (:func:`compile_aggregate`).  NULL semantics follow
+SQL where it matters for the paper's queries: comparisons involving NULL
+are not satisfied, aggregates ignore NULLs, and
+``SUM``/``MIN``/``MAX``/``AVG`` over an empty or all-NULL input yield NULL.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
+from repro.relational.algebra import Grouping, Vector, gather
+from repro.relational.result import normalize_aggregate
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
@@ -94,14 +103,13 @@ def _require_numeric(values: Sequence[Any], func: str) -> None:
 # Closure compilation
 # ----------------------------------------------------------------------
 # Compiled plans (repro.relational.plan) evaluate expressions through
-# closures built once per (expression, binding) pair instead of walking
-# the AST and re-resolving column references on every row.  Evaluation
-# errors (unknown column, type mismatch, division by zero) surface when a
+# closures built once per expression instead of walking the AST and
+# re-resolving column references on every row.  Evaluation errors
+# (unknown column, type mismatch, division by zero) surface when a
 # closure is called on a row, never at compile time, so a statement over
 # an empty input still succeeds.
 
 ScalarFn = Callable[[Sequence[Any]], Any]
-GroupFn = Callable[[Sequence[Sequence[Any]]], Any]
 
 _COMPARISON_OPS = {
     "=": operator.eq,
@@ -118,13 +126,6 @@ def _raising(message: str) -> ScalarFn:
     only when a row is evaluated."""
 
     def fail(_row: Sequence[Any]) -> Any:
-        raise SqlExecutionError(message)
-
-    return fail
-
-
-def _raising_group(message: str) -> GroupFn:
-    def fail(_rows: Sequence[Sequence[Any]]) -> Any:
         raise SqlExecutionError(message)
 
     return fail
@@ -221,88 +222,223 @@ def _binary_closure(op_text: str, left: Callable, right: Callable) -> Callable:
     return _raising(f"unknown operator {op_text!r}")
 
 
-def compile_predicate(expr: Expr, binding: Binding) -> ScalarFn:
-    """Compile a WHERE conjunct; the result is used for truthiness."""
-    return compile_scalar(expr, binding)
+# ----------------------------------------------------------------------
+# Column kernels
+# ----------------------------------------------------------------------
+class Columns:
+    """Some rows held column-wise: one vector per slot, all ``rows``
+    long.  A slot nothing downstream reads is simply absent."""
+
+    __slots__ = ("rows", "vectors")
+
+    def __init__(self, rows: int, vectors: Dict[int, Vector]) -> None:
+        self.rows = rows
+        self.vectors = vectors
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def keep(self, mask: Sequence[Any]) -> "Columns":
+        """The rows whose *mask* entry is true."""
+        if all(mask):
+            return self  # nothing to drop: no column is copied
+        vectors = {
+            slot: list(compress(vector, mask))
+            for slot, vector in self.vectors.items()
+        }
+        if vectors:
+            return Columns(len(next(iter(vectors.values()))), vectors)
+        return Columns(sum(map(bool, mask)), vectors)
 
 
-def _compile_aggregate_call(call: FuncCall, binding: Binding) -> GroupFn:
-    # imported lazily to break the result -> algebra -> expressions cycle;
-    # this runs once per compiled plan, never per row
-    from repro.relational.result import normalize_aggregate
+class _SlotMap:
+    """Resolves references as *binding* does, numbering the slots in
+    the order an expression first mentions them: the layout of the
+    narrow row its closure reads."""
 
+    def __init__(self, binding: Binding) -> None:
+        self.binding = binding
+        self.slots: List[int] = []
+
+    def resolve(self, ref: ColumnRef) -> int:
+        slot = self.binding.resolve(ref)
+        if slot not in self.slots:
+            self.slots.append(slot)
+        return self.slots.index(slot)
+
+
+class Kernel:
+    """A scalar expression compiled for whole columns: the values of the
+    expression over every row of a :class:`Columns` (or over the rows at
+    some positions of it).
+
+    A bare column reference is its column — nothing is evaluated.  Any
+    other expression is a ``compile_scalar`` closure mapped over the
+    narrow rows ``zip`` makes of the referenced vectors (``zip`` recycles
+    its tuple, so no row outlives its evaluation)."""
+
+    __slots__ = ("slots", "column", "fn")
+
+    def __init__(
+        self, slots: Sequence[int], fn: ScalarFn, column: Optional[int] = None
+    ) -> None:
+        self.slots = tuple(slots)
+        self.column = column  # the slot, when the expression is a bare column
+        self.fn = fn
+
+    def __call__(
+        self, columns: Columns, positions: Optional[Sequence[int]] = None
+    ) -> Vector:
+        vectors = columns.vectors
+        if self.column is not None:
+            return gather(vectors[self.column], positions)
+        if not self.slots:
+            rows = columns.rows if positions is None else len(positions)
+            return list(map(self.fn, repeat((), rows)))
+        narrow = zip(*[gather(vectors[slot], positions) for slot in self.slots])
+        return list(map(self.fn, narrow))
+
+    def row_closure(self, base: int) -> ScalarFn:
+        """The expression over whole rows of the table whose column *i*
+        is slot ``base + i`` — what the optimizer runs over its row
+        sample."""
+        fn = self.fn
+        picks = [slot - base for slot in self.slots]
+        if len(picks) == 1:  # the usual pushed predicate: one column
+            (only,) = picks
+            return lambda row: fn((row[only],))
+        return lambda row: fn([row[pick] for pick in picks])
+
+
+def compile_kernel(expr: Expr, binding: Binding) -> Kernel:
+    """Compile a scalar expression (a WHERE conjunct, a GROUP BY key, a
+    select item) over the slots of *binding*."""
+    slot_map = _SlotMap(binding)
+    fn = compile_scalar(expr, slot_map)  # type: ignore[arg-type]  # duck-typed
+    bare = isinstance(expr, ColumnRef) and slot_map.slots  # else: unknown, raises
+    return Kernel(slot_map.slots, fn, slot_map.slots[0] if bare else None)
+
+
+GroupFn = Callable[[Columns, Grouping], Vector]
+
+
+class GroupKernel(NamedTuple):
+    """A select item of an aggregated statement: one value per group."""
+
+    slots: Tuple[int, ...]
+    fn: GroupFn
+
+    def __call__(self, columns: Columns, grouping: Grouping) -> Vector:
+        return self.fn(columns, grouping)
+
+
+def _raising_group(message: str) -> GroupKernel:
+    def fail(_columns: Columns, grouping: Grouping) -> Vector:
+        if grouping.size:
+            raise SqlExecutionError(message)
+        return []
+
+    return GroupKernel((), fail)
+
+
+def _compile_aggregate_call(call: FuncCall, binding: Binding) -> GroupKernel:
     name = call.name.upper()
     if name == "COUNT":
-        # COUNT closures produce ints by construction (len / sum of 1s),
-        # which is exactly normalize_aggregate("COUNT", ...) — no wrapper
+        # COUNT kernels produce ints by construction, which is exactly
+        # normalize_aggregate("COUNT", ...) — no wrapper
         if len(call.args) == 1 and isinstance(call.args[0], Star):
-            return len
-        arg = compile_scalar(call.args[0], binding)
+            return GroupKernel((), lambda columns, grouping: grouping.counts())
+        arg = compile_kernel(call.args[0], binding)
         if call.distinct:
-            return lambda rows: len(
-                {value for value in map(arg, rows) if value is not None}
+            return GroupKernel(
+                arg.slots,
+                lambda columns, grouping: [
+                    len(set(values)) for values in grouping.split(arg(columns))
+                ],
             )
-        return lambda rows: len(rows) - list(map(arg, rows)).count(None)
+        return GroupKernel(
+            arg.slots,
+            lambda columns, grouping: grouping.count_values(arg(columns)),
+        )
     if len(call.args) != 1:
         return _raising_group(f"{name} takes exactly one argument")
-    arg = compile_scalar(call.args[0], binding)
+    arg = compile_kernel(call.args[0], binding)
     use_distinct = call.distinct
 
-    def gather(rows: Sequence[Sequence[Any]]) -> List[Any]:
-        values = [value for value in map(arg, rows) if value is not None]
-        if use_distinct:
-            values = list(set(values))
-        return values
-
+    # each reducer sees one group's non-NULL values, in row order
     if name == "SUM":
 
-        def agg_sum(rows: Sequence[Sequence[Any]]) -> Any:
-            values = gather(rows)
+        def reduce(values: Vector) -> Any:
             if not values:
                 return None
             _require_numeric(values, "SUM")
             return normalize_aggregate("SUM", sum(values))
 
-        return agg_sum
-    if name == "AVG":
+    elif name == "AVG":
 
-        def agg_avg(rows: Sequence[Sequence[Any]]) -> Any:
-            values = gather(rows)
+        def reduce(values: Vector) -> Any:
             if not values:
                 return None
             _require_numeric(values, "AVG")
             return normalize_aggregate("AVG", sum(values) / len(values))
 
-        return agg_avg
-    if name == "MIN":
-        return lambda rows: normalize_aggregate("MIN", min(gather(rows), default=None))
-    if name == "MAX":
-        return lambda rows: normalize_aggregate("MAX", max(gather(rows), default=None))
-    return _raising_group(f"unknown aggregate {name!r}")
+    elif name in ("MIN", "MAX"):
+        pick = min if name == "MIN" else max
+
+        def reduce(values: Vector) -> Any:
+            return normalize_aggregate(name, pick(values, default=None))
+
+    else:
+        return _raising_group(f"unknown aggregate {name!r}")
+
+    def aggregate(columns: Columns, grouping: Grouping) -> Vector:
+        groups = grouping.split(arg(columns))
+        if use_distinct:
+            groups = [list(set(values)) for values in groups]
+        return list(map(reduce, groups))
+
+    return GroupKernel(arg.slots, aggregate)
 
 
-def compile_aggregate(expr: Expr, binding: Binding) -> GroupFn:
+def compile_aggregate(
+    expr: Expr, binding: Binding, keys: Sequence[Kernel] = ()
+) -> GroupKernel:
     """Compile an output expression that may mix aggregates and scalars
-    into a ``group_rows -> value`` closure.
+    into a kernel answering with one value per group; *keys* are the
+    statement's compiled GROUP BY keys.
 
     Scalar sub-expressions are evaluated on the group's first row (legal
-    because translators only put group-by expressions outside aggregates).
+    because translators only put group-by expressions outside aggregates)
+    — which, for a column that is itself a GROUP BY key, is the group's
+    key value, already at hand.
     """
     if isinstance(expr, FuncCall) and expr.is_aggregate:
         return _compile_aggregate_call(expr, binding)
     if isinstance(expr, BinaryOp) and expr.contains_aggregate():
         if expr.op.upper() in ("AND", "OR"):
             return _raising_group("boolean aggregates are not supported")
-        return _binary_closure(
-            expr.op,
-            compile_aggregate(expr.left, binding),
-            compile_aggregate(expr.right, binding),
+        left = compile_aggregate(expr.left, binding, keys)
+        right = compile_aggregate(expr.right, binding, keys)
+        combine = _binary_closure(
+            expr.op, operator.itemgetter(0), operator.itemgetter(1)
         )
-    scalar = compile_scalar(expr, binding)
+        return GroupKernel(
+            left.slots + right.slots,
+            lambda columns, grouping: list(
+                map(combine, zip(left(columns, grouping), right(columns, grouping)))
+            ),
+        )
+    scalar = compile_kernel(expr, binding)
+    for part, key in enumerate(keys):
+        if scalar.column is not None and key.column == scalar.column:
+            return GroupKernel(
+                scalar.slots,
+                lambda columns, grouping: grouping.key_part(part, len(keys)),
+            )
 
-    def first_row(rows: Sequence[Sequence[Any]]) -> Any:
-        if not rows:
-            return None
-        return scalar(rows[0])
+    def first_row(columns: Columns, grouping: Grouping) -> Vector:
+        if not grouping.rows:
+            return [None] * grouping.size  # the one group of an empty input
+        return scalar(columns, grouping.firsts())
 
-    return first_row
+    return GroupKernel(scalar.slots, first_row)

@@ -13,10 +13,17 @@ covered the first *n* rows under the same epoch catches up over
 a consumer may already have covered and therefore bump ``epoch``, which
 tells every consumer to start over.  All mutation goes through these
 methods: :attr:`Table.rows` is handed out for reading only.
+
+The executor reads a table by column (:meth:`Table.columns`).  The
+vectors behind that are derived from the rows like everything else and
+kept by the same rule: built on first use, per column a statement
+references; extended in place, under the table's lock, when the table
+only gained rows; dropped when the epoch moved.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateKeyError, IntegrityError, SchemaError
@@ -36,6 +43,11 @@ class Table:
         self._key_indices = tuple(schema.column_index(col) for col in schema.primary_key)
         self._key_set: Dict[Row, int] = {}
         self._epoch = 0
+        # column index -> that column of the first len(vector) rows, as
+        # of _vector_epoch; guarded by _vector_lock
+        self._vectors: Dict[int, List[Any]] = {}
+        self._vector_epoch = 0
+        self._vector_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -159,6 +171,36 @@ class Table:
         if position is None:
             return None
         return self._rows[position]
+
+    def column(self, index: int) -> List[Any]:
+        """The live vector of column *index*: one value per row, in row
+        order, covering at least the rows the table held when called.
+        **Read-only**, and it may grow under a reader: cut it to a row
+        count (as :meth:`columns` does) before relying on its length."""
+        with self._vector_lock:
+            epoch, rows = self.version
+            if epoch != self._vector_epoch:
+                self._vectors = {}
+                self._vector_epoch = epoch
+            vector = self._vectors.get(index)
+            if vector is None:
+                vector = self._vectors[index] = []
+            if len(vector) < rows:
+                vector.extend([row[index] for row in self._rows[len(vector):rows]])
+            return vector
+
+    def columns(
+        self, indexes: Sequence[int], positions: Optional[Sequence[int]] = None
+    ) -> List[List[Any]]:
+        """The columns at *indexes* as lists of one length: of every
+        row the table holds now, or of the rows at *positions* (which
+        come from an index, a handful at a time — read off the rows)."""
+        if positions is not None:
+            rows = self._rows
+            picked = [rows[position] for position in positions]
+            return [[row[index] for row in picked] for index in indexes]
+        count = len(self._rows)
+        return [self.column(index)[:count] for index in indexes]
 
     def column_values(self, column: str) -> List[Any]:
         """All values of *column* in row order (including duplicates/NULLs)."""

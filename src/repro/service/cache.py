@@ -125,12 +125,12 @@ class ResultCache:
             value = compute()
         except BaseException as exc:
             with self._lock:
-                self._flights.pop(key, None)
+                self._land(key, flight)
             flight.error = exc
             flight.done.set()
             raise
         with self._lock:
-            self._flights.pop(key, None)
+            self._land(key, flight)
             if self.ttl_s > 0 and self._invalidations == epoch:
                 self._store(key, value)
         flight.value = value
@@ -149,6 +149,13 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Bookkeeping (callers hold the lock)
     # ------------------------------------------------------------------
+    def _land(self, key: Hashable, flight: _Flight) -> None:
+        """Stop offering the leader's own *flight* to new requests (an
+        invalidation may already have, and a later leader may own the
+        key by now)."""
+        if self._flights.get(key) is flight:
+            del self._flights[key]
+
     def _fresh_entry(self, key: Hashable) -> Optional[Tuple[float, Any]]:
         entry = self._entries.get(key)
         if entry is None:
@@ -171,22 +178,26 @@ class ResultCache:
     def invalidate(self, predicate: Optional[Callable[[Hashable], bool]] = None) -> int:
         """Drop every entry (or those whose key matches *predicate*).
 
-        Returns the number of entries dropped.  In-flight computations
-        still deliver their value to waiting followers, but the epoch
-        guard in :meth:`get_or_compute` prevents a value computed before
-        the invalidation from being *stored* after it.
+        Returns the number of entries dropped.  The in-flight
+        computations it covers are detached: they still deliver their
+        value to the followers already waiting, but a request admitted
+        from now on starts its own flight instead of joining one that
+        began before the invalidation, and the epoch guard in
+        :meth:`get_or_compute` prevents a value computed before the
+        invalidation from being *stored* after it.
         """
         with self._lock:
-            if predicate is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                doomed = [key for key in self._entries if predicate(key)]
-                for key in doomed:
-                    del self._entries[key]
-                dropped = len(doomed)
+            doomed = [
+                key for key in self._entries if predicate is None or predicate(key)
+            ]
+            for key in doomed:
+                del self._entries[key]
+            for key in [
+                key for key in self._flights if predicate is None or predicate(key)
+            ]:
+                del self._flights[key]
             self._invalidations += 1
-            return dropped
+            return len(doomed)
 
     def __len__(self) -> int:
         with self._lock:

@@ -5,12 +5,13 @@
 by every heap and index file — and exposes it as a
 :class:`DiskDatabase`, a duck-typed stand-in for
 :class:`~repro.relational.database.Database` implementing exactly the
-surface :class:`~repro.relational.executor.Executor` and
+surface :class:`~repro.relational.executor.Executor` and the operators of
 :class:`~repro.relational.plan.CompiledPlan` consume:
 
-* ``schema`` / ``table(name)`` → :class:`DiskTable`, whose ``rows`` is a
-  lazy page-at-a-time sequence (:class:`~repro.storage.heap.HeapRows`)
-  and whose ``version`` is the source table's version as of the last
+* ``schema`` / ``table(name)`` → :class:`DiskTable`, whose
+  ``columns(indexes[, positions])`` decodes only the minipages a scan
+  names, whose ``rows`` is a lazy page-at-a-time sequence
+  (:class:`~repro.storage.heap.HeapRows`) and whose ``version`` is the source table's version as of the last
   rebuild or append, so the executor's plan cache, ``IndexLookup`` memos
   and statistics follow a write exactly as they do in memory;
 * ``versions(names)`` — those versions, in order;
@@ -266,6 +267,12 @@ class DiskTable:
     @property
     def rows(self) -> HeapRows:
         return self._heap.rows
+
+    def columns(
+        self, indexes: Sequence[int], positions: Optional[Sequence[int]] = None
+    ) -> List[List[Any]]:
+        """What the executor's scans read (:meth:`HeapFile.columns`)."""
+        return self._heap.columns(indexes, positions)
 
     @property
     def version(self) -> Tuple[int, int]:

@@ -5,38 +5,42 @@ grown in place when its table is appended to (:meth:`HeapFile.append`);
 an update or delete has no in-place path and rebuilds it.  Both writers
 pack pages with the same :func:`_pack`, so an appended file is byte for
 byte the file a rebuild would write.  The unit of work on the read path
-is the page: :meth:`HeapFile._page_rows` pins a frame, decodes the whole
-page once (:func:`~repro.storage.page.decode_page`) and leaves the
-decoded rows **on the frame**, so they live exactly as long as the page
-is resident — the pool's page budget bounds decoded data too, and there
-is no second cache.  The rows are exposed as :class:`HeapRows`, a lazy
-sequence:
+is one column of one page: :meth:`HeapFile._page` pins a frame, decodes
+**only the columns asked for** (:func:`~repro.storage.page.
+decode_columns` walks past the other minipages by their length bytes)
+and leaves them **on the frame**, so they live exactly as long as the page is resident —
+the pool's page budget bounds decoded data too, and there is no second
+cache.  A column another statement asks for later is decoded then, into
+the same frame.
 
-* ``rows[pos]`` — a point read; binary-searches the per-page row counts
-  for the owning page and indexes its decoded rows;
-* ``rows.rows_at(sorted_positions)`` — the access pattern index-backed
-  scans use: the positions are walked page by page, so each page
+* ``heap.columns(indexes)`` — what a sequential scan calls: the named
+  columns of every row as plain lists, one page pinned at a time;
+* ``heap.columns(indexes, sorted_positions)`` — what an index-started
+  scan calls: the positions are walked page by page, so each page
   touched is searched for, pinned and decoded once however many of its
   rows are wanted;
-* ``iter(rows)`` / ``list(rows)`` — a sequential scan, one page's rows
-  at a time;
-* ``len(rows)`` — from the per-page row counts, no I/O.
+* ``heap.row(pos)`` / ``heap.scan()`` and the lazy :class:`HeapRows`
+  sequence over them — whole rows, for everything that is not the
+  executor (statistics, index fallbacks, tests): a point read
+  binary-searches the per-page row counts and builds the one tuple, a
+  scan zips one page's columns at a time;
+* ``len(heap)`` — from the per-page row counts, no I/O.
 
 Row *positions* are the same dense 0..n-1 insertion-order positions the
 in-memory indexes use, so position sets computed by the disk indexes
-plug straight into :class:`~repro.relational.plan.CompiledPlan`'s
-index-scan machinery.
+plug straight into the executor's index-scan machinery
+(:class:`~repro.relational.scan.TableScan`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
-from typing import Any, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.schema import RelationSchema
-from repro.storage.page import PageFill, decode_page, encode_page
+from repro.storage.page import PageFill, decode_columns, encode_page
 from repro.storage.pager import BufferPool, Pager
 
 __all__ = ["HeapFile", "HeapRows", "build_heap"]
@@ -113,23 +117,38 @@ class HeapFile:
     def rows(self) -> "HeapRows":
         return HeapRows(self)
 
-    def _page_rows(self, page_no: int) -> List[Row]:
-        """The decoded rows of one page, cached on its frame."""
+    def _page(self, page_no: int, indexes: Sequence[int]) -> List[List[Any]]:
+        """The columns *indexes* of one page, each decoded at most once
+        while the page stays resident: the frame keeps ``{column index:
+        values}``."""
         frame = self.pool.pin(self.file_id, page_no)
         try:
-            rows = frame.decoded
-            if rows is None:
-                rows = decode_page(frame.data, self.schema)
-                if len(rows) != self.page_counts[page_no]:
+            decoded = frame.decoded
+            if decoded is None:
+                decoded = frame.decoded = {}
+            missing = [index for index in indexes if index not in decoded]
+            if missing or not decoded:
+                rows, columns = decode_columns(frame.data, self.schema, missing)
+                if rows != self.page_counts[page_no]:
                     raise StorageError(
                         f"{self.schema.name}: page {page_no} holds "
-                        f"{len(rows)} rows, manifest says "
+                        f"{rows} rows, manifest says "
                         f"{self.page_counts[page_no]}"
                     )
-                frame.decoded = rows
+                decoded.update(columns)
+            return [decoded[index] for index in indexes]
         finally:
             self.pool.unpin(frame)
-        return rows
+
+    def _page_rows(self, page_no: int) -> Iterator[Row]:
+        return zip(*self._page(page_no, range(len(self.schema.columns))))
+
+    def _locate(self, position: int) -> Tuple[int, int, int]:
+        """``(page, its first position, the first position beyond it)``
+        for the page owning dense *position*."""
+        page_no = bisect_right(self._cumulative, position)
+        first = self._cumulative[page_no - 1] if page_no else 0
+        return page_no, first, self._cumulative[page_no]
 
     def row(self, position: int) -> Row:
         """The row at dense *position* (one page pin)."""
@@ -138,17 +157,24 @@ class HeapFile:
                 f"{self.schema.name}: row position {position} out of range "
                 f"(0..{self.row_count - 1})"
             )
-        page_no = bisect_right(self._cumulative, position)
-        first = self._cumulative[page_no - 1] if page_no else 0
-        return self._page_rows(page_no)[position - first]
+        page_no, first, _ = self._locate(position)
+        page = self._page(page_no, range(len(self.schema.columns)))
+        return tuple(column[position - first] for column in page)
 
-    def rows_at(self, positions: Sequence[int]) -> List[Row]:
-        """The rows at ascending *positions*, each owning page pinned once.
-
-        What an index-started scan calls with its sorted candidate
-        positions: one bisect and one :meth:`_page_rows` per page
-        touched, where ``row()`` would pay both per row."""
-        out: List[Row] = []
+    def columns(
+        self, indexes: Sequence[int], positions: Optional[Sequence[int]] = None
+    ) -> List[List[Any]]:
+        """The columns at *indexes* as lists of one length: of every
+        row, or of the rows at ascending *positions* — each owning page
+        pinned once, and only the named minipages decoded."""
+        out: List[List[Any]] = [[] for _ in indexes]
+        if not out:
+            return out
+        if positions is None:
+            for page_no in range(self.page_count):
+                for vector, column in zip(out, self._page(page_no, indexes)):
+                    vector += column
+            return out
         if not positions:
             return out
         if positions[0] < 0 or positions[-1] >= self.row_count:
@@ -156,15 +182,14 @@ class HeapFile:
                 f"{self.schema.name}: row positions {positions[0]}.."
                 f"{positions[-1]} out of range (0..{self.row_count - 1})"
             )
-        cumulative = self._cumulative
-        end = 0  # first position beyond the current page
-        for position in positions:
-            if position >= end:
-                page_no = bisect_right(cumulative, position)
-                first = cumulative[page_no - 1] if page_no else 0
-                end = cumulative[page_no]
-                page = self._page_rows(page_no)
-            out.append(page[position - first])
+        start = 0
+        while start < len(positions):
+            page_no, first, end = self._locate(positions[start])
+            stop = bisect_left(positions, end, start)
+            offsets = [position - first for position in positions[start:stop]]
+            for vector, column in zip(out, self._page(page_no, indexes)):
+                vector += map(column.__getitem__, offsets)
+            start = stop
         return out
 
     def append(self, rows: Iterable[Sequence[Any]]) -> None:
@@ -209,9 +234,10 @@ class HeapFile:
 class HeapRows(Sequence[Row]):
     """Lazy sequence view over a heap file's rows.
 
-    Satisfies the access patterns of the executor and
-    :class:`~repro.relational.plan.CompiledPlan` (``len``, integer
-    indexing, iteration) without ever materializing the relation."""
+    Satisfies the access patterns of everything that reads a table row
+    by row (``len``, integer indexing, iteration) without ever
+    materializing the relation; the executor reads columns
+    (:meth:`HeapFile.columns`) instead."""
 
     __slots__ = ("_heap",)
 
@@ -233,11 +259,6 @@ class HeapRows(Sequence[Row]):
 
     def __iter__(self) -> Iterator[Row]:
         return self._heap.scan()
-
-    def rows_at(self, positions: Sequence[int]) -> List[Row]:
-        """Rows at ascending *positions*, page by page
-        (:meth:`HeapFile.rows_at`)."""
-        return self._heap.rows_at(positions)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HeapRows({self._heap.schema.name!r}, n={len(self)})"

@@ -43,14 +43,21 @@ encodes.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from itertools import accumulate
-from typing import Any, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.errors import StorageError
 from repro.relational.schema import RelationSchema
 from repro.relational.types import DataType
 
-__all__ = ["MAX_PAGE_SIZE", "PageFill", "decode_page", "encode_page"]
+__all__ = [
+    "MAX_PAGE_SIZE",
+    "PageFill",
+    "decode_columns",
+    "decode_page",
+    "encode_page",
+]
 
 Row = Tuple[Any, ...]
 
@@ -71,6 +78,8 @@ _FILLER = {_INT: 0, _FLOAT: 0.0, _BOOL: False, _TEXT: ""}
 #: INT width code of the decimal-string escape
 _WIDE = 0
 _INT_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
+#: struct code and bytes per value of the fixed-width kinds
+_FIXED = {_FLOAT: ("d", 8), _BOOL: ("?", 1)}
 #: width -> (lowest, highest), narrowest first
 _INT_BOUNDS = {
     width: (-(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1)
@@ -80,6 +89,7 @@ _INT_BOUNDS = {
 _NO_BOUNDS = (1, 0)
 
 
+@lru_cache(maxsize=256)  # asked once per page decoded
 def _kinds(schema: RelationSchema) -> Tuple[int, ...]:
     return tuple(_KIND[column.dtype] for column in schema.columns)
 
@@ -269,15 +279,34 @@ def _unpack_text(data: bytearray, offset: int, n: int) -> Tuple[List[str], int]:
     return values, offset + total
 
 
-def decode_page(data: bytearray, schema: RelationSchema) -> List[Row]:
-    """All rows of one page produced by :func:`encode_page`."""
+def _text_end(data: bytearray, offset: int, n: int) -> int:
+    """The offset just past a text layout of *n* strings at *offset*,
+    from its last end offset alone."""
+    offset += 2 * n
+    total = struct.unpack_from("<H", data, offset - 2)[0] if n else 0
+    if offset + total > len(data):
+        raise StorageError(
+            f"text offsets run {offset + total - len(data)} bytes past the page"
+        )
+    return offset + total
+
+
+def decode_columns(
+    data: bytearray, schema: RelationSchema, indexes: Sequence[int]
+) -> Tuple[int, Dict[int, List[Any]]]:
+    """``(row count, {index: values})`` for the columns at *indexes* of
+    one page produced by :func:`encode_page`.  The other minipages are
+    walked past by their length bytes, nothing of them decoded; the page
+    as a whole is checked either way — known flags and width codes,
+    minipages that end where the header says the used bytes do."""
     try:
         n, used = _HEADER.unpack_from(data, 0)
         if used > len(data):
             raise StorageError(f"{used} used bytes in a {len(data)}-byte page")
         offset = _HEADER.size
-        columns = []
-        for kind in _kinds(schema):
+        columns: Dict[int, List[Any]] = {}
+        for index, kind in enumerate(_kinds(schema)):
+            wanted = index in indexes
             flag = data[offset]
             offset += 1
             if flag == 1:
@@ -286,31 +315,31 @@ def decode_page(data: bytearray, schema: RelationSchema) -> List[Row]:
                 offset += size
             elif flag:
                 raise StorageError(f"unknown null flag {flag}")
+            values: Sequence[Any] = ()
+            code, size = _FIXED.get(kind, ("", 0))  # text layout: no fixed size
             if kind == _INT:
-                width = data[offset]
+                size = data[offset]
                 offset += 1
-                if width == _WIDE:
-                    digits, offset = _unpack_text(data, offset, n)
-                    values = [int(text) for text in digits]
-                elif width in _INT_FORMAT:
-                    values = struct.unpack_from(f"<{n}{_INT_FORMAT[width]}", data, offset)
-                    offset += width * n
+                if size != _WIDE and size not in _INT_FORMAT:
+                    raise StorageError(f"unknown integer width code {size}")
+                code = _INT_FORMAT.get(size, "")
+            if not size:
+                if wanted:
+                    values, offset = _unpack_text(data, offset, n)
+                    if kind == _INT:
+                        values = [int(text) for text in values]
                 else:
-                    raise StorageError(f"unknown integer width code {width}")
-            elif kind == _FLOAT:
-                values = struct.unpack_from(f"<{n}d", data, offset)
-                offset += 8 * n
-            elif kind == _BOOL:
-                values = struct.unpack_from(f"<{n}?", data, offset)
-                offset += n
+                    offset = _text_end(data, offset, n)
             else:
-                values, offset = _unpack_text(data, offset, n)
-            if flag:
+                if wanted:
+                    values = struct.unpack_from(f"<{n}{code}", data, offset)
+                offset += size * n
+            if wanted and flag:
                 values = [
-                    None if mask >> i & 1 else value
-                    for i, value in enumerate(values)
+                    None if mask >> i & 1 else value for i, value in enumerate(values)
                 ]
-            columns.append(values)
+            if wanted:
+                columns[index] = list(values)
         if offset != used:
             raise StorageError(
                 f"columns end at byte {offset}, header says {used} bytes used"
@@ -318,4 +347,11 @@ def decode_page(data: bytearray, schema: RelationSchema) -> List[Row]:
     # ValueError: undecodable UTF-8 and bad wide-integer digits
     except (IndexError, struct.error, ValueError, StorageError) as exc:
         raise StorageError(f"{schema.name}: corrupt page ({exc})") from exc
-    return list(zip(*columns))
+    return n, columns
+
+
+def decode_page(data: bytearray, schema: RelationSchema) -> List[Row]:
+    """All rows of one page produced by :func:`encode_page`."""
+    width = len(schema.columns)
+    columns = decode_columns(data, schema, range(width))[1]
+    return list(zip(*[columns[index] for index in range(width)]))

@@ -8,12 +8,9 @@ from repro.analysis.diagnostics import Severity
 from repro.analysis.plan_analyzers import analyze_plan
 from repro.datasets import university_database
 from repro.relational.executor import Executor
-from repro.relational.plan import (
-    CompiledPlan,
-    IndexLookup,
-    _KeySource,
-    _TableScan,
-)
+from repro.relational.join import KeySource
+from repro.relational.plan import CompiledPlan
+from repro.relational.scan import IndexLookup, TableScan
 from repro.sql.ast import ColumnRef, eq
 from repro.sql.parser import parse
 
@@ -39,7 +36,7 @@ def plan_for(executor, sql):
 
 
 def table_scans(plan):
-    return [scan for scan in plan.scans if isinstance(scan, _TableScan)]
+    return [scan for scan in plan.scans if isinstance(scan, TableScan)]
 
 
 def codes(diagnostics):
@@ -204,7 +201,7 @@ class TestKeyPassingSoundness:
     def test_sound_plans_are_clean(self, cost_executor):
         plan = plan_for(cost_executor, KEYED_SQL)
         assert plan.key_sources["E"] == [
-            _KeySource("Sid", ColumnRef("Sid", "S"), "S")
+            KeySource("Sid", ColumnRef("Sid", "S"), "S")
         ]
         elided = plan_for(cost_executor, "SELECT DISTINCT Sid, Code, Grade FROM Enrol")
         assert elided.distinct_elided_key == ("Sid", "Code")
@@ -250,7 +247,7 @@ class TestKeyPassingSoundness:
             cost_executor, "SELECT C.Credit AS Credit, Code FROM Course C"
         )
         assert plan.key_sources["E"] == [
-            _KeySource("Credit", ColumnRef("Age", "S"), "S")
+            KeySource("Credit", ColumnRef("Age", "S"), "S")
         ]
         assert "S024" not in codes(analyze_plan(plan))
 
@@ -266,7 +263,7 @@ class TestKeyPassingSoundness:
         plan = self._credit_join(cost_executor, inner)
         assert plan.key_sources == {}
         plan.key_sources = {
-            "E": [_KeySource("Credit", ColumnRef("Age", "S"), "S")]
+            "E": [KeySource("Credit", ColumnRef("Age", "S"), "S")]
         }
         found = [d for d in analyze_plan(plan) if d.code == "S024"]
         assert len(found) == 1 and "not a plain copy" in found[0].message
@@ -274,6 +271,6 @@ class TestKeyPassingSoundness:
     def test_s024_type_class_mismatch(self, database):
         # a private executor: the shared one caches the plan mutated here
         plan = plan_for(Executor(database), KEYED_SQL)
-        plan.key_sources = {"E": [_KeySource("Sid", ColumnRef("Age", "S"), "S")]}
+        plan.key_sources = {"E": [KeySource("Sid", ColumnRef("Age", "S"), "S")]}
         found = [d for d in analyze_plan(plan) if d.code == "S024"]
         assert len(found) == 1 and "come from S.Age" in found[0].message

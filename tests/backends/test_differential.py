@@ -9,11 +9,14 @@ multiset on the in-memory engine and on real SQLite.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
+import os
 
 import pytest
 
-from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends import MemoryBackend, SqliteBackend, create_backend
 from repro.backends.differential import (
     DIFF_DATASETS,
     DiffReport,
@@ -33,6 +36,39 @@ def test_workload_agrees_on_both_backends(dataset):
     report = diff_dataset(dataset)
     assert report.statements > 0
     assert report.ok, "\n".join(m.render() for m in report.mismatches)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("dataset", DIFF_DATASETS)
+def test_rows_and_their_order_equal_the_recorded_ones(dataset):
+    """``golden_rows.json`` holds, per statement of the sweep, a digest
+    of its SQL and of ``(columns, rows)`` as the row-tuple executor
+    before the column operators produced them, identical on memory and
+    disk.  Row *order* is not part of any backend's contract (the
+    differential compares multisets); it is pinned here so that a change
+    to the executor that reorders groups or join output is a decision,
+    not an accident."""
+    path = os.path.join(os.path.dirname(__file__), "golden_rows.json")
+    with open(path, encoding="utf-8") as handle:
+        recorded = json.load(handle)[dataset]
+    database, statements = collect_statements(dataset)
+    assert [
+        [qid, source, _digest(render(select))] for qid, source, select in statements
+    ] == [entry[:3] for entry in recorded]
+    backends = [create_backend(name, database) for name in ("memory", "disk")]
+    try:
+        for (qid, _, select), entry in zip(statements, recorded):
+            for backend in backends:
+                result = backend.execute(select)
+                assert _digest(repr((result.columns, result.rows))) == entry[3], (
+                    backend.name, qid, render(select)
+                )
+    finally:
+        for backend in backends:
+            backend.close()
 
 
 def test_unnormalized_statements_are_rewritten_sql(tpch_unnorm):

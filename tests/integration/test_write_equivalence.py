@@ -132,8 +132,21 @@ def test_memory_indexes_and_profile_equal_from_scratch(writes):
     kept = (db.hash_index("T", ("name",)), db.numeric_index, db.text_index)
     catalog.profile("T")
     table = db.table("T")
+    width = len(table.schema.columns)
+    table.column(1)  # built before the writes, maintained through them
     for write in writes:
         writer.apply(write)
+        # the column vectors the executor scans: maintained ones and
+        # ones first asked for now, whole and at positions
+        for index in range(width):
+            assert table.column(index) == [row[index] for row in table.rows]
+        assert table.columns(range(width)) == [list(c) for c in zip(*table.rows)] or (
+            not table.rows and table.columns(range(width)) == [[]] * width
+        )
+        odd = list(range(1, len(table.rows), 2))
+        assert table.columns([3, 1], odd) == [
+            [table.rows[pos][index] for pos in odd] for index in (3, 1)
+        ]
         by_name = db.hash_index("T", ("name",))
         # maintained, never replaced
         assert (by_name, db.numeric_index, db.text_index) == kept
@@ -188,6 +201,8 @@ def assert_same_structures(kept, scratch, db):
         rows = db.table(name).rows
         assert list(kept.heap(name).rows) == list(scratch.heap(name).rows) == rows
         assert kept.heap(name).page_counts == scratch.heap(name).page_counts
+        for index in range(len(relation.columns)):
+            assert kept.heap(name).columns([index]) == [[row[index] for row in rows]]
         with open(os.path.join(kept.directory, f"{name}.heap"), "rb") as left, open(
             os.path.join(scratch.directory, f"{name}.heap"), "rb"
         ) as right:

@@ -13,14 +13,13 @@ import time
 import pytest
 
 from repro.cancellation import (
-    CHECK_STRIDE,
     NULL_TOKEN,
     CancellationToken,
     cancellation_scope,
     current_token,
 )
 from repro.errors import DeadlineExceededError
-from repro.relational.algebra import Rowset, cross_join, hash_join
+from repro.relational.algebra import Grouping, cross_join, hash_join
 from repro.relational.database import Database
 from repro.relational.executor import Executor
 from repro.relational.schema import DatabaseSchema
@@ -98,34 +97,45 @@ class TestCancellationScope:
 
 
 class TestOperatorCheckpoints:
-    """Cancelled tokens abort the row loops at their strides."""
+    """Cancelled tokens abort the kernels: on entry, and per outer row of
+    a cross join."""
 
     def test_cross_join_aborts(self):
-        side = Rowset.from_labels([("L", "a")], [(i,) for i in range(256)])
-        other = Rowset.from_labels([("R", "b")], [(i,) for i in range(256)])
         token = CancellationToken()
         token.cancel()
         with cancellation_scope(token):
             with pytest.raises(DeadlineExceededError):
-                cross_join(side, other)
+                cross_join([list(range(256))], [list(range(256))], 256, 256)
+
+    def test_cross_join_polls_every_outer_row(self):
+        checks = []
+
+        class Counting(CancellationToken):
+            def check(self) -> None:
+                checks.append(1)
+
+        with cancellation_scope(Counting()):
+            cross_join([list(range(37))], [], 37, 5)
+        assert len(checks) == 37
 
     def test_hash_join_aborts(self):
-        left = Rowset.from_labels(
-            [("L", "k")], [(i,) for i in range(CHECK_STRIDE * 2)]
-        )
-        right = Rowset.from_labels(
-            [("R", "k")], [(i,) for i in range(CHECK_STRIDE * 2)]
-        )
+        keys = list(range(2048))
         token = CancellationToken()
         token.cancel()
         with cancellation_scope(token):
             with pytest.raises(DeadlineExceededError):
-                hash_join(left, right, [0], [0])
+                hash_join([keys], [keys])
+
+    def test_grouping_aborts(self):
+        token = CancellationToken()
+        token.cancel()
+        with cancellation_scope(token):
+            with pytest.raises(DeadlineExceededError):
+                Grouping([1, 2, 1], 3)
 
     def test_operators_unaffected_without_scope(self):
-        left = Rowset.from_labels([("L", "k")], [(1,), (2,)])
-        right = Rowset.from_labels([("R", "k")], [(2,), (3,)])
-        assert len(hash_join(left, right, [0], [0])) == 1
+        left_positions, right_positions = hash_join([[1, 2]], [[2, 3]])
+        assert (left_positions, right_positions) == ([1], [0])
 
 
 def explosive_database(rows: int = 150) -> Database:
@@ -137,9 +147,12 @@ def explosive_database(rows: int = 150) -> Database:
     return database
 
 
-# rows=150 -> 3.4M output tuples: several hundred ms of join work, so a
-# 50 ms deadline must fire at a checkpoint long before completion
-SLOW_SQL = "SELECT COUNT(*) FROM T A, T B, T C"
+# rows=150 -> 3.4M joined rows, built an outer row at a time for each of
+# the three columns the statement reads: well over a hundred ms of join
+# work, so a 50 ms deadline must fire at a checkpoint long before
+# completion.  (COUNT(*) alone would read no column and multiply two
+# integers.)
+SLOW_SQL = "SELECT COUNT(A.id) + COUNT(B.id) + COUNT(C.id) FROM T A, T B, T C"
 DEADLINE_S = 0.05
 
 
@@ -181,4 +194,4 @@ class TestMidQueryDeadline:
     def test_execution_unaffected_outside_scope(self):
         database = explosive_database(rows=20)
         executor = Executor(database)
-        assert executor.execute(SLOW_SQL).scalar() == 20**3
+        assert executor.execute(SLOW_SQL).scalar() == 3 * 20**3

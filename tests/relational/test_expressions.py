@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import SqlExecutionError
+from repro.relational.algebra import Grouping
 from repro.relational.expressions import (
     Binding,
+    Columns,
     compile_aggregate,
+    compile_kernel,
     compile_scalar,
 )
 from repro.sql.ast import (
@@ -28,12 +31,26 @@ def binding() -> Binding:
 ROW = ("s1", "Green", 24)
 
 
+def as_columns(rows, binding) -> Columns:
+    """Row tuples as the column vectors the operators pass around."""
+    return Columns(
+        len(rows), {slot: [row[slot] for row in rows] for slot in range(len(binding))}
+    )
+
+
 def evaluate(expr, row, binding):
-    return compile_scalar(expr, binding)(row)
+    value = compile_scalar(expr, binding)(row)
+    # the column kernel of the same expression agrees, row for row
+    assert compile_kernel(expr, binding)(as_columns([row, row], binding)) == [value] * 2
+    return value
 
 
 def evaluate_group(expr, rows, binding):
-    return compile_aggregate(expr, binding)(rows)
+    """*expr* over *rows* as the one group of a statement without GROUP BY."""
+    (value,) = compile_aggregate(expr, binding)(
+        as_columns(rows, binding), Grouping(None, len(rows))
+    )
+    return value
 
 
 class TestBinding:

@@ -181,16 +181,16 @@ class TestKeyFilter:
             "Item I WHERE F.ref = I.ref AND I.id = 3"
         )
         touched = []
-        original = HeapFile._page_rows
+        original = HeapFile._page
 
-        def recording(self, page_no):
+        def recording(self, page_no, indexes):
             touched.append(self.schema.name)
-            return original(self, page_no)
+            return original(self, page_no, indexes)
 
         backend = create_backend("disk", db, pool_capacity=8)
         try:
             backend.execute(parse(sql))  # plan, statistics, indexes warm
-            monkeypatch.setattr(HeapFile, "_page_rows", recording)
+            monkeypatch.setattr(HeapFile, "_page", recording)
             assert backend.execute(parse(sql)).rows == [(0,)]
         finally:
             backend.close()
@@ -359,17 +359,18 @@ class TestDeadline:
         schema.add_relation("T", [("id", INT)], ["id"])
         database = Database(schema)
         database.load("T", [(i,) for i in range(150)])
-        # the derived table's own triple cross join (3.4M rows) runs when
-        # the step D ⋈ S does; 150 keys over 150 rows are not worth a probe
+        # the derived table's own triple cross join (3.4M rows of the
+        # three columns its parent reads) runs when the step D ⋈ S does;
+        # 150 keys over 150 rows are not worth a probe
         sql = (
-            "SELECT COUNT(*) FROM (SELECT A.id AS id FROM T A, T B, T C) D, T S "
-            "WHERE D.id = S.id"
+            "SELECT COUNT(D.b) + COUNT(D.c) FROM (SELECT A.id AS id, B.id AS b, "
+            "C.id AS c FROM T A, T B, T C) D, T S WHERE D.id = S.id"
         )
         executor = Executor(database)
         plan = executor.plan_for(parse(sql))
         assert plan.deferred == {"D"}
         started = time.perf_counter()
-        assert plan.execute().scalar() == 150**3
+        assert plan.execute().scalar() == 2 * 150**3
         full = time.perf_counter() - started
         if full < 0.15:
             pytest.skip(f"machine too fast for a meaningful abort ({full:.3f}s)")
@@ -424,28 +425,53 @@ class TestDistinctElision:
 
 # ----------------------------------------------------------------------
 # Property: generated three-table schemas, a DISTINCT projection of the
-# relationship joined to a filtered object table
+# relationship joined to a filtered object table — on its key or on a
+# nullable, repeating column; any table possibly empty; one or two GROUP
+# BY columns; COUNT alone or a mix of aggregates
 # ----------------------------------------------------------------------
 small = st.integers(min_value=0, max_value=6)
 maybe_small = st.one_of(st.none(), small)
 
+#: (select-list aggregates, whether they read the relationship's w)
+AGGREGATES = [
+    ("COUNT(D.b) AS n", False),
+    ("COUNT(*) AS n, SUM(D.w) AS s, MIN(A.v) AS lo", True),
+    (
+        "COUNT(DISTINCT D.b) AS n, AVG(D.w) AS m, MAX(D.w) - MIN(D.w) AS spread",
+        True,
+    ),
+]
+#: (GROUP BY columns, whether they read the relationship's w)
+GROUPS = [("A.id", False), ("A.id, D.w", True), ("A.v, D.b", False)]
+
 
 @st.composite
 def relationship_case(draw):
-    a_rows = draw(st.lists(maybe_small, min_size=1, max_size=8))
-    b_rows = draw(st.lists(maybe_small, min_size=1, max_size=8))
+    a_rows = draw(st.lists(maybe_small, min_size=0, max_size=8))
+    b_rows = draw(st.lists(maybe_small, min_size=0, max_size=8))
     r_rows = draw(
         st.lists(
             st.tuples(maybe_small, maybe_small, small), min_size=0, max_size=60
         )
     )
+    aggregates, aggregates_read_w = draw(st.sampled_from(AGGREGATES))
+    group, group_reads_w = draw(st.sampled_from(GROUPS))
     # which relationship columns the DISTINCT keeps beside the join
     # columns: with rid it covers the key and the DISTINCT is elided
-    extra = draw(st.sampled_from(["", ", w", ", rid", ", rid, w"]))
+    extras = [", w", ", rid, w"]
+    if not (aggregates_read_w or group_reads_w):
+        extras += ["", ", rid"]
+    extra = draw(st.sampled_from(extras))
     literal = draw(small)
     comparison = draw(st.sampled_from(["=", "<", ">="]))
     join_b = draw(st.booleans())
-    return a_rows, b_rows, r_rows, extra, literal, comparison, join_b
+    # A.id is a key; A.v is NULL on some rows and repeats on others, as
+    # D.a is: NULL and duplicate join keys on both sides
+    join_a = draw(st.sampled_from(["A.id", "A.v"]))
+    return (
+        a_rows, b_rows, r_rows, extra, literal, comparison, join_b, join_a,
+        group, aggregates,
+    )
 
 
 def relationship_database(a_rows, b_rows, r_rows) -> Database:
@@ -462,17 +488,22 @@ def relationship_database(a_rows, b_rows, r_rows) -> Database:
     return db
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(relationship_case())
 def test_cost_plan_matches_reference_and_sqlite(case):
-    a_rows, b_rows, r_rows, extra, literal, comparison, join_b = case
+    (
+        a_rows, b_rows, r_rows, extra, literal, comparison, join_b, join_a,
+        group, aggregates,
+    ) = case
     db = relationship_database(a_rows, b_rows, r_rows)
     froms = f"(SELECT DISTINCT a, b{extra} FROM R) D, A"
-    where = f"D.a = A.id AND A.v {comparison} {literal}"
+    where = f"D.a = {join_a} AND A.v {comparison} {literal}"
     if join_b:
         froms += ", B"
         where += " AND D.b = B.id"
-    sql = f"SELECT A.id, COUNT(D.b) AS n FROM {froms} WHERE {where} GROUP BY A.id"
+    sql = (
+        f"SELECT {group}, {aggregates} FROM {froms} WHERE {where} GROUP BY {group}"
+    )
     select = parse(sql)
     plan = Executor(db).plan_for(select)
     assert "D" in plan.deferred

@@ -211,6 +211,56 @@ class TestResultCache:
         # the stale value must not have been stored with a fresh TTL
         assert cache.get_or_compute("k", lambda: "fresh") == ("fresh", "miss")
 
+    def test_invalidation_detaches_flights_begun_before_it(self):
+        """A request admitted after invalidate() starts its own flight;
+        followers already waiting still get their leader's value, and
+        that leader's landing leaves the newer flight alone."""
+        cache = ResultCache(size=4, ttl_s=0.0, clock=FakeClock())
+        release = {name: threading.Event() for name in ("old", "new")}
+        started = {name: threading.Event() for name in ("old", "new")}
+        results = {}
+
+        def compute(name):
+            started[name].set()
+            release[name].wait(5.0)
+            return name
+
+        def request(label, name):
+            results[label] = cache.get_or_compute("k", lambda: compute(name))
+
+        def spawn(label, name):
+            thread = threading.Thread(
+                target=request, args=(label, name), name=f"t-{label}", daemon=True
+            )
+            thread.start()
+            return thread
+
+        old_leader = spawn("old-leader", "old")
+        assert started["old"].wait(5.0)
+        old_follower = spawn("old-follower", "unused")
+        deadline = time.monotonic() + 5.0
+        while cache._flights["k"].followers < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        cache.invalidate()  # data changed while the old flight was running
+        new_leader = spawn("new-leader", "new")
+        assert started["new"].wait(5.0)  # its own flight, not the old one
+        release["old"].set()
+        old_leader.join(5.0)
+        old_follower.join(5.0)
+        assert results["old-leader"] == ("old", "miss")
+        assert results["old-follower"] == ("old", "coalesced")
+        # the old leader landed; the new flight is still the key's
+        new_follower = spawn("new-follower", "unused")
+        deadline = time.monotonic() + 5.0
+        while cache._flights["k"].followers < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release["new"].set()
+        new_leader.join(5.0)
+        new_follower.join(5.0)
+        assert results["new-leader"] == ("new", "miss")
+        assert results["new-follower"] == ("new", "coalesced")
+        assert not cache._flights
+
     def test_observe_reports_before_compute_failure(self):
         cache = ResultCache(size=4, ttl_s=10.0, clock=FakeClock())
         seen = []

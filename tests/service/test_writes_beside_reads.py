@@ -14,10 +14,17 @@ valid in ``table.rows``.
 
 (Updates and deletes move rows under positions a running reader may
 hold, so they need that table's readers quiesced; they are not part of
-this test.  Nor is the lower bound asked of a *coalesced* response: a
-request that joins another's single-flight is answered with what that
-flight's leader read, which may be older than the follower's question —
-``ResultCache``'s documented contract, not the data structures'.)
+this test.  A *coalesced* response is answered with what its flight's
+leader read, and ``ResultCache.invalidate`` detaches the flights begun
+before it: so a follower's lower bound is every load whose
+``clear_cache()`` had returned when it asked, not every row the table
+held by then.)
+
+The executor reads tables by column (``Table.columns``), vectors that
+are extended in place under the table's lock while readers cut them to
+one row count: a reader that saw vectors of two lengths would mis-pair
+amounts and priorities, and both statements' answers would leave the
+bounds.
 
 Under ``REPRO_LOCK_SANITIZER=strict`` this doubles as the sanitizer's
 workload for writes: the service's locks are taken on every request
@@ -56,6 +63,7 @@ def test_reads_beside_appends_see_whole_loads():
     done = threading.Event()
     errors = []
     answered = [0] * READERS
+    cleared = [0]  # appended rows whose clear_cache() has returned
 
     def writer() -> None:
         try:
@@ -71,6 +79,7 @@ def test_reads_beside_appends_see_whole_loads():
                     ],
                 )
                 engine.clear_cache()
+                cleared[0] = start + ROWS_PER_LOAD
                 # paced by the readers, so that every load has reads
                 # beside it and after it
                 target = sum(answered) + READERS
@@ -100,6 +109,7 @@ def test_reads_beside_appends_see_whole_loads():
                 query = ("order MAX amount", "COUNT order URGENT")[turn % 2]
                 backend = BACKENDS[(turn // 2) % len(BACKENDS)]
                 turn += 1
+                invalidated = cleared[0]
                 before = len(order.rows) - base
                 response = service.serve(
                     ServiceRequest(query=query, k=1, backend=backend), timeout=60.0
@@ -108,9 +118,23 @@ def test_reads_beside_appends_see_whole_loads():
                 assert response.ok, (query, backend, response.status, response.payload)
                 seen = appended_rows(query, response.payload["best"]["rows"])
                 if response.cache == "coalesced":
-                    before = 0
+                    before = invalidated
                 assert before <= seen <= after, (query, backend, before, seen, after)
                 answered[index] += 1
+        except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    def column_reader() -> None:
+        """What a sequential scan of two columns does, bare: vectors of
+        one length, whose appended values still pair up row for row."""
+        try:
+            while not done.is_set():
+                before = len(order.rows) - base
+                keys, amounts = order.columns([0, 2])
+                assert len(keys) == len(amounts) >= base + before
+                assert [k - 10_000_000 for k in keys[base:]] == [
+                    round(a - FLOOR - 1) for a in amounts[base:]
+                ]
         except BaseException as exc:  # noqa: BLE001 - reported by the main thread
             errors.append(exc)
 
@@ -126,7 +150,8 @@ def test_reads_beside_appends_see_whole_loads():
             storage = engine.get_backend("disk")._engine
             connection = engine.get_backend("sqlite")._conn
             threads = [
-                threading.Thread(target=writer, name="writer", daemon=True)
+                threading.Thread(target=writer, name="writer", daemon=True),
+                threading.Thread(target=column_reader, name="columns", daemon=True),
             ] + [
                 threading.Thread(
                     target=reader, args=(i,), name=f"reader-{i}", daemon=True

@@ -53,7 +53,7 @@ class TestHeapFile:
         with pytest.raises(StorageError):
             heap.row(len(ROWS))
 
-    def test_rows_at_pins_each_page_once(self, tmp_path):
+    def test_columns_at_positions_pin_each_page_once(self, tmp_path):
         heap, page_counts, pool = open_heap(tmp_path, pool_capacity=2)
         assert len(page_counts) >= 4
         # every row of pages 0 and 2, one row of the last page
@@ -64,20 +64,40 @@ class TestHeapFile:
             + [len(ROWS) - 1]
         )
         before = pool.stats["pins"]
-        assert heap.rows_at(positions) == [ROWS[pos] for pos in positions]
+        ids, names = heap.columns([0, 1], positions)
+        assert list(zip(ids, names)) == [ROWS[pos] for pos in positions]
         assert pool.stats["pins"] - before == 3
-        assert heap.rows.rows_at(positions) == [heap.rows[pos] for pos in positions]
+        assert heap.columns([1], positions) == [[heap.rows[pos][1] for pos in positions]]
         assert pool.stats["max_resident"] <= 2
 
-    def test_rows_at_edges(self, tmp_path):
+    def test_columns_at_positions_edges(self, tmp_path):
         heap, _, pool = open_heap(tmp_path)
         before = pool.stats["pins"]
-        assert heap.rows_at([]) == []
+        assert heap.columns([0, 1], []) == [[], []]
+        assert heap.columns([], [3]) == []
         assert pool.stats["pins"] == before
         with pytest.raises(StorageError):
-            heap.rows_at([0, len(ROWS)])
+            heap.columns([0], [0, len(ROWS)])
         with pytest.raises(StorageError):
-            heap.rows_at([-1, 0])
+            heap.columns([0], [-1, 0])
+
+    def test_whole_columns_are_the_projection_of_a_scan(self, tmp_path):
+        heap, _, pool = open_heap(tmp_path, pool_capacity=2)
+        for indexes in ([0], [1], [1, 0], [0, 1], []):
+            assert heap.columns(indexes) == [
+                [row[index] for row in ROWS] for index in indexes
+            ]
+        assert pool.stats["max_resident"] <= 2
+
+    def test_only_the_named_minipages_are_decoded(self, tmp_path):
+        heap, _, pool = open_heap(tmp_path, pool_capacity=4)
+        heap.columns([1], [0])
+        decoded = pool._frames[("T.heap", 0)].decoded
+        assert list(decoded) == [1] and decoded[1][0] == ROWS[0][1]
+        # the other column joins it on the same frame when asked for
+        heap.columns([0], [0])
+        assert pool._frames[("T.heap", 0)].decoded is decoded
+        assert decoded[0] == list(range(heap.page_counts[0]))
 
     def test_scan_respects_small_pool(self, tmp_path):
         heap, _, pool = open_heap(tmp_path, pool_capacity=2)
@@ -86,8 +106,9 @@ class TestHeapFile:
         assert pool.stats["evictions"] > 0
 
     def test_decoded_rows_leave_with_their_frame(self, tmp_path):
-        """Decoded rows are cached on resident frames only, so the pool's
-        page budget bounds them: eviction drops them with the frame."""
+        """Decoded columns are cached on resident frames only, so the
+        pool's page budget bounds them: eviction drops them with the
+        frame."""
         heap, _, pool = open_heap(tmp_path, pool_capacity=2)
         assert heap.page_count > 2 * pool.capacity
         ever_resident = {}
@@ -107,9 +128,12 @@ class TestHeapFile:
         heap, _, pool = open_heap(tmp_path, pool_capacity=4)
         first = heap.row(0)
         frame = pool._frames[("T.heap", 0)]
-        rows = frame.decoded
-        assert heap.row(1) is rows[1] and heap.row(0) is first
-        assert frame.decoded is rows and pool.stats["hits"] == 2
+        decoded = frame.decoded
+        names = decoded[1]
+        assert heap.row(1)[1] is names[1] and heap.row(0) == first
+        assert heap.columns([1], [1]) == [[names[1]]]
+        assert frame.decoded is decoded and decoded[1] is names
+        assert pool.stats["hits"] == 3
 
     def test_row_count_is_checked_against_the_manifest(self, tmp_path):
         """On scans and on point reads alike."""

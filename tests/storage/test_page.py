@@ -145,3 +145,128 @@ class TestManySmallPages:
         rows = [(1, "fits"), (2, "x" * MIN_PAGE_SIZE)]
         with pytest.raises(StorageError, match="does not fit a blank page"):
             build_heap(str(tmp_path / "T.heap"), schema, rows, MIN_PAGE_SIZE)
+
+
+# ----------------------------------------------------------------------
+# Decoding a subset of the columns (what a scan that reads some of a
+# table's columns does)
+# ----------------------------------------------------------------------
+def check_subsets_equal_the_projection(directory, schema, rows, page_size):
+    """Every subset of the columns, decoded alone on a cold pool, equals
+    the projection of the full decode — values and types — whole and at
+    positions, and leaves the other minipages undecoded."""
+    path = str(directory / "T.heap")
+    page_counts = build_heap(path, schema, rows, page_size)
+    width = len(schema.columns)
+    full = [[row[index] for row in rows] for index in range(width)]
+    odd = list(range(1, len(rows), 2))
+    for mask in range(1, 1 << width):
+        indexes = [index for index in range(width) if mask >> index & 1]
+        pager = Pager(path, page_size)
+        try:
+            pool = BufferPool(2)
+            pool.register("T.heap", pager)
+            heap = HeapFile(pool, "T.heap", schema, page_counts)
+            got = heap.columns(indexes)
+            assert got == [full[index] for index in indexes]
+            assert types_of(got) == types_of([full[index] for index in indexes])
+            assert heap.columns(indexes, odd) == [
+                [full[index][position] for position in odd] for index in indexes
+            ]
+            for frame in pool._frames.values():
+                assert sorted(frame.decoded) == indexes
+            assert pool.stats["max_resident"] <= pool.capacity
+        finally:
+            pager.close()
+
+
+class TestColumnSubsets:
+    @settings(max_examples=60, deadline=None)
+    @given(tables(max_columns=4))
+    def test_subsets_at_128_byte_pages(self, tmp_path_factory, table):
+        check_subsets_equal_the_projection(
+            tmp_path_factory.mktemp("subset"), *table, 2 * MIN_PAGE_SIZE
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(tables(max_columns=4))
+    def test_subsets_at_4k_pages(self, tmp_path_factory, table):
+        check_subsets_equal_the_projection(
+            tmp_path_factory.mktemp("subset"), *table, 4096
+        )
+
+    def test_wide_integers_and_null_masks_beside_skipped_columns(self, tmp_path):
+        schema = relation([DataType.INT, DataType.TEXT, DataType.INT, DataType.FLOAT])
+        rows = [
+            (1 << 70, "a", None, 1.5),
+            (None, None, 3, None),
+            (-(1 << 65), "héllo", -(1 << 40), -0.0),
+        ] * 4
+        for page_size in (2 * MIN_PAGE_SIZE, 4096):
+            directory = tmp_path / str(page_size)
+            directory.mkdir()
+            check_subsets_equal_the_projection(directory, schema, rows, page_size)
+
+
+class TestDamageInASkippedMinipage:
+    """A scan that reads only the last column walks past the others by
+    their length bytes; damage there must still surface."""
+
+    SCHEMA = relation([DataType.INT, DataType.TEXT, DataType.INT])
+    ROWS = [(1, "ab", 10), (None, "c", 20), (3, "", 30)]
+
+    def read_last_column(self, tmp_path, damage):
+        path = str(tmp_path / "T.heap")
+        page_counts = build_heap(path, self.SCHEMA, self.ROWS, 128)
+        with open(path, "r+b") as handle:
+            data = bytearray(handle.read())
+            damage(data)
+            handle.seek(0)
+            handle.write(data)
+            handle.truncate(len(data))
+        pager = Pager(path, 128)
+        try:
+            pool = BufferPool(2)
+            pool.register("T.heap", pager)
+            return HeapFile(pool, "T.heap", self.SCHEMA, page_counts).columns([2])
+        finally:
+            pager.close()
+
+    def test_undamaged(self, tmp_path):
+        assert self.read_last_column(tmp_path, lambda data: None) == [[10, 20, 30]]
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            # column 0 is [flag 1][bitmap][width 1][3 values] from byte 4,
+            # column 1 [flag 0][3 offsets][3 text bytes] from byte 10
+            (4, 7, "unknown null flag"),
+            (6, 3, "unknown integer width code"),
+            (6, 2, "corrupt page"),      # a wider array than is stored
+            (15, 200, "past the page"),  # column 1's last text offset
+            (15, 9, "corrupt page"),     # ... a few bytes too far
+            (0, 2, "corrupt page"),      # the row count
+        ],
+    )
+    def test_damage_raises(self, tmp_path, offset, value, message):
+        def damage(data):
+            data[offset] = value
+
+        with pytest.raises(StorageError, match=message):
+            self.read_last_column(tmp_path, damage)
+
+    def test_truncated_page_raises(self, tmp_path):
+        # the file ends mid-page: the pager refuses a torn file
+        with pytest.raises(StorageError):
+            self.read_last_column(tmp_path, lambda data: data.__delitem__(slice(100, None)))
+
+    def test_row_count_checked_against_the_manifest(self, tmp_path):
+        # a consistent page of the wrong row count: the header and every
+        # minipage agree with each other, not with the manifest
+        replacement = encode_page(self.ROWS[:2], self.SCHEMA, 128)
+
+        def damage(data):
+            data[:] = replacement
+
+        with pytest.raises(StorageError, match="manifest says 3"):
+            self.read_last_column(tmp_path, damage)
