@@ -76,10 +76,6 @@ __all__ = [
 #: beyond it the executor's runtime greedy order takes over
 DP_RELATION_LIMIT = 8
 
-#: row estimate for a derived table whose sub-plan carries no decisions
-DERIVED_DEFAULT_ROWS = 100.0
-
-
 @dataclass(frozen=True)
 class JoinDecision:
     """One decided hash join: merge the components owning exactly these
@@ -316,8 +312,7 @@ class Optimizer:
         table_name = getattr(scan, "table_name", None)
         if table_name is None:
             # derived table: estimates flow up from the sub-plan
-            sub = getattr(scan.subplan, "decisions", None)
-            base = sub.est_output if sub is not None else DERIVED_DEFAULT_ROWS
+            base = scan.subplan.decisions.est_output
             est = base
             for pred in scan.pushed:
                 est *= expression_selectivity(pred.expr, lambda _expr: None)

@@ -390,10 +390,16 @@ class TablePass:
                 if value is None:
                     continue
                 counts[value] = counts.get(value, 0) + 1
+            ndv = estimate_ndv(counts, total, len(reservoir))
+            low, high = self._minimums[index], self._maximums[index]
+            if type(low) is int and type(high) is int:
+                # an INT column cannot hold more distinct values than its
+                # range has integers (dense keys: GEE over-extrapolates)
+                ndv = min(ndv, float(high - low + 1))
             columns.append(
                 ColumnProfile(
                     column=name,
-                    ndv=estimate_ndv(counts, total, len(reservoir)),
+                    ndv=ndv,
                     null_fraction=self._nulls[index] / total if total else 0.0,
                     minimum=self._minimums[index],
                     maximum=self._maximums[index],

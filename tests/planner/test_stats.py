@@ -128,6 +128,23 @@ class TestProfileTable:
         t = profile.column("t")
         assert t.null_fraction == pytest.approx(10 / 30)
 
+    def test_int_ndv_is_capped_by_the_value_range(self):
+        # a foreign-key-like column: 40 dense values on 4,000 rows, of
+        # which a 64-row sample sees many once — GEE extrapolates those
+        # singletons far past the 40 integers the range can hold
+        rows = [(i, i * 7 % 40, float(i * 7 % 40), "t%d" % (i % 40)) for i in range(4000)]
+        config = StatsConfig(sample_size=64)
+        profile = profile_table("T", ("id", "fk", "f", "t"), rows, config)
+        assert profile.column("fk").ndv <= 40.0
+        assert profile.column("id").ndv <= 4000.0
+        # only integers are countable by their range: the same values as
+        # floats (or text) keep the uncapped estimate
+        assert profile.column("f").ndv > 40.0
+        assert profile.column("f").ndv == profile.column("t").ndv
+        # and a bool column is not an INT column
+        flags = profile_table("B", ("b",), [(i % 2 == 0,) for i in range(100)])
+        assert flags.column("b").ndv == 2.0
+
     def test_deterministic_under_fixed_seed(self):
         rows = [(i, i * 7 % 113, "t%d" % (i % 9)) for i in range(2000)]
         config = StatsConfig(sample_size=64)
