@@ -48,7 +48,7 @@ class Executor:
     same gate as engine-generated SQL.
     """
 
-    plan_cache_size = 256
+    plan_cache_capacity = 256
 
     def __init__(
         self,
@@ -113,7 +113,7 @@ class Executor:
         with self._plan_lock:
             self._plan_cache[key] = (tables, versions, plan)
             self._plan_cache.move_to_end(key)
-            while len(self._plan_cache) > self.plan_cache_size:
+            while len(self._plan_cache) > self.plan_cache_capacity:
                 self._plan_cache.popitem(last=False)
         return plan
 

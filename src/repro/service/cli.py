@@ -49,12 +49,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="engine-owning worker processes (0: serve in-process)",
     )
     parser.add_argument(
-        "--route-by",
-        choices=["query", "dataset"],
-        default="query",
-        help="consistent-hash routing key for the worker pool",
-    )
-    parser.add_argument(
         "--worker-context",
         choices=["fork", "spawn", "forkserver"],
         default=None,
@@ -146,7 +140,6 @@ def run_serve(argv: Optional[List[str]] = None, out=None) -> int:
         cache_ttl_s=args.cache_ttl,
         worker_processes=args.worker_processes,
         worker_context=args.worker_context,
-        route_by=args.route_by,
     )
     print(f"loading datasets: {', '.join(names)}", file=out)
     service = build_service(names, config)

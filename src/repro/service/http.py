@@ -8,7 +8,7 @@ dictates (200 ok, 400 invalid, 404 unknown dataset/route, 429 shed,
 
 Endpoints (all ``GET``, parameters as query strings):
 
-``/search?q=...&dataset=...&engine=semantic|sqak&k=3&deadline_ms=500&backend=memory|sqlite``
+``/search?q=...&dataset=...&engine=semantic|sqak&k=3&deadline_ms=500&backend=memory|sqlite|disk``
     Run a keyword query; returns interpretations plus the executed rows
     of the best one (``backend`` picks the execution backend; default
     ``memory``).

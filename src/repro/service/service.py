@@ -49,17 +49,16 @@ from repro.errors import (
 from repro.observability import NULL_TRACER, MetricsRegistry, Trace, Tracer
 from repro.service import proto
 from repro.service.breaker import OPEN, CircuitBreaker
-from repro.service.cache import PlanArtifactCache, ResultCache
+from repro.service.cache import ResultCache
 from repro.service.config import ServiceConfig
 
 __all__ = [
     "QueryService",
     "ServiceRequest",
     "ServiceResponse",
-    "assemble_semantic_payload",
     "canonical_json",
     "analyze_payload",
-    "interpretations_fragment",
+    "compute_payload",
     "semantic_search_payload",
     "sqak_search_payload",
 ]
@@ -91,44 +90,6 @@ def canonical_json(payload: Dict[str, Any]) -> bytes:
 # ----------------------------------------------------------------------
 # Payload builders (shared by the service and the equivalence tests)
 # ----------------------------------------------------------------------
-def interpretations_fragment(interpretations) -> List[Dict[str, Any]]:
-    """The compile-tier half of a semantic response: each interpretation's
-    rank, description and rendered SQL.  This is the *artifact* the shared
-    cross-process plan cache stores and ships between pool workers."""
-    return [
-        {
-            "rank": interpretation.rank,
-            "description": interpretation.description,
-            "sql": interpretation.sql_compact,
-        }
-        for interpretation in interpretations
-    ]
-
-
-def assemble_semantic_payload(
-    dataset: str,
-    backend_name: str,
-    query: str,
-    k: int,
-    fragment: List[Dict[str, Any]],
-    executed: Any,
-) -> Dict[str, Any]:
-    """Join the compile-tier *fragment* with the execute-tier result into
-    the canonical semantic response payload."""
-    return {
-        "dataset": dataset,
-        "engine": "semantic",
-        "backend": backend_name,
-        "query": query,
-        "k": k,
-        "interpretations": fragment,
-        "best": {
-            "columns": list(executed.columns),
-            "rows": [list(row) for row in executed.rows],
-        },
-    }
-
-
 def semantic_search_payload(
     engine: Any, dataset: str, query: str, k: int, backend: Optional[str] = None
 ) -> Dict[str, Any]:
@@ -138,16 +99,26 @@ def semantic_search_payload(
     *backend* selects the execution backend (``None``: the engine's
     configured default, normally ``"memory"``)."""
     result = engine.search(query, k=k, backend=backend)
-    best = result.best
-    executed = best.execute()
-    return assemble_semantic_payload(
-        dataset,
-        backend or engine.backend.name,
-        query,
-        k,
-        interpretations_fragment(result.interpretations),
-        executed,
-    )
+    executed = result.best.execute()
+    return {
+        "dataset": dataset,
+        "engine": "semantic",
+        "backend": backend or engine.backend.name,
+        "query": query,
+        "k": k,
+        "interpretations": [
+            {
+                "rank": interpretation.rank,
+                "description": interpretation.description,
+                "sql": interpretation.sql_compact,
+            }
+            for interpretation in result.interpretations
+        ],
+        "best": {
+            "columns": list(executed.columns),
+            "rows": [list(row) for row in executed.rows],
+        },
+    }
 
 
 def sqak_search_payload(sqak: Any, dataset: str, query: str) -> Dict[str, Any]:
@@ -188,6 +159,26 @@ def analyze_payload(engine: Any, dataset: str, query: str, k: int) -> Dict[str, 
     }
 
 
+def compute_payload(
+    engine: Any,
+    sqak: Any,
+    dataset: str,
+    mode: str,
+    engine_kind: str,
+    query: str,
+    k: int,
+    backend: Optional[str],
+) -> Dict[str, Any]:
+    """What a result-cache miss computes — the one function both a service
+    thread and a pool worker process run, each under its own
+    :func:`~repro.cancellation.cancellation_scope`."""
+    if mode == "analyze":
+        return analyze_payload(engine, dataset, query, k)
+    if engine_kind == "sqak":
+        return sqak_search_payload(sqak, dataset, query)
+    return semantic_search_payload(engine, dataset, query, k, backend=backend)
+
+
 # ----------------------------------------------------------------------
 # Request / response
 # ----------------------------------------------------------------------
@@ -209,8 +200,8 @@ class ServiceRequest:
     k: Optional[int] = None
     deadline_s: Optional[float] = None
     trace: bool = False
-    # execution backend for semantic searches ("memory" or "sqlite");
-    # the SQAK baseline always executes on the in-memory engine
+    # execution backend for semantic searches ("memory", "sqlite" or
+    # "disk"); the SQAK baseline always executes on the in-memory engine
     backend: str = "memory"
 
 
@@ -334,7 +325,6 @@ class QueryService:
         # spawn-mode pools rebuild engines from this; the fork default is
         # a closure over the registered runtimes (copy-on-write)
         self._worker_factory = worker_factory
-        self._plan_cache = PlanArtifactCache(size=self.config.plan_cache_size)
         # per-dataset invalidation epochs, carried on every dispatch so
         # clear_cache() propagates to every worker (even respawned ones)
         self._epochs: Dict[str, int] = {}  # guarded-by: _epochs_lock
@@ -380,10 +370,9 @@ class QueryService:
 
         In pool mode this also bumps the dataset's invalidation epoch —
         carried on every subsequent dispatch, so each worker drops its own
-        engine caches and compile memo before serving anything newer —
-        and best-effort broadcasts the clear to all live workers."""
+        engine caches before serving anything newer — and best-effort
+        broadcasts the clear to all live workers."""
         dropped = self._cache.invalidate(lambda key: key[0] == name)
-        self._plan_cache.invalidate(lambda key: key[0] == name)
         self.metrics.increment("result_cache_invalidations")
         with self._epochs_lock:
             self._epochs[name] = self._epochs.get(name, 0) + 1
@@ -441,9 +430,7 @@ class QueryService:
             factory,
             workers=self.config.worker_processes,
             context=self.config.worker_context,
-            route_by=self.config.route_by,
             grace_s=self.config.worker_grace_s,
-            memo_size=self.config.worker_memo_size,
         )
 
     def stop(self, timeout: Optional[float] = None) -> None:
@@ -810,22 +797,17 @@ class QueryService:
 
         def compute() -> Dict[str, Any]:
             if self._pool is not None:
-                return self._compute_via_pool(runtime, request, k, token, key)
+                return self._compute_via_pool(runtime, request, k, token)
             with cancellation_scope(token):
-                if request.mode == "analyze":
-                    return analyze_payload(
-                        runtime.engine, runtime.name, request.query, k
-                    )
-                if request.engine == "sqak":
-                    return sqak_search_payload(
-                        runtime.sqak, runtime.name, request.query
-                    )
-                return semantic_search_payload(
+                return compute_payload(
                     runtime.engine,
+                    runtime.sqak,
                     runtime.name,
+                    request.mode,
+                    request.engine,
                     request.query,
                     k,
-                    backend=request.backend,
+                    request.backend,
                 )
 
         def observe(outcome: str) -> None:
@@ -849,63 +831,30 @@ class QueryService:
         request: ServiceRequest,
         k: int,
         token: CancellationToken,
-        key: Tuple[Any, ...],
     ) -> Dict[str, Any]:
         """Serve one cache miss through the process worker tier.
 
-        The dispatch carries the dataset's invalidation epoch (cache
-        coherence for lagging or respawned workers), the remaining
-        deadline (the worker runs its own cancellation scope; the parent
-        kills it past deadline + grace), and — for semantic searches —
-        the shared compile artifact when some worker already rendered
-        this query's interpretations, so the receiving worker skips the
-        compile tier entirely."""
+        The dispatch carries the arguments of :func:`compute_payload`, the
+        dataset's invalidation epoch (cache coherence for lagging or
+        respawned workers) and the remaining deadline (the worker runs its
+        own cancellation scope; the parent kills it past deadline +
+        grace)."""
         pool = self._pool
         assert pool is not None
         token.check()  # don't ship work the deadline already killed
-        deadline_s = token.remaining()
         with self._epochs_lock:
             epoch = self._epochs.get(runtime.name, 0)
-        if request.mode == "analyze":
-            result = pool.dispatch(
-                proto.OP_ANALYZE,
-                dataset=runtime.name,
-                query=request.query,
-                deadline_s=deadline_s,
-                k=k,
-                epoch=epoch,
-            )
-            return result["payload"]
-        if request.engine == "sqak":
-            result = pool.dispatch(
-                proto.OP_SQAK,
-                dataset=runtime.name,
-                query=request.query,
-                deadline_s=deadline_s,
-                epoch=epoch,
-            )
-            return result["payload"]
-        artifact = self._plan_cache.get(key)
-        # the epoch observed *before* the compile ran gates the store,
-        # exactly like the result cache's invalidation guard
-        artifact_epoch = self._plan_cache.epoch
-        self.metrics.increment(
-            "plan_cache_hits" if artifact is not None else "plan_cache_misses"
-        )
-        result = pool.dispatch(
-            proto.OP_SEARCH,
+        return pool.dispatch(
+            proto.OP_COMPUTE,
             dataset=runtime.name,
             query=request.query,
-            deadline_s=deadline_s,
+            deadline_s=token.remaining(),
+            mode=request.mode,
+            engine=request.engine,
             k=k,
             backend=request.backend,
             epoch=epoch,
-            artifact=artifact,
         )
-        fragment = result.get("fragment")
-        if artifact is None and fragment is not None:
-            self._plan_cache.put(key, fragment, artifact_epoch)
-        return result["payload"]
 
     def _log_transitions(self, runtime: _Runtime, transitions, tracer) -> None:
         for old, new in transitions:
@@ -956,7 +905,6 @@ class QueryService:
             "cache": {
                 "entries": len(self._cache),
                 "invalidations": self._cache.invalidations,
-                "plan_entries": len(self._plan_cache),
             },
         }
         if pool_snapshot is not None:

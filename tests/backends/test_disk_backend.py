@@ -101,6 +101,24 @@ class TestPageBudget:
         finally:
             backend.close()
 
+    def test_pool_that_fits_the_data_serves_the_mix_from_resident_frames(self):
+        """A pool that holds every page must not thrash: over the
+        workload mix, run twice, at least half the page accesses hit."""
+        database, statements = collect_statements("tpch")
+        backend = DiskBackend(pool_capacity=64, page_size=2048)
+        try:
+            backend.load(database)
+            pages = backend.storage_manifest()["totals"]["pages"]
+            assert pages <= backend.pool_capacity
+            for _ in range(2):
+                for _qid, _source, select in statements:
+                    backend.execute(select)
+            counters = backend.pool_counters()
+            accesses = counters["hits"] + counters["misses"]
+            assert counters["hits"] / accesses >= 0.50, counters
+        finally:
+            backend.close()
+
 
 class TestRematerialization:
     def test_append_is_applied_in_place(self):

@@ -272,7 +272,7 @@ class TestPlanCache:
 
     def test_cache_is_bounded_lru(self, shop_db):
         executor = Executor(shop_db)
-        executor.plan_cache_size = 2
+        executor.plan_cache_capacity = 2
         a = executor.plan_for(parse("SELECT Id FROM Item"))
         executor.plan_for(parse("SELECT Name FROM Item"))
         executor.plan_for(parse("SELECT Id FROM Item"))  # refresh a

@@ -3,8 +3,8 @@ routing, cache coherence and pool-mode byte equivalence.
 
 The low-level tests drive a :class:`~repro.service.pool.WorkerPool`
 directly over stub engines whose behaviour is encoded in the query
-string (``sleep:<s>`` blocks inside the compile tier, ``raise:<kind>``
-fails it), so worker processes can be killed mid-request and the
+string (``sleep:<s>`` blocks inside the search, ``raise:<kind>`` fails
+it), so worker processes can be killed mid-request and the
 parent's recovery observed deterministically.  The high-level tests
 mirror ``test_concurrency.py``'s 8-thread mixed-load sweep against a
 ``worker_processes=4`` service and assert responses are **byte**
@@ -21,9 +21,8 @@ import time
 import pytest
 
 from repro.errors import DeadlineExceededError, KeywordQueryError
-from repro.service import QueryService, ServiceConfig, ServiceRequest
-from repro.service.pool import WorkerPool
-from repro.service.proto import RemoteWorkerError
+from repro.service import QueryService, ServiceConfig, ServiceRequest, proto
+from repro.service.pool import WorkerPool, _WorkerState
 from repro.service.service import (
     analyze_payload,
     canonical_json,
@@ -56,21 +55,28 @@ class _StubBackend:
     name = "memory"
 
 
+class _StubResult:
+    def __init__(self, interpretations) -> None:
+        self.interpretations = interpretations
+        self.best = interpretations[0]
+
+
 class _StubEngine:
-    """Behaviour-by-query-string engine: ``sleep:<s>`` blocks in compile,
+    """Behaviour-by-query-string engine: ``sleep:<s>`` blocks in search,
     ``raise:invalid`` / ``raise:internal`` fail it."""
 
-    strict = False
     backend = _StubBackend()
 
-    def compile(self, query: str, k: int, backend=None):
+    def search(self, query: str, k: int, backend=None):
         if query.startswith("sleep:"):
             time.sleep(float(query.split(":", 1)[1]))
         if query == "raise:invalid":
             raise KeywordQueryError("no interpretation for stub query")
         if query == "raise:internal":
             raise ValueError("stub engine exploded")
-        return [_StubInterpretation(query, rank) for rank in range(1, k + 1)]
+        return _StubResult(
+            [_StubInterpretation(query, rank) for rank in range(1, k + 1)]
+        )
 
     def clear_cache(self) -> None:
         pass
@@ -80,10 +86,18 @@ def _stub_runtimes():
     return {"stub": (_StubEngine(), None)}
 
 
-def _search_msg(query: str, k: int = 3, **extra):
-    fields = {"k": k, "backend": "memory", "epoch": 0}
-    fields.update(extra)
-    return fields
+def _compute(pool: WorkerPool, query: str, deadline_s=None, epoch: int = 0):
+    return pool.dispatch(
+        proto.OP_COMPUTE,
+        "stub",
+        query,
+        deadline_s=deadline_s,
+        mode="search",
+        engine="semantic",
+        k=3,
+        backend="memory",
+        epoch=epoch,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -97,15 +111,13 @@ def test_worker_killed_mid_request_respawns_and_answers_exactly_once():
 
         def dispatch() -> None:
             try:
-                results.append(
-                    pool.dispatch("search", "stub", "sleep:0.6", **_search_msg("sleep:0.6"))
-                )
+                results.append(_compute(pool, "sleep:0.6"))
             except Exception as exc:  # pragma: no cover - diagnostic aid
                 errors.append(exc)
 
         thread = threading.Thread(target=dispatch, daemon=True)
         thread.start()
-        time.sleep(0.2)  # the worker is now inside the 0.6s compile
+        time.sleep(0.2)  # the worker is now inside the 0.6s search
         os.kill(first_pid, signal.SIGKILL)
         thread.join(30.0)
         assert not thread.is_alive(), "dispatch never returned after the kill"
@@ -113,8 +125,7 @@ def test_worker_killed_mid_request_respawns_and_answers_exactly_once():
         # exactly one response, produced by the respawned worker's retry
         assert not errors, errors
         assert len(results) == 1
-        payload = results[0]["payload"]
-        assert payload["best"]["rows"] == [["rows for sleep:0.6"]]
+        assert results[0]["best"]["rows"] == [["rows for sleep:0.6"]]
         assert handle.restarts == 1
         assert handle.process.pid != first_pid
         assert pool.counters["respawns"] == 1
@@ -126,8 +137,7 @@ def test_dead_idle_worker_is_respawned_on_next_dispatch():
         handle = pool._handles[0]
         os.kill(handle.process.pid, signal.SIGKILL)
         handle.process.join(5.0)
-        result = pool.dispatch("search", "stub", "warm", **_search_msg("warm"))
-        assert result["payload"]["query"] == "warm"
+        assert _compute(pool, "warm")["query"] == "warm"
         assert handle.restarts == 1
         # the death was noticed before the send: no crash retry needed
         assert pool.counters["crash_retries"] == 0
@@ -141,17 +151,10 @@ def test_wedged_worker_is_killed_at_deadline_plus_grace():
         handle = pool._handles[0]
         wedged_pid = handle.process.pid
         with pytest.raises(DeadlineExceededError):
-            pool.dispatch(
-                "search",
-                "stub",
-                "sleep:30",
-                deadline_s=0.2,
-                **_search_msg("sleep:30"),
-            )
+            _compute(pool, "sleep:30", deadline_s=0.2)
         assert pool.counters["deadline_kills"] == 1
         # the pool recovers: the next request lands on a fresh worker
-        result = pool.dispatch("search", "stub", "after", **_search_msg("after"))
-        assert result["payload"]["query"] == "after"
+        assert _compute(pool, "after")["query"] == "after"
         assert handle.process.pid != wedged_pid
 
 
@@ -161,13 +164,9 @@ def test_wedged_worker_is_killed_at_deadline_plus_grace():
 def test_worker_exceptions_surface_as_their_in_process_classes():
     with WorkerPool(_stub_runtimes, workers=1) as pool:
         with pytest.raises(KeywordQueryError, match="no interpretation"):
-            pool.dispatch(
-                "search", "stub", "raise:invalid", **_search_msg("raise:invalid")
-            )
-        with pytest.raises(RemoteWorkerError) as excinfo:
-            pool.dispatch(
-                "search", "stub", "raise:internal", **_search_msg("raise:internal")
-            )
+            _compute(pool, "raise:invalid")
+        with pytest.raises(proto.RemoteWorkerError) as excinfo:
+            _compute(pool, "raise:internal")
         # pre-formatted by the worker: original type, no double wrapping
         assert str(excinfo.value) == "ValueError: stub engine exploded"
         # a classified failure is not a crash: same process, no respawn
@@ -188,37 +187,72 @@ def test_routing_is_stable_and_covers_every_worker():
         )
 
 
-def test_route_by_dataset_gives_strict_ownership():
-    pool = WorkerPool(_stub_runtimes, workers=4, route_by="dataset")
-    owner = pool.route("stub", "query a")
-    assert all(pool.route("stub", f"query {i}") == owner for i in range(50))
-
-
 # ----------------------------------------------------------------------
 # Cache coherence (epochs)
 # ----------------------------------------------------------------------
 def test_epoch_bump_clears_worker_caches_and_fresh_workers_adopt():
     with WorkerPool(_stub_runtimes, workers=1) as pool:
         # first contact at epoch 5: adopt without clearing (fresh caches)
-        pool.dispatch("search", "stub", "warm", **_search_msg("warm", epoch=5))
+        _compute(pool, "warm", epoch=5)
         snapshot = pool.metrics_snapshot()["workers"]["0"]
         assert snapshot["epochs"] == {"stub": 5}
         assert snapshot["counters"]["cache_clears"] == 0
-        # same epoch: memo survives (second identical request hits it)
-        pool.dispatch("search", "stub", "warm", **_search_msg("warm", epoch=5))
-        assert (
-            pool.metrics_snapshot()["workers"]["0"]["counters"][
-                "compile_memo_hits"
-            ]
-            == 1
-        )
+        # same epoch: nothing is cleared
+        _compute(pool, "warm", epoch=5)
+        snapshot = pool.metrics_snapshot()["workers"]["0"]
+        assert snapshot["counters"] == {"requests": 2, "cache_clears": 0}
         # epoch moved past the worker's view: it clears before serving
-        pool.dispatch("search", "stub", "warm", **_search_msg("warm", epoch=6))
+        _compute(pool, "warm", epoch=6)
         snapshot = pool.metrics_snapshot()["workers"]["0"]
         assert snapshot["epochs"] == {"stub": 6}
         assert snapshot["counters"]["cache_clears"] == 1
         assert pool.broadcast_clear("stub", 7) == 1
         assert pool.metrics_snapshot()["workers"]["0"]["epochs"] == {"stub": 7}
+
+
+# ----------------------------------------------------------------------
+# One compute path: a worker caches nothing the engine does not
+# ----------------------------------------------------------------------
+def test_worker_executes_every_compute_and_sees_appended_rows(monkeypatch):
+    from repro.datasets import university_database
+    from repro.engine import KeywordSearchEngine
+
+    database = university_database()
+    engine = KeywordSearchEngine(database)
+    backend = engine.get_backend("memory")
+    executions = []
+    run = backend.execute
+
+    def counting_execute(select, **kwargs):
+        executions.append(select)
+        return run(select, **kwargs)
+
+    monkeypatch.setattr(backend, "execute", counting_execute)
+    state = _WorkerState(0, lambda: {"university": (engine, None)})
+    msg = proto.request(
+        proto.OP_COMPUTE,
+        dataset="university",
+        query="COUNT Student",
+        deadline_s=None,
+        mode="search",
+        engine="semantic",
+        k=3,
+        backend="memory",
+        epoch=0,
+    )
+    first = state.handle(msg)
+    assert first["status"] == "ok" and first["result"]["best"]["rows"] == [[3]]
+    assert state.handle(msg) == first
+    assert len(executions) == 2  # the same request twice executes twice
+    # whatever is derived from data follows Table.version: the appended
+    # row is counted by the next reply, with no epoch bump and no clear
+    database.insert("Student", ("s4", "Brown", 23))
+    after = state.handle(msg)["result"]
+    assert after["best"]["rows"] == [[4]]
+    assert after == semantic_search_payload(
+        engine, "university", "COUNT Student", 3, backend="memory"
+    )
+    assert state.counters == {"requests": 3, "cache_clears": 0}
 
 
 # ----------------------------------------------------------------------

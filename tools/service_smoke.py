@@ -108,6 +108,10 @@ def main(argv=None) -> int:
             )
             assert served == counters.get("result_cache_misses", 0), workers
             assert metrics["workers"]["pool"]["dispatches"] == served, metrics
+            # a worker runs what a service thread runs and keeps nothing of
+            # its own: a cache growing back in there would add a counter
+            for entry in per_worker.values():
+                assert set(entry["counters"]) == {"requests", "cache_clears"}, entry
         else:
             assert status == 404, workers
 
