@@ -89,9 +89,6 @@ class Backend(abc.ABC):
 
         return render(select, self.dialect)
 
-    def supports(self, capability: str) -> bool:
-        return capability in self.capabilities
-
     def close(self) -> None:
         """Release backend resources (connections, file handles)."""
 

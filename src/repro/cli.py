@@ -243,10 +243,9 @@ def build_stats_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro stats",
         description=(
-            "collect planner statistics — sampled NDV, null fractions, "
-            "equi-height histograms, MCV lists — for a dataset's tables "
-            "(the profiles the cost-based optimizer plans with; see "
-            "docs/PLANNER.md)"
+            "print planner statistics — row count, sampled NDV, null "
+            "fractions, min/max — for a dataset's tables: the profiles "
+            "the cost-based optimizer plans with (see docs/PLANNER.md)"
         ),
     )
     source = parser.add_mutually_exclusive_group()
@@ -268,24 +267,6 @@ def build_stats_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="table to profile (repeatable; default: every table)",
     )
-    parser.add_argument(
-        "--sample",
-        type=int,
-        metavar="N",
-        help="reservoir sample size (default: 512)",
-    )
-    parser.add_argument(
-        "--buckets",
-        type=int,
-        metavar="N",
-        help="equi-height histogram buckets (default: 16)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        metavar="N",
-        help="sampling seed (default: 2016; profiles are deterministic)",
-    )
     return parser
 
 
@@ -293,20 +274,11 @@ def run_stats(argv: Optional[List[str]] = None, out=None) -> int:
     """``python -m repro stats`` — print table profiles for a dataset."""
     out = out or sys.stdout
     args = build_stats_parser().parse_args(argv)
-    from repro.planner import StatisticsCatalog, StatsConfig
+    from repro.planner import StatisticsCatalog
 
     try:
         database, _fds, _hints, _joins = _load_source(args)
-        overrides = {
-            key: value
-            for key, value in (
-                ("sample_size", args.sample),
-                ("histogram_buckets", args.buckets),
-                ("seed", args.seed),
-            )
-            if value is not None
-        }
-        catalog = StatisticsCatalog(database, StatsConfig(**overrides))
+        catalog = StatisticsCatalog(database)
         tracer = Tracer()
         names = args.tables or [relation.name for relation in database.schema]
         for name in names:

@@ -466,8 +466,8 @@ class KeywordSearchEngine:
         """ANALYZE: collect planner statistics for every table in a new
         full pass each.
 
-        Returns ``{relation: TableProfile}`` — sampled NDV, null
-        fractions, min/max, equi-height histograms and MCV lists (see
+        Returns ``{relation: TableProfile}`` — row count, reservoir
+        sample, sampled NDV, null fractions and min/max (see
         ``docs/PLANNER.md``).  Profiles live in the executor's optimizer
         catalog, so collecting them here warms the cost-based planner.
         Afterwards they follow their table's version on their own — an

@@ -1,7 +1,7 @@
 """The paper's evaluation harness: query specs, runner, reporting."""
 
 from repro.experiments.queries import ACMDL_QUERIES, TPCH_QUERIES, QuerySpec, spec_by_id
-from repro.experiments.reporting import (
+from repro.experiments.report import (
     format_answer_table,
     format_comparison_row,
     format_timing_series,

@@ -1,13 +1,15 @@
-"""One-call reproduction report: every table and figure of the paper.
+"""The paper's tables and Figure 11 rendered from experiment outcomes.
 
-Shared by ``examples/reproduce_paper.py`` and ``python -m repro
---reproduce``.
+:func:`format_answer_table` and :func:`format_timing_series` render one
+table or series; :func:`full_report` prints every table and figure of
+the paper in one call (shared by ``examples/reproduce_paper.py`` and
+``python -m repro --reproduce``).
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Optional, TextIO
+from typing import Optional, Sequence, TextIO
 
 from repro.baselines import SqakEngine
 from repro.datasets import (
@@ -18,9 +20,57 @@ from repro.datasets import (
 )
 from repro.engine import KeywordSearchEngine
 from repro.experiments.queries import ACMDL_QUERIES, TPCH_QUERIES
-from repro.experiments.reporting import format_answer_table, format_timing_series
-from repro.experiments.runner import run_suite
+from repro.experiments.runner import QueryOutcome, run_suite
 from repro.observability import stage_breakdown
+
+
+def format_answer_table(
+    title: str, outcomes: Sequence[QueryOutcome], max_values: int = 6
+) -> str:
+    """Render a Table-5/6/8/9-style comparison of SQAK vs our approach."""
+    rows = [("#", "SQAK", "Our Proposed Approach")]
+    for outcome in outcomes:
+        rows.append(
+            (
+                outcome.spec.qid,
+                outcome.summarize("sqak", max_values),
+                outcome.summarize("semantic", max_values),
+            )
+        )
+    widths = [max(len(row[i]) for row in rows) for i in range(3)]
+    lines = [title, "=" * len(title)]
+    header, *body = rows
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
+    lines.append("-+-".join("-" * w for w in widths))
+    for row in body:
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def format_timing_series(
+    title: str, outcomes: Sequence[QueryOutcome]
+) -> str:
+    """Render a Figure-11-style SQL-generation-time comparison."""
+    lines = [title, "=" * len(title)]
+    lines.append(f"{'#':<4}{'Proposed (ms)':>16}{'SQAK (ms)':>12}")
+    for outcome in outcomes:
+        sqak_ms = (
+            f"{outcome.sqak_compile_ms:.3f}"
+            if outcome.sqak_compile_ms is not None
+            else "N.A."
+        )
+        lines.append(
+            f"{outcome.spec.qid:<4}{outcome.semantic_compile_ms:>16.3f}{sqak_ms:>12}"
+        )
+    return "\n".join(lines)
+
+
+def format_comparison_row(outcome: QueryOutcome) -> str:
+    """One-line per-query summary used by the example scripts."""
+    return (
+        f"{outcome.spec.qid}: ours={outcome.summarize('semantic', 4)} | "
+        f"SQAK={outcome.summarize('sqak', 4)}"
+    )
 
 
 def full_report(out: Optional[TextIO] = None) -> None:

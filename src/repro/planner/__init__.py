@@ -3,12 +3,13 @@ reordering and access-path selection.
 
 The package sits above :mod:`repro.relational` and below the engine:
 
-* :mod:`repro.planner.stats` — sampled table profiles (reservoir
-  sample, sampled NDV, equi-height histograms, MCV lists) kept per
+* :mod:`repro.planner.stats` — sampled table profiles (row count,
+  reservoir sample, per-column NDV, null fraction, min/max) kept per
   table in a :class:`StatisticsCatalog` that follows each table's
   version (an append continues the table's pass);
 * :mod:`repro.planner.cardinality` — selectivity and output-size
-  estimates for predicates, equi-joins and GROUP BY;
+  estimates for predicates (run over the sample), equi-joins and
+  GROUP BY (from NDV);
 * :mod:`repro.planner.cost` — per-backend cost coefficients (memory vs
   paged disk) and the operator cost formulas;
 * :mod:`repro.planner.optimizer` — :class:`Optimizer`, producing

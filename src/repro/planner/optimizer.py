@@ -43,7 +43,6 @@ from repro.planner.cardinality import (
     expression_selectivity,
     group_output_estimate,
     join_selectivity,
-    predicate_selectivity,
     scan_selectivity,
 )
 from repro.planner.cost import (
@@ -57,8 +56,6 @@ from repro.planner.stats import (
     DEFAULT_PREDICATE_SELECTIVITY,
     ColumnProfile,
     StatisticsCatalog,
-    StatsConfig,
-    TableProfile,
 )
 from repro.sql.ast import ColumnRef, Expr
 from repro.sql.render import render
@@ -179,13 +176,11 @@ class Optimizer:
     def __init__(
         self,
         database: Any,
-        config: Optional[StatsConfig] = None,
         cost_params: Optional[CostParams] = None,
-        catalog: Optional[StatisticsCatalog] = None,
     ) -> None:
         self.database = database
         self.params = cost_params or MEMORY_COST_PARAMS
-        self.catalog = catalog or StatisticsCatalog(database, config)
+        self.catalog = StatisticsCatalog(database)
         # rendered SQL -> (versions of the tables read, decisions)
         self._memo: "OrderedDict[str, Tuple[Any, PlanDecisions]]" = OrderedDict()
         self._memo_lock = threading.Lock()
@@ -315,7 +310,7 @@ class Optimizer:
             base = scan.subplan.decisions.est_output
             est = base
             for pred in scan.pushed:
-                est *= expression_selectivity(pred.expr, lambda _expr: None)
+                est *= expression_selectivity(pred.expr)
             return (
                 ScanDecision(
                     alias=scan.alias,
@@ -327,18 +322,16 @@ class Optimizer:
                 _DerivedProfile(scan, self.catalog),
             )
         profile = self.catalog.profile(table_name, tracer)
-        column_of = self._column_resolver(scan, profile)
         base = float(profile.rows)
         selectivities = [
-            predicate_selectivity(pred.expr, pred.closure, profile, column_of)
+            scan_selectivity((pred.expr,), (pred.closure,), profile.sample)
             for pred in scan.pushed
         ]
         # one predicate: its own selectivity is the joint one
         joint = selectivities[0] if len(selectivities) == 1 else scan_selectivity(
             [pred.expr for pred in scan.pushed],
             [pred.closure for pred in scan.pushed],
-            profile,
-            column_of,
+            profile.sample,
         )
         est = max(0.0, min(base, base * joint))
         choices: List[Optional[bool]] = []
@@ -363,19 +356,6 @@ class Optimizer:
             ),
             profile,
         )
-
-    @staticmethod
-    def _column_resolver(
-        scan: Any, profile: TableProfile
-    ) -> Callable[[Expr], Optional[ColumnProfile]]:
-        def column_of(expr: Expr) -> Optional[ColumnProfile]:
-            if not isinstance(expr, ColumnRef):
-                return None
-            if expr.qualifier is not None and expr.qualifier != scan.alias:
-                return None
-            return profile.column(expr.name)
-
-        return column_of
 
     def _join_graph(
         self,

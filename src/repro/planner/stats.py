@@ -2,12 +2,12 @@
 
 A :class:`TableProfile` is built in one pass over a table: exact row
 count, per-column null fractions and min/max, a reservoir sample of row
-tuples (``random.Random`` seeded from :class:`StatsConfig`, so profiles
-are deterministic), and per-column summaries derived from the sample —
-sampled NDV (a GEE-style extrapolation when the table is larger than the
-sample), an equi-height histogram and an MCV list (both built by the
-deterministic, sampling-free :func:`build_equi_height` and
-:func:`build_mcv` below).
+tuples (``random.Random`` seeded with :data:`DEFAULT_SEED`, so profiles
+are deterministic) and each column's sampled NDV (a GEE-style
+extrapolation when the table is larger than the sample, capped by the
+value range for INT columns).  That is everything the planner reads:
+pushed predicates are estimated by running their closures over the
+sample, joins and GROUP BY from NDV.
 
 :class:`TablePass` is that single pass as an object: the reservoir, the
 generator's state, null counts, min/max and the row total.  Because a
@@ -38,10 +38,6 @@ from repro.observability import NULL_TRACER
 from repro.relational.algebra import null_safe_sort_key
 
 __all__ = [
-    "EquiHeightHistogram",
-    "MostCommonValues",
-    "build_equi_height",
-    "build_mcv",
     "StatsConfig",
     "ColumnProfile",
     "TableProfile",
@@ -54,8 +50,6 @@ __all__ = [
 #: reservoir size: large enough for stable estimates, small enough that
 #: profiling never dominates even a disk-backed ANALYZE pass
 DEFAULT_SAMPLE_SIZE = 512
-DEFAULT_HISTOGRAM_BUCKETS = 16
-DEFAULT_MCV_SIZE = 8
 #: fixed sampling seed — profiles must be reproducible across runs
 DEFAULT_SEED = 2016
 
@@ -68,146 +62,6 @@ class StatsConfig:
     """Knobs of the statistics collector."""
 
     sample_size: int = DEFAULT_SAMPLE_SIZE
-    histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS
-    mcv_size: int = DEFAULT_MCV_SIZE
-    seed: int = DEFAULT_SEED
-
-
-@dataclass(frozen=True)
-class EquiHeightHistogram:
-    """An equi-height (equi-depth) histogram over numeric values.
-
-    ``bounds`` holds ``buckets + 1`` non-decreasing bucket boundaries;
-    every bucket summarizes the same number of values (``total /
-    buckets``).  Selectivities are estimated by linear interpolation
-    inside the containing bucket, so they are guaranteed to stay within
-    ``[0, 1]`` and to be monotone under range widening — the two
-    invariants the planner's property tests pin down.
-    """
-
-    bounds: Tuple[float, ...]
-    total: int
-
-    @property
-    def buckets(self) -> int:
-        return len(self.bounds) - 1
-
-    def le_fraction(self, value: float) -> float:
-        """Estimated fraction of summarized values ``<= value``.
-
-        Monotone non-decreasing in *value* and clamped to ``[0, 1]``.
-        """
-        bounds = self.bounds
-        buckets = self.buckets
-        if self.total <= 0 or buckets <= 0:
-            return 0.0
-        if value < bounds[0]:
-            return 0.0
-        if value >= bounds[-1]:
-            return 1.0
-        per_bucket = 1.0 / buckets
-        acc = 0.0
-        for i in range(buckets):
-            low, high = bounds[i], bounds[i + 1]
-            if value >= high:
-                acc += per_bucket
-                continue
-            if value < low:  # pragma: no cover - bounds are non-decreasing
-                break
-            width = high - low
-            if width > 0:
-                acc += per_bucket * ((value - low) / width)
-            break
-        return min(1.0, max(0.0, acc))
-
-    def range_selectivity(
-        self, low: Optional[float] = None, high: Optional[float] = None
-    ) -> float:
-        """Estimated fraction of values in ``[low, high]``.
-
-        ``None`` leaves that end open.  Bucket-boundary mass is
-        approximated by interpolation, so point predicates should go
-        through MCV/NDV estimates instead; the guarantee here is the
-        pair of invariants above, not point accuracy.
-        """
-        high_fraction = 1.0 if high is None else self.le_fraction(high)
-        low_fraction = 0.0 if low is None else self.le_fraction(low)
-        return min(1.0, max(0.0, high_fraction - low_fraction))
-
-
-@dataclass(frozen=True)
-class MostCommonValues:
-    """The most frequent values of a column with their frequency.
-
-    ``fractions`` are relative to the summarized (non-null) values; the
-    planner combines them with the column's null fraction.
-    """
-
-    values: Tuple[Any, ...]
-    fractions: Tuple[float, ...]
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of non-null values captured by the list."""
-        return min(1.0, sum(self.fractions))
-
-    def fraction_of(self, value: Any) -> Optional[float]:
-        for candidate, fraction in zip(self.values, self.fractions):
-            if candidate == value:
-                return fraction
-        return None
-
-
-def _numeric_values(values: Iterable[Any]) -> List[float]:
-    return [
-        float(value)
-        for value in values
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    ]
-
-
-def build_equi_height(
-    values: Iterable[Any], buckets: int = 16
-) -> Optional[EquiHeightHistogram]:
-    """Build an equi-height histogram from the numeric values in *values*.
-
-    Non-numeric and NULL values are ignored; returns None when nothing
-    numeric remains.  Deterministic: no sampling happens here.
-    """
-    data = sorted(_numeric_values(values))
-    count = len(data)
-    if count == 0:
-        return None
-    buckets = max(1, min(buckets, count))
-    bounds = [data[0]]
-    for k in range(1, buckets + 1):
-        index = min(count - 1, math.ceil(k * count / buckets) - 1)
-        bounds.append(data[index])
-    return EquiHeightHistogram(bounds=tuple(bounds), total=count)
-
-
-def build_mcv(values: Iterable[Any], size: int = 8) -> Optional[MostCommonValues]:
-    """Build a most-common-value list from the non-null values in *values*.
-
-    Ties are broken by value order (via :func:`null_safe_sort_key`) so the
-    result is deterministic.  Returns None when every value is NULL.
-    """
-    counts: Dict[Any, int] = {}
-    total = 0
-    for value in values:
-        if value is None:
-            continue
-        total += 1
-        counts[value] = counts.get(value, 0) + 1
-    if not total or size <= 0:
-        return None
-    ranked = sorted(
-        counts.items(), key=lambda item: (-item[1], null_safe_sort_key(item[0]))
-    )[:size]
-    return MostCommonValues(
-        values=tuple(value for value, _ in ranked),
-        fractions=tuple(count / total for _, count in ranked),
-    )
 
 
 @dataclass(frozen=True)
@@ -219,54 +73,12 @@ class ColumnProfile:
     null_fraction: float
     minimum: Optional[Any]
     maximum: Optional[Any]
-    histogram: Optional[EquiHeightHistogram]
-    mcv: Optional[MostCommonValues]
-
-    def eq_selectivity(self, value: Any) -> float:
-        """Estimated fraction of rows with ``column = value``."""
-        if value is None:
-            return 0.0
-        non_null = 1.0 - self.null_fraction
-        if non_null <= 0.0:
-            return 0.0
-        if self.mcv is not None:
-            known = self.mcv.fraction_of(value)
-            if known is not None:
-                return min(1.0, known * non_null)
-            remaining_mass = non_null * max(0.0, 1.0 - self.mcv.coverage)
-            remaining_ndv = max(1.0, self.ndv - len(self.mcv.values))
-            return min(1.0, remaining_mass / remaining_ndv)
-        return min(1.0, non_null / max(1.0, self.ndv))
-
-    def range_selectivity(self, op: str, value: Any) -> float:
-        """Estimated fraction of rows satisfying ``column <op> value``."""
-        if (
-            self.histogram is None
-            or not isinstance(value, (int, float))
-            or isinstance(value, bool)
-        ):
-            return DEFAULT_PREDICATE_SELECTIVITY
-        below = self.histogram.le_fraction(float(value))
-        if op in ("<", "<="):
-            fraction = below
-        elif op in (">", ">="):
-            fraction = 1.0 - below
-        else:
-            return DEFAULT_PREDICATE_SELECTIVITY
-        return min(1.0, max(0.0, fraction * (1.0 - self.null_fraction)))
 
     def format(self) -> str:
-        parts = [
-            f"ndv≈{self.ndv:.0f}",
-            f"nulls={self.null_fraction:.2f}",
-            f"min={self.minimum!r}",
-            f"max={self.maximum!r}",
-        ]
-        if self.histogram is not None:
-            parts.append(f"histogram[{self.histogram.buckets}]")
-        if self.mcv is not None:
-            parts.append(f"mcv[{len(self.mcv.values)}]")
-        return f"{self.column}: " + " ".join(parts)
+        return (
+            f"{self.column}: ndv≈{self.ndv:.0f} nulls={self.null_fraction:.2f} "
+            f"min={self.minimum!r} max={self.maximum!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -334,7 +146,7 @@ class TablePass:
         self.column_names = column_names
         self.config = config
         width = len(column_names)
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(DEFAULT_SEED)
         self._reservoir: List[Tuple[Any, ...]] = []
         self._nulls = [0] * width
         self._minimums: List[Optional[Any]] = [None] * width
@@ -384,9 +196,9 @@ class TablePass:
         reservoir = self._reservoir
         columns = []
         for index, name in enumerate(self.column_names):
-            sample_values = [row[index] for row in reservoir]
             counts: Dict[Any, int] = {}
-            for value in sample_values:
+            for row in reservoir:
+                value = row[index]
                 if value is None:
                     continue
                 counts[value] = counts.get(value, 0) + 1
@@ -403,10 +215,6 @@ class TablePass:
                     null_fraction=self._nulls[index] / total if total else 0.0,
                     minimum=self._minimums[index],
                     maximum=self._maximums[index],
-                    histogram=build_equi_height(
-                        sample_values, buckets=self.config.histogram_buckets
-                    ),
-                    mcv=build_mcv(sample_values, size=self.config.mcv_size),
                 )
             )
         return TableProfile(

@@ -69,12 +69,6 @@ class HashIndex:
                 else:
                     bucket.append(pos)
 
-    def lookup(self, key: Tuple[Any, ...]) -> List[Row]:
-        with self._lock:
-            positions = list(self._buckets.get(tuple(key), ()))
-        rows = self.table.rows
-        return [rows[pos] for pos in positions]
-
     def positions(self, key: Tuple[Any, ...]) -> Set[int]:
         """Row positions holding *key* (used for index-backed scans)."""
         with self._lock:
@@ -368,11 +362,6 @@ class InvertedIndex(_PostingsIndex):
             ]
         matches.sort(key=lambda token: (len(token), token))
         return matches[:limit]
-
-    def slots_of_token(self, token: str) -> List[Tuple[str, str]]:
-        """The (relation, attribute) slots a token occurs in."""
-        with self._lock:
-            return sorted(self._postings.get(token.lower(), {}))
 
     def matching_values(self, relation: str, attribute: str, phrase: str) -> Set[Any]:
         """Distinct values of ``relation.attribute`` containing *phrase*."""

@@ -37,7 +37,7 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StorageError, UnknownTableError
-from repro.relational.index import HashIndex, tokenize_text
+from repro.relational.index import tokenize_text
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.storage.bptree import BPlusTree
 from repro.storage.hashindex import HashFile
@@ -351,7 +351,6 @@ class DiskDatabase:
         self._tables: Dict[str, DiskTable] = {}
         self._text_index = _DiskTextIndex(engine)
         self._numeric_index = _DiskNumericIndex(engine)
-        self._fallback_hash: Dict[Tuple[str, Tuple[str, ...]], HashIndex] = {}
 
     def versions(self, table_names: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
         """The :attr:`DiskTable.version` of each named table, in order."""
@@ -388,24 +387,16 @@ class DiskDatabase:
     def numeric_index(self) -> _DiskNumericIndex:
         return self._numeric_index
 
-    def hash_index(self, table_name: str, columns: Sequence[str]):
-        """On-disk hash file when one exists for ``table(column)``;
-        otherwise an in-memory :class:`HashIndex` built over the disk
-        table (correct for any column combination, just not paged)."""
-        cols = tuple(columns)
-        if len(cols) == 1:
-            index = self._engine.hash_file(table_name, cols[0])
-            if index is not None:
-                return _DiskHashAdapter(index)
-        key = (table_name, cols)
-        fallback = self._fallback_hash.get(key)
-        if fallback is None:
-            fallback = self._fallback_hash.setdefault(
-                key, HashIndex(self.table(table_name), cols)
-            )
-        else:
-            fallback.catch_up()
-        return fallback
+    def hash_index(self, table_name: str, columns: Sequence[str]) -> _DiskHashAdapter:
+        """The on-disk hash file of ``table(column)``: the executor probes
+        a hash index on one TEXT/DATE column only, and
+        :func:`~repro.storage.materialize.materialize` writes one for
+        every such column."""
+        (column,) = columns
+        index = self._engine.hash_file(table_name, column)
+        if index is None:
+            raise StorageError(f"no hash file for {table_name}.{column}")
+        return _DiskHashAdapter(index)
 
     def row_counts(self) -> Dict[str, int]:
         return {relation.name: len(self.table(relation.name)) for relation in self.schema}

@@ -52,10 +52,10 @@ class TestRegistry:
 class TestCapabilities:
     def test_memory_capabilities(self):
         backend = MemoryBackend()
-        assert backend.supports("compiled-plans")
-        assert backend.supports("python-values")
-        assert not backend.supports("sql-text")
-        assert not backend.supports("real-rdbms")
+        assert "compiled-plans" in backend.capabilities
+        assert "python-values" in backend.capabilities
+        assert "sql-text" not in backend.capabilities
+        assert "real-rdbms" not in backend.capabilities
 
     def test_sqlite_capabilities(self):
         assert "sql-text" in SqliteBackend.capabilities

@@ -84,7 +84,7 @@ class TestSqakEquivalence:
         _assert_orders_agree("acmdl-unnorm", "sqak")
 
 
-class TestEngineKnob:
+class TestEngineClearCache:
     def test_clear_cache_drops_plans(self, university_db):
         engine = KeywordSearchEngine(university_db)
         engine.execute("Green SUM Credit")

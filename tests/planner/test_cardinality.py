@@ -1,5 +1,5 @@
-"""Cardinality estimation: sample-based selectivities, formula
-fallbacks, join and GROUP BY output estimates."""
+"""Cardinality estimation: sample-based selectivities, the no-sample
+guess by predicate shape, join and GROUP BY output estimates."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from repro.planner.cardinality import (
     expression_selectivity,
     group_output_estimate,
     join_selectivity,
-    predicate_selectivity,
     scan_selectivity,
 )
 from repro.planner.stats import (
@@ -55,63 +54,37 @@ class TestClosureSelectivity:
 class TestExpressionFallbacks:
     def test_contains_constant(self):
         expr = Contains(ColumnRef("t", "T"), "needle")
-        assert (
-            expression_selectivity(expr, lambda e: None)
-            == CONTAINS_SELECTIVITY
-        )
+        assert expression_selectivity(expr) == CONTAINS_SELECTIVITY
 
     def test_unmodelled_defaults_to_one_third(self):
         expr = BinaryOp("!=", ColumnRef("v", "T"), Literal(3))
-        assert (
-            expression_selectivity(expr, lambda e: None)
-            == DEFAULT_PREDICATE_SELECTIVITY
-        )
-
-    def test_eq_uses_profile(self):
-        profile = profile_of([(i, i % 4) for i in range(100)])
-        column = profile.column("v")
-        expr = BinaryOp("=", ColumnRef("v", "T"), Literal(2))
-        got = expression_selectivity(
-            expr, lambda e: column if isinstance(e, ColumnRef) else None
-        )
-        assert got == pytest.approx(0.25, abs=0.05)
-
-    def test_range_uses_histogram_and_flips_literal_on_left(self):
-        profile = profile_of([(i, i) for i in range(100)])
-        column = profile.column("v")
-
-        def column_of(expr):
-            return column if isinstance(expr, ColumnRef) else None
-
-        right = BinaryOp("<", ColumnRef("v", "T"), Literal(50))
-        flipped = BinaryOp(">", Literal(50), ColumnRef("v", "T"))
-        assert expression_selectivity(right, column_of) == pytest.approx(
-            expression_selectivity(flipped, column_of)
-        )
-        assert expression_selectivity(right, column_of) == pytest.approx(
-            0.5, abs=0.1
-        )
+        assert expression_selectivity(expr) == DEFAULT_PREDICATE_SELECTIVITY
 
 
 class TestPredicateAndScan:
     def test_sample_trumps_formula(self):
         profile = profile_of([(i, i) for i in range(100)])
         expr = BinaryOp("=", ColumnRef("v", "T"), Literal(3))
-        got = predicate_selectivity(
-            expr, lambda row: row[1] == 3, profile, lambda e: None
-        )
+        got = scan_selectivity((expr,), (lambda row: row[1] == 3,), profile.sample)
         assert got == pytest.approx((1 + 0.5) / 101)
 
     def test_scan_selectivity_empty_predicates(self):
-        assert scan_selectivity((), (), None, lambda e: None) == 1.0
+        assert scan_selectivity((), (), ()) == 1.0
 
     def test_scan_selectivity_fallback_multiplies(self):
         exprs = (
             BinaryOp("!=", ColumnRef("v", "T"), Literal(1)),
             BinaryOp("!=", ColumnRef("v", "T"), Literal(2)),
         )
-        got = scan_selectivity(exprs, (), None, lambda e: None)
+        got = scan_selectivity(exprs, (), ())
         assert got == pytest.approx(DEFAULT_PREDICATE_SELECTIVITY ** 2)
+        # the guess is by shape only: an equality is 1/3 whatever it compares
+        mixed = (
+            Contains(ColumnRef("t", "T"), "needle"),
+            BinaryOp("=", ColumnRef("v", "T"), Literal(3)),
+        )
+        got = scan_selectivity(mixed, (), ())
+        assert got == pytest.approx(CONTAINS_SELECTIVITY * DEFAULT_PREDICATE_SELECTIVITY)
 
 
 class TestJoinAndGroup:

@@ -1,12 +1,7 @@
-"""Property-based planner guarantees.
-
-* The cost-based optimizer never changes results: over generated
-  schemas, data and join-aggregate queries, the cost-planned answer is
-  multiset-identical to the greedy-order answer of a plan built without
-  an optimizer.
-* Histogram-derived selectivities stay inside [0, 1] and grow
-  monotonically as a range predicate widens (the second half of that
-  property lives in ``test_stats.py`` next to the histogram unit tests).
+"""Property-based planner guarantee: the cost-based optimizer never
+changes results.  Over generated schemas, data and join-aggregate
+queries, the cost-planned answer is multiset-identical to the
+greedy-order answer of a plan built without an optimizer.
 """
 
 from __future__ import annotations
@@ -16,7 +11,6 @@ from typing import List, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.planner.stats import profile_table
 from repro.relational.database import Database
 from repro.relational.executor import Executor
 from repro.relational.plan import CompiledPlan
@@ -130,23 +124,3 @@ def test_pushed_predicates_multiset_identical(a, tag, lo):
         ),
     )
     assert_same_multiset(db, select)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(st.integers(-50, 50), min_size=1, max_size=60),
-    st.integers(-60, 60),
-    st.integers(0, 40),
-)
-def test_profile_range_selectivity_unit_interval_and_monotone(
-    values, probe, widen
-):
-    rows = [(i, v) for i, v in enumerate(values)]
-    profile = profile_table("T", ("id", "v"), rows)
-    column = profile.column("v")
-    lt_narrow = column.range_selectivity("<", probe)
-    lt_wide = column.range_selectivity("<", probe + widen)
-    assert 0.0 <= lt_narrow <= lt_wide <= 1.0
-    gt_narrow = column.range_selectivity(">", probe)
-    gt_wide = column.range_selectivity(">", probe - widen)
-    assert 0.0 <= gt_narrow <= gt_wide <= 1.0

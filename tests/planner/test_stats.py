@@ -1,18 +1,21 @@
-"""Statistics subsystem: histograms, MCVs, NDV estimation, catalog
-caching and invalidation."""
+"""Statistics subsystem: NDV estimation, single-pass profiles, catalog
+caching and invalidation, and ``repro stats`` printing the profiles the
+planner plans with."""
+
+import io
+import re
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.cli import run_stats
 from repro.datasets import university_database
+from repro.engine import KeywordSearchEngine
 from repro.planner import (
     StatisticsCatalog,
     StatsConfig,
     estimate_ndv,
     profile_table,
 )
-from repro.planner.stats import build_equi_height, build_mcv
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
@@ -28,77 +31,6 @@ def small_database(rows):
     db = Database(schema)
     db.load("T", rows)
     return db
-
-
-class TestHistogram:
-    def test_quantile_bounds_cover_data(self):
-        hist = build_equi_height(list(range(100)), buckets=4)
-        assert hist is not None
-        assert hist.le_fraction(-1) == 0.0
-        assert hist.le_fraction(99) == 1.0
-        assert 0.4 < hist.le_fraction(49) < 0.6
-
-    def test_none_on_empty_or_non_numeric(self):
-        assert build_equi_height([], buckets=4) is None
-        assert build_equi_height(["a", "b"], buckets=4) is None
-        assert build_equi_height([True, False], buckets=4) is None
-
-    def test_range_selectivity_bounds(self):
-        hist = build_equi_height([1, 2, 3, 4, 5, 6, 7, 8], buckets=4)
-        sel = hist.range_selectivity(low=2, high=6)
-        assert 0.0 <= sel <= 1.0
-        assert hist.range_selectivity(low=100) == 0.0
-        assert hist.range_selectivity(high=100) == 1.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.integers(-1000, 1000), min_size=1, max_size=200),
-        st.integers(-1200, 1200),
-    )
-    def test_le_fraction_always_in_unit_interval(self, values, probe):
-        hist = build_equi_height(values, buckets=8)
-        assert hist is not None
-        assert 0.0 <= hist.le_fraction(probe) <= 1.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.integers(-1000, 1000), min_size=1, max_size=200),
-        st.integers(-1200, 1200),
-        st.integers(0, 500),
-    )
-    def test_le_fraction_monotone(self, values, probe, widen):
-        # widening the range can never shrink the estimated fraction
-        hist = build_equi_height(values, buckets=8)
-        assert hist.le_fraction(probe) <= hist.le_fraction(probe + widen)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.integers(-100, 100), min_size=1, max_size=100),
-        st.integers(-120, 120),
-        st.integers(-120, 120),
-        st.integers(0, 50),
-    )
-    def test_range_selectivity_monotone_under_widening(
-        self, values, low, high, widen
-    ):
-        hist = build_equi_height(values, buckets=8)
-        narrow = hist.range_selectivity(low=low, high=high)
-        wide = hist.range_selectivity(low=low - widen, high=high + widen)
-        assert 0.0 <= narrow <= wide <= 1.0
-
-
-class TestMcv:
-    def test_fractions_and_coverage(self):
-        mcv = build_mcv(["a"] * 6 + ["b"] * 3 + ["c"], size=2)
-        assert mcv.values == ("a", "b")
-        assert mcv.fraction_of("a") == pytest.approx(0.6)
-        assert mcv.fraction_of("zzz") is None
-        assert mcv.coverage == pytest.approx(0.9)
-
-    def test_deterministic_tie_break(self):
-        first = build_mcv(["b", "a", "b", "a", "c"], size=2)
-        second = build_mcv(["a", "b", "a", "b", "c"], size=2)
-        assert first.values == second.values == ("a", "b")
 
 
 class TestNdvEstimation:
@@ -203,3 +135,26 @@ class TestCatalog:
         assert set(profiles) == {
             relation.name for relation in catalog.database.schema
         }
+
+
+class TestStatsCommand:
+    def test_prints_the_profile_the_planner_plans_with(self, tpch_db):
+        out = io.StringIO()
+        assert run_stats(["--dataset", "tpch", "--table", "Customer"], out=out) == 0
+        header, *columns, blank, footer = out.getvalue().splitlines()
+        assert header.startswith("Customer: ")
+        assert len(columns) == len(tpch_db.schema.relation("Customer").columns)
+        line = re.compile(r"  \w+: ndv≈\d+ nulls=\d\.\d\d min=.+ max=.+$")
+        assert all(line.match(column) for column in columns)
+        assert blank == ""
+        assert footer.startswith("profiled 1 tables (versions: Customer (")
+        planned = KeywordSearchEngine(tpch_db).executor.optimizer.catalog.profile(
+            "Customer"
+        )
+        assert "\n".join([header, *columns]) == planned.format()
+
+    def test_buckets_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_stats(["--buckets", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --buckets" in capsys.readouterr().err

@@ -32,7 +32,7 @@ def joined(left_rows, right_rows, left_keys, right_keys):
     )
 
 
-class TestSelectProject:
+class TestDistinct:
     def test_distinct_preserves_first_seen_order(self):
         assert distinct([[2, 1, 2, 1]]) == [(2,), (1,)]
 

@@ -46,18 +46,18 @@ class TestHashIndex:
     def test_lookup(self):
         table = make_parts()
         index = HashIndex(table, ["pname"])
-        assert len(index.lookup(("royal olive",))) == 2
-        assert index.lookup(("missing",)) == []
+        assert len(index.positions(("royal olive",))) == 2
+        assert index.positions(("missing",)) == set()
 
     def test_composite_key(self):
         table = make_parts()
         index = HashIndex(table, ["partkey", "pname"])
-        assert len(index.lookup((1, "royal olive"))) == 1
+        assert len(index.positions((1, "royal olive"))) == 1
 
     def test_null_values_indexed_separately(self):
         table = make_parts()
         index = HashIndex(table, ["pname"])
-        assert len(index.lookup((None,))) == 1
+        assert len(index.positions((None,))) == 1
 
 
 class TestInvertedIndex:

@@ -1,6 +1,6 @@
 """Table profiles over real datasets: exact counts, NULL handling, empty
-tables and key columns (``repro.planner.stats``; the histogram, MCV, NDV
-and catalog unit tests live in ``tests/planner/test_stats.py``)."""
+tables and key columns (``repro.planner.stats``; the NDV and catalog
+unit tests live in ``tests/planner/test_stats.py``)."""
 
 import pytest
 
@@ -51,7 +51,7 @@ class TestAnalyzeTable:
         column = stats.column("id")
         assert column.minimum is None and column.maximum is None
         assert column.ndv == 0 and column.null_fraction == 0
-        assert column.histogram is None and column.mcv is None
+        assert stats.sample == ()
 
     def test_format(self, university_db):
         text = profile(university_db.table("Student")).format()
