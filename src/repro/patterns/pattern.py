@@ -268,22 +268,15 @@ class QueryPattern:
     # ------------------------------------------------------------------
     def signature(self) -> Tuple:
         """Structural identity used to deduplicate generated patterns."""
-        node_sigs = tuple(sorted(node.signature() for node in self.nodes))
+        signatures = [node.signature() for node in self.nodes]
         # edges as sorted pairs of node signatures (coarse but effective)
         edge_sigs = tuple(
             sorted(
-                tuple(
-                    sorted(
-                        (
-                            self.nodes[edge.first].signature(),
-                            self.nodes[edge.second].signature(),
-                        )
-                    )
-                )
+                tuple(sorted((signatures[edge.first], signatures[edge.second])))
                 for edge in self.edges
             )
         )
-        return (node_sigs, edge_sigs)
+        return (tuple(sorted(signatures)), edge_sigs)
 
     def copy(self) -> "QueryPattern":
         clone = QueryPattern()

@@ -11,31 +11,46 @@ Layout (one page file, accessed through the buffer pool):
 * page 0 — meta: magic, root page number;
 * every other page — a node::
 
-      [type: u8][n: u16][next: u32]   header, 7 bytes
-      leaf:     n * key f64, then n * position u32
-      internal: n * key f64, then (n + 1) * child u32
+      [type: u8][n_keys: u16][n_positions: u16][next: u32]   header, 9 bytes
+      leaf:     [code: u8]  n_keys keys: signed integers of the code's
+                            width (1/2/4/8 bytes), or f64 (code 0)
+                [width: u8] n_keys counts       (page.pack_uints)
+                [width: u8] n_positions positions
+      internal: n_keys * key f64, then (n_keys + 1) * child u32
 
-  Leaves are chained through ``next`` (``NO_PAGE`` terminates), so
-  duplicates and ranges that span leaves are a forward walk.
+  A leaf stores each distinct key once; the positions carrying
+  ``keys[i]`` are the next ``counts[i]`` of the positions array.  Keys
+  are integers of the narrowest width when every key on the leaf is
+  integral, not ``-0.0`` and within ±2**53, f64 otherwise.  A run of
+  duplicates too long for one leaf continues on the next: leaves are
+  chained through ``next`` (``NO_PAGE`` terminates), so duplicates and
+  ranges that span leaves are a forward walk.
 
 Search descends with ``bisect_left`` (landing on the leftmost leaf that
 can hold a key); insert descends with ``bisect_right`` (equal keys go to
-the right), splitting full nodes bottom-up and growing a new root when
-the old one splits.  :meth:`BPlusTree.bulk_build` packs sorted pairs
-into full leaves and builds the internal levels in one bottom-up pass —
-that is the materializer's path; :meth:`BPlusTree.insert` is the path
-of rows appended afterwards
-(:meth:`repro.storage.engine.StorageEngine.append`): positions ascend,
-so equal keys stay in position order, as a bulk build leaves them.
+the end of their run), splitting overfull nodes bottom-up and growing a
+new root when the old one splits.  Leaves are sized in bytes:
+:meth:`BPlusTree.bulk_build` packs sorted pairs into leaves as full as
+they encode and builds the internal levels bottom-up — the
+materializer's path; :meth:`BPlusTree.insert_many` is the path of rows
+appended afterwards (:meth:`repro.storage.engine.StorageEngine.append`):
+each leaf a batch touches is decoded and re-encoded once, and halved by
+positions until it fits.  Appended positions ascend, so a run stays in
+position order, as a bulk build leaves it.  A node is decoded once per
+residency: the frame keeps it (:attr:`~repro.storage.pager.Frame.decoded`).
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Tuple
+from itertools import accumulate, groupby
+from math import copysign
+from operator import itemgetter, sub
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
+from repro.storage.page import INT_FORMAT, int_width, pack_uints, uint_width, unpack_uints
 from repro.storage.pager import BufferPool
 
 __all__ = ["BPlusTree", "NO_PAGE"]
@@ -43,44 +58,225 @@ __all__ = ["BPlusTree", "NO_PAGE"]
 NO_PAGE = 0xFFFFFFFF
 
 _META = struct.Struct("<4sI")
-_MAGIC = b"BPT1"
-_NODE_HEADER = struct.Struct("<BHI")
-_KEY = struct.Struct("<d")
-_PTR = struct.Struct("<I")
+_MAGIC = b"BPT2"
+_HEADER = struct.Struct("<BHHI")
 _LEAF, _INTERNAL = 0, 1
+#: a leaf's bytes besides its array values: the header and three codes
+_LEAF_BASE = _HEADER.size + 3
+#: key code of an f64 array; the others are signed integer widths
+_F64 = 0
+_KEY_FORMAT = {**INT_FORMAT, _F64: "d"}
+#: every integer of at most this magnitude is exactly a float
+_EXACT = float(2 ** 53)
+
+Pair = Tuple[float, int]
+
+
+def _int_key(key: float) -> bool:
+    """Whether a leaf may store *key* as an integer: integral, exact, and
+    not ``-0.0`` (whose sign an integer drops)."""
+    return (
+        -_EXACT <= key <= _EXACT
+        and key == int(key)
+        and bool(key or copysign(1.0, key) > 0)
+    )
 
 
 class _Node:
-    """A node decoded into Python lists (re-encoded on write)."""
+    """A decoded node, shared by every reader of its frame (writers build
+    new ones).  In a leaf, ``keys[i]`` is carried by
+    ``positions[starts[i]:starts[i + 1]]``; an internal node has one more
+    child than keys."""
 
-    __slots__ = ("is_leaf", "keys", "values", "children", "next")
+    __slots__ = ("keys", "starts", "positions", "children", "next")
 
-    def __init__(self, is_leaf: bool) -> None:
-        self.is_leaf = is_leaf
-        self.keys: List[float] = []
-        self.values: List[int] = []      # leaf only
-        self.children: List[int] = []    # internal only
-        self.next: int = NO_PAGE         # leaf only
+    def __init__(
+        self,
+        keys: List[float],
+        starts: Sequence[int] = (0,),
+        positions: Sequence[int] = (),
+        children: Optional[List[int]] = None,
+        next_no: int = NO_PAGE,
+    ) -> None:
+        self.keys = keys
+        self.starts = starts
+        self.positions = positions
+        self.children = children
+        self.next = next_no
+
+    @classmethod
+    def leaf(
+        cls, keys: List[float], counts: Iterable[int], positions: Sequence[int],
+        next_no: int = NO_PAGE,
+    ) -> "_Node":
+        return cls(keys, list(accumulate(counts, initial=0)), positions, None, next_no)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.children is None
+
+
+def _internal(entries: Sequence[Tuple[int, float]]) -> _Node:
+    """The internal node over *entries*, ``(child page, its first key)``
+    in key order."""
+    return _Node(
+        [key for _, key in entries[1:]], children=[page for page, _ in entries]
+    )
+
+
+def _groups(entries: Sequence, fan_out: int) -> List[Sequence]:
+    """*entries* cut into the fewest runs of at most *fan_out*, their
+    lengths within one of each other (so none is a lone child)."""
+    count = -(-len(entries) // fan_out)
+    return [
+        entries[len(entries) * i // count:len(entries) * (i + 1) // count]
+        for i in range(count)
+    ]
+
+
+# ----------------------------------------------------------------------
+# The node codec
+# ----------------------------------------------------------------------
+def _encode(node: _Node) -> bytes:
+    keys = node.keys
+    if not node.is_leaf:
+        n = len(keys)
+        return _HEADER.pack(_INTERNAL, n, 0, NO_PAGE) + struct.pack(
+            f"<{n}d{n + 1}I", *keys, *node.children
+        )
+    if all(map(_int_key, keys)):
+        code = int_width(int(keys[0]), int(keys[-1])) if keys else 1
+        packed_keys = struct.pack(f"<{len(keys)}{_KEY_FORMAT[code]}", *map(int, keys))
+    else:
+        code, packed_keys = _F64, struct.pack(f"<{len(keys)}d", *keys)
+    starts = node.starts
+    return b"".join((
+        _HEADER.pack(_LEAF, len(keys), len(node.positions), node.next),
+        bytes((code,)),
+        packed_keys,
+        pack_uints(list(map(sub, starts[1:], starts))),
+        pack_uints(node.positions),
+    ))
+
+
+def _decode(data: bytearray) -> _Node:
+    kind, n, n_positions, next_no = _HEADER.unpack_from(data, 0)
+    offset = _HEADER.size
+    if kind == _INTERNAL:
+        values = struct.unpack_from(f"<{n}d{n + 1}I", data, offset)
+        return _Node(list(values[:n]), children=list(values[n:]))
+    if kind != _LEAF:
+        raise StorageError(f"unknown node type {kind}")
+    code = data[offset]
+    if code not in _KEY_FORMAT:
+        raise StorageError(f"unknown key width code {code}")
+    keys = struct.unpack_from(f"<{n}{_KEY_FORMAT[code]}", data, offset + 1)
+    counts, offset = unpack_uints(data, offset + 1 + n * (code or 8), n)
+    positions, _ = unpack_uints(data, offset, n_positions)
+    node = _Node.leaf(
+        list(keys) if code == _F64 else list(map(float, keys)),
+        counts, positions, next_no,
+    )
+    if node.starts[-1] != n_positions or 0 in counts:
+        raise StorageError(f"{n} counts add up to {node.starts[-1]}, not {n_positions}")
+    return node
+
+
+def _packed_leaves(items: Iterable[Pair], page_size: int) -> Iterator[_Node]:
+    """Leaves holding *items* (sorted by key) in order, each filled with
+    as many positions as fit a page before the next starts — a run of
+    one key too, which then goes on in the next leaf.  The size is kept
+    as :func:`_encode` writes it, from per leaf the widest key, count and
+    position so far (the widest of a whole run, for a run cut short)."""
+    keys: List[float] = []
+    counts: List[int] = []
+    positions: List[int] = []
+    key_bytes = count_width = position_width = 1
+    for key, group in groupby(items, key=itemgetter(0)):
+        if keys and key < keys[-1]:
+            raise StorageError("bulk_build requires keys in sorted order")
+        run = [position for _, position in group]
+        run_key_bytes = int_width(int(key), int(key)) if _int_key(key) else 8
+        run_width = uint_width(max(run))
+        while run:
+            kb = max(key_bytes, run_key_bytes)
+            cw = max(count_width, uint_width(len(run)))
+            pw = max(position_width, run_width)
+            room = page_size - _LEAF_BASE - (len(keys) + 1) * (kb + cw) - len(positions) * pw
+            take = min(len(run), room // pw)
+            if take > 0:
+                keys.append(key)
+                counts.append(take)
+                positions += run[:take]
+                run = run[take:]
+                key_bytes, count_width, position_width = kb, cw, pw
+            if run:
+                yield _Node.leaf(keys, counts, positions)
+                keys, counts, positions = [], [], []
+                key_bytes = count_width = position_width = 1
+    if positions:
+        yield _Node.leaf(keys, counts, positions)
+
+
+def _merged(leaf: _Node, pairs: Sequence[Pair]) -> _Node:
+    """A new leaf: *leaf* plus *pairs* (sorted by key), each at the end of
+    its key's run — one pass over both."""
+    old_keys, starts, old_positions = leaf.keys, leaf.starts, leaf.positions
+    keys: List[float] = []
+    counts: List[int] = []
+    positions: List[int] = []
+    copied = 0  # the leaf's keys before this one are in the new lists
+    for key, group in groupby(pairs, key=itemgetter(0)):
+        at = bisect_right(old_keys, key, copied)
+        keys += old_keys[copied:at]
+        counts += map(sub, starts[copied + 1:at + 1], starts[copied:at])
+        positions += old_positions[starts[copied]:starts[at]]
+        copied = at
+        added = [position for _, position in group]
+        if keys and keys[-1] == key:
+            counts[-1] += len(added)
+        else:
+            keys.append(key)
+            counts.append(len(added))
+        positions += added
+    keys += old_keys[copied:]
+    counts += map(sub, starts[copied + 1:], starts[copied:])
+    positions += old_positions[starts[copied]:]
+    return _Node.leaf(keys, counts, positions, leaf.next)
+
+
+def _halves(leaf: _Node) -> Tuple[_Node, _Node]:
+    """*leaf* cut in two at the middle position, inside a run if it falls
+    there (both halves then carry that key); chained left to right."""
+    starts, middle = leaf.starts, len(leaf.positions) // 2
+    run = bisect_right(starts, middle) - 1
+    cut = run + (starts[run] < middle)
+    right = _Node(
+        leaf.keys[run:],
+        [0] + [start - middle for start in starts[run + 1:]],
+        leaf.positions[middle:],
+        next_no=leaf.next,
+    )
+    left = _Node(leaf.keys[:cut], list(starts[:cut]) + [middle], leaf.positions[:middle])
+    return left, right
 
 
 class BPlusTree:
     """B+-tree over ``(pool, file_id)``; see module docstring."""
 
     def __init__(self, pool: BufferPool, file_id: str) -> None:
+        self._attach(pool, file_id)
+        self._root = self._read_meta()
+
+    def _attach(self, pool: BufferPool, file_id: str) -> None:
         self.pool = pool
         self.file_id = file_id
-        page_size = pool.pager(file_id).page_size
-        self.leaf_capacity = (page_size - _NODE_HEADER.size) // (
-            _KEY.size + _PTR.size
-        )
-        self.internal_capacity = (
-            page_size - _NODE_HEADER.size - _PTR.size
-        ) // (_KEY.size + _PTR.size)
-        if min(self.leaf_capacity, self.internal_capacity) < 2:
+        self.page_size = pool.pager(file_id).page_size
+        self.internal_capacity = (self.page_size - _HEADER.size - 4) // 12
+        if self.internal_capacity < 2:
             raise StorageError(
-                f"page size {page_size} too small for a B+-tree node"
+                f"page size {self.page_size} too small for a B+-tree node"
             )
-        self._root = self._read_meta()
 
     # ------------------------------------------------------------------
     # Construction
@@ -92,21 +288,8 @@ class BPlusTree:
         _META.pack_into(meta.data, 0, _MAGIC, 1)
         pool.unpin(meta, dirty=True)
         tree = object.__new__(cls)
-        tree.pool = pool
-        tree.file_id = file_id
-        page_size = pool.pager(file_id).page_size
-        tree.leaf_capacity = (page_size - _NODE_HEADER.size) // (
-            _KEY.size + _PTR.size
-        )
-        tree.internal_capacity = (
-            page_size - _NODE_HEADER.size - _PTR.size
-        ) // (_KEY.size + _PTR.size)
-        if min(tree.leaf_capacity, tree.internal_capacity) < 2:
-            raise StorageError(
-                f"page size {page_size} too small for a B+-tree node"
-            )
-        root = _Node(is_leaf=True)
-        if tree._write_new(root) != 1:  # pragma: no cover - fresh file
+        tree._attach(pool, file_id)
+        if tree._write(_Node.leaf([], [], [])) != 1:  # pragma: no cover - fresh file
             raise StorageError(f"{file_id}: root page is not page 1")
         tree._root = 1
         return tree
@@ -116,56 +299,32 @@ class BPlusTree:
         cls,
         pool: BufferPool,
         file_id: str,
-        items: Iterable[Tuple[float, int]],
+        items: Iterable[Pair],
     ) -> "BPlusTree":
         """Build from *items* sorted by key (ties in any order)."""
         tree = cls.create(pool, file_id)
-        fill = tree.leaf_capacity
+        leaves = _packed_leaves(items, tree.page_size)
         # Fill the (already written, empty) root leaf first, then chain.
-        leaves: List[Tuple[int, float]] = []  # (page_no, first_key)
-        node = _Node(is_leaf=True)
-        page_no = tree._root
-        last_key: Optional[float] = None
-        for key, value in items:
-            if last_key is not None and key < last_key:
-                raise StorageError("bulk_build requires keys in sorted order")
-            last_key = key
-            if len(node.keys) == fill:
-                fresh = _Node(is_leaf=True)
-                node.next = tree._reserve()
-                tree._write_at(page_no, node)
-                leaves.append((page_no, node.keys[0]))
-                page_no, node = node.next, fresh
-            node.keys.append(key)
-            node.values.append(value)
-        tree._write_at(page_no, node)
-        if node.keys or not leaves:
-            leaves.append((page_no, node.keys[0] if node.keys else 0.0))
-        tree._build_internal_levels(leaves)
+        page_no, leaf = tree._root, next(leaves, None)
+        level: List[Tuple[int, float]] = []
+        while leaf is not None:
+            following = next(leaves, None)
+            if following is not None:
+                leaf.next = tree._reserve()
+            tree._write(leaf, page_no)
+            level.append((page_no, leaf.keys[0]))
+            page_no, leaf = leaf.next, following
+        tree._build_internal_levels(level or [(tree._root, 0.0)])
         return tree
 
     def _build_internal_levels(self, level: List[Tuple[int, float]]) -> None:
-        """Bottom-up parent construction; updates the meta root pointer."""
-        fan_out = self.internal_capacity + 1
+        """Parents over *level* — ``(page, first key)`` of each node, in
+        key order — up to a single root, which the meta page then names."""
         while len(level) > 1:
-            parents: List[Tuple[int, float]] = []
-            for start in range(0, len(level), fan_out):
-                group = level[start:start + fan_out]
-                if len(group) == 1 and parents:
-                    # Avoid a one-child parent: fold into the previous
-                    # group by stealing its last child (the previous
-                    # parent stays in the level, one child lighter).
-                    prev_no = parents[-1][0]
-                    prev = self._read_node(prev_no)
-                    group = [
-                        (prev.children.pop(), prev.keys.pop())
-                    ] + group
-                    self._write_at(prev_no, prev)
-                node = _Node(is_leaf=False)
-                node.children = [page_no for page_no, _ in group]
-                node.keys = [first_key for _, first_key in group[1:]]
-                parents.append((self._write_new(node), group[0][1]))
-            level = parents
+            level = [
+                (self._write(_internal(group)), group[0][1])
+                for group in _groups(level, self.internal_capacity + 1)
+            ]
         self._set_root(level[0][0])
 
     # ------------------------------------------------------------------
@@ -173,7 +332,7 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def search_eq(self, key: float) -> List[int]:
         """All positions stored under exactly *key*."""
-        return list(self._walk(key, key))
+        return self._walk(key, key)
 
     def search_range(
         self,
@@ -184,14 +343,17 @@ class BPlusTree:
     ) -> List[int]:
         """Positions with ``low <= key <= high`` (bounds optional, open
         with ``include_* = False``)."""
-        return list(self._walk(low, high, include_low, include_high))
+        return self._walk(low, high, include_low, include_high)
 
-    def items(self) -> Iterator[Tuple[float, int]]:
+    def items(self) -> Iterator[Pair]:
         """Every (key, position) pair in key order — the leaf chain."""
         page_no = self._leftmost_leaf()
         while page_no != NO_PAGE:
             node = self._read_node(page_no)
-            yield from zip(node.keys, node.values)
+            starts, positions = node.starts, node.positions
+            for i, key in enumerate(node.keys):
+                for position in positions[starts[i]:starts[i + 1]]:
+                    yield key, position
             page_no = node.next
 
     def __len__(self) -> int:
@@ -203,22 +365,27 @@ class BPlusTree:
         high: Optional[float],
         include_low: bool = True,
         include_high: bool = True,
-    ) -> Iterator[int]:
+    ) -> List[int]:
+        found: List[int] = []
         if low is None:
             page_no = self._leftmost_leaf()
         else:
             page_no = self._descend_left(low)
         while page_no != NO_PAGE:
             node = self._read_node(page_no)
-            for key, value in zip(node.keys, node.values):
-                if low is not None:
-                    if key < low or (not include_low and key == low):
-                        continue
-                if high is not None:
-                    if key > high or (not include_high and key == high):
-                        return
-                yield value
+            keys = node.keys
+            start = 0
+            if low is not None:
+                start = (bisect_left if include_low else bisect_right)(keys, low)
+            stop = len(keys)
+            if high is not None:
+                stop = (bisect_right if include_high else bisect_left)(keys, high)
+            if start < stop:
+                found += node.positions[node.starts[start]:node.starts[stop]]
+            if stop < len(keys):
+                break
             page_no = node.next
+        return found
 
     def _leftmost_leaf(self) -> int:
         page_no = self._root
@@ -241,63 +408,69 @@ class BPlusTree:
     # Incremental insert
     # ------------------------------------------------------------------
     def insert(self, key: float, value: int) -> None:
-        """Insert one pair, splitting full nodes bottom-up."""
+        """Insert one pair at the end of its key's run."""
+        self.insert_many([(key, value)])
+
+    def insert_many(self, pairs: Iterable[Pair]) -> None:
+        """Insert *pairs* as :meth:`insert` would one by one, but decoding
+        and re-encoding each leaf they touch once."""
+        batch = sorted(pairs, key=itemgetter(0))  # stable: a run keeps call order
+        start = 0
+        while start < len(batch):
+            start = self._insert_into_leaf(batch, start)
+
+    def _insert_into_leaf(self, batch: List[Pair], start: int) -> int:
+        """Merge ``batch[start]`` and the pairs after it that descend to
+        the same leaf into that leaf; returns where the rest start."""
+        key = batch[start][0]
         path: List[Tuple[int, int]] = []  # (page_no, child index taken)
+        bound: Optional[float] = None  # the leaf holds keys below it
         page_no = self._root
         node = self._read_node(page_no)
         while not node.is_leaf:
             index = bisect_right(node.keys, key)
+            if index < len(node.keys):
+                bound = node.keys[index]
             path.append((page_no, index))
             page_no = node.children[index]
             node = self._read_node(page_no)
+        stop = start + 1
+        while stop < len(batch) and (bound is None or batch[stop][0] < bound):
+            stop += 1
 
-        at = bisect_right(node.keys, key)
-        node.keys.insert(at, key)
-        node.values.insert(at, value)
-        if len(node.keys) <= self.leaf_capacity:
-            self._write_at(page_no, node)
-            return
-
-        # Split the leaf; then propagate while parents overflow.
-        promoted, right_no = self._split_leaf(page_no, node)
-        while path:
+        # Write the leaf (split if it must be); then propagate new
+        # children while parents overflow.
+        entries = self._write_leaf(_merged(node, batch[start:stop]), page_no)
+        while entries and path:
             parent_no, index = path.pop()
             parent = self._read_node(parent_no)
-            parent.keys.insert(index, promoted)
-            parent.children.insert(index + 1, right_no)
-            if len(parent.keys) <= self.internal_capacity:
-                self._write_at(parent_no, parent)
-                return
-            promoted, right_no = self._split_internal(parent_no, parent)
+            children = list(zip(parent.children, [0.0] + parent.keys))
+            children[index + 1:index + 1] = entries
+            first, *rest = _groups(children, self.internal_capacity + 1)
+            self._write(_internal(first), parent_no)
+            entries = [(self._write(_internal(group)), group[0][1]) for group in rest]
+        if entries:
+            # whatever just split with an empty path was the old root
+            self._build_internal_levels([(self._root, 0.0)] + entries)
+        return stop
 
-        # Whatever just split with an empty path was the old root.
-        root = _Node(is_leaf=False)
-        root.keys = [promoted]
-        root.children = [self._root, right_no]
-        self._set_root(self._write_new(root))
-
-    def _split_leaf(self, page_no: int, node: _Node) -> Tuple[float, int]:
-        half = len(node.keys) // 2
-        right = _Node(is_leaf=True)
-        right.keys, node.keys = node.keys[half:], node.keys[:half]
-        right.values, node.values = node.values[half:], node.values[:half]
-        right.next, node.next = node.next, self._reserve()
-        right_no = node.next
-        self._write_at(right_no, right)
-        self._write_at(page_no, node)
-        return right.keys[0], right_no
-
-    def _split_internal(self, page_no: int, node: _Node) -> Tuple[float, int]:
-        half = len(node.keys) // 2
-        promoted = node.keys[half]
-        right = _Node(is_leaf=False)
-        right.keys = node.keys[half + 1:]
-        right.children = node.children[half + 1:]
-        node.keys = node.keys[:half]
-        node.children = node.children[:half + 1]
-        right_no = self._write_new(right)
-        self._write_at(page_no, node)
-        return promoted, right_no
+    def _write_leaf(self, leaf: _Node, page_no: int) -> List[Tuple[int, float]]:
+        """Write *leaf* at *page_no*, halved into leaves chained on new
+        pages until each fits; returns ``(page, first key)`` of those.
+        A leaf with more positions than the header counts is halved
+        unencoded."""
+        if len(leaf.positions) <= 0xFFFF:  # the u16 counts; no more keys than positions
+            raw = _encode(leaf)
+            if len(raw) <= self.page_size:
+                self._put(raw, page_no)
+                return []
+        left, right = _halves(leaf)
+        left.next = self._reserve()
+        return (
+            self._write_leaf(left, page_no)
+            + [(left.next, right.keys[0])]
+            + self._write_leaf(right, left.next)
+        )
 
     # ------------------------------------------------------------------
     # Node / meta I/O (all page access funnels through the pool)
@@ -323,57 +496,45 @@ class BPlusTree:
             self.pool.unpin(frame, dirty=True)
 
     def _reserve(self) -> int:
-        """Allocate a page now, to be filled by a later :meth:`_write_at`."""
+        """Allocate a page now, to be filled by a later write."""
         frame = self.pool.new_page(self.file_id)
         page_no = frame.page_no
         self.pool.unpin(frame, dirty=True)
         return page_no
 
     def _read_node(self, page_no: int) -> _Node:
+        """The node on *page_no*, decoded once while its frame is resident."""
         frame = self.pool.pin(self.file_id, page_no)
         try:
-            data = frame.data
-            kind, count, nxt = _NODE_HEADER.unpack_from(data, 0)
-            node = _Node(is_leaf=(kind == _LEAF))
-            offset = _NODE_HEADER.size
-            node.keys = list(struct.unpack_from(f"<{count}d", data, offset))
-            offset += count * _KEY.size
-            if node.is_leaf:
-                node.next = nxt
-                node.values = list(struct.unpack_from(f"<{count}I", data, offset))
-            else:
-                node.children = list(
-                    struct.unpack_from(f"<{count + 1}I", data, offset)
-                )
+            node = frame.decoded
+            if node is None:
+                node = frame.decoded = _decode(frame.data)
+        except (struct.error, StorageError) as exc:
+            raise StorageError(
+                f"{self.file_id}: corrupt node on page {page_no} ({exc})"
+            ) from exc
         finally:
             self.pool.unpin(frame)
         return node
 
-    def _encode(self, node: _Node, data: bytearray) -> None:
-        data[:] = bytes(len(data))
-        kind = _LEAF if node.is_leaf else _INTERNAL
-        _NODE_HEADER.pack_into(data, 0, kind, len(node.keys), node.next)
-        offset = _NODE_HEADER.size
-        struct.pack_into(f"<{len(node.keys)}d", data, offset, *node.keys)
-        offset += len(node.keys) * _KEY.size
-        pointers = node.values if node.is_leaf else node.children
-        struct.pack_into(f"<{len(pointers)}I", data, offset, *pointers)
+    def _write(self, node: _Node, page_no: Optional[int] = None) -> int:
+        """Encode *node* onto *page_no*, or onto a new page; returns the page."""
+        return self._put(_encode(node), page_no)
 
-    def _write_at(self, page_no: int, node: _Node) -> None:
-        frame = self.pool.pin(self.file_id, page_no)
+    def _put(self, raw: bytes, page_no: Optional[int] = None) -> int:
+        if len(raw) > self.page_size:
+            raise StorageError(
+                f"{self.file_id}: a {len(raw)}-byte node, page size {self.page_size}"
+            )
+        if page_no is None:
+            frame = self.pool.new_page(self.file_id)
+        else:
+            frame = self.pool.pin(self.file_id, page_no)
         try:
-            self._encode(node, frame.data)
+            frame.data[:] = raw.ljust(self.page_size, b"\0")
         finally:
             self.pool.unpin(frame, dirty=True)
-
-    def _write_new(self, node: _Node) -> int:
-        frame = self.pool.new_page(self.file_id)
-        try:
-            self._encode(node, frame.data)
-        finally:
-            page_no = frame.page_no
-            self.pool.unpin(frame, dirty=True)
-        return page_no
+        return frame.page_no
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BPlusTree({self.file_id!r}, root={self._root})"

@@ -197,12 +197,11 @@ class StorageEngine:
             for col_idx, column in enumerate(relation.columns):
                 if column.dtype in NUMERIC:
                     tree = self.bptree(name, column.name)
-                    for key, pos in column_items(rows, col_idx, float, start):
-                        tree.insert(key, pos)
+                    tree.insert_many(column_items(rows, col_idx, float, start))
                 elif column.dtype in TEXTUAL:
-                    hashed = self.hash_file(name, column.name)
-                    for value, pos in column_items(rows, col_idx, str, start):
-                        hashed.insert(value, pos)
+                    items = list(column_items(rows, col_idx, str, start))
+                    self.hash_file(name, column.name).insert_many(items)
+                    for value, pos in items:
                         tokens.extend(
                             (token, name, column.name, pos)
                             for token in set(tokenize_text(value))

@@ -9,7 +9,12 @@
   serving the ``hash-eq`` lookups;
 * ``postings.bin`` + ``postings.dict.json`` — one SPIMI inverted index
   over every text column of every table, serving ``contains`` lookups;
-* ``MANIFEST.json`` — written **last**, atomically (tmp + ``os.replace``).
+* ``MANIFEST.json`` — written **last**, atomically (tmp + ``os.replace``);
+  its ``format`` (:data:`MANIFEST_FORMAT`, 3) names the file layouts.
+
+Every index file stores each distinct key once — a B+-tree key, a hash,
+a token's slot — followed by the positions carrying it, as one
+width-coded unsigned array (:func:`~repro.storage.page.pack_uints`).
 
 An in-place append (:meth:`repro.storage.engine.StorageEngine.append`)
 later grows the heap and index files and adds ``postings.delta.bin`` +
@@ -55,9 +60,11 @@ __all__ = [
 ]
 
 MANIFEST_FILE = "MANIFEST.json"
-#: 2: column-wise heap pages.  A directory written under another format
-#: reads as stale and is rebuilt, never decoded.
-MANIFEST_FORMAT = 2
+#: 3: index files store each key (hash, token slot) once, with a
+#: width-coded position list; 2: column-wise heap pages.  A directory
+#: written under another format reads as stale and is rebuilt, never
+#: decoded.
+MANIFEST_FORMAT = 3
 POSTINGS_FILE = "postings.bin"
 DICT_FILE = "postings.dict.json"
 DELTA_POSTINGS_FILE = "postings.delta.bin"

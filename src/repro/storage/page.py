@@ -38,6 +38,9 @@ show raises :class:`~repro.errors.StorageError`.
 :func:`~repro.storage.heap.build_heap` exactly how many bytes the rows
 admitted so far will encode to, so pages are packed full without trial
 encodes.
+
+:func:`pack_uints` / :func:`unpack_uints` are the index files' position
+lists, in the INT minipage's width-code idiom.
 """
 
 from __future__ import annotations
@@ -52,11 +55,16 @@ from repro.relational.schema import RelationSchema
 from repro.relational.types import DataType
 
 __all__ = [
+    "INT_FORMAT",
     "MAX_PAGE_SIZE",
     "PageFill",
     "decode_columns",
     "decode_page",
     "encode_page",
+    "int_width",
+    "pack_uints",
+    "uint_width",
+    "unpack_uints",
 ]
 
 Row = Tuple[Any, ...]
@@ -77,16 +85,19 @@ _KIND = {
 _FILLER = {_INT: 0, _FLOAT: 0.0, _BOOL: False, _TEXT: ""}
 #: INT width code of the decimal-string escape
 _WIDE = 0
-_INT_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
+#: width -> struct code of a signed integer array (INT minipages, B+-tree keys)
+INT_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
 #: struct code and bytes per value of the fixed-width kinds
 _FIXED = {_FLOAT: ("d", 8), _BOOL: ("?", 1)}
 #: width -> (lowest, highest), narrowest first
 _INT_BOUNDS = {
     width: (-(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1)
-    for width in _INT_FORMAT
+    for width in INT_FORMAT
 }
 #: the empty range of a wide column: every value takes the digit-counting path
 _NO_BOUNDS = (1, 0)
+#: width -> struct code of the index files' unsigned arrays
+_UINT_FORMAT = {1: "B", 2: "H", 4: "I"}
 
 
 @lru_cache(maxsize=256)  # asked once per page decoded
@@ -94,12 +105,40 @@ def _kinds(schema: RelationSchema) -> Tuple[int, ...]:
     return tuple(_KIND[column.dtype] for column in schema.columns)
 
 
-def _int_width(low: int, high: int) -> int:
+def int_width(low: int, high: int) -> int:
     """The narrowest width code holding every value in ``low..high``."""
     for width, (lowest, highest) in _INT_BOUNDS.items():
         if lowest <= low and high <= highest:
             return width
     return _WIDE
+
+
+def uint_width(high: int) -> int:
+    """The narrowest unsigned width (1, 2 or 4 bytes) holding ``0..high``."""
+    return 1 if high <= 0xFF else 2 if high <= 0xFFFF else 4
+
+
+def pack_uints(values: Sequence[int]) -> bytes:
+    """``[width: u8]`` then *values* as a little-endian unsigned array of
+    the narrowest width holding them all."""
+    width = uint_width(max(values, default=0))
+    return bytes((width,)) + struct.pack(f"<{len(values)}{_UINT_FORMAT[width]}", *values)
+
+
+def unpack_uints(data: bytes, offset: int, n: int) -> Tuple[Tuple[int, ...], int]:
+    """The *n* values :func:`pack_uints` wrote at *offset*, and the offset
+    just past them; an unknown width code or an array running past the
+    end of *data* is a :class:`~repro.errors.StorageError`."""
+    if offset >= len(data):
+        raise StorageError(f"array at byte {offset} starts past the end ({len(data)})")
+    width = data[offset]
+    code = _UINT_FORMAT.get(width)
+    if code is None:
+        raise StorageError(f"unknown width code {width}")
+    end = offset + 1 + n * width
+    if end > len(data):
+        raise StorageError(f"{n} values run {end - len(data)} bytes past the end")
+    return struct.unpack_from(f"<{n}{code}", data, offset + 1), end
 
 
 def _utf8_len(text: str) -> int:
@@ -131,12 +170,12 @@ def encode_page(rows: Sequence[Row], schema: RelationSchema, page_size: int) -> 
         else:
             out.append(0)
         if kind == _INT:
-            width = _int_width(min(values, default=0), max(values, default=0))
+            width = int_width(min(values, default=0), max(values, default=0))
             out.append(width)
             if width == _WIDE:
                 out += _pack_text([str(value) for value in values])
             else:
-                out += struct.pack(f"<{n}{_INT_FORMAT[width]}", *values)
+                out += struct.pack(f"<{n}{INT_FORMAT[width]}", *values)
         elif kind == _FLOAT:
             out += struct.pack(f"<{n}d", *values)
         elif kind == _BOOL:
@@ -218,7 +257,7 @@ class PageFill:
             if width == _WIDE:
                 text_bytes += len(str(value))
                 continue
-            new_width = _int_width(value, value)
+            new_width = int_width(value, value)
             widened.append((i, new_width))
             if new_width == _WIDE:
                 # decimal strings from here on: an offset per row plus
@@ -320,9 +359,9 @@ def decode_columns(
             if kind == _INT:
                 size = data[offset]
                 offset += 1
-                if size != _WIDE and size not in _INT_FORMAT:
+                if size != _WIDE and size not in INT_FORMAT:
                     raise StorageError(f"unknown integer width code {size}")
-                code = _INT_FORMAT.get(size, "")
+                code = INT_FORMAT.get(size, "")
             if not size:
                 if wanted:
                     values, offset = _unpack_text(data, offset, n)

@@ -27,12 +27,16 @@ rows sit at positions past every base row, so a token's delta positions
 simply follow its base positions.  The next full build folds the delta
 into the base.
 
-Postings file format, per token (byte extent recorded in the dict)::
+Postings file format, per token (byte extent recorded in the dict): one
+posting per slot the token occurs in, back to back::
 
-    [n_slots: u32]
-    n_slots * ( [len: u16][relation utf-8]
-                [len: u16][attribute utf-8]
-                [n: u32][position u32 ...] )
+    [slot id: u16][n: u32][width: u8][n positions of that width]
+
+``[width][positions]`` is :func:`~repro.storage.page.pack_uints`, the
+positions ascending.  A slot id indexes the dictionary's slot table, so
+a ``(relation, attribute)`` name is written once per file, not once per
+token.  The dictionary JSON is ``{"slots": [[relation, attribute],
+...], "tokens": {token: [offset, length]}}``.
 """
 
 from __future__ import annotations
@@ -45,12 +49,12 @@ from heapq import merge
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import StorageError
+from repro.storage.page import pack_uints, unpack_uints
 
 __all__ = ["DEFAULT_BLOCK_BUDGET", "SpimiBuilder", "SpimiIndex"]
 
 DEFAULT_BLOCK_BUDGET = 50_000
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
+_POSTING = struct.Struct("<HI")  # slot id, position count
 #: tokens are ``[a-z0-9]+`` and relation/attribute names are identifiers,
 #: so a tab-separated text line per posting entry is unambiguous
 _SEP = "\t"
@@ -109,11 +113,12 @@ class SpimiBuilder:
         self._spill()
         streams = [self._read_block(path) for path in self.block_paths]
         vocabulary: Dict[str, Tuple[int, int]] = {}
+        slot_ids: Dict[Slot, int] = {}  # numbered as first met
         stats = {"tokens": 0, "postings": 0, "blocks": len(self.block_paths)}
         with open(postings_path, "wb") as out:
             offset = 0
             for token, slots in self._grouped(merge(*streams)):
-                payload = self._encode_postings(slots)
+                payload = self._encode_postings(slots, slot_ids)
                 out.write(payload)
                 vocabulary[token] = (offset, len(payload))
                 offset += len(payload)
@@ -122,7 +127,10 @@ class SpimiBuilder:
         tmp = dict_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(
-                {token: list(extent) for token, extent in vocabulary.items()},
+                {
+                    "slots": [list(slot) for slot in slot_ids],
+                    "tokens": {token: list(extent) for token, extent in vocabulary.items()},
+                },
                 handle,
                 sort_keys=True,
             )
@@ -159,17 +167,13 @@ class SpimiBuilder:
             yield current, slots
 
     @staticmethod
-    def _encode_postings(slots: Dict[Slot, List[int]]) -> bytes:
-        parts = bytearray(_U32.pack(len(slots)))
-        for (relation, attribute), positions in sorted(slots.items()):
-            for name in (relation, attribute):
-                raw = name.encode("utf-8")
-                parts += _U16.pack(len(raw))
-                parts += raw
-            parts += _U32.pack(len(positions))
-            for position in positions:
-                parts += _U32.pack(position)
-        return bytes(parts)
+    def _encode_postings(slots: Dict[Slot, List[int]], slot_ids: Dict[Slot, int]) -> bytes:
+        parts = []
+        for slot, positions in sorted(slots.items()):
+            slot_id = slot_ids.setdefault(slot, len(slot_ids))
+            parts.append(_POSTING.pack(slot_id, len(positions)))
+            parts.append(pack_uints(positions))
+        return b"".join(parts)
 
 
 class SpimiIndex:
@@ -182,9 +186,12 @@ class SpimiIndex:
         try:
             with open(dict_path, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
+            self._slots: List[Slot] = [
+                (str(relation), str(attribute)) for relation, attribute in raw["slots"]
+            ]
             self._vocabulary: Dict[str, Tuple[int, int]] = {
                 token: (int(extent[0]), int(extent[1]))
-                for token, extent in raw.items()
+                for token, extent in raw["tokens"].items()
             }
         except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
             raise StorageError(f"cannot load SPIMI dictionary {dict_path}: {exc}") from exc
@@ -273,33 +280,17 @@ class SpimiIndex:
         return decoded
 
     def _decode_postings(self, token: str, payload: bytes) -> Dict[Slot, List[int]]:
+        slots: Dict[Slot, List[int]] = {}
+        offset = 0
         try:
-            (n_slots,) = _U32.unpack_from(payload, 0)
-            offset = _U32.size
-            slots: Dict[Slot, List[int]] = {}
-            for _ in range(n_slots):
-                names = []
-                for _ in range(2):
-                    (length,) = _U16.unpack_from(payload, offset)
-                    offset += _U16.size
-                    names.append(payload[offset:offset + length].decode("utf-8"))
-                    offset += length
-                (count,) = _U32.unpack_from(payload, offset)
-                offset += _U32.size
-                positions = [
-                    _U32.unpack_from(payload, offset + i * _U32.size)[0]
-                    for i in range(count)
-                ]
-                offset += count * _U32.size
-                slots[(names[0], names[1])] = positions
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            while offset < len(payload):
+                slot_id, count = _POSTING.unpack_from(payload, offset)
+                positions, offset = unpack_uints(payload, offset + _POSTING.size, count)
+                slots[self._slots[slot_id]] = list(positions)
+        except (struct.error, IndexError, StorageError) as exc:
             raise StorageError(
                 f"{self.postings_path}: corrupt postings for {token!r} ({exc})"
             ) from exc
-        if offset != len(payload):
-            raise StorageError(
-                f"{self.postings_path}: trailing bytes in postings for {token!r}"
-            )
         return slots
 
     def candidate_positions(self, first_token: str, relation: str, attribute: str) -> Set[int]:

@@ -20,7 +20,9 @@ fragment of ``Ordering`` represents orders and names it ``Order``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import NormalizationError
 from repro.fd.functional_dependency import FunctionalDependency, parse_fds
@@ -382,20 +384,19 @@ class ViewCatalog(Catalog):
     ) -> int:
         """Distinct view identifiers among stored tuples with
         ``attribute == value`` (numeric matches)."""
-        needed = set(view_rel.key) | {attribute}
-        fragments = view_rel.fragments_covering(needed)
-        if not fragments:
-            return 0
-        fragment = fragments[0]
-        table = self.view.database.table(fragment.source)
-        attr_idx = table.schema.column_index(attribute)
-        key_idx = [table.schema.column_index(col) for col in view_rel.key]
-        ids = {
-            tuple(row[i] for i in key_idx)
-            for row in table.rows
-            if row[attr_idx] is not None and float(row[attr_idx]) == float(value)
-        }
-        return len(ids)
+        index = self.view.database.numeric_index
+
+        def matches(cell: Any) -> bool:
+            return float(cell) == float(value)
+
+        def probe(table: Any, column: int) -> Optional[Set[int]]:
+            # float-keyed postings: a superset when integers collide
+            candidates = index.positions_for_value(table.schema.name, attribute, value)
+            if candidates is None:
+                return None
+            return {pos for pos in candidates if matches(table.rows[pos][column])}
+
+        return self._distinct_ids(view_rel, attribute, probe, matches)
 
     def value_completions(self, prefix: str, limit: int = 10) -> List[str]:
         return self.view.database.text_index.tokens_with_prefix(prefix, limit)
@@ -405,19 +406,40 @@ class ViewCatalog(Catalog):
     ) -> int:
         """Distinct view-relation identifiers among stored tuples whose
         attribute contains the phrase."""
-        view_rel = self.view.relation(relation)
+        index = self.view.database.text_index
+        needle = phrase.lower()
+        return self._distinct_ids(
+            self.view.relation(relation),
+            attribute,
+            lambda table, _: index.positions_for_contains(
+                table.schema.name, attribute, phrase
+            ),
+            lambda cell: needle in str(cell).lower(),
+        )
+
+    def _distinct_ids(
+        self,
+        view_rel: ViewRelation,
+        attribute: str,
+        probe: Callable[[Any, int], Optional[Set[int]]],
+        matches: Callable[[Any], bool],
+    ) -> int:
+        """Distinct view identifiers among the matching tuples of the
+        first stored relation covering the key and *attribute*: the
+        positions ``probe(table, attribute index)`` returns, or, when it
+        returns None, the rows whose non-NULL cell *matches*."""
         needed = set(view_rel.key) | {attribute}
         fragments = view_rel.fragments_covering(needed)
         if not fragments:
             return 0
-        fragment = fragments[0]
-        table = self.view.database.table(fragment.source)
+        table = self.view.database.table(fragments[0].source)
         attr_idx = table.schema.column_index(attribute)
         key_idx = [table.schema.column_index(col) for col in view_rel.key]
-        needle = phrase.lower()
-        ids = {
-            tuple(row[i] for i in key_idx)
-            for row in table.rows
-            if row[attr_idx] is not None and needle in str(row[attr_idx]).lower()
-        }
-        return len(ids)
+        rows = table.rows
+        positions = probe(table, attr_idx)
+        if positions is None:
+            positions = [
+                pos for pos, row in enumerate(rows)
+                if row[attr_idx] is not None and matches(row[attr_idx])
+            ]
+        return len({tuple([rows[pos][i] for i in key_idx]) for pos in positions})

@@ -17,6 +17,7 @@ from repro.datasets.gen import generate_scaled
 from repro.errors import StorageError
 from repro.observability import Tracer
 from repro.sql.parser import parse
+from repro.storage.materialize import MANIFEST_FORMAT
 
 
 class TestRegistry:
@@ -203,7 +204,7 @@ class TestRematerialization:
             second.load(database, tracer=tracer)
             assert tracer.registry.counter("materializations") == 1
             assert tracer.registry.counter("materializations_reused") == 0
-            assert second.storage_manifest()["format"] == 2
+            assert second.storage_manifest()["format"] == MANIFEST_FORMAT
             count = second.execute(parse("SELECT COUNT(*) FROM Student")).scalar()
             assert count == len(database.table("Student").rows)
         finally:

@@ -141,7 +141,12 @@ class TestEdges:
         pool.register("small.bpt", pager)
         # 64 bytes is the floor; the constructor itself guards below it
         tree = BPlusTree.create(pool, "small.bpt")
-        assert tree.leaf_capacity >= 2
+        assert tree.internal_capacity >= 2
+        # leaves are sized in bytes: the widest pair fits, and so do
+        # three of them
+        for position in range(3):
+            tree.insert(-1.5, 2**32 - 1 - position)
+        assert tree.search_eq(-1.5) == [2**32 - 1, 2**32 - 2, 2**32 - 3]
         pager.close()
 
     def test_reopen_after_flush(self, tmp_path):

@@ -6,7 +6,7 @@ from repro.errors import StorageError
 from repro.storage import BufferPool, HashFile, Pager
 from repro.storage.hashindex import hash_key
 
-PAGE = 64  # (64 - 6) // 12 = 4 entries per bucket page
+PAGE = 64  # a 6-byte bucket header, then 58 bytes of entries
 
 
 def open_index(tmp_path, items, page_size=PAGE, name="ix.hash"):
@@ -32,25 +32,29 @@ class TestHashFile:
         assert index.positions("absent") == set()
 
     def test_duplicates_force_overflow_chains(self, tmp_path):
-        # 20 identical values hash to one bucket: at 4 entries per page
-        # the chain must span several overflow pages
-        items = [("dup", i) for i in range(20)] + [("other", 99)]
+        # one value's 300 positions (two bytes each) are one entry too
+        # long for a page: it continues down the bucket's chain
+        items = [("dup", i) for i in range(300)] + [("other", 99)]
         index = open_index(tmp_path, items)
-        assert index.positions("dup") == set(range(20))
+        assert index.buckets == 2  # never more than the distinct values
+        assert index.pool.pager(index.file_id).page_count > 1 + 600 // PAGE
+        assert index.positions("dup") == set(range(300))
         assert index.positions("other") == {99}
 
     def test_insert_fills_the_last_page_then_links_a_new_one(self, tmp_path):
-        # one bucket, four entries a page: every fifth insert links an
-        # overflow page; probes see each pair as soon as it is in
+        # one bucket: an entry is 11 bytes plus a byte per position, so
+        # the "dup" and "other" entries fill the page's 58 bytes at 36
+        # positions; the 37th links an overflow page.  Probes see each
+        # pair as soon as it is in
         index = open_index(tmp_path, [("dup", 0)])
         assert index.buckets == 1
         pages = index.pool.pager(index.file_id)
         assert pages.page_count == 2  # meta + the one bucket
-        for position in range(1, 11):
+        for position in range(1, 61):
             index.insert("dup" if position % 2 else "other", position)
             assert index.positions("dup") == {0, *range(1, position + 1, 2)}
-        assert index.positions("other") == set(range(2, 11, 2))
-        assert pages.page_count == 2 + 2  # 11 entries: two overflow pages
+            assert pages.page_count == (2 if position < 36 else 3)
+        assert index.positions("other") == set(range(2, 61, 2))
 
     def test_insert_needs_one_frame(self, tmp_path):
         path = str(tmp_path / "one.hash")

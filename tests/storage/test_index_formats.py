@@ -1,0 +1,287 @@
+"""The dense index formats against sorted-list oracles, their corruption
+errors, and the footprint they give a materialized TPC-H.
+
+Each index file stores a key (B+-tree key, hash, token slot) once with a
+width-coded position list; these properties drive them at 64- and
+128-byte pages, where duplicate runs span leaves and overflow pages and
+positions cross the 1/2/4-byte widths."""
+
+import os
+from math import copysign
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datasets import generate_scaled
+from repro.errors import StorageError
+from repro.storage import BufferPool, HashFile, Pager, SpimiBuilder, SpimiIndex, materialize
+from repro.storage.bptree import BPlusTree
+
+PAGES = st.sampled_from([64, 128])
+#: integral, fractional, negative, signed-zero and inexact (> 2**53) keys
+KEYS = st.sampled_from(
+    [0.0, -0.0, 1.0, 2.0, -3.0, 0.5, -2.25, 300.0, 70000.0, 2.0**53 + 2, -(2.0**60), 1e300]
+)
+#: where positions start: 1-, 2- and 4-byte position arrays
+BASES = st.sampled_from([0, 250, 65_530])
+#: (key, run length) — long runs outgrow a 64-byte leaf
+RUNS = st.lists(st.tuples(KEYS, st.integers(1, 80)), max_size=12)
+
+
+def pairs_of(runs, base):
+    keys = [key for key, length in runs for _ in range(length)]
+    return [(key, base + i) for i, key in enumerate(keys)]
+
+
+def oracle_positions(oracle, low=None, high=None, include_low=True, include_high=True):
+    return [
+        position
+        for key, position in oracle
+        if (low is None or key > low or (include_low and key == low))
+        and (high is None or key < high or (include_high and key == high))
+    ]
+
+
+def open_pool(tmp_path, name, page_size, create=True, capacity=4):
+    pool = BufferPool(capacity)
+    pager = Pager(str(tmp_path / name), page_size, create=create)
+    pool.register(name, pager)
+    return pool, pager
+
+
+class TestBPlusTreeFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(PAGES, BASES, RUNS, RUNS, st.integers(1, 5), st.tuples(KEYS, KEYS).map(sorted))
+    def test_bulk_build_then_inserts_match_a_sorted_list(
+        self, tmp_path_factory, page_size, base, built, inserted, batch, bounds
+    ):
+        tmp_path = tmp_path_factory.mktemp("bpt")
+        bulk = sorted(pairs_of(built, base))
+        appended = pairs_of(inserted, base + len(bulk))
+        pool, pager = open_pool(tmp_path, "ix.bpt", page_size)
+        try:
+            tree = BPlusTree.bulk_build(pool, "ix.bpt", bulk)
+            # interleaved single inserts and batches, in the appended order
+            for start in range(0, len(appended), batch):
+                chunk = appended[start:start + batch]
+                if len(chunk) == 1:
+                    tree.insert(*chunk[0])
+                else:
+                    tree.insert_many(chunk)
+            oracle = sorted(bulk + appended)  # by key, then position
+            assert list(tree.items()) == oracle
+            for key in {key for key, _ in oracle} | {4.0}:
+                assert tree.search_eq(key) == oracle_positions(oracle, key, key)
+            low, high = bounds
+            for include_low in (True, False):
+                for include_high in (True, False):
+                    assert tree.search_range(
+                        low, high, include_low, include_high
+                    ) == oracle_positions(oracle, low, high, include_low, include_high)
+            assert tree.search_range(high=low) == oracle_positions(oracle, high=low)
+        finally:
+            pager.close()
+
+    def test_keys_come_back_as_the_floats_they_were(self, tmp_path):
+        pool, pager = open_pool(tmp_path, "ix.bpt", 64)
+        try:
+            # every other key integral: only -0.0 keeps the leaf f64
+            tree = BPlusTree.bulk_build(pool, "ix.bpt", [(-0.0, 0), (-0.0, 1), (2.0, 2)])
+            tree.insert(-0.0, 3)
+            keys = [key for key, _ in tree.items()]
+            assert [copysign(1.0, key) for key in keys] == [-1.0, -1.0, -1.0, 1.0]
+            assert [type(key) for key in keys] == [float] * 4
+        finally:
+            pager.close()
+
+    @pytest.mark.parametrize("built", [0, 3_000])
+    def test_a_batch_a_leaf_header_cannot_count(self, tmp_path, built):
+        """70,000 increasing keys all descend to one leaf — the lone root
+        of an empty tree, or the last leaf — more positions than a leaf's
+        u16 count holds; the leaf is split before it is encoded."""
+        pool, pager = open_pool(tmp_path, "ix.bpt", 4096, capacity=16)
+        try:
+            tree = BPlusTree.bulk_build(pool, "ix.bpt", [(float(i), i) for i in range(built)])
+            tree.insert_many((float(i), i) for i in range(built, built + 70_000))
+            assert list(tree.items()) == [(float(i), i) for i in range(built + 70_000)]
+            assert tree.search_eq(float(built + 69_999)) == [built + 69_999]
+        finally:
+            pager.close()
+
+    @settings(max_examples=30, deadline=None)
+    @given(PAGES, RUNS)
+    def test_reopened_from_disk(self, tmp_path_factory, page_size, runs):
+        tmp_path = tmp_path_factory.mktemp("bpt")
+        bulk = sorted(pairs_of(runs, 0))
+        pool, pager = open_pool(tmp_path, "ix.bpt", page_size)
+        BPlusTree.bulk_build(pool, "ix.bpt", bulk)
+        pool.flush()
+        pager.close()
+        pool, pager = open_pool(tmp_path, "ix.bpt", page_size, create=False, capacity=2)
+        try:
+            assert list(BPlusTree(pool, "ix.bpt").items()) == bulk
+        finally:
+            pager.close()
+
+
+class TestHashFileFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        PAGES,
+        BASES,
+        st.lists(st.sampled_from("abcdefg"), max_size=150),
+        st.lists(st.sampled_from("aefxyz"), max_size=60),
+        st.integers(1, 40),
+    )
+    def test_positions_match_a_sorted_list(
+        self, tmp_path_factory, page_size, base, built, inserted, batch
+    ):
+        tmp_path = tmp_path_factory.mktemp("hash")
+        items = [(value, base + i) for i, value in enumerate(built)]
+        path = str(tmp_path / "ix.hash")
+        HashFile.build(path, items, page_size)
+        appended = [(value, i) for i, value in enumerate(inserted, base + len(built))]
+        pool, pager = open_pool(tmp_path, "ix.hash", page_size, create=False)
+        try:
+            index = HashFile(pool, "ix.hash")
+            # single inserts and batches, in the appended order
+            for start in range(0, len(appended), batch):
+                chunk = appended[start:start + batch]
+                if len(chunk) == 1:
+                    index.insert(*chunk[0])
+                else:
+                    index.insert_many(chunk)
+            items += appended
+            for value in "abcdefgxyz-":
+                assert index.positions(value) == {p for v, p in items if v == value}
+        finally:
+            pager.close()
+
+    def test_a_batch_longer_than_a_page_goes_on_new_overflow_pages(self, tmp_path):
+        path = str(tmp_path / "ix.hash")
+        HashFile.build(path, [("a", 0)], 64)
+        pool, pager = open_pool(tmp_path, "ix.hash", 64, create=False)
+        try:
+            index = HashFile(pool, "ix.hash")
+            index.insert_many([("b", p) for p in range(1, 101)] + [("a", 70_000)])
+            assert index.positions("b") == set(range(1, 101))
+            assert index.positions("a") == {0, 70_000}
+        finally:
+            pager.close()
+
+
+class TestSpimiFormat:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        BASES,
+        st.lists(
+            st.tuples(st.sampled_from(["oil", "olive", "royal", "tea"]),
+                      st.sampled_from([("T", "a"), ("T", "b"), ("U", "a")])),
+            max_size=80,
+        ),
+        st.integers(0, 30),
+        st.integers(1, 50),
+    )
+    def test_postings_match_a_sorted_list(self, tmp_path_factory, base, entries, delta, budget):
+        tmp_path = tmp_path_factory.mktemp("spimi")
+        rows = [
+            (token, relation, attribute, base + i)
+            for i, (token, (relation, attribute)) in enumerate(entries)
+        ]
+        builder = SpimiBuilder(str(tmp_path), budget)
+        for row in rows[:len(rows) - delta]:
+            builder.add(*row)
+        builder.finalize(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
+        index = SpimiIndex(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
+        try:
+            if delta:
+                index.append(
+                    rows[len(rows) - delta:], str(tmp_path / "d.bin"), str(tmp_path / "d.json"),
+                    budget,
+                )
+            for token in ["oil", "olive", "royal", "tea", "zzz"]:
+                expected = {}
+                for tok, relation, attribute, position in rows:
+                    if tok == token:
+                        expected.setdefault((relation, attribute), []).append(position)
+                assert index.postings(token) == expected
+            for first in ["o", "oil", "al", "zzz"]:
+                assert index.candidate_positions(first, "T", "a") == {
+                    p for tok, r, a, p in rows if first in tok and (r, a) == ("T", "a")
+                }
+        finally:
+            index.close()
+
+
+def corrupt_first_leaf(tmp_path, patch):
+    """A four-key tree whose one leaf *patch* damages; returns the tree."""
+    pool, pager = open_pool(tmp_path, "ix.bpt", 128)
+    tree = BPlusTree.bulk_build(pool, "ix.bpt", [(1.0, 0), (1.0, 1), (2.0, 2), (3.5, 3)])
+    frame = pool.pin("ix.bpt", 1)
+    patch(frame.data)
+    pool.unpin(frame, dirty=True)
+    return tree
+
+
+class TestCorruptionIsAnError:
+    # leaf header: [type u8][n_keys u16][n_positions u16][next u32], then
+    # the key code at byte 9, three f64 keys, the counts' width at 34
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            (lambda data: data.__setitem__(slice(1, 3), (5000).to_bytes(2, "little")),
+             "corrupt node"),                               # truncated node
+            (lambda data: data.__setitem__(9, 3), "unknown key width code 3"),
+            (lambda data: data.__setitem__(34, 3), "unknown width code 3"),
+            (lambda data: data.__setitem__(35, 250), "counts"),  # run past the positions
+            (lambda data: data.__setitem__(slice(3, 5), (200).to_bytes(2, "little")),
+             "past the end"),                               # positions past the page
+            (lambda data: data.__setitem__(0, 7), "unknown node type 7"),
+        ],
+    )
+    def test_damaged_leaf(self, tmp_path, patch, message):
+        tree = corrupt_first_leaf(tmp_path, patch)
+        with pytest.raises(StorageError, match=message):
+            tree.search_eq(1.0)
+
+    def test_damaged_bucket_page(self, tmp_path):
+        path = str(tmp_path / "ix.hash")
+        HashFile.build(path, [("a", 0), ("a", 1)], 64)
+        with open(path, "r+b") as handle:
+            handle.seek(64 + 6 + 10)  # bucket page 1: the entry's width code
+            handle.write(bytes([3]))
+        pool, pager = open_pool(tmp_path, "ix.hash", 64, create=False)
+        try:
+            with pytest.raises(StorageError, match="unknown width code 3"):
+                HashFile(pool, "ix.hash").positions("a")
+        finally:
+            pager.close()
+
+    def test_truncated_posting(self, tmp_path):
+        builder = SpimiBuilder(str(tmp_path))
+        builder.add("oil", "T", "a", 7)
+        builder.finalize(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
+        raw = (tmp_path / "p.bin").read_bytes()
+        (tmp_path / "p.bin").write_bytes(raw[:2] + (9).to_bytes(4, "little") + raw[6:])
+        index = SpimiIndex(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
+        try:
+            with pytest.raises(StorageError, match="corrupt postings"):
+                index.postings("oil")
+        finally:
+            index.close()
+
+
+#: bytes per file class of ``materialize(generate_scaled("tpch", 1))`` at
+#: 4 KiB pages; a change that makes an index file larger fails here
+TPCH_SF1_BYTES = {"heap": 77_824, "bpt": 204_800, "hash": 86_016, "spimi": 17_668}
+
+
+def test_tpch_sf1_footprint(tmp_path):
+    manifest = materialize(generate_scaled("tpch", 1), str(tmp_path))
+    by_class = dict.fromkeys(TPCH_SF1_BYTES, 0)
+    for name, size in manifest["files"].items():
+        suffix = os.path.splitext(name)[1][1:]
+        by_class[suffix if suffix in ("heap", "bpt", "hash") else "spimi"] += size
+    for file_class, ceiling in TPCH_SF1_BYTES.items():
+        assert by_class[file_class] <= ceiling, (file_class, by_class)

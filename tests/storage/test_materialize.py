@@ -91,17 +91,20 @@ class TestManifest:
 
     def test_format_1_directory_is_stale(self, tmp_path):
         """A directory of the record-at-a-time heap format (manifest
-        format 1) must be rebuilt, never decoded as column-wise pages."""
+        format 1), or of index files holding a key per position (format
+        2), must be rebuilt, never decoded as this format."""
         db = small_db()
-        materialize(db, str(tmp_path), page_size=PAGE)
-        path = tmp_path / MANIFEST_FILE
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["format"] == 2
-        document["format"] = 1
-        path.write_text(json.dumps(document), encoding="utf-8")
-        assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-        with pytest.raises(StorageError, match="unsupported manifest format 1"):
-            StorageEngine(str(tmp_path), db.schema)
+        for old in (1, 2):
+            materialize(db, str(tmp_path), page_size=PAGE)
+            path = tmp_path / MANIFEST_FILE
+            document = json.loads(path.read_text(encoding="utf-8"))
+            assert document["format"] == 3
+            document["format"] = old
+            path.write_text(json.dumps(document), encoding="utf-8")
+            assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+            with pytest.raises(StorageError, match=f"unsupported manifest format {old}"):
+                StorageEngine(str(tmp_path), db.schema)
+            TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
 
     def test_truncated_data_file_is_stale(self, tmp_path):
         """The half-written shape a crash during rebuild leaves."""
@@ -250,7 +253,7 @@ class TestAppendCrashShapes:
             db.load("T", MORE)
             with monkeypatch.context() as patched:
                 patched.setattr(
-                    "repro.storage.hashindex.HashFile.insert",
+                    "repro.storage.hashindex.HashFile.insert_many",
                     lambda *args: (_ for _ in ()).throw(StorageError("disk full")),
                 )
                 with pytest.raises(StorageError, match="disk full"):
