@@ -11,7 +11,7 @@ the pipeline produces:
 
 ``repro check --concurrency`` instead turns the analyzers on the
 codebase itself: the whole-program lock-discipline pass of
-:mod:`repro.analysis.concurrency` (codes C001–C006), printing every
+:mod:`repro.analysis.concurrency` (codes C001–C004 and C006), printing every
 unsuppressed finding plus the justified suppressions it honoured.
 
 The exit code is the number of artifacts with findings (capped at 1 for

@@ -33,10 +33,6 @@ repro.analysis.codebase``.  It has two layers:
     inside ``repro/backends/``: every other layer goes through the
     :class:`~repro.backends.base.Backend` protocol, so the RDBMS
     dependency stays swappable.
-  * **LR007** — ``multiprocessing`` (and ``os.fork``) may only be used
-    (at any nesting level) inside ``repro/service/pool.py``: process
-    lifecycle is the worker pool's whole job, so fork-safety reasoning
-    stays in one reviewable place.
   * **LR008** — raw file-I/O primitives — binary-mode ``open``,
     ``mmap``, and the ``os.pread``/``os.pwrite`` family — may only be
     used inside ``repro/storage/``: page layout, torn-write handling and
@@ -188,10 +184,6 @@ TRACER_ALLOWED = (
 # file path substrings where importing sqlite3 is allowed (LR006): the
 # backend package owns the one RDBMS dependency
 SQLITE_ALLOWED = ("repro/backends/",)
-
-# file path substrings where importing multiprocessing / calling os.fork
-# is allowed (LR007): the worker pool owns process lifecycle
-MULTIPROCESSING_ALLOWED = ("repro/service/pool.py",)
 
 # file path substrings where raw file I/O (binary open, mmap, os.pread /
 # os.pwrite family) is allowed (LR008): the paged storage engine owns
@@ -439,33 +431,6 @@ def analyze_source(source: SourceFile) -> List[Finding]:
             "Backend protocol instead",
             findings,
         )
-        _confined_import(
-            source,
-            node,
-            "multiprocessing",
-            MULTIPROCESSING_ALLOWED,
-            "LR007",
-            "multiprocessing imported outside repro/service/pool.py; go "
-            "through WorkerPool instead",
-            findings,
-        )
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "fork"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "os"
-            and not any(part in posix for part in MULTIPROCESSING_ALLOWED)
-        ):
-            findings.append(
-                (
-                    source.path,
-                    node.lineno,
-                    "LR007",
-                    "os.fork() called outside repro/service/pool.py; go "
-                    "through WorkerPool instead",
-                )
-            )
         _confined_import(
             source,
             node,

@@ -1,15 +1,14 @@
 """Whole-program lock-discipline analysis over the repro codebase.
 
-PRs 4 and 6 made the repository a genuinely concurrent system: worker
-threads draining a bounded queue, a result cache with single-flight
-leaders and followers, circuit breakers, duplex pipes into worker
-processes, and a multi-stage shutdown drain.  This module makes the
-locking discipline those layers depend on *checkable*: it parses every
-module under ``src/repro`` once (sharing :class:`SourceFile` loading
-with the LR lint pass), builds a **lock model** — which classes own
-which ``threading.Lock``/``RLock``/``Condition`` attributes, which
-attributes their methods only ever mutate while holding them — and
-emits the C-code diagnostic family:
+The serving layer is a genuinely concurrent system: worker threads
+draining a bounded queue, a result cache with single-flight leaders and
+followers, circuit breakers, and a multi-stage shutdown drain.  This
+module makes the locking discipline those layers depend on *checkable*:
+it parses every module under ``src/repro`` once (sharing
+:class:`SourceFile` loading with the LR lint pass), builds a **lock
+model** — which classes own which ``threading.Lock``/``RLock``/
+``Condition`` attributes, which attributes their methods only ever
+mutate while holding them — and emits the C-code diagnostic family:
 
 * **C001** — an attribute is mutated both inside and outside its guard.
   The guard is *inferred* (every non-``__init__`` write holds the same
@@ -26,10 +25,6 @@ emits the C-code diagnostic family:
 * **C004** — a manual ``acquire()`` without a ``try``/``finally``
   release in the same function, or a lock object escaping its owner via
   ``return``/``yield``.
-* **C005** — fork-safety violations: a thread created at import time
-  (it would predate a ``fork`` start), or a pool broadcast issued from
-  a function without an ``os.getpid()`` owner check (a forked child
-  inheriting the service object must never write the parent's pipes).
 * **C006** — an un-timed ``.wait()`` on the request path
   (``repro/service/``): every wait a request can reach must be bounded
   by the deadline budget.
@@ -443,8 +438,6 @@ class _FunctionAnalyzer:
         self.fresh: Set[str] = set()
         self.manual_acquires: List[Tuple[LockId, int]] = []
         self.released_in_finally: Set[LockId] = set()
-        self.has_getpid = False
-        self.broadcasts: List[int] = []
         self._collect_bindings()
 
     # -- environment ---------------------------------------------------
@@ -480,12 +473,6 @@ class _FunctionAnalyzer:
                 owner = self.analysis.unique_lock_owner.get(node.attr)
                 if owner is not None:
                     self.bindings[node.value.id] = owner
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "getpid"
-            ):
-                self.has_getpid = True
 
     def _self_lock(self, expr: ast.expr) -> Optional[LockId]:
         if (
@@ -715,11 +702,6 @@ class _FunctionAnalyzer:
                         call.lineno,
                         hint="move the call outside the lock",
                     )
-        # fork-safety: pool broadcasts need the owner-pid guard
-        if func.attr == "broadcast_clear" and not self.source.posix.endswith(
-            "service/pool.py"
-        ):
-            self.broadcasts.append(call.lineno)
         reason = _blocking_reason(call)
         if reason is not None:
             self.facts.blocking = True
@@ -780,17 +762,6 @@ class _FunctionAnalyzer:
         """Findings that need the whole function analyzed first."""
         if not self.record:
             return
-        if self.broadcasts and not self.has_getpid:
-            for lineno in self.broadcasts:
-                self._finding(
-                    "C005",
-                    Severity.ERROR,
-                    "pool broadcast without an os.getpid() owner check: a "
-                    "forked child inheriting this object would write the "
-                    "parent's pipes",
-                    lineno,
-                    hint="guard with os.getpid() == owner pid",
-                )
         # lock escape: returning/yielding a lock hands it to strangers
         for node in ast.walk(self.func):
             if isinstance(node, (ast.Return, ast.Yield)) and node.value is not None:
@@ -953,7 +924,6 @@ class _Analysis:
                 source, cls, func, name,
                 inherited.get(key, frozenset()), record=True,
             )
-        self._module_level_threads()
         self._check_guards()
         self._check_cycles()
 
@@ -1046,46 +1016,6 @@ class _Analysis:
                     inherited[key] = common
                     changed = True
         return {key: held for key, held in inherited.items() if held}
-
-    def _module_level_threads(self) -> None:
-        """C005: threads created at import time predate any fork."""
-
-        def scan(stmts: Sequence[ast.stmt], source: SourceFile) -> None:
-            for stmt in stmts:
-                if isinstance(
-                    stmt,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                ):
-                    continue
-                for node in _expression_nodes(stmt):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "Thread"
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "threading"
-                    ):
-                        self.raw_findings.append(
-                            _RawFinding(
-                                "C005",
-                                Severity.ERROR,
-                                "thread created at import time: it would "
-                                "predate a fork start and silently vanish "
-                                "in the child",
-                                source,
-                                node.lineno,
-                                hint="create threads inside start()",
-                            )
-                        )
-                for field_name in ("body", "orelse", "finalbody"):
-                    children = getattr(stmt, field_name, None)
-                    if children:
-                        scan(children, source)
-                for handler in getattr(stmt, "handlers", []) or []:
-                    scan(handler.body, source)
-
-        for source in self.sources:
-            scan(source.tree.body, source)
 
     # -- C001: guard discipline ---------------------------------------
     def _check_guards(self) -> None:

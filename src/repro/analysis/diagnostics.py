@@ -99,7 +99,6 @@ CODE_CATALOG: Dict[str, str] = {
     "C002": "cycle in the lock-acquisition-order graph (potential deadlock)",
     "C003": "blocking call while holding a lock",
     "C004": "manual acquire() without try/finally release, or lock escape",
-    "C005": "fork-safety violation (pre-fork thread or unguarded child write)",
     "C006": "un-timed condition wait on the request path",
     "C007": "anomalously long lock hold observed at runtime",
     "C008": "statically-inferred guard never observed held at runtime",

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.backends.base import (
@@ -222,13 +221,16 @@ class KeywordSearchEngine:
         # refreshes the entry; eviction drops the least recently used).
         # Patterns are immutable after ranking, and translation copies
         # nothing the caller may mutate, so caching per query text is safe.
-        # The lock makes cache bookkeeping safe under search_many().
+        # The lock makes cache bookkeeping safe for the service threads
+        # that share one engine.
         self._pattern_cache: "OrderedDict[str, List[QueryPattern]]" = OrderedDict()
         self._pattern_cache_lock = threading.Lock()
         self.cache_size = 128
         # caches registered against this engine (the serving layer's TTL
         # result cache): clear_cache() resets them too, so a write
-        # followed by clear_cache() can never serve stale responses
+        # followed by clear_cache() can never serve stale responses.  A
+        # hook must not keep its cache's owner alive (see
+        # QueryService.register_dataset)
         self._invalidation_hooks: List[Callable[[], None]] = []
 
     def register_invalidation_hook(self, hook: Callable[[], None]) -> None:
@@ -519,34 +521,6 @@ class KeywordSearchEngine:
                 sum(1 for d in report if d.severity is Severity.ERROR),
             )
         return report
-
-    def search_many(
-        self,
-        query_texts: Sequence[str],
-        k: Optional[int] = None,
-        parallel: int = 4,
-        trace: bool = False,
-    ) -> List[SearchResult]:
-        """Batch :meth:`search`, one :class:`SearchResult` per input query.
-
-        Duplicate query texts are compiled once and share the same result
-        object; distinct queries run on a thread pool of *parallel* workers
-        (the pattern and plan caches are lock-protected, so workers warm
-        them for each other).  Results come back in input order.
-        """
-        if parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {parallel}")
-        unique = list(dict.fromkeys(query_texts))
-        self.metrics.increment("batch_searches")
-        self.metrics.increment("batch_queries", len(query_texts))
-        self.metrics.increment("batch_deduped", len(query_texts) - len(unique))
-        if parallel == 1 or len(unique) <= 1:
-            by_text = {text: self.search(text, k, trace=trace) for text in unique}
-        else:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                results = pool.map(lambda text: self.search(text, k, trace=trace), unique)
-                by_text = dict(zip(unique, results))
-        return [by_text[text] for text in query_texts]
 
     def execute(self, query_text: str, backend: Optional[str] = None) -> QueryResult:
         """Execute the top-ranked interpretation."""

@@ -17,7 +17,6 @@ from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.service.cache import ResultCache
 from repro.service.config import ServiceConfig
 from repro.service.http import ServiceHTTPServer, make_server
-from repro.service.pool import WorkerPool
 from repro.service.service import (
     QueryService,
     ServiceRequest,
@@ -36,7 +35,6 @@ __all__ = [
     "ServiceHTTPServer",
     "ServiceRequest",
     "ServiceResponse",
-    "WorkerPool",
     "canonical_json",
     "make_server",
 ]

@@ -43,15 +43,12 @@ class ServiceConfig:
         half the queue limit, at least 1), requests are served in top-1
         interpretation mode regardless of their requested ``k``.
 
-    Process worker tier (``docs/SERVING.md`` § scale-out)
-        ``worker_processes`` engine-owning worker *processes* behind the
-        thread tier (0 — the default — serves in-process exactly as
-        before).  ``worker_context`` picks the multiprocessing start
-        method (``None``: fork where available, else spawn);
-        ``worker_grace_s`` is the slack past a request's deadline before
-        a wedged worker is killed and respawned; and ``shutdown_grace_s``
-        bounds how long :meth:`QueryService.stop` waits for threads and
-        processes before escalating.
+    Shutdown
+        ``shutdown_grace_s`` bounds how long :meth:`QueryService.stop`
+        waits for its threads before cancelling in-flight requests.
+
+    ``worker_processes`` accepts only ``0``: the service is one process
+    (``docs/SERVING.md`` § One process).
     """
 
     max_workers: int = 4
@@ -66,8 +63,6 @@ class ServiceConfig:
     breaker_max_reset_s: float = 30.0
     degrade_queue_depth: Optional[int] = None
     worker_processes: int = 0
-    worker_context: Optional[str] = None
-    worker_grace_s: float = 2.0
     shutdown_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
@@ -103,18 +98,10 @@ class ServiceConfig:
                 "degrade_queue_depth must be >= 1 (or None for auto), got "
                 f"{self.degrade_queue_depth}"
             )
-        if self.worker_processes < 0:
+        if self.worker_processes != 0:
             raise ValueError(
-                f"worker_processes must be >= 0, got {self.worker_processes}"
-            )
-        if self.worker_context not in (None, "fork", "spawn", "forkserver"):
-            raise ValueError(
-                "worker_context must be None, 'fork', 'spawn' or "
-                f"'forkserver', got {self.worker_context!r}"
-            )
-        if self.worker_grace_s <= 0:
-            raise ValueError(
-                f"worker_grace_s must be > 0, got {self.worker_grace_s}"
+                "worker_processes must be 0 (the service is one process), "
+                f"got {self.worker_processes}"
             )
         if self.shutdown_grace_s <= 0:
             raise ValueError(

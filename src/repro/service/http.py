@@ -17,10 +17,7 @@ Endpoints (all ``GET``, parameters as query strings):
 ``/healthz``
     Liveness plus queue depth and per-dataset breaker states.
 ``/metrics``
-    The full counter/timing snapshot (service, engines, breakers, cache;
-    in pool mode also the per-worker breakdown under ``workers``).
-``/workers``
-    Just the worker-pool breakdown (404 when ``worker_processes=0``).
+    The full counter/timing snapshot (service, engines, breakers, cache).
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
 connection, all of them funnelling into the service's bounded queue, so
@@ -69,12 +66,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, self.server.service.health())
         elif route == "/metrics":
             self._send(200, self.server.service.metrics_snapshot())
-        elif route == "/workers":
-            workers = self.server.service.metrics_snapshot().get("workers")
-            if workers is None:
-                self._send(404, {"error": "no worker pool configured"})
-            else:
-                self._send(200, workers)
         elif route in ("/search", "/analyze"):
             self._serve_query(route, params)
         else:

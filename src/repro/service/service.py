@@ -32,10 +32,10 @@ top-1 interpretation mode (queue depth ≥ watermark) → load shedding
 from __future__ import annotations
 
 import json
-import os
 import queue
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -47,7 +47,6 @@ from repro.errors import (
     StaticAnalysisError,
 )
 from repro.observability import NULL_TRACER, MetricsRegistry, Trace, Tracer
-from repro.service import proto
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.cache import ResultCache
 from repro.service.config import ServiceConfig
@@ -169,9 +168,8 @@ def compute_payload(
     k: int,
     backend: Optional[str],
 ) -> Dict[str, Any]:
-    """What a result-cache miss computes — the one function both a service
-    thread and a pool worker process run, each under its own
-    :func:`~repro.cancellation.cancellation_scope`."""
+    """What a result-cache miss computes, run by a service thread under the
+    request's :func:`~repro.cancellation.cancellation_scope`."""
     if mode == "analyze":
         return analyze_payload(engine, dataset, query, k)
     if engine_kind == "sqak":
@@ -267,17 +265,6 @@ class _Pending:
         return self._response
 
 
-class _InheritedRuntimes:
-    """The default pool worker factory: hand the forked child the parent's
-    already-built engines (copy-on-write — no rebuild, no pickling)."""
-
-    def __init__(self, runtimes: Dict[str, Tuple[Any, Any]]) -> None:
-        self._runtimes = runtimes
-
-    def __call__(self) -> Dict[str, Tuple[Any, Any]]:
-        return self._runtimes
-
-
 class _Runtime:
     """One registered dataset: engines plus its circuit breaker."""
 
@@ -297,7 +284,6 @@ class QueryService:
         self,
         config: Optional[ServiceConfig] = None,
         clock: Callable[[], float] = time.monotonic,
-        worker_factory: Optional[Callable[[], Dict[str, Tuple[Any, Any]]]] = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
@@ -315,28 +301,10 @@ class QueryService:
         self._workers: List[threading.Thread] = []
         self._running = False  # guarded-by: _lifecycle_lock
         self._lifecycle_lock = threading.Lock()
-        # ---- process worker tier (config.worker_processes > 0) ----
-        # the pool serves the compute; every request still flows through
-        # this (front-end) process, which is what makes self._cache a
-        # genuinely *shared cross-process* result cache and keeps the
-        # lifecycle semantics byte-identical to in-process serving
-        # guarded-by: _lifecycle_lock
-        self._pool = None  # repro.service.pool.WorkerPool, started lazily
-        # spawn-mode pools rebuild engines from this; the fork default is
-        # a closure over the registered runtimes (copy-on-write)
-        self._worker_factory = worker_factory
-        # per-dataset invalidation epochs, carried on every dispatch so
-        # clear_cache() propagates to every worker (even respawned ones)
-        self._epochs: Dict[str, int] = {}  # guarded-by: _epochs_lock
-        self._epochs_lock = threading.Lock()
         # in-flight requests, so stop() can cancel their tokens after the
         # join grace instead of waiting unboundedly
         self._inflight: set = set()  # guarded-by: _inflight_lock
         self._inflight_lock = threading.Lock()
-        # forked pool workers inherit this object (and, via engine
-        # invalidation hooks, may call invalidate_dataset on their own
-        # copies); only the owning process may talk to the pool's pipes
-        self._owner_pid = os.getpid()
 
     # ------------------------------------------------------------------
     # Registration / lifecycle
@@ -347,7 +315,9 @@ class QueryService:
         The engine's cache-invalidation hook is wired so
         ``engine.clear_cache()`` also drops this dataset's cached
         service responses (stale-response protection across writes
-        to the dataset's tables).
+        to the dataset's tables).  The hook holds the service weakly: an
+        engine that outlives its service neither keeps it alive nor calls
+        into it, and a stopped service is freed without a GC pass.
         """
         if name in self._runtimes:
             raise ValueError(f"dataset {name!r} already registered")
@@ -363,23 +333,19 @@ class QueryService:
             self._default_dataset = name
         register = getattr(engine, "register_invalidation_hook", None)
         if register is not None:
-            register(lambda: self.invalidate_dataset(name))
+            service = weakref.ref(self)
+
+            def invalidate() -> None:
+                live = service()
+                if live is not None:
+                    live.invalidate_dataset(name)
+
+            register(invalidate)
 
     def invalidate_dataset(self, name: str) -> int:
-        """Drop every cached response for *name* (returns entries dropped).
-
-        In pool mode this also bumps the dataset's invalidation epoch —
-        carried on every subsequent dispatch, so each worker drops its own
-        engine caches before serving anything newer — and best-effort
-        broadcasts the clear to all live workers."""
+        """Drop every cached response for *name* (returns entries dropped)."""
         dropped = self._cache.invalidate(lambda key: key[0] == name)
         self.metrics.increment("result_cache_invalidations")
-        with self._epochs_lock:
-            self._epochs[name] = self._epochs.get(name, 0) + 1
-            epoch = self._epochs[name]
-        pool = self._pool
-        if pool is not None and pool.running and os.getpid() == self._owner_pid:
-            pool.broadcast_clear(name, epoch)
         return dropped
 
     @property
@@ -392,10 +358,6 @@ class QueryService:
                 return self
             if not self._runtimes:
                 raise RuntimeError("no datasets registered")
-            if self.config.worker_processes > 0 and self._pool is None:
-                # start the process tier *before* the thread tier: forked
-                # children must not inherit mid-request thread state
-                self._pool = self._build_pool().start()
             self._running = True
             for index in range(self.config.max_workers):
                 worker = threading.Thread(
@@ -407,43 +369,15 @@ class QueryService:
                 self._workers.append(worker)
         return self
 
-    def _build_pool(self):
-        from repro.service.pool import WorkerPool, default_start_method
-
-        factory = self._worker_factory
-        if factory is None:
-            effective = self.config.worker_context or default_start_method()
-            if effective != "fork":
-                raise RuntimeError(
-                    "worker_processes > 0 with a non-fork start method "
-                    f"({effective!r}) needs an explicit picklable "
-                    "worker_factory: engines cannot be pickled into spawned "
-                    "workers (see repro.service.cli.build_worker_factory)"
-                )
-            # fork inherits these live engines copy-on-write; no rebuild
-            runtimes = {
-                name: (runtime.engine, runtime.sqak)
-                for name, runtime in self._runtimes.items()
-            }
-            factory = _InheritedRuntimes(runtimes)
-        return WorkerPool(
-            factory,
-            workers=self.config.worker_processes,
-            context=self.config.worker_context,
-            grace_s=self.config.worker_grace_s,
-        )
-
     def stop(self, timeout: Optional[float] = None) -> None:
         """Stop accepting work and shut down deterministically.
 
         Drain order: (1) join worker threads for a bounded grace period,
         (2) cancel the tokens of requests still in flight — cooperative
-        cancellation aborts in-process engine work at its next checkpoint
-        and pool dispatches at their poll — and join again, (3) resolve
-        everything still queued with a clean ``unavailable``, (4) stop the
-        process pool (polite shutdown, then terminate, then kill), so
-        repeated bench runs and test teardowns never leak threads or
-        processes."""
+        cancellation aborts engine work at its next checkpoint — and join
+        again, (3) resolve everything still queued with a clean
+        ``unavailable``, so repeated bench runs and test teardowns never
+        leak threads."""
         grace = timeout if timeout is not None else self.config.shutdown_grace_s
         with self._lifecycle_lock:
             if not self._running:
@@ -473,17 +407,6 @@ class QueryService:
                     payload={"error": "service stopped"},
                 )
             )
-        # start() writes _pool under the lifecycle lock; take it for the
-        # swap too so a concurrent restart cannot interleave with drain
-        with self._lifecycle_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.stop(grace_s=grace)
-        # killing the pool unblocks any thread that was mid-dispatch; give
-        # those a final bounded join so stop() returns with nothing running
-        for worker in workers:
-            if worker.is_alive():
-                worker.join(1.0)
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -501,11 +424,10 @@ class QueryService:
 
     def health(self) -> Dict[str, Any]:
         """The ``/healthz`` payload."""
-        payload = {
+        return {
             "status": "ok" if self._running else "stopped",
             "datasets": self.datasets,
             "workers": self.config.max_workers,
-            "worker_processes": self.config.worker_processes,
             "queue_depth": self.queue_depth,
             "queue_limit": self.config.queue_limit,
             "cache_entries": len(self._cache),
@@ -514,10 +436,6 @@ class QueryService:
                 for name, runtime in self._runtimes.items()
             },
         }
-        pool = self._pool
-        if pool is not None:
-            payload["pool"] = pool.health()
-        return payload
 
     # ------------------------------------------------------------------
     # Admission
@@ -657,7 +575,7 @@ class QueryService:
                 pending.resolve(
                     ServiceResponse(
                         status="error",
-                        payload={"error": proto.format_error(exc)},
+                        payload={"error": f"{type(exc).__name__}: {exc}"},
                     )
                 )
             finally:
@@ -758,7 +676,7 @@ class QueryService:
             pending.resolve(
                 ServiceResponse(
                     status="error",
-                    payload={"error": proto.format_error(exc)},
+                    payload={"error": f"{type(exc).__name__}: {exc}"},
                     degraded=degraded,
                     queue_wait_ms=queue_wait_ms,
                     serve_ms=(time.perf_counter() - started) * 1000.0,
@@ -796,8 +714,6 @@ class QueryService:
         )
 
         def compute() -> Dict[str, Any]:
-            if self._pool is not None:
-                return self._compute_via_pool(runtime, request, k, token)
             with cancellation_scope(token):
                 return compute_payload(
                     runtime.engine,
@@ -825,37 +741,6 @@ class QueryService:
             key, compute, timeout=token.remaining(), observe=observe
         )
 
-    def _compute_via_pool(
-        self,
-        runtime: _Runtime,
-        request: ServiceRequest,
-        k: int,
-        token: CancellationToken,
-    ) -> Dict[str, Any]:
-        """Serve one cache miss through the process worker tier.
-
-        The dispatch carries the arguments of :func:`compute_payload`, the
-        dataset's invalidation epoch (cache coherence for lagging or
-        respawned workers) and the remaining deadline (the worker runs its
-        own cancellation scope; the parent kills it past deadline +
-        grace)."""
-        pool = self._pool
-        assert pool is not None
-        token.check()  # don't ship work the deadline already killed
-        with self._epochs_lock:
-            epoch = self._epochs.get(runtime.name, 0)
-        return pool.dispatch(
-            proto.OP_COMPUTE,
-            dataset=runtime.name,
-            query=request.query,
-            deadline_s=token.remaining(),
-            mode=request.mode,
-            engine=request.engine,
-            k=k,
-            backend=request.backend,
-            epoch=epoch,
-        )
-
     def _log_transitions(self, runtime: _Runtime, transitions, tracer) -> None:
         for old, new in transitions:
             self.metrics.increment("breaker_transitions")
@@ -874,30 +759,14 @@ class QueryService:
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The ``/metrics`` payload: service counters, per-engine metrics
-        and breaker states.
-
-        The request-lifecycle counters (``requests_*``, cache outcomes)
-        live entirely in this front-end process — admission, gates and
-        the result cache never moved — so their reconciliation identities
-        hold exactly in pool mode too.  What *does* cross processes is
-        engine work: in pool mode the ``engines`` section is the
-        per-dataset **sum** over every worker's engine registry, and the
-        raw per-worker breakdowns appear under a ``workers`` key."""
-        pool = self._pool
-        pool_snapshot = (
-            pool.metrics_snapshot() if pool is not None and pool.running else None
-        )
-        if pool_snapshot is None:
-            engines = {
+        and breaker states."""
+        return {
+            "service": self.metrics.snapshot(),
+            "engines": {
                 name: runtime.engine.metrics.snapshot()
                 for name, runtime in self._runtimes.items()
                 if getattr(runtime.engine, "metrics", None) is not None
-            }
-        else:
-            engines = self._sum_worker_engines(pool_snapshot)
-        snapshot: Dict[str, Any] = {
-            "service": self.metrics.snapshot(),
-            "engines": engines,
+            },
             "breakers": {
                 name: runtime.breaker.snapshot()
                 for name, runtime in self._runtimes.items()
@@ -907,28 +776,3 @@ class QueryService:
                 "invalidations": self._cache.invalidations,
             },
         }
-        if pool_snapshot is not None:
-            snapshot["workers"] = pool_snapshot
-        return snapshot
-
-    @staticmethod
-    def _sum_worker_engines(pool_snapshot: Dict[str, Any]) -> Dict[str, Any]:
-        """Per-dataset engine metrics summed across worker processes."""
-        totals: Dict[str, Dict[str, Any]] = {}
-        for worker in pool_snapshot["workers"].values():
-            for name, snapshot in worker.get("engines", {}).items():
-                bucket = totals.setdefault(name, {"counters": {}, "timings": {}})
-                for counter, value in snapshot.get("counters", {}).items():
-                    bucket["counters"][counter] = (
-                        bucket["counters"].get(counter, 0) + value
-                    )
-                for timing, entry in snapshot.get("timings", {}).items():
-                    merged = bucket["timings"].get(timing)
-                    if merged is None:
-                        bucket["timings"][timing] = dict(entry)
-                    else:
-                        merged["count"] += entry["count"]
-                        merged["total_s"] += entry["total_s"]
-                        merged["min_s"] = min(merged["min_s"], entry["min_s"])
-                        merged["max_s"] = max(merged["max_s"], entry["max_s"])
-        return totals

@@ -51,17 +51,26 @@ class TestCheckCommand:
         text = out.getvalue()
         assert code == 0
         assert "concurrency: clean" in text
-        # every honoured suppression is listed with its justification
-        assert "suppressed C003" in text
+        # the tree needs no lock-ok suppression
+        assert "0 justified suppressions" in text
 
     def test_concurrency_mode_fails_on_findings(self, monkeypatch):
         from repro.analysis import check as check_module
-        from repro.analysis.concurrency import ConcurrencyReport, LockModel
+        from repro.analysis.concurrency import (
+            ConcurrencyReport,
+            LockModel,
+            SuppressedFinding,
+        )
         from repro.analysis.diagnostics import Diagnostic, Severity
 
         injected = ConcurrencyReport(
             findings=[Diagnostic("C002", Severity.ERROR, "injected cycle")],
-            suppressed=[],
+            suppressed=[
+                SuppressedFinding(
+                    Diagnostic("C003", Severity.WARNING, "injected wait"),
+                    "bounded by the caller",
+                )
+            ],
             model=LockModel(),
         )
         import repro.analysis.concurrency as concurrency_module
@@ -75,6 +84,9 @@ class TestCheckCommand:
         code = check_module.run_check(["--concurrency"], out=out)
         assert code == 1
         assert "injected cycle" in out.getvalue()
+        # every honoured suppression is listed with its justification
+        assert "suppressed C003" in out.getvalue()
+        assert "bounded by the caller" in out.getvalue()
 
     def test_dataset_choices(self):
         assert CHECK_DATASETS == (

@@ -7,8 +7,10 @@ file is on events with generous timeouts.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -66,6 +68,11 @@ class TestServiceConfig:
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
+
+    def test_worker_processes_accepts_only_zero(self):
+        assert ServiceConfig(worker_processes=0).worker_processes == 0
+        with pytest.raises(ValueError, match="one process"):
+            ServiceConfig(worker_processes=1)
 
     def test_explicit_degrade_depth_wins(self):
         config = ServiceConfig(queue_limit=10, degrade_queue_depth=9)
@@ -631,3 +638,36 @@ class TestCacheInvalidationHook:
             )
             assert refreshed.cache == "miss"
             assert svc.metrics.counter("result_cache_invalidations") >= 1
+
+    def test_stopped_service_is_freed_without_a_gc_pass(self):
+        """The hook an engine holds must not keep its service alive: a
+        dropped service goes at once, with no cycle left for the
+        collector, whether its engine lives on or goes with it."""
+        from repro.datasets import university_database
+
+        def served_and_stopped(engine):
+            svc = QueryService(ServiceConfig(max_workers=1, cache_ttl_s=60.0))
+            svc.register_dataset("university", engine)
+            with svc:
+                assert svc.serve(
+                    ServiceRequest(query="COUNT Student"), timeout=30.0
+                ).ok
+            return svc
+
+        engine = KeywordSearchEngine(university_database())
+        gc.collect()
+        gc.disable()
+        try:
+            # the engine outlives the service
+            svc = served_and_stopped(engine)
+            ref = weakref.ref(svc)
+            del svc
+            assert ref() is None
+            engine.clear_cache()  # the orphaned hook does nothing
+            # the engine is dropped too
+            svc = served_and_stopped(engine)
+            ref = weakref.ref(svc)
+            del svc, engine
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -227,54 +227,6 @@ class TestRules:
         )
         assert [code for code, _ in findings] == ["LR006"]
 
-    def test_lr007_multiprocessing_outside_pool(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "service/service.py",
-            "import multiprocessing\n",
-        )
-        assert [code for code, _ in findings] == ["LR007"]
-        findings = lint_source(
-            tmp_path,
-            "engine.py",
-            "from multiprocessing import Pipe\n",
-        )
-        assert [code for code, _ in findings] == ["LR007"]
-
-    def test_lr007_lazy_import_still_flagged(self, tmp_path):
-        # like LR006: which layer owns processes is not a nesting question
-        findings = lint_source(
-            tmp_path,
-            "service/http.py",
-            """
-            def f():
-                import multiprocessing
-                return multiprocessing
-            """,
-        )
-        assert [code for code, _ in findings] == ["LR007"]
-
-    def test_lr007_os_fork_outside_pool(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "cli.py",
-            """
-            import os
-
-            def f():
-                return os.fork()
-            """,
-        )
-        assert [code for code, _ in findings] == ["LR007"]
-
-    def test_lr007_allowed_inside_pool(self, tmp_path):
-        assert (
-            lint_source(
-                tmp_path, "service/pool.py", "import multiprocessing\n"
-            )
-            == []
-        )
-
     def test_lr008_binary_open_outside_storage(self, tmp_path):
         findings = lint_source(
             tmp_path,
