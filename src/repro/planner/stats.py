@@ -207,7 +207,7 @@ class TablePass:
             if type(low) is int and type(high) is int:
                 # an INT column cannot hold more distinct values than its
                 # range has integers (dense keys: GEE over-extrapolates)
-                ndv = min(ndv, float(high - low + 1))
+                ndv = float(min(ndv, high - low + 1))
             columns.append(
                 ColumnProfile(
                     column=name,

@@ -1,38 +1,42 @@
 """Indexes over table data.
 
-Three index kinds are provided:
-
 * :class:`HashIndex` — equi-join / point-lookup acceleration used by the
   executor's hash-join planner.
-* :class:`NumericIndex` — exact-value postings over every numeric column.
-* :class:`InvertedIndex` — a token -> (relation, attribute) full-text index
-  over all text columns of a database, used by the keyword matcher to find
-  which relations a query term can refer to, and by the ``contains``
-  predicate semantics of generated SQL.
+* :class:`NumericIndex` — per numeric ``(relation, attribute)``, an
+  ``array('d')`` of ``float(value)`` sorted ascending beside an
+  ``array('I')`` of row positions: a probe is two bisections and a slice.
+* :class:`InvertedIndex` — token -> (relation, attribute) -> ``array('I')``
+  of row positions over all text columns, for the keyword matcher and
+  the ``contains`` predicate of generated SQL.
 
 All three are maintained, not rebuilt: ``catch_up()`` compares each
 table's :attr:`~repro.relational.table.Table.version` with what the
 index covers and indexes only ``rows[covered:]`` when the epoch is
-unchanged (an append), starting that table over when it is not (an
-update or delete).  **Reader/writer rule:** an index owns one lock;
-``catch_up`` mutates postings only while holding it and every probe
-reads them while holding it, so a probe sees the postings of some whole
-number of rows — never a dictionary mid-growth — and positions it
-returns are valid in ``table.rows`` because rows under one epoch only
-grow.  Updates and deletes move rows a running reader may hold
-positions for, so they need the readers of that table quiesced.
+unchanged (an append: merged into the sorted arrays in place, appended
+to the postings), starting that table over when it is not (an update or
+delete).  **Reader/writer rule:** an index owns one lock; ``catch_up``
+mutates its dictionaries and arrays only while holding it and every
+probe copies what it returns while holding it, so a probe sees the index
+of some whole number of rows — never an array mid-merge — and positions
+it returns are valid in ``table.rows`` because rows under one epoch only
+grow.  Updates and deletes move rows a running reader may hold positions
+for, so they need the readers of that table quiesced.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.relational.table import Row, Table
 from repro.relational.types import DataType
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_POSITION = "I"  # array typecode of row positions: unsigned 32-bit
+Slot = Tuple[str, str]
 
 
 def tokenize_text(text: str) -> List[str]:
@@ -104,38 +108,68 @@ def _rows_between(table: Table, start: int, stop: int) -> Iterable[Tuple[int, Ro
     return zip(range(start, stop), rows)
 
 
-class _PostingsIndex:
-    """``term -> {(relation, attribute): row positions}`` over the
-    columns of some kinds of every registered table, maintained by
-    :meth:`catch_up` under the reader/writer rule of the module
-    docstring.  Subclasses say which column types they index and which
-    terms a value contributes."""
+def _sorted_cells(
+    table: Table, col_idx: int, start: int, stop: int
+) -> Tuple[array, array]:
+    """Float keys of column *col_idx* over ``rows[start:stop]`` and their
+    positions, ordered by key then position.  NULL, NaN and integers
+    beyond float range get no key: no probe can match them."""
+    keys: List[float] = []
+    positions: List[int] = []
+    for pos, row in _rows_between(table, start, stop):
+        value = row[col_idx]
+        if value is None:
+            continue
+        try:
+            key = float(value)
+        except OverflowError:
+            continue
+        if key == key:
+            keys.append(key)
+            positions.append(pos)
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # stable
+    sorted_keys = array("d", [keys[i] for i in order])
+    return sorted_keys, array(_POSITION, [positions[i] for i in order])
 
-    _dtypes: Tuple[DataType, ...] = ()
+
+def _merge(keys: array, positions: array, new_keys: array, new_positions: array) -> None:
+    """Merge a sorted batch into a sorted column in place: each new key
+    goes after its equals (the batch's positions follow the column's),
+    and the runs between insertion points move up by slice copies."""
+    cuts = [bisect_right(keys, key) for key in new_keys]
+    for column, batch in ((keys, new_keys), (positions, new_positions)):
+        high = len(column)
+        column.extend(batch)  # room for the batch; overwritten below
+        for i in range(len(cuts) - 1, -1, -1):
+            column[cuts[i] + i + 1 : high + i + 1] = column[cuts[i] : high]
+            column[cuts[i] + i] = batch[i]
+            high = cuts[i]
+
+
+class NumericIndex:
+    """Exact-value index over the numeric columns of a set of tables, so
+    that number terms match tuple values (``24`` matching ``Student.Age``).
+    Keys are ``float(value)``: ``-0.0`` and ``0.0`` are one key, NaN
+    matches nothing, and two large integers can share a key."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._postings: Dict[Any, Dict[Tuple[str, str], Set[int]]] = {}
+        self._keys: Dict[Slot, array] = {}
+        self._positions: Dict[Slot, array] = {}
         self._tables: Dict[str, Table] = {}
         self._covered: Dict[str, _Covered] = {}
 
-    def _terms(self, value: Any) -> Iterable[Any]:
-        raise NotImplementedError
-
-    def add_table(self, table: Table) -> None:
-        """Register *table* and index its columns of this index's kinds."""
-        with self._lock:
-            self._tables[table.schema.name] = table
-            self._covered[table.schema.name] = _Covered()
-            self._catch_up_table(table)
-
     def add_tables(self, tables: Iterable[Table]) -> None:
-        for table in tables:
-            self.add_table(table)
+        """Register *tables* and index their numeric columns."""
+        with self._lock:
+            for table in tables:
+                self._tables[table.schema.name] = table
+                self._covered[table.schema.name] = _Covered()
+                self._catch_up_table(table)
 
     def catch_up(self) -> None:
         """Index what every registered table gained since the last call
-        (a table whose epoch moved is forgotten and indexed again)."""
+        (a table whose epoch moved has its columns built again)."""
         with self._lock:
             for table in self._tables.values():
                 self._catch_up_table(table)
@@ -143,64 +177,26 @@ class _PostingsIndex:
     def _catch_up_table(self, table: Table) -> None:
         """Caller holds ``_lock``."""
         schema = table.schema
-        covered = self._covered[schema.name]
-        had = covered.rows
-        start, stop = covered.advance(table)
-        if start == 0 and had:
-            self._forget(schema.name)
-        columns = [
-            (i, col.name)
-            for i, col in enumerate(schema.columns)
-            if col.dtype in self._dtypes
-        ]
-        if not columns or start == stop:
+        start, stop = self._covered[schema.name].advance(table)
+        if 0 < start == stop:  # nothing appended since the last call
             return
-        postings = self._postings
-        terms_of = self._terms
-        for pos, row in _rows_between(table, start, stop):
-            for col_idx, col_name in columns:
-                value = row[col_idx]
-                if value is None:
-                    continue
-                for term in terms_of(value):
-                    slots = postings.get(term)
-                    if slots is None:
-                        slots = postings[term] = {}
-                    slot = slots.get((schema.name, col_name))
-                    if slot is None:
-                        slot = slots[(schema.name, col_name)] = set()
-                    slot.add(pos)
+        for col_idx, col in enumerate(schema.columns):
+            if col.dtype not in (DataType.INT, DataType.FLOAT):
+                continue
+            slot = (schema.name, col.name)
+            keys, positions = _sorted_cells(table, col_idx, start, stop)
+            if start == 0:
+                self._keys[slot], self._positions[slot] = keys, positions
+            else:
+                _merge(self._keys[slot], self._positions[slot], keys, positions)
 
-    def _forget(self, relation: str) -> None:
-        """Drop every posting of *relation* (caller holds ``_lock``)."""
-        for term in list(self._postings):
-            slots = self._postings[term]
-            for slot in [slot for slot in slots if slot[0] == relation]:
-                del slots[slot]
-            if not slots:
-                del self._postings[term]
-
-    def postings(self) -> Dict[Any, Dict[Tuple[str, str], Set[int]]]:
-        """A copy of the whole index (what the equivalence tests compare)."""
-        with self._lock:
-            return {
-                term: {slot: set(positions) for slot, positions in slots.items()}
-                for term, slots in self._postings.items()
-            }
-
-
-class NumericIndex(_PostingsIndex):
-    """Exact-value index over the numeric columns of a set of tables.
-
-    Lets keyword terms that parse as numbers match tuple values (``24``
-    matching ``Student.Age``), complementing the text-oriented
-    :class:`InvertedIndex`.
-    """
-
-    _dtypes = (DataType.INT, DataType.FLOAT)
-
-    def _terms(self, value: Any) -> Iterable[Any]:
-        return (float(value),)
+    def _lookup(self, slot: Slot, needle: float) -> Set[int]:
+        """Positions keyed *needle* in *slot* (caller holds ``_lock``)."""
+        keys = self._keys.get(slot, ())
+        low = bisect_left(keys, needle)
+        if low == len(keys) or keys[low] != needle:  # NaN equals no key
+            return set()
+        return set(self._positions[slot][low : bisect_right(keys, needle, low)])
 
     def match_number(self, text: str) -> List[ValueMatch]:
         """Matches for a term that parses as a number; [] otherwise."""
@@ -209,33 +205,31 @@ class NumericIndex(_PostingsIndex):
         except ValueError:
             return []
         with self._lock:
-            results = [
-                ValueMatch(relation, attribute, set(positions))
-                for (relation, attribute), positions in self._postings.get(
-                    needle, {}
-                ).items()
-            ]
-        results.sort(key=lambda match: (match.relation, match.attribute))
-        return results
+            found = [(slot, self._lookup(slot, needle)) for slot in self._keys]
+        matches = (ValueMatch(rel, attr, hits) for (rel, attr), hits in found if hits)
+        return sorted(matches, key=lambda match: (match.relation, match.attribute))
 
     def positions_for_value(
         self, relation: str, attribute: str, value: Any
     ) -> Optional[Set[int]]:
-        """Candidate row positions where ``relation.attribute == value``.
-
-        Postings are keyed by ``float(value)``, so the set is a superset of
-        the exact-equality rows (two large integers can share one float key);
-        callers verify candidates against the actual predicate.  Returns
-        None when *value* is not a number.
-        """
+        """Candidate row positions where ``relation.attribute == value``:
+        a superset callers verify.  None when *value* is not a number or
+        is an integer beyond float range, which the index never holds."""
         try:
             needle = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return None
         with self._lock:
-            return set(
-                self._postings.get(needle, {}).get((relation, attribute), ())
-            )
+            return self._lookup((relation, attribute), needle)
+
+    def postings(self) -> Dict[float, Dict[Slot, Set[int]]]:
+        """The index as ``key -> {slot: positions}`` (for equivalence tests)."""
+        postings: Dict[float, Dict[Slot, Set[int]]] = {}
+        with self._lock:
+            for slot, keys in self._keys.items():
+                for key, pos in zip(keys, self._positions[slot]):
+                    postings.setdefault(key, {}).setdefault(slot, set()).add(pos)
+        return postings
 
 
 class ValueMatch:
@@ -255,19 +249,83 @@ class ValueMatch:
         )
 
 
-class InvertedIndex(_PostingsIndex):
+class InvertedIndex:
     """Full-text index over the text/date columns of a set of tables.
 
-    The index maps each token to the set of row positions per
-    ``(relation, attribute)``.  Phrase queries (``"royal olive"``) intersect
-    the posting lists of their tokens and then verify the phrase with a
-    substring check, mirroring SQL ``contains`` semantics.
+    The index maps each token to the row positions per ``(relation,
+    attribute)``, maintained by :meth:`catch_up` under the reader/writer
+    rule of the module docstring.  Phrase queries (``"royal olive"``)
+    intersect the posting lists of their tokens and then verify the
+    phrase with a substring check, mirroring SQL ``contains`` semantics.
     """
 
-    _dtypes = (DataType.TEXT, DataType.DATE)
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._postings: Dict[str, Dict[Slot, array]] = {}
+        self._tables: Dict[str, Table] = {}
+        self._covered: Dict[str, _Covered] = {}
 
-    def _terms(self, value: Any) -> Iterable[Any]:
-        return set(tokenize_text(str(value)))
+    def add_tables(self, tables: Iterable[Table]) -> None:
+        """Register *tables* and index their text columns."""
+        with self._lock:
+            for table in tables:
+                self._tables[table.schema.name] = table
+                self._covered[table.schema.name] = _Covered()
+                self._catch_up_table(table)
+
+    def catch_up(self) -> None:
+        """Index what every registered table gained since the last call
+        (a table whose epoch moved is forgotten and indexed again)."""
+        with self._lock:
+            for table in self._tables.values():
+                self._catch_up_table(table)
+
+    def _catch_up_table(self, table: Table) -> None:
+        """Caller holds ``_lock``."""
+        schema = table.schema
+        covered = self._covered[schema.name]
+        had = covered.rows
+        start, stop = covered.advance(table)
+        if start == 0 and had:
+            self._forget(schema.name)
+        columns = [
+            (i, (schema.name, col.name))
+            for i, col in enumerate(schema.columns)
+            if col.dtype in (DataType.TEXT, DataType.DATE)
+        ]
+        if not columns or start == stop:
+            return
+        postings = self._postings
+        for pos, row in _rows_between(table, start, stop):
+            for col_idx, slot in columns:
+                value = row[col_idx]
+                if value is None:
+                    continue
+                for token in set(tokenize_text(str(value))):
+                    slots = postings.get(token)
+                    if slots is None:
+                        slots = postings[token] = {}
+                    positions = slots.get(slot)
+                    if positions is None:
+                        positions = slots[slot] = array(_POSITION)
+                    positions.append(pos)
+
+    def _forget(self, relation: str) -> None:
+        """Drop every posting of *relation* (caller holds ``_lock``)."""
+        for term in list(self._postings):
+            slots = self._postings[term]
+            for slot in [slot for slot in slots if slot[0] == relation]:
+                del slots[slot]
+            if not slots:
+                del self._postings[term]
+
+    def postings(self) -> Dict[str, Dict[Slot, Set[int]]]:
+        """A copy of the whole index (what the equivalence tests compare)."""
+        with self._lock:
+            return {
+                term: {slot: set(positions) for slot, positions in slots.items()}
+                for term, slots in self._postings.items()
+            }
 
     # ------------------------------------------------------------------
     # Queries
@@ -282,12 +340,14 @@ class InvertedIndex(_PostingsIndex):
         tokens = tokenize_text(phrase)
         if not tokens:
             return []
-        by_slot: Dict[Tuple[str, str], Set[int]] = {}
+        by_slot: Dict[Slot, Set[int]] = {}
         with self._lock:
             for slot, positions in self._postings.get(tokens[0], {}).items():
                 candidates = set(positions)
                 for token in tokens[1:]:
-                    candidates &= self._postings.get(token, {}).get(slot, set())
+                    candidates.intersection_update(
+                        self._postings.get(token, {}).get(slot, ())
+                    )
                     if not candidates:
                         break
                 if candidates:
@@ -338,7 +398,7 @@ class InvertedIndex(_PostingsIndex):
                 if first in token:
                     hit = slots.get(slot)
                     if hit:
-                        candidates |= hit
+                        candidates.update(hit)
         if not candidates:
             return set()
         col_idx = table.schema.column_index(attribute)

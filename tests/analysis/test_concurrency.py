@@ -549,6 +549,12 @@ class TestRealTree:
         assert guards[("KeywordSearchEngine", "_pattern_cache")] == (
             LockId("KeywordSearchEngine", "_pattern_cache_lock"),
         )
+        # index arrays are merged and appended in place under the lock
+        for attr in ("_keys", "_positions"):
+            assert guards[("NumericIndex", attr)] == (LockId("NumericIndex", "_lock"),)
+        assert guards[("InvertedIndex", "_postings")] == (
+            LockId("InvertedIndex", "_lock"),
+        )
 
     def test_engine_factory_lock_marked(self, report):
         sites = {str(s.lock): s for s in report.model.lock_sites()}
