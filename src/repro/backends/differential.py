@@ -137,7 +137,8 @@ def diff_statement(
     )
 
 
-def _workload(dataset: str) -> List[Tuple[str, str]]:
+def workload_texts(dataset: str) -> List[Tuple[str, str]]:
+    """``(qid, query text)`` of the dataset's paper workload."""
     if dataset == "university":
         return list(UNIVERSITY_QUERIES)
     if dataset == "enrolment":
@@ -171,7 +172,7 @@ def collect_statements(
     engine = KeywordSearchEngine(database, fds=fds or None, name_hints=hints or None)
     statements: List[Tuple[str, str, Select]] = []
     seen: set = set()
-    for qid, text in _workload(dataset):
+    for qid, text in workload_texts(dataset):
         for interpretation in engine.compile(text, k=k):
             key = render(interpretation.select)
             if key not in seen:
@@ -180,7 +181,7 @@ def collect_statements(
     if not skip_sqak and dataset not in ("university", "enrolment"):
         sqak = SqakEngine(database, extra_joins=extra_joins)
         sqak_na = _sqak_na(dataset)
-        for qid, text in _workload(dataset):
+        for qid, text in workload_texts(dataset):
             if sqak_na.get(qid):
                 continue
             try:

@@ -38,13 +38,19 @@ from repro.analysis.pipeline import TranslationParts, analyze_compilation
 from repro.analysis.plan_analyzers import analyze_plan
 from repro.analysis.sql_analyzers import analyze_dialect
 from repro.errors import KeywordQueryError, StaticAnalysisError
-from repro.keywords.matcher import Catalog, NormalizedCatalog, TermMatcher
+from repro.keywords.matcher import (
+    Catalog,
+    CompileCatalog,
+    NormalizedCatalog,
+    TermMatcher,
+)
 from repro.keywords.query import KeywordQuery
 from repro.observability import NULL_TRACER, MetricsRegistry, Trace, Tracer
 from repro.patterns.disambiguator import disambiguate_all
 from repro.patterns.generator import PatternGenerator
 from repro.patterns.pattern import QueryPattern
 from repro.patterns.ranker import rank_patterns
+from repro.patterns.shape import ShapeKey, ValueBinding, shape_of
 from repro.patterns.translator import (
     NormalizedSourceProvider,
     PatternTranslator,
@@ -217,13 +223,19 @@ class KeywordSearchEngine:
             self.catalog = ViewCatalog(self.view)
         self.graph = self.catalog.graph
         self.generator = PatternGenerator(self.catalog, max_patterns=max_patterns)
-        # compile cache: query text -> ranked patterns, true LRU (a hit
-        # refreshes the entry; eviction drops the least recently used).
-        # Patterns are immutable after ranking, and translation copies
-        # nothing the caller may mutate, so caching per query text is safe.
-        # The lock makes cache bookkeeping safe for the service threads
-        # that share one engine.
-        self._pattern_cache: "OrderedDict[str, List[QueryPattern]]" = OrderedDict()
+        # compile caches, two levels, each a true LRU of ``cache_size``
+        # entries (a hit refreshes the entry; eviction drops the least
+        # recently used).  The shape level, keyed by the matched query's
+        # tag signature (repro.patterns.shape), holds the generated
+        # patterns and one SQL template per translated variant; the text
+        # level, keyed by query text, binds one query's values into its
+        # shape entry and keeps its ranked patterns.  Patterns are
+        # immutable after ranking, and translation copies nothing the
+        # caller may mutate, so sharing them is safe.  One lock keeps
+        # both levels' bookkeeping safe for the service threads that
+        # share one engine.
+        self._pattern_cache: "OrderedDict[str, _TextEntry]" = OrderedDict()
+        self._shape_cache: "OrderedDict[ShapeKey, _ShapeEntry]" = OrderedDict()
         self._pattern_cache_lock = threading.Lock()
         self.cache_size = 128
         # caches registered against this engine (the serving layer's TTL
@@ -282,10 +294,16 @@ class KeywordSearchEngine:
     def patterns(self, query_text: str, tracer=NULL_TRACER) -> List[QueryPattern]:
         """Ranked, disambiguated query patterns for a query (cached).
 
-        A traced run bypasses the cache read (the spans must reflect a
+        A traced run bypasses the cache reads (the spans must reflect a
         real pipeline run, not a dictionary lookup) but still refreshes
-        the cached entry.
+        the cached entries.
         """
+        return self._bound(query_text, tracer).ranked
+
+    def _bound(self, query_text: str, tracer=NULL_TRACER) -> "_TextEntry":
+        """The text entry of *query_text*: from the text level, else
+        matched and bound into its shape entry — generating that only
+        when the shape is new — then disambiguated and ranked."""
         with self._pattern_cache_lock:
             cached = self._pattern_cache.get(query_text)
             if cached is not None and not tracer.enabled:
@@ -294,38 +312,60 @@ class KeywordSearchEngine:
                 return cached
         if cached is not None:
             tracer.count("pattern_cache_bypassed")
-        else:
-            self.metrics.increment("pattern_cache_misses")
         # deadline checkpoint before the generate/disambiguate/rank stages
         # (the executor has its own; see repro.cancellation)
         current_token().check()
         query = self.parse(query_text)
+        catalog = CompileCatalog(self.catalog)
         with tracer.span("match"):
-            matcher = TermMatcher(self.catalog)
+            matcher = TermMatcher(catalog)
             tags = matcher.match_query(query, tracer=tracer)
-        with tracer.span("generate"):
-            generated = self.generator.generate(query, tags, tracer=tracer)
+        key, binding = shape_of(query, tags)
+        with self._pattern_cache_lock:
+            shape = self._shape_cache.get(key)
+            if shape is not None and not tracer.enabled:
+                self._shape_cache.move_to_end(key)
+        if shape is not None and not tracer.enabled:
+            self.metrics.increment("pattern_cache_hits")
+            self.metrics.increment("shape_cache_hits")
+            generated = [binding.instantiate(pattern) for pattern in shape.patterns]
+        else:
+            if cached is None:
+                self.metrics.increment("pattern_cache_misses")
+            with tracer.span("generate"):
+                generated = self.generator.generate(query, tags, tracer=tracer)
+            for origin, pattern in enumerate(generated):
+                pattern.origin = origin
+            if shape is None:
+                shape = _ShapeEntry([binding.abstract(p) for p in generated])
         if self.disambiguate:
             with tracer.span("disambiguate"):
-                generated = disambiguate_all(generated, self.catalog, tracer=tracer)
+                generated = disambiguate_all(generated, catalog, tracer=tracer)
         with tracer.span("rank"):
             ranked = rank_patterns(generated, tracer=tracer)
+        entry = _TextEntry(shape, binding, ranked)
         with self._pattern_cache_lock:
-            self._pattern_cache[query_text] = ranked
-            self._pattern_cache.move_to_end(query_text)
-            while len(self._pattern_cache) > self.cache_size:
-                self._pattern_cache.popitem(last=False)
-        return ranked
+            self._remember(self._pattern_cache, query_text, entry)
+            self._remember(self._shape_cache, key, shape)
+        return entry
+
+    def _remember(self, cache: "OrderedDict[Any, Any]", key: Any, entry: Any) -> None:
+        """Insert into one LRU level (caller holds the cache lock)."""
+        cache[key] = entry
+        cache.move_to_end(key)
+        while len(cache) > self.cache_size:
+            cache.popitem(last=False)
 
     def clear_cache(self) -> None:
-        """Drop what is derived from *queries* — cached patterns,
-        compiled plans, optimizer memos, registered downstream caches —
-        after mutating the underlying data.  What is derived from *data*
-        (indexes, planner statistics, backend copies) is not dropped: it
-        follows each table's version and catches up with the write on
-        its own."""
+        """Drop what is derived from *queries* — cached text and shape
+        entries, compiled plans, optimizer memos, registered downstream
+        caches — after mutating the underlying data.  What is derived
+        from *data* (indexes, planner statistics, backend copies) is not
+        dropped: it follows each table's version and catches up with the
+        write on its own."""
         with self._pattern_cache_lock:
             self._pattern_cache.clear()
+            self._shape_cache.clear()
         self.executor.clear_plan_cache()
         for hook in self._invalidation_hooks:
             hook()
@@ -344,13 +384,13 @@ class KeywordSearchEngine:
         is shared either way for analysis/EXPLAIN purposes).
         """
         executor = self.get_backend(backend, tracer=tracer)
-        ranked = self.patterns(query_text, tracer=tracer)[: (k or self.top_k)]
+        entry = self._bound(query_text, tracer=tracer)
         interpretations: List[Interpretation] = []
         token = current_token()
         with tracer.span("translate"):
-            for rank, pattern in enumerate(ranked, start=1):
+            for rank, pattern in enumerate(entry.ranked[: (k or self.top_k)], start=1):
                 token.check()
-                parts = self.translate_parts(pattern, tracer=tracer)
+                parts = self._translated(entry, pattern, tracer)
                 interpretations.append(
                     Interpretation(
                         rank=rank,
@@ -363,6 +403,36 @@ class KeywordSearchEngine:
                     )
                 )
         return interpretations
+
+    def _translated(
+        self, entry: "_TextEntry", pattern: QueryPattern, tracer=NULL_TRACER
+    ) -> TranslationParts:
+        """*pattern*'s translation: its variant's template from the shape
+        entry (translated from the shaped pattern on first use) with the
+        entry's values bound in.  A traced run translates *pattern*
+        itself, so its spans reflect real work."""
+        if tracer.enabled:
+            return self.translate_parts(pattern, tracer=tracer)
+        variant = (
+            pattern.origin,
+            tuple(node.id for node in pattern.nodes if any(
+                groupby.from_disambiguation for groupby in node.groupbys)),
+        )
+        templates = entry.shape.templates
+        template = templates.get(variant)
+        if template is None:
+            template = self.translate_parts(entry.binding.abstract(pattern))
+            with self._pattern_cache_lock:
+                templates.setdefault(variant, template)
+        if not entry.binding.placeholders:
+            return template  # a query without value terms: nothing to bind
+        bind = entry.binding.bind_select
+        final = bind(template.final)
+        return TranslationParts(
+            raw=final if template.final is template.raw else bind(template.raw),
+            final=final,
+            fragment_uses=dict(template.fragment_uses),
+        )
 
     def translate(self, pattern: QueryPattern, tracer=NULL_TRACER) -> Select:
         """Translate one pattern to SQL (with rewriting when unnormalized)."""
@@ -525,6 +595,29 @@ class KeywordSearchEngine:
     def execute(self, query_text: str, backend: Optional[str] = None) -> QueryResult:
         """Execute the top-ranked interpretation."""
         return self.search(query_text, k=1, backend=backend).best.execute()
+
+
+@dataclass
+class _ShapeEntry:
+    """The shape level: what every query of one tag signature shares —
+    its generated patterns, phrases and numbers left as placeholders, and
+    the translation of each variant, keyed by (generated pattern, nodes
+    disambiguation grouped by their identifier)."""
+
+    patterns: List[QueryPattern]
+    templates: Dict[Tuple[Optional[int], Tuple[int, ...]], TranslationParts] = field(
+        default_factory=dict
+    )
+
+
+@dataclass
+class _TextEntry:
+    """The text level: one query's binding into its shape entry and its
+    ranked patterns (never a plan, an interpretation or a result)."""
+
+    shape: _ShapeEntry
+    binding: ValueBinding
+    ranked: List[QueryPattern]
 
 
 def describe_pattern(pattern: QueryPattern) -> str:

@@ -78,7 +78,11 @@ class Catalog:
     def relations(self) -> Iterable[RelationSchema]:
         return iter(self.graph.schema)
 
-    def value_matches(self, phrase: str) -> List[ValueHit]:
+    def value_matches(
+        self, phrase: str, counts: Optional["Catalog"] = None
+    ) -> List[ValueHit]:
+        """Value hits of *phrase*; a catalog that counts a hit's objects
+        with :meth:`distinct_object_count` asks *counts* (default: itself)."""
         raise NotImplementedError
 
     def distinct_object_count(
@@ -100,7 +104,9 @@ class NormalizedCatalog(Catalog):
         super().__init__(graph or OrmSchemaGraph(database.schema))
         self.database = database
 
-    def value_matches(self, phrase: str) -> List[ValueHit]:
+    def value_matches(
+        self, phrase: str, counts: Optional[Catalog] = None
+    ) -> List[ValueHit]:
         hits: List[ValueHit] = []
         for match in self.database.text_index.match_phrase(phrase):
             count = self._distinct_ids(match.relation, match.row_positions)
@@ -153,6 +159,39 @@ class NormalizedCatalog(Catalog):
             if row[attr_idx] is not None and needle in str(row[attr_idx]).lower()
         }
         return len(ids)
+
+
+class CompileCatalog(Catalog):
+    """One compile's view of *catalog*: each distinct-object count is
+    probed once, whoever asks.  ``ViewCatalog.value_matches`` counts every
+    hit, and disambiguation asks again for each condition of each
+    pattern; both go through this memo.  Made per compile and dropped
+    with it, so a count never outlives the data it was read from."""
+
+    def __init__(self, catalog: Catalog) -> None:
+        super().__init__(catalog.graph)
+        self.catalog = catalog
+        self._counts: Dict[Tuple[str, str, str], int] = {}
+
+    def relations(self) -> Iterable[RelationSchema]:
+        return self.catalog.relations()
+
+    def value_matches(
+        self, phrase: str, counts: Optional[Catalog] = None
+    ) -> List[ValueHit]:
+        return self.catalog.value_matches(phrase, counts or self)
+
+    def distinct_object_count(
+        self, relation: str, attribute: str, phrase: str
+    ) -> int:
+        key = (relation, attribute, phrase)
+        count = self._counts.get(key)
+        if count is None:
+            count = self._counts[key] = self.catalog.distinct_object_count(*key)
+        return count
+
+    def value_completions(self, prefix: str, limit: int = 10) -> List[str]:
+        return self.catalog.value_completions(prefix, limit)
 
 
 class TermMatcher:

@@ -167,6 +167,9 @@ class QueryPattern:
         self.nodes: List[PatternNode] = []
         self.edges: List[PatternEdge] = []
         self.tag_exactness: float = 1.0  # product of tag scores, for ranking
+        #: index of the generated pattern this one is, or was disambiguated
+        #: from, in its generation's output (keys its SQL template)
+        self.origin: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -281,14 +284,14 @@ class QueryPattern:
     def copy(self) -> "QueryPattern":
         clone = QueryPattern()
         clone.tag_exactness = self.tag_exactness
+        clone.origin = self.origin
         for node in self.nodes:
             new_node = clone.add_node(node.orm_node, node.relation, node.type)
             new_node.conditions = list(node.conditions)
             new_node.aggregates = list(node.aggregates)
             new_node.groupbys = list(node.groupbys)
             new_node.projections = list(node.projections)
-        for edge in self.edges:
-            clone.add_edge(edge.first, edge.second, edge.orm_edge)
+        clone.edges = list(self.edges)  # frozen: shared, not copied
         return clone
 
     def describe(self) -> str:

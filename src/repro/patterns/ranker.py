@@ -10,6 +10,8 @@ and finally a deterministic signature, so ranking is stable across runs.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from repro.observability import NULL_TRACER
@@ -18,6 +20,11 @@ from repro.patterns.pattern import QueryPattern
 
 def pattern_score(pattern: QueryPattern) -> Tuple:
     """Sort key: smaller is better."""
+    return _structural_score(pattern) + (repr(pattern.signature()),)
+
+
+def _structural_score(pattern: QueryPattern) -> Tuple:
+    """:func:`pattern_score` without its last tie-break, the signature."""
     targets = pattern.target_nodes()
     conditions = [node for node in pattern.nodes if node.is_condition]
     distances: List[int] = []
@@ -34,7 +41,6 @@ def pattern_score(pattern: QueryPattern) -> Tuple:
         average_distance,
         -pattern.tag_exactness,
         len(pattern.nodes),
-        repr(pattern.signature()),
     )
 
 
@@ -44,7 +50,19 @@ def rank_patterns(
     """Patterns sorted best-first; disambiguation variants stay adjacent to
     their base pattern because they share every score component."""
     tracer.count("patterns_ranked", len(patterns))
-    return sorted(patterns, key=pattern_score)
+    # sorted by pattern_score, stably; the signature tie-break is costly
+    # to render, so it is rendered only where the rest of the score ties
+    scored = sorted(
+        ((_structural_score(pattern), pattern) for pattern in patterns),
+        key=itemgetter(0),
+    )
+    ranked: List[QueryPattern] = []
+    for _, group in groupby(scored, key=itemgetter(0)):
+        tied = [pattern for _, pattern in group]
+        if len(tied) > 1:
+            tied.sort(key=lambda pattern: repr(pattern.signature()))
+        ranked.extend(tied)
+    return ranked
 
 
 def top_k(patterns: Sequence[QueryPattern], k: int) -> List[QueryPattern]:

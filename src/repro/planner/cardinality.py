@@ -22,11 +22,13 @@ from repro.planner.stats import DEFAULT_PREDICATE_SELECTIVITY
 from repro.sql.ast import Contains, Expr
 
 __all__ = [
+    "closure_hits",
     "closure_selectivity",
     "expression_selectivity",
     "scan_selectivity",
     "join_selectivity",
     "group_output_estimate",
+    "sampled_selectivity",
 ]
 
 #: assumed selectivity of a pushed ``contains`` phrase with no sample
@@ -46,6 +48,17 @@ def closure_selectivity(
     """
     if not sample:
         return None
+    return sampled_selectivity(closure_hits(closures, sample), len(sample))
+
+
+def closure_hits(closures: Sequence[Callable[[Any], Any]], sample: Sequence[Any]) -> int:
+    """How many sample rows satisfy every closure (one that raises on a
+    row counts it as a non-match)."""
+    if len(closures) == 1:
+        try:  # the usual case, one predicate that raises on no row
+            return sum(1 for kept in map(closures[0], sample) if kept)
+        except Exception:
+            pass  # count row by row
     hits = 0
     for row in sample:
         try:
@@ -53,7 +66,12 @@ def closure_selectivity(
                 hits += 1
         except Exception:
             pass
-    return (hits + 0.5) / (len(sample) + 1.0)
+    return hits
+
+
+def sampled_selectivity(hits: int, sampled: int) -> float:
+    """*hits* of *sampled* rows as a selectivity, Laplace-smoothed."""
+    return (hits + 0.5) / (sampled + 1.0)
 
 
 def expression_selectivity(expr: Expr) -> float:

@@ -1,8 +1,11 @@
 """Cost-based plan decisions: join order and access paths.
 
-:meth:`Optimizer.decide` runs once per compiled plan (memoized by
-rendered SQL, stamped with the versions of the tables the statement
-reads) and produces a :class:`PlanDecisions`:
+:meth:`Optimizer.decide` runs once per compiled plan and produces a
+:class:`PlanDecisions`, memoized by the statement's *shape* (its SQL with
+literals as placeholders, :func:`~repro.sql.render.render_shape`) plus
+everything its literals decide — how many sample rows each pushed
+predicate keeps (:meth:`Optimizer.sample_hits`) — and stamped with the
+versions of the tables the statement reads:
 
 * per-scan row estimates and **access-path choices** — for every pushed
   predicate with an index strategy, cost a probe (fixed setup plus
@@ -40,10 +43,11 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tup
 from repro.errors import SqlExecutionError
 from repro.observability import NULL_TRACER
 from repro.planner.cardinality import (
+    closure_hits,
     expression_selectivity,
     group_output_estimate,
     join_selectivity,
-    scan_selectivity,
+    sampled_selectivity,
 )
 from repro.planner.cost import (
     MEMORY_COST_PARAMS,
@@ -58,7 +62,7 @@ from repro.planner.stats import (
     StatisticsCatalog,
 )
 from repro.sql.ast import ColumnRef, Expr
-from repro.sql.render import render
+from repro.sql.render import render_shape
 
 __all__ = [
     "DP_RELATION_LIMIT",
@@ -181,8 +185,11 @@ class Optimizer:
         self.database = database
         self.params = cost_params or MEMORY_COST_PARAMS
         self.catalog = StatisticsCatalog(database)
-        # rendered SQL -> (versions of the tables read, decisions)
-        self._memo: "OrderedDict[str, Tuple[Any, PlanDecisions]]" = OrderedDict()
+        # (statement shape, sample hits) -> (versions of the tables
+        # read, decisions)
+        self._memo: "OrderedDict[Tuple[str, Any], Tuple[Any, PlanDecisions]]" = (
+            OrderedDict()
+        )
         self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -198,10 +205,37 @@ class Optimizer:
         with self._memo_lock:
             return len(self._memo)
 
+    def sample_hits(self, plan: Any, tracer: Any = NULL_TRACER) -> Tuple[Any, ...]:
+        """The optimizer's inputs that depend on *plan*'s literals, per
+        scan: for a table scan with pushed predicates, how many rows of
+        the table's sample each predicate keeps, and all of them
+        jointly; for a derived table, its plan's own.  Two statements of
+        one shape with equal hits get equal decisions.  Kept on the plan
+        (``plan.hits``)."""
+        if plan.hits is not None:
+            return plan.hits
+        hits: List[Any] = []
+        for scan in plan.scans:
+            table_name = getattr(scan, "table_name", None)
+            if table_name is None:
+                hits.append(self.sample_hits(scan.subplan, tracer))
+                continue
+            sample = self.catalog.profile(table_name, tracer).sample if scan.pushed else ()
+            if not sample:
+                hits.append(None)  # nothing to sample: estimated by shape
+                continue
+            closures = [pred.closure for pred in scan.pushed]
+            each = tuple(closure_hits((closure,), sample) for closure in closures)
+            joint = each[0] if len(each) == 1 else closure_hits(closures, sample)
+            hits.append((each, joint, len(sample)))
+        plan.hits = tuple(hits)
+        return plan.hits
+
     def decide(self, plan: Any, tracer: Any = NULL_TRACER) -> PlanDecisions:
-        """Decisions for *plan*, memoized by SQL text for as long as the
-        tables it reads keep their versions."""
-        key = render(plan.select)
+        """Decisions for *plan*, memoized by its shape and sample hits for
+        as long as the tables it reads keep their versions."""
+        hits = self.sample_hits(plan, tracer)
+        key = (render_shape(plan.select)[0], hits)
         versions = self.database.versions(plan.select.tables())
         with self._memo_lock:
             cached = self._memo.get(key)
@@ -210,7 +244,7 @@ class Optimizer:
                 tracer.count("planner_memo_hits")
                 return cached[1]
         with tracer.span("plan_costing"):
-            decisions = self._decide(plan, tracer)
+            decisions = self._decide(plan, hits, tracer)
         tracer.count("planner_plans_costed")
         if decisions.search == "dp":
             tracer.count("planner_dp_searches")
@@ -252,13 +286,13 @@ class Optimizer:
     # ------------------------------------------------------------------
     # Decision pipeline
     # ------------------------------------------------------------------
-    def _decide(self, plan: Any, tracer: Any) -> PlanDecisions:
+    def _decide(self, plan: Any, hits: Tuple[Any, ...], tracer: Any) -> PlanDecisions:
         # alias -> TableProfile | _DerivedProfile: all _ref_ndv needs of
         # either is column(name)
         profiles: Dict[str, Any] = {}
         scans: Dict[str, ScanDecision] = {}
-        for scan in plan.scans:
-            decision, profile = self._scan_decision(scan, tracer)
+        for scan, scan_hits in zip(plan.scans, hits):
+            decision, profile = self._scan_decision(scan, scan_hits, tracer)
             scans[scan.alias] = decision
             profiles[scan.alias] = profile
         edges, residuals = self._join_graph(plan, scans, profiles)
@@ -302,7 +336,7 @@ class Optimizer:
         )
 
     def _scan_decision(
-        self, scan: Any, tracer: Any
+        self, scan: Any, hits: Any, tracer: Any
     ) -> Tuple[ScanDecision, Any]:
         table_name = getattr(scan, "table_name", None)
         if table_name is None:
@@ -323,16 +357,15 @@ class Optimizer:
             )
         profile = self.catalog.profile(table_name, tracer)
         base = float(profile.rows)
-        selectivities = [
-            scan_selectivity((pred.expr,), (pred.closure,), profile.sample)
-            for pred in scan.pushed
-        ]
-        # one predicate: its own selectivity is the joint one
-        joint = selectivities[0] if len(selectivities) == 1 else scan_selectivity(
-            [pred.expr for pred in scan.pushed],
-            [pred.closure for pred in scan.pushed],
-            profile.sample,
-        )
+        if hits is None:  # no sample: guesses by shape, jointly independent
+            selectivities = [expression_selectivity(pred.expr) for pred in scan.pushed]
+            joint = 1.0
+            for selectivity in selectivities:
+                joint *= selectivity
+        else:
+            each, joint_hits, sampled = hits
+            selectivities = [sampled_selectivity(h, sampled) for h in each]
+            joint = sampled_selectivity(joint_hits, sampled)
         est = max(0.0, min(base, base * joint))
         choices: List[Optional[bool]] = []
         for pred, selectivity in zip(scan.pushed, selectivities):

@@ -6,7 +6,7 @@ Every statement is compiled into a
 pushed down to (index-backed) scans, equality predicates driving hash
 joins in the order the cost-based :class:`repro.planner.Optimizer`
 chose, remaining components combined by cartesian product — and the plan
-is cached.  This runs every SQL statement the semantic engine and the
+is cached, per statement and per statement shape.  This runs every SQL statement the semantic engine and the
 SQAK baseline generate, including derived tables, self-joins, DISTINCT
 projections, GROUP BY and nested aggregates.
 """
@@ -24,7 +24,7 @@ from repro.relational.plan import CompiledPlan
 from repro.relational.result import QueryResult
 from repro.sql.ast import Select
 from repro.sql.parser import parse
-from repro.sql.render import render
+from repro.sql.render import render_shape
 
 __all__ = ["Executor", "QueryResult", "execute_sql"]
 
@@ -32,14 +32,23 @@ __all__ = ["Executor", "QueryResult", "execute_sql"]
 class Executor:
     """Executes SELECT statements against one database.
 
-    Every ``Select`` is compiled once into a
+    Plans are cached at two levels, each an LRU of
+    ``plan_cache_capacity`` entries.  The *shape* level, keyed by the
+    statement with its literals as placeholders
+    (:func:`~repro.sql.render.render_shape`), holds one
     :class:`~repro.relational.plan.CompiledPlan` (closure predicates,
     index-backed scans; join order, access paths and per-operator row
-    estimates from a lazily built :class:`repro.planner.Optimizer`) and
-    cached by its rendered SQL.  An entry is stamped with the versions
-    of the tables the statement reads, so a write invalidates the plans
-    over the table it touched and no others; :meth:`clear_plan_cache`
-    drops them all.
+    estimates from a lazily built :class:`repro.planner.Optimizer`) per
+    set of the optimizer's literal-dependent inputs
+    (:meth:`~repro.planner.Optimizer.sample_hits`).  The *statement*
+    level, keyed by shape plus literals, holds that plan bound to one
+    statement's literals (:meth:`CompiledPlan.bind`): its pushed
+    predicates, index memos and last run.  A statement whose shape and
+    sample hits were seen before is bound, not compiled, and decides
+    exactly what a fresh compile would.  Entries are stamped with the
+    versions of the tables the statement reads, so a write invalidates
+    the plans over the table it touched and no others;
+    :meth:`clear_plan_cache` drops them all.
 
     ``validate=True`` runs the static SQL analyzers
     (:func:`repro.analysis.analyze_select`) over every statement before
@@ -64,8 +73,12 @@ class Executor:
         # runs this same executor over paged storage under its own label
         self.backend_label = backend_label
         self._optimizer: Any = None
-        # rendered SQL -> (tables read, their versions at compile, plan)
-        self._plan_cache: "OrderedDict[str, Tuple[Any, Any, CompiledPlan]]" = (
+        # (shape, literals) -> (tables read, their versions, bound plan)
+        self._plan_cache: "OrderedDict[Tuple[str, Tuple[str, ...]], Tuple[Any, Any, CompiledPlan]]" = (
+            OrderedDict()
+        )
+        # shape -> (tables read, their versions, {sample hits: plan})
+        self._shape_plans: "OrderedDict[str, Tuple[Any, Any, Dict[Any, CompiledPlan]]]" = (
             OrderedDict()
         )
         self._plan_lock = threading.Lock()
@@ -88,15 +101,17 @@ class Executor:
             return self.plan_for(select, tracer).execute(tracer)
 
     def plan_for(self, select: Select, tracer=NULL_TRACER) -> CompiledPlan:
-        """The cached :class:`CompiledPlan` for *select*, compiling on miss.
+        """The cached :class:`CompiledPlan` for *select*: from the
+        statement level, else bound from the shape level, else compiled.
 
-        Keyed by the statement's canonical rendered SQL, so structurally
-        identical ASTs share one plan.  An entry is stale — and recompiled —
-        once a table the statement reads moves past the version the plan
-        was compiled under (its estimates and join order would otherwise
-        describe other data).
+        Keyed by the statement's canonical rendered SQL (as shape plus
+        literals), so structurally identical ASTs share one plan.  An
+        entry is stale — and replaced — once a table the statement reads
+        moves past the version the plan was compiled under (its
+        estimates and join order would otherwise describe other data).
         """
-        key = render(select)
+        shape, literals = render_shape(select)
+        key = (shape, literals)
         with self._plan_lock:
             entry = self._plan_cache.get(key)
             if entry is not None and entry[1] == self.database.versions(entry[0]):
@@ -105,17 +120,57 @@ class Executor:
                 return entry[2]
         tables = select.tables()
         versions = self.database.versions(tables)
-        plan = CompiledPlan(
-            select, self.database, optimizer=self.optimizer, tracer=tracer
-        )
-        tracer.count("plan_cache_misses")
-        tracer.count("compiled_predicates", plan.compiled_predicates)
         with self._plan_lock:
-            self._plan_cache[key] = (tables, versions, plan)
-            self._plan_cache.move_to_end(key)
-            while len(self._plan_cache) > self.plan_cache_capacity:
-                self._plan_cache.popitem(last=False)
+            shaped = self._shape_plans.get(shape)
+            plans: Dict[Any, CompiledPlan] = {}
+            if shaped is not None and shaped[1] == versions:
+                plans = dict(shaped[2])
+        if plans:
+            plan = self._bind(select, plans, tracer)
+        else:
+            plan = CompiledPlan(
+                select, self.database, optimizer=self.optimizer, tracer=tracer
+            )
+            tracer.count("plan_cache_misses")
+            tracer.count("compiled_predicates", plan.compiled_predicates)
+        if plan.shareable and plan.hits not in plans:
+            with self._plan_lock:
+                shaped = self._shape_plans.get(shape)
+                if shaped is None or shaped[1] != versions:
+                    shaped = (tables, versions, {})
+                shaped[2].setdefault(plan.hits, plan)
+                self._remember(self._shape_plans, shape, shaped)
+        with self._plan_lock:
+            self._remember(self._plan_cache, key, (tables, versions, plan))
         return plan
+
+    def _bind(
+        self, select: Select, plans: Dict[Any, CompiledPlan], tracer=NULL_TRACER
+    ) -> CompiledPlan:
+        """*select* bound to the plan of its shape decided for its sample
+        hits; when there is none yet, bound to another and decided
+        afresh."""
+        prototype = next(iter(plans.values()))
+        bound = prototype.bind(select)
+        hits = self.optimizer.sample_hits(bound, tracer)
+        template = plans.get(hits)
+        if template is None:
+            bound.redecide(tracer)
+            tracer.count("plan_cache_misses")
+            return bound
+        tracer.count("plan_shape_hits")
+        if template is prototype:
+            return bound
+        bound = template.bind(select)
+        bound.hits = hits
+        return bound
+
+    def _remember(self, cache: "OrderedDict[Any, Any]", key: Any, entry: Any) -> None:
+        """Insert into one LRU level (caller holds the plan lock)."""
+        cache[key] = entry
+        cache.move_to_end(key)
+        while len(cache) > self.plan_cache_capacity:
+            cache.popitem(last=False)
 
     def _validate(self, select: Select, tracer=NULL_TRACER) -> None:
         """Debug-mode static gate: raise on error-severity diagnostics."""
@@ -159,6 +214,7 @@ class Executor:
         follow the tables' versions instead)."""
         with self._plan_lock:
             self._plan_cache.clear()
+            self._shape_plans.clear()
             optimizer = self._optimizer
         if optimizer is not None:
             optimizer.invalidate()

@@ -92,6 +92,10 @@ class _Covered:
         self.epoch: Optional[int] = None
         self.rows = 0
 
+    def holds(self, table: Table) -> bool:
+        """Whether the index is caught up with *table*'s version."""
+        return (self.epoch, self.rows) == table.version
+
     def advance(self, table: Table) -> Tuple[int, int]:
         """Move to *table*'s current version; returns the ``[start,
         stop)`` positions left to index — ``start == 0`` says what was
@@ -177,9 +181,10 @@ class NumericIndex:
     def _catch_up_table(self, table: Table) -> None:
         """Caller holds ``_lock``."""
         schema = table.schema
-        start, stop = self._covered[schema.name].advance(table)
-        if 0 < start == stop:  # nothing appended since the last call
+        covered = self._covered[schema.name]
+        if covered.holds(table):
             return
+        start, stop = covered.advance(table)
         for col_idx, col in enumerate(schema.columns):
             if col.dtype not in (DataType.INT, DataType.FLOAT):
                 continue
@@ -284,6 +289,8 @@ class InvertedIndex:
         """Caller holds ``_lock``."""
         schema = table.schema
         covered = self._covered[schema.name]
+        if covered.holds(table):
+            return
         had = covered.rows
         start, stop = covered.advance(table)
         if start == 0 and had:

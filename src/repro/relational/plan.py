@@ -33,13 +33,15 @@ order produces the same result *set*;
 statement through both.  A DISTINCT whose projection keeps a whole
 primary key is elided at compile time.
 
-Executor-level caching and invalidation (by rendered SQL and the
-versions of the tables a statement reads) live in
-:class:`~repro.relational.executor.Executor`.
+Executor-level caching and invalidation (by statement shape, plus
+literals, and the versions of the tables a statement reads) live in
+:class:`~repro.relational.executor.Executor`; :meth:`CompiledPlan.bind`
+is how one plan serves every statement of its shape.
 """
 
 from __future__ import annotations
 
+import copy
 from time import perf_counter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -68,11 +70,26 @@ from repro.sql.render import render_expr
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
+    Contains,
     DerivedTable,
     Expr,
+    Literal,
     Select,
     TableRef,
 )
+
+
+def _has_parameter(expr: Expr) -> bool:
+    """Whether *expr* holds a literal ``render_shape`` makes a parameter."""
+    return any(
+        isinstance(node, Contains)
+        or (
+            isinstance(node, Literal)
+            and node.value is not None
+            and not isinstance(node.value, bool)
+        )
+        for node in expr.walk()
+    )
 
 
 class Observation(NamedTuple):
@@ -139,6 +156,8 @@ class CompiledPlan:
         self._compile_tracer = tracer
         self.decisions: Any = None
         self.last_run: Optional[PlanRun] = None
+        #: the optimizer's literal-dependent inputs (Optimizer.sample_hits)
+        self.hits: Optional[Tuple[Any, ...]] = None
         self.output_columns: List[str] = [
             item.output_name(default=f"col{i + 1}")
             for i, item in enumerate(select.items)
@@ -158,15 +177,16 @@ class CompiledPlan:
         )
         self.join = Join()
         self._read_columns()
+        #: whether every literal of the statement sits in a pushed
+        #: predicate, so that :meth:`bind` can serve another statement
+        #: of its shape
+        self.shareable = self._literals_pushed()
         #: derived scans run when their decided join step does, and the
         #: conjuncts that can then hand them the other side's keys
         self.deferred: frozenset = frozenset()
         self.key_sources: Dict[str, List[KeySource]] = {}
         if self._optimizer is not None:
-            self.decisions = self._optimizer.decide(self, tracer)
-            self._apply_index_choices()
-            self.join.decided(self.decisions.join_steps)
-            self._plan_deferrals()
+            self._decide(tracer)
 
     # ------------------------------------------------------------------
     # Compilation
@@ -221,7 +241,7 @@ class CompiledPlan:
 
     def _classify_conjuncts(self) -> None:
         scans_by_alias = {scan.alias: scan for scan in self.scans}
-        for expr in self.select.where_conjuncts():
+        for index, expr in enumerate(self.select.where_conjuncts()):
             aliases, slots = self._refs_of(expr)
             if len(aliases) <= 1:
                 owner = (
@@ -230,7 +250,7 @@ class CompiledPlan:
                     else self.scans[0]  # constant predicate: first scan
                 )
                 if owner is not None:
-                    owner.push(expr, self.binding)
+                    owner.push(expr, self.binding, index)
                     continue
                 # unknown qualifier: leave pending; fails per-row at the
                 # end of the join phase
@@ -273,6 +293,52 @@ class CompiledPlan:
                 if scan.base <= slot < scan.base + len(scan.labels)
             )
 
+    def _literals_pushed(self) -> bool:
+        select = self.select
+        elsewhere = [item.expr for item in select.items] + list(select.group_by)
+        elsewhere += [item.expr for item in select.order_by]
+        elsewhere += [conjunct.expr for conjunct in self.pending]
+        return not any(_has_parameter(expr) for expr in elsewhere) and all(
+            scan.subplan.shareable
+            for scan in self.scans
+            if isinstance(scan, DerivedScan)
+        )
+
+    def bind(self, select: Select) -> "CompiledPlan":
+        """This plan for *select*, a statement of the same shape
+        (:func:`~repro.sql.render.render_shape`) whose literals differ —
+        valid when :attr:`shareable`.  Scan structure, decisions, join
+        order and projection are shared; the pushed predicates are
+        compiled again from *select*'s literals, with index lookups of
+        their own; :attr:`last_run` and the sample hits start empty."""
+        bound = copy.copy(self)
+        bound.select = select
+        bound.last_run = None
+        bound.hits = None
+        conjuncts = select.where_conjuncts()
+        bound.scans = [
+            scan.bind(conjuncts, self.binding, item)
+            for scan, item in zip(self.scans, select.from_items)
+        ]
+        return bound
+
+    def redecide(self, tracer=NULL_TRACER) -> None:
+        """Decide this (bound) plan afresh, derived tables first: for a
+        statement whose sample hits no plan of its shape was decided
+        for."""
+        for scan in self.scans:
+            if isinstance(scan, DerivedScan):
+                scan.subplan.redecide(tracer)
+        self._decide(tracer)
+
+    def _decide(self, tracer: Any) -> None:
+        """Ask the optimizer, then shape the plan by its decisions."""
+        self.decisions = self._optimizer.decide(self, tracer)
+        self._apply_index_choices()
+        self.join = Join()
+        self.join.decided(self.decisions.join_steps)
+        self._plan_deferrals()
+
     def narrow(self, outputs: Sequence[int]) -> None:
         """Compile-time, from the plan this one is a derived table of:
         only *outputs* (indexes of select items) will be read.  A
@@ -288,8 +354,7 @@ class CompiledPlan:
             if decision is None:
                 continue
             for pred, choice in zip(scan.pushed, decision.index_choices):
-                if choice is False and pred.lookup is not None:
-                    pred.use_lookup = False
+                pred.use_lookup = choice is not False
 
     def _redundant_distinct_key(self) -> Optional[Tuple[str, ...]]:
         """The primary key this statement's DISTINCT projection keeps
@@ -328,6 +393,7 @@ class CompiledPlan:
         same-typed base columns: through those, the step can hand the
         scan the keys its other side holds."""
         scans = {scan.alias: scan for scan in self.scans}
+        self.key_sources = {}
         self.deferred = frozenset(
             alias
             for step in self.decisions.join_steps

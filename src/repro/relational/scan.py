@@ -23,6 +23,7 @@ enclosing plan's slots: a scan's column *i* is slot ``base + i``.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -122,13 +123,16 @@ class Pushed:
     access-path switch: the cost-based optimizer sets it to False when a
     sequential scan beats the index probe (the kernel verifies every row
     either way, so the choice is purely physical).  Without an optimizer
-    it stays True — index whenever one exists."""
+    it stays True — index whenever one exists.  ``conjunct`` is the
+    predicate's index among its statement level's WHERE conjuncts,
+    where :meth:`TableScan.bind` finds another statement's literals."""
 
     expr: Expr
     kernel: Kernel
     closure: Optional[ScalarFn] = None
     lookup: Optional[IndexLookup] = None
     use_lookup: bool = True
+    conjunct: int = 0
 
 
 class KeyFilter:
@@ -230,13 +234,29 @@ class TableScan:
         self.needed: List[int] = []
         self.slots: List[int] = []
 
-    def push(self, expr: Expr, binding: Binding) -> None:
+    def push(self, expr: Expr, binding: Binding, conjunct: int) -> None:
         kernel = compile_kernel(expr, binding)
         self.pushed.append(
             Pushed(
-                expr, kernel, kernel.row_closure(self.base), self._index_strategy(expr)
+                expr,
+                kernel,
+                kernel.row_closure(self.base),
+                self._index_strategy(expr),
+                conjunct=conjunct,
             )
         )
+
+    def bind(self, conjuncts: Sequence[Expr], binding: Binding, item: Any) -> "TableScan":
+        """This scan with its pushed predicates compiled again from
+        *conjuncts*, the WHERE conjuncts of a statement of the same
+        shape: new literals, new index lookups (and their memos), the
+        access paths chosen for this one."""
+        bound = copy.copy(self)
+        bound.pushed = []
+        for pred in self.pushed:
+            bound.push(conjuncts[pred.conjunct], binding, pred.conjunct)
+            bound.pushed[-1].use_lookup = pred.use_lookup
+        return bound
 
     def read(self, slots: Iterable[int]) -> None:
         """Compile-time: *slots* are all this scan will be asked for."""
@@ -414,8 +434,21 @@ class DerivedScan:
         self.pushed: List[Pushed] = []
         self._hops = self._key_hops()
 
-    def push(self, expr: Expr, binding: Binding) -> None:
-        self.pushed.append(Pushed(expr, compile_kernel(expr, binding)))
+    def push(self, expr: Expr, binding: Binding, conjunct: int) -> None:
+        self.pushed.append(
+            Pushed(expr, compile_kernel(expr, binding), conjunct=conjunct)
+        )
+
+    def bind(self, conjuncts: Sequence[Expr], binding: Binding, item: Any) -> "DerivedScan":
+        """This derived table for *item* (a derived table of the same
+        shape): its plan bound to *item*'s statement, its pushed
+        predicates compiled from *conjuncts*."""
+        bound = copy.copy(self)
+        bound.subplan = self.subplan.bind(item.select)
+        bound.pushed = []
+        for pred in self.pushed:
+            bound.push(conjuncts[pred.conjunct], binding, pred.conjunct)
+        return bound
 
     def read(self, slots: Iterable[int]) -> None:
         """Compile-time: *slots* are all this scan will be asked for, so

@@ -30,7 +30,7 @@ log lines, test expectations) is unaffected by the dialect layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import SqlRenderError
 from repro.sql.ast import (
@@ -171,9 +171,17 @@ def _escape_like_pattern(phrase: str) -> str:
 
 
 def render_expr(
-    expr: Expr, parent_precedence: int = 0, dialect: SqlDialect = ANSI_DIALECT
+    expr: Expr,
+    parent_precedence: int = 0,
+    dialect: SqlDialect = ANSI_DIALECT,
+    literals: Optional[List[str]] = None,
 ) -> str:
-    """Render a scalar expression with minimal parenthesisation."""
+    """Render a scalar expression with minimal parenthesisation.
+
+    With *literals* (see :func:`render_shape`) a number or string
+    literal, and a ``contains`` phrase, renders as a ``?`` placeholder —
+    ``?`` plus the literal's type name — and its text is appended to
+    *literals* instead."""
     if isinstance(expr, ColumnRef):
         name = quote_identifier(expr.name, dialect)
         if expr.qualifier:
@@ -187,30 +195,39 @@ def render_expr(
         if isinstance(expr.value, bool):
             true_text, false_text = dialect.boolean_literals
             return true_text if expr.value else false_text
-        if isinstance(expr.value, str):
-            return escape_string(expr.value)
-        return repr(expr.value)
+        text = escape_string(expr.value) if isinstance(expr.value, str) else repr(expr.value)
+        if literals is None:
+            return text
+        literals.append(text)
+        return "?" + type(expr.value).__name__
     if isinstance(expr, FuncCall):
-        inner = ", ".join(render_expr(arg, dialect=dialect) for arg in expr.args)
+        inner = ", ".join(
+            render_expr(arg, dialect=dialect, literals=literals) for arg in expr.args
+        )
         distinct = "DISTINCT " if expr.distinct else ""
         return f"{expr.name.upper()}({distinct}{inner})"
     if isinstance(expr, Contains):
         check_renderable_text(expr.phrase)
-        column_text = render_expr(expr.column, dialect=dialect)
+        column_text = render_expr(expr.column, dialect=dialect, literals=literals)
+        escape = ""
         if dialect.escape_like_wildcards:
             pattern = "%" + _escape_like_pattern(expr.phrase) + "%"
-            pattern = pattern.replace("'", "''")
-            return f"{column_text} LIKE '{pattern}' ESCAPE '\\'"
-        pattern = "%" + expr.phrase.replace("'", "''") + "%"
-        return f"{column_text} LIKE '{pattern}'"
+            escape = " ESCAPE '\\'"
+        else:
+            pattern = "%" + expr.phrase + "%"
+        pattern = "'" + pattern.replace("'", "''") + "'"
+        if literals is not None:
+            literals.append(pattern)
+            pattern = "?"
+        return f"{column_text} LIKE {pattern}{escape}"
     if isinstance(expr, IsNull):
         negation = " NOT" if expr.negated else ""
-        operand = render_expr(expr.operand, 3, dialect)
+        operand = render_expr(expr.operand, 3, dialect, literals)
         return f"{operand} IS{negation} NULL"
     if isinstance(expr, BinaryOp):
         precedence = _PRECEDENCE.get(expr.op.upper(), 3)
-        left = render_expr(expr.left, precedence, dialect)
-        right = render_expr(expr.right, precedence + 1, dialect)
+        left = render_expr(expr.left, precedence, dialect, literals)
+        right = render_expr(expr.right, precedence + 1, dialect, literals)
         if expr.op == "/" and dialect.cast_integer_division:
             # force true division on backends where int / int truncates
             left = f"CAST({left} AS REAL)"
@@ -221,15 +238,21 @@ def render_expr(
     raise TypeError(f"cannot render expression {expr!r}")
 
 
-def _render_select_item(item: SelectItem, dialect: SqlDialect) -> str:
-    text = render_expr(item.expr, dialect=dialect)
+def _render_select_item(
+    item: SelectItem, dialect: SqlDialect, literals: Optional[List[str]]
+) -> str:
+    text = render_expr(item.expr, dialect=dialect, literals=literals)
     if item.alias:
         text += f" AS {quote_identifier(item.alias, dialect)}"
     return text
 
 
 def _render_from_item(
-    item: FromItem, pretty: bool, indent: int, dialect: SqlDialect
+    item: FromItem,
+    pretty: bool,
+    indent: int,
+    dialect: SqlDialect,
+    literals: Optional[List[str]],
 ) -> str:
     if isinstance(item, TableRef):
         table = quote_identifier(item.table, dialect)
@@ -237,7 +260,7 @@ def _render_from_item(
             return f"{table} {quote_identifier(item.alias, dialect)}"
         return table
     if isinstance(item, DerivedTable):
-        inner = _render_select(item.select, pretty, indent + 1, dialect)
+        inner = _render_select(item.select, pretty, indent + 1, dialect, literals)
         alias = quote_identifier(item.alias, dialect)
         if pretty:
             pad = "  " * (indent + 1)
@@ -251,26 +274,31 @@ def _render_select(
     pretty: bool,
     indent: int = 0,
     dialect: SqlDialect = ANSI_DIALECT,
+    literals: Optional[List[str]] = None,
 ) -> str:
     clauses: List[str] = []
     distinct = "DISTINCT " if select.distinct else ""
-    items = ", ".join(_render_select_item(item, dialect) for item in select.items)
+    items = ", ".join(
+        _render_select_item(item, dialect, literals) for item in select.items
+    )
     clauses.append(f"SELECT {distinct}{items}")
     from_text = ", ".join(
-        _render_from_item(item, pretty, indent, dialect)
+        _render_from_item(item, pretty, indent, dialect, literals)
         for item in select.from_items
     )
     clauses.append(f"FROM {from_text}")
     if select.where is not None:
-        clauses.append(f"WHERE {render_expr(select.where, dialect=dialect)}")
+        where = render_expr(select.where, dialect=dialect, literals=literals)
+        clauses.append(f"WHERE {where}")
     if select.group_by:
         group = ", ".join(
-            render_expr(expr, dialect=dialect) for expr in select.group_by
+            render_expr(expr, dialect=dialect, literals=literals)
+            for expr in select.group_by
         )
         clauses.append(f"GROUP BY {group}")
     if select.order_by:
         order = ", ".join(
-            render_expr(item.expr, dialect=dialect)
+            render_expr(item.expr, dialect=dialect, literals=literals)
             + (" DESC" if item.descending else "")
             for item in select.order_by
         )
@@ -286,6 +314,17 @@ def _render_select(
 def render(select: Select, dialect: SqlDialect = ANSI_DIALECT) -> str:
     """Single-line SQL text."""
     return _render_select(select, pretty=False, dialect=dialect)
+
+
+def render_shape(select: Select) -> Tuple[str, Tuple[str, ...]]:
+    """The statement's *shape* — its single-line SQL with every number or
+    string literal and every ``contains`` phrase as a typed ``?``
+    placeholder — and the literals' texts in order.  Two statements
+    with equal shape and literals render equal; two with equal shape
+    differ in their literals alone (the plan cache's two levels)."""
+    literals: List[str] = []
+    shape = _render_select(select, pretty=False, literals=literals)
+    return shape, tuple(literals)
 
 
 def render_pretty(select: Select, dialect: SqlDialect = ANSI_DIALECT) -> str:

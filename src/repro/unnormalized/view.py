@@ -350,7 +350,10 @@ class ViewCatalog(Catalog):
         super().__init__(view.graph)
         self.view = view
 
-    def value_matches(self, phrase: str) -> List[ValueHit]:
+    def value_matches(
+        self, phrase: str, counts: Optional[Catalog] = None
+    ) -> List[ValueHit]:
+        counter = counts or self
         hits: List[ValueHit] = []
         seen: Set[Tuple[str, str]] = set()
         for match in self.view.database.text_index.match_phrase(phrase):
@@ -359,7 +362,7 @@ class ViewCatalog(Catalog):
                 if slot in seen:
                     continue
                 seen.add(slot)
-                count = self.distinct_object_count(
+                count = counter.distinct_object_count(
                     owner.name, match.attribute, phrase
                 )
                 hits.append(ValueHit(owner.name, match.attribute, count))

@@ -1,0 +1,146 @@
+"""The shape-keyed compile caches: a shape hit reuses structure, never data.
+
+``tools/shape_sweep.py`` is the byte-identity sweep (CI runs every text);
+here it runs a seeded sample of each dataset's texts.
+"""
+
+import gc
+import importlib.util
+import types
+from pathlib import Path
+
+import pytest
+
+from repro.datasets import university_database
+from repro.engine import Interpretation, KeywordSearchEngine
+from repro.keywords.matcher import TermMatcher
+from repro.keywords.query import KeywordQuery
+from repro.patterns.shape import shape_of
+from repro.relational.database import Database
+from repro.relational.result import QueryResult
+from repro.relational.table import Table
+from repro.service.service import canonical_json, semantic_search_payload
+
+SWEEP = Path(__file__).resolve().parents[2] / "tools" / "shape_sweep.py"
+
+
+@pytest.fixture(scope="module")
+def shape_sweep():
+    spec = importlib.util.spec_from_file_location("shape_sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def shape_key(engine, text):
+    query = KeywordQuery(text)
+    return shape_of(query, TermMatcher(engine.catalog).match_query(query))[0]
+
+
+def payload(engine, text):
+    return canonical_json(semantic_search_payload(engine, "university", text, 10))
+
+
+class TestByteIdentity:
+    def test_paper_workload_sample(self, shape_sweep):
+        pairs = shape_sweep.paper_pairs(("university", "enrolment", "tpch-unnorm"))
+        checked, failures = shape_sweep.sweep(pairs, sample=12, seed=7)
+        assert checked > 12 and failures == []
+
+    def test_interpret_cold_sample(
+        self, shape_sweep, tpch_db, acmdl_db, tpch_unnorm, acmdl_unnorm
+    ):
+        databases = {
+            "tpch": tpch_db,
+            "acmdl": acmdl_db,
+            "tpch-unnorm": tpch_unnorm,
+            "acmdl-unnorm": acmdl_unnorm,
+        }
+        pairs = shape_sweep.cold_pairs(databases, seed=2016)
+        assert sum(len(texts) for _, texts in pairs) == 1056
+        checked, failures = shape_sweep.sweep(pairs, sample=6, seed=2016)
+        assert checked == 24 and failures == []
+
+
+class TestShapeKey:
+    def test_values_of_one_slot_share_a_shape(self, university_engine):
+        assert shape_key(university_engine, "Database SUM Credit") == shape_key(
+            university_engine, "Multimedia SUM Credit"
+        )
+
+    def test_equal_values_are_part_of_the_key(self, university_engine):
+        # both titles hit Course.Title alone: only their equality differs
+        same = shape_key(university_engine, "COUNT Student Database Database")
+        other = shape_key(university_engine, "COUNT Student Database Multimedia")
+        assert same != other
+        assert other == shape_key(university_engine, "COUNT Student Multimedia Database")
+
+    def test_a_write_that_moves_a_value_changes_its_key(self):
+        db = university_database()
+        engine = KeywordSearchEngine(db)
+        before = shape_key(engine, "COUNT Course Steven")
+        engine.search("COUNT Course Steven")
+        # Steven stops being a lecturer and becomes a student
+        db.table("Lecturer").update(("l1",), {"Lname": "Stevens"})
+        db.insert("Student", ("s4", "Steven", 30))
+        engine.clear_cache()
+        after = shape_key(engine, "COUNT Course Steven")
+        assert after != before
+        fresh = KeywordSearchEngine(db)
+        assert payload(engine, "COUNT Course Steven") == payload(
+            fresh, "COUNT Course Steven"
+        )
+
+
+class TestStaleness:
+    def test_second_object_with_a_value_is_disambiguated_on_a_shape_hit(self):
+        db = university_database()
+        engine = KeywordSearchEngine(db)
+        assert engine.search("Database SUM Credit").find(distinguishes=True) is None
+        db.insert("Course", ("c4", "Database", 2.0))
+        engine.clear_cache()
+        engine.search("Multimedia SUM Credit")  # the shape entry, warm again
+        hits = engine.metrics.counter("shape_cache_hits")
+        result = engine.search("Database SUM Credit")
+        assert engine.metrics.counter("shape_cache_hits") == hits + 1
+        assert result.find(distinguishes=True) is not None
+        assert payload(engine, "Database SUM Credit") == payload(
+            KeywordSearchEngine(db), "Database SUM Credit"
+        )
+
+    def test_shape_hit_counts_as_a_pattern_cache_hit(self):
+        engine = KeywordSearchEngine(university_database())
+        engine.search("Database SUM Credit")
+        engine.search("Multimedia SUM Credit")
+        assert engine.metrics.counter("pattern_cache_misses") == 1
+        assert engine.metrics.counter("pattern_cache_hits") == 1
+        assert engine.metrics.counter("shape_cache_hits") == 1
+
+    def test_no_cache_level_holds_an_interpretation(self):
+        engine = KeywordSearchEngine(university_database())
+        for text in ("Database SUM Credit", "Multimedia SUM Credit",
+                     "Green SUM Credit", "COUNT Student GROUPBY Course"):
+            for interpretation in engine.search(text):
+                interpretation.execute()
+        executor = engine.executor
+        roots = [engine._pattern_cache, engine._shape_cache, executor._plan_cache,
+                 executor._shape_plans, executor.optimizer._memo]
+        found = _reachable_types(roots, stop=(Database, Table))
+        assert Interpretation not in found and QueryResult not in found
+
+
+def _reachable_types(roots, stop):
+    """Types of every object reachable from *roots*, not descending into
+    *stop* instances, code or modules."""
+    opaque = (types.FunctionType, types.ModuleType, types.MethodType, type)
+    seen, found, frontier = set(), set(), list(roots)
+    while frontier:
+        obj = frontier.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.add(type(obj))
+        if isinstance(obj, stop + opaque):
+            continue
+        frontier.extend(gc.get_referents(obj))
+    return found

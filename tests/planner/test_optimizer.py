@@ -212,8 +212,9 @@ class TestMemoAndStaleness:
         executor.clear_plan_cache()
         # clear_plan_cache also invalidates the memo; re-seed, then hit
         executor.plan_for(parse(self.SQL), tracer)
-        with executor._plan_lock:
+        with executor._plan_lock:  # both levels: no plan to bind from
             executor._plan_cache.clear()
+            executor._shape_plans.clear()
         executor.plan_for(parse(self.SQL), tracer)
         assert tracer.registry.counter("planner_memo_hits") > before
 
