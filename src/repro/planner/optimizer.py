@@ -62,7 +62,6 @@ from repro.planner.stats import (
     StatisticsCatalog,
 )
 from repro.sql.ast import ColumnRef, Expr
-from repro.sql.render import render_shape
 
 __all__ = [
     "DP_RELATION_LIMIT",
@@ -235,7 +234,7 @@ class Optimizer:
         """Decisions for *plan*, memoized by its shape and sample hits for
         as long as the tables it reads keep their versions."""
         hits = self.sample_hits(plan, tracer)
-        key = (render_shape(plan.select)[0], hits)
+        key = (plan.shape, hits)
         versions = self.database.versions(plan.select.tables())
         with self._memo_lock:
             cached = self._memo.get(key)

@@ -35,16 +35,16 @@ class Executor:
     Plans are cached at two levels, each an LRU of
     ``plan_cache_capacity`` entries.  The *shape* level, keyed by the
     statement with its literals as placeholders
-    (:func:`~repro.sql.render.render_shape`), holds one
-    :class:`~repro.relational.plan.CompiledPlan` (closure predicates,
-    index-backed scans; join order, access paths and per-operator row
-    estimates from a lazily built :class:`repro.planner.Optimizer`) per
-    set of the optimizer's literal-dependent inputs
-    (:meth:`~repro.planner.Optimizer.sample_hits`).  The *statement*
-    level, keyed by shape plus literals, holds that plan bound to one
-    statement's literals (:meth:`CompiledPlan.bind`): its pushed
-    predicates, index memos and last run.  A statement whose shape and
-    sample hits were seen before is bound, not compiled, and decides
+    (:func:`~repro.sql.render.render_shape`), holds the first
+    :class:`~repro.relational.plan.CompiledPlan` compiled for that shape
+    (closure predicates, index-backed scans; join order, access paths and
+    per-operator row estimates from a lazily built
+    :class:`repro.planner.Optimizer`).  The *statement* level, keyed by
+    shape plus literals, holds that plan bound to one statement's
+    literals (:meth:`CompiledPlan.bind`) and decided for them: its pushed
+    predicates, decisions, index memos and last run.  The optimizer's
+    memo, keyed by shape and sample hits, makes deciding a bound plan a
+    lookup when its hits were seen before, and a bound plan decides
     exactly what a fresh compile would.  Entries are stamped with the
     versions of the tables the statement reads, so a write invalidates
     the plans over the table it touched and no others;
@@ -77,8 +77,8 @@ class Executor:
         self._plan_cache: "OrderedDict[Tuple[str, Tuple[str, ...]], Tuple[Any, Any, CompiledPlan]]" = (
             OrderedDict()
         )
-        # shape -> (tables read, their versions, {sample hits: plan})
-        self._shape_plans: "OrderedDict[str, Tuple[Any, Any, Dict[Any, CompiledPlan]]]" = (
+        # shape -> (tables read, their versions, the shape's first plan)
+        self._shape_plans: "OrderedDict[str, Tuple[Any, Any, CompiledPlan]]" = (
             OrderedDict()
         )
         self._plan_lock = threading.Lock()
@@ -122,48 +122,23 @@ class Executor:
         versions = self.database.versions(tables)
         with self._plan_lock:
             shaped = self._shape_plans.get(shape)
-            plans: Dict[Any, CompiledPlan] = {}
-            if shaped is not None and shaped[1] == versions:
-                plans = dict(shaped[2])
-        if plans:
-            plan = self._bind(select, plans, tracer)
+        if shaped is not None and shaped[1] == versions:
+            plan = shaped[2].bind(select, tracer)
+            tracer.count("plan_shape_hits")
         else:
             plan = CompiledPlan(
                 select, self.database, optimizer=self.optimizer, tracer=tracer
             )
             tracer.count("plan_cache_misses")
             tracer.count("compiled_predicates", plan.compiled_predicates)
-        if plan.shareable and plan.hits not in plans:
-            with self._plan_lock:
-                shaped = self._shape_plans.get(shape)
-                if shaped is None or shaped[1] != versions:
-                    shaped = (tables, versions, {})
-                shaped[2].setdefault(plan.hits, plan)
-                self._remember(self._shape_plans, shape, shaped)
+            if plan.shareable:
+                with self._plan_lock:
+                    self._remember(self._shape_plans, plan.shape, (tables, versions, plan))
+        # keyed by the plan's copy of the shape, the one the optimizer's
+        # memo and every plan bound from it share
         with self._plan_lock:
-            self._remember(self._plan_cache, key, (tables, versions, plan))
+            self._remember(self._plan_cache, (plan.shape, literals), (tables, versions, plan))
         return plan
-
-    def _bind(
-        self, select: Select, plans: Dict[Any, CompiledPlan], tracer=NULL_TRACER
-    ) -> CompiledPlan:
-        """*select* bound to the plan of its shape decided for its sample
-        hits; when there is none yet, bound to another and decided
-        afresh."""
-        prototype = next(iter(plans.values()))
-        bound = prototype.bind(select)
-        hits = self.optimizer.sample_hits(bound, tracer)
-        template = plans.get(hits)
-        if template is None:
-            bound.redecide(tracer)
-            tracer.count("plan_cache_misses")
-            return bound
-        tracer.count("plan_shape_hits")
-        if template is prototype:
-            return bound
-        bound = template.bind(select)
-        bound.hits = hits
-        return bound
 
     def _remember(self, cache: "OrderedDict[Any, Any]", key: Any, entry: Any) -> None:
         """Insert into one LRU level (caller holds the plan lock)."""

@@ -66,7 +66,7 @@ from repro.relational.scan import (
     TableScan,
     rows_note,
 )
-from repro.sql.render import render_expr
+from repro.sql.render import render_expr, render_shape
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
@@ -156,7 +156,10 @@ class CompiledPlan:
         self._compile_tracer = tracer
         self.decisions: Any = None
         self.last_run: Optional[PlanRun] = None
-        #: the optimizer's literal-dependent inputs (Optimizer.sample_hits)
+        #: the statement with its literals as placeholders, shared by every
+        #: plan bound from this one; the optimizer's inputs that depend on
+        #: the literals (Optimizer.sample_hits) are kept per plan
+        self.shape = render_shape(select)[0]
         self.hits: Optional[Tuple[Any, ...]] = None
         self.output_columns: List[str] = [
             item.output_name(default=f"col{i + 1}")
@@ -304,32 +307,28 @@ class CompiledPlan:
             if isinstance(scan, DerivedScan)
         )
 
-    def bind(self, select: Select) -> "CompiledPlan":
+    def bind(self, select: Select, tracer=NULL_TRACER) -> "CompiledPlan":
         """This plan for *select*, a statement of the same shape
         (:func:`~repro.sql.render.render_shape`) whose literals differ —
-        valid when :attr:`shareable`.  Scan structure, decisions, join
-        order and projection are shared; the pushed predicates are
-        compiled again from *select*'s literals, with index lookups of
-        their own; :attr:`last_run` and the sample hits start empty."""
+        valid when :attr:`shareable`.  Scan structure and projection are
+        shared; the pushed predicates are compiled again from *select*'s
+        literals, with index lookups of their own, and the bound plan is
+        decided for them, derived tables first (a memo lookup when the
+        optimizer has seen the shape with the same sample hits), so it
+        decides exactly what a fresh compile would.  :attr:`last_run`
+        starts empty."""
         bound = copy.copy(self)
         bound.select = select
         bound.last_run = None
         bound.hits = None
         conjuncts = select.where_conjuncts()
         bound.scans = [
-            scan.bind(conjuncts, self.binding, item)
+            scan.bind(conjuncts, self.binding, item, tracer)
             for scan, item in zip(self.scans, select.from_items)
         ]
+        if bound._optimizer is not None:
+            bound._decide(tracer)
         return bound
-
-    def redecide(self, tracer=NULL_TRACER) -> None:
-        """Decide this (bound) plan afresh, derived tables first: for a
-        statement whose sample hits no plan of its shape was decided
-        for."""
-        for scan in self.scans:
-            if isinstance(scan, DerivedScan):
-                scan.subplan.redecide(tracer)
-        self._decide(tracer)
 
     def _decide(self, tracer: Any) -> None:
         """Ask the optimizer, then shape the plan by its decisions."""

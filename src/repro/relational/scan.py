@@ -246,16 +246,17 @@ class TableScan:
             )
         )
 
-    def bind(self, conjuncts: Sequence[Expr], binding: Binding, item: Any) -> "TableScan":
+    def bind(
+        self, conjuncts: Sequence[Expr], binding: Binding, item: Any, tracer: Any
+    ) -> "TableScan":
         """This scan with its pushed predicates compiled again from
         *conjuncts*, the WHERE conjuncts of a statement of the same
-        shape: new literals, new index lookups (and their memos), the
-        access paths chosen for this one."""
+        shape: new literals, new index lookups (and their memos); the
+        plan decides their access paths."""
         bound = copy.copy(self)
         bound.pushed = []
         for pred in self.pushed:
             bound.push(conjuncts[pred.conjunct], binding, pred.conjunct)
-            bound.pushed[-1].use_lookup = pred.use_lookup
         return bound
 
     def read(self, slots: Iterable[int]) -> None:
@@ -439,12 +440,14 @@ class DerivedScan:
             Pushed(expr, compile_kernel(expr, binding), conjunct=conjunct)
         )
 
-    def bind(self, conjuncts: Sequence[Expr], binding: Binding, item: Any) -> "DerivedScan":
+    def bind(
+        self, conjuncts: Sequence[Expr], binding: Binding, item: Any, tracer: Any
+    ) -> "DerivedScan":
         """This derived table for *item* (a derived table of the same
         shape): its plan bound to *item*'s statement, its pushed
         predicates compiled from *conjuncts*."""
         bound = copy.copy(self)
-        bound.subplan = self.subplan.bind(item.select)
+        bound.subplan = self.subplan.bind(item.select, tracer)
         bound.pushed = []
         for pred in self.pushed:
             bound.push(conjuncts[pred.conjunct], binding, pred.conjunct)

@@ -218,6 +218,30 @@ class TestMemoAndStaleness:
         executor.plan_for(parse(self.SQL), tracer)
         assert tracer.registry.counter("planner_memo_hits") > before
 
+    def test_bound_plan_decides_for_its_own_literals(self):
+        # statements of one shape share a compiled plan, not its decisions
+        db = self._database()
+        executor = Executor(db)
+        tracer = Tracer()
+        few = executor.plan_for(parse(self.SQL + " AND A.id < 2"), tracer)
+        many = executor.plan_for(parse(self.SQL + " AND A.id < 19"), tracer)
+        assert tracer.registry.counter("plan_shape_hits") == 1
+        fresh = Executor(db).plan_for(parse(self.SQL + " AND A.id < 19"))
+        assert many.decisions == fresh.decisions != few.decisions
+        assert many.explain() == fresh.explain()
+        assert len(executor._shape_plans) == 1  # one plan per shape
+
+    def test_bound_plan_with_equal_sample_hits_is_a_memo_hit(self):
+        db = self._database()
+        executor = Executor(db)
+        tracer = Tracer()
+        one = executor.plan_for(parse(self.SQL + " AND A.bid = 1"), tracer)
+        before = tracer.registry.counter("planner_memo_hits")
+        # bid 1 and bid 2 each keep 4 of A's 20 rows
+        two = executor.plan_for(parse(self.SQL + " AND A.bid = 2"), tracer)
+        assert tracer.registry.counter("planner_memo_hits") == before + 1
+        assert two is not one and two.decisions is one.decisions
+
     def test_mutation_between_searches_recollects_stats(self):
         # the satellite regression: mutate a table between two searches
         # and the second one must plan from fresh statistics — an append
