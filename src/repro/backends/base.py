@@ -89,6 +89,10 @@ class Backend(abc.ABC):
 
         return render(select, self.dialect)
 
+    def clear_plan_cache(self) -> None:
+        """Drop what the backend derived from statements: compiled plans
+        and its optimizer's memo (a backend without them keeps none)."""
+
     def close(self) -> None:
         """Release backend resources (connections, file handles)."""
 

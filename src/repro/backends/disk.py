@@ -177,6 +177,11 @@ class DiskBackend(Backend):
             tracer.count("backend_rows", len(result.rows))
         return result
 
+    def clear_plan_cache(self) -> None:
+        with self._lock:
+            if self._executor is not None:
+                self._executor.clear_plan_cache()
+
     def _emit_pool_counters(self, before: Dict[str, int], tracer: Any) -> None:
         stats = self._engine.pool.stats  # type: ignore[union-attr]
         for key in _MONOTONIC_COUNTERS:

@@ -55,6 +55,10 @@ class MemoryBackend(Backend):
                 sum(len(table) for table in database.tables()),
             )
 
+    def clear_plan_cache(self) -> None:
+        if self._executor is not None:
+            self._executor.clear_plan_cache()
+
     def execute(self, query: Union[Select, str], tracer: Any = NULL_TRACER) -> QueryResult:
         result = self.executor.execute(query, tracer=tracer)
         tracer.count("backend_rows", len(result.rows))

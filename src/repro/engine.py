@@ -358,15 +358,18 @@ class KeywordSearchEngine:
 
     def clear_cache(self) -> None:
         """Drop what is derived from *queries* — cached text and shape
-        entries, compiled plans, optimizer memos, registered downstream
-        caches — after mutating the underlying data.  What is derived
-        from *data* (indexes, planner statistics, backend copies) is not
-        dropped: it follows each table's version and catches up with the
-        write on its own."""
+        entries, every backend's compiled plans and optimizer memo,
+        registered downstream caches — after mutating the underlying
+        data.  What is derived from *data* (indexes, planner statistics,
+        backend copies) is not dropped: it follows each table's version
+        and catches up with the write on its own."""
         with self._pattern_cache_lock:
             self._pattern_cache.clear()
             self._shape_cache.clear()
-        self.executor.clear_plan_cache()
+        with self._backend_lock:
+            backends = list(self._backends.values())
+        for backend in backends:  # the memory backend's is self.executor
+            backend.clear_plan_cache()
         for hook in self._invalidation_hooks:
             hook()
 

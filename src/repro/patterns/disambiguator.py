@@ -50,16 +50,17 @@ def disambiguate_pattern(
             continue
         forked: List[QueryPattern] = []
         for variant in variants:
-            clone = variant.copy()
+            # the variant shares every other node with its base
+            clone = variant.fork([node.id])
             clone_node = clone.node(node.id)
             identifier = tuple(
                 _identifier_of(clone_node, catalog or None, pattern)
             )
-            clone_node.groupbys = clone_node.groupbys + [
+            clone_node.groupbys.append(
                 GroupByAnnotation(
                     clone_node.relation, identifier, from_disambiguation=True
                 )
-            ]
+            )
             forked.append(clone)
         variants.extend(forked)
     return variants

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.orm.classify import RelationType
 from repro.orm.graph import OrmEdge
@@ -72,6 +72,11 @@ class GroupByAnnotation:
 class PatternNode:
     """One node of a query pattern: an instance of an ORM node."""
 
+    __slots__ = (
+        "id", "orm_node", "relation", "type",
+        "conditions", "aggregates", "groupbys", "projections",
+    )
+
     def __init__(
         self,
         node_id: int,
@@ -90,6 +95,16 @@ class PatternNode:
         # (owning relation, attribute) pairs from metadata terms without an
         # operator, e.g. Code in {Green George Code}
         self.projections: List[Tuple[str, str]] = []
+
+    def copy(self) -> "PatternNode":
+        """This node with lists of its own (the annotations themselves
+        are frozen, so they are shared)."""
+        clone = PatternNode(self.id, self.orm_node, self.relation, self.type)
+        clone.conditions = list(self.conditions)
+        clone.aggregates = list(self.aggregates)
+        clone.groupbys = list(self.groupbys)
+        clone.projections = list(self.projections)
+        return clone
 
     @property
     def is_object_like(self) -> bool:
@@ -162,6 +177,8 @@ class PatternEdge:
 
 class QueryPattern:
     """A connected, annotated query pattern."""
+
+    __slots__ = ("nodes", "edges", "tag_exactness", "origin")
 
     def __init__(self) -> None:
         self.nodes: List[PatternNode] = []
@@ -282,15 +299,21 @@ class QueryPattern:
         return (tuple(sorted(signatures)), edge_sigs)
 
     def copy(self) -> "QueryPattern":
+        """A pattern with nodes of its own: free to write anywhere."""
+        return self.fork(range(len(self.nodes)))
+
+    def fork(self, node_ids: Iterable[int]) -> "QueryPattern":
+        """A pattern sharing this one's nodes and edges, except fresh
+        copies of the nodes *node_ids*: the only nodes the caller may
+        write.  Cached patterns share nodes this way (a text entry's
+        with its shape entry's, a disambiguation variant's with its
+        base), so no node reachable from a cache is ever written."""
         clone = QueryPattern()
         clone.tag_exactness = self.tag_exactness
         clone.origin = self.origin
-        for node in self.nodes:
-            new_node = clone.add_node(node.orm_node, node.relation, node.type)
-            new_node.conditions = list(node.conditions)
-            new_node.aggregates = list(node.aggregates)
-            new_node.groupbys = list(node.groupbys)
-            new_node.projections = list(node.projections)
+        clone.nodes = list(self.nodes)
+        for node_id in node_ids:
+            clone.nodes[node_id] = self.nodes[node_id].copy()
         clone.edges = list(self.edges)  # frozen: shared, not copied
         return clone
 

@@ -143,12 +143,15 @@ def shape_of(query: KeywordQuery, tags: Dict[int, List[Tag]]) -> Tuple[ShapeKey,
 
 
 def _map_conditions(pattern: QueryPattern, fn) -> QueryPattern:
-    if not any(node.conditions for node in pattern.nodes):
+    """*pattern* with *fn* applied to every condition: a fork of the
+    nodes that have one, or *pattern* itself when none has."""
+    mapped = [node.id for node in pattern.nodes if node.conditions]
+    if not mapped:
         return pattern  # nothing to map: patterns are shared, never mutated
-    clone = pattern.copy()
-    for node in clone.nodes:
-        if node.conditions:
-            node.conditions = [fn(condition) for condition in node.conditions]
+    clone = pattern.fork(mapped)
+    for node_id in mapped:
+        node = clone.nodes[node_id]
+        node.conditions = [fn(condition) for condition in node.conditions]
     return clone
 
 

@@ -223,7 +223,7 @@ class Optimizer:
             if not sample:
                 hits.append(None)  # nothing to sample: estimated by shape
                 continue
-            closures = [pred.closure for pred in scan.pushed]
+            closures = [pred.kernel.row_closure(scan.base) for pred in scan.pushed]
             each = tuple(closure_hits((closure,), sample) for closure in closures)
             joint = each[0] if len(each) == 1 else closure_hits(closures, sample)
             hits.append((each, joint, len(sample)))

@@ -123,6 +123,7 @@ class Executor:
         with self._plan_lock:
             shaped = self._shape_plans.get(shape)
         if shaped is not None and shaped[1] == versions:
+            tables, versions = shaped[0], shaped[1]  # shared, not copied
             plan = shaped[2].bind(select, tracer)
             tracer.count("plan_shape_hits")
         else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress, repeat
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import SqlExecutionError
 from repro.relational.algebra import Grouping, Vector, gather
@@ -39,23 +39,29 @@ ColumnLabel = Tuple[Optional[str], str]  # (qualifier, column name)
 class Binding:
     """Resolves column references against an ordered list of column labels."""
 
+    __slots__ = ("labels", "_slots")
+
     def __init__(self, labels: Sequence[ColumnLabel]) -> None:
         self.labels: Tuple[ColumnLabel, ...] = tuple(labels)
-        self._exact: Dict[ColumnLabel, int] = {}
-        self._by_name: Dict[str, List[int]] = {}
-        for index, (qualifier, name) in enumerate(self.labels):
-            self._exact[(qualifier, name.lower())] = index
-            self._by_name.setdefault(name.lower(), []).append(index)
+        #: lowercased column name -> its slot, or the slots of every label
+        #: with that name (qualified or not, a reference starts here)
+        self._slots: Dict[str, Union[int, Tuple[int, ...]]] = {}
+        for index, (_, name) in enumerate(self.labels):
+            key = name.lower()
+            self._slots[key] = self._named(key) + (index,) if key in self._slots else index
+
+    def _named(self, name: str) -> Tuple[int, ...]:
+        """The slots of the labels called *name* (lowercased)."""
+        found = self._slots.get(name, ())
+        return found if isinstance(found, tuple) else (found,)
 
     def resolve(self, ref: ColumnRef) -> int:
         """Position of *ref* in the row; raises on unknown or ambiguous."""
-        name = ref.name.lower()
+        candidates = self._named(ref.name.lower())
         if ref.qualifier is not None:
-            index = self._exact.get((ref.qualifier, name))
-            if index is None:
-                raise SqlExecutionError(f"unknown column {ref}")
-            return index
-        candidates = self._by_name.get(name, [])
+            candidates = tuple(
+                index for index in candidates if self.labels[index][0] == ref.qualifier
+            )
         if not candidates:
             raise SqlExecutionError(f"unknown column {ref}")
         if len(candidates) > 1:

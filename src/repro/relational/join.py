@@ -129,6 +129,8 @@ class HashJoin:
     """One hash join: the two alias sets a decided step names and the
     optimizer's estimate of what joining them yields."""
 
+    __slots__ = ("step", "label", "est_rows")
+
     def __init__(self, step: Any) -> None:
         self.step = step
         self.label = f"join {step.describe()}"
@@ -172,6 +174,8 @@ class Join:
     # the owning CompiledPlan is an argument, not a member: a plan ->
     # join -> plan cycle would keep a dropped plan, and the database
     # behind it, alive until the cyclic collector's next full pass
+
+    __slots__ = ("steps",)
 
     def __init__(self) -> None:
         self.steps: List[HashJoin] = []
@@ -245,9 +249,10 @@ class Join:
                     if scan is None:
                         continue
                     offered = self._sibling_keys(plan, scan, other, components)
-                    run.key_filters[scan.alias] = [f for _, f in offered]
+                    own = [f for _, f in offered]
                     offered.extend(handed.get(scan.alias, ()))
                     components.append(plan.run_scan(scan, offered, tracer, run))
+                    run.key_filters[scan.alias] = [f.release() for f in own]
                     started = perf_counter()  # the scan's time is its own
                 pair = candidate.find(components)
                 if pair is None:

@@ -122,7 +122,8 @@ class PlanRun:
 
     def __init__(self) -> None:
         self.operators: List[Observation] = []
-        #: alias of a deferred scan -> the sibling keys it was offered
+        #: alias of a deferred scan -> the sibling keys it was offered,
+        #: released once it ran: their count, not the keys
         self.key_filters: Dict[str, List[KeyFilter]] = {}
 
     def record(self, label: str, estimated: float, actual: int, started: float) -> None:
@@ -137,8 +138,19 @@ class PlanRun:
         return [observation.q_error for observation in self.operators]
 
 
+#: the deferred aliases of a plan that defers none (one shared set)
+_NONE_DEFERRED: frozenset = frozenset()
+
+
 class CompiledPlan:
     """A reusable physical plan for one ``Select`` over one database."""
+
+    __slots__ = (
+        "select", "database", "_optimizer", "_compile_tracer", "decisions",
+        "last_run", "shape", "hits", "output_columns", "scans", "pending",
+        "binding", "distinct_elided_key", "project", "join", "output_slots",
+        "shareable", "deferred", "key_sources",
+    )
 
     def __init__(
         self,
@@ -186,7 +198,7 @@ class CompiledPlan:
         self.shareable = self._literals_pushed()
         #: derived scans run when their decided join step does, and the
         #: conjuncts that can then hand them the other side's keys
-        self.deferred: frozenset = frozenset()
+        self.deferred: frozenset = _NONE_DEFERRED
         self.key_sources: Dict[str, List[KeySource]] = {}
         if self._optimizer is not None:
             self._decide(tracer)
@@ -315,8 +327,9 @@ class CompiledPlan:
         literals, with index lookups of their own, and the bound plan is
         decided for them, derived tables first (a memo lookup when the
         optimizer has seen the shape with the same sample hits), so it
-        decides exactly what a fresh compile would.  :attr:`last_run`
-        starts empty."""
+        decides exactly what a fresh compile would, and when that is this
+        plan's own decisions it shares this plan's join and deferrals
+        too.  :attr:`last_run` starts empty."""
         bound = copy.copy(self)
         bound.select = select
         bound.last_run = None
@@ -327,13 +340,20 @@ class CompiledPlan:
             for scan, item in zip(self.scans, select.from_items)
         ]
         if bound._optimizer is not None:
-            bound._decide(tracer)
+            bound._decide(tracer, self)
         return bound
 
-    def _decide(self, tracer: Any) -> None:
-        """Ask the optimizer, then shape the plan by its decisions."""
+    def _decide(self, tracer: Any, shaped: Optional["CompiledPlan"] = None) -> None:
+        """Ask the optimizer, then shape the plan by its decisions.  A
+        plan bound from *shaped* that gets *shaped*'s own decisions
+        shares its join and deferrals."""
         self.decisions = self._optimizer.decide(self, tracer)
         self._apply_index_choices()
+        if shaped is not None and shaped.decisions is self.decisions:
+            self.join = shaped.join
+            self.deferred = shaped.deferred
+            self.key_sources = shaped.key_sources
+            return
         self.join = Join()
         self.join.decided(self.decisions.join_steps)
         self._plan_deferrals()
@@ -398,7 +418,7 @@ class CompiledPlan:
             for step in self.decisions.join_steps
             for alias, _ in one_alias_sides(step)
             if isinstance(scans[alias], DerivedScan)
-        )
+        ) or _NONE_DEFERRED
         for conjunct in self.pending:
             if not conjunct.is_equi or len(conjunct.aliases) != 2:
                 continue
@@ -501,7 +521,7 @@ class CompiledPlan:
                 [decision.est_rows]
                 + [f.est_rows for _, f in key_filters if f.est_rows is not None]
             )
-            run.record(f"scan {scan.alias}", estimate, columns.rows, started)
+            run.record(scan.label, estimate, columns.rows, started)
         return Component({scan.alias}, columns)
 
     # ------------------------------------------------------------------
@@ -522,15 +542,14 @@ class CompiledPlan:
             estimate = None
             if self.decisions is not None and scan.alias in self.decisions.scans:
                 estimate = self.decisions.scans[scan.alias].est_rows
-            label = f"scan {scan.alias}"
-            observed = run.observation(label) if run else None
+            observed = run.observation(scan.label) if run else None
             offered = [
                 key_filter.describe(observed.actual if observed else None)
                 for key_filter in key_filters.get(scan.alias, ())
                 if scan.alias in self.deferred
             ]
             lines.extend(
-                scan.describe(indent, self._note(run, label, estimate), offered)
+                scan.describe(indent, self._note(run, scan.label, estimate), offered)
             )
         for conjunct in self.pending:
             kind = "equi-join" if conjunct.is_equi else "filter"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import threading
-from dataclasses import dataclass
+from array import array
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.cancellation import current_token
@@ -37,7 +37,6 @@ from repro.relational.expressions import (
     ColumnLabel,
     Columns,
     Kernel,
-    ScalarFn,
     compile_kernel,
 )
 from repro.relational.types import DataType
@@ -58,11 +57,11 @@ _NUMERIC_TYPES = (DataType.INT, DataType.FLOAT)
 class IndexLookup:
     """How one pushed-down predicate is answered from an index.
 
-    ``positions()`` returns candidate row positions (a superset of the
-    matching rows for ``numeric-eq``, exact for the others) or None when the
-    index cannot answer; the scan verifies candidates with the compiled
-    predicate either way.  Results are memoized per version of the table
-    probed.
+    ``positions()`` returns candidate row positions, ascending (a
+    superset of the matching rows for ``numeric-eq``, exact for the
+    others) or None when the index cannot answer; the scan verifies
+    candidates with the compiled predicate either way.  Results are
+    memoized per version of the table probed, as an ``array('I')``.
     """
 
     __slots__ = ("kind", "table", "column", "value", "_cached", "_cached_version", "_lock")
@@ -72,13 +71,13 @@ class IndexLookup:
         self.table = table
         self.column = column
         self.value = value
-        self._cached: Optional[Set[int]] = None
+        self._cached: Optional[array] = None
         self._cached_version: Any = None
         # plans are shared across service workers via the executor's plan
         # cache; the memo write must be atomic with its version stamp
         self._lock = threading.Lock()
 
-    def positions(self, database: Database) -> Optional[Set[int]]:
+    def positions(self, database: Database) -> Optional[array]:
         version = database.table(self.table).version
         with self._lock:
             if self._cached_version == version:
@@ -96,11 +95,12 @@ class IndexLookup:
                 (self.value,)
             )
         else:  # 'never': comparison against NULL matches nothing
-            found = set()
+            found = ()
+        positions = None if found is None else array("I", sorted(found))
         with self._lock:
-            self._cached = found
+            self._cached = positions
             self._cached_version = version
-        return found
+        return positions
 
     def describe(self) -> str:
         if self.kind == "never":
@@ -113,38 +113,44 @@ class IndexLookup:
         return f"{index_name}[{self.table}.{self.column} ~ {self.value!r}]"
 
 
-@dataclass(eq=False)
 class Pushed:
     """A single-scan predicate: compiled kernel plus optional index path.
 
-    ``closure`` is the same predicate over a whole row of the scanned
-    table, which is what the optimizer runs over its row sample (None on
-    a derived scan, which has no sample).  ``use_lookup`` is the
-    access-path switch: the cost-based optimizer sets it to False when a
-    sequential scan beats the index probe (the kernel verifies every row
-    either way, so the choice is purely physical).  Without an optimizer
-    it stays True — index whenever one exists.  ``conjunct`` is the
-    predicate's index among its statement level's WHERE conjuncts,
-    where :meth:`TableScan.bind` finds another statement's literals."""
+    ``use_lookup`` is the access-path switch: the cost-based optimizer
+    sets it to False when a sequential scan beats the index probe (the
+    kernel verifies every row either way, so the choice is purely
+    physical).  Without an optimizer it stays True — index whenever one
+    exists.  ``conjunct`` is the predicate's index among its statement
+    level's WHERE conjuncts, where :meth:`TableScan.bind` finds another
+    statement's literals.  The optimizer's row closure over its sample
+    is made from the kernel when the sample is read, not kept."""
 
-    expr: Expr
-    kernel: Kernel
-    closure: Optional[ScalarFn] = None
-    lookup: Optional[IndexLookup] = None
-    use_lookup: bool = True
-    conjunct: int = 0
+    __slots__ = ("expr", "kernel", "lookup", "use_lookup", "conjunct")
+
+    def __init__(
+        self,
+        expr: Expr,
+        kernel: Kernel,
+        lookup: Optional[IndexLookup] = None,
+        conjunct: int = 0,
+    ) -> None:
+        self.expr = expr
+        self.kernel = kernel
+        self.lookup = lookup
+        self.use_lookup = True
+        self.conjunct = conjunct
 
 
 class KeyFilter:
     """The distinct non-NULL join keys one side of an equi-join already
     holds, offered to the scan that feeds the other side.
 
-    Made per execution and handed down as an ``execute`` argument, never
-    stored on the (shared, cached) plan.  The table scan owning the
-    column decides from the key count whether to start from an index and
-    writes the outcome here, which is how the caller records and explains
-    it.  ``keys`` is None in an explain-only forecast, where ``count`` is
-    an estimate."""
+    Made per execution and handed down as an ``execute`` argument; the
+    key set is never stored on the (shared, cached) plan.  The table scan
+    owning the column decides from the key count whether to start from
+    an index and writes the outcome here, which is how the caller records
+    and explains it, then drops the keys (:meth:`release`).  ``keys`` is
+    None in an explain-only forecast, where ``count`` is an estimate."""
 
     __slots__ = ("source", "keys", "count", "outcome", "est_rows")
 
@@ -156,6 +162,12 @@ class KeyFilter:
         self.count = len(keys) if keys is not None else count
         self.outcome = ""
         self.est_rows: Optional[float] = None  # set when pushed
+
+    def release(self) -> "KeyFilter":
+        """Drop the key set once its scan has run: what EXPLAIN prints of
+        the filter (source, count, outcome, estimate) stays."""
+        self.keys = ()
+        return self
 
     def describe(self, actual: Optional[int]) -> str:
         if self.keys is None:
@@ -217,6 +229,11 @@ def _apply_pushed(columns: Columns, pushed: Iterable[Pushed], tracer: Any) -> Co
 class TableScan:
     """Scan of one base table, with pushed-down predicates."""
 
+    __slots__ = (
+        "_optimizer", "table_name", "alias", "label", "schema", "base",
+        "labels", "pushed", "needed", "slots",
+    )
+
     def __init__(
         self, item: TableRef, database: Database, base: int, optimizer: Any = None
     ) -> None:
@@ -224,6 +241,7 @@ class TableScan:
         self._optimizer = optimizer
         self.table_name = item.table
         self.alias = item.alias
+        self.label = f"scan {item.alias}"  # its operator in a PlanRun
         self.schema = table.schema
         self.base = base
         self.labels: Tuple[ColumnLabel, ...] = tuple(
@@ -235,15 +253,8 @@ class TableScan:
         self.slots: List[int] = []
 
     def push(self, expr: Expr, binding: Binding, conjunct: int) -> None:
-        kernel = compile_kernel(expr, binding)
         self.pushed.append(
-            Pushed(
-                expr,
-                kernel,
-                kernel.row_closure(self.base),
-                self._index_strategy(expr),
-                conjunct=conjunct,
-            )
+            Pushed(expr, compile_kernel(expr, binding), self._index_strategy(expr), conjunct)
         )
 
     def bind(
@@ -365,16 +376,15 @@ class TableScan:
     ) -> Columns:
         current_token().check()
         table = database.table(self.table_name)
-        positions: Optional[Set[int]] = None
-        lookups = 0
+        # each index answer's candidate positions: ascending arrays from
+        # the lookups' memos, sets from the key filters
+        found_by: List[Any] = []
         for pred in self.pushed:
             if pred.lookup is None or not pred.use_lookup:
                 continue
             found = pred.lookup.positions(database)
-            if found is None:
-                continue
-            lookups += 1
-            positions = found if positions is None else positions & found
+            if found is not None:
+                found_by.append(found)
         # (slot of the column, keys): candidates are verified by set
         # membership, the hash join's own equality
         verify: List[Tuple[int, Set[Any]]] = []
@@ -387,17 +397,21 @@ class TableScan:
                 key_filter.outcome = "not pushed (no index answers)"
                 key_filter.est_rows = None
                 continue
-            lookups += 1
+            found_by.append(found)
             tracer.count("key_filters_pushed")
             tracer.count("key_filter_keys", len(key_filter.keys))
-            positions = found if positions is None else positions & found
             verify.append(
                 (self.base + self.schema.column_index(column), key_filter.keys)
             )
-        if positions is not None:
-            tracer.count("index_scans", lookups)
+        if found_by:
+            positions: Sequence[int]
+            if len(found_by) == 1 and isinstance(found_by[0], array):
+                positions = found_by[0]  # one lookup: its memo is ascending
+            else:
+                positions = sorted(set(found_by[0]).intersection(*found_by[1:]))
+            tracer.count("index_scans", len(found_by))
             tracer.count("rows_skipped_by_index", len(table) - len(positions))
-            vectors = table.columns(self.needed, sorted(positions))
+            vectors = table.columns(self.needed, positions)
             rows = len(positions)
         else:
             vectors = table.columns(self.needed)
@@ -425,8 +439,11 @@ class TableScan:
 class DerivedScan:
     """A derived table: a nested compiled sub-plan."""
 
+    __slots__ = ("alias", "label", "subplan", "base", "labels", "pushed", "_hops")
+
     def __init__(self, alias: str, subplan: Any, base: int) -> None:
         self.alias = alias
+        self.label = f"scan {alias}"
         self.subplan = subplan  # a repro.relational.plan.CompiledPlan
         self.base = base
         self.labels: Tuple[ColumnLabel, ...] = tuple(

@@ -26,6 +26,17 @@ class TestCompileCache:
         engine.clear_cache()
         assert engine.patterns("Green SUM Credit") is not first
 
+    def test_clear_cache_drops_every_backends_plans(self, university_db):
+        engine = KeywordSearchEngine(university_db)
+        for backend in ("memory", "disk"):
+            engine.search("Green SUM Credit", backend=backend).best.execute()
+        executors = [engine.executor, engine.get_backend("disk")._executor]
+        assert all(e.plan_cache_len and e.optimizer.memo_len for e in executors)
+        engine.clear_cache()
+        assert [(e.plan_cache_len, e.optimizer.memo_len) for e in executors] == [
+            (0, 0), (0, 0)
+        ]
+
     def test_cache_eviction_bounded(self, university_db):
         engine = KeywordSearchEngine(university_db)
         engine.cache_size = 2

@@ -6,6 +6,7 @@ here it runs a seeded sample of each dataset's texts.
 
 import gc
 import importlib.util
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from repro.datasets import university_database
 from repro.engine import Interpretation, KeywordSearchEngine
+from repro.errors import ReproError
 from repro.keywords.matcher import TermMatcher
 from repro.keywords.query import KeywordQuery
 from repro.patterns.shape import shape_of
@@ -127,6 +129,104 @@ class TestStaleness:
                  executor._shape_plans, executor.optimizer._memo]
         found = _reachable_types(roots, stop=(Database, Table))
         assert Interpretation not in found and QueryResult not in found
+
+
+class TestSharedNodes:
+    """Cached patterns share nodes: a text entry's with its shape entry's,
+    a disambiguation variant's with its base.  Only a fork writes, and
+    only the nodes it copied."""
+
+    #: disambiguated texts, then texts of their shapes with other values
+    #: (shape hits, one of them disambiguated on the hit)
+    FIRST = ("Database SUM Credit", "COUNT Student Multimedia", "Green COUNT Course")
+    LATER = ("Multimedia SUM Credit", "COUNT Student Database")
+
+    def test_cached_patterns_are_never_written(self):
+        db = university_database()
+        db.insert("Course", ("c4", "Database", 2.0))  # two courses titled Database
+        engine = KeywordSearchEngine(db)
+        for text in self.FIRST:
+            engine.search(text)
+        assert any(p.distinguishes for p in engine.patterns("Database SUM Credit"))
+        before = _describes(engine)
+        hits = engine.metrics.counter("shape_cache_hits")
+        for text in self.LATER:
+            engine.search(text)
+        assert engine.metrics.counter("shape_cache_hits") == hits + len(self.LATER)
+        after = _describes(engine)
+        assert {key: after[key] for key in before} == before
+        # the sharing is real: a shape hit's patterns hold its shape's nodes
+        entry = engine._pattern_cache["Multimedia SUM Credit"]
+        shaped = {id(node) for pattern in entry.shape.patterns for node in pattern.nodes}
+        assert any(id(node) in shaped for pattern in entry.ranked for node in pattern.nodes)
+        # disambiguation adds variants and leaves the patterns it forks
+        # from as they were generated
+        plain = KeywordSearchEngine(db, disambiguate=False)
+        for text in self.FIRST + self.LATER:
+            kept = {pattern.describe() for pattern in engine.patterns(text)}
+            assert {pattern.describe() for pattern in plain.patterns(text)} <= kept
+
+
+def _describes(engine):
+    """Every cached pattern's rendering, by level and key."""
+    found = {
+        ("text", text): [pattern.describe() for pattern in entry.ranked]
+        for text, entry in engine._pattern_cache.items()
+    }
+    found.update(
+        (("shape", key), [pattern.describe() for pattern in entry.patterns])
+        for key, entry in engine._shape_cache.items()
+    )
+    return found
+
+
+class TestFootprint:
+    """tracemalloc bytes the compile caches keep, per text entry and per
+    cached plan, after a fixed sample of ``interpret_cold`` texts (seed
+    2016) through a normalized and an unnormalized ACMDL engine at SF 1.
+
+    Before patterns shared nodes and plans dropped their run's key sets,
+    index memos as sets and per-plan copies, the same sample measured
+    30,190 bytes per text entry and 10,778 per plan (the statement and
+    shape levels over the statement level's plans); now ≈ 10,700 and
+    ≈ 6,200."""
+
+    TEXTS = 48
+    BYTES_PER_TEXT_ENTRY = 14_000
+    BYTES_PER_PLAN = 8_000
+
+    def test_bytes_per_text_entry_and_per_plan(self, shape_sweep, acmdl_db, acmdl_unnorm):
+        pairs = shape_sweep.cold_pairs({"acmdl": acmdl_db, "acmdl-unnorm": acmdl_unnorm}, seed=2016)
+        engines = [pair.warm for pair, _ in pairs]
+        tracemalloc.start()
+        try:
+            for pair, texts in pairs:
+                for text in texts[: self.TEXTS]:
+                    try:
+                        semantic_search_payload(pair.warm, pair.name, text, 10)
+                    except ReproError:
+                        pass
+            entries = sum(len(engine._pattern_cache) for engine in engines)
+            plans = sum(len(engine.executor._plan_cache) for engine in engines)
+            per_entry = _freed(engines, lambda engine: engine._pattern_cache.clear()) / entries
+            per_plan = _freed(engines, lambda engine: (
+                engine.executor._plan_cache.clear(), engine.executor._shape_plans.clear()
+            )) / plans
+        finally:
+            tracemalloc.stop()
+        assert entries == 2 * self.TEXTS and plans >= 2 * self.TEXTS
+        assert 0 < per_entry <= self.BYTES_PER_TEXT_ENTRY, per_entry
+        assert 0 < per_plan <= self.BYTES_PER_PLAN, per_plan
+
+
+def _freed(engines, clear):
+    """tracemalloc bytes released by *clear* on every engine."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    for engine in engines:
+        clear(engine)
+    gc.collect()
+    return before - tracemalloc.get_traced_memory()[0]
 
 
 def _reachable_types(roots, stop):

@@ -6,8 +6,12 @@ assert against hand-computed answers over the Figure 1 data.
 
 import pytest
 
+from repro.backends import create_backend
 from repro.errors import SqlExecutionError
+from repro.relational.database import Database
 from repro.relational.executor import execute_sql
+from repro.relational.schema import Column, DatabaseSchema, RelationSchema
+from repro.relational.types import DataType
 
 
 class TestBasicSelect:
@@ -94,6 +98,28 @@ class TestJoins:
             execute_sql(
                 university_db, "SELECT Sid FROM Student S, Enrol E"
             )
+
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_qualified_name_shared_by_two_columns_is_ambiguous(self, backend):
+        # R1 has two columns named partkey; SQLite answers the first of
+        # them, and reading either one silently is wrong
+        schema = DatabaseSchema("parts")
+        schema.add(RelationSchema(
+            "P", [Column("partkey", DataType.INT), Column("size", DataType.INT)],
+            ["partkey"],
+        ))
+        database = Database(schema)
+        database.load("P", [(1, 10), (2, 20)])
+        sql = (
+            "SELECT R1.partkey FROM (SELECT P1.partkey, P2.size AS partkey "
+            "FROM P P1, P P2 WHERE P1.partkey = P2.partkey) R1"
+        )
+        runner = create_backend(backend, database)
+        try:
+            with pytest.raises(SqlExecutionError, match="ambiguous column R1.partkey"):
+                runner.execute(sql)
+        finally:
+            runner.close()
 
 
 class TestAggregation:

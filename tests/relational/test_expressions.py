@@ -73,6 +73,12 @@ class TestBinding:
             b.resolve(ColumnRef("x"))
         assert b.resolve(ColumnRef("x", "B")) == 1
 
+    def test_ambiguous_within_one_qualifier(self):
+        b = Binding([("A", "x"), ("A", "x"), ("B", "y")])
+        with pytest.raises(SqlExecutionError, match="ambiguous column A.x"):
+            b.resolve(ColumnRef("x", "A"))
+        assert b.resolve(ColumnRef("y", "B")) == 2
+
     def test_merge(self, binding):
         merged = binding.merge(Binding([("T", "z")]))
         assert merged.resolve(ColumnRef("z", "T")) == 3
