@@ -2,7 +2,7 @@
 
 from repro.relational.database import Database
 from repro.relational.executor import Executor, QueryResult, execute_sql
-from repro.relational.index import HashIndex, InvertedIndex, NumericIndex
+from repro.relational.index import InvertedIndex, KeyIndex, NumericIndex
 from repro.relational.plan import CompiledPlan
 from repro.relational.io import (
     export_result_csv,
@@ -24,8 +24,8 @@ __all__ = [
     "Executor",
     "NumericIndex",
     "ForeignKey",
-    "HashIndex",
     "InvertedIndex",
+    "KeyIndex",
     "QueryResult",
     "RelationSchema",
     "Table",

@@ -8,10 +8,11 @@ translator emits SQL that the executor runs against its tables.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ForeignKeyError, SchemaError, UnknownTableError
-from repro.relational.index import HashIndex, InvertedIndex, NumericIndex
+from repro.relational.index import InvertedIndex, KeyIndex, NumericIndex
 from repro.relational.schema import DatabaseSchema, ForeignKey, RelationSchema
 from repro.relational.table import Row, Table
 from repro.relational.types import DataType
@@ -28,10 +29,10 @@ class Database:
         }
         # lazy indexes: created on first use and from then on caught up
         # with their tables' versions, never dropped.  The lock guards the
-        # three slots; each index guards its own postings.
+        # slots; each index guards its own catch-up.
         self._text_index: Optional[InvertedIndex] = None
         self._numeric_index: Optional[NumericIndex] = None
-        self._hash_indexes: Dict[Tuple[str, Tuple[str, ...]], HashIndex] = {}
+        self._key_indexes: Dict[Tuple[str, Tuple[str, ...]], KeyIndex] = {}
         self._index_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -84,20 +85,15 @@ class Database:
         for table in self._tables.values():
             for fk in table.schema.foreign_keys:
                 parent = self.table(fk.ref_table)
-                parent_index = self.hash_index(fk.ref_table, fk.ref_columns)
-                child_indices = [
-                    table.schema.column_index(col) for col in fk.columns
-                ]
-                # each distinct value probed once, in first-seen order
-                for key in dict.fromkeys(
-                    tuple(row[i] for i in child_indices) for row in table.rows
-                ):
-                    if any(part is None for part in key):
-                        continue  # NULL FK is allowed (no reference)
-                    if not parent_index.positions(key):
-                        raise ForeignKeyError(
-                            f"{table.schema.name}: {fk} dangling value {key!r}"
-                        )
+                # the child's distinct keys less the parent's (transient);
+                # a NULL in an FK refers to nothing
+                missing = set(_keys(table, fk.columns)).difference(
+                    _keys(parent, fk.ref_columns)
+                )
+                missing = {key for key in missing if None not in key}
+                if missing:
+                    key = next(key for key in _keys(table, fk.columns) if key in missing)
+                    raise ForeignKeyError(f"{table.schema.name}: {fk} dangling value {key!r}")
 
     # ------------------------------------------------------------------
     # Versions and indexes
@@ -132,23 +128,21 @@ class Database:
                 self._numeric_index.catch_up()
             return self._numeric_index
 
-    def hash_index(self, table_name: str, columns: Sequence[str]) -> HashIndex:
-        """Lazily built hash index on ``table(columns)``, caught up with
+    def hash_index(self, table_name: str, columns: Sequence[str]) -> KeyIndex:
+        """The key index on ``table(columns)``: the table's own on its
+        primary key, else one built on first use; either caught up with
         the table's current version."""
-        with self._index_lock:
-            key = (table_name, tuple(columns))
-            index = self._hash_indexes.get(key)
-            if index is None:
-                index = self._hash_indexes[key] = HashIndex(
-                    self.table(table_name), columns
-                )
-            else:
-                index.catch_up()
-            return index
+        table = self.table(table_name)
+        index = table.key_index
+        if tuple(columns) != table.schema.primary_key:
+            with self._index_lock:
+                key = (table_name, tuple(columns))
+                index = self._key_indexes.get(key)
+                if index is None:
+                    index = self._key_indexes[key] = KeyIndex(table, columns)
+        index.catch_up()
+        return index
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def row_counts(self) -> Dict[str, int]:
         return {name: len(table) for name, table in self._tables.items()}
 
@@ -165,3 +159,9 @@ class Database:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Database({self.schema.name!r}, tables={len(self._tables)})"
+
+
+def _keys(table: Table, columns: Sequence[str]) -> Iterator[Tuple[Any, ...]]:
+    """Each row's values of *columns*, as a tuple."""
+    index = table.schema.column_index
+    return zip(*(map(itemgetter(index(col)), table.rows) for col in columns))

@@ -1,7 +1,9 @@
 """Indexes over table data.
 
-* :class:`HashIndex` — equi-join / point-lookup acceleration used by the
-  executor's hash-join planner.
+* :class:`KeyIndex` — a table's row positions sorted by the values of
+  some columns, an ``array('I')`` bisected over the rows.  Each table
+  keeps one on its primary key; ``Database.hash_index`` serves equality
+  probes from it, or from one built for other columns.
 * :class:`NumericIndex` — per numeric ``(relation, attribute)``, an
   ``array('d')`` of ``float(value)`` sorted ascending beside an
   ``array('I')`` of row positions: a probe is two bisections and a slice.
@@ -12,16 +14,18 @@
 All three are maintained, not rebuilt: ``catch_up()`` compares each
 table's :attr:`~repro.relational.table.Table.version` with what the
 index covers and indexes only ``rows[covered:]`` when the epoch is
-unchanged (an append: merged into the sorted arrays in place, appended
-to the postings), starting that table over when it is not (an update or
-delete).  **Reader/writer rule:** an index owns one lock; ``catch_up``
-mutates its dictionaries and arrays only while holding it and every
-probe copies what it returns while holding it, so a probe sees the index
-of some whole number of rows — never an array mid-merge — and positions
-it returns are valid in ``table.rows`` because rows under one epoch only
-grow.  Updates and deletes move rows a running reader may hold positions
-for, so they need the readers of that table quiesced.
-"""
+unchanged (an append: merged into the sorted arrays, appended to the
+postings), starting that table over when it is not (an update or
+delete).  **Reader/writer rule:** each index owns one lock, and
+``catch_up`` runs while holding it.  A value index mutates its
+dictionaries and arrays only then, and every probe copies what it
+returns while holding it.  A key index publishes a new array instead,
+never shifting one a reader is bisecting, so its probes take no lock.
+So a probe sees the index of some whole number of rows, and positions
+it returns are valid in ``table.rows`` because rows under one epoch
+only grow.  Updates and deletes move rows a running
+reader may hold positions for, so they need the readers of that table
+quiesced."""
 
 from __future__ import annotations
 
@@ -29,10 +33,15 @@ import re
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import compress, repeat
+from operator import contains, is_, itemgetter, not_
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.relational.table import Row, Table
+from repro.errors import IntegrityError
 from repro.relational.types import DataType
+
+if TYPE_CHECKING:
+    from repro.relational.table import Row, Table
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _POSITION = "I"  # array typecode of row positions: unsigned 32-bit
@@ -44,43 +53,114 @@ def tokenize_text(text: str) -> List[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-class HashIndex:
-    """Hash index mapping a column-tuple value to row positions of a table."""
+class KeyIndex:
+    """Row positions of one table sorted by the values of *columns*, then
+    by position: 4 bytes a row, probed by bisecting over the rows.  A key
+    is the value for one column, a tuple for several.  NULL does not
+    order against values, so rows with a NULL in *columns* stay out of
+    the order and a probe for a key holding NULL reads the rows."""
 
     def __init__(self, table: Table, columns: Sequence[str]) -> None:
         self.table = table
         self.columns = tuple(columns)
-        self._indices = [table.schema.column_index(col) for col in self.columns]
-        self._lock = threading.Lock()
-        self._buckets: Dict[Tuple[Any, ...], List[int]] = {}
+        self._key = itemgetter(*map(table.schema.column_index, self.columns))
+        # called as (key, None): whether a key holds a NULL
+        self._null = is_ if len(self.columns) == 1 else contains
+        self.order = array(_POSITION)
         self._covered = _Covered()
+        self._writer = threading.Lock()
         self.catch_up()
 
     def catch_up(self) -> None:
-        """Index the rows the table gained (all of them after an epoch
-        bump); a no-op when the index is current."""
-        with self._lock:
+        """Publish the order with the rows the table gained merged in, or
+        with all of them after an epoch bump.  Writers take turns, so once
+        this returns the order covers at least the version read before."""
+        with self._writer:
             start, stop = self._covered.advance(self.table)
-            if start == 0:
-                self._buckets = {}
-            indices = self._indices
-            buckets = self._buckets
-            for pos, row in _rows_between(self.table, start, stop):
-                key = tuple(row[i] for i in indices)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [pos]
-                else:
-                    bucket.append(pos)
+            if start < stop or start == 0:
+                self.order = self._merged(self.order if start else array(_POSITION), start, stop)
 
-    def positions(self, key: Tuple[Any, ...]) -> Set[int]:
+    def _merged(self, base: array, start: int, stop: int) -> array:
+        """*base* with the positions ``start..stop`` merged in, as a new
+        array: the batch is sorted, then each of its keys bisected into
+        place, so no run of *base* is moved twice or compared again."""
+        rows = self.table.rows
+        keys = list(map(self._key, rows[start:stop]))
+        nulls = map(self._null, keys, repeat(None))
+        new = sorted(compress(range(len(keys)), map(not_, nulls)), key=keys.__getitem__)
+        view = _Keys(base, rows, self._key)
+        merged, cut = array(_POSITION), 0
+        for i in new:
+            at = bisect_right(view, keys[i], cut)
+            merged += base[cut:at]
+            merged.append(start + i)
+            cut = at
+        merged += base[cut:]
+        return merged
+
+    def _probe(self, key: Sequence[Any]) -> Any:
+        """*key*, one value per column, in the index's key form."""
+        if isinstance(key, str) or len(key) != len(self.columns):
+            raise IntegrityError(
+                f"{self.table.schema.name}: a key of {self.columns} takes "
+                f"{len(self.columns)} value(s), got {key!r}"
+            )
+        return key[0] if len(key) == 1 else tuple(key)
+
+    def _span(self, probe: Any) -> Tuple[array, int, int]:
+        """The order and the ``[low, high)`` run of it holding *probe*."""
+        order = self.order
+        view = _Keys(order, self.table.rows, self._key)
+        try:
+            low = bisect_left(view, probe)
+            if low < len(order) and view[low] == probe:
+                high = low + 1  # a key is most often held once
+                if high < len(order) and view[high] == probe:
+                    high = bisect_right(view, probe, high)
+                return order, low, high
+        except TypeError:  # a probe of another type equals no key
+            pass
+        return order, 0, 0
+
+    def position(self, key: Sequence[Any]) -> Optional[int]:
+        """The first row position holding *key*, or None."""
+        order, low, high = self._span(self._probe(key))
+        return order[low] if low < high else None
+
+    def positions(self, key: Sequence[Any]) -> Set[int]:
         """Row positions holding *key* (used for index-backed scans)."""
-        with self._lock:
-            return set(self._buckets.get(tuple(key), ()))
+        probe = self._probe(key)
+        if self._null(probe, None):
+            found = enumerate(map(self._key, self.table.rows))
+            return {position for position, value in found if value == probe}
+        order, low, high = self._span(probe)
+        return set(order[low:high])
+
+    def clash(self, rows: List[Row]) -> Optional[int]:
+        """The index of the first of *rows* whose key holds a NULL or is
+        held by the table or by an earlier one of *rows*, if any."""
+        held = bool(self.order)  # no bisecting into an empty table
+        seen: Set[Any] = set()
+        for at, key in enumerate(map(self._key, rows)):
+            if self._null(key, None) or key in seen or held and self._span(key)[2]:
+                return at
+            seen.add(key)
+        return None
+
+
+class _Keys:
+    """The keys of the rows at *order*, in order: what ``bisect`` reads."""
+
+    __slots__ = ("order", "rows", "key")
+
+    def __init__(self, order: array, rows: List[Row], key: Any) -> None:
+        self.order, self.rows, self.key = order, rows, key
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._buckets)
+        return len(self.order)
+
+    def __getitem__(self, index: int) -> Any:
+        return self.key(self.rows[self.order[index]])
 
 
 class _Covered:
@@ -261,7 +341,8 @@ class InvertedIndex:
     attribute)``, maintained by :meth:`catch_up` under the reader/writer
     rule of the module docstring.  Phrase queries (``"royal olive"``)
     intersect the posting lists of their tokens and then verify the
-    phrase with a substring check, mirroring SQL ``contains`` semantics.
+    phrase with a substring check, mirroring SQL ``contains`` semantics
+    (a phrase that lowers to one token needs none: its candidates hold it).
     """
 
     def __init__(self) -> None:
@@ -361,17 +442,19 @@ class InvertedIndex:
                     by_slot[slot] = candidates
         results: List[ValueMatch] = []
         needle = phrase.lower()
+        verify = tokens != [needle]  # a phrase that is one token is in every candidate
         for (relation, attribute), candidates in by_slot.items():
-            table = self._tables[relation]
-            col_idx = table.schema.column_index(attribute)
-            verified = {
-                pos
-                for pos in candidates
-                if table.rows[pos][col_idx] is not None
-                and needle in str(table.rows[pos][col_idx]).lower()
-            }
-            if verified:
-                results.append(ValueMatch(relation, attribute, verified))
+            if verify:
+                rows = self._tables[relation].rows
+                col_idx = self._tables[relation].schema.column_index(attribute)
+                candidates = {
+                    pos
+                    for pos in candidates
+                    if rows[pos][col_idx] is not None
+                    and needle in str(rows[pos][col_idx]).lower()
+                }
+            if candidates:
+                results.append(ValueMatch(relation, attribute, candidates))
         results.sort(key=lambda match: (match.relation, match.attribute))
         return results
 
@@ -386,8 +469,10 @@ class InvertedIndex:
         alphanumeric run — lies within a single token of that value, so
         scanning the vocabulary for tokens containing it as a substring
         covers every possible match.  Candidates are then verified with the
-        actual substring test.  Returns None when the phrase has no tokens
-        or the relation is not indexed (callers fall back to a scan).
+        actual substring test, unless the lowered phrase is that one token:
+        then every candidate's lowered value contains it.  Returns None
+        when the phrase has no tokens or the relation is not indexed
+        (callers fall back to a scan).
         """
         table = self._tables.get(relation)
         if table is None:
@@ -406,10 +491,10 @@ class InvertedIndex:
                     hit = slots.get(slot)
                     if hit:
                         candidates.update(hit)
-        if not candidates:
-            return set()
-        col_idx = table.schema.column_index(attribute)
         needle = phrase.lower()
+        if not candidates or tokens == [needle]:  # each candidate has a token holding it
+            return candidates
+        col_idx = table.schema.column_index(attribute)
         rows = table.rows
         return {
             pos

@@ -1,8 +1,10 @@
 """Row storage for one relation.
 
 Rows are stored as tuples in insertion order.  The table enforces primary-key
-uniqueness and type coercion on insert; foreign-key enforcement happens at
-the :class:`~repro.relational.database.Database` level because it needs the
+uniqueness and type coercion on insert, and answers key lookups, through
+its :class:`~repro.relational.index.KeyIndex`: the row positions in key
+order.  Foreign-key enforcement happens at the
+:class:`~repro.relational.database.Database` level because it needs the
 parent table.
 
 Everything derived from a table — indexes, statistics, compiled plans,
@@ -27,6 +29,7 @@ import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateKeyError, IntegrityError, SchemaError
+from repro.relational.index import KeyIndex
 from repro.relational.schema import RelationSchema
 from repro.relational.types import coerce
 
@@ -41,8 +44,9 @@ class Table:
         self.enforce_key = enforce_key
         self._rows: List[Row] = []
         self._key_indices = tuple(schema.column_index(col) for col in schema.primary_key)
-        self._key_set: Dict[Row, int] = {}
         self._epoch = 0
+        #: row positions in primary-key order, current after every write
+        self.key_index = KeyIndex(self, schema.primary_key)
         # column index -> that column of the first len(vector) rows, as
         # of _vector_epoch; guarded by _vector_lock
         self._vectors: Dict[int, List[Any]] = {}
@@ -54,11 +58,8 @@ class Table:
     # ------------------------------------------------------------------
     def insert(self, row: Sequence[Any]) -> Row:
         """Insert one row (sequence ordered like the schema columns)."""
-        coerced = self._coerce(row)
-        if self.enforce_key:
-            self._key_set[self._new_key(coerced)] = len(self._rows)
-        self._rows.append(coerced)
-        return coerced
+        self.extend((row,))
+        return self._rows[-1]
 
     def _coerce(self, row: Sequence[Any]) -> Row:
         if len(row) != len(self.schema.columns):
@@ -70,18 +71,13 @@ class Table:
             coerce(value, col.dtype) for value, col in zip(row, self.schema.columns)
         )
 
-    def _new_key(self, row: Row) -> Row:
-        """The primary key of *row*, checked to be non-NULL and unused."""
+    def _key_error(self, row: Row) -> DuplicateKeyError:
+        """Why *row*'s primary key cannot go in: NULL, or already held."""
         key = tuple(row[i] for i in self._key_indices)
-        if any(part is None for part in key):
-            raise DuplicateKeyError(
-                f"{self.schema.name}: NULL in primary key {self.schema.primary_key}"
-            )
-        if key in self._key_set:
-            raise DuplicateKeyError(
-                f"{self.schema.name}: duplicate primary key {key!r}"
-            )
-        return key
+        if None in key:
+            name, columns = self.schema.name, self.schema.primary_key
+            return DuplicateKeyError(f"{name}: NULL in primary key {columns}")
+        return DuplicateKeyError(f"{self.schema.name}: duplicate primary key {key!r}")
 
     def insert_dict(self, values: Dict[str, Any]) -> Row:
         """Insert one row from a column-name -> value mapping.
@@ -97,8 +93,22 @@ class Table:
         return self.insert([values.get(name) for name in self.schema.column_names])
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
-        for row in rows:
-            self.insert(row)
+        """Append *rows* in order.  A row that fails (width, a type, a
+        NULL or taken key) raises once the rows before it are in."""
+        batch: List[Row] = []
+        failure: Optional[Exception] = None
+        try:
+            batch.extend(map(self._coerce, rows))
+        except Exception as exc:  # raised below, once the rows before it are in
+            failure = exc
+        clash = self.key_index.clash(batch) if self.enforce_key else None
+        if clash is not None:
+            failure = self._key_error(batch[clash])
+            del batch[clash:]
+        self._rows.extend(batch)
+        self.key_index.catch_up()
+        if failure is not None:
+            raise failure
 
     def update(self, key: Sequence[Any], values: Dict[str, Any]) -> Row:
         """Set the columns named in *values* on the row with primary key
@@ -113,12 +123,12 @@ class Table:
             )
         changed.update(values)
         new = self._coerce([changed[name] for name in self.schema.column_names])
-        old_key = tuple(old[i] for i in self._key_indices)
-        if tuple(new[i] for i in self._key_indices) != old_key:
-            new_key = self._new_key(new)  # raises before anything moves
-            self._key_set[new_key] = self._key_set.pop(old_key)
+        moved = any(new[i] != old[i] for i in self._key_indices)
+        if moved and self.enforce_key and self.key_index.clash([new]) is not None:
+            raise self._key_error(new)  # before anything moves
         self._rows[position] = new
         self._epoch += 1
+        self.key_index.catch_up()
         return new
 
     def delete(self, key: Sequence[Any]) -> Row:
@@ -126,15 +136,12 @@ class Table:
         rows move up one position."""
         position = self._position_of(key)
         removed = self._rows.pop(position)
-        del self._key_set[tuple(key)]
-        for other, at in self._key_set.items():
-            if at > position:
-                self._key_set[other] = at - 1
         self._epoch += 1
+        self.key_index.catch_up()
         return removed
 
     def _position_of(self, key: Sequence[Any]) -> int:
-        position = self._key_set.get(tuple(key))
+        position = self.key_index.position(key)
         if position is None:
             raise IntegrityError(
                 f"{self.schema.name}: no row with primary key {tuple(key)!r}"
@@ -156,7 +163,7 @@ class Table:
     def rows(self) -> List[Row]:
         """The live row list, **read-only**: mutate through
         :meth:`insert`, :meth:`update` and :meth:`delete`, which keep the
-        key map and :attr:`version` in step."""
+        key index and :attr:`version` in step."""
         return self._rows
 
     def __len__(self) -> int:
@@ -165,12 +172,11 @@ class Table:
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows)
 
-    def get_by_key(self, key: Tuple[Any, ...]) -> Optional[Row]:
-        """Look up a row by primary key (only when ``enforce_key``)."""
-        position = self._key_set.get(tuple(key))
-        if position is None:
-            return None
-        return self._rows[position]
+    def get_by_key(self, key: Sequence[Any]) -> Optional[Row]:
+        """The row with primary key *key* (one value per key column), or
+        None."""
+        position = self.key_index.position(key)
+        return None if position is None else self._rows[position]
 
     def column(self, index: int) -> List[Any]:
         """The live vector of column *index*: one value per row, in row

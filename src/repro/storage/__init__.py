@@ -12,7 +12,7 @@ down:
 * :class:`~repro.storage.bptree.BPlusTree` — numeric point and range
   probes (the ``NumericIndex`` seam);
 * :class:`~repro.storage.hashindex.HashFile` — text equality (the
-  ``HashIndex`` seam);
+  ``hash_index`` seam);
 * :class:`~repro.storage.spimi.SpimiIndex` — keyword ``contains``
   matching via block-sorted postings spilled and k-way merged, SPIMI
   style (the ``InvertedIndex`` seam).
