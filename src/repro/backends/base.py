@@ -91,7 +91,9 @@ class Backend(abc.ABC):
 
     def clear_plan_cache(self) -> None:
         """Drop what the backend derived from statements: compiled plans
-        and its optimizer's memo (a backend without them keeps none)."""
+        and its optimizer's memo (a backend without them keeps none).
+        A memory release for :meth:`KeywordSearchEngine.clear_cache`:
+        every entry follows its tables' versions, so no write needs it."""
 
     def close(self) -> None:
         """Release backend resources (connections, file handles)."""

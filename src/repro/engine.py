@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.backends.base import (
@@ -37,7 +37,7 @@ from repro.analysis.pattern_analyzers import analyze_interpretation_set
 from repro.analysis.pipeline import TranslationParts, analyze_compilation
 from repro.analysis.plan_analyzers import analyze_plan
 from repro.analysis.sql_analyzers import analyze_dialect
-from repro.errors import KeywordQueryError, StaticAnalysisError
+from repro.errors import StaticAnalysisError
 from repro.keywords.matcher import (
     Catalog,
     CompileCatalog,
@@ -238,21 +238,19 @@ class KeywordSearchEngine:
         self._shape_cache: "OrderedDict[ShapeKey, _ShapeEntry]" = OrderedDict()
         self._pattern_cache_lock = threading.Lock()
         self.cache_size = 128
-        # caches registered against this engine (the serving layer's TTL
-        # result cache): clear_cache() resets them too, so a write
-        # followed by clear_cache() can never serve stale responses.  A
-        # hook must not keep its cache's owner alive (see
-        # QueryService.register_dataset)
-        self._invalidation_hooks: List[Callable[[], None]] = []
+        # every table: a phrase or number probe walks the postings of
+        # every text and numeric column (see data_versions)
+        self._table_names = tuple(rel.name for rel in database.schema)
 
-    def register_invalidation_hook(self, hook: Callable[[], None]) -> None:
-        """Call *hook* whenever :meth:`clear_cache` runs.
+    def data_versions(self) -> Tuple[Tuple[int, int], ...]:
+        """The stamp of what a compile or an answer reads: the
+        :attr:`~repro.relational.table.Table.version` of every table.
 
-        The serving layer registers its result-cache invalidation here so
-        dropping the engine caches (after mutating the underlying data)
-        also drops any cached service responses derived from them.
-        """
-        self._invalidation_hooks.append(hook)
+        A text entry and a service result-cache entry keep the stamp
+        read before they were computed, and count as absent once it
+        differs, so a write is never answered stale.  Shape entries need
+        none: they depend only on which schema slots a value hits."""
+        return self.database.versions(self._table_names)
 
     # ------------------------------------------------------------------
     # Backends
@@ -304,9 +302,12 @@ class KeywordSearchEngine:
         """The text entry of *query_text*: from the text level, else
         matched and bound into its shape entry — generating that only
         when the shape is new — then disambiguated and ranked."""
+        stamp = self.data_versions()  # before matching reads the data
         with self._pattern_cache_lock:
             cached = self._pattern_cache.get(query_text)
-            if cached is not None and not tracer.enabled:
+            if cached is not None and cached.stamp != stamp:
+                cached = None  # written since: match and rank again
+            elif cached is not None and not tracer.enabled:
                 self._pattern_cache.move_to_end(query_text)
                 self.metrics.increment("pattern_cache_hits")
                 return cached
@@ -343,7 +344,7 @@ class KeywordSearchEngine:
                 generated = disambiguate_all(generated, catalog, tracer=tracer)
         with tracer.span("rank"):
             ranked = rank_patterns(generated, tracer=tracer)
-        entry = _TextEntry(shape, binding, ranked)
+        entry = _TextEntry(shape, binding, ranked, stamp)
         with self._pattern_cache_lock:
             self._remember(self._pattern_cache, query_text, entry)
             self._remember(self._shape_cache, key, shape)
@@ -357,12 +358,12 @@ class KeywordSearchEngine:
             cache.popitem(last=False)
 
     def clear_cache(self) -> None:
-        """Drop what is derived from *queries* — cached text and shape
-        entries, every backend's compiled plans and optimizer memo,
-        registered downstream caches — after mutating the underlying
-        data.  What is derived from *data* (indexes, planner statistics,
-        backend copies) is not dropped: it follows each table's version
-        and catches up with the write on its own."""
+        """Release the memory of what is derived from *queries*: cached
+        text and shape entries, every backend's compiled plans and
+        optimizer memo.  Not needed after a write — each of these
+        follows the versions of the tables it read — and what is derived
+        from *data* (indexes, planner statistics, backend copies) is
+        kept, caught up with writes on its own."""
         with self._pattern_cache_lock:
             self._pattern_cache.clear()
             self._shape_cache.clear()
@@ -370,8 +371,6 @@ class KeywordSearchEngine:
             backends = list(self._backends.values())
         for backend in backends:  # the memory backend's is self.executor
             backend.clear_plan_cache()
-        for hook in self._invalidation_hooks:
-            hook()
 
     def compile(
         self,
@@ -616,11 +615,13 @@ class _ShapeEntry:
 @dataclass
 class _TextEntry:
     """The text level: one query's binding into its shape entry and its
-    ranked patterns (never a plan, an interpretation or a result)."""
+    ranked patterns (never a plan, an interpretation or a result), valid
+    while the tables are at *stamp* (:meth:`KeywordSearchEngine.data_versions`)."""
 
     shape: _ShapeEntry
     binding: ValueBinding
     ranked: List[QueryPattern]
+    stamp: Tuple[Tuple[int, int], ...]
 
 
 def describe_pattern(pattern: QueryPattern) -> str:

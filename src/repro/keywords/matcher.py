@@ -10,7 +10,7 @@ that own the matched attribute (Algorithm 2, lines 15-19).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import NoMatchError
 from repro.keywords.query import KeywordQuery, Term
@@ -19,7 +19,6 @@ from repro.observability import NULL_TRACER
 from repro.orm.graph import OrmSchemaGraph
 from repro.relational.database import Database
 from repro.relational.schema import RelationSchema
-from repro.relational.types import DataType
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,11 @@ class Catalog:
 
 
 class NormalizedCatalog(Catalog):
-    """Catalog over a normalized database: logical schema == stored schema."""
+    """Catalog over a normalized database: logical schema == stored schema.
+
+    A stored table holds each primary key once (it rejects NULL and
+    duplicate keys on every write), so the distinct objects among
+    matching rows are as many as the rows."""
 
     def __init__(self, database: Database, graph: Optional[OrmSchemaGraph] = None) -> None:
         super().__init__(graph or OrmSchemaGraph(database.schema))
@@ -109,7 +112,7 @@ class NormalizedCatalog(Catalog):
     ) -> List[ValueHit]:
         hits: List[ValueHit] = []
         for match in self.database.text_index.match_phrase(phrase):
-            count = self._distinct_ids(match.relation, match.row_positions)
+            count = len(match.row_positions)
             hits.append(ValueHit(match.relation, match.attribute, count))
         hits.extend(self._numeric_matches(phrase))
         return hits
@@ -117,7 +120,7 @@ class NormalizedCatalog(Catalog):
     def _numeric_matches(self, phrase: str) -> List[ValueHit]:
         hits: List[ValueHit] = []
         for match in self.database.numeric_index.match_number(phrase):
-            count = self._distinct_ids(match.relation, match.row_positions)
+            count = len(match.row_positions)
             value = float(phrase)
             if value.is_integer():
                 value = int(value)
@@ -125,15 +128,6 @@ class NormalizedCatalog(Catalog):
                 ValueHit(match.relation, match.attribute, count, value=value)
             )
         return hits
-
-    def _distinct_ids(self, relation: str, row_positions: Set[int]) -> int:
-        table = self.database.table(relation)
-        key_idx = [
-            table.schema.column_index(col) for col in table.schema.primary_key
-        ]
-        return len(
-            {tuple(table.rows[pos][i] for i in key_idx) for pos in row_positions}
-        )
 
     def value_completions(self, prefix: str, limit: int = 10) -> List[str]:
         return self.database.text_index.tokens_with_prefix(prefix, limit)
@@ -145,20 +139,16 @@ class NormalizedCatalog(Catalog):
             relation, attribute, phrase
         )
         if positions is not None:
-            return self._distinct_ids(relation, positions)
+            return len(positions)
         # non-text attribute (or tokenless phrase): fall back to a scan
         table = self.database.table(relation)
         attr_idx = table.schema.column_index(attribute)
-        key_idx = [
-            table.schema.column_index(col) for col in table.schema.primary_key
-        ]
         needle = phrase.lower()
-        ids = {
-            tuple(row[i] for i in key_idx)
+        return sum(
+            1
             for row in table.rows
             if row[attr_idx] is not None and needle in str(row[attr_idx]).lower()
-        }
-        return len(ids)
+        )
 
 
 class CompileCatalog(Catalog):

@@ -15,6 +15,13 @@ concurrency:
   :class:`~repro.errors.DeadlineExceededError` without disturbing the
   leader.
 
+* **Stamps** — every entry and every flight carries the stamp of the
+  data it was computed from (the versions of the tables it read), read
+  by the caller before it looks up.  A lookup at another stamp treats
+  the entry as absent and starts its own flight rather than joining an
+  older one, so a value computed before a write is never served after
+  it.
+
 Every lookup reports one of three outcomes — ``"hit"``, ``"miss"``
 (leader) or ``"coalesced"`` (follower) — which the service turns into
 the ``result_cache_hits`` / ``result_cache_misses`` /
@@ -41,9 +48,10 @@ __all__ = ["ResultCache"]
 class _Flight:
     """One in-progress computation other requests may wait on."""
 
-    __slots__ = ("done", "value", "error", "followers")
+    __slots__ = ("stamp", "done", "value", "error", "followers")
 
-    def __init__(self) -> None:
+    def __init__(self, stamp: Hashable) -> None:
+        self.stamp = stamp
         self.done = threading.Event()
         self.value: Any = None
         self.error: Optional[BaseException] = None
@@ -67,10 +75,9 @@ class ResultCache:
         self.ttl_s = ttl_s
         self._clock = clock
         self._lock = threading.Lock()
-        # key -> (expires_at, value), LRU order (most recent last)
-        self._entries: "OrderedDict[Hashable, Tuple[float, Any]]" = OrderedDict()  # guarded-by: _lock
+        # key -> (expires_at, stamp, value), LRU order (most recent last)
+        self._entries: "OrderedDict[Hashable, Tuple[float, Hashable, Any]]" = OrderedDict()  # guarded-by: _lock
         self._flights: Dict[Hashable, _Flight] = {}  # guarded-by: _lock
-        self._invalidations = 0  # guarded-by: _lock
 
     # ------------------------------------------------------------------
     # Lookup
@@ -79,17 +86,21 @@ class ResultCache:
         self,
         key: Hashable,
         compute: Callable[[], Any],
+        stamp: Hashable = None,
         timeout: Optional[float] = None,
         observe: Optional[Callable[[str], None]] = None,
     ) -> Tuple[Any, str]:
-        """The cached value for *key*, computing on miss.
+        """The cached value for *key* at *stamp*, computing on miss.
 
         Returns ``(value, outcome)`` with outcome ``"hit"``, ``"miss"``
-        or ``"coalesced"``.  *timeout* bounds how long a follower waits
-        for the leader (seconds; None waits indefinitely) — on expiry it
-        raises :class:`DeadlineExceededError`.  A leader's exception
-        propagates to the leader and every follower of that flight, and
-        is never cached.
+        or ``"coalesced"``.  *stamp* is the version of the data *compute*
+        reads, taken before this call: an entry or flight of another
+        stamp is never served, and the value computed here is stored
+        under it.  *timeout* bounds how long a follower waits for the
+        leader (seconds; None waits indefinitely) — on expiry it raises
+        :class:`DeadlineExceededError`.  A leader's exception propagates
+        to the leader and every follower of that flight, and is never
+        cached.
 
         *observe*, when given, is called with the outcome as soon as the
         request's role is decided — **before** the compute or the wait,
@@ -97,28 +108,24 @@ class ResultCache:
         is what makes the service's ``admitted = hits + misses +
         coalesced`` reconciliation exact.
         """
-        epoch = 0
         with self._lock:
-            cached = self._fresh_entry(key)
+            cached = self._fresh_entry(key, stamp)
             if cached is not None:
                 outcome = "hit"
             else:
                 flight = self._flights.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._flights[key] = flight
+                if flight is None or flight.stamp != stamp:
+                    # a flight of another stamp keeps its followers but
+                    # is no longer offered to new requests
+                    flight = self._flights[key] = _Flight(stamp)
                     outcome = "miss"
-                    # epoch guard: a value computed before an invalidation
-                    # must not be stored after it (it may reflect
-                    # pre-mutation data)
-                    epoch = self._invalidations
                 else:
                     flight.followers += 1
                     outcome = "coalesced"
         if observe is not None:
             observe(outcome)
         if outcome == "hit":
-            return cached[1], "hit"
+            return cached[2], "hit"
         if outcome == "coalesced":
             return self._wait(key, flight, timeout), "coalesced"
         try:
@@ -130,9 +137,9 @@ class ResultCache:
             flight.done.set()
             raise
         with self._lock:
-            self._land(key, flight)
-            if self.ttl_s > 0 and self._invalidations == epoch:
-                self._store(key, value)
+            # only the key's current flight stores: a newer one owns it
+            if self._land(key, flight) and self.ttl_s > 0:
+                self._store(key, stamp, value)
         flight.value = value
         flight.done.set()
         return value, "miss"
@@ -149,62 +156,38 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Bookkeeping (callers hold the lock)
     # ------------------------------------------------------------------
-    def _land(self, key: Hashable, flight: _Flight) -> None:
-        """Stop offering the leader's own *flight* to new requests (an
-        invalidation may already have, and a later leader may own the
-        key by now)."""
-        if self._flights.get(key) is flight:
-            del self._flights[key]
+    def _land(self, key: Hashable, flight: _Flight) -> bool:
+        """Stop offering the leader's own *flight* to new requests;
+        False when a later leader owns the key by now."""
+        if self._flights.get(key) is not flight:
+            return False
+        del self._flights[key]
+        return True
 
-    def _fresh_entry(self, key: Hashable) -> Optional[Tuple[float, Any]]:
+    def _fresh_entry(
+        self, key: Hashable, stamp: Hashable
+    ) -> Optional[Tuple[float, Hashable, Any]]:
+        """*key*'s entry if it is unexpired and at *stamp*; a stale one
+        is dropped, so it is replaced rather than kept beside its
+        successor."""
         entry = self._entries.get(key)
         if entry is None:
             return None
-        if self._clock() >= entry[0]:
+        if self._clock() >= entry[0] or entry[1] != stamp:
             del self._entries[key]
             return None
         self._entries.move_to_end(key)
         return entry
 
-    def _store(self, key: Hashable, value: Any) -> None:
-        self._entries[key] = (self._clock() + self.ttl_s, value)
+    def _store(self, key: Hashable, stamp: Hashable, value: Any) -> None:
+        self._entries[key] = (self._clock() + self.ttl_s, stamp, value)
         self._entries.move_to_end(key)
         while len(self._entries) > self.size:
             self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # Invalidation / introspection
+    # Introspection
     # ------------------------------------------------------------------
-    def invalidate(self, predicate: Optional[Callable[[Hashable], bool]] = None) -> int:
-        """Drop every entry (or those whose key matches *predicate*).
-
-        Returns the number of entries dropped.  The in-flight
-        computations it covers are detached: they still deliver their
-        value to the followers already waiting, but a request admitted
-        from now on starts its own flight instead of joining one that
-        began before the invalidation, and the epoch guard in
-        :meth:`get_or_compute` prevents a value computed before the
-        invalidation from being *stored* after it.
-        """
-        with self._lock:
-            doomed = [
-                key for key in self._entries if predicate is None or predicate(key)
-            ]
-            for key in doomed:
-                del self._entries[key]
-            for key in [
-                key for key in self._flights if predicate is None or predicate(key)
-            ]:
-                del self._flights[key]
-            self._invalidations += 1
-            return len(doomed)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def invalidations(self) -> int:
-        with self._lock:
-            return self._invalidations
-

@@ -35,7 +35,6 @@ import json
 import queue
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -312,12 +311,10 @@ class QueryService:
     def register_dataset(self, name: str, engine, sqak=None) -> None:
         """Serve *engine* (and optionally the *sqak* baseline) as *name*.
 
-        The engine's cache-invalidation hook is wired so
-        ``engine.clear_cache()`` also drops this dataset's cached
-        service responses (stale-response protection across writes
-        to the dataset's tables).  The hook holds the service weakly: an
-        engine that outlives its service neither keeps it alive nor calls
-        into it, and a stopped service is freed without a GC pass.
+        Cached responses need no hook into the engine: each is stamped
+        with ``engine.data_versions()`` as read before it was computed,
+        and a write to the dataset's tables changes the stamp, so the
+        next request recomputes.
         """
         if name in self._runtimes:
             raise ValueError(f"dataset {name!r} already registered")
@@ -331,22 +328,6 @@ class QueryService:
         self._runtimes[name] = _Runtime(name, engine, sqak, breaker)
         if self._default_dataset is None:
             self._default_dataset = name
-        register = getattr(engine, "register_invalidation_hook", None)
-        if register is not None:
-            service = weakref.ref(self)
-
-            def invalidate() -> None:
-                live = service()
-                if live is not None:
-                    live.invalidate_dataset(name)
-
-            register(invalidate)
-
-    def invalidate_dataset(self, name: str) -> int:
-        """Drop every cached response for *name* (returns entries dropped)."""
-        dropped = self._cache.invalidate(lambda key: key[0] == name)
-        self.metrics.increment("result_cache_invalidations")
-        return dropped
 
     @property
     def datasets(self) -> List[str]:
@@ -738,7 +719,11 @@ class QueryService:
             tracer.count(counter)
 
         return self._cache.get_or_compute(
-            key, compute, timeout=token.remaining(), observe=observe
+            key,
+            compute,
+            stamp=runtime.engine.data_versions(),
+            timeout=token.remaining(),
+            observe=observe,
         )
 
     def _log_transitions(self, runtime: _Runtime, transitions, tracer) -> None:
@@ -771,8 +756,5 @@ class QueryService:
                 name: runtime.breaker.snapshot()
                 for name, runtime in self._runtimes.items()
             },
-            "cache": {
-                "entries": len(self._cache),
-                "invalidations": self._cache.invalidations,
-            },
+            "cache": {"entries": len(self._cache)},
         }

@@ -205,13 +205,15 @@ class TestSingleFlightStress:
             return 42
 
         for round_no in range(10):
-            cache.invalidate()  # force a fresh flight each round
             n = 12
             barrier = threading.Barrier(n)
 
             def racer():
                 barrier.wait(timeout=10.0)
-                value, _ = cache.get_or_compute("k", compute, timeout=10.0)
+                # a new stamp each round forces a fresh flight
+                value, _ = cache.get_or_compute(
+                    "k", compute, stamp=round_no, timeout=10.0
+                )
                 assert value == 42
 
             threads = [

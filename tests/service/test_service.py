@@ -187,15 +187,20 @@ class TestResultCache:
         assert cache.get_or_compute("k", lambda: 7) == (7, "miss")
 
     def test_invalidate_predicate(self):
+        """A changed stamp invalidates the entry it is looked up with, and
+        only that one; the new value replaces the old in place."""
         cache = ResultCache(size=8, ttl_s=10.0, clock=FakeClock())
-        cache.get_or_compute(("a", 1), lambda: 1)
-        cache.get_or_compute(("b", 1), lambda: 2)
-        assert cache.invalidate(lambda key: key[0] == "a") == 1
-        assert cache.get_or_compute(("a", 1), lambda: 9)[1] == "miss"
-        assert cache.get_or_compute(("b", 1), lambda: 9)[1] == "hit"
+        cache.get_or_compute(("a", 1), lambda: 1, stamp=0)
+        cache.get_or_compute(("b", 1), lambda: 2, stamp=0)
+        assert cache.get_or_compute(("a", 1), lambda: 9, stamp=1) == (9, "miss")
+        assert cache.get_or_compute(("b", 1), lambda: 9, stamp=0) == (2, "hit")
+        assert cache.get_or_compute(("a", 1), lambda: 8, stamp=1) == (9, "hit")
+        assert len(cache) == 2
 
     def test_invalidation_epoch_blocks_stale_store(self):
-        """A value computed before an invalidate() must not be stored."""
+        """A value computed under an old stamp is never served at a new
+        one: not before the new value is stored, and not by landing
+        after it."""
         cache = ResultCache(size=4, ttl_s=10.0, clock=FakeClock())
         started = threading.Event()
         release = threading.Event()
@@ -206,23 +211,29 @@ class TestResultCache:
             return "stale"
 
         leader = threading.Thread(
-            target=lambda: cache.get_or_compute("k", compute),
+            target=lambda: cache.get_or_compute("k", compute, stamp=0),
             name="t-leader",
             daemon=True,
         )
         leader.start()
         assert started.wait(5.0)
-        cache.invalidate()  # data changed while the leader was computing
+        # the data changed while the leader was computing
+        assert cache.get_or_compute("k", lambda: "fresh", stamp=1) == (
+            "fresh",
+            "miss",
+        )
         release.set()
         leader.join(5.0)
-        # the stale value must not have been stored with a fresh TTL
-        assert cache.get_or_compute("k", lambda: "fresh") == ("fresh", "miss")
+        assert cache.get_or_compute("k", lambda: "late", stamp=1) == (
+            "fresh",
+            "hit",
+        )
 
     def test_invalidation_detaches_flights_begun_before_it(self):
-        """A request admitted after invalidate() starts its own flight;
-        followers already waiting still get their leader's value, and
-        that leader's landing leaves the newer flight alone."""
-        cache = ResultCache(size=4, ttl_s=0.0, clock=FakeClock())
+        """A request at a new stamp starts its own flight; followers
+        already waiting on the old one still get their leader's value,
+        and that leader's landing leaves the newer flight alone."""
+        cache = ResultCache(size=4, ttl_s=10.0, clock=FakeClock())
         release = {name: threading.Event() for name in ("old", "new")}
         started = {name: threading.Event() for name in ("old", "new")}
         results = {}
@@ -232,32 +243,39 @@ class TestResultCache:
             release[name].wait(5.0)
             return name
 
-        def request(label, name):
-            results[label] = cache.get_or_compute("k", lambda: compute(name))
+        def request(label, name, stamp):
+            results[label] = cache.get_or_compute(
+                "k", lambda: compute(name), stamp=stamp
+            )
 
-        def spawn(label, name):
+        def spawn(label, name, stamp):
             thread = threading.Thread(
-                target=request, args=(label, name), name=f"t-{label}", daemon=True
+                target=request,
+                args=(label, name, stamp),
+                name=f"t-{label}",
+                daemon=True,
             )
             thread.start()
             return thread
 
-        old_leader = spawn("old-leader", "old")
+        old_leader = spawn("old-leader", "old", 0)
         assert started["old"].wait(5.0)
-        old_follower = spawn("old-follower", "unused")
+        old_follower = spawn("old-follower", "unused", 0)
         deadline = time.monotonic() + 5.0
         while cache._flights["k"].followers < 1 and time.monotonic() < deadline:
             time.sleep(0.001)
-        cache.invalidate()  # data changed while the old flight was running
-        new_leader = spawn("new-leader", "new")
+        # the data changed while the old flight was running
+        new_leader = spawn("new-leader", "new", 1)
         assert started["new"].wait(5.0)  # its own flight, not the old one
         release["old"].set()
         old_leader.join(5.0)
         old_follower.join(5.0)
         assert results["old-leader"] == ("old", "miss")
         assert results["old-follower"] == ("old", "coalesced")
-        # the old leader landed; the new flight is still the key's
-        new_follower = spawn("new-follower", "unused")
+        # the old leader landed; the new flight is still the key's, and
+        # the old value was not stored
+        assert len(cache) == 0
+        new_follower = spawn("new-follower", "unused", 1)
         deadline = time.monotonic() + 5.0
         while cache._flights["k"].followers < 1 and time.monotonic() < deadline:
             time.sleep(0.001)
@@ -267,6 +285,7 @@ class TestResultCache:
         assert results["new-leader"] == ("new", "miss")
         assert results["new-follower"] == ("new", "coalesced")
         assert not cache._flights
+        assert cache.get_or_compute("k", lambda: "late", stamp=1) == ("new", "hit")
 
     def test_observe_reports_before_compute_failure(self):
         cache = ResultCache(size=4, ttl_s=10.0, clock=FakeClock())
@@ -619,30 +638,35 @@ class TestAdmissionControl:
 
 
 class TestCacheInvalidationHook:
-    def test_clear_cache_drops_cached_responses(self):
+    """What replaced the hook: every cached response is stamped with the
+    versions of its dataset's tables, so no engine call reaches the
+    service."""
+
+    def test_write_drops_cached_responses(self):
         from repro.datasets import university_database
 
         database = university_database()
         engine = KeywordSearchEngine(database)
         svc = QueryService(ServiceConfig(max_workers=1, cache_ttl_s=60.0))
         svc.register_dataset("university", engine)
+        request = ServiceRequest(query="COUNT Student")
         with svc:
-            first = svc.serve(ServiceRequest(query="COUNT Student"), timeout=30.0)
+            first = svc.serve(request, timeout=30.0)
             assert first.cache == "miss"
-            assert svc.serve(
-                ServiceRequest(query="COUNT Student"), timeout=30.0
-            ).cache == "hit"
-            engine.clear_cache()  # e.g. after a data mutation
-            refreshed = svc.serve(
-                ServiceRequest(query="COUNT Student"), timeout=30.0
-            )
+            assert first.payload["best"]["rows"] == [[3]]
+            assert svc.serve(request, timeout=30.0).cache == "hit"
+            engine.clear_cache()  # a memory release: the data is unchanged
+            assert svc.serve(request, timeout=30.0).cache == "hit"
+            database.insert("Student", ("s99", "Nova", 30))  # no clear_cache()
+            refreshed = svc.serve(request, timeout=30.0)
             assert refreshed.cache == "miss"
-            assert svc.metrics.counter("result_cache_invalidations") >= 1
+            assert refreshed.payload["best"]["rows"] == [[4]]
+            assert svc.metrics.counter("result_cache_misses") == 2
 
     def test_stopped_service_is_freed_without_a_gc_pass(self):
-        """The hook an engine holds must not keep its service alive: a
-        dropped service goes at once, with no cycle left for the
-        collector, whether its engine lives on or goes with it."""
+        """An engine must not keep its service alive: a dropped service
+        goes at once, with no cycle left for the collector, whether its
+        engine lives on or goes with it."""
         from repro.datasets import university_database
 
         def served_and_stopped(engine):
@@ -663,7 +687,7 @@ class TestCacheInvalidationHook:
             ref = weakref.ref(svc)
             del svc
             assert ref() is None
-            engine.clear_cache()  # the orphaned hook does nothing
+            engine.clear_cache()  # reaches no service
             # the engine is dropped too
             svc = served_and_stopped(engine)
             ref = weakref.ref(svc)

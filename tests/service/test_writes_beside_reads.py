@@ -12,13 +12,15 @@ asked, at most those loaded by the time it was answered — and, because
 rows under one epoch only grow, every position an index hands it is
 valid in ``table.rows``.
 
+No one calls ``clear_cache()``: the engine's text level and the
+service's flights are stamped with the tables' versions, read before
+they match or compute.  A *coalesced* response is answered with what its
+flight's leader read, and a request joins only a flight of its own
+stamp, so a follower too sees every row loaded before it asked.
+
 (Updates and deletes move rows under positions a running reader may
 hold, so they need that table's readers quiesced; they are not part of
-this test.  A *coalesced* response is answered with what its flight's
-leader read, and ``ResultCache.invalidate`` detaches the flights begun
-before it: so a follower's lower bound is every load whose
-``clear_cache()`` had returned when it asked, not every row the table
-held by then.)
+this test.)
 
 The executor reads tables by column (``Table.columns``), vectors that
 are extended in place under the table's lock while readers cut them to
@@ -63,7 +65,6 @@ def test_reads_beside_appends_see_whole_loads():
     done = threading.Event()
     errors = []
     answered = [0] * READERS
-    cleared = [0]  # appended rows whose clear_cache() has returned
 
     def writer() -> None:
         try:
@@ -78,8 +79,6 @@ def test_reads_beside_appends_see_whole_loads():
                         for n in range(start, start + ROWS_PER_LOAD)
                     ],
                 )
-                engine.clear_cache()
-                cleared[0] = start + ROWS_PER_LOAD
                 # paced by the readers, so that every load has reads
                 # beside it and after it
                 target = sum(answered) + READERS
@@ -109,7 +108,6 @@ def test_reads_beside_appends_see_whole_loads():
                 query = ("order MAX amount", "COUNT order URGENT")[turn % 2]
                 backend = BACKENDS[(turn // 2) % len(BACKENDS)]
                 turn += 1
-                invalidated = cleared[0]
                 before = len(order.rows) - base
                 response = service.serve(
                     ServiceRequest(query=query, k=1, backend=backend), timeout=60.0
@@ -117,8 +115,6 @@ def test_reads_beside_appends_see_whole_loads():
                 after = len(order.rows) - base
                 assert response.ok, (query, backend, response.status, response.payload)
                 seen = appended_rows(query, response.payload["best"]["rows"])
-                if response.cache == "coalesced":
-                    before = invalidated
                 assert before <= seen <= after, (query, backend, before, seen, after)
                 answered[index] += 1
         except BaseException as exc:  # noqa: BLE001 - reported by the main thread
