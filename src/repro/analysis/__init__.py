@@ -10,21 +10,16 @@ Three analyzer families share one :class:`Diagnostic` model:
 * rewrite analyzers (``R...``) — §4.1 Rule 1–3 postconditions.
 
 Two further passes analyze the *codebase* rather than its artifacts:
-the LR lint rules (:mod:`repro.analysis.codebase`) and the concurrency
-discipline family (``C...`` codes) — the static lock model of
-:mod:`repro.analysis.concurrency` plus the runtime lock-order sanitizer
-of :mod:`repro.analysis.runtime`.
+the LR lint rules (:mod:`repro.analysis.codebase`), which include the
+lock discipline checked from ``# guarded-by:`` declarations, and the
+runtime lock-order sanitizer of :mod:`repro.analysis.runtime` (``C...``
+codes), which watches every lock the package creates while the tests
+run.
 
 See ``docs/ANALYSIS.md`` for the full code catalog, strict mode and the
 ``repro check`` CLI.
 """
 
-from repro.analysis.concurrency import (
-    ConcurrencyReport,
-    LockModel,
-    analyze_concurrency,
-    build_lock_model,
-)
 from repro.analysis.diagnostics import (
     CODE_CATALOG,
     AnalysisReport,
@@ -45,14 +40,11 @@ from repro.analysis.sql_analyzers import analyze_dialect, analyze_select
 __all__ = [
     "CODE_CATALOG",
     "AnalysisReport",
-    "ConcurrencyReport",
     "Diagnostic",
-    "LockModel",
     "LockSanitizer",
     "Severity",
     "TranslationParts",
     "analyze_compilation",
-    "analyze_concurrency",
     "analyze_interpretation_set",
     "analyze_pattern",
     "analyze_plan",
@@ -60,5 +52,4 @@ __all__ = [
     "analyze_dialect",
     "analyze_select",
     "analyze_translation",
-    "build_lock_model",
 ]

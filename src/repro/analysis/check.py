@@ -9,11 +9,6 @@ the pipeline produces:
 * SQAK baseline — SQL/type and plan diagnostics on each compiled statement
   (queries the baseline cannot express are skipped, as in the paper).
 
-``repro check --concurrency`` instead turns the analyzers on the
-codebase itself: the whole-program lock-discipline pass of
-:mod:`repro.analysis.concurrency` (codes C001–C004 and C006), printing every
-unsuppressed finding plus the justified suppressions it honoured.
-
 The exit code is the number of artifacts with findings (capped at 1 for
 shell use): a clean pipeline exits 0, so the command doubles as a CI gate.
 """
@@ -66,31 +61,7 @@ def build_check_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="only check the semantic engine",
     )
-    parser.add_argument(
-        "--concurrency",
-        action="store_true",
-        help=(
-            "run the lock-discipline pass over the codebase instead of "
-            "the workload analyzers"
-        ),
-    )
     return parser
-
-
-def run_concurrency_check(out) -> int:
-    """The ``--concurrency`` mode: static lock-discipline over the tree."""
-    from repro.analysis.concurrency import analyze_concurrency
-
-    report = analyze_concurrency()
-    print(report.render(), file=out)
-    for suppressed in report.suppressed:
-        print(
-            f"  suppressed {suppressed.diagnostic.code} "
-            f"[{suppressed.diagnostic.location}]: "
-            f"{suppressed.justification}",
-            file=out,
-        )
-    return 1 if report.findings else 0
 
 
 def run_check(argv: Optional[List[str]] = None, out=None) -> int:
@@ -102,8 +73,6 @@ def run_check(argv: Optional[List[str]] = None, out=None) -> int:
 
     out = out or sys.stdout
     args = build_check_parser().parse_args(argv)
-    if args.concurrency:
-        return run_concurrency_check(out)
     datasets = args.datasets or list(CHECK_DATASETS)
 
     findings = 0

@@ -3,11 +3,9 @@
 This module is the *codebase gate* CI runs as ``python -m
 repro.analysis.codebase``.  It has two layers:
 
-* a shared whole-program loader — :func:`load_tree` parses every module
-  under a package root once into :class:`SourceFile` values (AST, module
-  name, comment map), which both the LR lint pass below and the
-  concurrency pass (:mod:`repro.analysis.concurrency`) walk, so the
-  repository is parsed exactly once per analysis run;
+* a shared loader — :func:`load_tree` parses every module under a
+  package root once into :class:`SourceFile` values (AST, module name,
+  comment map), which every rule below walks;
 * the LR rule family, project-specific discipline checks:
 
   * **LR001** — no bare ``except:`` clauses: always name the exceptions a
@@ -52,6 +50,21 @@ repro.analysis.codebase``.  It has two layers:
     (``Table.version``, ``Database.versions(names)``); one key for the
     whole database made a write to one table rebuild every index,
     profile, plan and backend copy of all the others.
+  * **LR011** — declared guards hold: an attribute whose assignment
+    carries ``# guarded-by: <lock>`` is written outside the constructor
+    only inside ``with self.<lock>:``, or inside a private helper whose
+    same-class call sites all hold that lock (to a fixed point, so
+    "caller holds the lock" chains need no declaration of their own).
+  * **LR012** — nothing blocks under a declared lock: no
+    ``time.sleep()``, un-timed ``wait()`` / queue ``get()`` or bare
+    ``join()`` while a lock the class declares as a guard is held.
+  * **LR013** — every wait on the request path (``repro/service/``) is
+    bounded: no un-timed ``wait()``, queue ``get()`` or bare ``join()``
+    there, held lock or not, so a request's deadline covers all of it.
+
+  Lock *order* needs no static rule: the runtime sanitizer
+  (:mod:`repro.analysis.runtime`) watches every lock the package creates
+  and sees the calls across classes that a per-class parse cannot.
 
 Findings are plain ``(path, lineno, code, message)`` tuples for the CLI,
 and :func:`as_diagnostics` lifts them into the shared
@@ -66,9 +79,9 @@ import io
 import re
 import sys
 import tokenize
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 
@@ -415,6 +428,263 @@ def _database_wide_versions(node: ast.AST) -> Iterator[Tuple[int, str]]:
             yield node.lineno, f"{owner_name}.{node.attr}"
 
 
+# ----------------------------------------------------------------------
+# Lock discipline (LR011-LR013), checked from the declarations
+# ----------------------------------------------------------------------
+# ``self.X = ...  # guarded-by: L`` (or a class-body field with the
+# comment) declares that every write to X outside the constructor holds
+# ``self.L``; the locks a class declares are the ones LR012 watches
+_GUARDED_BY_RE = re.compile(r"guarded-by:\s*([A-Za-z_]\w*)")
+
+# methods that run before the object is shared: their writes need no lock
+_CONSTRUCTORS = ("__init__", "__post_init__")
+
+# container methods that mutate their receiver in place
+_MUTATORS = frozenset(
+    "add append appendleft clear discard extend insert move_to_end pop "
+    "popitem remove setdefault sort update".split()
+)
+
+# file path substrings where every wait must be bounded (LR013): the
+# request path, whose waits the deadline budget has to cover
+REQUEST_PATH = ("repro/service/",)
+
+#: (what, line, the ``self.<attr>`` sections held there)
+_Site = Tuple[str, int, FrozenSet[str]]
+
+
+@dataclass
+class _MethodFacts:
+    """What one method does to ``self``, and under which ``with
+    self.<attr>:`` sections it does it."""
+
+    writes: List[_Site] = field(default_factory=list)  # attribute written
+    calls: List[_Site] = field(default_factory=list)  # self.<method>() called
+    blocking: List[_Site] = field(default_factory=list)  # why it blocks
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``X`` when *node* is ``self.X``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _written_attrs(target: ast.expr) -> Iterator[str]:
+    """The ``self`` attributes a store target writes (``self.X``,
+    ``self.X[k]``, unpacked tuples)."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _written_attrs(element)
+        return
+    if isinstance(target, ast.Starred):
+        yield from _written_attrs(target.value)
+        return
+    attr = _self_attr(target.value if isinstance(target, ast.Subscript) else target)
+    if attr is not None:
+        yield attr
+
+
+def _untimed(call: ast.Call) -> bool:
+    """True when a wait-like call has no bounding timeout argument."""
+    for keyword in call.keywords:
+        if keyword.arg in ("timeout", "block"):
+            return (
+                isinstance(keyword.value, ast.Constant) and keyword.value.value is None
+            )
+    if call.args:
+        first = call.args[0]
+        return isinstance(first, ast.Constant) and first.value is None
+    return True
+
+
+def _unbounded_wait(call: ast.Call) -> Optional[str]:
+    """Why *call* may wait forever: an un-timed ``wait()``, queue
+    ``get()`` or ``join()``."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    receiver = func.value
+    name = (
+        receiver.id
+        if isinstance(receiver, ast.Name)
+        else receiver.attr
+        if isinstance(receiver, ast.Attribute)
+        else ""
+    )
+    if func.attr == "wait" and _untimed(call):
+        return "un-timed wait()"
+    if func.attr == "get" and "queue" in name.lower() and _untimed(call):
+        return "un-timed queue get()"
+    if func.attr == "join" and not call.args and not call.keywords:
+        return "un-timed join()"
+    return None
+
+
+def _blocking(call: ast.Call) -> Optional[str]:
+    """Why *call* blocks: ``time.sleep()`` or an unbounded wait."""
+    func = call.func
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr == "sleep"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "time"
+    ):
+        return "time.sleep()"
+    return _unbounded_wait(call)
+
+
+def _method_facts(method: ast.AST) -> _MethodFacts:
+    """Walk one method body, tracking the ``with self.<attr>:`` sections
+    around each statement.  A nested function runs later, so it starts
+    holding nothing."""
+    facts = _MethodFacts()
+
+    def walk(statements: List[ast.stmt], held: FrozenSet[str]) -> None:
+        for statement in statements:
+            targets: List[ast.expr] = []
+            if isinstance(statement, (ast.Assign, ast.Delete)):
+                targets = list(statement.targets)
+            elif isinstance(statement, (ast.AugAssign, ast.AnnAssign)):
+                targets = [statement.target]
+            for target in targets:
+                facts.writes.extend(
+                    (attr, statement.lineno, held) for attr in _written_attrs(target)
+                )
+            for child in ast.iter_child_nodes(statement):
+                if not isinstance(child, (ast.expr, ast.withitem)):
+                    continue
+                for node in ast.walk(child):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    callee = _self_attr(func)
+                    if callee is not None:
+                        facts.calls.append((callee, node.lineno, held))
+                    if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+                        mutated = _self_attr(func.value)
+                        if mutated is not None:
+                            facts.writes.append((mutated, node.lineno, held))
+                    reason = _blocking(node)
+                    if reason is not None:
+                        facts.blocking.append((reason, node.lineno, held))
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(statement.body, frozenset())
+                continue
+            if isinstance(statement, ast.ClassDef):
+                continue
+            inner = held
+            if isinstance(statement, (ast.With, ast.AsyncWith)):
+                entered = (_self_attr(item.context_expr) for item in statement.items)
+                inner = held | {attr for attr in entered if attr is not None}
+            for child in ast.iter_child_nodes(statement):
+                if isinstance(child, ast.stmt):
+                    walk([child], inner)
+                elif not isinstance(child, (ast.expr, ast.withitem)):
+                    # except handlers and match cases
+                    walk(getattr(child, "body", []), inner)
+
+    walk(getattr(method, "body", []), frozenset())
+    return facts
+
+
+def _inherited_holds(facts: Dict[str, _MethodFacts]) -> Dict[str, FrozenSet[str]]:
+    """The sections every same-class call site of each private helper
+    holds, to a fixed point: a call site holds what it holds lexically
+    plus what its own method inherited.  This is how "caller holds the
+    lock" helpers are checked without a declaration of their own."""
+    sites: Dict[str, List[Tuple[str, FrozenSet[str]]]] = {}
+    for caller, fact in facts.items():
+        for callee, _, held in fact.calls:
+            if callee in facts and callee.startswith("_") and not callee.endswith("__"):
+                sites.setdefault(callee, []).append((caller, held))
+    inherited: Dict[str, FrozenSet[str]] = {name: frozenset() for name in facts}
+    changed = True
+    while changed:
+        changed = False
+        for callee, calls in sites.items():
+            common = frozenset.intersection(
+                *(held | inherited[caller] for caller, held in calls)
+            )
+            if common != inherited[callee]:
+                inherited[callee] = common
+                changed = True
+    return inherited
+
+
+def _declared_guards(source: SourceFile, cls: ast.ClassDef) -> Dict[str, str]:
+    """attribute -> lock for every ``# guarded-by:`` declaration in *cls*."""
+    guards: Dict[str, str] = {}
+    for statement in ast.walk(cls):
+        if isinstance(statement, ast.Assign):
+            targets = list(statement.targets)
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        last = statement.end_lineno or statement.lineno
+        for lineno in range(statement.lineno, last + 1):
+            match = _GUARDED_BY_RE.search(source.comments.get(lineno, ""))
+            if match is None:
+                continue
+            for target in targets:
+                attr = target.id if isinstance(target, ast.Name) else _self_attr(target)
+                if attr is not None:
+                    guards[attr] = match.group(1)
+            break
+    return guards
+
+
+def _lock_findings(source: SourceFile) -> List[Finding]:
+    """LR011 and LR012 for every class that declares a guard."""
+    findings: List[Finding] = []
+    for cls in ast.walk(source.tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        guards = _declared_guards(source, cls)
+        if not guards:
+            continue
+        locks = frozenset(guards.values())
+        facts = {
+            method.name: _method_facts(method)
+            for method in cls.body
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        inherited = _inherited_holds(facts)
+        for name, fact in facts.items():
+            for attr, lineno, held in fact.writes:
+                lock = guards.get(attr)
+                if lock is None or name in _CONSTRUCTORS:
+                    continue
+                if lock not in held | inherited[name]:
+                    findings.append(
+                        (
+                            source.path,
+                            lineno,
+                            "LR011",
+                            f"{cls.name}.{attr} is guarded-by {lock} but "
+                            f"{name}() writes it without holding it",
+                        )
+                    )
+            for reason, lineno, held in fact.blocking:
+                holding = sorted(locks & (held | inherited[name]))
+                if holding:
+                    findings.append(
+                        (
+                            source.path,
+                            lineno,
+                            "LR012",
+                            f"{reason} while holding {cls.name}."
+                            f"{', '.join(holding)}; move it out of the lock",
+                        )
+                    )
+    return findings
+
+
 def analyze_source(source: SourceFile) -> List[Finding]:
     """Run every LR rule over one parsed module (a single AST walk)."""
     findings: List[Finding] = []
@@ -486,6 +756,18 @@ def analyze_source(source: SourceFile) -> List[Finding]:
                     f"engine",
                 )
             )
+        if isinstance(node, ast.Call) and any(part in posix for part in REQUEST_PATH):
+            reason = _unbounded_wait(node)
+            if reason is not None:
+                findings.append(
+                    (
+                        source.path,
+                        node.lineno,
+                        "LR013",
+                        f"{reason} on the request path; bound it with the "
+                        f"request's deadline",
+                    )
+                )
         for lineno, member in _database_wide_versions(node):
             findings.append(
                 (
@@ -602,6 +884,7 @@ def analyze_source(source: SourceFile) -> List[Finding]:
                             f"module level",
                         )
                     )
+    findings.extend(_lock_findings(source))
     return findings
 
 

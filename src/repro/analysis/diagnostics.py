@@ -11,9 +11,10 @@ finding is about, and a fix hint.  Codes are namespaced by family:
   :mod:`repro.analysis.plan_analyzers`, and the codes assigned by
   :func:`repro.sql.validate.validate_select`)
 * ``Rxxx`` — rewrite postconditions (:mod:`repro.analysis.rewrite_analyzers`)
-* ``Cxxx`` — concurrency discipline: the static lock-model pass
-  (:mod:`repro.analysis.concurrency`) and the runtime lock-order
-  sanitizer (:mod:`repro.analysis.runtime`)
+* ``Cxxx`` — what the runtime lock-order sanitizer observes
+  (:mod:`repro.analysis.runtime`); the lock discipline that needs no run
+  is checked from ``# guarded-by:`` declarations by the LR rules of
+  :mod:`repro.analysis.codebase`
 
 ``docs/ANALYSIS.md`` documents every code; :data:`CODE_CATALOG` is the
 machine-readable version of that table.
@@ -94,14 +95,9 @@ CODE_CATALOG: Dict[str, str] = {
     "R003": "rewrite changed the output columns",
     "R004": "fragment projection lost its view key",
     "R005": "rewrite changed the aggregate functions",
-    # -- concurrency analyzers (static + runtime sanitizer) ------------
-    "C001": "attribute mutated both inside and outside its lock guard",
-    "C002": "cycle in the lock-acquisition-order graph (potential deadlock)",
-    "C003": "blocking call while holding a lock",
-    "C004": "manual acquire() without try/finally release, or lock escape",
-    "C006": "un-timed condition wait on the request path",
+    # -- runtime lock-order sanitizer ----------------------------------
+    "C002": "lock pair acquired in both orders during a run (potential deadlock)",
     "C007": "anomalously long lock hold observed at runtime",
-    "C008": "statically-inferred guard never observed held at runtime",
 }
 
 

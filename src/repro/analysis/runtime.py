@@ -1,11 +1,9 @@
-"""Runtime lock-order sanitizer: the dynamic half of the C-code family.
+"""Runtime lock-order sanitizer: the C-codes that need a running program.
 
-The static pass (:mod:`repro.analysis.concurrency`) reasons about the
-locks the code *could* take; this module observes the locks the code
-*does* take.  A :class:`LockSanitizer` monkeypatches the
-``threading.Lock`` / ``threading.RLock`` factories so that locks created
-from watched source files come back wrapped in a :class:`SanitizedLock`
-that records, per thread:
+A :class:`LockSanitizer` monkeypatches the ``threading.Lock`` /
+``threading.RLock`` factories so that locks created from watched source
+files come back wrapped in a :class:`SanitizedLock` that records, per
+thread:
 
 * the set of sanitized locks currently held,
 * every pairwise acquisition-order edge (lock A held while B acquired),
@@ -16,22 +14,18 @@ From those observations it reports:
 * **C002** — an *inversion*: two locks acquired in both orders anywhere
   in the run.  This is the lockdep insight: a deadlock needs the
   conflicting schedule only once, but the *order violation* is visible
-  on every run that merely exercises both code paths.
+  on every run that merely exercises both code paths.  It sees every
+  call path, across classes and modules, that the run takes.
 * **C007** — an anomalously long hold (over ``hold_threshold_s``).
-* **C008** — cross-validation against the static model: a lock the
-  static pass believes guards state was created during the run but never
-  once acquired, meaning the tests never exercised the discipline the
-  model describes (or the model is wrong about that lock).
 
-Locks created via ``dataclasses.field(default_factory=threading.Lock)``
-are invisible to the factory patch (the creating frame is
-``dataclasses.py``); the static model marks those sites ``via_factory``
-and :meth:`LockSanitizer.cross_validate` skips them, so the two halves
-agree about scope.
+What needs no run — a write to a ``# guarded-by:`` attribute outside
+``with`` its lock, blocking under a lock, an un-timed wait on the
+request path — is checked by the LR rules of
+:mod:`repro.analysis.codebase`.
 
 Typical use — the test-suite fixture (see ``tests/conftest.py``)::
 
-    with LockSanitizer(watch=("repro/service/",)) as sanitizer:
+    with LockSanitizer(watch=("repro/",)) as sanitizer:
         run_workload()
     assert sanitizer.inversions() == []
 
@@ -72,11 +66,8 @@ class LockOrigin:
 
 
 def _normalize_path(filename: str) -> str:
-    """A creation-frame filename as a repo-relative POSIX path.
-
-    Mirrors the static model's root-relative paths
-    (``repro/service/cache.py``) so the two sides can be joined.
-    """
+    """A creation-frame filename as a package-relative POSIX path
+    (``repro/service/cache.py``), the form ``watch`` matches against."""
     posix = PurePosixPath(filename).as_posix()
     for marker in ("/src/", "/tests/", "/docs/"):
         if marker in posix:
@@ -332,60 +323,13 @@ class LockSanitizer:
         )
         return diagnostics
 
-    def cross_validate(self, model: Any) -> List[Diagnostic]:
-        """C008: statically-inferred guards this run created but never
-        once acquired.
-
-        *model* is a :class:`repro.analysis.concurrency.LockModel`.  A
-        guard whose owning class was never instantiated during the run
-        is out of scope (nothing was guarded); ``via_factory`` sites are
-        skipped because the factory patch cannot see them.
-        """
-        with self._meta_lock:
-            created = dict(self._observations.created)
-            acquired = set(self._observations.acquired)
-        created_by_site = {
-            (origin.path, origin.lineno): origin for origin in created
-        }
-        acquired_sites = {
-            (origin.path, origin.lineno) for origin in acquired
-        }
-        diagnostics: List[Diagnostic] = []
-        for lock_id, site in sorted(
-            model.guarding_locks().items(), key=lambda item: str(item[0])
-        ):
-            if site.via_factory:
-                continue
-            key = (site.path, site.lineno)
-            if key not in created_by_site:
-                continue  # owner class never instantiated in this run
-            if key not in acquired_sites:
-                diagnostics.append(
-                    Diagnostic(
-                        code="C008",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"{lock_id} guards state per the static "
-                            f"model but was created and never acquired "
-                            f"during this run"
-                        ),
-                        location=f"{site.path}:{site.lineno}",
-                        hint="exercise the guarded path in tests, or "
-                        "fix the static model",
-                    )
-                )
-        return diagnostics
-
 
 def sanitizer_from_env(
     env_value: Optional[str],
 ) -> Optional[LockSanitizer]:
-    """The sanitizer the ``REPRO_LOCK_SANITIZER`` env variable asks for.
-
-    ``None``/empty — disabled; ``"1"``/``"on"`` — watch the service
-    stack; ``"strict"`` — same, and the caller should additionally
-    cross-validate against the static model.
-    """
+    """The sanitizer the ``REPRO_LOCK_SANITIZER`` env variable asks for:
+    none when it is unset or empty, else one watching every lock the
+    package creates."""
     if not env_value:
         return None
-    return LockSanitizer(watch=("repro/service/",))
+    return LockSanitizer(watch=("repro/",))

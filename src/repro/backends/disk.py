@@ -65,6 +65,8 @@ class DiskBackend(Backend):
         {"python-values", "compiled-plans", "trace-operators", "persistent",
          "paged-storage"}
     )
+    # bound by Backend.__init__; rebound only under the lock
+    database: Optional[Database]  # guarded-by: _lock
 
     def __init__(
         self,
@@ -74,13 +76,13 @@ class DiskBackend(Backend):
         block_budget: int = DEFAULT_BLOCK_BUDGET,
     ) -> None:
         super().__init__()
-        self.path = path
+        self.path = path  # guarded-by: _lock
         self.pool_capacity = pool_capacity
         self.page_size = page_size
         self.block_budget = block_budget
-        self._tempdir: Optional[str] = None
-        self._engine: Optional[StorageEngine] = None
-        self._executor: Optional[Executor] = None
+        self._tempdir: Optional[str] = None  # guarded-by: _lock
+        self._engine: Optional[StorageEngine] = None  # guarded-by: _lock
+        self._executor: Optional[Executor] = None  # guarded-by: _lock
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------

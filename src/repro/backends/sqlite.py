@@ -76,6 +76,8 @@ class SqliteBackend(Backend):
     name = "sqlite"
     dialect = SQLITE_DIALECT
     capabilities = frozenset({"persistent", "sql-text", "real-rdbms"})
+    # bound by Backend.__init__; rebound only under the lock
+    database: Optional[Database]  # guarded-by: _lock
 
     def __init__(
         self,
@@ -91,9 +93,9 @@ class SqliteBackend(Backend):
         super().__init__()
         self.path = path
         self.index_hints = index_hints
-        self._conn: Optional[sqlite3.Connection] = None
+        self._conn: Optional[sqlite3.Connection] = None  # guarded-by: _lock
         # table -> the version of it the SQLite side holds
-        self._loaded: Dict[str, Tuple[int, int]] = {}
+        self._loaded: Dict[str, Tuple[int, int]] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------

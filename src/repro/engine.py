@@ -81,7 +81,9 @@ class Interpretation:
     description: str
     # Executor or Backend — both expose execute(select, tracer=...)
     _executor: Executor = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _result: Optional[QueryResult] = field(default=None, repr=False, compare=False)
+    _result: Optional[QueryResult] = field(  # guarded-by: _execute_lock
+        default=None, repr=False, compare=False
+    )
     _tracer: object = field(default=None, repr=False, compare=False)
     # static-analysis artifacts: populated by analyze()/strict searches
     diagnostics: List[Diagnostic] = field(
@@ -92,9 +94,11 @@ class Interpretation:
     )
     # serving-layer concurrency: single-flight deduplication hands the same
     # Interpretation to several waiting requests, so first execution is
-    # serialized (double-checked) instead of racing
+    # serialized (double-checked) instead of racing.  The lambda looks
+    # ``threading.Lock`` up per instance, so a patched factory (the lock
+    # sanitizer) sees this lock too.
     _execute_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+        default_factory=lambda: threading.Lock(), repr=False, compare=False
     )
 
     @property
@@ -192,7 +196,7 @@ class KeywordSearchEngine:
         # for the engine's lifetime.  ``backend`` picks the default used
         # by search()/compile(); per-call overrides go through
         # search(..., backend=...).
-        self._backends: Dict[str, Backend] = {
+        self._backends: Dict[str, Backend] = {  # guarded-by: _backend_lock
             "memory": MemoryBackend(executor=self.executor)
         }
         self._backend_lock = threading.Lock()
@@ -234,8 +238,8 @@ class KeywordSearchEngine:
         # caller may mutate, so sharing them is safe.  One lock keeps
         # both levels' bookkeeping safe for the service threads that
         # share one engine.
-        self._pattern_cache: "OrderedDict[str, _TextEntry]" = OrderedDict()
-        self._shape_cache: "OrderedDict[ShapeKey, _ShapeEntry]" = OrderedDict()
+        self._pattern_cache: "OrderedDict[str, _TextEntry]" = OrderedDict()  # guarded-by: _pattern_cache_lock
+        self._shape_cache: "OrderedDict[ShapeKey, _ShapeEntry]" = OrderedDict()  # guarded-by: _pattern_cache_lock
         self._pattern_cache_lock = threading.Lock()
         self.cache_size = 128
         # every table: a phrase or number probe walks the postings of

@@ -225,8 +225,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
-        self._timings: Dict[str, Dict[str, float]] = {}
+        self._counters: Dict[str, int] = {}  # guarded-by: _lock
+        self._timings: Dict[str, Dict[str, float]] = {}  # guarded-by: _lock
 
     # ------------------------------------------------------------------
     # Recording

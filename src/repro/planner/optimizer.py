@@ -187,7 +187,7 @@ class Optimizer:
         # (statement shape, sample hits) -> (versions of the tables
         # read, decisions)
         self._memo: "OrderedDict[Tuple[str, Any], Tuple[Any, PlanDecisions]]" = (
-            OrderedDict()
+            OrderedDict()  # guarded-by: _memo_lock
         )
         self._memo_lock = threading.Lock()
 

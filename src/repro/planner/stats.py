@@ -266,12 +266,12 @@ class StatisticsCatalog:
     def __init__(self, database: Any, config: Optional[StatsConfig] = None) -> None:
         self.database = database
         self.config = config or StatsConfig()
-        self._kept: Dict[str, _Kept] = {}
+        self._kept: Dict[str, _Kept] = {}  # guarded-by: _lock
         # held across a pass: a pass mutates its state, so two threads
         # must never continue the same one
         self._lock = threading.Lock()
         #: full passes run (a continued pass is not one)
-        self.builds = 0
+        self.builds = 0  # guarded-by: _lock
 
     @property
     def cached_relations(self) -> Tuple[str, ...]:

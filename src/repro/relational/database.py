@@ -30,9 +30,9 @@ class Database:
         # lazy indexes: created on first use and from then on caught up
         # with their tables' versions, never dropped.  The lock guards the
         # slots; each index guards its own catch-up.
-        self._text_index: Optional[InvertedIndex] = None
-        self._numeric_index: Optional[NumericIndex] = None
-        self._key_indexes: Dict[Tuple[str, Tuple[str, ...]], KeyIndex] = {}
+        self._text_index: Optional[InvertedIndex] = None  # guarded-by: _index_lock
+        self._numeric_index: Optional[NumericIndex] = None  # guarded-by: _index_lock
+        self._key_indexes: Dict[Tuple[str, Tuple[str, ...]], KeyIndex] = {}  # guarded-by: _index_lock
         self._index_lock = threading.RLock()
 
     # ------------------------------------------------------------------

@@ -72,14 +72,14 @@ class Executor:
         # shown as the execute-span's backend attribute; the disk backend
         # runs this same executor over paged storage under its own label
         self.backend_label = backend_label
-        self._optimizer: Any = None
+        self._optimizer: Any = None  # guarded-by: _plan_lock
         # (shape, literals) -> (tables read, their versions, bound plan)
         self._plan_cache: "OrderedDict[Tuple[str, Tuple[str, ...]], Tuple[Any, Any, CompiledPlan]]" = (
-            OrderedDict()
+            OrderedDict()  # guarded-by: _plan_lock
         )
         # shape -> (tables read, their versions, the shape's first plan)
         self._shape_plans: "OrderedDict[str, Tuple[Any, Any, CompiledPlan]]" = (
-            OrderedDict()
+            OrderedDict()  # guarded-by: _plan_lock
         )
         self._plan_lock = threading.Lock()
 

@@ -66,7 +66,7 @@ class KeyIndex:
         self._key = itemgetter(*map(table.schema.column_index, self.columns))
         # called as (key, None): whether a key holds a NULL
         self._null = is_ if len(self.columns) == 1 else contains
-        self.order = array(_POSITION)
+        self.order = array(_POSITION)  # guarded-by: _writer
         self._covered = _Covered()
         self._writer = threading.Lock()
         self.catch_up()
@@ -238,10 +238,10 @@ class NumericIndex:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._keys: Dict[Slot, array] = {}
-        self._positions: Dict[Slot, array] = {}
-        self._tables: Dict[str, Table] = {}
-        self._covered: Dict[str, _Covered] = {}
+        self._keys: Dict[Slot, array] = {}  # guarded-by: _lock
+        self._positions: Dict[Slot, array] = {}  # guarded-by: _lock
+        self._tables: Dict[str, Table] = {}  # guarded-by: _lock
+        self._covered: Dict[str, _Covered] = {}  # guarded-by: _lock
 
     def add_tables(self, tables: Iterable[Table]) -> None:
         """Register *tables* and index their numeric columns."""
@@ -347,9 +347,9 @@ class InvertedIndex:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._postings: Dict[str, Dict[Slot, array]] = {}
-        self._tables: Dict[str, Table] = {}
-        self._covered: Dict[str, _Covered] = {}
+        self._postings: Dict[str, Dict[Slot, array]] = {}  # guarded-by: _lock
+        self._tables: Dict[str, Table] = {}  # guarded-by: _lock
+        self._covered: Dict[str, _Covered] = {}  # guarded-by: _lock
 
     def add_tables(self, tables: Iterable[Table]) -> None:
         """Register *tables* and index their text columns."""

@@ -71,8 +71,8 @@ class IndexLookup:
         self.table = table
         self.column = column
         self.value = value
-        self._cached: Optional[array] = None
-        self._cached_version: Any = None
+        self._cached: Optional[array] = None  # guarded-by: _lock
+        self._cached_version: Any = None  # guarded-by: _lock
         # plans are shared across service workers via the executor's plan
         # cache; the memo write must be atomic with its version stamp
         self._lock = threading.Lock()

@@ -49,8 +49,8 @@ class Table:
         self.key_index = KeyIndex(self, schema.primary_key)
         # column index -> that column of the first len(vector) rows, as
         # of _vector_epoch; guarded by _vector_lock
-        self._vectors: Dict[int, List[Any]] = {}
-        self._vector_epoch = 0
+        self._vectors: Dict[int, List[Any]] = {}  # guarded-by: _vector_lock
+        self._vector_epoch = 0  # guarded-by: _vector_lock
         self._vector_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -297,7 +297,7 @@ class QueryService:
         self._queue: "queue.Queue[_Pending]" = queue.Queue(
             maxsize=self.config.queue_limit
         )
-        self._workers: List[threading.Thread] = []
+        self._workers: List[threading.Thread] = []  # guarded-by: _lifecycle_lock
         self._running = False  # guarded-by: _lifecycle_lock
         self._lifecycle_lock = threading.Lock()
         # in-flight requests, so stop() can cancel their tokens after the

@@ -45,49 +45,6 @@ class TestCheckCommand:
         assert "P009" in out.getvalue()
         assert "tpch: error" in out.getvalue()
 
-    def test_concurrency_mode_is_clean_on_the_tree(self):
-        out = io.StringIO()
-        code = main(["check", "--concurrency"], out=out)
-        text = out.getvalue()
-        assert code == 0
-        assert "concurrency: clean" in text
-        # the tree needs no lock-ok suppression
-        assert "0 justified suppressions" in text
-
-    def test_concurrency_mode_fails_on_findings(self, monkeypatch):
-        from repro.analysis import check as check_module
-        from repro.analysis.concurrency import (
-            ConcurrencyReport,
-            LockModel,
-            SuppressedFinding,
-        )
-        from repro.analysis.diagnostics import Diagnostic, Severity
-
-        injected = ConcurrencyReport(
-            findings=[Diagnostic("C002", Severity.ERROR, "injected cycle")],
-            suppressed=[
-                SuppressedFinding(
-                    Diagnostic("C003", Severity.WARNING, "injected wait"),
-                    "bounded by the caller",
-                )
-            ],
-            model=LockModel(),
-        )
-        import repro.analysis.concurrency as concurrency_module
-
-        monkeypatch.setattr(
-            concurrency_module,
-            "analyze_concurrency",
-            lambda root=None, sources=None: injected,
-        )
-        out = io.StringIO()
-        code = check_module.run_check(["--concurrency"], out=out)
-        assert code == 1
-        assert "injected cycle" in out.getvalue()
-        # every honoured suppression is listed with its justification
-        assert "suppressed C003" in out.getvalue()
-        assert "bounded by the caller" in out.getvalue()
-
     def test_dataset_choices(self):
         assert CHECK_DATASETS == (
             "tpch",

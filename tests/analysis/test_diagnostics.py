@@ -56,7 +56,7 @@ class TestCodeCatalog:
             + [f"S{i:03d}" for i in range(1, 17)]
             + ["S020", "S021", "S022", "S023", "S024"]
             + [f"R{i:03d}" for i in range(1, 6)]
-            + ["C001", "C002", "C003", "C004", "C006", "C007", "C008"]
+            + ["C002", "C007"]
         )
         for code in expected:
             assert code in CODE_CATALOG, code

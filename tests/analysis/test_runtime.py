@@ -1,17 +1,10 @@
-"""The runtime lock-order sanitizer (C002/C007/C008 at runtime)."""
+"""The runtime lock-order sanitizer (C002/C007 at runtime)."""
 
 from __future__ import annotations
 
 import threading
 
-from repro.analysis.concurrency import (
-    ClassModel,
-    LockId,
-    LockModel,
-    LockSite,
-)
 from repro.analysis.runtime import (
-    LockOrigin,
     LockSanitizer,
     SanitizedLock,
     sanitizer_from_env,
@@ -187,59 +180,34 @@ class TestLongHolds:
         assert sanitizer.long_holds() == {}
 
 
-class TestCrossValidation:
-    def _model(self, path, lineno, via_factory=False):
-        """A one-class static model whose lock guards one attribute."""
-        site = LockSite(
-            lock=LockId("Owner", "_lock"),
-            kind="Lock",
-            path=path,
-            lineno=lineno,
-            via_factory=via_factory,
-        )
-        cls = ClassModel(name="Owner", module="owner", path=path)
-        cls.locks["_lock"] = site
-        model = LockModel(classes={"Owner": cls})
-        model.guards[("Owner", "state")] = (LockId("Owner", "_lock"),)
-        return model
-
-    def test_acquired_guard_passes(self):
-        sanitizer = LockSanitizer(watch=(THIS_FILE,))
-        origin = LockOrigin(THIS_FILE, 42)
-        lock = sanitizer.wrap(threading.Lock.__call__(), origin)
-        with lock:
-            pass
-        model = self._model(THIS_FILE, 42)
-        assert sanitizer.cross_validate(model) == []
-
-    def test_created_but_never_acquired_is_c008(self):
-        sanitizer = LockSanitizer(watch=(THIS_FILE,))
-        origin = LockOrigin(THIS_FILE, 42)
-        sanitizer.wrap(threading.Lock.__call__(), origin)
-        model = self._model(THIS_FILE, 42)
-        findings = sanitizer.cross_validate(model)
-        assert [d.code for d in findings] == ["C008"]
-        assert "never acquired" in findings[0].message
-
-    def test_never_created_is_out_of_scope(self):
-        sanitizer = LockSanitizer(watch=(THIS_FILE,))
-        model = self._model(THIS_FILE, 42)
-        assert sanitizer.cross_validate(model) == []
-
-    def test_via_factory_sites_skipped(self):
-        sanitizer = LockSanitizer(watch=(THIS_FILE,))
-        origin = LockOrigin(THIS_FILE, 42)
-        sanitizer.wrap(threading.Lock.__call__(), origin)
-        model = self._model(THIS_FILE, 42, via_factory=True)
-        assert sanitizer.cross_validate(model) == []
-
-
 class TestEnvGate:
     def test_disabled_when_unset(self):
         assert sanitizer_from_env(None) is None
         assert sanitizer_from_env("") is None
 
-    def test_enabled_watches_service(self):
+    def test_enabled_watches_package(self):
         sanitizer = sanitizer_from_env("1")
         assert sanitizer is not None
-        assert sanitizer.watch == ("repro/service/",)
+        assert sanitizer.watch == ("repro/",)
+
+
+class TestRealTree:
+    def test_search_observes_the_cross_class_order(self):
+        """One executed search on the disk backend, every lock of the
+        package watched: the engine's backend lock is held while the
+        backend takes its own, and no pair is taken both ways."""
+        from repro.datasets import university_database
+        from repro.engine import KeywordSearchEngine
+
+        with sanitizer_from_env("1") as sanitizer:
+            engine = KeywordSearchEngine(university_database(), backend="disk")
+            try:
+                rows = engine.search("Green SUM Credit").best.rows()
+            finally:
+                engine.backend.close()
+        assert rows
+        edges = {
+            (held.path, acquired.path) for held, acquired in sanitizer.order_edges()
+        }
+        assert ("repro/engine.py", "repro/backends/disk.py") in edges
+        assert sanitizer.inversions() == []

@@ -1,10 +1,11 @@
-"""Stress tests for the two riskiest lock sites the static pass models.
+"""Stress tests for the two riskiest lock sites of the service.
 
-The concurrency analyzer (:mod:`repro.analysis.concurrency`) proves the
+The project lint (LR011, :mod:`repro.analysis.codebase`) proves the
 *discipline* — every ``CircuitBreaker`` state write holds ``_lock``,
-every ``ResultCache`` map write holds ``_lock`` — but discipline alone
-does not prove the *protocols* built on top of it.  These tests hammer
-the two protocols whose failure modes are silent:
+every ``ResultCache`` map write holds ``_lock``, as their
+``# guarded-by:`` declarations say — but discipline alone does not prove
+the *protocols* built on top of it.  These tests hammer the two
+protocols whose failure modes are silent:
 
 * the breaker's half-open probe admission: ``would_reject`` (the
   non-mutating admission fast path) racing ``allow`` / ``record_*``
@@ -14,7 +15,7 @@ the two protocols whose failure modes are silent:
   the same key at once, **exactly one** runs the loader; everyone gets
   the same value.
 
-Run them under ``REPRO_LOCK_SANITIZER=strict`` and they double as the
+Run them under ``REPRO_LOCK_SANITIZER=1`` and they double as the
 runtime sanitizer's workload for the service locks.
 """
 

@@ -28,9 +28,9 @@ one row count: a reader that saw vectors of two lengths would mis-pair
 amounts and priorities, and both statements' answers would leave the
 bounds.
 
-Under ``REPRO_LOCK_SANITIZER=strict`` this doubles as the sanitizer's
-workload for writes: the service's locks are taken on every request
-while the data locks beneath them are contended.
+Under ``REPRO_LOCK_SANITIZER=1`` this doubles as the sanitizer's
+workload for writes: every lock of the package is watched while the
+service's requests contend for the data locks beneath them.
 """
 
 from __future__ import annotations

@@ -450,6 +450,261 @@ class TestRules:
         )
 
 
+class TestLockRules:
+    """LR011-LR013: the lock discipline, checked from ``# guarded-by:``
+    declarations, and bounded waits on the request path."""
+
+    def codes(self, tmp_path, source, relative="relational/x.py"):
+        return [code for code, _ in lint_source(tmp_path, relative, source)]
+
+    def test_lr011_unguarded_write_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "relational/x.py",
+            """
+            import threading
+
+            class Counter:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.value = 0  # guarded-by: _lock
+                def bump(self):
+                    with self._lock:
+                        self.value += 1
+                def reset(self):
+                    self.value = 0
+            """,
+        )
+        assert [code for code, _ in findings] == ["LR011"]
+        assert "Counter.value is guarded-by _lock" in findings[0][1]
+        assert "reset()" in findings[0][1]
+
+    def test_lr011_guarded_writes_are_clean(self, tmp_path):
+        assert (
+            self.codes(
+                tmp_path,
+                """
+                import threading
+                from dataclasses import dataclass, field
+
+                class Counter:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self.value = 0  # guarded-by: _lock
+                    def bump(self):
+                        with self._lock:
+                            self.value += 1
+                            self.value, other = 0, 1
+
+                @dataclass
+                class Result:
+                    _rows: list = field(default=None)  # guarded-by: _lock
+                    _lock: object = field(default_factory=lambda: threading.Lock())
+                    def fill(self):
+                        if self._rows is None:
+                            with self._lock:
+                                self._rows = []
+                """,
+            )
+            == []
+        )
+
+    def test_lr011_mutator_calls_and_subscripts_are_writes(self, tmp_path):
+        assert self.codes(
+            tmp_path,
+            """
+            import threading
+
+            class Registry:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._entries = {}  # guarded-by: _lock
+                def put(self, key, value):
+                    with self._lock:
+                        self._entries[key] = value
+                def drop(self, key):
+                    del self._entries[key]
+                def wipe(self):
+                    self._entries.clear()
+            """,
+        ) == ["LR011", "LR011"]
+
+    def test_lr011_undeclared_attributes_are_not_checked(self, tmp_path):
+        assert (
+            self.codes(
+                tmp_path,
+                """
+                import threading
+
+                class Counter:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self.value = 0
+                    def bump(self):
+                        with self._lock:
+                            self.value += 1
+                    def reset(self):
+                        self.value = 0
+                """,
+            )
+            == []
+        )
+
+    def test_lr011_helpers_inherit_their_callers_lock(self, tmp_path):
+        # load -> _ensure -> _store: the lock is only visible at the top
+        source = """
+            import threading
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._data = None  # guarded-by: _lock
+                def load(self, value):
+                    with self._lock:
+                        self._ensure(value)
+                def _ensure(self, value):
+                    self._store(value)
+                def _store(self, value):
+                    self._data = value
+            """
+        assert self.codes(tmp_path, source) == []
+        # one call site without the lock and the helpers inherit nothing
+        unlocked = source + """
+                def reload(self, value):
+                    self._ensure(value)
+            """
+        assert self.codes(tmp_path, unlocked) == ["LR011"]
+
+    def test_lr011_nested_functions_hold_nothing(self, tmp_path):
+        assert self.codes(
+            tmp_path,
+            """
+            import threading
+
+            class Deferred:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._done = False  # guarded-by: _lock
+                def later(self):
+                    with self._lock:
+                        def finish():
+                            self._done = True
+                    return finish
+            """,
+        ) == ["LR011"]
+
+    def test_lr011_a_bare_acquire_does_not_hold(self, tmp_path):
+        assert self.codes(
+            tmp_path,
+            """
+            import threading
+
+            class Breaker:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._state = "closed"  # guarded-by: _lock
+                def trip(self):
+                    self._lock.acquire()
+                    self._state = "open"
+                    self._lock.release()
+            """,
+        ) == ["LR011"]
+
+    def test_lr012_blocking_under_a_declared_lock(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "relational/x.py",
+            """
+            import queue
+            import threading
+            import time
+
+            class Drain:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._queue = queue.Queue()
+                    self._taken = 0  # guarded-by: _lock
+                def take(self):
+                    with self._lock:
+                        self._taken += 1
+                        return self._queue.get()
+                def nap(self):
+                    with self._lock:
+                        self._settle()
+                def _settle(self):
+                    time.sleep(0.01)
+            """,
+        )
+        assert [code for code, _ in findings] == ["LR012", "LR012"]
+        assert "un-timed queue get() while holding Drain._lock" in findings[0][1]
+        assert "time.sleep()" in findings[1][1]
+
+    def test_lr012_bounded_calls_and_str_join_are_clean(self, tmp_path):
+        assert (
+            self.codes(
+                tmp_path,
+                """
+                import queue
+                import threading
+                import time
+
+                class Drain:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self._queue = queue.Queue()
+                        self._parts = []  # guarded-by: _lock
+                    def take(self):
+                        with self._lock:
+                            return self._queue.get(timeout=0.1)
+                    def render(self):
+                        with self._lock:
+                            return ", ".join(self._parts)
+                    def nap(self):
+                        time.sleep(0.01)
+                """,
+            )
+            == []
+        )
+
+    def test_lr013_untimed_waits_on_the_request_path(self, tmp_path):
+        source = """
+            import threading
+
+            class Pending:
+                def __init__(self, queue):
+                    self._done = threading.Event()
+                    self._queue = queue
+                def wait(self):
+                    self._done.wait()
+                def next(self):
+                    return self._queue.get()
+            """
+        assert self.codes(tmp_path, source, "service/x.py") == ["LR013", "LR013"]
+        # off the request path an un-timed wait is not LR013
+        assert self.codes(tmp_path, source, "relational/x.py") == []
+
+    def test_lr013_timed_waits_are_clean(self, tmp_path):
+        assert (
+            self.codes(
+                tmp_path,
+                """
+                import threading
+
+                class Pending:
+                    def __init__(self, queue):
+                        self._done = threading.Event()
+                        self._queue = queue
+                    def wait(self, timeout):
+                        return self._done.wait(timeout)
+                    def next(self):
+                        return self._queue.get(timeout=0.1)
+                """,
+                "service/x.py",
+            )
+            == []
+        )
+
+
 class TestTree:
     def test_src_repro_is_clean(self):
         findings = lint_repro.lint_tree(REPO_ROOT / "src" / "repro")
