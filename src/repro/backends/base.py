@@ -2,8 +2,8 @@
 
 A :class:`Backend` turns a :class:`~repro.relational.database.Database`
 plus a :class:`~repro.sql.ast.Select` into a
-:class:`~repro.relational.result.QueryResult`.  Two implementations ship
-with the repo:
+:class:`~repro.relational.result.QueryResult`.  Three implementations
+ship with the repo:
 
 * :class:`~repro.backends.memory.MemoryBackend` — the hand-rolled
   in-memory engine (``repro.relational.executor`` / ``CompiledPlan``),
@@ -12,18 +12,18 @@ with the repo:
   database into a real ``sqlite3`` database and executes the rendered SQL
   there, so the translated SQL is checked against an independent SQL
   implementation.
+* :class:`~repro.backends.disk.DiskBackend` — the in-memory engine's
+  plans over the paged storage tier (``repro.storage``).
 
 Backends are registered by name; :func:`create_backend` is the one
 construction path the engine, service, CLI and differential harness share.
-Capability flags describe what a backend can and cannot do so callers can
-route around limitations instead of discovering them as runtime errors.
 """
 
 from __future__ import annotations
 
 import abc
 import inspect
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import BackendError
 from repro.observability import NULL_TRACER
@@ -51,18 +51,10 @@ class Backend(abc.ABC):
     ``dialect``
         The :class:`~repro.sql.render.SqlDialect` the backend's SQL text
         is rendered in.
-    ``capabilities``
-        Frozen set of capability flags.  The ones currently meaningful:
-        ``"python-values"`` (results carry native Python values, e.g.
-        ``bool``), ``"persistent"`` (can keep data on disk),
-        ``"compiled-plans"`` (executes through the repo's own physical
-        plans), ``"sql-text"`` (executes the rendered SQL text itself, so
-        rendering bugs are observable).
     """
 
     name: str = "abstract"
     dialect: SqlDialect = ANSI_DIALECT
-    capabilities: FrozenSet[str] = frozenset()
 
     def __init__(self) -> None:
         self.database: Optional[Database] = None
@@ -82,12 +74,6 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def execute(self, query: Union[Select, str], tracer: Any = NULL_TRACER) -> QueryResult:
         """Execute a SELECT AST (or SQL text) and return its result."""
-
-    def sql_for(self, select: Select) -> str:
-        """The SQL text this backend would execute for *select*."""
-        from repro.sql.render import render
-
-        return render(select, self.dialect)
 
     def clear_plan_cache(self) -> None:
         """Drop what the backend derived from statements: compiled plans

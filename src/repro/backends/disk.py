@@ -61,10 +61,6 @@ class DiskBackend(Backend):
 
     name = "disk"
     dialect = ANSI_DIALECT
-    capabilities = frozenset(
-        {"python-values", "compiled-plans", "trace-operators", "persistent",
-         "paged-storage"}
-    )
     # bound by Backend.__init__; rebound only under the lock
     database: Optional[Database]  # guarded-by: _lock
 

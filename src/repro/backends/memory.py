@@ -28,7 +28,6 @@ class MemoryBackend(Backend):
 
     name = "memory"
     dialect = ANSI_DIALECT
-    capabilities = frozenset({"python-values", "compiled-plans", "trace-operators"})
 
     def __init__(self, executor: Optional[Executor] = None) -> None:
         super().__init__()

@@ -75,7 +75,6 @@ class SqliteBackend(Backend):
 
     name = "sqlite"
     dialect = SQLITE_DIALECT
-    capabilities = frozenset({"persistent", "sql-text", "real-rdbms"})
     # bound by Backend.__init__; rebound only under the lock
     database: Optional[Database]  # guarded-by: _lock
 

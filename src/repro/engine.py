@@ -20,7 +20,6 @@ Typical use::
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,13 +49,14 @@ from repro.patterns.disambiguator import disambiguate_all
 from repro.patterns.generator import PatternGenerator
 from repro.patterns.pattern import QueryPattern
 from repro.patterns.ranker import rank_patterns
-from repro.patterns.shape import ShapeKey, ValueBinding, shape_of
+from repro.patterns.shape import ValueBinding, shape_of
 from repro.patterns.translator import (
     NormalizedSourceProvider,
     PatternTranslator,
 )
 from repro.relational.database import Database
 from repro.relational.executor import Executor, QueryResult
+from repro.relational.lru import StampedLRU
 from repro.sql.ast import Select
 from repro.sql.render import render, render_pretty
 from repro.unnormalized.provider import UnnormalizedSourceProvider
@@ -227,21 +227,18 @@ class KeywordSearchEngine:
             self.catalog = ViewCatalog(self.view)
         self.graph = self.catalog.graph
         self.generator = PatternGenerator(self.catalog, max_patterns=max_patterns)
-        # compile caches, two levels, each a true LRU of ``cache_size``
-        # entries (a hit refreshes the entry; eviction drops the least
-        # recently used).  The shape level, keyed by the matched query's
-        # tag signature (repro.patterns.shape), holds the generated
-        # patterns and one SQL template per translated variant; the text
-        # level, keyed by query text, binds one query's values into its
-        # shape entry and keeps its ranked patterns.  Patterns are
-        # immutable after ranking, and translation copies nothing the
-        # caller may mutate, so sharing them is safe.  One lock keeps
-        # both levels' bookkeeping safe for the service threads that
-        # share one engine.
-        self._pattern_cache: "OrderedDict[str, _TextEntry]" = OrderedDict()  # guarded-by: _pattern_cache_lock
-        self._shape_cache: "OrderedDict[ShapeKey, _ShapeEntry]" = OrderedDict()  # guarded-by: _pattern_cache_lock
-        self._pattern_cache_lock = threading.Lock()
-        self.cache_size = 128
+        # compile caches, two levels of 128 entries each (StampedLRU).
+        # The shape level, keyed by the matched query's tag signature
+        # (repro.patterns.shape), holds the generated patterns and one
+        # SQL template per translated variant; its entries carry no
+        # stamp, since they depend only on which schema slots a value
+        # hits.  The text level, keyed by query text, binds one query's
+        # values into its shape entry and keeps its ranked patterns,
+        # stamped with data_versions().  Patterns are immutable after
+        # ranking, and translation copies nothing the caller may mutate,
+        # so sharing them is safe.
+        self._pattern_cache = StampedLRU(128)
+        self._shape_cache = StampedLRU(128)
         # every table: a phrase or number probe walks the postings of
         # every text and numeric column (see data_versions)
         self._table_names = tuple(rel.name for rel in database.schema)
@@ -284,9 +281,6 @@ class KeywordSearchEngine:
                 self._backends[name] = backend
             return backend
 
-    def available_backends(self) -> List[str]:
-        return available_backends()
-
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
@@ -307,15 +301,11 @@ class KeywordSearchEngine:
         matched and bound into its shape entry — generating that only
         when the shape is new — then disambiguated and ranked."""
         stamp = self.data_versions()  # before matching reads the data
-        with self._pattern_cache_lock:
-            cached = self._pattern_cache.get(query_text)
-            if cached is not None and cached.stamp != stamp:
-                cached = None  # written since: match and rank again
-            elif cached is not None and not tracer.enabled:
-                self._pattern_cache.move_to_end(query_text)
+        cached = self._pattern_cache.get(query_text, stamp)
+        if cached is not None:
+            if not tracer.enabled:
                 self.metrics.increment("pattern_cache_hits")
                 return cached
-        if cached is not None:
             tracer.count("pattern_cache_bypassed")
         # deadline checkpoint before the generate/disambiguate/rank stages
         # (the executor has its own; see repro.cancellation)
@@ -326,10 +316,7 @@ class KeywordSearchEngine:
             matcher = TermMatcher(catalog)
             tags = matcher.match_query(query, tracer=tracer)
         key, binding = shape_of(query, tags)
-        with self._pattern_cache_lock:
-            shape = self._shape_cache.get(key)
-            if shape is not None and not tracer.enabled:
-                self._shape_cache.move_to_end(key)
+        shape = self._shape_cache.get(key)
         if shape is not None and not tracer.enabled:
             self.metrics.increment("pattern_cache_hits")
             self.metrics.increment("shape_cache_hits")
@@ -348,18 +335,10 @@ class KeywordSearchEngine:
                 generated = disambiguate_all(generated, catalog, tracer=tracer)
         with tracer.span("rank"):
             ranked = rank_patterns(generated, tracer=tracer)
-        entry = _TextEntry(shape, binding, ranked, stamp)
-        with self._pattern_cache_lock:
-            self._remember(self._pattern_cache, query_text, entry)
-            self._remember(self._shape_cache, key, shape)
+        entry = _TextEntry(shape, binding, ranked)
+        self._pattern_cache.put(query_text, entry, stamp)
+        self._shape_cache.put(key, shape)
         return entry
-
-    def _remember(self, cache: "OrderedDict[Any, Any]", key: Any, entry: Any) -> None:
-        """Insert into one LRU level (caller holds the cache lock)."""
-        cache[key] = entry
-        cache.move_to_end(key)
-        while len(cache) > self.cache_size:
-            cache.popitem(last=False)
 
     def clear_cache(self) -> None:
         """Release the memory of what is derived from *queries*: cached
@@ -368,9 +347,8 @@ class KeywordSearchEngine:
         follows the versions of the tables it read — and what is derived
         from *data* (indexes, planner statistics, backend copies) is
         kept, caught up with writes on its own."""
-        with self._pattern_cache_lock:
-            self._pattern_cache.clear()
-            self._shape_cache.clear()
+        self._pattern_cache.clear()
+        self._shape_cache.clear()
         with self._backend_lock:
             backends = list(self._backends.values())
         for backend in backends:  # the memory backend's is self.executor
@@ -428,8 +406,8 @@ class KeywordSearchEngine:
         template = templates.get(variant)
         if template is None:
             template = self.translate_parts(entry.binding.abstract(pattern))
-            with self._pattern_cache_lock:
-                templates.setdefault(variant, template)
+            # dict.setdefault is atomic: the first template stored wins
+            templates.setdefault(variant, template)
         if not entry.binding.placeholders:
             return template  # a query without value terms: nothing to bind
         bind = entry.binding.bind_select
@@ -619,13 +597,13 @@ class _ShapeEntry:
 @dataclass
 class _TextEntry:
     """The text level: one query's binding into its shape entry and its
-    ranked patterns (never a plan, an interpretation or a result), valid
-    while the tables are at *stamp* (:meth:`KeywordSearchEngine.data_versions`)."""
+    ranked patterns (never a plan, an interpretation or a result), stored
+    at the stamp :meth:`KeywordSearchEngine.data_versions` read before
+    matching."""
 
     shape: _ShapeEntry
     binding: ValueBinding
     ranked: List[QueryPattern]
-    stamp: Tuple[Tuple[int, int], ...]
 
 
 def describe_pattern(pattern: QueryPattern) -> str:

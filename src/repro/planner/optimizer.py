@@ -35,8 +35,6 @@ optimizer is the reference the equivalence sweeps hold it to.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -61,6 +59,7 @@ from repro.planner.stats import (
     ColumnProfile,
     StatisticsCatalog,
 )
+from repro.relational.lru import StampedLRU
 from repro.sql.ast import ColumnRef, Expr
 
 __all__ = [
@@ -166,15 +165,14 @@ class Optimizer:
     """Statistics-driven decisions for :class:`CompiledPlan`.
 
     One instance is owned by each :class:`~repro.relational.executor.
-    Executor` (lazily).  The decision memo is dropped by
-    :meth:`invalidate` and each entry is stamped with the versions of
+    Executor` (lazily).  The decision memo, a
+    :class:`~repro.relational.lru.StampedLRU` of 256 entries, is dropped
+    by :meth:`invalidate` and each entry is stamped with the versions of
     the tables its statement reads; the statistics catalog follows those
     versions itself (:class:`~repro.planner.stats.StatisticsCatalog`),
     so a write can never serve stale decisions and never costs more
     than the tables it touched.
     """
-
-    memo_size = 256
 
     def __init__(
         self,
@@ -184,25 +182,15 @@ class Optimizer:
         self.database = database
         self.params = cost_params or MEMORY_COST_PARAMS
         self.catalog = StatisticsCatalog(database)
-        # (statement shape, sample hits) -> (versions of the tables
-        # read, decisions)
-        self._memo: "OrderedDict[Tuple[str, Any], Tuple[Any, PlanDecisions]]" = (
-            OrderedDict()  # guarded-by: _memo_lock
-        )
-        self._memo_lock = threading.Lock()
+        # (statement shape, sample hits) -> decisions
+        self._memo = StampedLRU(256)
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         """Drop memoized plan decisions."""
-        with self._memo_lock:
-            self._memo.clear()
-
-    @property
-    def memo_len(self) -> int:
-        with self._memo_lock:
-            return len(self._memo)
+        self._memo.clear()
 
     def sample_hits(self, plan: Any, tracer: Any = NULL_TRACER) -> Tuple[Any, ...]:
         """The optimizer's inputs that depend on *plan*'s literals, per
@@ -236,12 +224,10 @@ class Optimizer:
         hits = self.sample_hits(plan, tracer)
         key = (plan.shape, hits)
         versions = self.database.versions(plan.select.tables())
-        with self._memo_lock:
-            cached = self._memo.get(key)
-            if cached is not None and cached[0] == versions:
-                self._memo.move_to_end(key)
-                tracer.count("planner_memo_hits")
-                return cached[1]
+        cached = self._memo.get(key, versions)
+        if cached is not None:
+            tracer.count("planner_memo_hits")
+            return cached
         with tracer.span("plan_costing"):
             decisions = self._decide(plan, hits, tracer)
         tracer.count("planner_plans_costed")
@@ -251,11 +237,7 @@ class Optimizer:
             tracer.count("planner_greedy_fallbacks")
         tracer.count("planner_index_paths_kept", decisions.indexes_kept)
         tracer.count("planner_index_paths_skipped", decisions.indexes_skipped)
-        with self._memo_lock:
-            self._memo[key] = (versions, decisions)
-            self._memo.move_to_end(key)
-            while len(self._memo) > self.memo_size:
-                self._memo.popitem(last=False)
+        self._memo.put(key, decisions, versions)
         return decisions
 
     def key_filter_rows(

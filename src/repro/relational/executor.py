@@ -14,12 +14,12 @@ projections, GROUP BY and nested aggregates.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Union
 
 from repro.errors import SqlExecutionError
 from repro.observability import NULL_TRACER
 from repro.relational.database import Database
+from repro.relational.lru import StampedLRU
 from repro.relational.plan import CompiledPlan
 from repro.relational.result import QueryResult
 from repro.sql.ast import Select
@@ -32,9 +32,9 @@ __all__ = ["Executor", "QueryResult", "execute_sql"]
 class Executor:
     """Executes SELECT statements against one database.
 
-    Plans are cached at two levels, each an LRU of
-    ``plan_cache_capacity`` entries.  The *shape* level, keyed by the
-    statement with its literals as placeholders
+    Plans are cached at two levels of 256 entries each
+    (:class:`~repro.relational.lru.StampedLRU`).  The *shape* level,
+    keyed by the statement with its literals as placeholders
     (:func:`~repro.sql.render.render_shape`), holds the first
     :class:`~repro.relational.plan.CompiledPlan` compiled for that shape
     (closure predicates, index-backed scans; join order, access paths and
@@ -45,9 +45,9 @@ class Executor:
     predicates, decisions, index memos and last run.  The optimizer's
     memo, keyed by shape and sample hits, makes deciding a bound plan a
     lookup when its hits were seen before, and a bound plan decides
-    exactly what a fresh compile would.  Entries are stamped with the
-    versions of the tables the statement reads, so a write invalidates
-    the plans over the table it touched and no others;
+    exactly what a fresh compile would.  Entries of both levels are
+    stamped with the versions of the tables the statement reads, so a
+    write invalidates the plans over the table it touched and no others;
     :meth:`clear_plan_cache` drops them all.
 
     ``validate=True`` runs the static SQL analyzers
@@ -56,8 +56,6 @@ class Executor:
     diagnostics — the debug-mode assertion that gives hand-written SQL the
     same gate as engine-generated SQL.
     """
-
-    plan_cache_capacity = 256
 
     def __init__(
         self,
@@ -73,14 +71,9 @@ class Executor:
         # runs this same executor over paged storage under its own label
         self.backend_label = backend_label
         self._optimizer: Any = None  # guarded-by: _plan_lock
-        # (shape, literals) -> (tables read, their versions, bound plan)
-        self._plan_cache: "OrderedDict[Tuple[str, Tuple[str, ...]], Tuple[Any, Any, CompiledPlan]]" = (
-            OrderedDict()  # guarded-by: _plan_lock
-        )
-        # shape -> (tables read, their versions, the shape's first plan)
-        self._shape_plans: "OrderedDict[str, Tuple[Any, Any, CompiledPlan]]" = (
-            OrderedDict()  # guarded-by: _plan_lock
-        )
+        # (shape, literals) -> bound plan; shape -> the shape's first plan
+        self._plan_cache = StampedLRU(256)
+        self._shape_plans = StampedLRU(256)
         self._plan_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -111,20 +104,14 @@ class Executor:
         estimates and join order would otherwise describe other data).
         """
         shape, literals = render_shape(select)
-        key = (shape, literals)
-        with self._plan_lock:
-            entry = self._plan_cache.get(key)
-            if entry is not None and entry[1] == self.database.versions(entry[0]):
-                self._plan_cache.move_to_end(key)
-                tracer.count("plan_cache_hits")
-                return entry[2]
-        tables = select.tables()
-        versions = self.database.versions(tables)
-        with self._plan_lock:
-            shaped = self._shape_plans.get(shape)
-        if shaped is not None and shaped[1] == versions:
-            tables, versions = shaped[0], shaped[1]  # shared, not copied
-            plan = shaped[2].bind(select, tracer)
+        versions = self.database.versions(select.tables())
+        plan = self._plan_cache.get((shape, literals), versions)
+        if plan is not None:
+            tracer.count("plan_cache_hits")
+            return plan
+        shaped = self._shape_plans.get(shape, versions)
+        if shaped is not None:
+            plan = shaped.bind(select, tracer)
             tracer.count("plan_shape_hits")
         else:
             plan = CompiledPlan(
@@ -133,20 +120,11 @@ class Executor:
             tracer.count("plan_cache_misses")
             tracer.count("compiled_predicates", plan.compiled_predicates)
             if plan.shareable:
-                with self._plan_lock:
-                    self._remember(self._shape_plans, plan.shape, (tables, versions, plan))
+                self._shape_plans.put(plan.shape, plan, versions)
         # keyed by the plan's copy of the shape, the one the optimizer's
         # memo and every plan bound from it share
-        with self._plan_lock:
-            self._remember(self._plan_cache, (plan.shape, literals), (tables, versions, plan))
+        self._plan_cache.put((plan.shape, literals), plan, versions)
         return plan
-
-    def _remember(self, cache: "OrderedDict[Any, Any]", key: Any, entry: Any) -> None:
-        """Insert into one LRU level (caller holds the plan lock)."""
-        cache[key] = entry
-        cache.move_to_end(key)
-        while len(cache) > self.plan_cache_capacity:
-            cache.popitem(last=False)
 
     def _validate(self, select: Select, tracer=NULL_TRACER) -> None:
         """Debug-mode static gate: raise on error-severity diagnostics."""
@@ -188,17 +166,12 @@ class Executor:
         """Drop cached plans and the optimizer's decision memo (what is
         derived from statements; statistics are derived from data and
         follow the tables' versions instead)."""
+        self._plan_cache.clear()
+        self._shape_plans.clear()
         with self._plan_lock:
-            self._plan_cache.clear()
-            self._shape_plans.clear()
             optimizer = self._optimizer
         if optimizer is not None:
             optimizer.invalidate()
-
-    @property
-    def plan_cache_len(self) -> int:
-        with self._plan_lock:
-            return len(self._plan_cache)
 
 
 def execute_sql(

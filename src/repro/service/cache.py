@@ -6,7 +6,8 @@ concurrency:
 
 * **TTL + LRU** — an entry is served only while fresh
   (``ttl_s`` seconds) and the cache holds at most ``size`` entries,
-  evicting the least recently used.
+  evicting the least recently used
+  (:class:`~repro.relational.lru.StampedLRU`).
 * **Single-flight** — when several identical requests arrive while the
   answer is being computed, exactly one (the *leader*) computes; the
   rest (*followers*) block on the leader's flight and share its result,
@@ -37,10 +38,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.errors import DeadlineExceededError
+from repro.relational.lru import StampedLRU
 
 __all__ = ["ResultCache"]
 
@@ -67,16 +68,13 @@ class ResultCache:
         ttl_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
         if ttl_s < 0:
             raise ValueError(f"ttl_s must be >= 0, got {ttl_s}")
-        self.size = size
         self.ttl_s = ttl_s
         self._clock = clock
         self._lock = threading.Lock()
-        # key -> (expires_at, stamp, value), LRU order (most recent last)
-        self._entries: "OrderedDict[Hashable, Tuple[float, Hashable, Any]]" = OrderedDict()  # guarded-by: _lock
+        # key -> (expires_at, value), each at its stamp
+        self._entries = StampedLRU(size)
         self._flights: Dict[Hashable, _Flight] = {}  # guarded-by: _lock
 
     # ------------------------------------------------------------------
@@ -125,7 +123,7 @@ class ResultCache:
         if observe is not None:
             observe(outcome)
         if outcome == "hit":
-            return cached[2], "hit"
+            return cached[1], "hit"
         if outcome == "coalesced":
             return self._wait(key, flight, timeout), "coalesced"
         try:
@@ -139,7 +137,7 @@ class ResultCache:
         with self._lock:
             # only the key's current flight stores: a newer one owns it
             if self._land(key, flight) and self.ttl_s > 0:
-                self._store(key, stamp, value)
+                self._entries.put(key, (self._clock() + self.ttl_s, value), stamp)
         flight.value = value
         flight.done.set()
         return value, "miss"
@@ -166,28 +164,18 @@ class ResultCache:
 
     def _fresh_entry(
         self, key: Hashable, stamp: Hashable
-    ) -> Optional[Tuple[float, Hashable, Any]]:
-        """*key*'s entry if it is unexpired and at *stamp*; a stale one
-        is dropped, so it is replaced rather than kept beside its
+    ) -> Optional[Tuple[float, Any]]:
+        """*key*'s entry if it is at *stamp* and unexpired; an expired
+        one is dropped, so it is replaced rather than kept beside its
         successor."""
-        entry = self._entries.get(key)
-        if entry is None:
+        entry = self._entries.get(key, stamp)
+        if entry is not None and self._clock() >= entry[0]:
+            self._entries.discard(key)
             return None
-        if self._clock() >= entry[0] or entry[1] != stamp:
-            del self._entries[key]
-            return None
-        self._entries.move_to_end(key)
         return entry
-
-    def _store(self, key: Hashable, stamp: Hashable, value: Any) -> None:
-        self._entries[key] = (self._clock() + self.ttl_s, stamp, value)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.size:
-            self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)

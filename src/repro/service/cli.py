@@ -112,7 +112,7 @@ def run_serve(argv: Optional[List[str]] = None, out=None) -> int:
         finally:
             # drain in-flight requests before the service stops: accepted
             # requests get their responses, new connections are refused
-            stragglers = server.stop(grace_s=config.shutdown_grace_s)
+            stragglers = server.stop()
             for name in stragglers:
                 print(f"abandoning stuck request thread {name}", file=out)
     return 0

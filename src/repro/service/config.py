@@ -27,25 +27,20 @@ class ServiceConfig:
         in per call).
 
     Result cache
-        ``cache_size`` entries, each fresh for ``cache_ttl_s`` seconds,
-        keyed by ``(dataset, engine, mode, query, k, backend)`` with
-        single-flight deduplication.  ``cache_ttl_s=0`` disables caching but keeps the
+        256 entries, each fresh for ``cache_ttl_s`` seconds, keyed by
+        ``(dataset, engine, mode, query, k, backend)`` with single-flight
+        deduplication.  ``cache_ttl_s=0`` disables caching but keeps the
         single-flight behaviour.
 
     Circuit breaker (per dataset)
         ``breaker_failure_threshold`` consecutive failures open the
         breaker for ``breaker_reset_s`` seconds; each failed half-open
-        probe multiplies the wait by ``breaker_backoff_factor`` up to
-        ``breaker_max_reset_s``.
+        probe doubles the wait, up to 30 s.
 
     Graceful degradation
         once the queue depth reaches ``degrade_queue_depth`` (default:
         half the queue limit, at least 1), requests are served in top-1
         interpretation mode regardless of their requested ``k``.
-
-    Shutdown
-        ``shutdown_grace_s`` bounds how long :meth:`QueryService.stop`
-        waits for its threads before cancelling in-flight requests.
 
     ``worker_processes`` accepts only ``0``: the service is one process
     (``docs/SERVING.md`` § One process).
@@ -56,14 +51,10 @@ class ServiceConfig:
     default_deadline_s: Optional[float] = 5.0
     default_k: int = 3
     cache_ttl_s: float = 30.0
-    cache_size: int = 256
     breaker_failure_threshold: int = 5
     breaker_reset_s: float = 1.0
-    breaker_backoff_factor: float = 2.0
-    breaker_max_reset_s: float = 30.0
     degrade_queue_depth: Optional[int] = None
     worker_processes: int = 0
-    shutdown_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -74,8 +65,6 @@ class ServiceConfig:
             raise ValueError(f"default_k must be >= 1, got {self.default_k}")
         if self.cache_ttl_s < 0:
             raise ValueError(f"cache_ttl_s must be >= 0, got {self.cache_ttl_s}")
-        if self.cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.breaker_failure_threshold < 1:
             raise ValueError(
                 "breaker_failure_threshold must be >= 1, got "
@@ -84,11 +73,6 @@ class ServiceConfig:
         if self.breaker_reset_s <= 0:
             raise ValueError(
                 f"breaker_reset_s must be > 0, got {self.breaker_reset_s}"
-            )
-        if self.breaker_backoff_factor < 1.0:
-            raise ValueError(
-                "breaker_backoff_factor must be >= 1.0, got "
-                f"{self.breaker_backoff_factor}"
             )
         if (
             self.degrade_queue_depth is not None
@@ -102,10 +86,6 @@ class ServiceConfig:
             raise ValueError(
                 "worker_processes must be 0 (the service is one process), "
                 f"got {self.worker_processes}"
-            )
-        if self.shutdown_grace_s <= 0:
-            raise ValueError(
-                f"shutdown_grace_s must be > 0, got {self.shutdown_grace_s}"
             )
 
     @property

@@ -287,11 +287,7 @@ class QueryService:
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
         self._clock = clock
-        self._cache = ResultCache(
-            size=self.config.cache_size,
-            ttl_s=self.config.cache_ttl_s,
-            clock=clock,
-        )
+        self._cache = ResultCache(ttl_s=self.config.cache_ttl_s, clock=clock)
         self._runtimes: Dict[str, _Runtime] = {}
         self._default_dataset: Optional[str] = None
         self._queue: "queue.Queue[_Pending]" = queue.Queue(
@@ -321,8 +317,6 @@ class QueryService:
         breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
             reset_s=self.config.breaker_reset_s,
-            backoff_factor=self.config.breaker_backoff_factor,
-            max_reset_s=self.config.breaker_max_reset_s,
             clock=self._clock,
         )
         self._runtimes[name] = _Runtime(name, engine, sqak, breaker)
@@ -353,13 +347,14 @@ class QueryService:
     def stop(self, timeout: Optional[float] = None) -> None:
         """Stop accepting work and shut down deterministically.
 
-        Drain order: (1) join worker threads for a bounded grace period,
+        Drain order: (1) join worker threads for a bounded grace period
+        (*timeout*, 5 s by default),
         (2) cancel the tokens of requests still in flight — cooperative
         cancellation aborts engine work at its next checkpoint — and join
         again, (3) resolve everything still queued with a clean
         ``unavailable``, so repeated bench runs and test teardowns never
         leak threads."""
-        grace = timeout if timeout is not None else self.config.shutdown_grace_s
+        grace = 5.0 if timeout is None else timeout
         with self._lifecycle_lock:
             if not self._running:
                 return

@@ -44,11 +44,11 @@ from __future__ import annotations
 import json
 import os
 import struct
-from collections import OrderedDict
 from heapq import merge
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import StorageError
+from repro.relational.lru import StampedLRU
 from repro.storage.page import pack_uints, unpack_uints
 
 __all__ = ["DEFAULT_BLOCK_BUDGET", "SpimiBuilder", "SpimiIndex"]
@@ -58,7 +58,6 @@ _POSTING = struct.Struct("<HI")  # slot id, position count
 #: tokens are ``[a-z0-9]+`` and relation/attribute names are identifiers,
 #: so a tab-separated text line per posting entry is unambiguous
 _SEP = "\t"
-_CACHE_SIZE = 256
 
 Slot = Tuple[str, str]
 
@@ -199,7 +198,8 @@ class SpimiIndex:
             self._handle = open(self.postings_path, "rb")
         except OSError as exc:
             raise StorageError(f"cannot open postings {postings_path}: {exc}") from exc
-        self._cache: "OrderedDict[str, Dict[Slot, List[int]]]" = OrderedDict()
+        # token -> decoded postings; the file never changes, so no stamp
+        self._cache = StampedLRU(256)
 
     def close(self) -> None:
         self._handle.close()
@@ -264,7 +264,6 @@ class SpimiIndex:
             return {}
         cached = self._cache.get(token)
         if cached is not None:
-            self._cache.move_to_end(token)
             return cached
         offset, length = extent
         self._handle.seek(offset)
@@ -274,9 +273,7 @@ class SpimiIndex:
                 f"{self.postings_path}: short read for token {token!r}"
             )
         decoded = self._decode_postings(token, payload)
-        self._cache[token] = decoded
-        if len(self._cache) > _CACHE_SIZE:
-            self._cache.popitem(last=False)
+        self._cache.put(token, decoded)
         return decoded
 
     def _decode_postings(self, token: str, payload: bytes) -> Dict[Slot, List[int]]:

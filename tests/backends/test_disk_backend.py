@@ -27,8 +27,6 @@ class TestRegistry:
         try:
             assert isinstance(backend, DiskBackend)
             assert backend.name == "disk"
-            assert "paged-storage" in backend.capabilities
-            assert "compiled-plans" in backend.capabilities
         finally:
             backend.close()
 

@@ -1,4 +1,4 @@
-"""The Backend protocol and registry: names, capabilities, construction."""
+"""The Backend protocol and registry: names, dialects, construction."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.backends import (
     Backend,
     MemoryBackend,
-    SqliteBackend,
     available_backends,
     create_backend,
     register_backend,
@@ -16,6 +15,7 @@ from repro.backends import base as backends_base
 from repro.engine import KeywordSearchEngine
 from repro.errors import BackendError
 from repro.sql.parser import parse
+from repro.sql.render import render
 
 
 class TestRegistry:
@@ -49,27 +49,14 @@ class TestRegistry:
         assert "null" not in available_backends()
 
 
-class TestCapabilities:
-    def test_memory_capabilities(self):
-        backend = MemoryBackend()
-        assert "compiled-plans" in backend.capabilities
-        assert "python-values" in backend.capabilities
-        assert "sql-text" not in backend.capabilities
-        assert "real-rdbms" not in backend.capabilities
-
-    def test_sqlite_capabilities(self):
-        assert "sql-text" in SqliteBackend.capabilities
-        assert "real-rdbms" in SqliteBackend.capabilities
-        assert "persistent" in SqliteBackend.capabilities
-        assert "compiled-plans" not in SqliteBackend.capabilities
-
+class TestDialects:
     def test_dialects_differ(self, university_db):
         select = parse("SELECT Sname FROM Student")
         memory = create_backend("memory", university_db)
         sqlite = create_backend("sqlite", university_db)
         try:
-            assert memory.sql_for(select) == "SELECT Sname FROM Student"
-            assert sqlite.sql_for(select) == 'SELECT "Sname" FROM "Student"'
+            assert render(select, memory.dialect) == "SELECT Sname FROM Student"
+            assert render(select, sqlite.dialect) == 'SELECT "Sname" FROM "Student"'
         finally:
             sqlite.close()
 
@@ -104,7 +91,6 @@ class TestMemoryBackend:
 class TestEngineIntegration:
     def test_engine_default_backend_is_memory(self, university_engine):
         assert university_engine.backend.name == "memory"
-        assert "sqlite" in university_engine.available_backends()
 
     def test_get_backend_caches_instances(self, university_db):
         engine = KeywordSearchEngine(university_db)

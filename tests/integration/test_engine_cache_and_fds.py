@@ -31,43 +31,46 @@ class TestCompileCache:
         for backend in ("memory", "disk"):
             engine.search("Green SUM Credit", backend=backend).best.execute()
         executors = [engine.executor, engine.get_backend("disk")._executor]
-        assert all(e.plan_cache_len and e.optimizer.memo_len for e in executors)
+        assert all(len(e._plan_cache) and len(e.optimizer._memo) for e in executors)
         engine.clear_cache()
-        assert [(e.plan_cache_len, e.optimizer.memo_len) for e in executors] == [
+        assert [(len(e._plan_cache), len(e.optimizer._memo)) for e in executors] == [
             (0, 0), (0, 0)
         ]
 
     def test_cache_eviction_bounded(self, university_db):
         engine = KeywordSearchEngine(university_db)
-        engine.cache_size = 2
+        engine._pattern_cache.capacity = engine._shape_cache.capacity = 2
         engine.patterns("Green SUM Credit")
         engine.patterns("Java SUM Price")
         engine.patterns("COUNT Student GROUPBY Course")
         assert len(engine._pattern_cache) <= 2
+        assert len(engine._shape_cache) <= 2
 
     def test_lru_hit_refreshes_entry(self, university_db):
         """A cache hit must move the entry to most-recently-used, so the
         *other* entry is the one evicted when the cache fills."""
         engine = KeywordSearchEngine(university_db)
-        engine.cache_size = 2
+        engine._pattern_cache.capacity = 2
         green = engine.patterns("Green SUM Credit")
         engine.patterns("Java SUM Price")
         refreshed = engine.patterns("Green SUM Credit")  # hit: refresh
         assert refreshed is green
         engine.patterns("COUNT Student GROUPBY Course")  # evicts Java
-        assert "Green SUM Credit" in engine._pattern_cache
-        assert "Java SUM Price" not in engine._pattern_cache
+        texts = dict(engine._pattern_cache.items())
+        assert "Green SUM Credit" in texts
+        assert "Java SUM Price" not in texts
         assert engine.patterns("Green SUM Credit") is green
 
     def test_lru_evicts_least_recently_used(self, university_db):
         engine = KeywordSearchEngine(university_db)
-        engine.cache_size = 2
+        engine._pattern_cache.capacity = 2
         engine.patterns("Green SUM Credit")
         engine.patterns("Java SUM Price")
         engine.patterns("COUNT Student GROUPBY Course")
-        assert len(engine._pattern_cache) == 2
-        assert "Green SUM Credit" not in engine._pattern_cache
-        assert "Java SUM Price" in engine._pattern_cache
+        texts = dict(engine._pattern_cache.items())
+        assert len(texts) == 2
+        assert "Green SUM Credit" not in texts
+        assert "Java SUM Price" in texts
 
     def test_hit_metric_recorded(self, university_db):
         engine = KeywordSearchEngine(university_db)

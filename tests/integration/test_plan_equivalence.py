@@ -88,6 +88,6 @@ class TestEngineClearCache:
     def test_clear_cache_drops_plans(self, university_db):
         engine = KeywordSearchEngine(university_db)
         engine.execute("Green SUM Credit")
-        assert engine.executor.plan_cache_len > 0
+        assert len(engine.executor._plan_cache) > 0
         engine.clear_cache()
-        assert engine.executor.plan_cache_len == 0
+        assert len(engine.executor._plan_cache) == 0

@@ -125,9 +125,10 @@ class TestStaleness:
             for interpretation in engine.search(text):
                 interpretation.execute()
         executor = engine.executor
-        roots = [engine._pattern_cache, engine._shape_cache, executor._plan_cache,
-                 executor._shape_plans, executor.optimizer._memo]
-        found = _reachable_types(roots, stop=(Database, Table))
+        levels = [engine._pattern_cache, engine._shape_cache, executor._plan_cache,
+                  executor._shape_plans, executor.optimizer._memo]
+        assert all(len(level) for level in levels)
+        found = _reachable_types(levels, stop=(Database, Table))
         assert Interpretation not in found and QueryResult not in found
 
 
@@ -156,7 +157,7 @@ class TestSharedNodes:
         after = _describes(engine)
         assert {key: after[key] for key in before} == before
         # the sharing is real: a shape hit's patterns hold its shape's nodes
-        entry = engine._pattern_cache["Multimedia SUM Credit"]
+        entry = dict(engine._pattern_cache.items())["Multimedia SUM Credit"]
         shaped = {id(node) for pattern in entry.shape.patterns for node in pattern.nodes}
         assert any(id(node) in shaped for pattern in entry.ranked for node in pattern.nodes)
         # disambiguation adds variants and leaves the patterns it forks

@@ -206,15 +206,14 @@ class TestMemoAndStaleness:
         executor = Executor(db)
         tracer = Tracer()
         executor.plan_for(parse(self.SQL), tracer)
-        assert executor.optimizer.memo_len == 1
+        assert len(executor.optimizer._memo) == 1
         before = tracer.registry.counter("planner_memo_hits")
         # bypass the plan cache to force a fresh compile + decide
         executor.clear_plan_cache()
         # clear_plan_cache also invalidates the memo; re-seed, then hit
         executor.plan_for(parse(self.SQL), tracer)
-        with executor._plan_lock:  # both levels: no plan to bind from
-            executor._plan_cache.clear()
-            executor._shape_plans.clear()
+        executor._plan_cache.clear()  # both levels: no plan to bind from
+        executor._shape_plans.clear()
         executor.plan_for(parse(self.SQL), tracer)
         assert tracer.registry.counter("planner_memo_hits") > before
 
@@ -294,10 +293,10 @@ class TestMemoAndStaleness:
         executor.plan_for(parse(self.SQL), Tracer())
         optimizer = executor.optimizer
         kept = optimizer.catalog.profile("A")
-        assert optimizer.memo_len == 1
+        assert len(optimizer._memo) == 1
         engine.clear_cache()
-        assert optimizer.memo_len == 0
-        assert executor.plan_cache_len == 0
+        assert len(optimizer._memo) == 0
+        assert len(executor._plan_cache) == len(executor._shape_plans) == 0
         assert optimizer.catalog.cached_relations == ("a", "b")
         assert optimizer.catalog.profile("A") is kept
         db.insert("A", (99, 0))

@@ -78,7 +78,7 @@ class TestCompiledSemantics:
             "SELECT Name FROM Item WHERE Name LIKE '%roy%'",
         ],
     )
-    def test_matches_interpreter(self, shop_db, sql):
+    def test_matches_sqlite(self, shop_db, sql):
         memory = MemoryBackend()
         memory.load(shop_db)
         sqlite = SqliteBackend()
@@ -272,13 +272,34 @@ class TestPlanCache:
 
     def test_cache_is_bounded_lru(self, shop_db):
         executor = Executor(shop_db)
-        executor.plan_cache_capacity = 2
+        executor._plan_cache.capacity = executor._shape_plans.capacity = 2
         a = executor.plan_for(parse("SELECT Id FROM Item"))
         executor.plan_for(parse("SELECT Name FROM Item"))
         executor.plan_for(parse("SELECT Id FROM Item"))  # refresh a
         executor.plan_for(parse("SELECT Price FROM Item"))  # evicts Name
-        assert executor.plan_cache_len == 2
+        assert len(executor._plan_cache) == 2
         assert executor.plan_for(parse("SELECT Id FROM Item")) is a
+
+    def test_shape_hit_refreshes_the_shape_level(self, shop_db):
+        # shapes A, B, A again (a shape hit), then C: B is the least
+        # recently used shape, so C evicts B and A stays bindable
+        executor = Executor(shop_db)
+        executor._shape_plans.capacity = 2
+        tracer = Tracer()
+        with tracer.span("t"):
+            for sql in (
+                "SELECT Name FROM Item WHERE Id = 1",  # A
+                "SELECT Name FROM Item WHERE Stock = 10",  # B
+                "SELECT Name FROM Item WHERE Id = 2",  # A, bound
+                "SELECT Name FROM Item WHERE Price = 4.5",  # C
+            ):
+                executor.plan_for(parse(sql), tracer)
+            assert tracer.trace.counter("plan_shape_hits") == 1
+            executor.plan_for(parse("SELECT Name FROM Item WHERE Id = 3"), tracer)
+            assert tracer.trace.counter("plan_shape_hits") == 2  # A kept
+            misses = tracer.trace.counter("plan_cache_misses")
+            executor.plan_for(parse("SELECT Name FROM Item WHERE Stock = 11"), tracer)
+            assert tracer.trace.counter("plan_cache_misses") == misses + 1  # B gone
 
     def test_cache_counters(self, shop_db):
         executor = Executor(shop_db)

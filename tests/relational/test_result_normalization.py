@@ -70,7 +70,7 @@ def executor():
     return Executor(_db())
 
 
-class TestBothExecutionPaths:
+class TestEmptyAndNullAggregates:
     def test_count_of_empty_group_is_int_zero(self, executor):
         value = executor.execute("SELECT COUNT(*) FROM t WHERE Id = 0").scalar()
         assert value == 0 and type(value) is int

@@ -58,10 +58,8 @@ class TestServiceConfig:
             {"queue_limit": 0},
             {"default_k": 0},
             {"cache_ttl_s": -1.0},
-            {"cache_size": 0},
             {"breaker_failure_threshold": 0},
             {"breaker_reset_s": 0.0},
-            {"breaker_backoff_factor": 0.5},
             {"degrade_queue_depth": 0},
         ],
     )
