@@ -43,9 +43,10 @@ repro.analysis.codebase``.  It has two layers:
     the planner package — other layers import
     :func:`repro.planner.params_for_backend` instead of forking their
     own coefficients, so calibration happens in exactly one place.
-  * **LR010** — no database-wide version: a ``*Database`` class may not
-    define a ``version`` (or ``<anything>_version``) member, and nothing
-    may read one off a ``database`` / ``db``.  Everything derived from
+  * **LR010** — no database-wide version: a ``*Database`` class, or the
+    disk tier's ``StorageEngine`` (the database its executor reads), may
+    not define a ``version`` (or ``<anything>_version``) member, and
+    nothing may read one off a ``database`` / ``db``.  Everything derived from
     table data keys on the versions of the tables it reads
     (``Table.version``, ``Database.versions(names)``); one key for the
     whole database made a write to one table rebuild every index,
@@ -115,10 +116,6 @@ class SourceFile:
     text: str
     tree: ast.Module
     comments: Dict[int, str]  # lineno -> comment text (without the '#')
-
-    def comment_on(self, lineno: int) -> str:
-        """The comment on *lineno*, or the one on the line above it."""
-        return self.comments.get(lineno) or self.comments.get(lineno - 1, "")
 
 
 def default_root() -> Path:
@@ -215,6 +212,8 @@ RANDOM_ALLOWED = ("repro/planner/", "repro/datasets/")
 # database goes by where it is read
 _WHOLE_VERSION_RE = re.compile(r"(^|_)version$")
 _DATABASE_NAMES = ("database", "db")
+# classes an executor reads as its database beside the ``*Database`` ones
+_DATABASE_CLASSES = ("StorageEngine",)
 
 # module-level constant-name suffix the cost model owns (LR009)
 _COST_CONSTANT_SUFFIX = "_COST_PARAMS"
@@ -399,9 +398,11 @@ def _open_mode(node: ast.Call) -> Optional[str]:
 
 def _database_wide_versions(node: ast.AST) -> Iterator[Tuple[int, str]]:
     """LR010: ``(lineno, member)`` for each database-wide version *node*
-    defines (a member of a ``*Database`` class) or reads (an attribute
-    of something called ``database`` / ``db``)."""
-    if isinstance(node, ast.ClassDef) and node.name.endswith("Database"):
+    defines (a member of a ``*Database`` class or a ``StorageEngine``)
+    or reads (an attribute of something called ``database`` / ``db``)."""
+    if isinstance(node, ast.ClassDef) and (
+        node.name.endswith("Database") or node.name in _DATABASE_CLASSES
+    ):
         for statement in node.body:
             names: List[str] = []
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -5,12 +5,14 @@
 heap files of column-wise pages and secondary indexes
 (:func:`repro.storage.materialize.materialize`), then serves SELECTs by
 running the **same** compiled-plan executor
-(:class:`~repro.relational.executor.Executor`) over a
-:class:`~repro.storage.engine.DiskDatabase` — every page access going
-through a fixed-capacity LRU buffer pool.  Fidelity therefore comes from
-reusing the engine's physical plans; what differs is purely the storage
-tier underneath them, which is exactly what the differential harness
-(``python -m repro diff --backend disk``) pins down.
+(:class:`~repro.relational.executor.Executor`) over the
+:class:`~repro.storage.engine.StorageEngine` itself — its heap files are
+the executor's tables, its ``candidates`` the index probe, and every
+page access goes through a fixed-capacity LRU buffer pool.  Fidelity
+therefore comes from reusing the engine's physical plans; what differs
+is purely the storage tier underneath them, which is exactly what the
+differential harness (``python -m repro diff --backend disk``) pins
+down.
 
 The directory follows each table's :attr:`~repro.relational.table.Table.
 version`, lazily, like the SQLite backend: the first ``execute`` after a
@@ -124,7 +126,7 @@ class DiskBackend(Backend):
         # the label selects disk-calibrated cost coefficients (index
         # probes pay page reads) as well as naming the execute span
         self._executor = Executor(
-            self._engine.database,  # type: ignore[arg-type]  # duck-typed
+            self._engine,  # type: ignore[arg-type]  # duck-typed Database
             backend_label=self.name,
         )
 
@@ -134,7 +136,7 @@ class DiskBackend(Backend):
             self._materialize(tracer)
         else:
             names = [relation.name for relation in database.schema]
-            held = self._engine.database.versions(names)
+            held = self._engine.versions(names)
             wanted = database.versions(names)
             if held != wanted:
                 if all(

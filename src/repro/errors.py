@@ -99,11 +99,6 @@ class ServiceError(ReproError):
     """Base class for query-service (serving-layer) errors."""
 
 
-class ServiceOverloadedError(ServiceError):
-    """Admission control shed the request: the bounded queue is full
-    (HTTP 429)."""
-
-
 class ServiceUnavailableError(ServiceError):
     """The dataset's circuit breaker is open: recent requests kept
     failing, so the service fails fast until a probe succeeds (HTTP 503)."""

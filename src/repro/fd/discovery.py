@@ -22,16 +22,6 @@ from repro.fd.functional_dependency import FunctionalDependency
 from repro.relational.table import Table
 
 
-def _partition(table: Table, columns: Tuple[str, ...]) -> Dict[Tuple, List[int]]:
-    """Group row positions by their value tuple over *columns*."""
-    indices = [table.schema.column_index(col) for col in columns]
-    groups: Dict[Tuple, List[int]] = {}
-    for position, row in enumerate(table.rows):
-        key = tuple(row[i] for i in indices)
-        groups.setdefault(key, []).append(position)
-    return groups
-
-
 def holds(table: Table, fd: FunctionalDependency) -> bool:
     """Check whether *fd* holds on the table instance."""
     lhs = tuple(sorted(fd.lhs))

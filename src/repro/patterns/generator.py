@@ -51,6 +51,10 @@ _AGGREGATE_ALIAS_PREFIX = {
     "MAX": "max",
 }
 
+#: tag combinations (one tag per basic term) tried per query, in
+#: product order; the rest are never generated
+MAX_TAG_COMBINATIONS = 64
+
 
 @dataclass
 class TerminalSpec:
@@ -75,12 +79,10 @@ class PatternGenerator:
     def __init__(
         self,
         catalog: Catalog,
-        max_tag_combinations: int = 64,
         max_patterns: int = 32,
     ) -> None:
         self.catalog = catalog
         self.graph: OrmSchemaGraph = catalog.graph
-        self.max_tag_combinations = max_tag_combinations
         self.max_patterns = max_patterns
 
     # ------------------------------------------------------------------
@@ -104,7 +106,7 @@ class PatternGenerator:
         patterns: List[QueryPattern] = []
         seen_signatures: Set[Tuple] = set()
         combinations = itertools.islice(
-            itertools.product(*choice_lists), self.max_tag_combinations
+            itertools.product(*choice_lists), MAX_TAG_COMBINATIONS
         )
         for combination in combinations:
             tracer.count("tag_combinations")

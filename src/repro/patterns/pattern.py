@@ -118,10 +118,6 @@ class PatternNode:
         return bool(self.aggregates)
 
     @property
-    def has_projections(self) -> bool:
-        return bool(self.projections)
-
-    @property
     def is_condition(self) -> bool:
         """Condition nodes carry conditions or GROUPBY annotations."""
         return bool(self.conditions) or bool(self.groupbys)

@@ -257,7 +257,8 @@ class StatisticsCatalog:
     Accepts anything duck-typed like
     :class:`~repro.relational.database.Database` (``schema``,
     ``table()`` whose result has ``version`` and ``rows``) — the disk
-    backend's ``DiskDatabase`` included.  A profile is served as long as
+    backend's :class:`~repro.storage.engine.StorageEngine`, whose tables
+    are its heap files, included.  A profile is served as long as
     its table's version stands; after an append the table's pass is
     continued over the new rows, after an epoch bump it is run again.
     Other tables' profiles are untouched either way.

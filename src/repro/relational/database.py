@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import threading
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ForeignKeyError, SchemaError, UnknownTableError
-from repro.relational.index import InvertedIndex, KeyIndex, NumericIndex
+from repro.relational.index import InvertedIndex, KeyIndex, NumericIndex, union_of
 from repro.relational.schema import DatabaseSchema, ForeignKey, RelationSchema
 from repro.relational.table import Row, Table
 from repro.relational.types import DataType
@@ -142,6 +142,30 @@ class Database:
                     index = self._key_indexes[key] = KeyIndex(table, columns)
         index.catch_up()
         return index
+
+    def candidates(
+        self, kind: str, table: str, column: str, values: Iterable[Any]
+    ) -> Optional[Set[int]]:
+        """Positions of the rows of *table* whose *column* matches one of
+        *values*: ``contains`` from the :class:`InvertedIndex`,
+        ``numeric-eq`` from the :class:`NumericIndex` (float keys: a
+        superset the caller verifies), ``hash-eq`` from the key index on
+        the column.  Each index is fetched once, whatever the number of
+        values.  None when the index cannot answer for some value; the
+        disk tier's ``StorageEngine.candidates`` answers the same call."""
+        found: Iterable[Optional[Set[int]]]
+        if kind == "contains":
+            text = self.text_index
+            found = (text.positions_for_contains(table, column, v) for v in values)
+        elif kind == "numeric-eq":
+            numeric = self.numeric_index
+            found = (numeric.positions_for_value(table, column, v) for v in values)
+        elif kind == "hash-eq":
+            keys = self.hash_index(table, (column,))
+            found = (keys.positions((v,)) for v in values)
+        else:
+            raise ValueError(f"unknown index probe {kind!r}")
+        return union_of(found)
 
     def row_counts(self) -> Dict[str, int]:
         return {name: len(table) for name, table in self._tables.items()}

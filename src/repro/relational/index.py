@@ -11,6 +11,10 @@
   of row positions over all text columns, for the keyword matcher and
   the ``contains`` predicate of generated SQL.
 
+The executor probes all three through one call,
+``Database.candidates(kind, table, column, values)``, which the disk
+tier's ``StorageEngine`` answers from its own structures.
+
 All three are maintained, not rebuilt: ``catch_up()`` compares each
 table's :attr:`~repro.relational.table.Table.version` with what the
 index covers and indexes only ``rows[covered:]`` when the epoch is
@@ -51,6 +55,17 @@ Slot = Tuple[str, str]
 def tokenize_text(text: str) -> List[str]:
     """Lower-case word tokens of a text value."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def union_of(found: Iterable[Optional[Set[int]]]) -> Optional[Set[int]]:
+    """The union of index answers, one per probed value; None as soon as
+    one is None (the index cannot answer for that value)."""
+    union: Set[int] = set()
+    for positions in found:
+        if positions is None:
+            return None
+        union |= positions
+    return union
 
 
 class KeyIndex:
@@ -514,14 +529,3 @@ class InvertedIndex:
             ]
         matches.sort(key=lambda token: (len(token), token))
         return matches[:limit]
-
-    def matching_values(self, relation: str, attribute: str, phrase: str) -> Set[Any]:
-        """Distinct values of ``relation.attribute`` containing *phrase*."""
-        table = self._tables[relation]
-        col_idx = table.schema.column_index(attribute)
-        needle = phrase.lower()
-        return {
-            row[col_idx]
-            for row in table.rows
-            if row[col_idx] is not None and needle in str(row[col_idx]).lower()
-        }

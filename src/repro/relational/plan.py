@@ -396,12 +396,7 @@ class CompiledPlan:
             return None
         projected = {scan._own_column(item.expr) for item in select.items}
         key = scan.schema.primary_key
-        table = self.database.table(scan.table_name)
-        if (
-            None in projected
-            or not set(key) <= projected
-            or not getattr(table, "enforce_key", True)
-        ):
+        if None in projected or not set(key) <= projected:
             return None
         return key
 

@@ -57,11 +57,12 @@ _NUMERIC_TYPES = (DataType.INT, DataType.FLOAT)
 class IndexLookup:
     """How one pushed-down predicate is answered from an index.
 
-    ``positions()`` returns candidate row positions, ascending (a
-    superset of the matching rows for ``numeric-eq``, exact for the
-    others) or None when the index cannot answer; the scan verifies
-    candidates with the compiled predicate either way.  Results are
-    memoized per version of the table probed, as an ``array('I')``.
+    ``positions()`` returns candidate row positions, ascending, from the
+    database's one probe (``database.candidates``: a superset of the
+    matching rows for ``numeric-eq`` and on disk, exact otherwise) or
+    None when the index cannot answer; the scan verifies candidates with
+    the compiled predicate either way.  Results are memoized per version
+    of the table probed, as an ``array('I')``.
     """
 
     __slots__ = ("kind", "table", "column", "value", "_cached", "_cached_version", "_lock")
@@ -82,20 +83,9 @@ class IndexLookup:
         with self._lock:
             if self._cached_version == version:
                 return self._cached
-        if self.kind == "contains":
-            found = database.text_index.positions_for_contains(
-                self.table, self.column, self.value
-            )
-        elif self.kind == "numeric-eq":
-            found = database.numeric_index.positions_for_value(
-                self.table, self.column, self.value
-            )
-        elif self.kind == "hash-eq":
-            found = database.hash_index(self.table, (self.column,)).positions(
-                (self.value,)
-            )
-        else:  # 'never': comparison against NULL matches nothing
-            found = ()
+        found: Optional[Set[int]] = set()  # 'never': NULL comparison matches nothing
+        if self.kind != "never":
+            found = database.candidates(self.kind, self.table, self.column, (self.value,))
         positions = None if found is None else array("I", sorted(found))
         with self._lock:
             self._cached = positions
@@ -353,20 +343,11 @@ class TableScan:
         self, database: Database, column: str, keys: Set[Any]
     ) -> Optional[Set[int]]:
         """Candidate positions of rows whose *column* is one of *keys*,
-        through the seams :class:`IndexLookup` uses; None when the index
-        cannot answer for some key."""
-        found: List[Optional[Set[int]]]
-        if self._dtype(column) in _NUMERIC_TYPES:
-            index = database.numeric_index
-            found = [
-                index.positions_for_value(self.table_name, column, key) for key in keys
-            ]
-        else:
-            hashed = database.hash_index(self.table_name, (column,))
-            found = [hashed.positions((key,)) for key in keys]
-        if None in found:
-            return None
-        return set().union(*found)  # type: ignore[arg-type]
+        from the index :class:`IndexLookup` would use; None when the
+        index cannot answer for some key."""
+        numeric = self._dtype(column) in _NUMERIC_TYPES
+        kind = "numeric-eq" if numeric else "hash-eq"
+        return database.candidates(kind, self.table_name, column, keys)
 
     def execute(
         self,

@@ -39,9 +39,8 @@ Row = Tuple[Any, ...]
 class Table:
     """In-memory storage of one relation's rows."""
 
-    def __init__(self, schema: RelationSchema, enforce_key: bool = True) -> None:
+    def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
-        self.enforce_key = enforce_key
         self._rows: List[Row] = []
         self._key_indices = tuple(schema.column_index(col) for col in schema.primary_key)
         self._epoch = 0
@@ -101,7 +100,7 @@ class Table:
             batch.extend(map(self._coerce, rows))
         except Exception as exc:  # raised below, once the rows before it are in
             failure = exc
-        clash = self.key_index.clash(batch) if self.enforce_key else None
+        clash = self.key_index.clash(batch)
         if clash is not None:
             failure = self._key_error(batch[clash])
             del batch[clash:]
@@ -124,7 +123,7 @@ class Table:
         changed.update(values)
         new = self._coerce([changed[name] for name in self.schema.column_names])
         moved = any(new[i] != old[i] for i in self._key_indices)
-        if moved and self.enforce_key and self.key_index.clash([new]) is not None:
+        if moved and self.key_index.clash([new]) is not None:
             raise self._key_error(new)  # before anything moves
         self._rows[position] = new
         self._epoch += 1

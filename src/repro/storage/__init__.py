@@ -7,21 +7,23 @@ in **heap files** of column-wise pages decoded a page at a time
 fixed-capacity **LRU buffer pool** (pin/unpin, dirty write-back,
 hit/miss/eviction counters), and three secondary index families answer
 the access paths :class:`~repro.relational.plan.CompiledPlan` pushes
-down:
+down, each one kind of
+:meth:`~repro.storage.engine.StorageEngine.candidates`:
 
 * :class:`~repro.storage.bptree.BPlusTree` — numeric point and range
-  probes (the ``NumericIndex`` seam);
-* :class:`~repro.storage.hashindex.HashFile` — text equality (the
-  ``hash_index`` seam);
+  probes (``numeric-eq``; ``NumericIndex`` in memory);
+* :class:`~repro.storage.hashindex.HashFile` — text equality
+  (``hash-eq``; a ``KeyIndex`` in memory);
 * :class:`~repro.storage.spimi.SpimiIndex` — keyword ``contains``
   matching via block-sorted postings spilled and k-way merged, SPIMI
-  style (the ``InvertedIndex`` seam).
+  style (``contains``; ``InvertedIndex`` in memory).
 
 :func:`~repro.storage.materialize.materialize` lays a whole
 :class:`~repro.relational.database.Database` out as a directory of these
 files (manifest written last, atomically, so half-written directories
 are detected and rebuilt), and :class:`~repro.storage.engine.StorageEngine`
-opens one for execution and appends to it in place when the source
+opens one for execution — it is the database the executor reads, its
+heap files the tables — and appends to it in place when the source
 tables gain rows.  The registered ``disk`` backend
 (:class:`~repro.backends.disk.DiskBackend`) is the public face.
 

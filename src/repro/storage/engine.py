@@ -2,25 +2,26 @@
 
 :class:`StorageEngine` opens a directory written by
 :func:`~repro.storage.materialize.materialize` — one buffer pool shared
-by every heap and index file — and exposes it as a
-:class:`DiskDatabase`, a duck-typed stand-in for
-:class:`~repro.relational.database.Database` implementing exactly the
-surface :class:`~repro.relational.executor.Executor` and the operators of
-:class:`~repro.relational.plan.CompiledPlan` consume:
+by every heap and index file — and is itself what
+:class:`~repro.relational.executor.Executor` and the operators of
+:class:`~repro.relational.plan.CompiledPlan` read on the disk tier.  It
+answers the three calls they make of a
+:class:`~repro.relational.database.Database`:
 
-* ``schema`` / ``table(name)`` → :class:`DiskTable`, whose
-  ``columns(indexes[, positions])`` decodes only the minipages a scan
-  names, whose ``rows`` is a lazy page-at-a-time sequence
-  (:class:`~repro.storage.heap.HeapRows`) and whose ``version`` is the source table's version as of the last
-  rebuild or append, so the executor's plan cache, ``IndexLookup`` memos
-  and statistics follow a write exactly as they do in memory;
+* ``table(name)`` → the table's :class:`~repro.storage.heap.HeapFile`,
+  whose ``columns(indexes[, positions])`` decodes only the minipages a
+  scan names, whose ``rows`` is a lazy page-at-a-time sequence
+  (:class:`~repro.storage.heap.HeapRows`) and whose ``version`` is the
+  source table's version as of the last rebuild or append, so the
+  executor's plan cache, ``IndexLookup`` memos and statistics follow a
+  write exactly as they do in memory;
 * ``versions(names)`` — those versions, in order;
-* ``text_index`` / ``numeric_index`` / ``hash_index(...)`` — adapters
-  answering index probes from the on-disk SPIMI, B+-tree and hash
-  structures.  Each may return a *superset* of the matching positions
-  (float-keyed trees, hash collisions, unverified ``contains``
-  candidates): sound, because the compiled plan re-verifies every
-  candidate row against its predicate closures.
+* ``candidates(kind, table, column, values)`` — index probes answered
+  from the on-disk SPIMI, B+-tree and hash structures.  The answer may
+  be a *superset* of the matching positions (float-keyed trees, hash
+  collisions, unverified ``contains`` candidates): sound, because the
+  compiled plan re-verifies every candidate row against its predicate
+  closures.
 
 Writes come in one shape: :meth:`StorageEngine.append` grows the open
 directory in place by the rows the source tables gained — through the
@@ -34,14 +35,14 @@ Anything else (update, delete) is a full rebuild, which is
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StorageError, UnknownTableError
-from repro.relational.index import tokenize_text
-from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.relational.index import tokenize_text, union_of
+from repro.relational.schema import DatabaseSchema
 from repro.storage.bptree import BPlusTree
 from repro.storage.hashindex import HashFile
-from repro.storage.heap import HeapFile, HeapRows
+from repro.storage.heap import HeapFile
 from repro.storage.materialize import (
     DELTA_DICT_FILE,
     DELTA_POSTINGS_FILE,
@@ -56,7 +57,7 @@ from repro.storage.materialize import (
 from repro.storage.pager import BufferPool, Pager
 from repro.storage.spimi import DEFAULT_BLOCK_BUDGET, SpimiIndex
 
-__all__ = ["DEFAULT_POOL_CAPACITY", "DiskDatabase", "DiskTable", "StorageEngine"]
+__all__ = ["DEFAULT_POOL_CAPACITY", "StorageEngine"]
 
 DEFAULT_POOL_CAPACITY = 64
 
@@ -101,7 +102,6 @@ class StorageEngine:
         except Exception:
             self.close()
             raise
-        self.database = DiskDatabase(self)
 
     def _register(self, file_name: str) -> str:
         pager = Pager(os.path.join(self.directory, file_name), self.page_size)
@@ -110,6 +110,7 @@ class StorageEngine:
         return file_name
 
     def _open_files(self) -> None:
+        epochs = manifest_versions(self.manifest)
         for table_name, entry in self.manifest["tables"].items():
             relation = self.schema.find_relation(table_name)
             if relation is None:
@@ -122,6 +123,7 @@ class StorageEngine:
                 self._register(entry["heap"]),
                 relation,
                 entry["page_counts"],
+                epoch=epochs[table_name][0],
             )
             if self._heaps[table_name].row_count != entry["rows"]:
                 raise StorageError(
@@ -132,6 +134,59 @@ class StorageEngine:
                 self._bpt_files[(table_name, column)] = self._register(file_name)
             for column, file_name in entry["hash"].items():
                 self._hash_files[(table_name, column)] = self._register(file_name)
+
+    # ------------------------------------------------------------------
+    # What the executor reads
+    # ------------------------------------------------------------------
+    def table(self, name: str) -> HeapFile:
+        """The heap file of table *name*: the executor's table."""
+        heap = self._heaps.get(name)
+        if heap is None:
+            raise UnknownTableError(
+                f"no table {name!r} in database {self.schema.name!r}"
+            )
+        return heap
+
+    def versions(self, table_names: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
+        """The :attr:`HeapFile.version` of each named table, in order."""
+        return tuple(self.table(name).version for name in table_names)
+
+    def candidates(
+        self, kind: str, table: str, column: str, values: Iterable[Any]
+    ) -> Optional[Set[int]]:
+        """Candidate positions of the rows of *table* whose *column*
+        matches one of *values*: ``contains`` from the SPIMI index,
+        ``numeric-eq`` from the column's B+-tree, ``hash-eq`` from its
+        hash file — a superset the compiled plan verifies.  None when
+        the structure cannot answer for some value: a column of the
+        other family, a value ``float()`` rejects, a phrase with no
+        token (the scan reads the table instead)."""
+        found: Iterable[Optional[Set[int]]]
+        if kind == "contains":
+            if self.table(table).schema.column(column).dtype not in TEXTUAL:
+                return None
+            found = (
+                self.spimi.candidate_positions(tokens[0], table, column)
+                if tokens else None
+                for tokens in map(tokenize_text, values)
+            )
+        elif kind == "numeric-eq":
+            tree = self.bptree(table, column)
+            if tree is None:
+                return None
+            found = (_tree_probe(tree, value) for value in values)
+        elif kind == "hash-eq":
+            index = self.hash_file(table, column)
+            if index is None:
+                raise StorageError(f"no hash file for {table}.{column}")
+            # text columns hold only str (or NULL): another type matches nothing
+            found = (
+                index.positions(value) if isinstance(value, str) else set()
+                for value in values
+            )
+        else:
+            raise StorageError(f"unknown index probe {kind!r}")
+        return union_of(found)
 
     # ------------------------------------------------------------------
     # Handles (index objects constructed on first probe)
@@ -165,10 +220,6 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Append in place
     # ------------------------------------------------------------------
-    def epoch(self, table_name: str) -> int:
-        """The source table's epoch the directory was built under."""
-        return manifest_versions(self.manifest)[table_name][0]
-
     def append(self, database: Any, block_budget: int = DEFAULT_BLOCK_BUDGET) -> int:
         """Append to every table the rows *database* holds beyond those
         materialized; returns how many.  The caller has checked that
@@ -253,152 +304,13 @@ class StorageEngine:
         )
 
 
-class DiskTable:
-    """Duck-typed ``Table``: schema plus a lazy on-disk row sequence."""
 
-    __slots__ = ("schema", "_heap", "_epoch")
-
-    def __init__(self, schema: RelationSchema, heap: HeapFile, epoch: int) -> None:
-        self.schema = schema
-        self._heap = heap
-        self._epoch = epoch
-
-    @property
-    def rows(self) -> HeapRows:
-        return self._heap.rows
-
-    def columns(
-        self, indexes: Sequence[int], positions: Optional[Sequence[int]] = None
-    ) -> List[List[Any]]:
-        """What the executor's scans read (:meth:`HeapFile.columns`)."""
-        return self._heap.columns(indexes, positions)
-
-    @property
-    def version(self) -> Tuple[int, int]:
-        """The source table's ``(epoch, rows)`` this directory holds: the
-        epoch is fixed for the engine's lifetime (a new one means a
-        rebuild, and a new engine), the rows grow with every append."""
-        return (self._epoch, self._heap.row_count)
-
-    def __len__(self) -> int:
-        return self._heap.row_count
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DiskTable({self.schema.name!r}, rows={len(self)})"
-
-
-class _DiskTextIndex:
-    """``contains`` probes from the SPIMI index (candidate supersets)."""
-
-    def __init__(self, engine: StorageEngine) -> None:
-        self._engine = engine
-
-    def positions_for_contains(
-        self, relation: str, attribute: str, phrase: str
-    ) -> Optional[Set[int]]:
-        schema = self._engine.schema.find_relation(relation)
-        if schema is None:
-            return None
-        if schema.column(attribute).dtype not in TEXTUAL:
-            return None  # only text columns are indexed; scan instead
-        tokens = tokenize_text(phrase)
-        if not tokens:
-            return None
-        return self._engine.spimi.candidate_positions(tokens[0], relation, attribute)
-
-
-class _DiskNumericIndex:
-    """``numeric-eq`` probes from the per-column B+-trees."""
-
-    def __init__(self, engine: StorageEngine) -> None:
-        self._engine = engine
-
-    def positions_for_value(
-        self, relation: str, attribute: str, value: Any
-    ) -> Optional[Set[int]]:
-        try:
-            needle = float(value)
-        except (TypeError, ValueError):
-            return None
-        tree = self._engine.bptree(relation, attribute)
-        if tree is None:
-            return None  # not a materialized numeric column; scan instead
-        return set(tree.search_eq(needle))
-
-
-class _DiskHashAdapter:
-    """Single-text-column ``hash-eq`` probes from a :class:`HashFile`."""
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: HashFile) -> None:
-        self._index = index
-
-    def positions(self, key: Tuple[Any, ...]) -> Set[int]:
-        (value,) = tuple(key)
-        if not isinstance(value, str):
-            return set()  # text columns hold only str/None; no match
-        return self._index.positions(value)
-
-
-class DiskDatabase:
-    """Duck-typed ``Database`` over a :class:`StorageEngine`."""
-
-    def __init__(self, engine: StorageEngine) -> None:
-        self._engine = engine
-        self.schema = engine.schema
-        self._tables: Dict[str, DiskTable] = {}
-        self._text_index = _DiskTextIndex(engine)
-        self._numeric_index = _DiskNumericIndex(engine)
-
-    def versions(self, table_names: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
-        """The :attr:`DiskTable.version` of each named table, in order."""
-        return tuple(self.table(name).version for name in table_names)
-
-    def table(self, name: str) -> DiskTable:
-        table = self._tables.get(name)
-        if table is None:
-            relation = self.schema.find_relation(name)
-            if relation is None:
-                raise UnknownTableError(
-                    f"no table {name!r} in database {self.schema.name!r}"
-                )
-            table = self._tables.setdefault(
-                name,
-                DiskTable(relation, self._engine.heap(name), self._engine.epoch(name)),
-            )
-        return table
-
-    def tables(self) -> List[DiskTable]:
-        return [self.table(relation.name) for relation in self.schema]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.schema
-
-    # ------------------------------------------------------------------
-    # Index seams consumed by IndexLookup.positions
-    # ------------------------------------------------------------------
-    @property
-    def text_index(self) -> _DiskTextIndex:
-        return self._text_index
-
-    @property
-    def numeric_index(self) -> _DiskNumericIndex:
-        return self._numeric_index
-
-    def hash_index(self, table_name: str, columns: Sequence[str]) -> _DiskHashAdapter:
-        """The on-disk hash file of ``table(column)``: the executor probes
-        a hash index on one TEXT/DATE column only, and
-        :func:`~repro.storage.materialize.materialize` writes one for
-        every such column."""
-        (column,) = columns
-        index = self._engine.hash_file(table_name, column)
-        if index is None:
-            raise StorageError(f"no hash file for {table_name}.{column}")
-        return _DiskHashAdapter(index)
-
-    def row_counts(self) -> Dict[str, int]:
-        return {relation.name: len(self.table(relation.name)) for relation in self.schema}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DiskDatabase({self.schema.name!r}, dir={self._engine.directory!r})"
+def _tree_probe(tree: BPlusTree, value: Any) -> Optional[Set[int]]:
+    """Positions keyed ``float(value)`` in *tree*; None when ``float()``
+    rejects *value* (not a number, or an integer beyond float range):
+    the tree holds no such key, and the scan verifies instead."""
+    try:
+        needle = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return set(tree.search_eq(needle))

@@ -24,7 +24,14 @@ the same frame.
   executor (statistics, index fallbacks, tests): a point read
   binary-searches the per-page row counts and builds the one tuple, a
   scan zips one page's columns at a time;
-* ``len(heap)`` — from the per-page row counts, no I/O.
+* ``len(heap)`` — from the per-page row counts, no I/O;
+* ``heap.version`` — the source table's ``(epoch, rows)``, which the
+  executor's plans, memos and statistics are stamped with.
+
+The disk tier's executor reads a heap file as its table
+(:meth:`~repro.storage.engine.StorageEngine.table`), through the same
+``schema``, ``rows``, ``columns``, ``version`` and ``len`` a
+:class:`~repro.relational.table.Table` offers.
 
 Row *positions* are the same dense 0..n-1 insertion-order positions the
 in-memory indexes use, so position sets computed by the disk indexes
@@ -100,14 +107,24 @@ class HeapFile:
         file_id: str,
         schema: RelationSchema,
         page_counts: Sequence[int],
+        epoch: int = 0,
     ) -> None:
         self.pool = pool
         self.file_id = file_id
         self.schema = schema
+        self.epoch = epoch
         self.page_counts = list(page_counts)
         # cumulative[i] == first row position on page i+1
         self._cumulative = list(accumulate(self.page_counts))
         self.row_count = self._cumulative[-1] if self._cumulative else 0
+
+    @property
+    def version(self) -> Tuple[int, int]:
+        """The source table's ``(epoch, rows)`` this file holds: the
+        epoch the directory was built under, fixed while the file is
+        open (a new one means a rebuild, and a new file handle), and the
+        rows, which grow with every append."""
+        return (self.epoch, self.row_count)
 
     @property
     def page_count(self) -> int:

@@ -74,10 +74,6 @@ class SpimiBuilder:
         self._entries: List[Tuple[str, str, str, int]] = []
         self._finalized = False
 
-    @property
-    def blocks_spilled(self) -> int:
-        return len(self.block_paths)
-
     def add(self, token: str, relation: str, attribute: str, position: int) -> None:
         """Record one (token, slot, position) occurrence."""
         self._entries.append((token, relation, attribute, position))

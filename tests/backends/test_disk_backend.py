@@ -59,6 +59,19 @@ class TestFidelity:
             backend.close()
 
 
+    def test_int_literal_beyond_float_range_scans_instead(self):
+        """A numeric literal ``float()`` rejects is no B+-tree key: the
+        index probe answers None and the scan verifies, as in memory."""
+        sql = f'SELECT o.orderkey FROM "Order" o WHERE o.amount = {"9" * 400}'
+        backend = create_backend("disk", generate_scaled("tpch", sf=1.0))
+        try:
+            assert backend.execute(sql).rows == []
+            pushed = backend._executor.plan_for(parse(sql)).explain().splitlines()[1]
+            assert pushed.endswith("9]") and " via NumericIndex[Order.amount ~ 999" in pushed
+        finally:
+            backend.close()
+
+
 class TestPageBudget:
     def test_scaled_dataset_sweeps_within_budget(self):
         """A dataset several times the pool must run a join/group-by

@@ -112,10 +112,6 @@ class TestInvertedIndex:
     def test_empty_phrase(self, index):
         assert index.match_phrase("") == []
 
-    def test_matching_values(self, index):
-        values = index.matching_values("Part", "pname", "royal")
-        assert values == {"royal olive"}
-
     def test_int_columns_not_indexed(self):
         idx = InvertedIndex()
         idx.add_tables([make_parts()])

@@ -51,13 +51,6 @@ class TestInsert:
         with pytest.raises(DuplicateKeyError):
             student_table.insert((None, "George", 22))
 
-    def test_unenforced_key_allows_duplicates(self):
-        schema = RelationSchema("R", [Column("a", INT)], ["a"])
-        table = Table(schema, enforce_key=False)
-        table.insert((1,))
-        table.insert((1,))
-        assert len(table) == 2
-
     def test_insert_dict(self, student_table):
         row = student_table.insert_dict({"Sid": "s1", "Sname": "Green"})
         assert row == ("s1", "Green", None)

@@ -297,7 +297,7 @@ class TestParentManifest:
         assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
         engine = StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
         try:
-            table = engine.database.table("T")
+            table = engine.table("T")
             assert table.version == db.table("T").version == (0, 4)
             assert list(table.rows) == db.table("T").rows
             db.load("T", MORE)
@@ -321,8 +321,7 @@ class TestStorageEngine:
         materialize(db, str(tmp_path), page_size=PAGE)
         engine = StorageEngine(str(tmp_path), db.schema, pool_capacity=8)
         try:
-            disk_db = engine.database
-            assert list(disk_db.table("T").rows) == list(db.table("T").rows)
+            assert list(engine.table("T").rows) == list(db.table("T").rows)
             tree = engine.bptree("T", "score")
             assert tree is not None and tree.search_eq(2.5) == [1]
             hash_file = engine.hash_file("T", "name")

@@ -416,6 +416,23 @@ class TestRules:
         assert [code for code, _ in findings] == ["LR010", "LR010"]
         assert "ShardedDatabase.data_version" in findings[1][1]
 
+    def test_lr010_storage_engine_version_defined(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "storage/x.py",
+            """
+            class StorageEngine:
+                @property
+                def version(self):
+                    return (0, 0)
+
+                def versions(self, table_names):  # per table: fine
+                    return ()
+            """,
+        )
+        assert [code for code, _ in findings] == ["LR010"]
+        assert "StorageEngine.version" in findings[0][1]
+
     def test_lr010_database_wide_version_read(self, tmp_path):
         findings = lint_source(
             tmp_path,
