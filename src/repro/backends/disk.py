@@ -17,13 +17,18 @@ down.
 The directory follows each table's :attr:`~repro.relational.table.Table.
 version`, lazily, like the SQLite backend: the first ``execute`` after a
 write compares versions table by table.  Where tables only gained rows,
-they are appended in place (:meth:`~repro.storage.engine.StorageEngine.
-append`) and the open engine, its pool and the executor with its plans
-and statistics carry on; an update or delete (an epoch bump), or a
-stale or half-written directory — manifests are written last,
-atomically — is rebuilt whole.  With no ``path`` given, the backend
-materializes into a private temporary directory removed on
-:meth:`close`.
+the rows are appended to the heap files in place
+(:meth:`~repro.storage.engine.StorageEngine.append`) and the open
+engine, its pool and the executor with its plans and statistics carry
+on; the index files cover each table's first ``indexed`` rows, and a
+probe hands the rows past them (the tail) to the plan to verify.  Once
+a table's tail would outgrow its indexed rows, the directory is rebuilt
+whole instead — a *fold*, which indexes every row again, so the limit
+doubles each time and each row is indexed O(1) times amortized.  An
+update or delete (an epoch bump), or a stale or half-written directory
+— manifests are written last, atomically — is rebuilt whole too.  With
+no ``path`` given, the backend materializes into a private temporary
+directory removed on :meth:`close`.
 
 Buffer-pool counters (hits, misses, evictions, write-backs, pins) are
 emitted as tracer counter deltas after every statement, flowing into the
@@ -139,9 +144,11 @@ class DiskBackend(Backend):
             held = self._engine.versions(names)
             wanted = database.versions(names)
             if held != wanted:
+                indexed = self._engine.indexed
+                # rows only appended, and no tail longer than its prefix
                 if all(
-                    have[0] == want[0] and have[1] <= want[1]
-                    for have, want in zip(held, wanted)
+                    have[0] == want[0] and have[1] <= want[1] <= 2 * indexed[name]
+                    for name, have, want in zip(names, held, wanted)
                 ):
                     self._append(database, tracer)
                 else:
@@ -150,11 +157,11 @@ class DiskBackend(Backend):
         return self._executor
 
     def _append(self, database: Database, tracer: Any) -> None:
-        """Tables only gained rows: grow the open directory in place."""
+        """Tables only gained rows: grow the open heap files in place."""
         assert self._engine is not None
         with tracer.span("materialize", backend=self.name, path=self.directory):
             try:
-                rows = self._engine.append(database, self.block_budget)
+                rows = self._engine.append(database)
             except BaseException:
                 # half-appended, manifest gone: rebuild next time
                 self._engine.close()

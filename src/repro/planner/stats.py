@@ -9,8 +9,9 @@ value range for INT columns).  That is everything the planner reads:
 pushed predicates are estimated by running their closures over the
 sample, joins and GROUP BY from NDV.
 
-:class:`TablePass` is that single pass as an object: the reservoir, the
-generator's state, null counts, min/max and the row total.  Because a
+:class:`TablePass` is that single pass as an object: the reservoir and
+its value counts, the generator's state, null counts, min/max and the
+row total.  Because a
 reservoir pass over ``rows[:n]`` followed by ``rows[n:]`` *is* the pass
 over ``rows``, :class:`StatisticsCatalog` keeps each table's pass and,
 when the table's version says "same epoch, more rows", continues it over
@@ -134,6 +135,10 @@ class TablePass:
     ``rows[n:]`` leaves the same state — reservoir contents *and* order,
     generator state, counts, extremes — as feeding ``rows`` at once,
     which is what lets the catalog continue a pass after an append.
+    Once a profile has counted the reservoir's values per column, the
+    counts are kept as rows enter and leave it, so a profile after a
+    short catch-up does not recount the sample — while a first pass
+    counts once, at its end.
     """
 
     def __init__(
@@ -153,6 +158,9 @@ class TablePass:
         self._maximums: List[Optional[Any]] = [None] * width
         self._min_keys: List[Any] = [None] * width
         self._max_keys: List[Any] = [None] * width
+        #: per column, how often each non-NULL value is in the reservoir;
+        #: counted by the first profile, then kept as rows enter and leave
+        self._counts: Optional[List[Dict[Any, int]]] = None
         #: rows fed so far
         self.total = 0
 
@@ -166,15 +174,21 @@ class TablePass:
         nulls = self._nulls
         minimums, maximums = self._minimums, self._maximums
         min_keys, max_keys = self._min_keys, self._max_keys
+        counts = self._counts
         total = self.total
         sample_size = max(1, self.config.sample_size)
         for row in rows:
             total += 1
             if len(reservoir) < sample_size:
                 reservoir.append(tuple(row))
+                if counts is not None:
+                    _count(counts, row, 1)
             else:
                 slot = rng.randrange(total)
                 if slot < sample_size:
+                    if counts is not None:
+                        _count(counts, reservoir[slot], -1)
+                        _count(counts, row, 1)
                     reservoir[slot] = tuple(row)
             for index in range(width):
                 value = row[index]
@@ -194,15 +208,13 @@ class TablePass:
         """The profile of the rows fed so far."""
         total = self.total
         reservoir = self._reservoir
+        if self._counts is None:
+            self._counts = [{} for _ in self.column_names]
+            for row in reservoir:
+                _count(self._counts, row, 1)
         columns = []
         for index, name in enumerate(self.column_names):
-            counts: Dict[Any, int] = {}
-            for row in reservoir:
-                value = row[index]
-                if value is None:
-                    continue
-                counts[value] = counts.get(value, 0) + 1
-            ndv = estimate_ndv(counts, total, len(reservoir))
+            ndv = estimate_ndv(self._counts[index], total, len(reservoir))
             low, high = self._minimums[index], self._maximums[index]
             if type(low) is int and type(high) is int:
                 # an INT column cannot hold more distinct values than its
@@ -223,6 +235,19 @@ class TablePass:
             sample=tuple(reservoir),
             columns=tuple(columns),
         )
+
+
+def _count(counts: List[Dict[Any, int]], row: Any, step: int) -> None:
+    """Add *step* to each column's count of *row*'s non-NULL value,
+    dropping a value whose count falls to 0."""
+    for column, value in zip(counts, row):
+        if value is None:
+            continue
+        held = column.get(value, 0) + step
+        if held:
+            column[value] = held
+        else:
+            del column[value]
 
 
 def profile_table(

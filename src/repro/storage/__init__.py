@@ -23,8 +23,10 @@ down, each one kind of
 files (manifest written last, atomically, so half-written directories
 are detected and rebuilt), and :class:`~repro.storage.engine.StorageEngine`
 opens one for execution — it is the database the executor reads, its
-heap files the tables — and appends to it in place when the source
-tables gain rows.  The registered ``disk`` backend
+heap files the tables — and appends to its heap files in place when the
+source tables gain rows.  Each table's index files cover a recorded
+prefix of its rows; every probe adds the rows past it, the tail, for the
+plan to verify.  The registered ``disk`` backend
 (:class:`~repro.backends.disk.DiskBackend`) is the public face.
 
 This package is the only place in the repo allowed to touch file-I/O

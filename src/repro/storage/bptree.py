@@ -26,18 +26,15 @@ Layout (one page file, accessed through the buffer pool):
   chained through ``next`` (``NO_PAGE`` terminates), so duplicates and
   ranges that span leaves are a forward walk.
 
-Search descends with ``bisect_left`` (landing on the leftmost leaf that
-can hold a key); insert descends with ``bisect_right`` (equal keys go to
-the end of their run), splitting overfull nodes bottom-up and growing a
-new root when the old one splits.  Leaves are sized in bytes:
-:meth:`BPlusTree.bulk_build` packs sorted pairs into leaves as full as
-they encode and builds the internal levels bottom-up — the
-materializer's path; :meth:`BPlusTree.insert_many` is the path of rows
-appended afterwards (:meth:`repro.storage.engine.StorageEngine.append`):
-each leaf a batch touches is decoded and re-encoded once, and halved by
-positions until it fits.  Appended positions ascend, so a run stays in
-position order, as a bulk build leaves it.  A node is decoded once per
-residency: the frame keeps it (:attr:`~repro.storage.pager.Frame.decoded`).
+Search descends with ``bisect_left``, landing on the leftmost leaf that
+can hold a key.  A tree is written once, by :meth:`BPlusTree.bulk_build`
+— the materializer's path: sorted pairs are packed into leaves as full
+as they encode (sized in bytes), and the internal levels are built
+bottom-up.  Rows appended afterwards are not inserted: the tree covers
+the table's first ``indexed`` rows, and
+:meth:`repro.storage.engine.StorageEngine.candidates` adds the rows past
+them to every answer.  A node is decoded once per residency: the frame
+keeps it (:attr:`~repro.storage.pager.Frame.decoded`).
 """
 
 from __future__ import annotations
@@ -218,49 +215,6 @@ def _packed_leaves(items: Iterable[Pair], page_size: int) -> Iterator[_Node]:
         yield _Node.leaf(keys, counts, positions)
 
 
-def _merged(leaf: _Node, pairs: Sequence[Pair]) -> _Node:
-    """A new leaf: *leaf* plus *pairs* (sorted by key), each at the end of
-    its key's run — one pass over both."""
-    old_keys, starts, old_positions = leaf.keys, leaf.starts, leaf.positions
-    keys: List[float] = []
-    counts: List[int] = []
-    positions: List[int] = []
-    copied = 0  # the leaf's keys before this one are in the new lists
-    for key, group in groupby(pairs, key=itemgetter(0)):
-        at = bisect_right(old_keys, key, copied)
-        keys += old_keys[copied:at]
-        counts += map(sub, starts[copied + 1:at + 1], starts[copied:at])
-        positions += old_positions[starts[copied]:starts[at]]
-        copied = at
-        added = [position for _, position in group]
-        if keys and keys[-1] == key:
-            counts[-1] += len(added)
-        else:
-            keys.append(key)
-            counts.append(len(added))
-        positions += added
-    keys += old_keys[copied:]
-    counts += map(sub, starts[copied + 1:], starts[copied:])
-    positions += old_positions[starts[copied]:]
-    return _Node.leaf(keys, counts, positions, leaf.next)
-
-
-def _halves(leaf: _Node) -> Tuple[_Node, _Node]:
-    """*leaf* cut in two at the middle position, inside a run if it falls
-    there (both halves then carry that key); chained left to right."""
-    starts, middle = leaf.starts, len(leaf.positions) // 2
-    run = bisect_right(starts, middle) - 1
-    cut = run + (starts[run] < middle)
-    right = _Node(
-        leaf.keys[run:],
-        [0] + [start - middle for start in starts[run + 1:]],
-        leaf.positions[middle:],
-        next_no=leaf.next,
-    )
-    left = _Node(leaf.keys[:cut], list(starts[:cut]) + [middle], leaf.positions[:middle])
-    return left, right
-
-
 class BPlusTree:
     """B+-tree over ``(pool, file_id)``; see module docstring."""
 
@@ -405,74 +359,6 @@ class BPlusTree:
         return page_no
 
     # ------------------------------------------------------------------
-    # Incremental insert
-    # ------------------------------------------------------------------
-    def insert(self, key: float, value: int) -> None:
-        """Insert one pair at the end of its key's run."""
-        self.insert_many([(key, value)])
-
-    def insert_many(self, pairs: Iterable[Pair]) -> None:
-        """Insert *pairs* as :meth:`insert` would one by one, but decoding
-        and re-encoding each leaf they touch once."""
-        batch = sorted(pairs, key=itemgetter(0))  # stable: a run keeps call order
-        start = 0
-        while start < len(batch):
-            start = self._insert_into_leaf(batch, start)
-
-    def _insert_into_leaf(self, batch: List[Pair], start: int) -> int:
-        """Merge ``batch[start]`` and the pairs after it that descend to
-        the same leaf into that leaf; returns where the rest start."""
-        key = batch[start][0]
-        path: List[Tuple[int, int]] = []  # (page_no, child index taken)
-        bound: Optional[float] = None  # the leaf holds keys below it
-        page_no = self._root
-        node = self._read_node(page_no)
-        while not node.is_leaf:
-            index = bisect_right(node.keys, key)
-            if index < len(node.keys):
-                bound = node.keys[index]
-            path.append((page_no, index))
-            page_no = node.children[index]
-            node = self._read_node(page_no)
-        stop = start + 1
-        while stop < len(batch) and (bound is None or batch[stop][0] < bound):
-            stop += 1
-
-        # Write the leaf (split if it must be); then propagate new
-        # children while parents overflow.
-        entries = self._write_leaf(_merged(node, batch[start:stop]), page_no)
-        while entries and path:
-            parent_no, index = path.pop()
-            parent = self._read_node(parent_no)
-            children = list(zip(parent.children, [0.0] + parent.keys))
-            children[index + 1:index + 1] = entries
-            first, *rest = _groups(children, self.internal_capacity + 1)
-            self._write(_internal(first), parent_no)
-            entries = [(self._write(_internal(group)), group[0][1]) for group in rest]
-        if entries:
-            # whatever just split with an empty path was the old root
-            self._build_internal_levels([(self._root, 0.0)] + entries)
-        return stop
-
-    def _write_leaf(self, leaf: _Node, page_no: int) -> List[Tuple[int, float]]:
-        """Write *leaf* at *page_no*, halved into leaves chained on new
-        pages until each fits; returns ``(page, first key)`` of those.
-        A leaf with more positions than the header counts is halved
-        unencoded."""
-        if len(leaf.positions) <= 0xFFFF:  # the u16 counts; no more keys than positions
-            raw = _encode(leaf)
-            if len(raw) <= self.page_size:
-                self._put(raw, page_no)
-                return []
-        left, right = _halves(leaf)
-        left.next = self._reserve()
-        return (
-            self._write_leaf(left, page_no)
-            + [(left.next, right.keys[0])]
-            + self._write_leaf(right, left.next)
-        )
-
-    # ------------------------------------------------------------------
     # Node / meta I/O (all page access funnels through the pool)
     # ------------------------------------------------------------------
     def _read_meta(self) -> int:
@@ -519,9 +405,7 @@ class BPlusTree:
 
     def _write(self, node: _Node, page_no: Optional[int] = None) -> int:
         """Encode *node* onto *page_no*, or onto a new page; returns the page."""
-        return self._put(_encode(node), page_no)
-
-    def _put(self, raw: bytes, page_no: Optional[int] = None) -> int:
+        raw = _encode(node)
         if len(raw) > self.page_size:
             raise StorageError(
                 f"{self.file_id}: a {len(raw)}-byte node, page size {self.page_size}"

@@ -19,17 +19,22 @@ answers the three calls they make of a
 * ``candidates(kind, table, column, values)`` — index probes answered
   from the on-disk SPIMI, B+-tree and hash structures.  The answer may
   be a *superset* of the matching positions (float-keyed trees, hash
-  collisions, unverified ``contains`` candidates): sound, because the
-  compiled plan re-verifies every candidate row against its predicate
-  closures.
+  collisions, unverified ``contains`` candidates, the tail below):
+  sound, because the compiled plan re-verifies every candidate row
+  against its predicate closures.
 
-Writes come in one shape: :meth:`StorageEngine.append` grows the open
-directory in place by the rows the source tables gained — through the
-same pool, so the page budget holds while it runs and every handle
-(heaps, trees, hash files, the executor above them) stays valid.
-Anything else (update, delete) is a full rebuild, which is
-:class:`~repro.backends.disk.DiskBackend`'s decision; ``docs/STORAGE.md``
-§Writes has the protocol and its crash ordering.
+A table's index files cover a *prefix* of its rows, the first
+``indexed[table]`` (recorded in the manifest); the rows past them are
+its *tail*, and every answer ``candidates`` gives includes the tail
+whole.  Writes come in one shape: :meth:`StorageEngine.append` grows the
+heap files by the rows the source tables gained and leaves the index
+files alone, so the tail grows — through the same pool, so the page
+budget holds while it runs and every handle (heaps, trees, hash files,
+the executor above them) stays valid.  Anything else (update, delete)
+is a full rebuild, and so is a *fold* — once a tail outgrows its
+table's indexed rows — both :class:`~repro.backends.disk.DiskBackend`'s
+decision; ``docs/STORAGE.md`` §Writes has the protocol and its crash
+ordering.
 """
 
 from __future__ import annotations
@@ -44,18 +49,14 @@ from repro.storage.bptree import BPlusTree
 from repro.storage.hashindex import HashFile
 from repro.storage.heap import HeapFile
 from repro.storage.materialize import (
-    DELTA_DICT_FILE,
-    DELTA_POSTINGS_FILE,
     MANIFEST_FILE,
-    NUMERIC,
     TEXTUAL,
-    column_items,
     load_manifest,
     manifest_versions,
     write_manifest,
 )
 from repro.storage.pager import BufferPool, Pager
-from repro.storage.spimi import DEFAULT_BLOCK_BUDGET, SpimiIndex
+from repro.storage.spimi import SpimiIndex
 
 __all__ = ["DEFAULT_POOL_CAPACITY", "StorageEngine"]
 
@@ -87,6 +88,9 @@ class StorageEngine:
         self._bptrees: Dict[Tuple[str, str], BPlusTree] = {}
         self._hash_files: Dict[Tuple[str, str], str] = {}
         self._hashes: Dict[Tuple[str, str], HashFile] = {}
+        #: per table, the rows its index files cover: the rows before
+        #: the tail, fixed while the engine is open
+        self.indexed: Dict[str, int] = {}
         try:
             self._open_files()
             spimi = self.manifest["spimi"]
@@ -94,11 +98,6 @@ class StorageEngine:
                 os.path.join(self.directory, spimi["postings"]),
                 os.path.join(self.directory, spimi["dict"]),
             )
-            if "delta" in spimi:
-                self.spimi.delta = SpimiIndex(
-                    os.path.join(self.directory, spimi["delta"]["postings"]),
-                    os.path.join(self.directory, spimi["delta"]["dict"]),
-                )
         except Exception:
             self.close()
             raise
@@ -130,6 +129,12 @@ class StorageEngine:
                     f"{table_name}: manifest rows {entry['rows']} != "
                     f"page counts total {self._heaps[table_name].row_count}"
                 )
+            if not 0 <= entry["indexed"] <= entry["rows"]:
+                raise StorageError(
+                    f"{table_name}: {entry['indexed']} rows indexed of "
+                    f"{entry['rows']}"
+                )
+            self.indexed[table_name] = entry["indexed"]
             for column, file_name in entry["numeric"].items():
                 self._bpt_files[(table_name, column)] = self._register(file_name)
             for column, file_name in entry["hash"].items():
@@ -157,10 +162,10 @@ class StorageEngine:
         """Candidate positions of the rows of *table* whose *column*
         matches one of *values*: ``contains`` from the SPIMI index,
         ``numeric-eq`` from the column's B+-tree, ``hash-eq`` from its
-        hash file — a superset the compiled plan verifies.  None when
-        the structure cannot answer for some value: a column of the
-        other family, a value ``float()`` rejects, a phrase with no
-        token (the scan reads the table instead)."""
+        hash file, plus the table's tail — a superset the compiled plan
+        verifies.  None when the structure cannot answer for some value:
+        a column of the other family, a value ``float()`` rejects, a
+        phrase with no token (the scan reads the table instead)."""
         found: Iterable[Optional[Set[int]]]
         if kind == "contains":
             if self.table(table).schema.column(column).dtype not in TEXTUAL:
@@ -186,7 +191,10 @@ class StorageEngine:
             )
         else:
             raise StorageError(f"unknown index probe {kind!r}")
-        return union_of(found)
+        answer = union_of(found)
+        if answer is not None:
+            answer.update(range(self.indexed[table], self.table(table).row_count))
+        return answer
 
     # ------------------------------------------------------------------
     # Handles (index objects constructed on first probe)
@@ -220,59 +228,34 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Append in place
     # ------------------------------------------------------------------
-    def append(self, database: Any, block_budget: int = DEFAULT_BLOCK_BUDGET) -> int:
-        """Append to every table the rows *database* holds beyond those
-        materialized; returns how many.  The caller has checked that
-        this is all that differs (same epochs, no table shorter).
+    def append(self, database: Any) -> int:
+        """Append to every heap file the rows *database* holds beyond
+        those materialized; returns how many.  The index files are not
+        touched: the rows join their tables' tails.  The caller has
+        checked that this is all that differs (same epochs, no table
+        shorter).
 
         Order is the rebuild's: the manifest goes first, so a crash
         anywhere below leaves a directory that reads as stale; then the
-        heaps, trees, hash files and the SPIMI delta segment, flushed
-        and synced; then the new manifest with the new row counts and
-        file sizes."""
+        heap pages, flushed, and the files the flush wrote synced; then
+        the new manifest with the new row counts and file sizes."""
         manifest_path = os.path.join(self.directory, MANIFEST_FILE)
         if os.path.exists(manifest_path):
             os.unlink(manifest_path)
-        tokens: List[Tuple[str, str, str, int]] = []
         appended = 0
-        for relation in self.schema:
-            name = relation.name
-            heap = self._heaps[name]
+        for name, heap in self._heaps.items():
             start = heap.row_count
             source = database.table(name)
             stop = source.version[1]
             if stop == start:
                 continue
-            rows = source.rows[start:stop]
-            heap.append(rows)
-            for col_idx, column in enumerate(relation.columns):
-                if column.dtype in NUMERIC:
-                    tree = self.bptree(name, column.name)
-                    tree.insert_many(column_items(rows, col_idx, float, start))
-                elif column.dtype in TEXTUAL:
-                    items = list(column_items(rows, col_idx, str, start))
-                    self.hash_file(name, column.name).insert_many(items)
-                    for value, pos in items:
-                        tokens.extend(
-                            (token, name, column.name, pos)
-                            for token in set(tokenize_text(value))
-                        )
+            heap.append(source.rows[start:stop])
             entry = self.manifest["tables"][name]
             entry["rows"] = heap.row_count
             entry["page_counts"] = list(heap.page_counts)
             appended += stop - start
-        if tokens:
-            spimi = self.manifest["spimi"]
-            spimi["delta"] = {"postings": DELTA_POSTINGS_FILE, "dict": DELTA_DICT_FILE}
-            self.spimi.append(
-                tokens,
-                os.path.join(self.directory, DELTA_POSTINGS_FILE),
-                os.path.join(self.directory, DELTA_DICT_FILE),
-                block_budget,
-            )
-        self.pool.flush()
-        for pager in self._pagers:
-            pager.sync()
+        for file_id in self.pool.flush():
+            self.pool.pager(file_id).sync()
         self.manifest["totals"] = {
             "rows": sum(heap.row_count for heap in self._heaps.values()),
             "pages": sum(heap.page_count for heap in self._heaps.values()),

@@ -2,12 +2,13 @@
 
 Disk counterpart of the ``hash-eq`` seam of
 :class:`~repro.relational.plan.IndexLookup` (which always probes a
-single TEXT/DATE column with a string literal).  The index is built by a
-materialization over the column's non-NULL values, sized for them; rows
-appended afterwards go through :meth:`HashFile.insert_many` into their
-bucket's chain, which grows by overflow pages until the next materialization
-sizes the table again.  So a *static* hash table suffices — no
-directories, no splits.
+single TEXT/DATE column with a string literal).  The index is built once, by a
+materialization over the column's non-NULL values, and sized for them.
+Rows appended afterwards are not inserted: the file covers the table's
+first ``indexed`` rows, and
+:meth:`repro.storage.engine.StorageEngine.candidates` adds the rows past
+them to every answer.  So a *static* hash table suffices — no
+directories, no splits, no inserts.
 
 Layout (one page file)::
 
@@ -58,8 +59,6 @@ _FILL = 0.75
 
 #: what one bucket page holds: ``(hash, positions)`` entries
 Entries = List[Tuple[int, List[int]]]
-#: a bucket page as :meth:`HashFile._scan` reads it for one hash
-Bucket = Tuple[List[Tuple[int, int]], int, int, int]
 
 
 def hash_key(value: str) -> int:
@@ -111,7 +110,7 @@ def _chain(entries: Entries, page_size: int) -> List[Entries]:
 
 
 class HashFile:
-    """Handle over a built hash-index page file: probes, and inserts."""
+    """Handle over a built hash-index page file: probes."""
 
     def __init__(self, pool: BufferPool, file_id: str) -> None:
         self.pool = pool
@@ -173,11 +172,10 @@ class HashFile:
             pager.close()
         return buckets
 
-    def _scan(self, frame: Frame, needle: int) -> Bucket:
+    def _scan(self, frame: Frame, needle: int) -> Tuple[List[Tuple[int, int]], int]:
         """A pinned bucket page read from its entry headers alone:
-        ``(count, offset)`` of each entry of hash *needle*, the number of
-        entries, the next overflow page, and the offset just past the
-        entries."""
+        ``(count, offset)`` of each entry of hash *needle*, and the next
+        overflow page."""
         data = frame.data
         try:
             entries, next_no = _BUCKET_HEADER.unpack_from(data, 0)
@@ -197,7 +195,7 @@ class HashFile:
             raise StorageError(
                 f"{self.file_id}: corrupt bucket page {frame.page_no} ({exc})"
             ) from exc
-        return matches, entries, next_no, offset
+        return matches, next_no
 
     # ------------------------------------------------------------------
     # Probe
@@ -211,82 +209,12 @@ class HashFile:
         while page_no != _NO_PAGE:
             frame = self.pool.pin(self.file_id, page_no)
             try:
-                matches, _, page_no, _ = self._scan(frame, needle)
+                matches, page_no = self._scan(frame, needle)
                 for count, offset in matches:
                     found.update(unpack_uints(frame.data, offset + _ENTRY.size, count)[0])
             finally:
                 self.pool.unpin(frame)
         return found
-
-    # ------------------------------------------------------------------
-    # Insert
-    # ------------------------------------------------------------------
-    def insert(self, value: str, position: int) -> None:
-        """Add one ``(value, position)`` pair."""
-        self.insert_many([(value, position)])
-
-    def insert_many(self, items: Iterable[Tuple[str, int]]) -> None:
-        """Add ``(value, position)`` pairs, the new positions of a hash
-        together: at the end of the chain's last entry of the hash if that
-        entry's page still holds them, else in an entry of their own on
-        the chain's last page, or on new overflow pages linked after it.
-        One page is pinned at a time."""
-        for hashed, positions in _by_hash(items).items():
-            page_no = (hashed % self.buckets) + 1
-            holder = None  # the chain's last page with an entry of *hashed*, scanned
-            while True:
-                frame = self.pool.pin(self.file_id, page_no)
-                try:
-                    bucket = self._scan(frame, hashed)
-                finally:
-                    self.pool.unpin(frame)
-                if bucket[0]:
-                    holder = page_no, bucket
-                if bucket[2] == _NO_PAGE:
-                    break
-                page_no = bucket[2]
-            if holder is not None and self._add(*holder, hashed, positions, extend=True):
-                continue
-            if self._add(page_no, bucket, hashed, positions, extend=False):
-                continue
-            next_no = _NO_PAGE
-            for entries in reversed(_chain([(hashed, positions)], self._page_size)):
-                fresh = self.pool.new_page(self.file_id)
-                fresh.data[:] = _page(entries, next_no, self._page_size)
-                self.pool.unpin(fresh, dirty=True)
-                next_no = fresh.page_no
-            frame = self.pool.pin(self.file_id, page_no)
-            try:
-                _BUCKET_HEADER.pack_into(frame.data, 0, bucket[1], next_no)
-            finally:
-                self.pool.unpin(frame, dirty=True)
-
-    def _add(
-        self, page_no: int, bucket: Bucket, hashed: int, positions: List[int], extend: bool
-    ) -> bool:
-        """Put *positions* on bucket page *page_no*, as *bucket* scanned
-        it: at the end of the page's last entry of *hashed* if *extend*,
-        else in an entry of their own after the others.  False, the page
-        untouched, if it would overflow."""
-        matches, entries, next_no, used = bucket
-        frame = self.pool.pin(self.file_id, page_no)
-        fits = False
-        try:
-            data = frame.data
-            start = stop = used
-            held: Sequence[int] = ()
-            if extend:
-                count, start = matches[-1]
-                held, stop = unpack_uints(data, start + _ENTRY.size, count)
-            raw = _entry(hashed, [*held, *positions])
-            fits = used + len(raw) - (stop - start) <= self._page_size
-            if fits:
-                data[start:stop] = raw  # the entries after it move up ...
-                del data[self._page_size:]  # ... into the page's unused tail
-                _BUCKET_HEADER.pack_into(data, 0, entries + (not extend), next_no)
-        finally:
-            self.pool.unpin(frame, dirty=fits)
-        return fits
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HashFile({self.file_id!r}, buckets={self.buckets})"

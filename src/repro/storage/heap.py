@@ -23,7 +23,8 @@ the same frame.
   sequence over them — whole rows, for everything that is not the
   executor (statistics, index fallbacks, tests): a point read
   binary-searches the per-page row counts and builds the one tuple, a
-  scan zips one page's columns at a time;
+  scan — and a slice, such as the statistics catch-up's
+  ``rows[seen:]`` — zips one page's columns at a time;
 * ``len(heap)`` — from the per-page row counts, no I/O;
 * ``heap.version`` — the source table's ``(epoch, rows)``, which the
   executor's plans, memos and statistics are stamped with.
@@ -266,10 +267,12 @@ class HeapRows(Sequence[Row]):
 
     def __getitem__(self, position):  # type: ignore[override]
         if isinstance(position, slice):
-            return [
-                self._heap.row(pos)
-                for pos in range(*position.indices(self._heap.row_count))
-            ]
+            # a page at a time, however many of its rows the slice takes
+            wanted = range(*position.indices(self._heap.row_count))
+            ascending = wanted if wanted.step > 0 else wanted[::-1]
+            every = range(len(self._heap.schema.columns))
+            rows = list(zip(*self._heap.columns(every, ascending)))
+            return rows if wanted.step > 0 else rows[::-1]
         if position < 0:
             position += self._heap.row_count
         return self._heap.row(position)

@@ -10,17 +10,19 @@
 * ``postings.bin`` + ``postings.dict.json`` — one SPIMI inverted index
   over every text column of every table, serving ``contains`` lookups;
 * ``MANIFEST.json`` — written **last**, atomically (tmp + ``os.replace``);
-  its ``format`` (:data:`MANIFEST_FORMAT`, 3) names the file layouts.
+  its ``format`` (:data:`MANIFEST_FORMAT`, 4) names the file layouts.
 
 Every index file stores each distinct key once — a B+-tree key, a hash,
 a token's slot — followed by the positions carrying it, as one
 width-coded unsigned array (:func:`~repro.storage.page.pack_uints`).
 
-An in-place append (:meth:`repro.storage.engine.StorageEngine.append`)
-later grows the heap and index files and adds ``postings.delta.bin`` +
-``postings.delta.dict.json``, the postings of the appended rows; the
-next :func:`materialize` folds them back into the base and removes
-them.
+The index files of a table cover a *prefix* of its rows: the first
+``indexed``, which the manifest records per table.  :func:`materialize`
+indexes every row; an in-place append
+(:meth:`repro.storage.engine.StorageEngine.append`) then grows only the
+heap files, and the rows past ``indexed`` — the *tail* — are handed to
+the plan by every index probe, to verify like any other candidate.  The
+next :func:`materialize` (a *fold*) indexes the tail too.
 
 Crash consistency is manifest-ordering, not journaling: a rebuild *and*
 an append first *delete* the manifest, then write the data files, then
@@ -60,15 +62,14 @@ __all__ = [
 ]
 
 MANIFEST_FILE = "MANIFEST.json"
-#: 3: index files store each key (hash, token slot) once, with a
+#: 4: each table's index files cover its first ``indexed`` rows; 3:
+#: index files store each key (hash, token slot) once, with a
 #: width-coded position list; 2: column-wise heap pages.  A directory
 #: written under another format reads as stale and is rebuilt, never
 #: decoded.
-MANIFEST_FORMAT = 3
+MANIFEST_FORMAT = 4
 POSTINGS_FILE = "postings.bin"
 DICT_FILE = "postings.dict.json"
-DELTA_POSTINGS_FILE = "postings.delta.bin"
-DELTA_DICT_FILE = "postings.delta.dict.json"
 NUMERIC = (DataType.INT, DataType.FLOAT)
 TEXTUAL = (DataType.TEXT, DataType.DATE)
 #: pool used only while bulk-building B+-trees; independent of (and
@@ -86,9 +87,8 @@ def materialize(
     os.makedirs(directory, exist_ok=True)
     # Invalidate before touching data files: a crash mid-rebuild must not
     # leave an old manifest pointing at half-rewritten files.
-    for stale in (MANIFEST_FILE, DELTA_POSTINGS_FILE, DELTA_DICT_FILE):
-        if os.path.exists(os.path.join(directory, stale)):
-            os.unlink(os.path.join(directory, stale))
+    if os.path.exists(os.path.join(directory, MANIFEST_FILE)):
+        os.unlink(os.path.join(directory, MANIFEST_FILE))
 
     build_pool = BufferPool(_BUILD_POOL_CAPACITY)
     spimi = SpimiBuilder(directory, block_budget)
@@ -105,6 +105,7 @@ def materialize(
         )
         entry: Dict[str, Any] = {
             "rows": len(rows),
+            "indexed": len(rows),
             "heap": heap_file,
             "page_counts": page_counts,
             "numeric": {},
@@ -161,14 +162,12 @@ def column_items(
     rows: Sequence[Tuple[Any, ...]],
     col_idx: int,
     key: Callable[[Any], Any],
-    start: int = 0,
 ) -> Iterator[Tuple[Any, int]]:
     """``(key(value), position)`` of every non-NULL value of one column
-    — what that column's index file holds — for *rows* whose first sits
-    at position *start*."""
+    — what that column's index file holds."""
     return (
         (key(row[col_idx]), pos)
-        for pos, row in enumerate(rows, start)
+        for pos, row in enumerate(rows)
         if row[col_idx] is not None
     )
 
@@ -184,7 +183,6 @@ def write_manifest(directory: str, manifest: Dict[str, Any]) -> None:
         names.extend(entry["hash"].values())
     spimi = manifest["spimi"]
     names += [spimi["postings"], spimi["dict"]]
-    names += spimi.get("delta", {}).values()
     manifest["files"] = {
         name: os.path.getsize(os.path.join(directory, name)) for name in names
     }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.errors import StorageError
 
@@ -161,6 +161,8 @@ class BufferPool:
         self._frames: "OrderedDict[Tuple[str, int], Frame]" = OrderedDict()
         # resident frames with pins > 0 (eviction only takes unpinned ones)
         self._pinned = 0
+        # files a write-back reached since the last flush
+        self._written: Set[str] = set()
         self.stats: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -271,16 +273,21 @@ class BufferPool:
     def _writeback(self, frame: Frame) -> None:
         if frame.dirty:
             self.pager(frame.file_id).write_page(frame.page_no, bytes(frame.data))
+            self._written.add(frame.file_id)
             frame.dirty = False
             self.stats["writebacks"] += 1
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Write every dirty frame back (frames stay resident)."""
+    def flush(self) -> Set[str]:
+        """Write every dirty frame back (frames stay resident); returns
+        the ids of the files written since the last flush — by this one
+        or by an eviction — which are the files to sync."""
         for frame in self._frames.values():
             self._writeback(frame)
+        written, self._written = self._written, set()
+        return written
 
     def drop_file(self, file_id: str) -> None:
         """Forget every frame of one file (without write-back) and its

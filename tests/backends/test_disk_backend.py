@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -135,7 +136,9 @@ class TestPageBudget:
 class TestRematerialization:
     def test_append_is_applied_in_place(self):
         """Rows loaded into one table reach the open engine without a
-        rebuild: same engine, same executor, only the new rows written."""
+        rebuild: same engine, same executor, only the new rows written,
+        to the heap; the index files still cover the rows they did, and
+        a probe finds the new row in the tail."""
         database = university_database()
         tracer = Tracer()
         backend = DiskBackend(pool_capacity=16)
@@ -154,7 +157,35 @@ class TestRematerialization:
             assert tracer.registry.counter("materialized_rows") == loaded + 1
             manifest = backend.storage_manifest()
             assert manifest["tables"]["Student"]["rows"] == before + 1
-            assert "delta" in manifest["spimi"]
+            assert manifest["tables"]["Student"]["indexed"] == before
+        finally:
+            backend.close()
+
+    def test_a_tail_longer_than_its_prefix_folds(self):
+        """Appends are taken in place while a table's tail is no longer
+        than its indexed rows; the one that would make it longer rebuilds
+        the directory, indexing every row, so the limit doubles."""
+        database = university_database()
+        tracer = Tracer()
+        backend = DiskBackend(pool_capacity=16)
+        count = parse("SELECT COUNT(*) FROM Course")
+        try:
+            backend.load(database, tracer=tracer)
+            indexed = len(database.table("Course").rows)
+            rows = [
+                (f"f{i}", f"Folded {i}", 1.0 + i % 3)
+                for i in range(2 * indexed + 1)
+            ]
+            database.load("Course", rows[:indexed])  # the tail == the prefix
+            assert backend.execute(count, tracer=tracer).scalar() == 2 * indexed
+            assert tracer.registry.counter("materializations") == 1
+            database.load("Course", rows[indexed:])  # one row more: a fold
+            assert backend.execute(count, tracer=tracer).scalar() == 3 * indexed + 1
+            assert tracer.registry.counter("materializations") == 2
+            entry = backend.storage_manifest()["tables"]["Course"]
+            assert entry["indexed"] == entry["rows"] == 3 * indexed + 1
+            named = parse("SELECT Code FROM Course WHERE Title LIKE '%folded 4%'")
+            assert backend.execute(named).column("Code") == ["f4"]
         finally:
             backend.close()
 
@@ -173,8 +204,9 @@ class TestRematerialization:
             database.table("Student").delete(key)
             assert backend.execute(count, tracer=tracer).scalar() == before - 1
             assert tracer.registry.counter("materializations") == 2
-            assert backend.storage_manifest()["tables"]["Student"]["epoch"] == 1
-            assert "delta" not in backend.storage_manifest()["spimi"]
+            entry = backend.storage_manifest()["tables"]["Student"]
+            assert entry["epoch"] == 1
+            assert entry["indexed"] == entry["rows"] == before - 1
         finally:
             backend.close()
 
@@ -234,6 +266,51 @@ class TestRematerialization:
             assert tracer.registry.counter("materialized_rows") == total
             assert tracer.registry.counter("materialized_pages") > 0
             assert tracer.registry.timing("span.materialize") is not None
+        finally:
+            backend.close()
+
+
+class TestConcurrency:
+    def test_readers_beside_appends_and_folds(self):
+        """Threads reading while batches are loaded — appends in place
+        and folds, which swap the engine and executor under the
+        backend's lock — each see some whole batch, never a torn one."""
+        database = university_database()
+        backend = DiskBackend(pool_capacity=16)
+        backend.load(database)
+        count = parse("SELECT COUNT(*) FROM Course WHERE Title LIKE '%batch%'")
+        boundaries = [0]
+        seen, errors = set(), []
+        done = threading.Event()
+
+        def read():
+            while not done.is_set():
+                try:
+                    seen.add(backend.execute(count).scalar())
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+                    return
+
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        for reader in readers:
+            reader.start()
+        try:
+            for batch in range(8):
+                size = 2 ** batch
+                database.load("Course", [
+                    (f"b{batch}.{i}", f"Batch {batch}", 1.0) for i in range(size)
+                ])
+                boundaries.append(boundaries[-1] + size)
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join()
+        try:
+            assert not errors, errors
+            assert seen <= set(boundaries)
+            assert backend.execute(count).scalar() == boundaries[-1]
+            entry = backend.storage_manifest()["tables"]["Course"]
+            assert entry["rows"] <= 2 * entry["indexed"]
         finally:
             backend.close()
 

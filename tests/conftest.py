@@ -7,7 +7,9 @@ that need a mutable database build their own.
 
 from __future__ import annotations
 
+import faulthandler
 import os
+import sys
 
 import pytest
 
@@ -22,6 +24,31 @@ from repro.datasets import (
     unnormalized_lecturer_database,
 )
 from repro.engine import KeywordSearchEngine
+
+
+#: a test still running after this long has every thread's stack dumped
+#: to stderr — the test's own frame among them — so that a hang is named
+#: in the log before CI's ``timeout-minutes`` kills the job; the slowest
+#: test takes well under a minute
+HANG_SECONDS = 300
+
+_stderr_fd = -1  # a copy of stderr, made before output capture takes it
+
+
+def pytest_configure(config):
+    global _stderr_fd
+    _stderr_fd = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(_stderr_fd)
+
+
+@pytest.fixture(autouse=True)
+def name_a_hung_test():
+    faulthandler.dump_traceback_later(HANG_SECONDS, file=_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -10,8 +10,11 @@ from scratch over the same rows:
 * in memory — the ``KeyIndex`` order, ``NumericIndex`` and
   ``InvertedIndex`` postings, and the ``TableProfile`` (``==``, sample
   order included);
-* on disk — heap rows (and the heap file's bytes), ``BPlusTree.items()``,
-  ``HashFile.positions`` and the SPIMI base+delta ``postings()``.
+* on disk — heap rows and the heap files' bytes after every write;
+  every index probe, which answers from the index files over the
+  indexed prefix plus the whole tail; and, after every rebuild (an
+  epoch bump, or a fold once a tail outgrew its prefix), every data
+  file byte for byte and the manifest.
 
 They also count full passes and rebuilds, so they cannot pass by
 rebuilding on every write.  The last test is the end-to-end form: the
@@ -172,6 +175,7 @@ def test_disk_structures_equal_from_scratch(writes):
     db = new_database()
     writer = Writer(db)
     tracer = Tracer()
+    rebuilds = 1
     with tempfile.TemporaryDirectory(prefix="write-eq-") as root:
         backend = DiskBackend(
             path=os.path.join(root, "kept"), page_size=PAGE, pool_capacity=4
@@ -179,9 +183,17 @@ def test_disk_structures_equal_from_scratch(writes):
         try:
             backend.load(db, tracer=tracer)
             for step, write in enumerate(writes):
+                indexed = dict(backend._engine.indexed)
+                bumps = writer.epoch_bumps
                 writer.apply(write)
+                # an epoch bump rebuilds; so does a tail longer than its prefix
+                rebuilds += writer.epoch_bumps > bumps or any(
+                    len(db.table(name).rows) > 2 * held
+                    for name, held in indexed.items()
+                )
                 count = backend.execute("SELECT COUNT(*) FROM T", tracer=tracer)
                 assert count.scalar() == len(db.table("T").rows)
+                assert tracer.registry.counter("materializations") == rebuilds
                 scratch_dir = os.path.join(root, f"scratch{step}")
                 materialize(db, scratch_dir, page_size=PAGE)
                 scratch = StorageEngine(scratch_dir, db.schema, pool_capacity=4)
@@ -191,11 +203,12 @@ def test_disk_structures_equal_from_scratch(writes):
                     scratch.close()
         finally:
             backend.close()
-    # appends went in place: only epoch bumps rebuilt the directory
-    assert tracer.registry.counter("materializations") == 1 + writer.epoch_bumps
 
 
 def assert_same_structures(kept, scratch, db):
+    """Heaps equal a fresh build's, rows and bytes; every probe of *kept*
+    is *scratch*'s answer over the indexed prefix plus the tail; and with
+    no tail anywhere every data file and the manifest are *scratch*'s."""
     for relation in db.schema:
         name = relation.name
         rows = db.table(name).rows
@@ -203,31 +216,35 @@ def assert_same_structures(kept, scratch, db):
         assert kept.heap(name).page_counts == scratch.heap(name).page_counts
         for index in range(len(relation.columns)):
             assert kept.heap(name).columns([index]) == [[row[index] for row in rows]]
-        with open(os.path.join(kept.directory, f"{name}.heap"), "rb") as left, open(
-            os.path.join(scratch.directory, f"{name}.heap"), "rb"
-        ) as right:
-            assert left.read() == right.read()
+        assert read(kept, f"{name}.heap") == read(scratch, f"{name}.heap")
+        tail = set(range(kept.indexed[name], len(rows)))
         for index, column in enumerate(relation.columns):
             values = {row[index] for row in rows if row[index] is not None}
             if column.dtype in (DataType.INT, DataType.FLOAT):
-                kept_tree = kept.bptree(name, column.name)
-                assert list(kept_tree.items()) == list(
-                    scratch.bptree(name, column.name).items()
-                )
-                for value in values:
-                    assert sorted(kept_tree.search_eq(float(value))) == [
-                        pos for pos, row in enumerate(rows)
-                        if row[index] is not None and float(row[index]) == float(value)
-                    ]
+                probes = [("numeric-eq", value) for value in values | {-99}]
             else:
-                for value in values:
-                    assert kept.hash_file(name, column.name).positions(
-                        value
-                    ) == scratch.hash_file(name, column.name).positions(value)
-    assert set(kept.spimi.vocabulary()) == set(scratch.spimi.vocabulary())
-    assert len(kept.spimi) == len(scratch.spimi)
-    for token in scratch.spimi.vocabulary():
-        assert kept.spimi.postings(token) == scratch.spimi.postings(token)
+                probes = [
+                    (kind, value)
+                    for value in values | {"absent"}
+                    for kind in ("hash-eq", "contains")
+                ]
+            for kind, value in probes:
+                fresh = scratch.candidates(kind, name, column.name, [value])
+                if fresh is None:
+                    assert kept.candidates(kind, name, column.name, [value]) is None
+                    continue
+                prefix = {pos for pos in fresh if pos < kept.indexed[name]}
+                found = kept.candidates(kind, name, column.name, [value])
+                assert found == prefix | tail
+    if all(kept.indexed[name] == len(db.table(name).rows) for name in kept.indexed):
+        assert kept.manifest == scratch.manifest
+        for file_name in scratch.manifest["files"]:
+            assert read(kept, file_name) == read(scratch, file_name), file_name
+
+
+def read(engine, file_name):
+    with open(os.path.join(engine.directory, file_name), "rb") as handle:
+        return handle.read()
 
 
 def test_three_backends_agree_after_interleaved_writes():

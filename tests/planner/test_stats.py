@@ -6,6 +6,8 @@ import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import run_stats
 from repro.datasets import university_database
@@ -16,6 +18,7 @@ from repro.planner import (
     estimate_ndv,
     profile_table,
 )
+from repro.planner.stats import TablePass
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
@@ -84,6 +87,39 @@ class TestProfileTable:
         b = profile_table("T", ("id", "v", "t"), rows, config)
         assert a == b
         assert a.sampled_rows == 64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.integers(0, 9)),
+                st.sampled_from([None, "a", "b", "c"]),
+            ),
+            max_size=120,
+        ),
+        st.lists(st.integers(0, 120), max_size=4),
+        st.integers(1, 16),
+    )
+    def test_a_pass_fed_in_pieces_equals_one_fed_at_once(self, rows, cuts, sample_size):
+        config = StatsConfig(sample_size=sample_size)
+        whole = TablePass("T", ("v", "t"), config)
+        whole.feed(rows)
+        pieces = TablePass("T", ("v", "t"), config)
+        start = 0
+        for cut in sorted(cuts) + [len(rows)]:
+            pieces.feed(rows[start:cut])
+            pieces.profile()  # what the catalog does after each catch-up
+            start = max(start, cut)
+        assert pieces._reservoir == whole._reservoir
+        assert pieces.profile() == whole.profile()
+        assert pieces._counts == whole._counts
+        # the kept counts are the reservoir's, counted afresh
+        for index, counts in enumerate(pieces._counts):
+            recount = {}
+            for row in whole._reservoir:
+                if row[index] is not None:
+                    recount[row[index]] = recount.get(row[index], 0) + 1
+            assert counts == recount
 
     def test_column_lookup_is_case_insensitive(self):
         profile = profile_table("T", ("Id",), [(1,), (2,)])

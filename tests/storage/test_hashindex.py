@@ -41,32 +41,6 @@ class TestHashFile:
         assert index.positions("dup") == set(range(300))
         assert index.positions("other") == {99}
 
-    def test_insert_fills_the_last_page_then_links_a_new_one(self, tmp_path):
-        # one bucket: an entry is 11 bytes plus a byte per position, so
-        # the "dup" and "other" entries fill the page's 58 bytes at 36
-        # positions; the 37th links an overflow page.  Probes see each
-        # pair as soon as it is in
-        index = open_index(tmp_path, [("dup", 0)])
-        assert index.buckets == 1
-        pages = index.pool.pager(index.file_id)
-        assert pages.page_count == 2  # meta + the one bucket
-        for position in range(1, 61):
-            index.insert("dup" if position % 2 else "other", position)
-            assert index.positions("dup") == {0, *range(1, position + 1, 2)}
-            assert pages.page_count == (2 if position < 36 else 3)
-        assert index.positions("other") == set(range(2, 61, 2))
-
-    def test_insert_needs_one_frame(self, tmp_path):
-        path = str(tmp_path / "one.hash")
-        HashFile.build(path, [("a", 0)], PAGE)
-        pool = BufferPool(1)
-        pool.register("one.hash", Pager(path, PAGE))
-        index = HashFile(pool, "one.hash")
-        for position in range(1, 30):
-            index.insert("a", position)
-        assert index.positions("a") == set(range(30))
-        assert pool.stats["max_resident"] == 1
-
     def test_empty_index(self, tmp_path):
         index = open_index(tmp_path, [])
         assert index.buckets >= 1

@@ -176,6 +176,19 @@ class TestHeapRows:
         assert rows[10:13] == ROWS[10:13]
         assert list(rows) == ROWS
 
+    def test_slices_mirror_lists_and_pin_a_page_once(self, tmp_path):
+        heap, page_counts, pool = open_heap(tmp_path, pool_capacity=2)
+        rows = heap.rows
+        for cut in (
+            slice(None), slice(10, 13), slice(3, 47, 5), slice(-4, None),
+            slice(None, None, -1), slice(40, 2, -3), slice(60, 70), slice(5, 5),
+        ):
+            assert rows[cut] == ROWS[cut], cut
+        before = pool.stats["pins"]
+        assert rows[page_counts[0]:] == ROWS[page_counts[0]:]
+        assert pool.stats["pins"] - before == len(page_counts) - 1
+        assert pool.stats["max_resident"] <= 2
+
     def test_index_errors_mirror_lists(self, tmp_path):
         heap, _, _ = open_heap(tmp_path)
         with pytest.raises((IndexError, StorageError)):

@@ -52,24 +52,15 @@ def open_pool(tmp_path, name, page_size, create=True, capacity=4):
 
 class TestBPlusTreeFormat:
     @settings(max_examples=60, deadline=None)
-    @given(PAGES, BASES, RUNS, RUNS, st.integers(1, 5), st.tuples(KEYS, KEYS).map(sorted))
-    def test_bulk_build_then_inserts_match_a_sorted_list(
-        self, tmp_path_factory, page_size, base, built, inserted, batch, bounds
+    @given(PAGES, BASES, RUNS, st.tuples(KEYS, KEYS).map(sorted))
+    def test_bulk_build_matches_a_sorted_list(
+        self, tmp_path_factory, page_size, base, built, bounds
     ):
         tmp_path = tmp_path_factory.mktemp("bpt")
-        bulk = sorted(pairs_of(built, base))
-        appended = pairs_of(inserted, base + len(bulk))
+        oracle = sorted(pairs_of(built, base))  # by key, then position
         pool, pager = open_pool(tmp_path, "ix.bpt", page_size)
         try:
-            tree = BPlusTree.bulk_build(pool, "ix.bpt", bulk)
-            # interleaved single inserts and batches, in the appended order
-            for start in range(0, len(appended), batch):
-                chunk = appended[start:start + batch]
-                if len(chunk) == 1:
-                    tree.insert(*chunk[0])
-                else:
-                    tree.insert_many(chunk)
-            oracle = sorted(bulk + appended)  # by key, then position
+            tree = BPlusTree.bulk_build(pool, "ix.bpt", oracle)
             assert list(tree.items()) == oracle
             for key in {key for key, _ in oracle} | {4.0}:
                 assert tree.search_eq(key) == oracle_positions(oracle, key, key)
@@ -87,25 +78,12 @@ class TestBPlusTreeFormat:
         pool, pager = open_pool(tmp_path, "ix.bpt", 64)
         try:
             # every other key integral: only -0.0 keeps the leaf f64
-            tree = BPlusTree.bulk_build(pool, "ix.bpt", [(-0.0, 0), (-0.0, 1), (2.0, 2)])
-            tree.insert(-0.0, 3)
+            tree = BPlusTree.bulk_build(
+                pool, "ix.bpt", [(-0.0, 0), (-0.0, 1), (-0.0, 2), (2.0, 3)]
+            )
             keys = [key for key, _ in tree.items()]
             assert [copysign(1.0, key) for key in keys] == [-1.0, -1.0, -1.0, 1.0]
             assert [type(key) for key in keys] == [float] * 4
-        finally:
-            pager.close()
-
-    @pytest.mark.parametrize("built", [0, 3_000])
-    def test_a_batch_a_leaf_header_cannot_count(self, tmp_path, built):
-        """70,000 increasing keys all descend to one leaf — the lone root
-        of an empty tree, or the last leaf — more positions than a leaf's
-        u16 count holds; the leaf is split before it is encoded."""
-        pool, pager = open_pool(tmp_path, "ix.bpt", 4096, capacity=16)
-        try:
-            tree = BPlusTree.bulk_build(pool, "ix.bpt", [(float(i), i) for i in range(built)])
-            tree.insert_many((float(i), i) for i in range(built, built + 70_000))
-            assert list(tree.items()) == [(float(i), i) for i in range(built + 70_000)]
-            assert tree.search_eq(float(built + 69_999)) == [built + 69_999]
         finally:
             pager.close()
 
@@ -127,46 +105,17 @@ class TestBPlusTreeFormat:
 
 class TestHashFileFormat:
     @settings(max_examples=60, deadline=None)
-    @given(
-        PAGES,
-        BASES,
-        st.lists(st.sampled_from("abcdefg"), max_size=150),
-        st.lists(st.sampled_from("aefxyz"), max_size=60),
-        st.integers(1, 40),
-    )
-    def test_positions_match_a_sorted_list(
-        self, tmp_path_factory, page_size, base, built, inserted, batch
-    ):
+    @given(PAGES, BASES, st.lists(st.sampled_from("abcdefg"), max_size=150))
+    def test_positions_match_a_sorted_list(self, tmp_path_factory, page_size, base, built):
         tmp_path = tmp_path_factory.mktemp("hash")
         items = [(value, base + i) for i, value in enumerate(built)]
         path = str(tmp_path / "ix.hash")
         HashFile.build(path, items, page_size)
-        appended = [(value, i) for i, value in enumerate(inserted, base + len(built))]
         pool, pager = open_pool(tmp_path, "ix.hash", page_size, create=False)
         try:
             index = HashFile(pool, "ix.hash")
-            # single inserts and batches, in the appended order
-            for start in range(0, len(appended), batch):
-                chunk = appended[start:start + batch]
-                if len(chunk) == 1:
-                    index.insert(*chunk[0])
-                else:
-                    index.insert_many(chunk)
-            items += appended
             for value in "abcdefgxyz-":
                 assert index.positions(value) == {p for v, p in items if v == value}
-        finally:
-            pager.close()
-
-    def test_a_batch_longer_than_a_page_goes_on_new_overflow_pages(self, tmp_path):
-        path = str(tmp_path / "ix.hash")
-        HashFile.build(path, [("a", 0)], 64)
-        pool, pager = open_pool(tmp_path, "ix.hash", 64, create=False)
-        try:
-            index = HashFile(pool, "ix.hash")
-            index.insert_many([("b", p) for p in range(1, 101)] + [("a", 70_000)])
-            assert index.positions("b") == set(range(1, 101))
-            assert index.positions("a") == {0, 70_000}
         finally:
             pager.close()
 
@@ -180,26 +129,20 @@ class TestSpimiFormat:
                       st.sampled_from([("T", "a"), ("T", "b"), ("U", "a")])),
             max_size=80,
         ),
-        st.integers(0, 30),
         st.integers(1, 50),
     )
-    def test_postings_match_a_sorted_list(self, tmp_path_factory, base, entries, delta, budget):
+    def test_postings_match_a_sorted_list(self, tmp_path_factory, base, entries, budget):
         tmp_path = tmp_path_factory.mktemp("spimi")
         rows = [
             (token, relation, attribute, base + i)
             for i, (token, (relation, attribute)) in enumerate(entries)
         ]
         builder = SpimiBuilder(str(tmp_path), budget)
-        for row in rows[:len(rows) - delta]:
+        for row in rows:
             builder.add(*row)
         builder.finalize(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
         index = SpimiIndex(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
         try:
-            if delta:
-                index.append(
-                    rows[len(rows) - delta:], str(tmp_path / "d.bin"), str(tmp_path / "d.json"),
-                    budget,
-                )
             for token in ["oil", "olive", "royal", "tea", "zzz"]:
                 expected = {}
                 for tok, relation, attribute, position in rows:

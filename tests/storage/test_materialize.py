@@ -91,14 +91,15 @@ class TestManifest:
 
     def test_format_1_directory_is_stale(self, tmp_path):
         """A directory of the record-at-a-time heap format (manifest
-        format 1), or of index files holding a key per position (format
-        2), must be rebuilt, never decoded as this format."""
+        format 1), of index files holding a key per position (format
+        2), or of index files covering every row (format 3), must be
+        rebuilt, never decoded as this format."""
         db = small_db()
-        for old in (1, 2):
+        for old in (1, 2, 3):
             materialize(db, str(tmp_path), page_size=PAGE)
             path = tmp_path / MANIFEST_FILE
             document = json.loads(path.read_text(encoding="utf-8"))
-            assert document["format"] == 3
+            assert document["format"] == 4
             document["format"] = old
             path.write_text(json.dumps(document), encoding="utf-8")
             assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
@@ -186,28 +187,36 @@ def appended(directory, db):
 
 
 class TestAppendCrashShapes:
-    """An append keeps the rebuild's ordering — manifest unlinked first,
-    written last with the new sizes — so every half-done or damaged
-    shape reads as stale and is rebuilt, never decoded."""
+    """An append writes only heap pages, and keeps the rebuild's
+    ordering — manifest unlinked first, written last with the new sizes
+    — so every half-done or damaged shape reads as stale and is
+    rebuilt, never decoded."""
 
     def test_completed_append_is_fresh_and_lists_what_it_touched(self, tmp_path):
         db = small_db()
         before = materialize(db, str(tmp_path), page_size=PAGE)
+        index_bytes = {
+            name: (tmp_path / name).read_bytes()
+            for name in before["files"] if name != "T.heap"
+        }
         manifest = appended(tmp_path, db)
         assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
         assert manifest_versions(manifest) == {"T": (0, 7)}
         assert manifest["totals"]["rows"] == 7
-        added = set(manifest["files"]) - set(before["files"])
-        assert added == {"postings.delta.bin", "postings.delta.dict.json"}
+        # the rows join the tail: the index files still cover the first 4
+        assert manifest["tables"]["T"]["indexed"] == 4
+        assert set(manifest["files"]) == set(before["files"])
         for file_name, size in manifest["files"].items():
             assert os.path.getsize(tmp_path / file_name) == size
+        for name, data in index_bytes.items():
+            assert (tmp_path / name).read_bytes() == data, name
 
     def test_truncated_or_missing_file_is_stale_and_rebuilt(self, tmp_path):
         db = small_db()
         manifest = appended(tmp_path, db)
-        # the heap, every .bpt and .hash, both delta files (and the
-        # untouched base postings): each one truncated, then dropped
-        assert len(manifest["files"]) == 8
+        # the heap, every .bpt and .hash, and the postings: each one
+        # truncated, then dropped
+        assert len(manifest["files"]) == 6
         for file_name in manifest["files"]:
             path = tmp_path / file_name
             intact = path.read_bytes()
@@ -250,15 +259,16 @@ class TestAppendCrashShapes:
         tracer = Tracer()
         try:
             backend.load(db, tracer=tracer)
-            db.load("T", MORE)
+            db.load("T", MORE[:2])  # a tail no longer than the 4 rows indexed
             with monkeypatch.context() as patched:
                 patched.setattr(
-                    "repro.storage.hashindex.HashFile.insert_many",
+                    "repro.storage.heap.HeapFile.append",
                     lambda *args: (_ for _ in ()).throw(StorageError("disk full")),
                 )
                 with pytest.raises(StorageError, match="disk full"):
                     backend.execute("SELECT COUNT(*) FROM T")
-            assert backend.execute("SELECT COUNT(*) FROM T", tracer=tracer).scalar() == 7
+            count = backend.execute("SELECT COUNT(*) FROM T", tracer=tracer)
+            assert count.scalar() == 6
             assert tracer.registry.counter("materializations") == 2
         finally:
             backend.close()
@@ -273,40 +283,36 @@ class TestAppendCrashShapes:
             assert tracer.registry.counter("materializations_reused") == 0
             rows = backend.execute("SELECT id, name, score FROM T").rows
             assert sorted(rows, key=lambda row: row[0]) == db.table("T").rows
-            assert "delta" not in backend.storage_manifest()["spimi"]
+            entry = backend.storage_manifest()["tables"]["T"]
+            assert entry["indexed"] == entry["rows"] == len(db.table("T").rows)
         finally:
             backend.close()
 
 
 class TestParentManifest:
     """The data files a fresh ``materialize()`` writes did not change
-    with per-table versions, only the manifest did: the parent commit's
-    carried one database-wide ``data_version`` and no epochs."""
+    when index files came to cover a recorded prefix, only the manifest
+    did: the parent commit's, format 3, recorded no ``indexed`` counts,
+    and its appends had grown the index files and a SPIMI delta
+    segment.  Such a directory reads as stale and is rebuilt."""
 
     def as_parent_wrote_it(self, directory, db):
         manifest = materialize(db, str(directory), page_size=PAGE)
-        assert not any("epoch" in entry for entry in manifest["tables"].values())
-        manifest["data_version"] = [1, manifest["totals"]["rows"]]
+        manifest["format"] = 3
+        for entry in manifest["tables"].values():
+            del entry["indexed"]
         (directory / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
 
-    def test_opens_serves_and_takes_appends(self, tmp_path):
+    def test_reads_as_stale_and_is_rebuilt(self, tmp_path):
         db = small_db()
         self.as_parent_wrote_it(tmp_path, db)
-        assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-        engine = StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
-        try:
-            table = engine.table("T")
-            assert table.version == db.table("T").version == (0, 4)
-            assert list(table.rows) == db.table("T").rows
-            db.load("T", MORE)
-            engine.append(db)
-            assert list(table.rows) == db.table("T").rows
-            assert engine.hash_file("T", "name").positions("alpha") == {0, 2, 5}
-        finally:
-            engine.close()
-        assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        with pytest.raises(StorageError, match="unsupported manifest format 3"):
+            StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
+        TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
+        assert load_manifest(str(tmp_path))["format"] == 4
 
     def test_is_stale_once_an_epoch_moved(self, tmp_path):
         db = small_db()
@@ -331,6 +337,24 @@ class TestStorageEngine:
             assert engine.bptree("T", "name") is None
             counters = engine.counters()
             assert counters["max_resident"] <= 8
+        finally:
+            engine.close()
+
+    def test_append_syncs_only_the_heap_files_it_wrote(self, tmp_path, monkeypatch):
+        db = small_db()
+        materialize(db, str(tmp_path), page_size=PAGE)
+        engine = StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
+        synced = []
+        monkeypatch.setattr(
+            "repro.storage.pager.Pager.sync", lambda pager: synced.append(pager.path)
+        )
+        try:
+            db.load("T", MORE)
+            engine.append(db)
+            assert [os.path.basename(path) for path in synced] == ["T.heap"]
+            synced.clear()
+            assert engine.append(db) == 0  # nothing new: nothing written
+            assert synced == []
         finally:
             engine.close()
 

@@ -161,6 +161,23 @@ class TestBufferPool:
         assert pool.resident == 1  # flush does not evict
         pager.close()
 
+    def test_flush_names_the_files_written_since_the_last_flush(self, tmp_path):
+        pool = BufferPool(1)
+        pagers = {}
+        for name in ("a", "b", "c"):
+            pagers[name] = make_pager(tmp_path, name=f"{name}.pg", pages=2)
+            pool.register(name, pagers[name])
+        assert pool.flush() == set()
+        frame = pool.pin("a", 0)
+        pool.unpin(frame, dirty=True)
+        pool.unpin(pool.pin("c", 0))  # evicts a:0, writing it back
+        frame = pool.pin("b", 1)
+        pool.unpin(frame, dirty=True)
+        assert pool.flush() == {"a", "b"}  # an eviction's write, and its own
+        assert pool.flush() == set()
+        for pager in pagers.values():
+            pager.close()
+
     def test_unpin_of_unpinned_raises(self, tmp_path):
         pager = make_pager(tmp_path, pages=1)
         pool = BufferPool(2)

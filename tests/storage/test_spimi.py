@@ -118,34 +118,3 @@ class TestSpimiEqualsInMemory:
         finally:
             index.close()
 
-
-class TestDeltaSegment:
-    def test_appended_entries_are_consulted_beside_the_base(self, tmp_path):
-        database = university_database()
-        index, _, _ = build_spimi(tmp_path, database, 10**9)
-        students = len(database.table("Student").rows)
-        slot = ("Student", "Sname")
-        base_green = index.postings("green")[slot]
-        paths = (str(tmp_path / "delta.bin"), str(tmp_path / "delta.json"))
-        try:
-            assert index.delta is None
-            tokens = len(index)
-            index.append(
-                [("green", *slot, students), ("zimmer", *slot, students)], *paths
-            )
-            # an old token gains positions after its base ones; a new
-            # token exists only in the delta
-            assert index.postings("green")[slot] == base_green + [students]
-            assert index.postings("zimmer") == {slot: [students]}
-            assert len(index) == tokens + 1 and "zimmer" in set(index.vocabulary())
-            assert index.candidate_positions("zimm", *slot) == {students}
-            assert index.candidate_positions("green", *slot) == {*base_green, students}
-            # a second append rewrites the segment as old + new, tiny
-            # blocks or not
-            index.append([("zimmer", *slot, students + 1)], *paths, block_budget=1)
-            assert index.postings("zimmer") == {slot: [students, students + 1]}
-            assert index.postings("green")[slot] == base_green + [students]
-            assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
-        finally:
-            index.close()
-
