@@ -18,6 +18,7 @@ from repro.keywords.tags import Tag, TagKind
 from repro.observability import NULL_TRACER
 from repro.orm.graph import OrmSchemaGraph
 from repro.relational.database import Database
+from repro.relational.index import parses_as_number
 from repro.relational.schema import RelationSchema
 
 
@@ -119,6 +120,8 @@ class NormalizedCatalog(Catalog):
 
     def _numeric_matches(self, phrase: str) -> List[ValueHit]:
         hits: List[ValueHit] = []
+        if not parses_as_number(phrase):
+            return hits
         for match in self.database.numeric_index.match_number(phrase):
             count = len(match.row_positions)
             value = float(phrase)

@@ -20,6 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# the one q-error formula lives with the observations it scores (the
+# relational layer may not import the planner)
+from repro.relational.plan import q_error
+
 __all__ = [
     "CostParams",
     "MEMORY_COST_PARAMS",
@@ -28,7 +32,6 @@ __all__ = [
     "seq_scan_cost",
     "index_scan_cost",
     "hash_join_cost",
-    "cross_join_cost",
     "q_error",
 ]
 
@@ -100,16 +103,3 @@ def hash_join_cost(
     )
 
 
-def cross_join_cost(params: CostParams, left_rows: float, right_rows: float) -> float:
-    return params.output_row * max(0.0, left_rows) * max(0.0, right_rows)
-
-
-def q_error(estimated: float, actual: float) -> float:
-    """The symmetric estimation-error ratio ``max(est/act, act/est)``.
-
-    Both quantities are floored at one row so empty results do not
-    divide by zero; a perfect estimate scores 1.0.
-    """
-    estimated = max(1.0, float(estimated))
-    actual = max(1.0, float(actual))
-    return max(estimated / actual, actual / estimated)

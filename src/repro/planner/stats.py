@@ -11,7 +11,8 @@ sample, joins and GROUP BY from NDV.
 
 :class:`TablePass` is that single pass as an object: the reservoir and
 its value counts, the generator's state, null counts, min/max and the
-row total.  Because a
+row total, fed a table's columns :data:`CHUNK_ROWS` rows at a time
+(:func:`feed_table`).  Because a
 reservoir pass over ``rows[:n]`` followed by ``rows[n:]`` *is* the pass
 over ``rows``, :class:`StatisticsCatalog` keeps each table's pass and,
 when the table's version says "same epoch, more rows", continues it over
@@ -32,11 +33,13 @@ import math
 import random
 import threading
 from dataclasses import dataclass
-from itertools import islice
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import chain, compress
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability import NULL_TRACER
 from repro.relational.algebra import null_safe_sort_key
+from repro.relational.types import not_null
 
 __all__ = [
     "StatsConfig",
@@ -56,6 +59,14 @@ DEFAULT_SEED = 2016
 
 #: selectivity assumed for predicates the estimator cannot model
 DEFAULT_PREDICATE_SELECTIVITY = 1.0 / 3.0
+#: rows the catalog reads at a time: a chunk's columns are read, fed to
+#: the pass and dropped, so a pass holds no whole column of a table
+CHUNK_ROWS = 4096
+
+#: value types that order among themselves as
+#: :func:`~repro.relational.algebra.null_safe_sort_key` orders them
+_NUMBERS = {int, float}
+_ALONE = ({str}, {bool})
 
 
 @dataclass(frozen=True)
@@ -128,17 +139,22 @@ def estimate_ndv(sample_counts: Dict[Any, int], rows: int, sampled: int) -> floa
 
 
 class TablePass:
-    """One single pass over a table's rows, resumable.
+    """One single pass over a table's rows, resumable, fed a column at a
+    time.
 
-    :meth:`feed` visits rows exactly once each, in order; :meth:`profile`
-    summarizes everything fed so far.  Feeding ``rows[:n]`` and then
-    ``rows[n:]`` leaves the same state — reservoir contents *and* order,
-    generator state, counts, extremes — as feeding ``rows`` at once,
-    which is what lets the catalog continue a pass after an append.
-    Once a profile has counted the reservoir's values per column, the
-    counts are kept as rows enter and leave it, so a profile after a
-    short catch-up does not recount the sample — while a first pass
-    counts once, at its end.
+    :meth:`feed` takes the next rows as their columns and visits each row
+    exactly once, in order; :meth:`profile` summarizes everything fed so
+    far.  Feeding ``rows[:n]`` and then ``rows[n:]`` leaves the same
+    state — reservoir contents *and* order, generator state, counts,
+    extremes — as feeding ``rows`` at once, which is what lets the
+    catalog continue a pass after an append, and read a table a chunk of
+    rows at a time.  The work is per column: NULLs are counted and the
+    extremes found by builtins, and the reservoir makes one
+    ``randrange`` draw per row past the first ``sample_size``, the draws
+    a row-at-a-time pass makes.  Once a profile has counted the
+    reservoir's values per column, the counts are kept as rows enter and
+    leave it, so a profile after a short catch-up does not recount the
+    sample — while a first pass counts once, at its end.
     """
 
     def __init__(
@@ -156,53 +172,62 @@ class TablePass:
         self._nulls = [0] * width
         self._minimums: List[Optional[Any]] = [None] * width
         self._maximums: List[Optional[Any]] = [None] * width
-        self._min_keys: List[Any] = [None] * width
-        self._max_keys: List[Any] = [None] * width
         #: per column, how often each non-NULL value is in the reservoir;
         #: counted by the first profile, then kept as rows enter and leave
         self._counts: Optional[List[Dict[Any, int]]] = None
         #: rows fed so far
         self.total = 0
 
-    def feed(self, rows: Iterable[Any]) -> None:
-        """Continue the pass over *rows* (any iterable of tuples — an
-        in-memory table's row list or a disk table's lazy heap-backed
-        sequence)."""
-        width = len(self.column_names)
-        rng = self._rng
+    def feed(self, columns: Sequence[Sequence[Any]]) -> None:
+        """Continue the pass over the next rows, given as their columns:
+        one sequence per column name, all of one length (an in-memory
+        table's or a heap file's :meth:`columns`)."""
+        rows = len(columns[0]) if columns else 0
+        self._sample(columns, rows)
+        for index, column in enumerate(columns):
+            nulls = column.count(None)
+            self._nulls[index] += nulls
+            present = list(filter(not_null, column)) if nulls else column
+            if not present:
+                continue
+            low, high = self._minimums[index], self._maximums[index]
+            kinds = set(map(type, present))
+            if low is not None:
+                kinds.update((type(low), type(high)))
+            # where the sort key orders values as they order themselves,
+            # compare the values; either way the first extreme met is kept
+            key = None if kinds <= _NUMBERS or kinds in _ALONE else null_safe_sort_key
+            seen = () if low is None else (low,)
+            self._minimums[index] = min(chain(seen, present), key=key)
+            seen = () if high is None else (high,)
+            self._maximums[index] = max(chain(seen, present), key=key)
+        self.total += rows
+
+    def _sample(self, columns: Sequence[Sequence[Any]], rows: int) -> None:
+        """The reservoir over the next *rows* rows: the first fill it,
+        each later one draws its slot — ``randrange(rows seen so far)`` —
+        and replaces the row there when the slot is inside the sample."""
         reservoir = self._reservoir
-        nulls = self._nulls
-        minimums, maximums = self._minimums, self._maximums
-        min_keys, max_keys = self._min_keys, self._max_keys
         counts = self._counts
-        total = self.total
-        sample_size = max(1, self.config.sample_size)
-        for row in rows:
-            total += 1
-            if len(reservoir) < sample_size:
-                reservoir.append(tuple(row))
-                if counts is not None:
+        size = max(1, self.config.sample_size)
+        fill = min(rows, size - len(reservoir))
+        if fill > 0:
+            entering = list(zip(*[column[:fill] for column in columns]))
+            reservoir += entering
+            if counts is not None:
+                for row in entering:
                     _count(counts, row, 1)
-            else:
-                slot = rng.randrange(total)
-                if slot < sample_size:
-                    if counts is not None:
-                        _count(counts, reservoir[slot], -1)
-                        _count(counts, row, 1)
-                    reservoir[slot] = tuple(row)
-            for index in range(width):
-                value = row[index]
-                if value is None:
-                    nulls[index] += 1
-                    continue
-                key = null_safe_sort_key(value)
-                if minimums[index] is None or key < min_keys[index]:
-                    minimums[index] = value
-                    min_keys[index] = key
-                if maximums[index] is None or key > max_keys[index]:
-                    maximums[index] = value
-                    max_keys[index] = key
-        self.total = total
+        if fill >= rows:
+            return
+        draws = range(self.total + fill + 1, self.total + rows + 1)
+        slots = list(map(self._rng.randrange, draws))
+        for offset in compress(range(fill, rows), map(size.__gt__, slots)):
+            slot = slots[offset - fill]
+            row = tuple(map(itemgetter(offset), columns))
+            if counts is not None:
+                _count(counts, reservoir[slot], -1)
+                _count(counts, row, 1)
+            reservoir[slot] = row
 
     def profile(self) -> TableProfile:
         """The profile of the rows fed so far."""
@@ -259,8 +284,19 @@ def profile_table(
     """Profile one table in a single pass over *rows* (ANALYZE
     semantics: every row is visited exactly once)."""
     table_pass = TablePass(relation, column_names, config)
-    table_pass.feed(rows)
+    table_pass.feed(list(zip(*rows)) or [()] * len(column_names))
     return table_pass.profile()
+
+
+def feed_table(table_pass: TablePass, table: Any, start: int, stop: int) -> None:
+    """Continue *table_pass* over rows ``start..stop`` of *table* (a
+    :class:`~repro.relational.table.Table` or a heap file), reading
+    :data:`CHUNK_ROWS` rows' columns at a time through ``columns(indexes,
+    positions)``: nothing of the table is kept, and no column vector is
+    built that no statement reads."""
+    every = range(len(table.schema.columns))
+    for low in range(start, stop, CHUNK_ROWS):
+        table_pass.feed(table.columns(every, range(low, min(low + CHUNK_ROWS, stop))))
 
 
 class _Kept:
@@ -281,7 +317,8 @@ class StatisticsCatalog:
 
     Accepts anything duck-typed like
     :class:`~repro.relational.database.Database` (``schema``,
-    ``table()`` whose result has ``version`` and ``rows``) — the disk
+    ``table()`` whose result has ``schema``, ``version`` and
+    ``columns(indexes, positions)``) — the disk
     backend's :class:`~repro.storage.engine.StorageEngine`, whose tables
     are its heap files, included.  A profile is served as long as
     its table's version stands; after an append the table's pass is
@@ -317,7 +354,7 @@ class StatisticsCatalog:
             if seen == rows:
                 tracer.count("planner_stats_hits")
                 return kept.profile
-            kept.table_pass.feed(table.rows[seen:rows])
+            feed_table(kept.table_pass, table, seen, rows)
             kept.profile = kept.table_pass.profile()
             tracer.count("planner_stats_catchups")
             tracer.count("planner_stats_rows_profiled", rows - seen)
@@ -332,7 +369,7 @@ class StatisticsCatalog:
             table.schema.name, tuple(table.schema.column_names), self.config
         )
         with tracer.span("analyze_table", relation=table.schema.name):
-            table_pass.feed(islice(table.rows, rows))
+            feed_table(table_pass, table, 0, rows)
         built = table_pass.profile()
         tracer.count("planner_stats_builds")
         tracer.count("planner_stats_rows_profiled", built.rows)

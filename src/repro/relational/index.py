@@ -35,14 +35,16 @@ from __future__ import annotations
 
 import re
 import threading
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
+from math import isnan
 from operator import contains, is_, itemgetter, not_
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import IntegrityError
-from repro.relational.types import DataType
+from repro.relational.types import DataType, not_null
 
 if TYPE_CHECKING:
     from repro.relational.table import Row, Table
@@ -55,6 +57,17 @@ Slot = Tuple[str, str]
 def tokenize_text(text: str) -> List[str]:
     """Lower-case word tokens of a text value."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def parses_as_number(text: str) -> bool:
+    """Whether *text* reads as a number — the only terms
+    :meth:`NumericIndex.match_number` can match, so a matcher asks the
+    index (and builds it, on first use) only for those."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def union_of(found: Iterable[Optional[Set[int]]]) -> Optional[Set[int]]:
@@ -76,7 +89,9 @@ class KeyIndex:
     the order and a probe for a key holding NULL reads the rows."""
 
     def __init__(self, table: Table, columns: Sequence[str]) -> None:
-        self.table = table
+        # weak: the table holds its key index, and a cycle between them
+        # would keep a dropped table's rows until the cyclic collector runs
+        self.table = weakref.proxy(table)
         self.columns = tuple(columns)
         self._key = itemgetter(*map(table.schema.column_index, self.columns))
         # called as (key, None): whether a key holds a NULL
@@ -103,6 +118,8 @@ class KeyIndex:
         keys = list(map(self._key, rows[start:stop]))
         nulls = map(self._null, keys, repeat(None))
         new = sorted(compress(range(len(keys)), map(not_, nulls)), key=keys.__getitem__)
+        if not base:  # a first load: the batch's order is the order
+            return array(_POSITION, map(start.__add__, new))
         view = _Keys(base, rows, self._key)
         merged, cut = array(_POSITION), 0
         for i in new:
@@ -155,8 +172,12 @@ class KeyIndex:
         """The index of the first of *rows* whose key holds a NULL or is
         held by the table or by an earlier one of *rows*, if any."""
         held = bool(self.order)  # no bisecting into an empty table
+        keys = list(map(self._key, rows))
+        if not held and len(set(keys)) == len(keys):
+            if not any(map(self._null, keys, repeat(None))):
+                return None  # a first load of distinct keys: nothing to find
         seen: Set[Any] = set()
-        for at, key in enumerate(map(self._key, rows)):
+        for at, key in enumerate(keys):
             if self._null(key, None) or key in seen or held and self._span(key)[2]:
                 return at
             seen.add(key)
@@ -201,10 +222,11 @@ class _Covered:
         return start, stop
 
 
-def _rows_between(table: Table, start: int, stop: int) -> Iterable[Tuple[int, Row]]:
-    """``(position, row)`` for ``start <= position < stop``."""
-    rows = table.rows if start == 0 else table.rows[start:stop]
-    return zip(range(start, stop), rows)
+def _column(table: Table, col_idx: int, start: int, stop: int) -> List[Any]:
+    """Column *col_idx* of ``rows[start:stop]``, read transiently: no
+    vector is kept on the table for it."""
+    rows = table.rows if start == 0 and stop == len(table.rows) else table.rows[start:stop]
+    return list(map(itemgetter(col_idx), rows))
 
 
 def _sorted_cells(
@@ -213,22 +235,34 @@ def _sorted_cells(
     """Float keys of column *col_idx* over ``rows[start:stop]`` and their
     positions, ordered by key then position.  NULL, NaN and integers
     beyond float range get no key: no probe can match them."""
-    keys: List[float] = []
-    positions: List[int] = []
-    for pos, row in _rows_between(table, start, stop):
-        value = row[col_idx]
-        if value is None:
-            continue
-        try:
-            key = float(value)
-        except OverflowError:
-            continue
-        if key == key:
-            keys.append(key)
-            positions.append(pos)
+    values = _column(table, col_idx, start, stop)
+    positions: Sequence[int] = range(start, stop)
+    if None in values:
+        positions = list(compress(positions, map(not_null, values)))
+        values = list(filter(not_null, values))
+    try:
+        keys = list(map(float, values))
+    except OverflowError:
+        fits = list(map(_fits_float, values))
+        values, positions = list(compress(values, fits)), list(compress(positions, fits))
+        keys = list(map(float, values))
+    if any(map(isnan, keys)):
+        numbers = list(map(not_, map(isnan, keys)))
+        keys, positions = list(compress(keys, numbers)), list(compress(positions, numbers))
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable
-    sorted_keys = array("d", [keys[i] for i in order])
-    return sorted_keys, array(_POSITION, [positions[i] for i in order])
+    # an array fills faster from a list than from an iterator
+    return (
+        array("d", list(map(keys.__getitem__, order))),
+        array(_POSITION, list(map(positions.__getitem__, order))),
+    )
+
+
+def _fits_float(value: Any) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _merge(keys: array, positions: array, new_keys: array, new_positions: array) -> None:
@@ -398,20 +432,35 @@ class InvertedIndex:
         ]
         if not columns or start == stop:
             return
-        postings = self._postings
-        for pos, row in _rows_between(table, start, stop):
-            for col_idx, slot in columns:
-                value = row[col_idx]
+        vectors = [_column(table, col_idx, start, stop) for col_idx, _ in columns]
+        # per slot and value, the posting arrays its rows append to: each
+        # distinct value is tokenized once, where it is first met — which
+        # is where a row-by-row pass would have made those arrays too
+        memos: List[Dict[Any, List[array]]] = [{} for _ in columns]
+        slots = [slot for _, slot in columns]
+        for pos, values in zip(range(start, stop), zip(*vectors)):
+            for slot, memo, value in zip(slots, memos, values):
                 if value is None:
                     continue
-                for token in set(tokenize_text(str(value))):
-                    slots = postings.get(token)
-                    if slots is None:
-                        slots = postings[token] = {}
-                    positions = slots.get(slot)
-                    if positions is None:
-                        positions = slots[slot] = array(_POSITION)
+                arrays = memo.get(value)
+                if arrays is None:
+                    arrays = memo[value] = self._arrays(slot, value)
+                for positions in arrays:
                     positions.append(pos)
+
+    def _arrays(self, slot: Slot, value: Any) -> List[array]:
+        """The posting arrays of *value*'s tokens in *slot*, made where
+        missing (caller holds ``_lock``)."""
+        arrays = []
+        for token in set(tokenize_text(str(value))):
+            slots = self._postings.get(token)
+            if slots is None:
+                slots = self._postings[token] = {}
+            positions = slots.get(slot)
+            if positions is None:
+                positions = slots[slot] = array(_POSITION)
+            arrays.append(positions)
+        return arrays
 
     def _forget(self, relation: str) -> None:
         """Drop every posting of *relation* (caller holds ``_lock``)."""

@@ -91,12 +91,11 @@ def _encode_cell(value: Any) -> str:
 
 
 def _decode_cell(text: str, dtype: DataType) -> Any:
+    """A CSV cell as :meth:`~repro.relational.table.Table.extend` takes
+    it: ``""`` is NULL, a BOOL is spelled out; numbers stay text, which
+    the table's load converts a column at a time."""
     if text == "":
         return None
-    if dtype is DataType.INT:
-        return int(text)
-    if dtype is DataType.FLOAT:
-        return float(text)
     if dtype is DataType.BOOL:
         return text.lower() == "true"
     return text

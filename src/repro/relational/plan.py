@@ -92,6 +92,17 @@ def _has_parameter(expr: Expr) -> bool:
     )
 
 
+def q_error(estimated: float, actual: float) -> float:
+    """The symmetric estimation-error ratio ``max(est/act, act/est)``.
+
+    Both quantities are floored at one row so empty results do not
+    divide by zero; a perfect estimate scores 1.0.
+    """
+    estimated = max(1.0, float(estimated))
+    actual = max(1.0, float(actual))
+    return max(estimated / actual, actual / estimated)
+
+
 class Observation(NamedTuple):
     """One executed operator: estimated vs. actual output rows, and the
     time it took."""
@@ -103,10 +114,8 @@ class Observation(NamedTuple):
 
     @property
     def q_error(self) -> float:
-        """``max(est/actual, actual/est)`` with both floored at one row."""
-        estimated = max(1.0, float(self.estimated))
-        actual = max(1.0, float(self.actual))
-        return max(estimated / actual, actual / estimated)
+        """:func:`q_error` of this operator's estimate and actual rows."""
+        return q_error(self.estimated, self.actual)
 
 
 class PlanRun:

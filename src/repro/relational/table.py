@@ -26,18 +26,29 @@ only gained rows; dropped when the epoch moved.
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateKeyError, IntegrityError, SchemaError
 from repro.relational.index import KeyIndex
 from repro.relational.schema import RelationSchema
-from repro.relational.types import coerce
+from repro.relational.types import coerce_column
 
 Row = Tuple[Any, ...]
 
 
 class Table:
-    """In-memory storage of one relation's rows."""
+    """In-memory storage of one relation's rows.
+
+    Rows come in a batch at a time (:meth:`extend`; :meth:`insert` is a
+    batch of one) and are checked a column at a time: the widths over
+    the batch, then each column's value types at once
+    (:func:`~repro.relational.types.coerce_column`).  A column whose
+    values already have their types is left as given — a batch of
+    tuples that needs no conversion is stored as the caller's tuples —
+    and only a column that needs converting (an ``int`` in a FLOAT
+    column, numbers read as text) is converted, value by value, as
+    :func:`~repro.relational.types.coerce` always did."""
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
@@ -60,15 +71,54 @@ class Table:
         self.extend((row,))
         return self._rows[-1]
 
-    def _coerce(self, row: Sequence[Any]) -> Row:
-        if len(row) != len(self.schema.columns):
-            raise SchemaError(
-                f"{self.schema.name}: expected {len(self.schema.columns)} values, "
-                f"got {len(row)}"
+    def _coerced(self, rows: List[Sequence[Any]]) -> Tuple[List[Row], Optional[Exception]]:
+        """*rows* as stored, and why the first of them that cannot be
+        stored fails (a wrong width, a value :func:`coerce` rejects), if
+        one does: then only the rows before it are returned.
+
+        Widths are checked over the batch, then each column once
+        (:func:`coerce_column`): a column whose values already have
+        their types is left as the caller gave it, and only a column
+        that needs converting is converted.  Of two failures in one
+        row, the earlier column's is the one raised."""
+        failure: Optional[Exception] = None
+        width = len(self.schema.columns)
+        try:
+            widths_agree = set(map(len, rows)) <= {width}
+        except Exception:  # a row without a length: found below
+            widths_agree = False
+        if not widths_agree:
+            for at, row in enumerate(rows):
+                try:
+                    if len(row) == width:
+                        continue
+                    failure = SchemaError(
+                        f"{self.schema.name}: expected {width} values, got {len(row)}"
+                    )
+                except Exception as exc:  # raised once the rows before it are in
+                    failure = exc
+                rows = rows[:at]
+                break
+        batch: List[Row] = list(map(tuple, rows))
+        converted: Dict[int, List[Any]] = {}
+        for index, column in enumerate(self.schema.columns):
+            values, error = coerce_column(
+                list(map(itemgetter(index), batch)), column.dtype
             )
-        return tuple(
-            coerce(value, col.dtype) for value, col in zip(row, self.schema.columns)
-        )
+            if error is not None:
+                failure = error
+                del batch[len(values or ()):]
+                for vector in converted.values():
+                    del vector[len(batch):]
+            if values is not None:
+                converted[index] = values
+        if converted:
+            batch = list(zip(*(
+                converted[index] if index in converted
+                else map(itemgetter(index), batch)
+                for index in range(width)
+            )))
+        return batch, failure
 
     def _key_error(self, row: Row) -> DuplicateKeyError:
         """Why *row*'s primary key cannot go in: NULL, or already held."""
@@ -94,12 +144,15 @@ class Table:
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
         """Append *rows* in order.  A row that fails (width, a type, a
         NULL or taken key) raises once the rows before it are in."""
-        batch: List[Row] = []
+        given: List[Sequence[Any]] = []
         failure: Optional[Exception] = None
         try:
-            batch.extend(map(self._coerce, rows))
+            given.extend(rows)
         except Exception as exc:  # raised below, once the rows before it are in
             failure = exc
+        batch, coerce_failure = self._coerced(given)
+        if coerce_failure is not None:  # a row before the one the iterable failed at
+            failure = coerce_failure
         clash = self.key_index.clash(batch)
         if clash is not None:
             failure = self._key_error(batch[clash])
@@ -121,7 +174,10 @@ class Table:
                 f"{self.schema.name}: unknown columns {sorted(unknown)}"
             )
         changed.update(values)
-        new = self._coerce([changed[name] for name in self.schema.column_names])
+        coerced, failure = self._coerced([[changed[name] for name in self.schema.column_names]])
+        if failure is not None:
+            raise failure
+        new = coerced[0]
         moved = any(new[i] != old[i] for i in self._key_indices)
         if moved and self.key_index.clash([new]) is not None:
             raise self._key_error(new)  # before anything moves
@@ -199,11 +255,11 @@ class Table:
     ) -> List[List[Any]]:
         """The columns at *indexes* as lists of one length: of every
         row the table holds now, or of the rows at *positions* (which
-        come from an index, a handful at a time — read off the rows)."""
+        come from an index, or a chunk of rows the statistics pass
+        reads — read off the rows, building no kept vector)."""
         if positions is not None:
-            rows = self._rows
-            picked = [rows[position] for position in positions]
-            return [[row[index] for row in picked] for index in indexes]
+            picked = list(map(self._rows.__getitem__, positions))
+            return [list(map(itemgetter(index), picked)) for index in indexes]
         count = len(self._rows)
         return [self.column(index)[:count] for index in indexes]
 

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Any, Optional
+from functools import partial
+from operator import is_not
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import TypeMismatchError
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+#: whether a value is not NULL, as a C-level predicate for ``filter``
+not_null = partial(is_not, None)
 
 
 class DataType(enum.Enum):
@@ -76,6 +80,40 @@ def coerce(value: Any, dtype: DataType) -> Any:
     except (ValueError, TypeError) as exc:
         raise TypeMismatchError(f"cannot coerce {value!r} to {dtype}") from exc
     raise TypeMismatchError(f"cannot coerce {value!r} to {dtype}")
+
+
+#: per declared type, the value types :func:`coerce` returns unchanged
+_STORED_AS_IS = {
+    DataType.INT: {int, type(None)},
+    DataType.FLOAT: {float, type(None)},
+    DataType.TEXT: {str, type(None)},
+    DataType.DATE: {str, type(None)},
+    DataType.BOOL: {bool, type(None)},
+}
+
+
+def coerce_column(
+    values: Sequence[Any], dtype: DataType
+) -> Tuple[Optional[List[Any]], Optional[Exception]]:
+    """:func:`coerce` over one column, checked as a whole first.
+
+    Returns ``(None, None)`` when every value already is what
+    :func:`coerce` would return — exact types only, and every DATE
+    matching the ISO pattern — so the caller keeps the values it has.
+    Otherwise each value is coerced in turn: ``(coerced, None)`` when all
+    pass, or the values before the first failure and what it raised."""
+    if set(map(type, values)) <= _STORED_AS_IS[dtype] and (
+        dtype is not DataType.DATE
+        or all(map(_DATE_RE.match, filter(not_null, values)))
+    ):
+        return None, None
+    coerced: List[Any] = []
+    for value in values:
+        try:
+            coerced.append(coerce(value, dtype))
+        except Exception as exc:  # what coerce raised, for the caller to raise
+            return coerced, exc
+    return coerced, None
 
 
 def is_numeric(dtype: DataType) -> bool:

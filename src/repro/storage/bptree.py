@@ -28,9 +28,10 @@ Layout (one page file, accessed through the buffer pool):
 
 Search descends with ``bisect_left``, landing on the leftmost leaf that
 can hold a key.  A tree is written once, by :meth:`BPlusTree.bulk_build`
-— the materializer's path: sorted pairs are packed into leaves as full
-as they encode (sized in bytes), and the internal levels are built
-bottom-up.  Rows appended afterwards are not inserted: the tree covers
+— the materializer's path: the sorted keys and their positions, two
+parallel columns, are packed a leaf at a time over the runs of equal
+keys, each leaf as full as it encodes (sized in bytes), and the internal
+levels are built bottom-up.  Rows appended afterwards are not inserted: the tree covers
 the table's first ``indexed`` rows, and
 :meth:`repro.storage.engine.StorageEngine.candidates` adds the rows past
 them to every answer.  A node is decoded once per residency: the frame
@@ -43,8 +44,8 @@ import struct
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, groupby
 from math import copysign
-from operator import itemgetter, sub
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter, lt, sub
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.page import INT_FORMAT, int_width, pack_uints, uint_width, unpack_uints
@@ -179,40 +180,122 @@ def _decode(data: bytearray) -> _Node:
     return node
 
 
-def _packed_leaves(items: Iterable[Pair], page_size: int) -> Iterator[_Node]:
-    """Leaves holding *items* (sorted by key) in order, each filled with
-    as many positions as fit a page before the next starts — a run of
-    one key too, which then goes on in the next leaf.  The size is kept
-    as :func:`_encode` writes it, from per leaf the widest key, count and
-    position so far (the widest of a whole run, for a run cut short)."""
-    keys: List[float] = []
-    counts: List[int] = []
-    positions: List[int] = []
-    key_bytes = count_width = position_width = 1
-    for key, group in groupby(items, key=itemgetter(0)):
-        if keys and key < keys[-1]:
+def _key_bytes(keys: List[float]) -> int:
+    """The bytes a leaf stores each of *keys* in: the narrowest integer
+    width holding all of them when every one may be stored as an integer
+    (:func:`_int_key`), else 8 (f64)."""
+    if not all(map(float.is_integer, keys)):  # NaN and ±inf included
+        return 8
+    low, high = min(keys), max(keys)
+    if low < -_EXACT or high > _EXACT:
+        return 8
+    if 0.0 in keys and copysign(1.0, keys[keys.index(0.0)]) < 0:
+        return 8  # a leaf holds one key equal to zero: this one is -0.0
+    return int_width(int(low), int(high))
+
+
+def _longest(fits: Callable[[int], bool], low: int, high: int, guess: int) -> int:
+    """The largest ``n`` in ``low..high`` with ``fits(n)``, for a *fits*
+    true at *low* and false from some point on: galloping from *guess*
+    either way, then bisecting the bracket found."""
+    if high == low:
+        return low
+    guess = max(low + 1, min(high, guess))
+    if fits(guess):
+        good, step = guess, 1
+        while good + step <= high and fits(good + step):
+            good, step = good + step, step * 2
+        bad = min(good + step, high + 1)
+    else:
+        bad, step = guess, 1
+        while bad - step > low and not fits(bad - step):
+            bad, step = bad - step, step * 2
+        good = max(bad - step, low)
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        if fits(middle):
+            good = middle
+        else:
+            bad = middle
+    return good
+
+
+def _packed_leaves(
+    keys: Sequence[float], positions: Sequence[int], page_size: int
+) -> Iterator[_Node]:
+    """Leaves holding the sorted *keys* — ``keys[i]`` carried by
+    ``positions[i]`` — in order, each filled with as many positions as
+    fit a page before the next starts — a run of one key too, which then
+    goes on in the next leaf.  The size is kept as :func:`_encode` writes
+    it, from the leaf's widest key, count and position (the widest of a
+    whole run, for a run cut short).
+
+    The work is per leaf, not per key: the runs of equal keys are found
+    once (``groupby``), then each leaf takes the longest stretch of whole
+    runs that fits — found by galloping from the last leaf's count, each
+    try sized by builtins over the stretch — and then as much of the
+    next run as still fits."""
+    lengths = list(map(len, map(list, map(itemgetter(1), groupby(keys)))))
+    ends = list(accumulate(lengths))
+    starts = [0, *ends[:-1]]
+    run_keys = list(map(keys.__getitem__, starts[:len(lengths)]))
+    runs = len(lengths)
+
+    widest_of_run: Dict[int, int] = {}
+
+    def widths(first: int, stop: int, left: int) -> Tuple[int, int, int]:
+        """Key, count and position widths of a leaf holding runs
+        ``first..stop-1``, of which the first has *left* positions; a
+        run's position width is that of the whole run, also when the leaf
+        holds only the end of it (its widest found once per run)."""
+        longest = max(left, max(lengths[first + 1:stop], default=0))
+        widest = widest_of_run.get(first)
+        if widest is None:
+            widest = widest_of_run[first] = max(positions[starts[first]:ends[first]])
+        widest = max(widest, max(positions[ends[first]:ends[stop - 1]], default=0))
+        return _key_bytes(run_keys[first:stop]), uint_width(longest), uint_width(widest)
+
+    def size(first: int, stop: int, left: int) -> int:
+        held = left + ends[stop - 1] - ends[first]
+        least = _LEAF_BASE + 2 * (stop - first) + held  # every width at least 1
+        if least > page_size:
+            return least  # too many for any widths: none of them looked at
+        key_bytes, count_width, position_width = widths(first, stop, left)
+        return _LEAF_BASE + (stop - first) * (key_bytes + count_width) + held * position_width
+
+    first, left = 0, lengths[0] if runs else 0
+    last = 1  # whole runs the last leaf took: where the next search starts
+    while first < runs:
+        # the longest stretch first..fits-1 of whole runs that fits
+        fits = _longest(
+            lambda stop: size(first, stop, left) <= page_size, first, runs, first + last
+        )
+        last = max(fits - first, 1)
+        stretch = run_keys[first:fits + 1]
+        if any(map(lt, stretch[1:], stretch)):
             raise StorageError("bulk_build requires keys in sorted order")
-        run = [position for _, position in group]
-        run_key_bytes = int_width(int(key), int(key)) if _int_key(key) else 8
-        run_width = uint_width(max(run))
-        while run:
-            kb = max(key_bytes, run_key_bytes)
-            cw = max(count_width, uint_width(len(run)))
-            pw = max(position_width, run_width)
-            room = page_size - _LEAF_BASE - (len(keys) + 1) * (kb + cw) - len(positions) * pw
-            take = min(len(run), room // pw)
-            if take > 0:
-                keys.append(key)
-                counts.append(take)
-                positions += run[:take]
-                run = run[take:]
-                key_bytes, count_width, position_width = kb, cw, pw
-            if run:
-                yield _Node.leaf(keys, counts, positions)
-                keys, counts, positions = [], [], []
-                key_bytes = count_width = position_width = 1
-    if positions:
-        yield _Node.leaf(keys, counts, positions)
+        begin = starts[first] + lengths[first] - left
+        end = begin + left + ends[fits - 1] - ends[first] if fits > first else begin
+        counts = [left, *lengths[first + 1:fits]][:fits - first]
+        if fits == runs:
+            yield _Node.leaf(run_keys[first:fits], counts, positions[begin:end])
+            return
+        # the next run: as many of its positions as the room left holds,
+        # sized with the widths of the whole run
+        run_left = left if fits == first else lengths[fits]
+        key_bytes, count_width, position_width = widths(first, fits + 1, left)
+        room = (
+            page_size - _LEAF_BASE - (fits - first + 1) * (key_bytes + count_width)
+            - (end - begin) * position_width
+        )
+        take = min(run_left, room // position_width)
+        leaf_keys = run_keys[first:fits]
+        if take > 0:
+            leaf_keys.append(run_keys[fits])
+            counts.append(take)
+            end += take
+        yield _Node.leaf(leaf_keys, counts, positions[begin:end])
+        first, left = fits, run_left - max(take, 0)
 
 
 class BPlusTree:
@@ -253,11 +336,13 @@ class BPlusTree:
         cls,
         pool: BufferPool,
         file_id: str,
-        items: Iterable[Pair],
+        keys: Sequence[float],
+        positions: Sequence[int],
     ) -> "BPlusTree":
-        """Build from *items* sorted by key (ties in any order)."""
+        """Build from *keys* sorted ascending, ``keys[i]`` carried by
+        ``positions[i]`` (the positions of one key in any order)."""
         tree = cls.create(pool, file_id)
-        leaves = _packed_leaves(items, tree.page_size)
+        leaves = _packed_leaves(keys, positions, tree.page_size)
         # Fill the (already written, empty) root leaf first, then chain.
         page_no, leaf = tree._root, next(leaves, None)
         level: List[Tuple[int, float]] = []

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import struct
 from hashlib import blake2b
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.errors import StorageError
 from repro.storage.page import pack_uints, uint_width, unpack_uints
@@ -76,16 +76,15 @@ def _page(entries: Entries, next_no: int, page_size: int) -> bytes:
     return b"".join(raw).ljust(page_size, b"\0")
 
 
-def _by_hash(items: Iterable[Tuple[str, int]]) -> Dict[int, List[int]]:
-    """The positions of *items* by the hash of their value, each distinct
-    value hashed once."""
-    hashes: Dict[str, int] = {}
+def _by_hash(groups: Mapping[str, List[int]]) -> Dict[int, List[int]]:
+    """The positions of each value of *groups* under the value's hash,
+    hashes in the order their first position comes; the positions of
+    two values that share a hash are merged in ascending order."""
     by_hash: Dict[int, List[int]] = {}
-    for value, position in items:
-        hashed = hashes.get(value)
-        if hashed is None:
-            hashed = hashes[value] = hash_key(value)
-        by_hash.setdefault(hashed, []).append(position)
+    for value, positions in groups.items():
+        hashed = hash_key(value)
+        held = by_hash.get(hashed)
+        by_hash[hashed] = positions if held is None else sorted(held + positions)
     return by_hash
 
 
@@ -132,12 +131,14 @@ class HashFile:
     def build(
         cls,
         path: str,
-        items: Iterable[Tuple[str, int]],
+        groups: Mapping[str, List[int]],
         page_size: int,
     ) -> int:
-        """Write a hash file mapping each ``(value, position)`` pair;
-        returns the number of primary buckets."""
-        entries = list(_by_hash(items).items())
+        """Write a hash file mapping each value of *groups* to its
+        positions (ascending; values in the order of their first
+        position, as :func:`~repro.storage.materialize.positions_by_value`
+        gives them); returns the number of primary buckets."""
+        entries = list(_by_hash(groups).items())
         fill = int((page_size - _BUCKET_HEADER.size) * _FILL)
         needed = -(-sum(
             _ENTRY_BASE + len(positions) * uint_width(max(positions))

@@ -84,17 +84,18 @@ def _pack(fill: PageFill, rows: Iterable[Sequence[Any]]) -> Iterator[List[Row]]:
     """Pack *rows* into pages after whatever *fill* already holds, each
     page as full as it gets; yields every page's rows, the last one
     possibly partial."""
-    for row in rows:
-        if fill.add(row):
-            continue
-        if fill.rows:
-            yield fill.rows
-            fill.reset()
-            if fill.add(row):
-                continue
-        raise StorageError(
-            f"{fill.schema.name}: record does not fit a blank page"
-        )
+    rows = rows if isinstance(rows, list) else list(rows)
+    start = 0
+    while start < len(rows):
+        start += fill.take(rows, start)
+        if start == len(rows):
+            break
+        if not fill.rows:
+            raise StorageError(
+                f"{fill.schema.name}: record does not fit a blank page"
+            )
+        yield fill.rows
+        fill.reset()
     if fill.rows:
         yield fill.rows
 
@@ -219,8 +220,7 @@ class HeapFile:
         fill = PageFill(self.schema, page_size)
         page_no = max(self.page_count - 1, 0)
         if self.page_counts:
-            for row in self._page_rows(page_no):
-                fill.add(row)  # they fit: they came off one page
+            fill.take(list(self._page_rows(page_no)))  # they fit: they came off one page
         for page in _pack(fill, rows):
             data = encode_page(page, self.schema, page_size)
             if page_no < self.page_count:

@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.database import Database
 from repro.relational.index import tokenize_text
-from repro.relational.types import DataType
+from repro.relational.types import DataType, not_null
 from repro.storage.bptree import BPlusTree
 from repro.storage.hashindex import HashFile
 from repro.storage.heap import build_heap
@@ -117,24 +119,26 @@ def materialize(
         totals["pages"] += len(page_counts)
 
         for col_idx, column in enumerate(relation.columns):
+            if column.dtype not in NUMERIC + TEXTUAL:
+                continue
+            # one column of the table at a time, dropped once indexed
+            values = list(map(itemgetter(col_idx), rows))
             if column.dtype in NUMERIC:
                 file_name = f"{relation.name}.{column.name}.bpt"
+                keys, positions = sorted_keys(values)
                 _build_bptree(
                     build_pool, os.path.join(directory, file_name), file_name,
-                    sorted(column_items(rows, col_idx, float)), page_size,
+                    keys, positions, page_size,
                 )
                 entry["numeric"][column.name] = file_name
-            elif column.dtype in TEXTUAL:
+            else:
                 file_name = f"{relation.name}.{column.name}.hash"
-                HashFile.build(
-                    os.path.join(directory, file_name),
-                    column_items(rows, col_idx, str),
-                    page_size,
-                )
+                groups = positions_by_value(values)
+                HashFile.build(os.path.join(directory, file_name), groups, page_size)
                 entry["hash"][column.name] = file_name
-                for value, pos in column_items(rows, col_idx, str):
+                for value, positions in groups.items():
                     for token in set(tokenize_text(value)):
-                        spimi.add(token, relation.name, column.name, pos)
+                        spimi.add_run(token, relation.name, column.name, positions)
         tables[relation.name] = entry
 
     spimi_stats = spimi.finalize(
@@ -158,18 +162,33 @@ def materialize(
     return manifest
 
 
-def column_items(
-    rows: Sequence[Tuple[Any, ...]],
-    col_idx: int,
-    key: Callable[[Any], Any],
-) -> Iterator[Tuple[Any, int]]:
-    """``(key(value), position)`` of every non-NULL value of one column
-    — what that column's index file holds."""
-    return (
-        (key(row[col_idx]), pos)
-        for pos, row in enumerate(rows)
-        if row[col_idx] is not None
-    )
+def sorted_keys(values: Sequence[Any]) -> Tuple[List[float], List[int]]:
+    """The B+-tree of one numeric column: the ``float`` of every non-NULL
+    value in ascending order, and the position of each — positions of one
+    key ascending, as a stable sort of the positions by key leaves them."""
+    if None in values:
+        positions: Sequence[int] = list(compress(range(len(values)), map(not_null, values)))
+        values = list(filter(not_null, values))
+    else:
+        positions = range(len(values))
+    keys = list(map(float, values))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return list(map(keys.__getitem__, order)), list(map(positions.__getitem__, order))
+
+
+def positions_by_value(values: Sequence[Any]) -> Dict[str, List[int]]:
+    """The text index of one column: each distinct non-NULL value, in the
+    order first met, with the ascending positions holding it.  A value's
+    hash and tokens are then computed once, however many rows hold it."""
+    groups: Dict[str, List[int]] = {}
+    for position, value in enumerate(values):
+        if value is not None:
+            held = groups.get(value)
+            if held is None:
+                groups[value] = [position]
+            else:
+                held.append(position)
+    return groups
 
 
 def write_manifest(directory: str, manifest: Dict[str, Any]) -> None:
@@ -197,13 +216,14 @@ def _build_bptree(
     pool: BufferPool,
     path: str,
     file_id: str,
-    items: List[Tuple[float, int]],
+    keys: List[float],
+    positions: List[int],
     page_size: int,
 ) -> None:
     pager = Pager(path, page_size, create=True)
     try:
         pool.register(file_id, pager)
-        BPlusTree.bulk_build(pool, file_id, items)
+        BPlusTree.bulk_build(pool, file_id, keys, positions)
         pool.flush()
         pager.sync()
     finally:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import accumulate
+from operator import add, itemgetter
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.errors import StorageError
@@ -141,10 +142,6 @@ def unpack_uints(data: bytes, offset: int, n: int) -> Tuple[Tuple[int, ...], int
     return struct.unpack_from(f"<{n}{code}", data, offset + 1), end
 
 
-def _utf8_len(text: str) -> int:
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
-
-
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
@@ -195,13 +192,14 @@ def encode_page(rows: Sequence[Row], schema: RelationSchema, page_size: int) -> 
 class PageFill:
     """Exact size accounting for the page being filled.
 
-    :meth:`add` admits a row only if the page still encodes within
-    ``page_size`` with it; :attr:`size` is then exactly the ``used``
-    :func:`encode_page` will write for :attr:`rows`.  Per column it keeps
-    what the size depends on — the INT width the values so far need, the
-    text (and wide-integer digit) bytes, whether any value is NULL — and
-    the row count, so admitting a row costs one comparison per INT cell
-    and one length per text cell.
+    :meth:`take` admits offered rows in order while the page still
+    encodes within ``page_size`` with them, :meth:`add` one row;
+    :attr:`size` is then exactly the ``used`` :func:`encode_page` will
+    write for :attr:`rows`.  Per column it keeps what the size depends on
+    — the INT width the values so far need, the text (and wide-integer
+    digit) bytes, whether any value is NULL — and the row count, so
+    admitting a row costs one comparison per INT cell, and the text
+    bytes of the offered rows are summed a column at a time.
     """
 
     def __init__(self, schema: RelationSchema, page_size: int) -> None:
@@ -237,62 +235,106 @@ class PageFill:
     def add(self, row: Row) -> bool:
         """Admit *row* if the page still fits with it; otherwise leave
         the page as it was and return False."""
-        if len(row) != self._width:
+        return self.take([row]) == 1
+
+    def take(self, rows: Sequence[Row], start: int = 0) -> int:
+        """Admit ``rows[start:]`` one after another while the page still
+        fits, and return how many went in (0: the page is as it was).  A
+        row of the wrong width raises once the rows before it are in.
+
+        The text bytes of the rows that can still fit are summed a column
+        at a time first, so admitting a row costs a comparison per INT
+        cell and no per-cell work for text."""
+        width = self._width
+        # no more rows fit than the room left holds rows of the fewest bytes
+        room = (self.page_size - self.size) // (self._fixed_row_bytes + len(self._widths))
+        offered = rows[start:start + room + 1]
+        misfit = None
+        if set(map(len, offered)) - {width}:
+            misfit = next(at for at, row in enumerate(offered) if len(row) != width)
+            offered = offered[:misfit]
+        text_bytes_of = _row_text_bytes(offered, self._text_columns)
+        int_columns = self._int_columns
+        widths, bounds = self._widths, self._bounds
+        row_bytes, text_bytes = self._row_bytes, self._text_bytes
+        null_columns = self._null_columns
+        page_size, base = self.page_size, self._base
+        admitted = self.rows
+        taken = 0
+        for row, row_text in zip(offered, text_bytes_of):
+            widened = None
+            for i, c in enumerate(int_columns):
+                value = row[c] or 0  # a NULL stores the filler 0
+                low, high = bounds[i]
+                if not low <= value <= high:
+                    # rare: the value needs a wider array (or the column
+                    # is wide already, whose bounds admit nothing)
+                    widened = widened or (list(widths), row_bytes, text_bytes)
+                    row_bytes, text_bytes = self._widen(
+                        i, c, value, widths, row_bytes, text_bytes
+                    )
+            page_nulls = null_columns
+            if None in row:
+                page_nulls = null_columns.union(
+                    c for c, value in enumerate(row) if value is None
+                )
+            n = len(admitted) + 1
+            size = base + n * row_bytes + text_bytes + row_text + len(page_nulls) * ((n + 7) >> 3)
+            if size > page_size:
+                if widened is not None:
+                    widths[:], row_bytes, text_bytes = widened
+                break
+            admitted.append(row)
+            text_bytes += row_text
+            null_columns = page_nulls
+            if widened is not None:
+                for i, width_now in enumerate(widths):
+                    bounds[i] = _INT_BOUNDS.get(width_now, _NO_BOUNDS)
+            self.size = size
+            taken += 1
+        self._row_bytes, self._text_bytes = row_bytes, text_bytes
+        self._null_columns = null_columns
+        if taken == misfit:
+            row = rows[start + taken]
             raise StorageError(
                 f"{self.schema.name}: cannot encode {len(row)} values into "
-                f"{self._width} columns"
+                f"{width} columns"
             )
-        row_bytes = self._row_bytes
-        text_bytes = self._text_bytes
-        widened = []
-        bounds = self._bounds
-        for i, c in enumerate(self._int_columns):
-            value = row[c] or 0  # a NULL stores the filler 0
-            low, high = bounds[i]
-            if low <= value <= high:
-                continue
-            # rare: the value needs a wider array (or the column is wide
-            # already, whose bounds admit nothing)
-            width = self._widths[i]
-            if width == _WIDE:
-                text_bytes += len(str(value))
-                continue
-            new_width = int_width(value, value)
-            widened.append((i, new_width))
-            if new_width == _WIDE:
-                # decimal strings from here on: an offset per row plus
-                # the digits of every value already on the page
-                row_bytes += 2 - width
-                text_bytes += len(str(value)) + sum(
-                    len(str(earlier[c] or 0)) for earlier in self.rows
-                )
-            else:
-                row_bytes += new_width - width
-        for c in self._text_columns:
-            value = row[c]
-            if value:
-                text_bytes += _utf8_len(value)
-        null_columns = self._null_columns
-        if None in row:
-            null_columns = null_columns.union(
-                c for c, value in enumerate(row) if value is None
+        return taken
+
+    def _widen(
+        self, i: int, c: int, value: int, widths: List[int], row_bytes: int, text_bytes: int
+    ) -> Tuple[int, int]:
+        """Row and text bytes once INT column *c* (the *i*-th) holds
+        *value*, outside its width's bounds; *widths* is updated."""
+        width = widths[i]
+        if width == _WIDE:
+            return row_bytes, text_bytes + len(str(value))
+        new_width = int_width(value, value)
+        widths[i] = new_width
+        if new_width == _WIDE:
+            # decimal strings from here on: an offset per row plus
+            # the digits of every value already on the page
+            return row_bytes + 2 - width, text_bytes + len(str(value)) + sum(
+                len(str(earlier[c] or 0)) for earlier in self.rows
             )
-        n = len(self.rows) + 1
-        size = (
-            self._base + n * row_bytes + text_bytes
-            + len(null_columns) * ((n + 7) >> 3)
-        )
-        if size > self.page_size:
-            return False
-        self.rows.append(row)
-        self.size = size
-        self._row_bytes = row_bytes
-        self._text_bytes = text_bytes
-        self._null_columns = null_columns
-        for i, width in widened:
-            self._widths[i] = width
-            bounds[i] = _INT_BOUNDS.get(width, _NO_BOUNDS)
-        return True
+        return row_bytes + new_width - width, text_bytes
+
+
+def _row_text_bytes(rows: Sequence[Row], columns: Sequence[int]) -> List[int]:
+    """Per row of *rows*, the UTF-8 bytes of its values in the text
+    *columns* (a NULL or ``''`` stores none), summed a column at a time."""
+    totals = [0] * len(rows)
+    for c in columns:
+        values = list(map(itemgetter(c), rows))
+        if None in values:
+            values = [value or "" for value in values]
+        if "".join(values).isascii():
+            lengths = map(len, values)
+        else:
+            lengths = map(len, map(str.encode, values))
+        totals = list(map(add, totals, lengths))
+    return totals
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """SPIMI-style on-disk inverted index for keyword ``contains`` probes.
 
 Build side (:class:`SpimiBuilder`) is Single-Pass In-Memory Indexing:
-postings accumulate in a dictionary until an entry budget is hit, then
-the block is sorted and spilled to a temporary file; :meth:`finalize`
-k-way-merges the sorted blocks (``heapq.merge``) into one postings file
-plus a JSON term dictionary mapping each token to its byte extent.  The
-peak memory of a build is therefore the block budget, not the corpus.
+postings accumulate in a dictionary keyed by token and slot until the
+block holds the budget's worth of occurrences, then the block is sorted
+and spilled to a temporary file, one line per token and slot with its
+positions; :meth:`finalize` k-way-merges the sorted blocks
+(``heapq.merge``) into one postings file plus a JSON term dictionary
+mapping each token to its byte extent.  The peak memory of a build is
+therefore the block budget, not the corpus.  The materializer hands over
+each distinct value's positions at once (:meth:`SpimiBuilder.add_run`):
+a value is tokenized once however many rows hold it.
 
 Read side (:class:`SpimiIndex`) keeps only the term dictionary in
 memory and fetches posting payloads on demand.  Its query surface
@@ -42,7 +46,8 @@ import json
 import os
 import struct
 from heapq import merge
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StorageError
 from repro.relational.lru import StampedLRU
@@ -53,14 +58,15 @@ __all__ = ["DEFAULT_BLOCK_BUDGET", "SpimiBuilder", "SpimiIndex"]
 DEFAULT_BLOCK_BUDGET = 50_000
 _POSTING = struct.Struct("<HI")  # slot id, position count
 #: tokens are ``[a-z0-9]+`` and relation/attribute names are identifiers,
-#: so a tab-separated text line per posting entry is unambiguous
+#: so a tab-separated text line per token and slot is unambiguous
 _SEP = "\t"
 
 Slot = Tuple[str, str]
 
 
 class SpimiBuilder:
-    """Accumulates postings, spilling sorted blocks when over budget."""
+    """Accumulates postings grouped by token and slot, spilling a sorted
+    block each time the block holds the budget's worth of occurrences."""
 
     def __init__(self, block_dir: str, block_budget: int = DEFAULT_BLOCK_BUDGET) -> None:
         if block_budget < 1:
@@ -68,29 +74,46 @@ class SpimiBuilder:
         self.block_dir = str(block_dir)
         self.block_budget = block_budget
         self.block_paths: List[str] = []
-        self._entries: List[Tuple[str, str, str, int]] = []
+        #: (token, relation, attribute) -> this block's positions of it
+        self._block: Dict[Tuple[str, str, str], List[int]] = {}
+        #: occurrences in this block, duplicates included
+        self._held = 0
         self._finalized = False
 
-    def add(self, token: str, relation: str, attribute: str, position: int) -> None:
-        """Record one (token, slot, position) occurrence."""
-        self._entries.append((token, relation, attribute, position))
-        if len(self._entries) >= self.block_budget:
-            self._spill()
+    def add_run(
+        self, token: str, relation: str, attribute: str, positions: Sequence[int]
+    ) -> None:
+        """Record *token* in one slot at each of *positions* — one
+        occurrence each, counted against the budget one by one, so a run
+        that fills a block is split there."""
+        start = 0
+        while start < len(positions):
+            take = min(len(positions) - start, self.block_budget - self._held)
+            held = self._block.get((token, relation, attribute))
+            if held is None:
+                self._block[(token, relation, attribute)] = list(positions[start:start + take])
+            else:
+                held += positions[start:start + take]
+            self._held += take
+            start += take
+            if self._held >= self.block_budget:
+                self._spill()
 
     def _spill(self) -> None:
-        if not self._entries:
+        """Write the block, one line per token and slot in sorted order
+        with its positions ascending, and start a new one."""
+        if not self._block:
             return
-        self._entries.sort()
         path = os.path.join(
             self.block_dir, f"spimi_block_{len(self.block_paths):05d}.tmp"
         )
         with open(path, "w", encoding="utf-8") as handle:
-            for token, relation, attribute, position in self._entries:
-                handle.write(
-                    f"{token}{_SEP}{relation}{_SEP}{attribute}{_SEP}{position}\n"
-                )
+            for (token, relation, attribute), positions in sorted(self._block.items()):
+                spelled = ",".join(map(str, sorted(set(positions))))
+                handle.write(f"{token}{_SEP}{relation}{_SEP}{attribute}{_SEP}{spelled}\n")
         self.block_paths.append(path)
-        self._entries = []
+        self._block = {}
+        self._held = 0
 
     # ------------------------------------------------------------------
     # Merge
@@ -109,7 +132,7 @@ class SpimiBuilder:
         stats = {"tokens": 0, "postings": 0, "blocks": len(self.block_paths)}
         with open(postings_path, "wb") as out:
             offset = 0
-            for token, slots in self._grouped(merge(*streams)):
+            for token, slots in self._grouped(merge(*streams, key=itemgetter(0, 1, 2))):
                 payload = self._encode_postings(slots, slot_ids)
                 out.write(payload)
                 vocabulary[token] = (offset, len(payload))
@@ -133,28 +156,31 @@ class SpimiBuilder:
         return stats
 
     @staticmethod
-    def _read_block(path: str) -> Iterator[Tuple[str, str, str, int]]:
+    def _read_block(path: str) -> Iterator[Tuple[str, str, str, List[int]]]:
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
-                token, relation, attribute, position = line.rstrip("\n").split(_SEP)
-                yield token, relation, attribute, int(position)
+                token, relation, attribute, spelled = line.rstrip("\n").split(_SEP)
+                yield token, relation, attribute, list(map(int, spelled.split(",")))
 
     @staticmethod
     def _grouped(
-        entries: Iterator[Tuple[str, str, str, int]],
+        entries: Iterator[Tuple[str, str, str, List[int]]],
     ) -> Iterator[Tuple[str, Dict[Slot, List[int]]]]:
-        """Group the merged sorted stream by token, deduplicating
-        positions (the same token can occur twice in one value)."""
+        """Group the merged sorted stream by token; a slot spilled in
+        more than one block has its pieces' positions merged, each
+        position once."""
         current: Optional[str] = None
         slots: Dict[Slot, List[int]] = {}
-        for token, relation, attribute, position in entries:
+        for token, relation, attribute, positions in entries:
             if token != current:
                 if current is not None:
                     yield current, slots
                 current, slots = token, {}
-            bucket = slots.setdefault((relation, attribute), [])
-            if not bucket or bucket[-1] != position:
-                bucket.append(position)
+            held = slots.get((relation, attribute))
+            if held is None:
+                slots[(relation, attribute)] = positions
+            else:
+                slots[(relation, attribute)] = sorted(set(held).union(positions))
         if current is not None:
             yield current, slots
 

@@ -31,6 +31,7 @@ from repro.fd.synthesis import synthesize_3nf
 from repro.keywords.matcher import Catalog, ValueHit
 from repro.orm.graph import OrmSchemaGraph
 from repro.relational.database import Database
+from repro.relational.index import parses_as_number
 from repro.relational.schema import Column, DatabaseSchema, ForeignKey, RelationSchema
 
 
@@ -366,7 +367,11 @@ class ViewCatalog(Catalog):
                     owner.name, match.attribute, phrase
                 )
                 hits.append(ValueHit(owner.name, match.attribute, count))
-        for match in self.view.database.numeric_index.match_number(phrase):
+        numeric_matches = (
+            self.view.database.numeric_index.match_number(phrase)
+            if parses_as_number(phrase) else []
+        )
+        for match in numeric_matches:
             value = float(phrase)
             if value.is_integer():
                 value = int(value)

@@ -3,7 +3,10 @@ caching and invalidation, and ``repro stats`` printing the profiles the
 planner plans with."""
 
 import io
+import math
+import random
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,12 @@ from repro.planner import (
     estimate_ndv,
     profile_table,
 )
-from repro.planner.stats import TablePass
+from repro.planner.stats import CHUNK_ROWS, DEFAULT_SEED, TablePass, feed_table
+from repro.relational.algebra import null_safe_sort_key
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
+from repro.storage import StorageEngine, materialize
 
 
 def small_database(rows):
@@ -34,6 +39,88 @@ def small_database(rows):
     db = Database(schema)
     db.load("T", rows)
     return db
+
+
+class RowPass:
+    """The statistics pass a row at a time: a reservoir step, then a NULL
+    count and a sort-key comparison per value — what :class:`TablePass`
+    must equal when fed the same rows as columns."""
+
+    def __init__(self, width, sample_size):
+        self.rng = random.Random(DEFAULT_SEED)
+        self.size = max(1, sample_size)
+        self.reservoir = []
+        self.nulls = [0] * width
+        self.minimums = [None] * width
+        self.maximums = [None] * width
+        self.total = 0
+
+    def feed(self, rows):
+        for row in rows:
+            self.total += 1
+            if len(self.reservoir) < self.size:
+                self.reservoir.append(tuple(row))
+            else:
+                slot = self.rng.randrange(self.total)
+                if slot < self.size:
+                    self.reservoir[slot] = tuple(row)
+            for index, value in enumerate(row):
+                if value is None:
+                    self.nulls[index] += 1
+                    continue
+                key = null_safe_sort_key(value)
+                low, high = self.minimums[index], self.maximums[index]
+                if low is None or key < null_safe_sort_key(low):
+                    self.minimums[index] = value
+                if high is None or key > null_safe_sort_key(high):
+                    self.maximums[index] = value
+
+
+def exactly(values):
+    """*values* with their types and signs: ``-0.0`` is not ``0.0``, nor
+    ``1`` ``1.0``, and NaN equals NaN."""
+    return [(type(value), repr(value)) for value in values]
+
+
+def assert_same_pass(table_pass, row_pass):
+    assert table_pass.total == row_pass.total
+    assert table_pass._rng.getstate() == row_pass.rng.getstate()
+    assert [exactly(row) for row in table_pass._reservoir] == [
+        exactly(row) for row in row_pass.reservoir
+    ]
+    assert table_pass._nulls == row_pass.nulls
+    assert exactly(table_pass._minimums) == exactly(row_pass.minimums)
+    assert exactly(table_pass._maximums) == exactly(row_pass.maximums)
+
+
+def recount(reservoir, width):
+    counts = [{} for _ in range(width)]
+    for row in reservoir:
+        for index, value in enumerate(row):
+            if value is not None:
+                counts[index][value] = counts[index].get(value, 0) + 1
+    return counts
+
+
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+#: any mix within one column: the extremes are then found by sort key
+CELL = st.one_of(
+    st.none(), st.integers(-5, 5), st.floats(-10, 10), SPECIAL, st.booleans(),
+    st.sampled_from(["", "a", "B", "2024-02-29", "1999-01-01"]),
+)
+#: one type per column, as a table stores them
+TYPED_ROW = st.tuples(
+    st.one_of(st.none(), st.integers(-5, 5)),
+    st.one_of(st.none(), st.floats(-10, 10), SPECIAL),
+    st.one_of(st.none(), st.sampled_from(["a", "b", "B", ""])),
+    st.one_of(st.none(), st.sampled_from(["2024-02-29", "1999-01-01"])),
+    st.one_of(st.none(), st.booleans()),
+)
+TYPED_NAMES = ("i", "f", "t", "d", "b")
+
+
+def columns_of(rows, width):
+    return [[row[index] for row in rows] for index in range(width)]
 
 
 class TestNdvEstimation:
@@ -88,38 +175,39 @@ class TestProfileTable:
         assert a == b
         assert a.sampled_rows == 64
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(
-            st.tuples(
-                st.one_of(st.none(), st.integers(0, 9)),
-                st.sampled_from([None, "a", "b", "c"]),
-            ),
-            max_size=120,
+        st.one_of(
+            st.lists(TYPED_ROW, max_size=90),
+            st.lists(st.tuples(CELL, CELL), max_size=90),
         ),
-        st.lists(st.integers(0, 120), max_size=4),
+        st.lists(st.integers(0, 90), max_size=4),
         st.integers(1, 16),
     )
     def test_a_pass_fed_in_pieces_equals_one_fed_at_once(self, rows, cuts, sample_size):
+        """Fed the columns whole, or in pieces (cut anywhere, across the
+        sample size too), the pass holds what a row-at-a-time pass holds:
+        the reservoir and its order, the generator's state, NULL counts and
+        the extremes — with NULLs, NaN, ±0.0, ±inf, mixed types, text and
+        dates — and profiles equal."""
+        width = len(rows[0]) if rows else 2
+        names = TYPED_NAMES[:width] if width == 5 else ("x", "y")
         config = StatsConfig(sample_size=sample_size)
-        whole = TablePass("T", ("v", "t"), config)
-        whole.feed(rows)
-        pieces = TablePass("T", ("v", "t"), config)
+        oracle = RowPass(width, sample_size)
+        oracle.feed(rows)
+        whole = TablePass("T", names, config)
+        whole.feed(columns_of(rows, width))
+        assert_same_pass(whole, oracle)
+        pieces = TablePass("T", names, config)
         start = 0
         for cut in sorted(cuts) + [len(rows)]:
-            pieces.feed(rows[start:cut])
+            pieces.feed(columns_of(rows[start:cut], width))
             pieces.profile()  # what the catalog does after each catch-up
             start = max(start, cut)
-        assert pieces._reservoir == whole._reservoir
+        assert_same_pass(pieces, oracle)
         assert pieces.profile() == whole.profile()
-        assert pieces._counts == whole._counts
         # the kept counts are the reservoir's, counted afresh
-        for index, counts in enumerate(pieces._counts):
-            recount = {}
-            for row in whole._reservoir:
-                if row[index] is not None:
-                    recount[row[index]] = recount.get(row[index], 0) + 1
-            assert counts == recount
+        assert pieces._counts == recount(whole._reservoir, width)
 
     def test_column_lookup_is_case_insensitive(self):
         profile = profile_table("T", ("Id",), [(1,), (2,)])
@@ -194,3 +282,61 @@ class TestStatsCommand:
             run_stats(["--buckets", "4"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --buckets" in capsys.readouterr().err
+
+
+def heap_database(rows):
+    schema = DatabaseSchema("heap")
+    schema.add_relation(
+        "T",
+        [
+            ("id", DataType.INT), ("i", DataType.INT), ("f", DataType.FLOAT),
+            ("t", DataType.TEXT), ("d", DataType.DATE), ("b", DataType.BOOL),
+        ],
+        ["id"],
+    )
+    db = Database(schema)
+    db.load("T", [(at, *row) for at, row in enumerate(rows)])
+    return db
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(TYPED_ROW, max_size=120), st.integers(0, 120), st.integers(1, 16))
+def test_a_pass_over_a_table_equals_the_row_pass_on_both_tiers(rows, cut, sample_size):
+    """:func:`feed_table` reads a memory table and a disk heap (several
+    pages) by column, in two pieces: the same pass as rows fed one by
+    one, on either tier."""
+    db = heap_database(rows)
+    table = db.table("T")
+    names = tuple(table.schema.column_names)
+    config = StatsConfig(sample_size=sample_size)
+    oracle = RowPass(len(names), sample_size)
+    oracle.feed(table.rows)
+    with tempfile.TemporaryDirectory() as directory:
+        materialize(db, directory, page_size=256)
+        engine = StorageEngine(directory, db.schema, pool_capacity=4)
+        try:
+            heap = engine.table("T")
+            assert heap.page_count > 1 or len(rows) < 20
+            for source in (table, heap):
+                table_pass = TablePass("T", names, config)
+                cut = min(cut, len(rows))
+                feed_table(table_pass, source, 0, cut)
+                feed_table(table_pass, source, cut, len(rows))
+                assert_same_pass(table_pass, oracle)
+        finally:
+            engine.close()
+    assert not table._vectors  # nothing kept that no statement read
+
+
+def test_a_pass_reads_a_table_a_chunk_at_a_time():
+    rows = [(i, i % 7, None if i % 5 else "v") for i in range(2 * CHUNK_ROWS + 3)]
+    db = small_database(rows)
+    reads = []
+    table = db.table("T")
+    columns = table.columns
+    table.columns = lambda indexes, positions=None: reads.append(positions) or columns(
+        indexes, positions
+    )
+    profile = StatisticsCatalog(db).profile("T")
+    assert [len(chunk) for chunk in reads] == [CHUNK_ROWS, CHUNK_ROWS, 3]
+    assert profile == profile_table("T", ("id", "v", "t"), rows)

@@ -13,7 +13,7 @@ from repro.errors import DuplicateKeyError, IntegrityError, SchemaError
 from repro.relational.database import Database
 from repro.relational.schema import Column, RelationSchema
 from repro.relational.table import Table
-from repro.relational.types import DataType
+from repro.relational.types import DataType, coerce
 
 INT = DataType.INT
 TEXT = DataType.TEXT
@@ -62,6 +62,108 @@ class TestInsert:
     def test_extend(self, student_table):
         student_table.extend([("s1", "a", 1), ("s2", "b", 2)])
         assert len(student_table) == 2
+
+
+def per_value_extend(schema, held, rows):
+    """What storing *rows* after the rows *held* gives when each value
+    is coerced on its own, a row at a time (the oracle of the column
+    path): the rows stored, and the error of the first row that fails."""
+    width = len(schema.columns)
+    key_at = [schema.column_index(column) for column in schema.primary_key]
+    keys = {tuple(row[i] for i in key_at) for row in held}
+    stored = []
+    for row in rows:
+        try:
+            if len(row) != width:
+                raise SchemaError(f"{schema.name}: expected {width} values, got {len(row)}")
+            new = tuple(coerce(value, col.dtype) for value, col in zip(row, schema.columns))
+        except Exception as exc:
+            return stored, exc
+        key = tuple(new[i] for i in key_at)
+        if None in key:
+            return stored, DuplicateKeyError(
+                f"{schema.name}: NULL in primary key {schema.primary_key}"
+            )
+        if key in keys:
+            return stored, DuplicateKeyError(f"{schema.name}: duplicate primary key {key!r}")
+        keys.add(key)
+        stored.append(new)
+    return stored, None
+
+
+def typed(rows):
+    """Rows with each value's type: ``1 == 1.0 == True`` must not pass."""
+    return [[(type(value), repr(value)) for value in row] for row in rows]
+
+
+WIDE_SCHEMA = RelationSchema(
+    "W",
+    [
+        Column("id", INT),
+        Column("f", DataType.FLOAT),
+        Column("d", DataType.DATE),
+        Column("t", TEXT),
+        Column("b", DataType.BOOL),
+    ],
+    ["id"],
+)
+#: per column, values that store as they are, convert, or fail
+CELLS = [
+    st.one_of(st.integers(0, 6), st.none(), st.booleans(), st.sampled_from([2.0, 2.5, "3", "x"])),
+    st.one_of(
+        st.floats(allow_nan=False), st.integers(-3, 3), st.none(), st.booleans(),
+        st.sampled_from(["1.5", "inf", "x"]),
+    ),
+    st.one_of(
+        st.sampled_from(["2024-02-29", "1999-12-31", "2024-2-1", "", "x"]),
+        st.none(), st.integers(0, 9),
+    ),
+    st.one_of(st.text(max_size=4), st.none(), st.integers(0, 9), st.floats(0, 1)),
+    st.one_of(st.booleans(), st.none(), st.integers(0, 2)),
+]
+ROWS = st.one_of(
+    st.tuples(*CELLS),
+    st.tuples(*CELLS).map(list),
+    st.lists(st.integers(0, 6), max_size=6),  # a width, right or wrong
+)
+#: rows that store as given: the column path keeps the caller's tuples
+STORED_AS_IS = st.tuples(
+    st.integers(0, 6), st.one_of(st.floats(), st.none()),
+    st.sampled_from(["2024-02-29", None]), st.text(max_size=4), st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(ROWS, STORED_AS_IS), max_size=8), min_size=1, max_size=3))
+def test_extend_by_column_equals_coercing_each_value(batches):
+    """The column path stores the rows a per-value ``coerce`` stores, and
+    raises what it raises, once the rows before the failing one are in:
+    list and tuple rows, int to float widening, bool in INT / FLOAT, a
+    bad DATE, a wrong width, a NULL or taken key mid-batch."""
+    table = Table(WIDE_SCHEMA)
+    for batch in batches:
+        expected, error = per_value_extend(WIDE_SCHEMA, table.rows, batch)
+        before = list(table.rows)
+        try:
+            table.extend(batch)
+        except Exception as exc:
+            assert error is not None, exc
+            assert (type(exc), str(exc)) == (type(error), str(error))
+        else:
+            assert error is None, error
+        assert typed(table.rows) == typed(before + expected)
+        assert all(type(row) is tuple for row in table.rows)
+        assert list(table.key_index.order) == sorted(
+            range(len(table)), key=lambda at: (table.rows[at][0], at)
+        )
+
+
+def test_rows_that_need_no_conversion_are_kept_as_given(student_table):
+    rows = [("s1", "George", 22), ("s2", "Green", 24)]
+    student_table.extend(rows)
+    assert all(kept is given for kept, given in zip(student_table.rows, rows))
+    student_table.extend([["s3", "Gray", 21], ("s4", "Grey", "23")])
+    assert student_table.rows[2:] == [("s3", "Gray", 21), ("s4", "Grey", 23)]
 
 
 class TestUpdateDelete:

@@ -17,6 +17,13 @@ TINY_PAGE = 64
 keys = st.integers(min_value=0, max_value=12).map(float)
 
 
+def bulk_build(pool, name, pairs):
+    """Bulk-build from ``(key, position)`` pairs sorted by key."""
+    return BPlusTree.bulk_build(
+        pool, name, [key for key, _ in pairs], [position for _, position in pairs]
+    )
+
+
 def fresh_tree(tmp_path, name="ix.bpt", page_size=TINY_PAGE, capacity=8):
     pool = BufferPool(capacity)
     pager = Pager(str(tmp_path / name), page_size, create=True)
@@ -33,7 +40,7 @@ def built_tree(tmp_path, keys_in_order, name="ix.bpt", page_size=TINY_PAGE):
         ((key, value) for value, key in enumerate(keys_in_order)),
         key=lambda pair: pair[0],
     )
-    return BPlusTree.bulk_build(pool, name, pairs), pager
+    return bulk_build(pool, name, pairs), pager
 
 
 class Oracle:
@@ -92,7 +99,7 @@ class TestAgainstOracle:
         pool = BufferPool(8)
         pager = Pager(str(tmp_path / "bulk.bpt"), TINY_PAGE, create=True)
         pool.register("bulk.bpt", pager)
-        tree = BPlusTree.bulk_build(pool, "bulk.bpt", pairs)
+        tree = bulk_build(pool, "bulk.bpt", pairs)
         try:
             assert list(tree.items()) == pairs
             for key in {key for key, _ in pairs}:
@@ -123,7 +130,7 @@ class TestEdges:
         pager = Pager(str(tmp_path / "bad.bpt"), TINY_PAGE, create=True)
         pool.register("bad.bpt", pager)
         with pytest.raises(StorageError, match="sorted"):
-            BPlusTree.bulk_build(pool, "bad.bpt", [(2.0, 0), (1.0, 1)])
+            bulk_build(pool, "bad.bpt", [(2.0, 0), (1.0, 1)])
         pager.close()
 
     def test_page_too_small(self, tmp_path):
@@ -134,7 +141,7 @@ class TestEdges:
         # leaves are sized in bytes: the widest pair fits, and so do
         # three of them
         wide = [(-1.5, 2**32 - 1 - position) for position in range(3)]
-        tree = BPlusTree.bulk_build(pool, "small.bpt", wide)
+        tree = bulk_build(pool, "small.bpt", wide)
         assert tree.internal_capacity >= 2
         assert tree.search_eq(-1.5) == [2**32 - 1, 2**32 - 2, 2**32 - 3]
         pager.close()

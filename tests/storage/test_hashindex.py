@@ -11,7 +11,10 @@ PAGE = 64  # a 6-byte bucket header, then 58 bytes of entries
 
 def open_index(tmp_path, items, page_size=PAGE, name="ix.hash"):
     path = str(tmp_path / name)
-    buckets = HashFile.build(path, items, page_size)
+    groups = {}
+    for value, position in items:
+        groups.setdefault(value, []).append(position)
+    buckets = HashFile.build(path, groups, page_size)
     pool = BufferPool(8)
     pool.register(name, Pager(path, page_size))
     index = HashFile(pool, name)

@@ -7,7 +7,9 @@ width-coded position list; these properties drive them at 64- and
 positions cross the 1/2/4-byte widths."""
 
 import os
+from itertools import groupby
 from math import copysign
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,21 @@ KEYS = st.sampled_from(
 BASES = st.sampled_from([0, 250, 65_530])
 #: (key, run length) — long runs outgrow a 64-byte leaf
 RUNS = st.lists(st.tuples(KEYS, st.integers(1, 80)), max_size=12)
+
+
+def bulk_build(pool, name, pairs):
+    """Bulk-build from ``(key, position)`` pairs sorted by key."""
+    return BPlusTree.bulk_build(
+        pool, name, [key for key, _ in pairs], [position for _, position in pairs]
+    )
+
+
+def by_value(items):
+    """``(value, position)`` pairs as :meth:`HashFile.build` takes them."""
+    groups = {}
+    for value, position in items:
+        groups.setdefault(value, []).append(position)
+    return groups
 
 
 def pairs_of(runs, base):
@@ -60,7 +77,7 @@ class TestBPlusTreeFormat:
         oracle = sorted(pairs_of(built, base))  # by key, then position
         pool, pager = open_pool(tmp_path, "ix.bpt", page_size)
         try:
-            tree = BPlusTree.bulk_build(pool, "ix.bpt", oracle)
+            tree = bulk_build(pool, "ix.bpt", oracle)
             assert list(tree.items()) == oracle
             for key in {key for key, _ in oracle} | {4.0}:
                 assert tree.search_eq(key) == oracle_positions(oracle, key, key)
@@ -78,9 +95,7 @@ class TestBPlusTreeFormat:
         pool, pager = open_pool(tmp_path, "ix.bpt", 64)
         try:
             # every other key integral: only -0.0 keeps the leaf f64
-            tree = BPlusTree.bulk_build(
-                pool, "ix.bpt", [(-0.0, 0), (-0.0, 1), (-0.0, 2), (2.0, 3)]
-            )
+            tree = bulk_build(pool, "ix.bpt", [(-0.0, 0), (-0.0, 1), (-0.0, 2), (2.0, 3)])
             keys = [key for key, _ in tree.items()]
             assert [copysign(1.0, key) for key in keys] == [-1.0, -1.0, -1.0, 1.0]
             assert [type(key) for key in keys] == [float] * 4
@@ -93,7 +108,7 @@ class TestBPlusTreeFormat:
         tmp_path = tmp_path_factory.mktemp("bpt")
         bulk = sorted(pairs_of(runs, 0))
         pool, pager = open_pool(tmp_path, "ix.bpt", page_size)
-        BPlusTree.bulk_build(pool, "ix.bpt", bulk)
+        bulk_build(pool, "ix.bpt", bulk)
         pool.flush()
         pager.close()
         pool, pager = open_pool(tmp_path, "ix.bpt", page_size, create=False, capacity=2)
@@ -110,7 +125,7 @@ class TestHashFileFormat:
         tmp_path = tmp_path_factory.mktemp("hash")
         items = [(value, base + i) for i, value in enumerate(built)]
         path = str(tmp_path / "ix.hash")
-        HashFile.build(path, items, page_size)
+        HashFile.build(path, by_value(items), page_size)
         pool, pager = open_pool(tmp_path, "ix.hash", page_size, create=False)
         try:
             index = HashFile(pool, "ix.hash")
@@ -138,9 +153,12 @@ class TestSpimiFormat:
             for i, (token, (relation, attribute)) in enumerate(entries)
         ]
         builder = SpimiBuilder(str(tmp_path), budget)
-        for row in rows:
-            builder.add(*row)
-        builder.finalize(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
+        # neighbours of one token and slot go in as one run, which a
+        # block's budget may split
+        for (token, relation, attribute), run in groupby(rows, key=itemgetter(0, 1, 2)):
+            builder.add_run(token, relation, attribute, [row[3] for row in run])
+        stats = builder.finalize(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
+        assert stats["blocks"] == -(-len(rows) // budget)  # one per budget's worth
         index = SpimiIndex(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
         try:
             for token in ["oil", "olive", "royal", "tea", "zzz"]:
@@ -160,7 +178,7 @@ class TestSpimiFormat:
 def corrupt_first_leaf(tmp_path, patch):
     """A four-key tree whose one leaf *patch* damages; returns the tree."""
     pool, pager = open_pool(tmp_path, "ix.bpt", 128)
-    tree = BPlusTree.bulk_build(pool, "ix.bpt", [(1.0, 0), (1.0, 1), (2.0, 2), (3.5, 3)])
+    tree = bulk_build(pool, "ix.bpt", [(1.0, 0), (1.0, 1), (2.0, 2), (3.5, 3)])
     frame = pool.pin("ix.bpt", 1)
     patch(frame.data)
     pool.unpin(frame, dirty=True)
@@ -190,7 +208,7 @@ class TestCorruptionIsAnError:
 
     def test_damaged_bucket_page(self, tmp_path):
         path = str(tmp_path / "ix.hash")
-        HashFile.build(path, [("a", 0), ("a", 1)], 64)
+        HashFile.build(path, {"a": [0, 1]}, 64)
         with open(path, "r+b") as handle:
             handle.seek(64 + 6 + 10)  # bucket page 1: the entry's width code
             handle.write(bytes([3]))
@@ -203,7 +221,7 @@ class TestCorruptionIsAnError:
 
     def test_truncated_posting(self, tmp_path):
         builder = SpimiBuilder(str(tmp_path))
-        builder.add("oil", "T", "a", 7)
+        builder.add_run("oil", "T", "a", [7])
         builder.finalize(str(tmp_path / "p.bin"), str(tmp_path / "p.json"))
         raw = (tmp_path / "p.bin").read_bytes()
         (tmp_path / "p.bin").write_bytes(raw[:2] + (9).to_bytes(4, "little") + raw[6:])

@@ -1,5 +1,6 @@
 """Materialization: manifest discipline, crash shapes, the storage engine."""
 
+import hashlib
 import json
 import os
 
@@ -19,6 +20,7 @@ from repro.storage import (
     materialize,
 )
 from repro.storage.materialize import manifest_versions
+from repro.datasets import generate_acmdl, generate_tpch, university_database
 
 PAGE = 256
 
@@ -368,3 +370,33 @@ class TestStorageEngine:
         db = small_db()
         with pytest.raises(StorageError, match="manifest"):
             StorageEngine(str(tmp_path / "absent"), db.schema, pool_capacity=8)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_materialize.json")
+#: name in golden_materialize.json -> (database, materialize() options)
+GOLDEN_BUILDS = {
+    "tpch": (generate_tpch, {}),
+    # many spilled SPIMI blocks: the merge, and the manifest's block count
+    "tpch-block-budget-1000": (generate_tpch, {"block_budget": 1000}),
+    "university": (university_database, {}),
+    "acmdl": (generate_acmdl, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+def test_materialized_bytes_equal_the_recorded_ones(name, tmp_path):
+    """The sha256 of every file a ``materialize()`` at the default page
+    size leaves — heap, B+-tree, hash and SPIMI files, and the manifest
+    — as recorded in ``golden_materialize.json``.  Any change to how the
+    builders lay out a byte fails here: a format change is a decision
+    (re-record, and bump ``MANIFEST_FORMAT``), never an accident of a
+    faster build."""
+    with open(GOLDEN, encoding="utf-8") as handle:
+        recorded = json.load(handle)[name]
+    build, options = GOLDEN_BUILDS[name]
+    materialize(build(), str(tmp_path), **options)
+    written = {
+        file_name: hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
+        for file_name in sorted(os.listdir(tmp_path))
+    }
+    assert written == recorded

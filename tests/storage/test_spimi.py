@@ -25,7 +25,7 @@ def feed(builder, database):
                 if value is None:
                     continue
                 for token in set(tokenize_text(str(value))):
-                    builder.add(token, relation.name, col_name, pos)
+                    builder.add_run(token, relation.name, col_name, [pos])
 
 
 def build_spimi(tmp_path, database, block_budget):
