@@ -233,10 +233,20 @@ def _sorted_cells(
     table: Table, col_idx: int, start: int, stop: int
 ) -> Tuple[array, array]:
     """Float keys of column *col_idx* over ``rows[start:stop]`` and their
-    positions, ordered by key then position.  NULL, NaN and integers
-    beyond float range get no key: no probe can match them."""
-    values = _column(table, col_idx, start, stop)
-    positions: Sequence[int] = range(start, stop)
+    positions, ordered by key then position (:func:`sorted_float_keys`)."""
+    keys, positions = sorted_float_keys(_column(table, col_idx, start, stop), start)
+    # an array fills faster from a list than from an iterator
+    return array("d", keys), array(_POSITION, positions)
+
+
+def sorted_float_keys(values: Sequence[Any], start: int = 0) -> Tuple[List[float], List[int]]:
+    """The ``float`` key of every value of *values* that has one, in
+    ascending order, and its position (``start + i``), positions of one
+    key ascending.  NULL, NaN and integers beyond float range get no
+    key: no probe can match them, and NaN orders against no key.  The
+    memory tier's :class:`NumericIndex` and the disk tier's B+-trees are
+    both built from this."""
+    positions: Sequence[int] = range(start, start + len(values))
     if None in values:
         positions = list(compress(positions, map(not_null, values)))
         values = list(filter(not_null, values))
@@ -250,11 +260,7 @@ def _sorted_cells(
         numbers = list(map(not_, map(isnan, keys)))
         keys, positions = list(compress(keys, numbers)), list(compress(positions, numbers))
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable
-    # an array fills faster from a list than from an iterator
-    return (
-        array("d", list(map(keys.__getitem__, order))),
-        array(_POSITION, list(map(positions.__getitem__, order))),
-    )
+    return list(map(keys.__getitem__, order)), list(map(positions.__getitem__, order))
 
 
 def _fits_float(value: Any) -> bool:

@@ -4,34 +4,38 @@ This is the disk counterpart of
 :class:`~repro.relational.index.NumericIndex`: keys are the
 ``float(value)`` of INT/FLOAT column values, values are dense row
 positions.  Duplicate keys are first-class (a selective column still has
-many rows per value), so probes return *lists* of positions.
+many rows per value), so probes return sequences of positions.
 
-Layout (one page file, accessed through the buffer pool):
-
-* page 0 — meta: magic, root page number;
-* every other page — a node::
+Layout (one page file, accessed through the buffer pool): every page is
+a node, and the manifest records which one is the root — the file has
+no meta page::
 
       [type: u8][n_keys: u16][n_positions: u16][next: u32]   header, 9 bytes
       leaf:     [code: u8]  n_keys keys: signed integers of the code's
                             width (1/2/4/8 bytes), or f64 (code 0)
                 [width: u8] n_keys counts       (page.pack_uints)
-                [width: u8] n_positions positions
+                [width: u8] n_positions positions (1, 2 or 4), or
+                [0][first: u32]  the positions first, first + 1, ...
       internal: n_keys * key f64, then (n_keys + 1) * child u32
 
   A leaf stores each distinct key once; the positions carrying
   ``keys[i]`` are the next ``counts[i]`` of the positions array.  Keys
   are integers of the narrowest width when every key on the leaf is
-  integral, not ``-0.0`` and within ±2**53, f64 otherwise.  A run of
-  duplicates too long for one leaf continues on the next: leaves are
-  chained through ``next`` (``NO_PAGE`` terminates), so duplicates and
-  ranges that span leaves are a forward walk.
+  integral, not ``-0.0`` and within ±2**53, f64 otherwise.  A leaf whose
+  positions are consecutive — a key column in row order, a table loaded
+  sorted by the column — stores only the first of them (*implicit*
+  positions) when that is smaller, and decodes them as a ``range``.  A
+  run of duplicates too long for one leaf continues on the next: leaves
+  are chained through ``next`` (``NO_PAGE`` terminates), so duplicates
+  and ranges that span leaves are a forward walk.
 
 Search descends with ``bisect_left``, landing on the leftmost leaf that
 can hold a key.  A tree is written once, by :meth:`BPlusTree.bulk_build`
 — the materializer's path: the sorted keys and their positions, two
 parallel columns, are packed a leaf at a time over the runs of equal
-keys, each leaf as full as it encodes (sized in bytes), and the internal
-levels are built bottom-up.  Rows appended afterwards are not inserted: the tree covers
+keys, each leaf as full as it encodes (sized in bytes), leaves first
+from page 0, then the internal levels bottom-up, the root last.  Rows
+appended afterwards are not inserted: the tree covers
 the table's first ``indexed`` rows, and
 :meth:`repro.storage.engine.StorageEngine.candidates` adds the rows past
 them to every answer.  A node is decoded once per residency: the frame
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from math import copysign
 from operator import itemgetter, lt, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -55,8 +59,6 @@ __all__ = ["BPlusTree", "NO_PAGE"]
 
 NO_PAGE = 0xFFFFFFFF
 
-_META = struct.Struct("<4sI")
-_MAGIC = b"BPT2"
 _HEADER = struct.Struct("<BHHI")
 _LEAF, _INTERNAL = 0, 1
 #: a leaf's bytes besides its array values: the header and three codes
@@ -64,6 +66,11 @@ _LEAF_BASE = _HEADER.size + 3
 #: key code of an f64 array; the others are signed integer widths
 _F64 = 0
 _KEY_FORMAT = {**INT_FORMAT, _F64: "d"}
+#: position code of implicit positions, and what follows it
+_IMPLICIT = 0
+_FIRST = struct.Struct("<I")
+#: the most positions a leaf header counts
+_MAX_POSITIONS = 0xFFFF
 #: every integer of at most this magnitude is exactly a float
 _EXACT = float(2 ** 53)
 
@@ -83,8 +90,9 @@ def _int_key(key: float) -> bool:
 class _Node:
     """A decoded node, shared by every reader of its frame (writers build
     new ones).  In a leaf, ``keys[i]`` is carried by
-    ``positions[starts[i]:starts[i + 1]]``; an internal node has one more
-    child than keys."""
+    ``positions[starts[i]:starts[i + 1]]`` — a ``range`` when the leaf
+    stores its positions implicitly; an internal node has one more child
+    than keys."""
 
     __slots__ = ("keys", "starts", "positions", "children", "next")
 
@@ -122,6 +130,28 @@ def _internal(entries: Sequence[Tuple[int, float]]) -> _Node:
     )
 
 
+def _internal_capacity(page_size: int) -> int:
+    """Children an internal node of *page_size* bytes holds, less one."""
+    capacity = (page_size - _HEADER.size - 4) // 12
+    if capacity < 2:
+        raise StorageError(f"page size {page_size} too small for a B+-tree node")
+    return capacity
+
+
+def _write(pool: BufferPool, file_id: str, node: _Node) -> int:
+    """Encode *node* onto a new page of *file_id*; returns the page."""
+    raw = _encode(node)
+    page_size = pool.pager(file_id).page_size
+    if len(raw) > page_size:
+        raise StorageError(f"{file_id}: a {len(raw)}-byte node, page size {page_size}")
+    frame = pool.new_page(file_id)
+    try:
+        frame.data[:] = raw.ljust(page_size, b"\0")
+    finally:
+        pool.unpin(frame, dirty=True)
+    return frame.page_no
+
+
 def _groups(entries: Sequence, fan_out: int) -> List[Sequence]:
     """*entries* cut into the fewest runs of at most *fan_out*, their
     lengths within one of each other (so none is a lone child)."""
@@ -147,13 +177,17 @@ def _encode(node: _Node) -> bytes:
         packed_keys = struct.pack(f"<{len(keys)}{_KEY_FORMAT[code]}", *map(int, keys))
     else:
         code, packed_keys = _F64, struct.pack(f"<{len(keys)}d", *keys)
-    starts = node.starts
+    starts, positions = node.starts, node.positions
+    if isinstance(positions, range):
+        packed_positions = bytes((_IMPLICIT,)) + _FIRST.pack(positions.start)
+    else:
+        packed_positions = pack_uints(positions)
     return b"".join((
-        _HEADER.pack(_LEAF, len(keys), len(node.positions), node.next),
+        _HEADER.pack(_LEAF, len(keys), len(positions), node.next),
         bytes((code,)),
         packed_keys,
         pack_uints(list(map(sub, starts[1:], starts))),
-        pack_uints(node.positions),
+        packed_positions,
     ))
 
 
@@ -170,7 +204,12 @@ def _decode(data: bytearray) -> _Node:
         raise StorageError(f"unknown key width code {code}")
     keys = struct.unpack_from(f"<{n}{_KEY_FORMAT[code]}", data, offset + 1)
     counts, offset = unpack_uints(data, offset + 1 + n * (code or 8), n)
-    positions, _ = unpack_uints(data, offset, n_positions)
+    positions: Sequence[int]
+    if offset < len(data) and data[offset] == _IMPLICIT:
+        first = _FIRST.unpack_from(data, offset + 1)[0]
+        positions = range(first, first + n_positions)
+    else:
+        positions = unpack_uints(data, offset, n_positions)[0]
     node = _Node.leaf(
         list(keys) if code == _F64 else list(map(float, keys)),
         counts, positions, next_no,
@@ -181,15 +220,15 @@ def _decode(data: bytearray) -> _Node:
 
 
 def _key_bytes(keys: List[float]) -> int:
-    """The bytes a leaf stores each of *keys* in: the narrowest integer
-    width holding all of them when every one may be stored as an integer
-    (:func:`_int_key`), else 8 (f64)."""
+    """The bytes a leaf stores each of the ascending *keys* in: the
+    narrowest integer width holding all of them when every one may be
+    stored as an integer (:func:`_int_key`), else 8 (f64)."""
     if not all(map(float.is_integer, keys)):  # NaN and ±inf included
         return 8
-    low, high = min(keys), max(keys)
+    low, high = keys[0], keys[-1]
     if low < -_EXACT or high > _EXACT:
         return 8
-    if 0.0 in keys and copysign(1.0, keys[keys.index(0.0)]) < 0:
+    if low <= 0.0 <= high and copysign(1.0, keys[bisect_left(keys, 0.0)]) < 0:
         return 8  # a leaf holds one key equal to zero: this one is -0.0
     return int_width(int(low), int(high))
 
@@ -228,40 +267,94 @@ def _packed_leaves(
     fit a page before the next starts — a run of one key too, which then
     goes on in the next leaf.  The size is kept as :func:`_encode` writes
     it, from the leaf's widest key, count and position (the widest of a
-    whole run, for a run cut short).
+    whole run, for a run cut short), or with implicit positions where
+    the leaf's positions are consecutive and that is smaller.
 
     The work is per leaf, not per key: the runs of equal keys are found
-    once (``groupby``), then each leaf takes the longest stretch of whole
-    runs that fits — found by galloping from the last leaf's count, each
-    try sized by builtins over the stretch — and then as much of the
-    next run as still fits."""
+    once (``groupby``), then each leaf takes the
+    longest stretch of whole runs that fits — found by galloping from
+    the last leaf's count, each try sized by builtins over the stretch —
+    and then as much of the next run as still fits."""
     lengths = list(map(len, map(list, map(itemgetter(1), groupby(keys)))))
     ends = list(accumulate(lengths))
     starts = [0, *ends[:-1]]
     run_keys = list(map(keys.__getitem__, starts[:len(lengths)]))
     runs = len(lengths)
+    # what is known of the consecutive positions from ``since`` on: they
+    # reach at least ``good``, and not ``bad``
+    since, good, bad = -1, 0, 0
+
+    def consecutive(begin: int, end: int) -> bool:
+        """Whether ``positions[begin:end]`` (not empty) are consecutive:
+        refused from their ends alone unless those are ``end - begin - 1``
+        apart, otherwise checked past what earlier tries from *begin*
+        checked."""
+        nonlocal since, good, bad
+        first = positions[begin]
+        if positions[end - 1] - first != end - 1 - begin:
+            return False
+        if since != begin:
+            since, good, bad = begin, begin + 1, len(positions) + 1
+        if end <= good:
+            return True
+        if end >= bad:
+            return False
+        if list(positions[good:end]) == list(range(first + good - begin, first + end - begin)):
+            good = end
+            return True
+        bad = end
+        return False
+
+    def implicit(begin: int, end: int) -> bool:
+        """Whether a leaf stores ``positions[begin:end]`` implicitly:
+        they are consecutive, and their first alone takes fewer bytes
+        than all of them."""
+        return (
+            begin < end
+            and (end - begin) * uint_width(positions[end - 1]) > _FIRST.size
+            and consecutive(begin, end)
+        )
+
+    def leaf(leaf_keys: List[float], counts: List[int], begin: int, end: int) -> _Node:
+        if implicit(begin, end):
+            first = positions[begin]
+            return _Node.leaf(leaf_keys, counts, range(first, first + end - begin))
+        # a list even when *positions* is a range: a range is what
+        # _encode stores implicitly
+        return _Node.leaf(leaf_keys, counts, list(positions[begin:end]))
+
+    def key_count_bytes(first: int, stop: int, left: int) -> int:
+        """Key and count bytes per run of a leaf holding runs
+        ``first..stop-1``, of which the first has *left* positions."""
+        longest = max(left, max(lengths[first + 1:stop], default=0))
+        return _key_bytes(run_keys[first:stop]) + uint_width(longest)
 
     widest_of_run: Dict[int, int] = {}
 
-    def widths(first: int, stop: int, left: int) -> Tuple[int, int, int]:
-        """Key, count and position widths of a leaf holding runs
-        ``first..stop-1``, of which the first has *left* positions; a
-        run's position width is that of the whole run, also when the leaf
-        holds only the end of it (its widest found once per run)."""
-        longest = max(left, max(lengths[first + 1:stop], default=0))
+    def position_width(first: int, stop: int) -> int:
+        """The position width of a leaf holding runs ``first..stop-1``:
+        a run's is that of the whole run, also when the leaf holds only
+        the end of it (its widest found once per run)."""
         widest = widest_of_run.get(first)
         if widest is None:
             widest = widest_of_run[first] = max(positions[starts[first]:ends[first]])
-        widest = max(widest, max(positions[ends[first]:ends[stop - 1]], default=0))
-        return _key_bytes(run_keys[first:stop]), uint_width(longest), uint_width(widest)
+        return uint_width(max(widest, max(positions[ends[first]:ends[stop - 1]], default=0)))
 
     def size(first: int, stop: int, left: int) -> int:
-        held = left + ends[stop - 1] - ends[first]
-        least = _LEAF_BASE + 2 * (stop - first) + held  # every width at least 1
+        begin = ends[first] - left
+        held = ends[stop - 1] - begin
+        least = _LEAF_BASE + 2 * (stop - first) + min(held, _FIRST.size)
+        if least > page_size or held > _MAX_POSITIONS:
+            return max(least, page_size + 1)  # none of the widths looked at
+        if implicit(begin, begin + held):
+            return _LEAF_BASE + (stop - first) * key_count_bytes(first, stop, left) + _FIRST.size
+        least += held - min(held, _FIRST.size)  # every position stored
         if least > page_size:
-            return least  # too many for any widths: none of them looked at
-        key_bytes, count_width, position_width = widths(first, stop, left)
-        return _LEAF_BASE + (stop - first) * (key_bytes + count_width) + held * position_width
+            return least
+        return (
+            _LEAF_BASE + (stop - first) * key_count_bytes(first, stop, left)
+            + held * position_width(first, stop)
+        )
 
     first, left = 0, lengths[0] if runs else 0
     last = 1  # whole runs the last leaf took: where the next search starts
@@ -274,63 +367,45 @@ def _packed_leaves(
         stretch = run_keys[first:fits + 1]
         if any(map(lt, stretch[1:], stretch)):
             raise StorageError("bulk_build requires keys in sorted order")
-        begin = starts[first] + lengths[first] - left
-        end = begin + left + ends[fits - 1] - ends[first] if fits > first else begin
+        begin = ends[first] - left
+        end = ends[fits - 1] if fits > first else begin
         counts = [left, *lengths[first + 1:fits]][:fits - first]
         if fits == runs:
-            yield _Node.leaf(run_keys[first:fits], counts, positions[begin:end])
+            yield leaf(run_keys[first:fits], counts, begin, end)
             return
         # the next run: as many of its positions as the room left holds,
-        # sized with the widths of the whole run
+        # sized with the widths of the whole run, stored one by one
         run_left = left if fits == first else lengths[fits]
-        key_bytes, count_width, position_width = widths(first, fits + 1, left)
-        room = (
-            page_size - _LEAF_BASE - (fits - first + 1) * (key_bytes + count_width)
-            - (end - begin) * position_width
-        )
-        take = min(run_left, room // position_width)
+        key_count = key_count_bytes(first, fits + 1, left)
+        width = position_width(first, fits + 1)
+        room = page_size - _LEAF_BASE - (fits - first + 1) * key_count - (end - begin) * width
+        take = min(run_left, room // width)
         leaf_keys = run_keys[first:fits]
         if take > 0:
             leaf_keys.append(run_keys[fits])
             counts.append(take)
             end += take
-        yield _Node.leaf(leaf_keys, counts, positions[begin:end])
+        yield leaf(leaf_keys, counts, begin, end)
         first, left = fits, run_left - max(take, 0)
 
 
 class BPlusTree:
-    """B+-tree over ``(pool, file_id)``; see module docstring."""
+    """B+-tree over ``(pool, file_id)`` rooted at page *root*; see the
+    module docstring."""
 
-    def __init__(self, pool: BufferPool, file_id: str) -> None:
-        self._attach(pool, file_id)
-        self._root = self._read_meta()
-
-    def _attach(self, pool: BufferPool, file_id: str) -> None:
+    def __init__(self, pool: BufferPool, file_id: str, root: int) -> None:
         self.pool = pool
         self.file_id = file_id
         self.page_size = pool.pager(file_id).page_size
-        self.internal_capacity = (self.page_size - _HEADER.size - 4) // 12
-        if self.internal_capacity < 2:
-            raise StorageError(
-                f"page size {self.page_size} too small for a B+-tree node"
-            )
+        self.internal_capacity = _internal_capacity(self.page_size)
+        pages = pool.pager(file_id).page_count
+        if not 0 <= root < pages:
+            raise StorageError(f"{file_id}: root page {root} of a {pages}-page file")
+        self.root = root
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def create(cls, pool: BufferPool, file_id: str) -> "BPlusTree":
-        """Initialize an empty tree in a freshly created page file."""
-        meta = pool.new_page(file_id)
-        _META.pack_into(meta.data, 0, _MAGIC, 1)
-        pool.unpin(meta, dirty=True)
-        tree = object.__new__(cls)
-        tree._attach(pool, file_id)
-        if tree._write(_Node.leaf([], [], [])) != 1:  # pragma: no cover - fresh file
-            raise StorageError(f"{file_id}: root page is not page 1")
-        tree._root = 1
-        return tree
-
     @classmethod
     def bulk_build(
         cls,
@@ -339,37 +414,35 @@ class BPlusTree:
         keys: Sequence[float],
         positions: Sequence[int],
     ) -> "BPlusTree":
-        """Build from *keys* sorted ascending, ``keys[i]`` carried by
-        ``positions[i]`` (the positions of one key in any order)."""
-        tree = cls.create(pool, file_id)
-        leaves = _packed_leaves(keys, positions, tree.page_size)
-        # Fill the (already written, empty) root leaf first, then chain.
-        page_no, leaf = tree._root, next(leaves, None)
+        """Build into the empty page file *file_id* from *keys* sorted
+        ascending, ``keys[i]`` carried by ``positions[i]`` (the positions
+        of one key in any order); the tree's :attr:`root` is the page the
+        manifest records."""
+        page_size = pool.pager(file_id).page_size
+        capacity = _internal_capacity(page_size)
+        leaves = list(_packed_leaves(keys, positions, page_size))
+        if not leaves:
+            leaves = [_Node.leaf([], [], [])]
         level: List[Tuple[int, float]] = []
-        while leaf is not None:
-            following = next(leaves, None)
-            if following is not None:
-                leaf.next = tree._reserve()
-            tree._write(leaf, page_no)
-            level.append((page_no, leaf.keys[0]))
-            page_no, leaf = leaf.next, following
-        tree._build_internal_levels(level or [(tree._root, 0.0)])
-        return tree
-
-    def _build_internal_levels(self, level: List[Tuple[int, float]]) -> None:
-        """Parents over *level* — ``(page, first key)`` of each node, in
-        key order — up to a single root, which the meta page then names."""
+        for page_no, leaf in enumerate(leaves):
+            if page_no + 1 < len(leaves):
+                leaf.next = page_no + 1
+            if _write(pool, file_id, leaf) != page_no:
+                raise StorageError(f"{file_id}: not an empty page file")
+            level.append((page_no, leaf.keys[0] if leaf.keys else 0.0))
+        # parents over each level, (page, first key) of each node in key
+        # order, up to a single root
         while len(level) > 1:
             level = [
-                (self._write(_internal(group)), group[0][1])
-                for group in _groups(level, self.internal_capacity + 1)
+                (_write(pool, file_id, _internal(group)), group[0][1])
+                for group in _groups(level, capacity + 1)
             ]
-        self._set_root(level[0][0])
+        return cls(pool, file_id, level[0][0])
 
     # ------------------------------------------------------------------
     # Probes
     # ------------------------------------------------------------------
-    def search_eq(self, key: float) -> List[int]:
+    def search_eq(self, key: float) -> Sequence[int]:
         """All positions stored under exactly *key*."""
         return self._walk(key, key)
 
@@ -379,7 +452,7 @@ class BPlusTree:
         high: Optional[float] = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> List[int]:
+    ) -> Sequence[int]:
         """Positions with ``low <= key <= high`` (bounds optional, open
         with ``include_* = False``)."""
         return self._walk(low, high, include_low, include_high)
@@ -404,8 +477,13 @@ class BPlusTree:
         high: Optional[float],
         include_low: bool = True,
         include_high: bool = True,
-    ) -> List[int]:
-        found: List[int] = []
+    ) -> Sequence[int]:
+        """The positions of the keys between the bounds: the ``range`` a
+        leaf with implicit positions holds when they all come from it, a
+        list otherwise.  A NaN bound matches no key."""
+        if low != low or high != high:
+            return []
+        pieces: List[Sequence[int]] = []
         if low is None:
             page_no = self._leftmost_leaf()
         else:
@@ -420,14 +498,16 @@ class BPlusTree:
             if high is not None:
                 stop = (bisect_right if include_high else bisect_left)(keys, high)
             if start < stop:
-                found += node.positions[node.starts[start]:node.starts[stop]]
+                pieces.append(node.positions[node.starts[start]:node.starts[stop]])
             if stop < len(keys):
                 break
             page_no = node.next
-        return found
+        if len(pieces) == 1 and isinstance(pieces[0], range):
+            return pieces[0]
+        return list(chain.from_iterable(pieces))
 
     def _leftmost_leaf(self) -> int:
-        page_no = self._root
+        page_no = self.root
         node = self._read_node(page_no)
         while not node.is_leaf:
             page_no = node.children[0]
@@ -436,7 +516,7 @@ class BPlusTree:
 
     def _descend_left(self, key: float) -> int:
         """Leaf page that could contain the first occurrence of *key*."""
-        page_no = self._root
+        page_no = self.root
         node = self._read_node(page_no)
         while not node.is_leaf:
             page_no = node.children[bisect_left(node.keys, key)]
@@ -444,35 +524,8 @@ class BPlusTree:
         return page_no
 
     # ------------------------------------------------------------------
-    # Node / meta I/O (all page access funnels through the pool)
+    # Node I/O (all page access funnels through the pool)
     # ------------------------------------------------------------------
-    def _read_meta(self) -> int:
-        frame = self.pool.pin(self.file_id, 0)
-        try:
-            magic, root = _META.unpack_from(frame.data, 0)
-        finally:
-            self.pool.unpin(frame)
-        if magic != _MAGIC:
-            raise StorageError(
-                f"{self.file_id}: bad B+-tree magic {magic!r}"
-            )
-        return root
-
-    def _set_root(self, page_no: int) -> None:
-        self._root = page_no
-        frame = self.pool.pin(self.file_id, 0)
-        try:
-            _META.pack_into(frame.data, 0, _MAGIC, page_no)
-        finally:
-            self.pool.unpin(frame, dirty=True)
-
-    def _reserve(self) -> int:
-        """Allocate a page now, to be filled by a later write."""
-        frame = self.pool.new_page(self.file_id)
-        page_no = frame.page_no
-        self.pool.unpin(frame, dirty=True)
-        return page_no
-
     def _read_node(self, page_no: int) -> _Node:
         """The node on *page_no*, decoded once while its frame is resident."""
         frame = self.pool.pin(self.file_id, page_no)
@@ -488,22 +541,5 @@ class BPlusTree:
             self.pool.unpin(frame)
         return node
 
-    def _write(self, node: _Node, page_no: Optional[int] = None) -> int:
-        """Encode *node* onto *page_no*, or onto a new page; returns the page."""
-        raw = _encode(node)
-        if len(raw) > self.page_size:
-            raise StorageError(
-                f"{self.file_id}: a {len(raw)}-byte node, page size {self.page_size}"
-            )
-        if page_no is None:
-            frame = self.pool.new_page(self.file_id)
-        else:
-            frame = self.pool.pin(self.file_id, page_no)
-        try:
-            frame.data[:] = raw.ljust(self.page_size, b"\0")
-        finally:
-            self.pool.unpin(frame, dirty=True)
-        return frame.page_no
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BPlusTree({self.file_id!r}, root={self._root})"
+        return f"BPlusTree({self.file_id!r}, root={self.root})"

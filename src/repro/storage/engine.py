@@ -84,9 +84,10 @@ class StorageEngine:
         self.pool = BufferPool(pool_capacity)
         self._pagers: List[Pager] = []
         self._heaps: Dict[str, HeapFile] = {}
-        self._bpt_files: Dict[Tuple[str, str], str] = {}
+        #: (table, column) -> (file, root page) / (file, bucket count)
+        self._bpt_files: Dict[Tuple[str, str], Tuple[str, int]] = {}
         self._bptrees: Dict[Tuple[str, str], BPlusTree] = {}
-        self._hash_files: Dict[Tuple[str, str], str] = {}
+        self._hash_files: Dict[Tuple[str, str], Tuple[str, int]] = {}
         self._hashes: Dict[Tuple[str, str], HashFile] = {}
         #: per table, the rows its index files cover: the rows before
         #: the tail, fixed while the engine is open
@@ -135,10 +136,14 @@ class StorageEngine:
                     f"{entry['rows']}"
                 )
             self.indexed[table_name] = entry["indexed"]
-            for column, file_name in entry["numeric"].items():
-                self._bpt_files[(table_name, column)] = self._register(file_name)
-            for column, file_name in entry["hash"].items():
-                self._hash_files[(table_name, column)] = self._register(file_name)
+            for column, index in entry["numeric"].items():
+                self._bpt_files[(table_name, column)] = (
+                    self._register(index["file"]), index["root"]
+                )
+            for column, index in entry["hash"].items():
+                self._hash_files[(table_name, column)] = (
+                    self._register(index["file"]), index["buckets"]
+                )
 
     # ------------------------------------------------------------------
     # What the executor reads
@@ -209,20 +214,20 @@ class StorageEngine:
         key = (table_name, column)
         tree = self._bptrees.get(key)
         if tree is None:
-            file_id = self._bpt_files.get(key)
-            if file_id is None:
+            file = self._bpt_files.get(key)
+            if file is None:
                 return None
-            tree = self._bptrees.setdefault(key, BPlusTree(self.pool, file_id))
+            tree = self._bptrees.setdefault(key, BPlusTree(self.pool, *file))
         return tree
 
     def hash_file(self, table_name: str, column: str) -> Optional[HashFile]:
         key = (table_name, column)
         index = self._hashes.get(key)
         if index is None:
-            file_id = self._hash_files.get(key)
-            if file_id is None:
+            file = self._hash_files.get(key)
+            if file is None:
                 return None
-            index = self._hashes.setdefault(key, HashFile(self.pool, file_id))
+            index = self._hashes.setdefault(key, HashFile(self.pool, *file))
         return index
 
     # ------------------------------------------------------------------

@@ -10,11 +10,11 @@ first ``indexed`` rows, and
 them to every answer.  So a *static* hash table suffices — no
 directories, no splits, no inserts.
 
-Layout (one page file)::
+Layout (one page file; the manifest records its bucket count B, so
+there is no meta page)::
 
-    page 0                meta: magic, bucket count B
-    pages 1..B            primary bucket pages
-    pages B+1..           overflow pages, chained from their bucket
+    pages 0..B-1          primary bucket pages
+    pages B..             overflow pages, chained from their bucket
 
     bucket page: [n_entries: u16][next_overflow: u32]  then n_entries of
                  [hash: u64][n: u16][width: u8][n positions of that width]
@@ -46,8 +46,6 @@ from repro.storage.pager import BufferPool, Frame, Pager
 
 __all__ = ["HashFile", "hash_key"]
 
-_META = struct.Struct("<4sI")
-_MAGIC = b"HSH2"
 _BUCKET_HEADER = struct.Struct("<HI")
 _ENTRY = struct.Struct("<QH")
 #: an entry's bytes besides its positions: hash, count, width code
@@ -109,20 +107,16 @@ def _chain(entries: Entries, page_size: int) -> List[Entries]:
 
 
 class HashFile:
-    """Handle over a built hash-index page file: probes."""
+    """Handle over a built hash-index page file of *buckets* primary
+    buckets: probes."""
 
-    def __init__(self, pool: BufferPool, file_id: str) -> None:
+    def __init__(self, pool: BufferPool, file_id: str, buckets: int) -> None:
+        pages = pool.pager(file_id).page_count
+        if not 0 < buckets <= pages:
+            raise StorageError(f"{file_id}: {buckets} buckets in a {pages}-page file")
         self.pool = pool
         self.file_id = file_id
-        frame = pool.pin(file_id, 0)
-        try:
-            magic, buckets = _META.unpack_from(frame.data, 0)
-        finally:
-            pool.unpin(frame)
-        if magic != _MAGIC:
-            raise StorageError(f"{file_id}: bad hash-index magic {magic!r}")
         self.buckets = buckets
-        self._page_size = pool.pager(file_id).page_size
 
     # ------------------------------------------------------------------
     # Build (sequential, straight through a private pager)
@@ -149,24 +143,21 @@ class HashFile:
         for hashed, positions in entries:
             chains[hashed % buckets].append((hashed, positions))
 
-        # Page numbers: primary pages are 1..buckets, each bucket's
+        # Page numbers: primary pages are 0..buckets-1, each bucket's
         # overflow pages follow in bucket order.
-        next_free = buckets + 1
+        next_free = buckets
         pages: Dict[int, bytes] = {}
         for bucket, chain in enumerate(chains):
             laid_out = _chain(chain, page_size)
             overflow = range(next_free, next_free + len(laid_out) - 1)
-            page_nos = [bucket + 1, *overflow, _NO_PAGE]
+            page_nos = [bucket, *overflow, _NO_PAGE]
             next_free = overflow.stop
             for page_no, contents, nxt in zip(page_nos, laid_out, page_nos[1:]):
                 pages[page_no] = _page(contents, nxt, page_size)
 
         pager = Pager(path, page_size, create=True)
         try:
-            meta = bytearray(page_size)
-            _META.pack_into(meta, 0, _MAGIC, buckets)
-            pager.write_page(0, bytes(meta))
-            for page_no in range(1, next_free):
+            for page_no in range(next_free):
                 pager.write_page(page_no, pages[page_no])
             pager.sync()
         finally:
@@ -206,7 +197,7 @@ class HashFile:
         hash collision; callers re-verify)."""
         needle = hash_key(value)
         found: Set[int] = set()
-        page_no = (needle % self.buckets) + 1
+        page_no = needle % self.buckets
         while page_no != _NO_PAGE:
             frame = self.pool.pin(self.file_id, page_no)
             try:

@@ -10,11 +10,17 @@
 * ``postings.bin`` + ``postings.dict.json`` — one SPIMI inverted index
   over every text column of every table, serving ``contains`` lookups;
 * ``MANIFEST.json`` — written **last**, atomically (tmp + ``os.replace``);
-  its ``format`` (:data:`MANIFEST_FORMAT`, 4) names the file layouts.
+  its ``format`` (:data:`MANIFEST_FORMAT`, 5) names the file layouts,
+  and it records each B+-tree's root page and each hash file's bucket
+  count, so no index file spends a page on them.
 
 Every index file stores each distinct key once — a B+-tree key, a hash,
 a token's slot — followed by the positions carrying it, as one
-width-coded unsigned array (:func:`~repro.storage.page.pack_uints`).
+width-coded unsigned array (:func:`~repro.storage.page.pack_uints`), or,
+in a B+-tree leaf whose positions are consecutive, as the first of them.
+Once the manifest is written, files with a storage suffix
+(:data:`STORAGE_SUFFIXES`) that it does not name — left by an older
+format — are deleted; other files in the directory are left alone.
 
 The index files of a table cover a *prefix* of its rows: the first
 ``indexed``, which the manifest records per table.  :func:`materialize`
@@ -40,14 +46,13 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import compress
 from operator import itemgetter
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.database import Database
-from repro.relational.index import tokenize_text
-from repro.relational.types import DataType, not_null
+from repro.relational.index import sorted_float_keys, tokenize_text
+from repro.relational.types import DataType
 from repro.storage.bptree import BPlusTree
 from repro.storage.hashindex import HashFile
 from repro.storage.heap import build_heap
@@ -64,14 +69,19 @@ __all__ = [
 ]
 
 MANIFEST_FILE = "MANIFEST.json"
+#: 5: index files have no meta page (the manifest records B+-tree roots
+#: and hash bucket counts), B+-tree leaves may store consecutive
+#: positions implicitly, and text minipages may be dictionary-coded;
 #: 4: each table's index files cover its first ``indexed`` rows; 3:
 #: index files store each key (hash, token slot) once, with a
 #: width-coded position list; 2: column-wise heap pages.  A directory
 #: written under another format reads as stale and is rebuilt, never
 #: decoded.
-MANIFEST_FORMAT = 4
+MANIFEST_FORMAT = 5
 POSTINGS_FILE = "postings.bin"
 DICT_FILE = "postings.dict.json"
+#: the names of the files this module writes end in one of these
+STORAGE_SUFFIXES = (".heap", ".bpt", ".hash", ".bin", ".dict.json")
 NUMERIC = (DataType.INT, DataType.FLOAT)
 TEXTUAL = (DataType.TEXT, DataType.DATE)
 #: pool used only while bulk-building B+-trees; independent of (and
@@ -125,17 +135,17 @@ def materialize(
             values = list(map(itemgetter(col_idx), rows))
             if column.dtype in NUMERIC:
                 file_name = f"{relation.name}.{column.name}.bpt"
-                keys, positions = sorted_keys(values)
-                _build_bptree(
+                keys, positions = sorted_float_keys(values)
+                root = _build_bptree(
                     build_pool, os.path.join(directory, file_name), file_name,
                     keys, positions, page_size,
                 )
-                entry["numeric"][column.name] = file_name
+                entry["numeric"][column.name] = {"file": file_name, "root": root}
             else:
                 file_name = f"{relation.name}.{column.name}.hash"
                 groups = positions_by_value(values)
-                HashFile.build(os.path.join(directory, file_name), groups, page_size)
-                entry["hash"][column.name] = file_name
+                buckets = HashFile.build(os.path.join(directory, file_name), groups, page_size)
+                entry["hash"][column.name] = {"file": file_name, "buckets": buckets}
                 for value, positions in groups.items():
                     for token in set(tokenize_text(value)):
                         spimi.add_run(token, relation.name, column.name, positions)
@@ -159,21 +169,11 @@ def materialize(
         "totals": totals,
     }
     write_manifest(directory, manifest)
+    named = set(manifest["files"])
+    for name in os.listdir(directory):
+        if name.endswith(STORAGE_SUFFIXES) and name not in named:
+            os.unlink(os.path.join(directory, name))
     return manifest
-
-
-def sorted_keys(values: Sequence[Any]) -> Tuple[List[float], List[int]]:
-    """The B+-tree of one numeric column: the ``float`` of every non-NULL
-    value in ascending order, and the position of each — positions of one
-    key ascending, as a stable sort of the positions by key leaves them."""
-    if None in values:
-        positions: Sequence[int] = list(compress(range(len(values)), map(not_null, values)))
-        values = list(filter(not_null, values))
-    else:
-        positions = range(len(values))
-    keys = list(map(float, values))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return list(map(keys.__getitem__, order)), list(map(positions.__getitem__, order))
 
 
 def positions_by_value(values: Sequence[Any]) -> Dict[str, List[int]]:
@@ -198,8 +198,8 @@ def write_manifest(directory: str, manifest: Dict[str, Any]) -> None:
     names: List[str] = []
     for entry in manifest["tables"].values():
         names.append(entry["heap"])
-        names.extend(entry["numeric"].values())
-        names.extend(entry["hash"].values())
+        names.extend(index["file"] for index in entry["numeric"].values())
+        names.extend(index["file"] for index in entry["hash"].values())
     spimi = manifest["spimi"]
     names += [spimi["postings"], spimi["dict"]]
     manifest["files"] = {
@@ -219,13 +219,15 @@ def _build_bptree(
     keys: List[float],
     positions: List[int],
     page_size: int,
-) -> None:
+) -> int:
+    """Write the B+-tree file at *path*; returns its root page."""
     pager = Pager(path, page_size, create=True)
     try:
         pool.register(file_id, pager)
-        BPlusTree.bulk_build(pool, file_id, keys, positions)
+        root = BPlusTree.bulk_build(pool, file_id, keys, positions).root
         pool.flush()
         pager.sync()
+        return root
     finally:
         pool.drop_file(file_id)
         pager.close()

@@ -28,7 +28,7 @@ def fresh_tree(tmp_path, name="ix.bpt", page_size=TINY_PAGE, capacity=8):
     pool = BufferPool(capacity)
     pager = Pager(str(tmp_path / name), page_size, create=True)
     pool.register(name, pager)
-    return BPlusTree.create(pool, name), pager
+    return BPlusTree.bulk_build(pool, name, [], []), pager
 
 
 def built_tree(tmp_path, keys_in_order, name="ix.bpt", page_size=TINY_PAGE):
@@ -154,16 +154,17 @@ class TestEdges:
         pool = BufferPool(4)
         reopened_pager = Pager(str(tmp_path / "ix.bpt"), TINY_PAGE)
         pool.register("ix.bpt", reopened_pager)
-        reopened = BPlusTree(pool, "ix.bpt")
+        reopened = BPlusTree(pool, "ix.bpt", tree.root)
         assert sorted(reopened.search_eq(3.0)) == [2, 3]
         assert [key for key, _ in reopened.items()] == [1.0, 2.0, 3.0, 3.0, 5.0]
         reopened_pager.close()
 
-    def test_bad_magic(self, tmp_path):
-        pool = BufferPool(4)
-        pager = Pager(str(tmp_path / "junk.bpt"), TINY_PAGE, create=True)
-        pager.allocate()
-        pool.register("junk.bpt", pager)
-        with pytest.raises(StorageError, match="magic"):
-            BPlusTree(pool, "junk.bpt")
+    def test_root_outside_the_file(self, tmp_path):
+        # the manifest names the root; a root past the file's pages is
+        # refused before any page is read
+        tree, pager = built_tree(tmp_path, [1.0, 2.0])
+        pages = pager.page_count
+        for root in (pages, pages + 7, -1):
+            with pytest.raises(StorageError, match="root page"):
+                BPlusTree(tree.pool, "ix.bpt", root)
         pager.close()

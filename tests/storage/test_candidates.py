@@ -10,6 +10,7 @@ memory answer, and the memory answer is in the disk answer.
 
 import pytest
 
+from repro.backends import create_backend
 from repro.errors import UnknownTableError
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
@@ -140,3 +141,45 @@ def test_append_carries_the_source_version(tmp_path):
         assert engine.candidates("contains", "T", "name", ("fresh",)) >= {6}
     finally:
         engine.close()
+
+
+#: cells no float key can stand for: NaN orders against no key, and an
+#: integer beyond float range has no float at all
+UNKEYED = {
+    DataType.FLOAT: [5.0, float("nan"), 1.0, 3.0, float("nan"), 2.0, 4.0, 0.5],
+    DataType.INT: [3, 10**400, 1, -(10**400), 2, 10**400, 5],
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(UNKEYED, key=str))
+def test_cells_without_a_key_stay_out_of_the_tree(tmp_path, dtype):
+    """Memory's ``NumericIndex`` and the disk B+-tree leave out the same
+    cells, so every probe answers alike on both tiers — and a statement
+    over the column counts alike — however often the column repeats."""
+    schema = DatabaseSchema("unkeyed")
+    schema.add_relation("T", [("id", DataType.INT), ("v", dtype)], ["id"])
+    db = Database(schema)
+    cells = UNKEYED[dtype] * 50
+    db.load("T", list(enumerate(cells)))
+    materialize(db, str(tmp_path), page_size=4 * PAGE)  # a page holds 10**400
+    engine = StorageEngine(str(tmp_path), db.schema, pool_capacity=8)
+    try:
+        for value in [*UNKEYED[dtype], float("nan"), 99, 2.5]:
+            memory = db.candidates("numeric-eq", "T", "v", (value,))
+            assert engine.candidates("numeric-eq", "T", "v", (value,)) == memory, value
+        every = len(UNKEYED[dtype])
+        first = UNKEYED[dtype].index(2)
+        assert engine.candidates("numeric-eq", "T", "v", (2,)) == set(
+            range(first, len(cells), every)
+        )
+    finally:
+        engine.close()
+    sql = "SELECT COUNT(*) AS n FROM T WHERE T.v = 2"
+    answers = []
+    for name in ("memory", "disk"):
+        backend = create_backend(name, db)
+        try:
+            answers.append(backend.execute(sql).scalar())
+        finally:
+            backend.close()
+    assert answers == [50, 50]

@@ -17,9 +17,7 @@ def open_index(tmp_path, items, page_size=PAGE, name="ix.hash"):
     buckets = HashFile.build(path, groups, page_size)
     pool = BufferPool(8)
     pool.register(name, Pager(path, page_size))
-    index = HashFile(pool, name)
-    assert index.buckets == buckets
-    return index
+    return HashFile(pool, name, buckets)
 
 
 class TestHashFile:
@@ -49,15 +47,18 @@ class TestHashFile:
         assert index.buckets >= 1
         assert index.positions("anything") == set()
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.hash"
-        pager = Pager(str(path), PAGE, create=True)
-        pager.allocate()
-        pager.close()
+    def test_bucket_count_outside_the_file(self, tmp_path):
+        # the manifest names the bucket count; more buckets than the
+        # file has pages, or none, is refused before any page is read
+        path = tmp_path / "ix.hash"
+        HashFile.build(str(path), {"a": [0], "b": [1]}, PAGE)
         pool = BufferPool(4)
-        pool.register("junk.hash", Pager(str(path), PAGE))
-        with pytest.raises(StorageError, match="magic"):
-            HashFile(pool, "junk.hash")
+        pager = Pager(str(path), PAGE)
+        pool.register("ix.hash", pager)
+        for buckets in (0, pager.page_count + 1):
+            with pytest.raises(StorageError, match="buckets"):
+                HashFile(pool, "ix.hash", buckets)
+        pager.close()
 
     def test_hash_key_is_stable(self):
         assert hash_key("abc") == hash_key("abc")

@@ -80,14 +80,14 @@ class TestBPlusTreeFormat:
             tree = bulk_build(pool, "ix.bpt", oracle)
             assert list(tree.items()) == oracle
             for key in {key for key, _ in oracle} | {4.0}:
-                assert tree.search_eq(key) == oracle_positions(oracle, key, key)
+                assert list(tree.search_eq(key)) == oracle_positions(oracle, key, key)
             low, high = bounds
             for include_low in (True, False):
                 for include_high in (True, False):
-                    assert tree.search_range(
+                    assert list(tree.search_range(
                         low, high, include_low, include_high
-                    ) == oracle_positions(oracle, low, high, include_low, include_high)
-            assert tree.search_range(high=low) == oracle_positions(oracle, high=low)
+                    )) == oracle_positions(oracle, low, high, include_low, include_high)
+            assert list(tree.search_range(high=low)) == oracle_positions(oracle, high=low)
         finally:
             pager.close()
 
@@ -108,12 +108,78 @@ class TestBPlusTreeFormat:
         tmp_path = tmp_path_factory.mktemp("bpt")
         bulk = sorted(pairs_of(runs, 0))
         pool, pager = open_pool(tmp_path, "ix.bpt", page_size)
-        bulk_build(pool, "ix.bpt", bulk)
+        root = bulk_build(pool, "ix.bpt", bulk).root
         pool.flush()
         pager.close()
         pool, pager = open_pool(tmp_path, "ix.bpt", page_size, create=False, capacity=2)
         try:
-            assert list(BPlusTree(pool, "ix.bpt").items()) == bulk
+            assert list(BPlusTree(pool, "ix.bpt", root).items()) == bulk
+        finally:
+            pager.close()
+
+
+class TestImplicitPositions:
+    """A leaf whose positions are consecutive stores the first of them
+    only, and a probe answered from one such leaf is a ``range``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        PAGES,
+        BASES,
+        st.lists(st.integers(0, 40), max_size=300),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_position_ordered_and_shuffled_keys_match_a_sorted_list(
+        self, tmp_path_factory, page_size, base, column, shuffled, random
+    ):
+        # a column's rows: in key order, the positions are consecutive
+        values = sorted(column)
+        if shuffled:
+            random.shuffle(values)
+        order = sorted(range(len(values)), key=values.__getitem__)
+        oracle = [(float(values[i]), base + i) for i in order]
+        pool, pager = open_pool(tmp_path_factory.mktemp("bpt"), "ix.bpt", page_size)
+        try:
+            tree = bulk_build(pool, "ix.bpt", oracle)
+            assert list(tree.items()) == oracle
+            for key in {key for key, _ in oracle} | {-1.0, 41.0}:
+                assert list(tree.search_eq(key)) == oracle_positions(oracle, key, key)
+            assert tree.search_eq(float("nan")) == []  # NaN equals no key
+            for low, high in [(3.0, 9.0), (None, 20.0), (10.0, None), (None, None)]:
+                assert list(tree.search_range(low, high)) == oracle_positions(oracle, low, high)
+        finally:
+            pager.close()
+
+    def test_a_key_column_in_row_order_takes_a_fraction_of_the_pages(self, tmp_path):
+        keys = [float(key) for key in range(20_000)]
+        sizes = {}
+        for name, positions in [
+            ("ordered", list(range(20_000))),
+            ("reversed", list(range(19_999, -1, -1))),
+        ]:
+            pool, pager = open_pool(tmp_path, f"{name}.bpt", 4096)
+            try:
+                tree = bulk_build(pool, f"{name}.bpt", list(zip(keys, positions)))
+                assert tree.search_eq(1234.0) == (
+                    range(1234, 1235) if name == "ordered" else [18_765]
+                )
+                assert list(tree.search_range(10.0, 12.0)) == positions[10:13]
+                sizes[name] = pager.page_count
+            finally:
+                pager.close()
+        # 3 bytes a key (2-byte key, 1-byte count) against 5
+        assert sizes["ordered"] * 3 < sizes["reversed"] * 2
+
+    def test_a_run_longer_than_a_leaf_header_counts(self, tmp_path):
+        # 70,000 rows of one key, in row order: more positions than a
+        # leaf's u16 count holds, so the run goes on in a second leaf
+        pool, pager = open_pool(tmp_path, "ix.bpt", 4096)
+        try:
+            tree = bulk_build(pool, "ix.bpt", [(7.0, position) for position in range(70_000)])
+            assert list(tree.search_eq(7.0)) == list(range(70_000))
+            assert tree.search_eq(8.0) == []
+            assert pager.page_count <= 40
         finally:
             pager.close()
 
@@ -125,10 +191,10 @@ class TestHashFileFormat:
         tmp_path = tmp_path_factory.mktemp("hash")
         items = [(value, base + i) for i, value in enumerate(built)]
         path = str(tmp_path / "ix.hash")
-        HashFile.build(path, by_value(items), page_size)
+        buckets = HashFile.build(path, by_value(items), page_size)
         pool, pager = open_pool(tmp_path, "ix.hash", page_size, create=False)
         try:
-            index = HashFile(pool, "ix.hash")
+            index = HashFile(pool, "ix.hash", buckets)
             for value in "abcdefgxyz-":
                 assert index.positions(value) == {p for v, p in items if v == value}
         finally:
@@ -179,7 +245,7 @@ def corrupt_first_leaf(tmp_path, patch):
     """A four-key tree whose one leaf *patch* damages; returns the tree."""
     pool, pager = open_pool(tmp_path, "ix.bpt", 128)
     tree = bulk_build(pool, "ix.bpt", [(1.0, 0), (1.0, 1), (2.0, 2), (3.5, 3)])
-    frame = pool.pin("ix.bpt", 1)
+    frame = pool.pin("ix.bpt", tree.root)  # the one leaf is the root
     patch(frame.data)
     pool.unpin(frame, dirty=True)
     return tree
@@ -208,14 +274,14 @@ class TestCorruptionIsAnError:
 
     def test_damaged_bucket_page(self, tmp_path):
         path = str(tmp_path / "ix.hash")
-        HashFile.build(path, {"a": [0, 1]}, 64)
+        buckets = HashFile.build(path, {"a": [0, 1]}, 64)
         with open(path, "r+b") as handle:
-            handle.seek(64 + 6 + 10)  # bucket page 1: the entry's width code
+            handle.seek(6 + 10)  # bucket page 0: the entry's width code
             handle.write(bytes([3]))
         pool, pager = open_pool(tmp_path, "ix.hash", 64, create=False)
         try:
             with pytest.raises(StorageError, match="unknown width code 3"):
-                HashFile(pool, "ix.hash").positions("a")
+                HashFile(pool, "ix.hash", buckets).positions("a")
         finally:
             pager.close()
 
@@ -235,7 +301,7 @@ class TestCorruptionIsAnError:
 
 #: bytes per file class of ``materialize(generate_scaled("tpch", 1))`` at
 #: 4 KiB pages; a change that makes an index file larger fails here
-TPCH_SF1_BYTES = {"heap": 77_824, "bpt": 204_800, "hash": 86_016, "spimi": 17_668}
+TPCH_SF1_BYTES = {"heap": 65_536, "bpt": 114_688, "hash": 49_152, "spimi": 17_668}
 
 
 def test_tpch_sf1_footprint(tmp_path):

@@ -94,14 +94,15 @@ class TestManifest:
     def test_format_1_directory_is_stale(self, tmp_path):
         """A directory of the record-at-a-time heap format (manifest
         format 1), of index files holding a key per position (format
-        2), or of index files covering every row (format 3), must be
-        rebuilt, never decoded as this format."""
+        2), of index files covering every row (format 3), or of index
+        files with a meta page and plain text minipages (format 4),
+        must be rebuilt, never decoded as this format."""
         db = small_db()
-        for old in (1, 2, 3):
+        for old in (1, 2, 3, 4):
             materialize(db, str(tmp_path), page_size=PAGE)
             path = tmp_path / MANIFEST_FILE
             document = json.loads(path.read_text(encoding="utf-8"))
-            assert document["format"] == 4
+            assert document["format"] == 5
             document["format"] = old
             path.write_text(json.dumps(document), encoding="utf-8")
             assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
@@ -292,17 +293,20 @@ class TestAppendCrashShapes:
 
 
 class TestParentManifest:
-    """The data files a fresh ``materialize()`` writes did not change
-    when index files came to cover a recorded prefix, only the manifest
-    did: the parent commit's, format 3, recorded no ``indexed`` counts,
-    and its appends had grown the index files and a SPIMI delta
-    segment.  Such a directory reads as stale and is rebuilt."""
+    """Directories of manifest format 4: every B+-tree and hash file
+    began with a meta page naming its root or bucket count, which the
+    manifest did not record, and text minipages were all plain.
+    Such a directory reads as stale and is rebuilt, and the rebuild
+    deletes the files of older formats no manifest names."""
 
     def as_parent_wrote_it(self, directory, db):
         manifest = materialize(db, str(directory), page_size=PAGE)
-        manifest["format"] = 3
+        manifest["format"] = 4
         for entry in manifest["tables"].values():
-            del entry["indexed"]
+            for family in ("numeric", "hash"):
+                entry[family] = {
+                    column: index["file"] for column, index in entry[family].items()
+                }
         (directory / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
@@ -311,16 +315,32 @@ class TestParentManifest:
         db = small_db()
         self.as_parent_wrote_it(tmp_path, db)
         assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-        with pytest.raises(StorageError, match="unsupported manifest format 3"):
+        with pytest.raises(StorageError, match="unsupported manifest format 4"):
             StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
         TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
-        assert load_manifest(str(tmp_path))["format"] == 4
+        assert load_manifest(str(tmp_path))["format"] == 5
 
     def test_is_stale_once_an_epoch_moved(self, tmp_path):
         db = small_db()
         self.as_parent_wrote_it(tmp_path, db)
         db.table("T").update((1,), {"name": "omega"})
         assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+
+    def test_rebuild_deletes_what_no_manifest_names(self, tmp_path):
+        """Format 3's delta postings, an index file of a dropped column:
+        deleted.  A file without a storage suffix is not this module's
+        and survives."""
+        db = small_db()
+        self.as_parent_wrote_it(tmp_path, db)
+        leftovers = ["postings.delta.bin", "postings.delta.dict.json", "T.gone.bpt"]
+        foreign = ["notes.txt", "T.heap.orig", "README.json"]
+        for name in leftovers + foreign:
+            (tmp_path / name).write_bytes(b"left here")
+        manifest = materialize(db, str(tmp_path), page_size=PAGE)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [MANIFEST_FILE, *manifest["files"], *foreign]
+        )
+        assert all((tmp_path / name).read_bytes() == b"left here" for name in foreign)
 
 
 class TestStorageEngine:

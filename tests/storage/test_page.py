@@ -270,3 +270,98 @@ class TestDamageInASkippedMinipage:
 
         with pytest.raises(StorageError, match="manifest says 3"):
             self.read_last_column(tmp_path, damage)
+
+
+# ----------------------------------------------------------------------
+# The two text layouts: plain, and a page dictionary with codes
+# ----------------------------------------------------------------------
+#: few distinct values, '' among them, ASCII and not: repeats make the
+#: dictionary smaller, distinct values the plain layout
+WORDS = st.sampled_from(["", "a", "MACHINERY", "naïve", "日本", "2016-03-15", "b" * 40])
+
+
+def text_layout_sizes(values):
+    """``(plain, dictionary)`` bytes of a text minipage's values, NULL
+    stored as ``''``."""
+    stored = [value or "" for value in values]
+    distinct = dict.fromkeys(stored)
+    plain = 2 * len(stored) + sum(len(value.encode()) for value in stored)
+    width = 1 if len(distinct) <= 256 else 2
+    dictionary = 2 + sum(2 + len(value.encode()) for value in distinct) + width * len(stored)
+    return plain, dictionary
+
+
+class TestTextLayouts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.one_of(st.none(), WORDS), st.one_of(st.none(), st.text(max_size=6))),
+            max_size=300,
+        ),
+    )
+    def test_round_trip_through_both_layouts(self, rows):
+        schema = relation([DataType.TEXT, DataType.TEXT])
+        page = encode_page(rows, schema, MAX_PAGE_SIZE)
+        decoded = decode_page(bytearray(page), schema)
+        assert decoded == rows and types_of(decoded) == types_of(rows)
+        # the first minipage starts at byte 4: its flag names the layout,
+        # the smaller one (plain on a tie)
+        plain, dictionary = text_layout_sizes([row[0] for row in rows])
+        assert page[4] >> 1 == (0 if plain <= dictionary else 1)
+        fill = PageFill(schema, MAX_PAGE_SIZE)
+        assert fill.take(rows) == len(rows)
+        assert struct.unpack_from("<HH", page) == (len(rows), fill.size)
+
+    def test_null_and_empty_text_stay_apart_in_a_dictionary(self):
+        schema = relation([DataType.TEXT])
+        rows = [(None,), ("",), ("x",), (None,), ("",)] * 20
+        page = encode_page(rows, schema, 4096)
+        assert page[4] == 1 | 1 << 1  # a NULL bitmap, one-byte codes
+        assert decode_page(bytearray(page), schema) == rows
+
+    def test_more_than_256_distinct_values_take_two_byte_codes(self):
+        schema = relation([DataType.DATE])
+        days = [f"2016-{month:02d}-{day:02d}" for month in range(1, 13) for day in range(1, 29)]
+        rows = [(day,) for day in days * 3]  # 336 values, each three times
+        page = encode_page(rows, schema, MAX_PAGE_SIZE)
+        assert page[4] >> 1 == 2
+        assert decode_page(bytearray(page), schema) == rows
+        fill = PageFill(schema, MAX_PAGE_SIZE)
+        assert fill.take(rows) == len(rows)
+        assert struct.unpack_from("<HH", page)[1] == fill.size
+
+    @pytest.mark.parametrize(
+        "rows, layout",
+        [
+            # plain: one value of almost a whole page, its end offset
+            # near the top of a u16
+            ([("p" * (MAX_PAGE_SIZE - 8),)], 0),
+            # too long plain (two copies), but one copy in a dictionary
+            ([("q" * 32_000,), ("q" * 32_000,), ("r" * 1_000,)], 1),
+        ],
+    )
+    def test_offsets_up_to_the_u16_limit(self, rows, layout):
+        schema = relation([DataType.TEXT])
+        fill = PageFill(schema, MAX_PAGE_SIZE)
+        assert fill.take(rows) == len(rows)
+        page = encode_page(rows, schema, MAX_PAGE_SIZE)
+        assert page[4] >> 1 == layout
+        assert struct.unpack_from("<HH", page) == (len(rows), fill.size)
+        assert decode_page(bytearray(page), schema) == rows
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (4, 7, "unknown null flag"),    # text layout 3
+            (5, 9, "corrupt page"),         # a dictionary of 9 values
+            (13, 5, "beyond a 2-value"),    # a code past the dictionary
+        ],
+    )
+    def test_damaged_dictionary_raises(self, offset, value, message):
+        # [flag 2][d = 2: u16][2 end offsets][b"ab"][5 codes] from byte 4
+        schema = relation([DataType.TEXT])
+        page = bytearray(encode_page([("a",), ("b",), ("a",), ("a",), ("b",)], schema, 64))
+        assert page[4] == 1 << 1
+        page[offset] = value
+        with pytest.raises(StorageError, match=message):
+            decode_page(page, schema)
