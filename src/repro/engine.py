@@ -418,10 +418,6 @@ class KeywordSearchEngine:
             fragment_uses=dict(template.fragment_uses),
         )
 
-    def translate(self, pattern: QueryPattern, tracer=NULL_TRACER) -> Select:
-        """Translate one pattern to SQL (with rewriting when unnormalized)."""
-        return self.translate_parts(pattern, tracer=tracer).final
-
     def translate_parts(
         self, pattern: QueryPattern, tracer=NULL_TRACER
     ) -> TranslationParts:

@@ -167,9 +167,6 @@ class PatternEdge:
     second: int
     orm_edge: OrmEdge
 
-    def other(self, node_id: int) -> int:
-        return self.second if node_id == self.first else self.first
-
 
 class QueryPattern:
     """A connected, annotated query pattern."""

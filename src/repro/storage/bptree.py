@@ -11,8 +11,10 @@ a node, and the manifest records which one is the root — the file has
 no meta page::
 
       [type: u8][n_keys: u16][n_positions: u16][next: u32]   header, 9 bytes
-      leaf:     [code: u8]  n_keys keys: signed integers of the code's
-                            width (1/2/4/8 bytes), or f64 (code 0)
+      leaf:     [code: u8]  n_keys keys: code 0, f64; otherwise the low
+                            four bits a width (1/2/4/8 bytes) and the high
+                            four a scale s, signed integers k standing
+                            for k / 10**s
                 [width: u8] n_keys counts       (page.pack_uints)
                 [width: u8] n_positions positions (1, 2 or 4), or
                 [0][first: u32]  the positions first, first + 1, ...
@@ -20,8 +22,11 @@ no meta page::
 
   A leaf stores each distinct key once; the positions carrying
   ``keys[i]`` are the next ``counts[i]`` of the positions array.  Keys
-  are integers of the narrowest width when every key on the leaf is
-  integral, not ``-0.0`` and within ±2**53, f64 otherwise.  A leaf whose
+  are integers (scale 0) of the narrowest width when every key on the
+  leaf is integral, not ``-0.0`` and within ±2**53; scaled decimals when
+  every key is one exactly (:func:`~repro.storage.page.decimal_scales`,
+  the heap page's test) and the integers need fewer than 8 bytes; f64
+  otherwise.  A leaf whose
   positions are consecutive — a key column in row order, a table loaded
   sorted by the column — stores only the first of them (*implicit*
   positions) when that is smaller, and decodes them as a ``range``.  A
@@ -47,12 +52,21 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, groupby
-from math import copysign
 from operator import itemgetter, lt, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.storage.page import INT_FORMAT, int_width, pack_uints, uint_width, unpack_uints
+from repro.storage.page import (
+    INT_FORMAT,
+    MAX_SCALE,
+    decimal_scales,
+    int_width,
+    pack_uints,
+    scaled_floats,
+    scaled_ints,
+    uint_width,
+    unpack_uints,
+)
 from repro.storage.pager import BufferPool
 
 __all__ = ["BPlusTree", "NO_PAGE"]
@@ -63,28 +77,35 @@ _HEADER = struct.Struct("<BHHI")
 _LEAF, _INTERNAL = 0, 1
 #: a leaf's bytes besides its array values: the header and three codes
 _LEAF_BASE = _HEADER.size + 3
-#: key code of an f64 array; the others are signed integer widths
+#: key code of an f64 array; any other is ``scale << 4 | width``
 _F64 = 0
-_KEY_FORMAT = {**INT_FORMAT, _F64: "d"}
 #: position code of implicit positions, and what follows it
 _IMPLICIT = 0
 _FIRST = struct.Struct("<I")
 #: the most positions a leaf header counts
 _MAX_POSITIONS = 0xFFFF
-#: every integer of at most this magnitude is exactly a float
-_EXACT = float(2 ** 53)
 
 Pair = Tuple[float, int]
 
 
-def _int_key(key: float) -> bool:
-    """Whether a leaf may store *key* as an integer: integral, exact, and
-    not ``-0.0`` (whose sign an integer drops)."""
-    return (
-        -_EXACT <= key <= _EXACT
-        and key == int(key)
-        and bool(key or copysign(1.0, key) > 0)
-    )
+def _key_code(low: float, high: float, scale: int) -> int:
+    """The code a leaf stores keys from *low* to *high* under, *scale*
+    the largest of their :func:`~repro.storage.page.decimal_scales`:
+    integers of the narrowest width when every key is integral (scale 0,
+    as every format wrote them), scaled decimals when those are narrower
+    than an f64, else :data:`_F64`."""
+    if scale > MAX_SCALE:
+        return _F64
+    power = 10 ** scale
+    width = int_width(round(low * power), round(high * power))
+    if width not in INT_FORMAT or scale and width == 8:
+        return _F64
+    return scale << 4 | width
+
+
+def _key_bytes(code: int) -> int:
+    """Bytes a key takes on a leaf of key *code*."""
+    return code & 0x0F or 8
 
 
 class _Node:
@@ -138,9 +159,10 @@ def _internal_capacity(page_size: int) -> int:
     return capacity
 
 
-def _write(pool: BufferPool, file_id: str, node: _Node) -> int:
-    """Encode *node* onto a new page of *file_id*; returns the page."""
-    raw = _encode(node)
+def _write(pool: BufferPool, file_id: str, node: _Node, code: int = _F64) -> int:
+    """Encode *node* (a leaf's keys under key *code*) onto a new page of
+    *file_id*; returns the page."""
+    raw = _encode(node, code)
     page_size = pool.pager(file_id).page_size
     if len(raw) > page_size:
         raise StorageError(f"{file_id}: a {len(raw)}-byte node, page size {page_size}")
@@ -165,18 +187,19 @@ def _groups(entries: Sequence, fan_out: int) -> List[Sequence]:
 # ----------------------------------------------------------------------
 # The node codec
 # ----------------------------------------------------------------------
-def _encode(node: _Node) -> bytes:
+def _encode(node: _Node, code: int) -> bytes:
     keys = node.keys
     if not node.is_leaf:
         n = len(keys)
         return _HEADER.pack(_INTERNAL, n, 0, NO_PAGE) + struct.pack(
             f"<{n}d{n + 1}I", *keys, *node.children
         )
-    if all(map(_int_key, keys)):
-        code = int_width(int(keys[0]), int(keys[-1])) if keys else 1
-        packed_keys = struct.pack(f"<{len(keys)}{_KEY_FORMAT[code]}", *map(int, keys))
+    if code == _F64:
+        packed_keys = struct.pack(f"<{len(keys)}d", *keys)
     else:
-        code, packed_keys = _F64, struct.pack(f"<{len(keys)}d", *keys)
+        packed_keys = struct.pack(
+            f"<{len(keys)}{INT_FORMAT[code & 0x0F]}", *scaled_ints(keys, code >> 4)
+        )
     starts, positions = node.starts, node.positions
     if isinstance(positions, range):
         packed_positions = bytes((_IMPLICIT,)) + _FIRST.pack(positions.start)
@@ -200,10 +223,11 @@ def _decode(data: bytearray) -> _Node:
     if kind != _LEAF:
         raise StorageError(f"unknown node type {kind}")
     code = data[offset]
-    if code not in _KEY_FORMAT:
+    width, scale = code & 0x0F, code >> 4
+    if code != _F64 and (width not in INT_FORMAT or scale > MAX_SCALE):
         raise StorageError(f"unknown key width code {code}")
-    keys = struct.unpack_from(f"<{n}{_KEY_FORMAT[code]}", data, offset + 1)
-    counts, offset = unpack_uints(data, offset + 1 + n * (code or 8), n)
+    keys = struct.unpack_from(f"<{n}{INT_FORMAT.get(width, 'd')}", data, offset + 1)
+    counts, offset = unpack_uints(data, offset + 1 + n * _key_bytes(code), n)
     positions: Sequence[int]
     if offset < len(data) and data[offset] == _IMPLICIT:
         first = _FIRST.unpack_from(data, offset + 1)[0]
@@ -211,26 +235,12 @@ def _decode(data: bytearray) -> _Node:
     else:
         positions = unpack_uints(data, offset, n_positions)[0]
     node = _Node.leaf(
-        list(keys) if code == _F64 else list(map(float, keys)),
+        list(keys) if code == _F64 else scaled_floats(keys, scale),
         counts, positions, next_no,
     )
     if node.starts[-1] != n_positions or 0 in counts:
         raise StorageError(f"{n} counts add up to {node.starts[-1]}, not {n_positions}")
     return node
-
-
-def _key_bytes(keys: List[float]) -> int:
-    """The bytes a leaf stores each of the ascending *keys* in: the
-    narrowest integer width holding all of them when every one may be
-    stored as an integer (:func:`_int_key`), else 8 (f64)."""
-    if not all(map(float.is_integer, keys)):  # NaN and ±inf included
-        return 8
-    low, high = keys[0], keys[-1]
-    if low < -_EXACT or high > _EXACT:
-        return 8
-    if low <= 0.0 <= high and copysign(1.0, keys[bisect_left(keys, 0.0)]) < 0:
-        return 8  # a leaf holds one key equal to zero: this one is -0.0
-    return int_width(int(low), int(high))
 
 
 def _longest(fits: Callable[[int], bool], low: int, high: int, guess: int) -> int:
@@ -261,9 +271,10 @@ def _longest(fits: Callable[[int], bool], low: int, high: int, guess: int) -> in
 
 def _packed_leaves(
     keys: Sequence[float], positions: Sequence[int], page_size: int
-) -> Iterator[_Node]:
+) -> Iterator[Tuple[_Node, int]]:
     """Leaves holding the sorted *keys* — ``keys[i]`` carried by
-    ``positions[i]`` — in order, each filled with as many positions as
+    ``positions[i]`` — in order, with the key code each was sized with
+    (:func:`_key_code`), each filled with as many positions as
     fit a page before the next starts — a run of one key too, which then
     goes on in the next leaf.  The size is kept as :func:`_encode` writes
     it, from the leaf's widest key, count and position (the widest of a
@@ -279,6 +290,7 @@ def _packed_leaves(
     ends = list(accumulate(lengths))
     starts = [0, *ends[:-1]]
     run_keys = list(map(keys.__getitem__, starts[:len(lengths)]))
+    run_scales = decimal_scales(run_keys)
     runs = len(lengths)
     # what is known of the consecutive positions from ``since`` on: they
     # reach at least ``good``, and not ``bad``
@@ -315,19 +327,24 @@ def _packed_leaves(
             and consecutive(begin, end)
         )
 
-    def leaf(leaf_keys: List[float], counts: List[int], begin: int, end: int) -> _Node:
+    def leaf(
+        first_run: int, leaf_keys: List[float], counts: List[int], begin: int, end: int
+    ) -> Tuple[_Node, int]:
+        scale = max(run_scales[first_run:first_run + len(leaf_keys)], default=0)
+        code = _key_code(leaf_keys[0], leaf_keys[-1], scale) if leaf_keys else 1
         if implicit(begin, end):
             first = positions[begin]
-            return _Node.leaf(leaf_keys, counts, range(first, first + end - begin))
+            return _Node.leaf(leaf_keys, counts, range(first, first + end - begin)), code
         # a list even when *positions* is a range: a range is what
         # _encode stores implicitly
-        return _Node.leaf(leaf_keys, counts, list(positions[begin:end]))
+        return _Node.leaf(leaf_keys, counts, list(positions[begin:end])), code
 
     def key_count_bytes(first: int, stop: int, left: int) -> int:
         """Key and count bytes per run of a leaf holding runs
         ``first..stop-1``, of which the first has *left* positions."""
         longest = max(left, max(lengths[first + 1:stop], default=0))
-        return _key_bytes(run_keys[first:stop]) + uint_width(longest)
+        code = _key_code(run_keys[first], run_keys[stop - 1], max(run_scales[first:stop]))
+        return _key_bytes(code) + uint_width(longest)
 
     widest_of_run: Dict[int, int] = {}
 
@@ -371,7 +388,7 @@ def _packed_leaves(
         end = ends[fits - 1] if fits > first else begin
         counts = [left, *lengths[first + 1:fits]][:fits - first]
         if fits == runs:
-            yield leaf(run_keys[first:fits], counts, begin, end)
+            yield leaf(first, run_keys[first:fits], counts, begin, end)
             return
         # the next run: as many of its positions as the room left holds,
         # sized with the widths of the whole run, stored one by one
@@ -385,7 +402,7 @@ def _packed_leaves(
             leaf_keys.append(run_keys[fits])
             counts.append(take)
             end += take
-        yield leaf(leaf_keys, counts, begin, end)
+        yield leaf(first, leaf_keys, counts, begin, end)
         first, left = fits, run_left - max(take, 0)
 
 
@@ -422,12 +439,12 @@ class BPlusTree:
         capacity = _internal_capacity(page_size)
         leaves = list(_packed_leaves(keys, positions, page_size))
         if not leaves:
-            leaves = [_Node.leaf([], [], [])]
+            leaves = [(_Node.leaf([], [], []), 1)]
         level: List[Tuple[int, float]] = []
-        for page_no, leaf in enumerate(leaves):
+        for page_no, (leaf, code) in enumerate(leaves):
             if page_no + 1 < len(leaves):
                 leaf.next = page_no + 1
-            if _write(pool, file_id, leaf) != page_no:
+            if _write(pool, file_id, leaf, code) != page_no:
                 raise StorageError(f"{file_id}: not an empty page file")
             level.append((page_no, leaf.keys[0] if leaf.keys else 0.0))
         # parents over each level, (page, first key) of each node in key

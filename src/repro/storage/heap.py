@@ -48,7 +48,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.schema import RelationSchema
-from repro.storage.page import PageFill, decode_columns, encode_page
+from repro.storage.page import PageFill, decode_columns
 from repro.storage.pager import BufferPool, Pager
 
 __all__ = ["HeapFile", "HeapRows", "build_heap"]
@@ -71,19 +71,19 @@ def build_heap(
     pager = Pager(path, page_size, create=True)
     try:
         page_counts: List[int] = []
-        for page in _pack(PageFill(schema, page_size), rows):
-            pager.write_page(pager.page_count, encode_page(page, schema, page_size))
-            page_counts.append(len(page))
+        for count, data in _pack(PageFill(schema, page_size), rows):
+            pager.write_page(pager.page_count, data)
+            page_counts.append(count)
         pager.sync()
     finally:
         pager.close()
     return page_counts
 
 
-def _pack(fill: PageFill, rows: Iterable[Sequence[Any]]) -> Iterator[List[Row]]:
+def _pack(fill: PageFill, rows: Iterable[Sequence[Any]]) -> Iterator[Tuple[int, bytes]]:
     """Pack *rows* into pages after whatever *fill* already holds, each
-    page as full as it gets; yields every page's rows, the last one
-    possibly partial."""
+    page as full as it gets; yields every page's row count and bytes,
+    the last one possibly partial."""
     rows = rows if isinstance(rows, list) else list(rows)
     start = 0
     while start < len(rows):
@@ -94,10 +94,10 @@ def _pack(fill: PageFill, rows: Iterable[Sequence[Any]]) -> Iterator[List[Row]]:
             raise StorageError(
                 f"{fill.schema.name}: record does not fit a blank page"
             )
-        yield fill.rows
+        yield len(fill.rows), fill.encode()
         fill.reset()
     if fill.rows:
-        yield fill.rows
+        yield len(fill.rows), fill.encode()
 
 
 class HeapFile:
@@ -221,14 +221,13 @@ class HeapFile:
         page_no = max(self.page_count - 1, 0)
         if self.page_counts:
             fill.take(list(self._page_rows(page_no)))  # they fit: they came off one page
-        for page in _pack(fill, rows):
-            data = encode_page(page, self.schema, page_size)
+        for count, data in _pack(fill, rows):
             if page_no < self.page_count:
                 frame = self.pool.pin(self.file_id, page_no)
-                self.page_counts[page_no] = len(page)
+                self.page_counts[page_no] = count
             else:
                 frame = self.pool.new_page(self.file_id)
-                self.page_counts.append(len(page))
+                self.page_counts.append(count)
             frame.data[:] = data
             self.pool.unpin(frame, dirty=True)
             page_no += 1

@@ -10,7 +10,7 @@
 * ``postings.bin`` + ``postings.dict.json`` — one SPIMI inverted index
   over every text column of every table, serving ``contains`` lookups;
 * ``MANIFEST.json`` — written **last**, atomically (tmp + ``os.replace``);
-  its ``format`` (:data:`MANIFEST_FORMAT`, 5) names the file layouts,
+  its ``format`` (:data:`MANIFEST_FORMAT`, 6) names the file layouts,
   and it records each B+-tree's root page and each hash file's bucket
   count, so no index file spends a page on them.
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import os
 from operator import itemgetter
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.database import Database
@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 MANIFEST_FILE = "MANIFEST.json"
+#: 6: FLOAT minipages and B+-tree leaf keys may be scaled decimals,
+#: and DATE minipages day numbers;
 #: 5: index files have no meta page (the manifest records B+-tree roots
 #: and hash bucket counts), B+-tree leaves may store consecutive
 #: positions implicitly, and text minipages may be dictionary-coded;
@@ -77,7 +79,7 @@ MANIFEST_FILE = "MANIFEST.json"
 #: width-coded position list; 2: column-wise heap pages.  A directory
 #: written under another format reads as stale and is rebuilt, never
 #: decoded.
-MANIFEST_FORMAT = 5
+MANIFEST_FORMAT = 6
 POSTINGS_FILE = "postings.bin"
 DICT_FILE = "postings.dict.json"
 #: the names of the files this module writes end in one of these
@@ -249,7 +251,51 @@ def load_manifest(directory: str) -> Dict[str, Any]:
             f"{path}: unsupported manifest format "
             f"{manifest.get('format') if isinstance(manifest, dict) else manifest!r}"
         )
+    wrong = _malformed(manifest)
+    if wrong is not None:
+        raise StorageError(f"{path}: malformed manifest ({wrong} missing or mistyped)")
     return manifest
+
+
+#: what the storage engine reads of a manifest, field by field: of the
+#: manifest, its ``spimi`` entry, each table entry, and each entry of a
+#: table's two index families
+_MANIFEST_FIELDS = {"database": str, "page_size": int, "tables": dict, "spimi": dict, "files": dict}
+_SPIMI_FIELDS = {"postings": str, "dict": str}
+_TABLE_FIELDS = {
+    "rows": int, "indexed": int, "heap": str, "page_counts": list, "numeric": dict, "hash": dict,
+}
+_INDEX_FIELDS = {"numeric": {"file": str, "root": int}, "hash": {"file": str, "buckets": int}}
+
+
+def _malformed(manifest: Dict[str, Any]) -> Optional[str]:
+    """The first field of *manifest* the storage engine reads that is
+    absent or of another type, as a dotted path; None when there is
+    none.  A manifest lacking one reads as stale, so the directory is
+    rebuilt rather than served until a lookup fails."""
+    def wrong(record: Any, fields: Dict[str, type], where: str) -> Optional[str]:
+        if not isinstance(record, dict):
+            return where
+        for name, kind in fields.items():
+            if not isinstance(record.get(name), kind):
+                return f"{where}.{name}"
+        return None
+
+    def problems() -> Iterator[Optional[str]]:
+        # checked in order, each only once everything it reads is there
+        yield wrong(manifest, _MANIFEST_FIELDS, "manifest")
+        yield wrong(manifest["spimi"], _SPIMI_FIELDS, "spimi")
+        for table, entry in manifest["tables"].items():
+            where = f"tables.{table}"
+            yield wrong(entry, _TABLE_FIELDS, where)
+            yield wrong({"epoch": entry.get("epoch", 0)}, {"epoch": int}, where)
+            if not all(isinstance(count, int) for count in entry["page_counts"]):
+                yield f"{where}.page_counts"
+            for family, fields in _INDEX_FIELDS.items():
+                for column, index in entry[family].items():
+                    yield wrong(index, fields, f"{where}.{family}.{column}")
+
+    return next(filter(None, problems()), None)
 
 
 def manifest_versions(manifest: Dict[str, Any]) -> Dict[str, Tuple[int, int]]:
@@ -271,32 +317,26 @@ def materialization_is_fresh(
     """Whether *directory* holds a complete, current materialization of
     *database* (at *page_size*).
 
-    False for a missing/corrupt/foreign manifest, any table whose
-    version differs from the one recorded, or any data file that is
-    missing or has an unexpected size (the half-written shapes a crash
-    during :func:`materialize` or an append leaves)."""
+    False for a missing/corrupt/foreign manifest or one lacking a field
+    the storage engine reads, any table whose version differs from the
+    one recorded, or any data file that is missing or has an unexpected
+    size (the half-written shapes a crash during :func:`materialize` or
+    an append leaves)."""
     try:
         manifest = load_manifest(directory)
     except StorageError:
         return False
-    if manifest.get("database") != database.schema.name:
+    if manifest["database"] != database.schema.name:
         return False
-    if manifest.get("page_size") != page_size:
-        return False
-    try:
-        recorded = manifest_versions(manifest)
-    except (AttributeError, KeyError, TypeError):
+    if manifest["page_size"] != page_size:
         return False
     current = {
         relation.name: database.table(relation.name).version
         for relation in database.schema
     }
-    if recorded != current:
+    if manifest_versions(manifest) != current:
         return False
-    files = manifest.get("files")
-    if not isinstance(files, dict):
-        return False
-    for file_name, size in files.items():
+    for file_name, size in manifest["files"].items():
         path = os.path.join(directory, file_name)
         try:
             if os.path.getsize(path) != size:

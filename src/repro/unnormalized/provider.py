@@ -59,9 +59,6 @@ class UnnormalizedSourceProvider(SourceProvider):
         self.naive = naive
         self.fragment_uses: Dict[str, FragmentUse] = {}
 
-    def reset(self) -> None:
-        self.fragment_uses = {}
-
     # ------------------------------------------------------------------
     def from_item(
         self,

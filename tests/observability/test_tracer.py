@@ -34,6 +34,24 @@ def test_span_nesting_builds_a_tree():
     assert trace.root.attributes == {"query": "q"}
 
 
+def test_find_all_returns_every_span_of_a_name_depth_first():
+    tracer = Tracer()
+    with tracer.span("search"):
+        with tracer.span("execute", step=1):
+            with tracer.span("execute", step=2):
+                pass
+        with tracer.span("match"):
+            with tracer.span("execute", step=3):
+                pass
+    trace = tracer.trace
+    assert [span.attributes["step"] for span in trace.find_all("execute")] == [1, 2, 3]
+    assert trace.find_all("execute")[0] is trace.find("execute")
+    # a span's own subtree only, itself included
+    first = trace.find("execute")
+    assert [span.attributes["step"] for span in first.find_all("execute")] == [1, 2]
+    assert trace.find_all("missing") == [] and trace.find("missing") is None
+
+
 def test_every_span_gets_a_monotonic_duration():
     tracer = Tracer()
     with tracer.span("outer"):

@@ -183,3 +183,48 @@ def test_cells_without_a_key_stay_out_of_the_tree(tmp_path, dtype):
         finally:
             backend.close()
     assert answers == [50, 50]
+
+
+def test_an_append_whose_rows_escape_answers_as_memory(tmp_path):
+    """Rows appended onto pages of scaled decimals and day numbers that
+    those layouts cannot hold — an inexact float, ``-0.0``, NaN, a date
+    ``date.isoformat`` does not write back — re-encode their page in the
+    wide layouts; the disk tier answers every statement and probe as
+    memory does."""
+    schema = DatabaseSchema("escapes")
+    schema.add_relation(
+        "T", [("id", DataType.INT), ("price", DataType.FLOAT), ("day", DataType.DATE)], ["id"]
+    )
+    db = Database(schema)
+    db.load("T", [(i, i / 4, f"2016-03-{i % 28 + 1:02d}") for i in range(40)])
+    escapes = [
+        (40, 0.1 + 0.2, "2016-02-30"),
+        (41, -0.0, "2016-03-01"),
+        (42, float("nan"), None),
+        (43, 2.5, "2016-03-02"),
+    ]
+    statements = [
+        "SELECT T.id, T.price, T.day FROM T",
+        "SELECT T.day, COUNT(*) AS n, SUM(T.price) AS s FROM T GROUP BY T.day",
+        "SELECT COUNT(*) AS n FROM T WHERE T.day = '2016-02-30'",
+        "SELECT COUNT(*) AS n FROM T WHERE T.price = 2.5",
+    ]
+    backends = {name: create_backend(name, db) for name in ("memory", "disk")}
+    try:
+        for name, backend in backends.items():
+            backend.execute(statements[0])  # materialized before the append
+        db.load("T", escapes)
+        answers = {
+            name: [sorted(map(repr, backend.execute(sql).rows)) for sql in statements]
+            for name, backend in backends.items()
+        }
+        engine = backends["disk"]._engine
+        assert engine.indexed["T"] == 40 and engine.table("T").row_count == 44
+        for value in (0.1 + 0.2, 2.5, 0.0):
+            disk = engine.candidates("numeric-eq", "T", "price", (value,))
+            assert disk >= db.candidates("numeric-eq", "T", "price", (value,))
+    finally:
+        for backend in backends.values():
+            backend.close()
+    assert answers["disk"] == answers["memory"]
+    assert {"(41, -0.0, '2016-03-01')", "(42, nan, None)"} <= set(answers["disk"][0])

@@ -10,7 +10,7 @@ from repro.errors import StorageError
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
-from repro.backends import DiskBackend
+from repro.backends import DiskBackend, create_backend
 from repro.observability import Tracer
 from repro.storage import (
     MANIFEST_FILE,
@@ -94,21 +94,56 @@ class TestManifest:
     def test_format_1_directory_is_stale(self, tmp_path):
         """A directory of the record-at-a-time heap format (manifest
         format 1), of index files holding a key per position (format
-        2), of index files covering every row (format 3), or of index
-        files with a meta page and plain text minipages (format 4),
-        must be rebuilt, never decoded as this format."""
+        2), of index files covering every row (format 3), of index files
+        with a meta page and plain text minipages (format 4), or of f64
+        floats and ISO-string dates throughout (format 5), must be
+        rebuilt, never decoded as this format."""
         db = small_db()
-        for old in (1, 2, 3, 4):
+        for old in (1, 2, 3, 4, 5):
             materialize(db, str(tmp_path), page_size=PAGE)
             path = tmp_path / MANIFEST_FILE
             document = json.loads(path.read_text(encoding="utf-8"))
-            assert document["format"] == 5
+            assert document["format"] == 6
             document["format"] = old
             path.write_text(json.dumps(document), encoding="utf-8")
             assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
             with pytest.raises(StorageError, match=f"unsupported manifest format {old}"):
                 StorageEngine(str(tmp_path), db.schema)
             TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
+
+    @pytest.mark.parametrize("field", ["root", "buckets", "indexed"])
+    def test_entry_lacking_a_field_is_stale_and_rebuilt(self, tmp_path, field):
+        """A manifest that parses, names the current versions and the
+        files' sizes, but lacks a field the storage engine reads: the
+        directory is rebuilt, and a statement answers as memory does."""
+        db = small_db()
+        materialize(db, str(tmp_path), page_size=PAGE)
+        path = tmp_path / MANIFEST_FILE
+        document = json.loads(path.read_text(encoding="utf-8"))
+        entry = document["tables"]["T"]
+        owner = {
+            "root": entry["numeric"]["score"],
+            "buckets": entry["hash"]["name"],
+            "indexed": entry,
+        }[field]
+        del owner[field]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        with pytest.raises(StorageError, match=f"malformed manifest .*{field}"):
+            StorageEngine(str(tmp_path), db.schema)
+        TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
+        sql = "SELECT T.name, COUNT(*) AS n, SUM(T.score) AS s FROM T GROUP BY T.name"
+        answers = []
+        for backend in (
+            create_backend("memory", db),
+            DiskBackend(path=str(tmp_path), page_size=PAGE, pool_capacity=4),
+        ):
+            try:
+                backend.load(db)
+                answers.append(sorted(backend.execute(sql).rows, key=repr))
+            finally:
+                backend.close()
+        assert answers[0] == answers[1]
 
     def test_truncated_data_file_is_stale(self, tmp_path):
         """The half-written shape a crash during rebuild leaves."""
@@ -293,20 +328,15 @@ class TestAppendCrashShapes:
 
 
 class TestParentManifest:
-    """Directories of manifest format 4: every B+-tree and hash file
-    began with a meta page naming its root or bucket count, which the
-    manifest did not record, and text minipages were all plain.
-    Such a directory reads as stale and is rebuilt, and the rebuild
-    deletes the files of older formats no manifest names."""
+    """Directories of manifest format 5: every FLOAT minipage and
+    B+-tree key of a fractional value was an f64 and every DATE minipage
+    text, under a manifest of the same shape.  Such a directory reads as
+    stale and is rebuilt, and the rebuild deletes the files of older
+    formats no manifest names."""
 
     def as_parent_wrote_it(self, directory, db):
         manifest = materialize(db, str(directory), page_size=PAGE)
-        manifest["format"] = 4
-        for entry in manifest["tables"].values():
-            for family in ("numeric", "hash"):
-                entry[family] = {
-                    column: index["file"] for column, index in entry[family].items()
-                }
+        manifest["format"] = 5
         (directory / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
@@ -315,10 +345,10 @@ class TestParentManifest:
         db = small_db()
         self.as_parent_wrote_it(tmp_path, db)
         assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-        with pytest.raises(StorageError, match="unsupported manifest format 4"):
+        with pytest.raises(StorageError, match="unsupported manifest format 5"):
             StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
         TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
-        assert load_manifest(str(tmp_path))["format"] == 5
+        assert load_manifest(str(tmp_path))["format"] == 6
 
     def test_is_stale_once_an_epoch_moved(self, tmp_path):
         db = small_db()

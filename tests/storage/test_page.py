@@ -1,6 +1,9 @@
 """Filling column-wise pages: exact size accounting, many small pages."""
 
+import math
 import struct
+from datetime import date
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
 from repro.storage import BufferPool, HeapFile, Pager
 from repro.storage.heap import build_heap
-from repro.storage.page import MAX_PAGE_SIZE, PageFill, decode_page, encode_page
+from repro.storage.page import MAX_PAGE_SIZE, MAX_SCALE, PageFill, decode_page, encode_page
 from repro.storage.pager import MIN_PAGE_SIZE
 
 #: ints on both sides of each width boundary, the last beyond 64 bits
@@ -320,7 +323,8 @@ class TestTextLayouts:
         assert decode_page(bytearray(page), schema) == rows
 
     def test_more_than_256_distinct_values_take_two_byte_codes(self):
-        schema = relation([DataType.DATE])
+        # TEXT: in a DATE column these would take day numbers
+        schema = relation([DataType.TEXT])
         days = [f"2016-{month:02d}-{day:02d}" for month in range(1, 13) for day in range(1, 29)]
         rows = [(day,) for day in days * 3]  # 336 values, each three times
         page = encode_page(rows, schema, MAX_PAGE_SIZE)
@@ -365,3 +369,251 @@ class TestTextLayouts:
         page[offset] = value
         with pytest.raises(StorageError, match=message):
             decode_page(page, schema)
+
+
+# ----------------------------------------------------------------------
+# The narrow layouts: FLOAT as scaled decimals, DATE as day numbers
+# ----------------------------------------------------------------------
+#: floats a scaled-decimal array holds exactly: cents, integral values,
+#: both signs, up to MAX_SCALE digits
+EXACT_FLOATS = st.one_of(
+    st.integers(-(10**6), 10**6).map(lambda k: k / 100),
+    st.integers(-(10**9), 10**9).map(float),
+    st.sampled_from([0.0, 0.5, 1.25, 123.4567, -99.9999, 2147.483647, 0.0001]),
+)
+#: floats it must not hold: -0.0 (an integer drops the sign), NaN, ±inf,
+#: the smallest subnormal, an inexact sum, integral floats beyond 2**53,
+#: values needing a scale past MAX_SCALE
+ESCAPING_FLOATS = st.sampled_from([
+    -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1 + 0.2,
+    2.0**53 + 2, -(2.0**60), 1e300, 0.00001, 123.45678,
+])
+#: strings ``coerce`` keeps in a DATE column that ``date.isoformat`` does
+#: not write back: no such day, year 0, no such month, a trailing
+#: newline (``$`` matches before it), full-width digits (``\d`` matches)
+ESCAPING_DATES = st.sampled_from(
+    ["2016-02-30", "0000-01-01", "2016-13-01", "2016-01-01\n", "２０１６-01-01"]
+)
+#: dates on both sides of 1970 and at the ends of the calendar; a few
+#: repeated so a dictionary can win
+DATES = st.one_of(
+    st.dates().map(date.isoformat),
+    st.sampled_from(["1970-01-01", "1969-12-31", "1900-01-01", "0001-01-01", "9999-12-31"]),
+    st.sampled_from(["1994-03-15", "1996-11-02"]),
+)
+
+
+def floats_equal(left, right):
+    """Equal bit for bit (-0.0 and NaN included), NULL for NULL."""
+    def bits(value):
+        return None if value is None else struct.pack("<d", value)
+
+    return [bits(value) for value in left] == [bits(value) for value in right]
+
+
+def exact_scale(value):
+    """The least scale (0..MAX_SCALE) an integer of at most 2**53 holds
+    *value* at, exactly; None when there is none.  Worked out from the
+    exact binary value, not the way the codec does it."""
+    if value != value or value in (float("inf"), -float("inf")):
+        return None
+    if value == 0.0 and math.copysign(1.0, value) < 0:
+        return None
+    for scale in range(MAX_SCALE + 1):
+        nearest = round(Decimal(value) * 10**scale)
+        for k in (nearest - 1, nearest, nearest + 1):
+            if abs(k) <= 2**53 and k / 10**scale == value:
+                return scale
+    return None
+
+
+def int_width_of(low, high):
+    return next(
+        (width for width in (1, 2, 4, 8)
+         if -(1 << (8 * width - 1)) <= low and high < 1 << (8 * width - 1)),
+        0,
+    )
+
+
+def float_layout(values):
+    """The layout flag (bits 1-2) of a FLOAT minipage of *values*: 1 for
+    scaled decimals when every value has a scale and the integers fit in
+    4 bytes (then always smaller than 8 bytes a value), 0 for f64."""
+    stored = [0.0 if value is None else value for value in values]
+    scales = [exact_scale(value) for value in stored]
+    if not stored or None in scales:
+        return 0
+    ints = [round(Decimal(value) * 10 ** max(scales)) for value in stored]
+    return 1 if int_width_of(min(ints), max(ints)) in (1, 2, 4) else 0
+
+
+def day_number(value):
+    try:
+        day = date.fromisoformat(value)
+    except ValueError:
+        return None
+    return (day - date(1970, 1, 1)).days if day.isoformat() == value else None
+
+
+def date_layout(values):
+    """The layout flag of a DATE minipage of *values*: the smallest of
+    plain (0), dictionary (1 or 2) and day numbers (3), earlier on a
+    tie."""
+    plain, dictionary = text_layout_sizes(values)
+    codes = 1 if len(set(value or "" for value in values)) <= 256 else 2
+    days = [0 if value is None else day_number(value) for value in values]
+    sizes = [(plain, 0), (dictionary, codes)]
+    if None not in days:
+        sizes.append((1 + len(days) * int_width_of(min(days, default=0), max(days, default=0)), 3))
+    return min(sizes, key=lambda pair: pair[0])[1]
+
+
+class TestFloatLayouts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.none(), EXACT_FLOATS), max_size=300),
+        st.lists(st.tuples(st.integers(0, 299), ESCAPING_FLOATS), max_size=2),
+    )
+    def test_round_trip_through_both_layouts(self, values, escapes):
+        for at, value in escapes:
+            if at < len(values):
+                values[at] = value
+        rows = [(value,) for value in values]
+        schema = relation([DataType.FLOAT])
+        page = encode_page(rows, schema, MAX_PAGE_SIZE)
+        decoded = [row[0] for row in decode_page(bytearray(page), schema)]
+        assert floats_equal(decoded, values)
+        assert all(type(value) is float for value in decoded if value is not None)
+        assert page[4] >> 1 == float_layout(values)
+        fill = PageFill(schema, MAX_PAGE_SIZE)
+        assert fill.take(rows) == len(rows)
+        assert struct.unpack_from("<HH", page) == (len(rows), fill.size)
+
+    @pytest.mark.parametrize(
+        "values, layout, width",
+        [
+            ([19.99, 0.01, -5.0], 1, 2),          # cents: 1999 as an i16
+            ([1.0, 2.0, 3.0], 1, 1),              # integral: scale 0, an i8
+            ([0.5, 1.5, 2.5] * 100, 1, 1),
+            ([123456.78, 0.01], 1, 4),            # 12,345,678 as an i32
+            ([21474836.48, 0.01], 0, None),       # 2**31 cents: no narrower than f64
+            ([0.1 + 0.2, 1.0], 0, None),
+            ([-0.0, 1.0], 0, None),
+        ],
+    )
+    def test_scale_and_width(self, values, layout, width):
+        rows = [(value,) for value in values]
+        schema = relation([DataType.FLOAT])
+        page = encode_page(rows, schema, MAX_PAGE_SIZE)
+        assert page[4] >> 1 == layout
+        if layout:
+            assert page[5] == max(exact_scale(value) for value in values) and page[6] == width
+        assert floats_equal([row[0] for row in decode_page(bytearray(page), schema)], values)
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (4, 5, "unknown null flag"),              # FLOAT layout 2
+            (5, 9, "unknown decimal scale 9"),
+            (6, 3, "unknown integer width code 3"),
+        ],
+    )
+    def test_damaged_scaled_minipage_raises(self, offset, value, message):
+        # [flag 2][scale 2][width 2][3 i16] from byte 4
+        schema = relation([DataType.FLOAT])
+        page = bytearray(encode_page([(1.25,), (2.5,), (99.99,)], schema, 64))
+        assert page[4:7] == bytes((1 << 1, 2, 2))
+        page[offset] = value
+        with pytest.raises(StorageError, match=message):
+            decode_page(page, schema)
+
+
+class TestDateLayouts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.none(), DATES), max_size=300),
+        st.lists(st.tuples(st.integers(0, 299), ESCAPING_DATES), max_size=2),
+    )
+    def test_round_trip_through_every_layout(self, values, escapes):
+        for at, value in escapes:
+            if at < len(values):
+                values[at] = value
+        rows = [(value,) for value in values]
+        schema = relation([DataType.DATE])
+        page = encode_page(rows, schema, MAX_PAGE_SIZE)
+        decoded = decode_page(bytearray(page), schema)
+        assert decoded == rows and types_of(decoded) == types_of(rows)
+        assert page[4] >> 1 == date_layout(values)
+        fill = PageFill(schema, MAX_PAGE_SIZE)
+        assert fill.take(rows) == len(rows)
+        assert struct.unpack_from("<HH", page) == (len(rows), fill.size)
+
+    def test_day_numbers_before_1970_and_at_the_ends_of_the_calendar(self):
+        schema = relation([DataType.DATE])
+        for values, width in [
+            (["1970-01-01", "1969-12-31", "1970-04-01"], 1),
+            (["1900-01-01", "2059-09-18"], 2),  # day 32,767: the last an i16 holds
+            (["0001-01-01", "9999-12-31", None], 4),
+        ]:
+            rows = [(value,) for value in values]
+            page = encode_page(rows, schema, MAX_PAGE_SIZE)
+            flag = page[4]
+            assert flag >> 1 == 3 and page[5 + (flag & 1)] == width
+            assert decode_page(bytearray(page), schema) == rows
+
+    def test_a_date_that_does_not_round_trip_keeps_the_page_text(self):
+        schema = relation([DataType.DATE])
+        for escape in ["2016-02-30", "2016-1-01", "２０１６-01-01"]:
+            rows = [(f"2016-01-{day:02d}",) for day in range(1, 29)] + [(escape,)]
+            page = encode_page(rows, schema, MAX_PAGE_SIZE)
+            assert page[4] >> 1 == 0
+            assert decode_page(bytearray(page), schema) == rows
+
+    def test_damaged_day_numbers_raise(self):
+        # [flag 6][width 2][2 i16] from byte 4: a width that runs past the
+        # used bytes, and a day number past 9999-12-31
+        schema = relation([DataType.DATE])
+        page = bytearray(encode_page([("2016-03-15",), ("2016-03-16",)], schema, 64))
+        assert page[4:6] == bytes((3 << 1, 2))
+        wide = bytearray(page)
+        wide[5] = 4
+        with pytest.raises(StorageError, match="corrupt page"):
+            decode_page(wide, schema)
+        page[5] = 4
+        page[6:14] = struct.pack("<2i", 10**7, 0)
+        struct.pack_into("<H", page, 2, 14)
+        with pytest.raises(StorageError, match="corrupt page"):
+            decode_page(page, schema)
+
+
+def test_an_escaping_value_changes_only_its_own_column():
+    """One value a narrow layout cannot hold sends its own minipage back
+    to the wide layout; the page's other minipages keep theirs."""
+    schema = relation([DataType.DATE, DataType.FLOAT, DataType.DATE, DataType.FLOAT])
+    rows = [
+        (f"2016-03-{day:02d}", day / 4, f"1999-12-{day:02d}", day * 1.5)
+        for day in range(1, 29)
+    ]
+
+    def flags(rows):
+        page = encode_page(rows, schema, MAX_PAGE_SIZE)
+        assert decode_page(bytearray(page), schema) == rows
+        found, offset = [], 4
+        for kind in ("date", "float", "date", "float"):
+            flag = page[offset]
+            found.append(flag >> 1)
+            offset += 1
+            if kind == "float" and flag >> 1:
+                offset += 2 + len(rows) * page[offset + 1]
+            elif kind == "float":
+                offset += 8 * len(rows)
+            elif flag >> 1 == 3:
+                offset += 1 + len(rows) * page[offset]
+            else:
+                offset += 2 * len(rows) + struct.unpack_from("<H", page, offset + 2 * len(rows) - 2)[0]
+        return found
+
+    assert flags(rows) == [3, 1, 3, 1]
+    escaped = list(rows)
+    escaped[5] = ("2016-02-30", 0.1 + 0.2, rows[5][2], rows[5][3])
+    assert flags(escaped) == [0, 0, 3, 1]
