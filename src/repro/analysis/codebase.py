@@ -67,9 +67,7 @@ repro.analysis.codebase``.  It has two layers:
   (:mod:`repro.analysis.runtime`) watches every lock the package creates
   and sees the calls across classes that a per-class parse cannot.
 
-Findings are plain ``(path, lineno, code, message)`` tuples for the CLI,
-and :func:`as_diagnostics` lifts them into the shared
-:class:`~repro.analysis.diagnostics.Diagnostic` model.
+Findings are plain ``(path, lineno, code, message)`` tuples for the CLI.
 """
 
 from __future__ import annotations
@@ -84,12 +82,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, Severity
-
 __all__ = [
     "Finding",
     "SourceFile",
-    "as_diagnostics",
     "default_root",
     "lint_file",
     "lint_tree",
@@ -160,19 +155,6 @@ def load_tree(root: Optional[Path] = None) -> List[SourceFile]:
     """Parse every ``*.py`` under *root* (default: the repro package)."""
     base = root if root is not None else default_root()
     return [load_source_file(base, path) for path in sorted(base.rglob("*.py"))]
-
-
-def as_diagnostics(findings: List[Finding]) -> List[Diagnostic]:
-    """Lift lint tuples into the shared :class:`Diagnostic` model."""
-    return [
-        Diagnostic(
-            code=code,
-            severity=Severity.ERROR,
-            message=message,
-            location=f"{path}:{lineno}",
-        )
-        for path, lineno, code, message in findings
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,17 @@ __all__ = [
     "seq_scan_cost",
     "index_scan_cost",
     "hash_join_cost",
+    "key_count_cost",
     "q_error",
 ]
+
+
+#: ``key_run`` per backend: what reading one distinct key's run off the
+#: index costs against the sequential scan plus ``Counter`` pass it
+#: replaces (``seq_row + build_row`` a row), from the break-even
+#: measured in ``docs/PERFORMANCE.md`` §Counting by key
+KEY_RUN_MEMORY = 35.0
+KEY_RUN_DISK = 28.0
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,7 @@ class CostParams:
     build_row: float      # insert one row into a hash-join build table
     probe_row: float      # probe the build table with one row
     output_row: float     # materialize one joined output row
+    key_run: float        # read one distinct key's row count off an index
 
 
 MEMORY_COST_PARAMS = CostParams(
@@ -57,6 +67,7 @@ MEMORY_COST_PARAMS = CostParams(
     build_row=1.5,
     probe_row=1.0,
     output_row=0.6,
+    key_run=KEY_RUN_MEMORY,
 )
 
 DISK_COST_PARAMS = CostParams(
@@ -67,6 +78,7 @@ DISK_COST_PARAMS = CostParams(
     build_row=1.5,
     probe_row=1.0,
     output_row=0.6,
+    key_run=KEY_RUN_DISK,
 )
 
 
@@ -87,6 +99,13 @@ def index_scan_cost(
     return params.index_probe * max(0.0, probes) + params.index_row * max(
         0.0, candidates
     )
+
+
+def key_count_cost(params: CostParams, keys: float) -> float:
+    """Count a column's rows per key off its index
+    (``Database.key_counts``): one walk over the index, one run per
+    distinct key."""
+    return params.index_probe + params.key_run * max(0.0, keys)
 
 
 def hash_join_cost(

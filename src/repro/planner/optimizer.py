@@ -52,6 +52,7 @@ from repro.planner.cost import (
     CostParams,
     hash_join_cost,
     index_scan_cost,
+    key_count_cost,
     seq_scan_cost,
 )
 from repro.planner.stats import (
@@ -64,6 +65,7 @@ from repro.sql.ast import ColumnRef, Expr
 
 __all__ = [
     "DP_RELATION_LIMIT",
+    "CountDecision",
     "JoinDecision",
     "ScanDecision",
     "PlanDecisions",
@@ -104,6 +106,18 @@ class ScanDecision:
 
 
 @dataclass(frozen=True)
+class CountDecision:
+    """A statement's rows counted per key instead of scanned, joined and
+    grouped (``plan.count_target``): off the column's index or by
+    counting its scan, with the estimated distinct keys and, below a
+    join, the estimated counted keys that find their joined row."""
+
+    use_index: bool
+    est_keys: float
+    est_joined: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class PlanDecisions:
     """Everything the optimizer decided for one compiled plan."""
 
@@ -113,6 +127,7 @@ class PlanDecisions:
     est_joined: float
     est_groups: Optional[float]
     est_output: float
+    counting: Optional[CountDecision] = None
 
     @property
     def indexes_kept(self) -> int:
@@ -314,7 +329,65 @@ class Optimizer:
             est_joined=est_joined,
             est_groups=est_groups,
             est_output=est_output,
+            counting=self._counting(plan, scans, profiles, steps, est_joined),
         )
+
+    def _counting(
+        self,
+        plan: Any,
+        scans: Dict[str, ScanDecision],
+        profiles: Dict[str, Any],
+        steps: List[JoinDecision],
+        est_joined: float,
+    ) -> Optional[CountDecision]:
+        """Whether to count *plan*'s rows per key (``plan.count_target``)
+        and how, when that costs less than what the plan does today: a
+        scan (or, below a join, the scan key-filtered by the other
+        side's keys where that would be pushed), the hash join, and a
+        grouping pass over the joined rows.  A count off the index is
+        a run per distinct key (:func:`key_count_cost`), so a near-unique
+        key keeps the scan."""
+        target = plan.count_target
+        if target is None:
+            return None
+        params = self.params
+        counted = scans[target.counted]
+        stats = profiles[target.counted].column(target.column)
+        rows = counted.est_rows
+        keys = max(1.0, min(stats.ndv if stats is not None else rows, rows))
+        scan_cost = seq_scan_cost(params, counted.base_rows) + params.build_row * rows
+        index_cost = float("inf")
+        if not counted.index_choices and (stats is None or not stats.null_fraction):
+            # every row counted, and none lacks a key
+            index_cost = key_count_cost(params, keys)
+        if target.joined is None:
+            if index_cost < scan_cost:
+                return CountDecision(True, keys)
+            return None
+        if len(steps) != 1:
+            return None
+        joined_rows = max(1.0, scans[target.joined].est_rows)
+        read, read_rows = seq_scan_cost(params, counted.base_rows), rows
+        scan = next(scan for scan in plan.scans if scan.alias == target.counted)
+        if scan.deferrable:
+            filtered = self.key_filter_rows(counted.relation, target.column, joined_rows)
+            if filtered is not None:
+                read_rows = filtered
+                read = index_scan_cost(params, filtered, probes=joined_rows)
+        today = (
+            read
+            + hash_join_cost(params, read_rows, joined_rows, est_joined)
+            + params.build_row * est_joined
+        )
+        found = min(keys, joined_rows)  # each counted key finds its row, at most
+        eager = (
+            min(index_cost, scan_cost)
+            + hash_join_cost(params, keys, joined_rows, found)
+            + params.build_row * found
+        )
+        if eager < today:
+            return CountDecision(index_cost < scan_cost, keys, found)
+        return None
 
     def _scan_decision(
         self, scan: Any, hits: Any, tracer: Any

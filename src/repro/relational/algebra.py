@@ -85,6 +85,15 @@ def hash_join(
     return left_positions, right_positions
 
 
+def probe_join(build: Vector, probe: Vector) -> Tuple[List[int], Positions]:
+    """:func:`hash_join` on one key column a side, with the sides fixed:
+    *build* is hashed whatever its size, and the matches come back in
+    *probe* order — for a join whose output order is decided by the
+    caller."""
+    current_token().check()
+    return _probe(build, probe, False)
+
+
 def _probe(build: Vector, probe: Vector, composite: bool) -> Tuple[List[int], Positions]:
     """``(build positions, probe positions)`` of the matches, in probe
     order and, under one probe row, in build order."""
@@ -143,6 +152,28 @@ class Grouping:
         self._tally: Dict[Any, int] = {None: rows} if keys is None else Counter(keys)
         self.size = len(self._tally)
         self._ids: Optional[List[int]] = None
+
+    @classmethod
+    def summed(cls, keys: Optional[Vector], weights: Sequence[int]) -> "Grouping":
+        """Groups over rows that each stand for *weights* rows — counts
+        taken before a join, or an index's count per key: a group's row
+        count is the sum of its rows' weights, in first-seen order.  Only
+        the row counts and the key values are read of it."""
+        current_token().check()
+        tally: Dict[Any, int] = {}
+        if keys is None:
+            tally[None] = sum(weights)
+        else:
+            held = tally.get
+            for key, weight in zip(keys, weights):
+                tally[key] = held(key, 0) + weight
+        grouping = cls.__new__(cls)
+        grouping.rows = sum(weights)
+        grouping.size = len(tally)
+        grouping._keys = None
+        grouping._tally = tally
+        grouping._ids = None
+        return grouping
 
     def _group_of_row(self) -> List[int]:
         if self._ids is None:

@@ -12,7 +12,9 @@ from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ForeignKeyError, SchemaError, UnknownTableError
-from repro.relational.index import InvertedIndex, KeyIndex, NumericIndex, union_of
+from repro.relational.index import (
+    InvertedIndex, KeyCounts, KeyIndex, NumericIndex, union_of,
+)
 from repro.relational.schema import DatabaseSchema, ForeignKey, RelationSchema
 from repro.relational.table import Row, Table
 from repro.relational.types import DataType
@@ -166,6 +168,17 @@ class Database:
         else:
             raise ValueError(f"unknown index probe {kind!r}")
         return union_of(found)
+
+    def key_counts(self, table: str, column: str) -> Optional[KeyCounts]:
+        """Each value of the INT *column* of *table* with its row count
+        and first position, in first-seen order, from the
+        :class:`NumericIndex` — None when the index cannot answer for
+        every row exactly (NULL, an integer beyond ±2**53, another
+        type).  The disk tier's ``StorageEngine.key_counts`` answers the
+        same call."""
+        if self.table(table).schema.column(column).dtype is not DataType.INT:
+            return None
+        return self.numeric_index.key_counts(table, column)
 
     def row_counts(self) -> Dict[str, int]:
         return {name: len(table) for name, table in self._tables.items()}

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import operator
 from itertools import compress, repeat
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import SqlExecutionError
 from repro.relational.algebra import Grouping, Vector, gather
@@ -347,14 +349,19 @@ def _raising_group(message: str) -> GroupKernel:
     return GroupKernel((), fail)
 
 
-def _compile_aggregate_call(call: FuncCall, binding: Binding) -> GroupKernel:
+def _compile_aggregate_call(
+    call: FuncCall, binding: Binding, non_null: FrozenSet[int]
+) -> GroupKernel:
     name = call.name.upper()
     if name == "COUNT":
         # COUNT kernels produce ints by construction, which is exactly
         # normalize_aggregate("COUNT", ...) — no wrapper
         if len(call.args) == 1 and isinstance(call.args[0], Star):
-            return GroupKernel((), lambda columns, grouping: grouping.counts())
+            return GroupKernel((), _count_rows)
         arg = compile_kernel(call.args[0], binding)
+        if not call.distinct and arg.column in non_null:
+            # a column that holds no NULL counts rows, and is not read
+            return GroupKernel((), _count_rows)
         if call.distinct:
             return GroupKernel(
                 arg.slots,
@@ -406,12 +413,20 @@ def _compile_aggregate_call(call: FuncCall, binding: Binding) -> GroupKernel:
     return GroupKernel(arg.slots, aggregate)
 
 
+def _count_rows(columns: Columns, grouping: Grouping) -> Vector:
+    return grouping.counts()
+
+
 def compile_aggregate(
-    expr: Expr, binding: Binding, keys: Sequence[Kernel] = ()
+    expr: Expr,
+    binding: Binding,
+    keys: Sequence[Kernel] = (),
+    non_null: FrozenSet[int] = frozenset(),
 ) -> GroupKernel:
     """Compile an output expression that may mix aggregates and scalars
     into a kernel answering with one value per group; *keys* are the
-    statement's compiled GROUP BY keys.
+    statement's compiled GROUP BY keys, *non_null* the slots of columns
+    that hold no NULL (``COUNT`` of one is the group's row count).
 
     Scalar sub-expressions are evaluated on the group's first row (legal
     because translators only put group-by expressions outside aggregates)
@@ -419,12 +434,12 @@ def compile_aggregate(
     key value, already at hand.
     """
     if isinstance(expr, FuncCall) and expr.is_aggregate:
-        return _compile_aggregate_call(expr, binding)
+        return _compile_aggregate_call(expr, binding, non_null)
     if isinstance(expr, BinaryOp) and expr.contains_aggregate():
         if expr.op.upper() in ("AND", "OR"):
             return _raising_group("boolean aggregates are not supported")
-        left = compile_aggregate(expr.left, binding, keys)
-        right = compile_aggregate(expr.right, binding, keys)
+        left = compile_aggregate(expr.left, binding, keys, non_null)
+        right = compile_aggregate(expr.right, binding, keys, non_null)
         combine = _binary_closure(
             expr.op, operator.itemgetter(0), operator.itemgetter(1)
         )
@@ -443,6 +458,8 @@ def compile_aggregate(
             )
 
     def first_row(columns: Columns, grouping: Grouping) -> Vector:
+        if not scalar.slots:  # a constant: no row to read
+            return scalar(Columns(grouping.size, {}))
         if not grouping.rows:
             return [None] * grouping.size  # the one group of an empty input
         return scalar(columns, grouping.firsts())

@@ -38,10 +38,13 @@ import threading
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress, repeat
+from collections import Counter
+from itertools import compress, count, repeat
 from math import isnan
 from operator import contains, is_, itemgetter, not_
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import IntegrityError
 from repro.relational.types import DataType, not_null
@@ -79,6 +82,60 @@ def union_of(found: Iterable[Optional[Set[int]]]) -> Optional[Set[int]]:
             return None
         union |= positions
     return union
+
+
+#: a float key ``k`` stands for exactly one integer while ``|k| < 2**53``
+_EXACT_INT = 2.0 ** 53
+
+
+class KeyCounts(NamedTuple):
+    """Each distinct value of a column with its row count and the
+    position of its first row, in first-seen order — what a ``Counter``
+    over the column holds, read from the index over it
+    (``Database.key_counts``)."""
+
+    keys: List[int]
+    counts: List[int]
+    firsts: List[int]
+
+
+def key_counts_of_runs(
+    keys: Sequence[float],
+    counts: Sequence[int],
+    firsts: Sequence[int],
+    tail: Sequence[Any] = (),
+    tail_start: int = 0,
+) -> Optional[KeyCounts]:
+    """:class:`KeyCounts` of an INT column from its index: the runs of
+    equal float *keys* in ascending order, each with its row count and
+    first position, and the column's *tail* — its values from position
+    *tail_start* on, which the index does not hold.  None when a key may
+    stand for more than one integer (``|key| >= 2**53``) or the tail
+    holds a NULL: the caller counts the column itself."""
+    if keys and not (-_EXACT_INT < keys[0] and keys[-1] < _EXACT_INT):
+        return None
+    order = sorted(range(len(firsts)), key=firsts.__getitem__)
+    found = KeyCounts(
+        list(map(int, map(keys.__getitem__, order))),
+        list(map(counts.__getitem__, order)),
+        list(map(firsts.__getitem__, order)),
+    )
+    if not tail:
+        return found
+    if None in tail:
+        return None
+    # assigning back to front leaves every value at its first position
+    first = dict(zip(reversed(tail), range(tail_start + len(tail) - 1, tail_start - 1, -1)))
+    at = dict(zip(found.keys, count()))
+    for key, rows in Counter(tail).items():
+        i = at.get(key)
+        if i is None:
+            found.keys.append(key)
+            found.counts.append(rows)
+            found.firsts.append(first[key])
+        else:
+            found.counts[i] += rows
+    return found
 
 
 class KeyIndex:
@@ -361,6 +418,30 @@ class NumericIndex:
             return None
         with self._lock:
             return self._lookup((relation, attribute), needle)
+
+    def key_counts(self, relation: str, attribute: str) -> Optional[KeyCounts]:
+        """:class:`KeyCounts` of an INT column: a bisection per distinct
+        key over the sorted arrays, whose positions of one key ascend.
+        None when a row holds no key (NULL, or an integer beyond float
+        range) or a key is not exact (:func:`key_counts_of_runs`)."""
+        slot = (relation, attribute)
+        with self._lock:
+            keys = self._keys.get(slot)
+            if keys is None or len(keys) != self._covered[relation].rows:
+                return None
+            positions = self._positions[slot]
+            run_keys: List[float] = []
+            counts: List[int] = []
+            firsts: List[int] = []
+            start, end = 0, len(keys)
+            while start < end:
+                key = keys[start]
+                stop = bisect_right(keys, key, start)
+                run_keys.append(key)
+                counts.append(stop - start)
+                firsts.append(positions[start])
+                start = stop
+        return key_counts_of_runs(run_keys, counts, firsts)
 
     def postings(self) -> Dict[float, Dict[Slot, Set[int]]]:
         """The index as ``key -> {slot: positions}`` (for equivalence tests)."""

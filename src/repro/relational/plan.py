@@ -42,11 +42,12 @@ is how one plan serves every statement of its shape.
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 from time import perf_counter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.cancellation import current_token
-from repro.errors import SqlExecutionError
+from repro.errors import SqlExecutionError, UnknownTableError
 from repro.observability import NULL_TRACER
 from repro.relational.database import Database
 from repro.relational.expressions import Binding, Columns
@@ -57,7 +58,7 @@ from repro.relational.join import (
     KeySource,
     one_alias_sides,
 )
-from repro.relational.project import Project
+from repro.relational.project import EagerCount, KeyCount, Project
 from repro.relational.result import QueryResult
 from repro.relational.scan import (
     DerivedScan,
@@ -66,6 +67,7 @@ from repro.relational.scan import (
     TableScan,
     rows_note,
 )
+from repro.relational.types import DataType
 from repro.sql.render import render_expr, render_shape
 from repro.sql.ast import (
     BinaryOp,
@@ -76,6 +78,7 @@ from repro.sql.ast import (
     Literal,
     Select,
     TableRef,
+    rewrite_qualifiers,
 )
 
 
@@ -90,6 +93,112 @@ def _has_parameter(expr: Expr) -> bool:
         )
         for node in expr.walk()
     )
+
+
+def merge_derived(select: Select, database: Database) -> Tuple[Select, frozenset]:
+    """*select* with each derived table that is only a DISTINCT
+    projection of one base table keeping its whole primary key — so the
+    DISTINCT removes no row and the rows come in the table's order —
+    replaced by that table under the derived table's alias, its WHERE
+    conjuncts added to *select*'s; and the aliases merged.  A derived
+    table is kept where merging could change what a reference of
+    *select* resolves to (:func:`_merged_table`)."""
+    items = []
+    merged: List[str] = []
+    conjuncts = select.where_conjuncts()
+    for item in select.from_items:
+        table = _merged_table(item, select, database)
+        if table is None:
+            items.append(item)
+            continue
+        items.append(TableRef(table, item.alias))
+        inner = item.select.from_items[0].alias
+        mapping = {None: item.alias, inner: item.alias}
+        conjuncts += [
+            rewrite_qualifiers(conjunct, mapping)
+            for conjunct in item.select.where_conjuncts()
+        ]
+        merged.append(item.alias)
+    if not merged:
+        return select, frozenset()
+    return (
+        replace(select, from_items=tuple(items), where=Select.conjunction(conjuncts)),
+        frozenset(merged),
+    )
+
+
+def _merged_table(item: Any, parent: Select, database: Database) -> Optional[str]:
+    """The base table derived table *item* of *parent* may be merged
+    into *parent* as: a ``SELECT DISTINCT`` of plain, unrenamed columns
+    of one base table covering its primary key, with no GROUP BY, ORDER
+    BY or LIMIT, whose WHERE reads that table alone — and no reference
+    of *parent* names a column of the table the projection drops (it
+    would resolve differently once the table's every column is in
+    scope).  Else None."""
+    if not isinstance(item, DerivedTable):
+        return None
+    sub = item.select
+    if (
+        not sub.distinct
+        or sub.has_aggregates()
+        or sub.group_by
+        or sub.order_by
+        or sub.limit is not None
+        or len(sub.from_items) != 1
+        or not isinstance(sub.from_items[0], TableRef)
+    ):
+        return None
+    inner = sub.from_items[0]
+    try:
+        schema = database.table(inner.table).schema
+    except UnknownTableError:
+        return None
+    columns = {name.lower() for name in schema.column_names}
+    projected: Set[str] = set()
+    for sub_item in sub.items:
+        ref = sub_item.expr
+        if not isinstance(ref, ColumnRef) or ref.qualifier not in (None, inner.alias):
+            return None
+        name = ref.name.lower()
+        if name not in columns or name in projected:
+            return None
+        if (sub_item.alias or ref.name).lower() != name:
+            return None
+        projected.add(name)
+    if not {key.lower() for key in schema.primary_key} <= projected:
+        return None
+    for conjunct in sub.where_conjuncts():
+        for ref in _column_refs(conjunct):
+            if ref.qualifier not in (None, inner.alias) or ref.name.lower() not in columns:
+                return None
+    dropped = columns - projected
+    exprs = [parent_item.expr for parent_item in parent.items]
+    exprs += parent.where_conjuncts() + list(parent.group_by)
+    exprs += [order.expr for order in parent.order_by]
+    for expr in exprs:
+        for ref in _column_refs(expr):
+            name = ref.name.lower()
+            if ref.qualifier == item.alias and name not in projected:
+                return None
+            if ref.qualifier is None and name in dropped:
+                return None
+    return inner.table
+
+
+def _column_refs(expr: Expr) -> List[ColumnRef]:
+    return [node for node in expr.walk() if isinstance(node, ColumnRef)]
+
+
+class CountTarget(NamedTuple):
+    """What a statement that counts rows per key counts: the column of
+    the *counted* alias's table — alone, or joined to the *key*, the
+    whole primary key, of the *joined* alias's table, whose columns the
+    GROUP BY reads (eager aggregation)."""
+
+    counted: str
+    column: str
+    joined: Optional[str] = None
+    key: Optional[str] = None
 
 
 def q_error(estimated: float, actual: float) -> float:
@@ -158,7 +267,8 @@ class CompiledPlan:
         "select", "database", "_optimizer", "_compile_tracer", "decisions",
         "last_run", "shape", "hits", "output_columns", "scans", "pending",
         "binding", "distinct_elided_key", "project", "join", "output_slots",
-        "shareable", "deferred", "key_sources",
+        "shareable", "deferred", "key_sources", "merged", "count_target",
+        "counting",
     )
 
     def __init__(
@@ -181,6 +291,10 @@ class CompiledPlan:
         #: plan bound from this one; the optimizer's inputs that depend on
         #: the literals (Optimizer.sample_hits) are kept per plan
         self.shape = render_shape(select)[0]
+        #: the statement run: *select* with its merged derived tables
+        #: (:func:`merge_derived`), and their aliases
+        self.select, self.merged = merge_derived(select, database)
+        select = self.select
         self.hits: Optional[Tuple[Any, ...]] = None
         self.output_columns: List[str] = [
             item.output_name(default=f"col{i + 1}")
@@ -197,7 +311,7 @@ class CompiledPlan:
         self.distinct_elided_key = self._redundant_distinct_key()
         self.project = Project(
             select, self.binding, self.output_columns,
-            self.distinct_elided_key is not None,
+            self.distinct_elided_key is not None, self._non_null_slots(),
         )
         self.join = Join()
         self._read_columns()
@@ -209,6 +323,10 @@ class CompiledPlan:
         #: conjuncts that can then hand them the other side's keys
         self.deferred: frozenset = _NONE_DEFERRED
         self.key_sources: Dict[str, List[KeySource]] = {}
+        #: what the optimizer may count per key instead of scanning and
+        #: grouping, and the operator it decided on (None: scan)
+        self.count_target = self._count_target()
+        self.counting: Any = None
         if self._optimizer is not None:
             self._decide(tracer)
 
@@ -226,7 +344,10 @@ class CompiledPlan:
             seen.add(item.alias)
             scan: Any
             if isinstance(item, TableRef):
-                scan = TableScan(item, self.database, base, self._optimizer)
+                scan = TableScan(
+                    item, self.database, base, self._optimizer,
+                    deferrable=item.alias in self.merged,
+                )
             elif isinstance(item, DerivedTable):
                 subplan = CompiledPlan(
                     item.select,
@@ -340,7 +461,7 @@ class CompiledPlan:
         plan's own decisions it shares this plan's join and deferrals
         too.  :attr:`last_run` starts empty."""
         bound = copy.copy(self)
-        bound.select = select
+        bound.select = select = merge_derived(select, self.database)[0]
         bound.last_run = None
         bound.hits = None
         conjuncts = select.where_conjuncts()
@@ -358,6 +479,7 @@ class CompiledPlan:
         shares its join and deferrals."""
         self.decisions = self._optimizer.decide(self, tracer)
         self._apply_index_choices()
+        self.counting = self._counting()
         if shaped is not None and shaped.decisions is self.decisions:
             self.join = shaped.join
             self.deferred = shaped.deferred
@@ -383,6 +505,86 @@ class CompiledPlan:
                 continue
             for pred, choice in zip(scan.pushed, decision.index_choices):
                 pred.use_lookup = choice is not False
+
+    def _non_null_slots(self) -> frozenset:
+        """The slots of columns that hold no NULL: the primary-key
+        columns of base tables, which ``Table`` keeps NULL out of (and
+        the disk tier is materialized from)."""
+        return frozenset(
+            scan.base + scan.schema.column_index(column)
+            for scan in self.scans
+            if isinstance(scan, TableScan)
+            for column in scan.schema.primary_key
+        )
+
+    def _count_target(self) -> Optional[CountTarget]:
+        """What this statement counts, when every output is a GROUP BY
+        column or counts rows (``Project.counts_only``) over base tables:
+        one unfiltered table grouped by one INT column of its own, or
+        two joined on one equality, an INT column of one to the whole
+        INT primary key of the other, which the GROUP BY reads and which
+        is not deferred.  Else None."""
+        if not self.project.counts_only or not all(
+            isinstance(scan, TableScan) for scan in self.scans
+        ):
+            return None
+        group_by = self.select.group_by
+        if len(self.scans) == 1:
+            (scan,) = self.scans
+            column = scan._own_column(group_by[0]) if len(group_by) == 1 else None
+            if scan.pushed or self.pending or column is None:
+                return None
+            if scan._dtype(column) is not DataType.INT:
+                return None
+            return CountTarget(scan.alias, column)
+        if len(self.scans) != 2 or len(self.pending) != 1 or not self.pending[0].is_equi:
+            return None
+        conjunct = self.pending[0]
+        scans = {scan.alias: scan for scan in self.scans}
+        refs = (conjunct.left_ref, conjunct.right_ref)
+        for counted_ref, key_ref in (refs, refs[::-1]):
+            try:
+                counted = scans[self._alias_of_ref(counted_ref)]
+                joined = scans[self._alias_of_ref(key_ref)]
+                grouped = {self._alias_of_ref(expr) for expr in group_by if isinstance(expr, ColumnRef)}
+            except (KeyError, SqlExecutionError):
+                return None
+            column = counted._own_column(counted_ref)
+            key = joined._own_column(key_ref)
+            if (
+                counted is joined
+                or column is None
+                or key is None
+                or joined.schema.primary_key != (key,)
+                or joined.deferrable
+                or counted._dtype(column) is not DataType.INT
+                or joined._dtype(key) is not DataType.INT
+                or len(grouped) > 1
+                or grouped - {joined.alias}
+                or not all(isinstance(expr, ColumnRef) for expr in group_by)
+            ):
+                continue
+            return CountTarget(counted.alias, column, joined.alias, key)
+        return None
+
+    def _counting(self) -> Any:
+        """The operator the optimizer's counting decision makes, bound to
+        this plan's scans; None when the statement scans."""
+        decision = self.decisions.counting
+        if decision is None:
+            return None
+        target = self.count_target
+        scans = {scan.alias: scan for scan in self.scans}
+        counted = KeyCount(
+            scans[target.counted], target.column, decision.use_index, decision.est_keys
+        )
+        if target.joined is None:
+            return counted
+        (step,) = self.decisions.join_steps
+        return EagerCount(
+            counted, scans[target.joined], target.key,
+            step.left == frozenset((target.counted,)), decision.est_joined,
+        )
 
     def _redundant_distinct_key(self) -> Optional[Tuple[str, ...]]:
         """The primary key this statement's DISTINCT projection keeps
@@ -421,7 +623,7 @@ class CompiledPlan:
             alias
             for step in self.decisions.join_steps
             for alias, _ in one_alias_sides(step)
-            if isinstance(scans[alias], DerivedScan)
+            if scans[alias].deferrable
         ) or _NONE_DEFERRED
         for conjunct in self.pending:
             if not conjunct.is_equi or len(conjunct.aliases) != 2:
@@ -490,7 +692,32 @@ class CompiledPlan:
         token = current_token()
         token.check()
         run = PlanRun() if self.decisions is not None else None
-        handed = key_filters or {}
+        if self.merged:
+            # a merged derived table is a DISTINCT not run
+            tracer.count("distinct_elided", len(self.merged))
+        grouping = None
+        if self.counting is not None:
+            grouping = self.counting.execute(self, tracer, run)
+        if grouping is None:
+            columns = self._join(tracer, run, key_filters or {})
+        else:
+            columns = Columns(grouping.rows, {})  # the outputs read the groups alone
+        token.check()
+        started = perf_counter()
+        result = project(columns, tracer, grouping)
+        if run is not None:
+            run.record("output", self.decisions.est_output, len(result), started)
+            # single reference assignment: racing executions each publish
+            # a complete PlanRun; readers see one or the other
+            self.last_run = run
+            tracer.count("planner_runs_observed")
+        return result
+
+    def _join(
+        self, tracer: Any, run: Optional[PlanRun], handed: Dict[str, KeyFilters]
+    ) -> Columns:
+        """The FROM clause's rows: every scan run (the deferred ones by
+        their join steps), then joined."""
         components: List[Component] = []
         deferred: Dict[str, Any] = {}
         for scan in self.scans:
@@ -500,17 +727,7 @@ class CompiledPlan:
                 components.append(
                     self.run_scan(scan, handed.get(scan.alias, ()), tracer, run)
                 )
-        merged = self.join.execute(self, components, deferred, handed, tracer, run)
-        token.check()
-        started = perf_counter()
-        result = project(merged.columns, tracer)
-        if run is not None:
-            run.record("output", self.decisions.est_output, len(result), started)
-            # single reference assignment: racing executions each publish
-            # a complete PlanRun; readers see one or the other
-            self.last_run = run
-            tracer.count("planner_runs_observed")
-        return result
+        return self.join.execute(self, components, deferred, handed, tracer, run).columns
 
     def run_scan(
         self, scan: Any, key_filters: KeyFilters, tracer: Any, run: Optional[PlanRun]
@@ -541,6 +758,49 @@ class CompiledPlan:
     def describe(self, indent: str = "") -> List[str]:
         lines: List[str] = []
         run = self.last_run
+        counting = self.counting
+        if isinstance(counting, KeyCount) and run and not run.observation(counting.label):
+            counting = None  # the index could not answer: the plan scanned
+        if counting is None:
+            lines.extend(self._describe_join(indent, run))
+        else:
+            lines.extend(self._describe_counting(counting, indent, run))
+        summary = self.project.describe(summing=isinstance(counting, EagerCount))
+        if self.distinct_elided_key is not None:
+            kept = ", ".join(self.distinct_elided_key)
+            summary.append(f"distinct elided (keeps key {kept})")
+        elif self.select.distinct:
+            summary.append("distinct")
+        if self.select.order_by:
+            summary.append("sort")
+        if self.select.limit is not None:
+            summary.append(f"limit {self.select.limit}")
+        summary_line = indent + "; ".join(summary)
+        if self.decisions is not None:
+            summary_line += self._note(run, "output", self.decisions.est_output)
+        lines.append(summary_line)
+        return lines
+
+    def _describe_counting(self, counting: Any, indent: str, run: Optional[PlanRun]) -> List[str]:
+        """The lines of a counted plan: the count, and for eager
+        aggregation the joined scan, the conjunct and the join of the
+        counts."""
+        if isinstance(counting, KeyCount):
+            note = self._note(run, counting.label, counting.est_rows)
+            return [counting.describe(indent, note, run)]
+        counted, joined = counting.counted, counting.joined
+        decision = self.decisions.scans[joined.alias]
+        return [
+            counted.describe(indent, self._note(run, counted.label, counted.est_rows), run),
+            *joined.describe(indent, self._note(run, joined.label, decision.est_rows)),
+            *(f"{indent}equi-join {render_expr(c.expr)}" for c in self.pending),
+            f"{indent}join order 1: count {counted.scan.alias} ⋈ {joined.alias}"
+            + self._note(run, counting.label, counting.est_rows),
+        ]
+
+    def _describe_join(self, indent: str, run: Optional[PlanRun]) -> List[str]:
+        """The lines of the scans, the conjuncts and the join steps."""
+        lines: List[str] = []
         key_filters = run.key_filters if run else self.join.forecast_key_filters(self)
         for scan in self.scans:
             estimate = None
@@ -563,20 +823,6 @@ class CompiledPlan:
                 f"{indent}join order {number}: {step.step.describe()}"
                 + self._note(run, step.label, step.est_rows)
             )
-        summary = self.project.describe()
-        if self.distinct_elided_key is not None:
-            kept = ", ".join(self.distinct_elided_key)
-            summary.append(f"distinct elided (keeps key {kept})")
-        elif self.select.distinct:
-            summary.append("distinct")
-        if self.select.order_by:
-            summary.append("sort")
-        if self.select.limit is not None:
-            summary.append(f"limit {self.select.limit}")
-        summary_line = indent + "; ".join(summary)
-        if self.decisions is not None:
-            summary_line += self._note(run, "output", self.decisions.est_output)
-        lines.append(summary_line)
         return lines
 
     def explain(self) -> str:

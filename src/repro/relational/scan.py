@@ -221,14 +221,23 @@ class TableScan:
 
     __slots__ = (
         "_optimizer", "table_name", "alias", "label", "schema", "base",
-        "labels", "pushed", "needed", "slots",
+        "labels", "pushed", "needed", "slots", "deferrable",
     )
 
     def __init__(
-        self, item: TableRef, database: Database, base: int, optimizer: Any = None
+        self,
+        item: TableRef,
+        database: Database,
+        base: int,
+        optimizer: Any = None,
+        deferrable: bool = False,
     ) -> None:
         table = database.table(item.table)
         self._optimizer = optimizer
+        #: whether a decided join step may run it and hand it the other
+        #: side's keys, as a derived table: a merged one is
+        #: (``plan.merge_derived``)
+        self.deferrable = deferrable
         self.table_name = item.table
         self.alias = item.alias
         self.label = f"scan {item.alias}"  # its operator in a PlanRun
@@ -414,6 +423,7 @@ class TableScan:
             else:
                 via = "compiled filter"
             lines.append(f"{indent}  push {render_expr(pred.expr)} via {via}")
+        lines.extend(f"{indent}  {text}" for text in key_filters)
         return lines
 
 
@@ -421,6 +431,9 @@ class DerivedScan:
     """A derived table: a nested compiled sub-plan."""
 
     __slots__ = ("alias", "label", "subplan", "base", "labels", "pushed", "_hops")
+
+    #: a decided join step runs it (``CompiledPlan.deferred``)
+    deferrable = True
 
     def __init__(self, alias: str, subplan: Any, base: int) -> None:
         self.alias = alias

@@ -13,7 +13,7 @@ SQL shown in the paper's examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
 
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -224,6 +224,32 @@ class Select:
         for select in self.subqueries():
             names.update(select.tables())
         return tuple(sorted(names))
+
+
+def rewrite_qualifiers(expr: Expr, mapping: Mapping[Optional[str], str]) -> Expr:
+    """Replace column-reference qualifiers according to *mapping* (a
+    ``None`` entry qualifies the unqualified references)."""
+    if isinstance(expr, ColumnRef):
+        if expr.qualifier in mapping:
+            return ColumnRef(expr.name, mapping[expr.qualifier])
+        return expr
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(
+            expr.op,
+            rewrite_qualifiers(expr.left, mapping),
+            rewrite_qualifiers(expr.right, mapping),
+        )
+    if isinstance(expr, Contains):
+        return Contains(rewrite_qualifiers(expr.column, mapping), expr.phrase)
+    if isinstance(expr, IsNull):
+        return IsNull(rewrite_qualifiers(expr.operand, mapping), expr.negated)
+    if isinstance(expr, FuncCall):
+        return FuncCall(
+            expr.name,
+            tuple(rewrite_qualifiers(arg, mapping) for arg in expr.args),
+            expr.distinct,
+        )
+    return expr
 
 
 def column(name: str, qualifier: Optional[str] = None) -> ColumnRef:

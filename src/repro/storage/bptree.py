@@ -52,6 +52,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, groupby
+from math import copysign
 from operator import itemgetter, lt, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -141,6 +142,29 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
+
+
+def _same_key(left: float, right: float) -> bool:
+    """Equal keys of one sign: ``-0.0`` and ``0.0`` are two runs."""
+    return left == right and copysign(1.0, left) == copysign(1.0, right)
+
+
+def _run_lengths(keys: Sequence[float]) -> List[int]:
+    """The lengths of the runs of equal sorted *keys* — split where an
+    equal key changes sign, so a run of ``0.0`` does not carry a
+    ``-0.0`` position's key, or the reverse."""
+    lengths = list(map(len, map(list, map(itemgetter(1), groupby(keys)))))
+    low = bisect_left(keys, 0.0)
+    if low == len(keys) or keys[low] != 0.0:
+        return lengths
+    # the zeros are one run of groupby's: cut it where the sign changes
+    zeros = keys[low:bisect_right(keys, 0.0, low)]
+    at = list(accumulate(lengths, initial=0)).index(low)
+    signed = [
+        len(list(run))
+        for _, run in groupby(zeros, key=lambda zero: copysign(1.0, zero))
+    ]
+    return lengths[:at] + signed + lengths[at + 1:]
 
 
 def _internal(entries: Sequence[Tuple[int, float]]) -> _Node:
@@ -270,7 +294,10 @@ def _longest(fits: Callable[[int], bool], low: int, high: int, guess: int) -> in
 
 
 def _packed_leaves(
-    keys: Sequence[float], positions: Sequence[int], page_size: int
+    keys: Sequence[float],
+    positions: Sequence[int],
+    page_size: int,
+    scales: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[_Node, int]]:
     """Leaves holding the sorted *keys* — ``keys[i]`` carried by
     ``positions[i]`` — in order, with the key code each was sized with
@@ -285,12 +312,19 @@ def _packed_leaves(
     once (``groupby``), then each leaf takes the
     longest stretch of whole runs that fits — found by galloping from
     the last leaf's count, each try sized by builtins over the stretch —
-    and then as much of the next run as still fits."""
-    lengths = list(map(len, map(list, map(itemgetter(1), groupby(keys)))))
+    and then as much of the next run as still fits.  ``-0.0`` and ``0.0``
+    are runs of their own (:func:`_run_lengths`), so each position's key
+    keeps its sign.  *scales*, when given, are the keys'
+    :func:`~repro.storage.page.decimal_scales` by row position, found
+    once for the column's heap pages and its tree."""
+    lengths = _run_lengths(keys)
     ends = list(accumulate(lengths))
     starts = [0, *ends[:-1]]
     run_keys = list(map(keys.__getitem__, starts[:len(lengths)]))
-    run_scales = decimal_scales(run_keys)
+    if scales is None:
+        run_scales = decimal_scales(run_keys)
+    else:  # each run's key is the value at its first position
+        run_scales = list(map(scales.__getitem__, map(positions.__getitem__, starts[:len(lengths)])))
     runs = len(lengths)
     # what is known of the consecutive positions from ``since`` on: they
     # reach at least ``good``, and not ``bad``
@@ -430,14 +464,16 @@ class BPlusTree:
         file_id: str,
         keys: Sequence[float],
         positions: Sequence[int],
+        scales: Optional[Sequence[int]] = None,
     ) -> "BPlusTree":
         """Build into the empty page file *file_id* from *keys* sorted
         ascending, ``keys[i]`` carried by ``positions[i]`` (the positions
         of one key in any order); the tree's :attr:`root` is the page the
-        manifest records."""
+        manifest records.  *scales* are the decimal scales of the keys
+        by row position, when the caller found them already."""
         page_size = pool.pager(file_id).page_size
         capacity = _internal_capacity(page_size)
-        leaves = list(_packed_leaves(keys, positions, page_size))
+        leaves = list(_packed_leaves(keys, positions, page_size, scales))
         if not leaves:
             leaves = [(_Node.leaf([], [], []), 1)]
         level: List[Tuple[int, float]] = []
@@ -484,6 +520,32 @@ class BPlusTree:
                 for position in positions[starts[i]:starts[i + 1]]:
                     yield key, position
             page_no = node.next
+
+    def key_runs(self) -> Tuple[List[float], List[int], List[int]]:
+        """``(keys, counts, firsts)``: every distinct key in ascending
+        order, with the positions it carries and the first of them — a
+        run that goes on in the next leaf counted whole.  A run's
+        positions ascend when the tree was built from
+        :func:`~repro.relational.index.sorted_float_keys`, as the
+        materializer builds it, so its first is the smallest.  The work
+        is a pass over the leaf chain; no position list is copied."""
+        keys: List[float] = []
+        counts: List[int] = []
+        firsts: List[int] = []
+        page_no = self._leftmost_leaf()
+        while page_no != NO_PAGE:
+            node = self._read_node(page_no)
+            starts, leaf_keys = node.starts, node.keys
+            leaf_counts = list(map(sub, starts[1:], starts))
+            skip = 0
+            if keys and leaf_keys and _same_key(leaf_keys[0], keys[-1]):
+                counts[-1] += leaf_counts[0]  # the last leaf's run goes on
+                skip = 1
+            keys += leaf_keys[skip:]
+            counts += leaf_counts[skip:]
+            firsts += map(node.positions.__getitem__, starts[skip:-1])
+            page_no = node.next
+        return keys, counts, firsts
 
     def __len__(self) -> int:
         return sum(1 for _ in self.items())

@@ -43,8 +43,9 @@ import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StorageError, UnknownTableError
-from repro.relational.index import tokenize_text, union_of
+from repro.relational.index import KeyCounts, key_counts_of_runs, tokenize_text, union_of
 from repro.relational.schema import DatabaseSchema
+from repro.relational.types import DataType
 from repro.storage.bptree import BPlusTree
 from repro.storage.hashindex import HashFile
 from repro.storage.heap import HeapFile
@@ -200,6 +201,30 @@ class StorageEngine:
         if answer is not None:
             answer.update(range(self.indexed[table], self.table(table).row_count))
         return answer
+
+    def key_counts(self, table: str, column: str) -> Optional[KeyCounts]:
+        """Each value of the INT *column* of *table* with its row count
+        and first position, in first-seen order: the runs of the
+        column's B+-tree leaves, then a ``Counter`` over the tail.  None
+        when the tree does not hold every indexed row (a NULL, or an
+        integer beyond float range), a key is not exact, or the tail
+        holds a NULL — the answer ``Database.key_counts`` gives."""
+        heap = self.table(table)
+        if heap.schema.column(column).dtype is not DataType.INT:
+            return None
+        tree = self.bptree(table, column)
+        if tree is None:
+            return None
+        keys, counts, firsts = tree.key_runs()
+        indexed = self.indexed[table]
+        if sum(counts) != indexed:
+            return None
+        tail: Sequence[Any] = ()
+        if heap.row_count > indexed:
+            tail = heap.columns(
+                [heap.schema.column_index(column)], range(indexed, heap.row_count)
+            )[0]
+        return key_counts_of_runs(keys, counts, firsts, tail, indexed)
 
     # ------------------------------------------------------------------
     # Handles (index objects constructed on first probe)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.schema import RelationSchema
@@ -61,8 +61,12 @@ def build_heap(
     schema: RelationSchema,
     rows: Iterable[Sequence[Any]],
     page_size: int,
+    scales: Optional[Dict[int, Sequence[int]]] = None,
 ) -> List[int]:
     """Write *rows* into a fresh heap file; returns rows-per-page.
+    *scales* maps FLOAT columns to their values' decimal scales, one a
+    row (:func:`~repro.storage.page.column_scales`), when the caller has
+    found them already.
 
     The build path writes pages sequentially through a private
     :class:`Pager` (no pool: nothing is re-read during a build, caching
@@ -71,7 +75,7 @@ def build_heap(
     pager = Pager(path, page_size, create=True)
     try:
         page_counts: List[int] = []
-        for count, data in _pack(PageFill(schema, page_size), rows):
+        for count, data in _pack(PageFill(schema, page_size, scales), rows):
             pager.write_page(pager.page_count, data)
             page_counts.append(count)
         pager.sync()

@@ -56,6 +56,7 @@ from repro.relational.types import DataType
 from repro.storage.bptree import BPlusTree
 from repro.storage.hashindex import HashFile
 from repro.storage.heap import build_heap
+from repro.storage.page import column_scales
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool, Pager
 from repro.storage.spimi import DEFAULT_BLOCK_BUDGET, SpimiBuilder
 
@@ -114,8 +115,15 @@ def materialize(
         epoch, count = table.version
         rows = table.rows[:count]
         heap_file = f"{relation.name}.heap"
+        # each FLOAT column's decimal scales, found once for its heap
+        # pages and its B+-tree
+        scales = {
+            col_idx: column_scales(list(map(itemgetter(col_idx), rows)))
+            for col_idx, column in enumerate(relation.columns)
+            if column.dtype is DataType.FLOAT
+        }
         page_counts = build_heap(
-            os.path.join(directory, heap_file), relation, rows, page_size
+            os.path.join(directory, heap_file), relation, rows, page_size, scales
         )
         entry: Dict[str, Any] = {
             "rows": len(rows),
@@ -140,7 +148,7 @@ def materialize(
                 keys, positions = sorted_float_keys(values)
                 root = _build_bptree(
                     build_pool, os.path.join(directory, file_name), file_name,
-                    keys, positions, page_size,
+                    keys, positions, page_size, scales.get(col_idx),
                 )
                 entry["numeric"][column.name] = {"file": file_name, "root": root}
             else:
@@ -221,12 +229,13 @@ def _build_bptree(
     keys: List[float],
     positions: List[int],
     page_size: int,
+    scales: Optional[Sequence[int]],
 ) -> int:
     """Write the B+-tree file at *path*; returns its root page."""
     pager = Pager(path, page_size, create=True)
     try:
         pool.register(file_id, pager)
-        root = BPlusTree.bulk_build(pool, file_id, keys, positions).root
+        root = BPlusTree.bulk_build(pool, file_id, keys, positions, scales).root
         pool.flush()
         pager.sync()
         return root

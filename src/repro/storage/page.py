@@ -83,6 +83,7 @@ __all__ = [
     "MAX_PAGE_SIZE",
     "MAX_SCALE",
     "PageFill",
+    "column_scales",
     "decimal_scales",
     "decode_columns",
     "decode_page",
@@ -218,6 +219,15 @@ def unpack_uints(data: bytes, offset: int, n: int) -> Tuple[Tuple[int, ...], int
 # ----------------------------------------------------------------------
 # Exact narrow values: scaled decimals and day numbers
 # ----------------------------------------------------------------------
+def column_scales(values: Sequence[Optional[float]]) -> List[int]:
+    """:func:`decimal_scales` of a FLOAT column, NULL as ``0.0`` — the
+    filler its minipage stores — found once per build for
+    :class:`PageFill` and the B+-tree over the column."""
+    if None in values:
+        values = [0.0 if value is None else value for value in values]
+    return decimal_scales(values)  # type: ignore[arg-type]
+
+
 def decimal_scales(values: Sequence[float]) -> List[int]:
     """Per float of *values*, the least scale ``s`` in ``0..MAX_SCALE``
     at which an integer ``k`` with ``|k| <= 2**53`` has ``k / 10**s ==
@@ -420,7 +430,12 @@ class PageFill:
     for all the offered rows at once.
     """
 
-    def __init__(self, schema: RelationSchema, page_size: int) -> None:
+    def __init__(
+        self,
+        schema: RelationSchema,
+        page_size: int,
+        scales: Optional[Dict[int, Sequence[int]]] = None,
+    ) -> None:
         if page_size > MAX_PAGE_SIZE:
             raise StorageError(
                 f"page size {page_size} above maximum {MAX_PAGE_SIZE}"
@@ -436,6 +451,10 @@ class PageFill:
         # header, one flag per column, one width code per INT column
         self._base = _HEADER.size + len(kinds) + len(self._int_columns)
         self._fixed_row_bytes = kinds.count(_BOOL)
+        #: FLOAT column -> the :func:`decimal_scales` of its values (NULL
+        #: as 0.0) in the rows :meth:`take` is given, when the builder
+        #: found them once for the column
+        self._scales = scales or {}
         self.rows: List[Row] = []
         self.reset()
 
@@ -501,7 +520,7 @@ class PageFill:
         while True:
             limit = (self.page_size - self.size) // least + 1
             offered = rows[start + taken:start + taken + min(limit, chunk or limit)]
-            admitted = self._admit(offered)
+            admitted = self._admit(offered, start + taken)
             taken += admitted
             if admitted < len(offered) or not offered:
                 break
@@ -513,13 +532,14 @@ class PageFill:
             )
         return taken
 
-    def _admit(self, offered: Sequence[Row]) -> int:
-        """Admit the rows of *offered* in order while they are of the
-        schema's width and the page still fits; returns how many."""
+    def _admit(self, offered: Sequence[Row], at: int) -> int:
+        """Admit the rows of *offered* — ``rows[at:]`` of those given to
+        :meth:`take` — in order while they are of the schema's width and
+        the page still fits; returns how many."""
         width = self._width
         if set(map(len, offered)) - {width}:
             offered = offered[:next(at for at, row in enumerate(offered) if len(row) != width)]
-        columns = _ColumnSizes(self, offered)
+        columns = _ColumnSizes(self, offered, at)
         int_columns = self._int_columns
         widths, bounds = self._widths, self._bounds
         row_bytes, digit_bytes = self._row_bytes, self._digit_bytes
@@ -633,7 +653,7 @@ class _ColumnSizes:
     column in its smallest layout; :meth:`admit` then records the ones
     that went in."""
 
-    def __init__(self, fill: PageFill, offered: Sequence[Row]) -> None:
+    def __init__(self, fill: PageFill, offered: Sequence[Row], at: int) -> None:
         self.fill = fill
         self.held = len(fill.rows)
         self._texts: List[Tuple[Any, ...]] = []
@@ -641,7 +661,7 @@ class _ColumnSizes:
         columns = [
             self._text(j, c, offered) for j, c in enumerate(fill._text_columns)
         ] + [
-            self._float(i, c, offered) for i, c in enumerate(fill._float_columns)
+            self._float(i, c, offered, at) for i, c in enumerate(fill._float_columns)
         ]
         self.sizes: List[int] = columns[0] if columns else [0] * len(offered)
         for column in columns[1:]:
@@ -747,7 +767,7 @@ class _ColumnSizes:
             return 0
         return min(m, repeats + most // cost + 1)
 
-    def _float(self, i: int, c: int, offered: Sequence[Row]) -> List[int]:
+    def _float(self, i: int, c: int, offered: Sequence[Row], at: int) -> List[int]:
         """A FLOAT column's sizes: scaled decimals up to the first row that
         needs a scale past MAX_SCALE or an integer past 4 bytes, f64 from
         there.  The rows are taken a run of one page scale at a time (a
@@ -758,7 +778,8 @@ class _ColumnSizes:
         values = list(map(itemgetter(c), offered))
         if None in values:
             values = [0.0 if value is None else value for value in values]
-        scales = decimal_scales(values)
+        known = self.fill._scales.get(c)
+        scales = list(known[at:at + m]) if known is not None else decimal_scales(values)
         scale, low, high = self.fill._decimals[i]
         steps: List[Tuple[int, int]] = []
         start = 0

@@ -31,14 +31,13 @@ from repro.sql.ast import (
     DerivedTable,
     Expr,
     FromItem,
-    FuncCall,
-    IsNull,
     Literal,
     OrderItem,
     Select,
     SelectItem,
     Star,
     TableRef,
+    rewrite_qualifiers,
 )
 from repro.unnormalized.provider import FragmentUse
 
@@ -46,31 +45,6 @@ from repro.unnormalized.provider import FragmentUse
 # ----------------------------------------------------------------------
 # Expression utilities
 # ----------------------------------------------------------------------
-def rewrite_qualifiers(expr: Expr, mapping: Dict[str, str]) -> Expr:
-    """Replace column-reference qualifiers according to *mapping*."""
-    if isinstance(expr, ColumnRef):
-        if expr.qualifier in mapping:
-            return ColumnRef(expr.name, mapping[expr.qualifier])
-        return expr
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            rewrite_qualifiers(expr.left, mapping),
-            rewrite_qualifiers(expr.right, mapping),
-        )
-    if isinstance(expr, Contains):
-        return Contains(rewrite_qualifiers(expr.column, mapping), expr.phrase)
-    if isinstance(expr, IsNull):
-        return IsNull(rewrite_qualifiers(expr.operand, mapping), expr.negated)
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name,
-            tuple(rewrite_qualifiers(arg, mapping) for arg in expr.args),
-            expr.distinct,
-        )
-    return expr
-
-
 def referenced_columns(select: Select, alias: str) -> Set[str]:
     """Column names referenced through *alias* anywhere in *select* (not
     inside its subqueries)."""

@@ -1,6 +1,8 @@
 """B+-tree vs a sorted-dict oracle, at page sizes tiny enough to force
 multi-level splits, with first-class duplicate keys."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,3 +170,40 @@ class TestEdges:
             with pytest.raises(StorageError, match="root page"):
                 BPlusTree(tree.pool, "ix.bpt", root)
         pager.close()
+
+
+class TestSignedZeros:
+    """``-0.0 == 0.0``, but a leaf run carries one stored key: the two
+    zeros are runs of their own, so each position reads back its own."""
+
+    @staticmethod
+    def tree(tmp_path, keys, positions, page_size=4096):
+        pool = BufferPool(8)
+        pool.register("zeros.bpt", Pager(str(tmp_path / "zeros.bpt"), page_size, create=True))
+        return BPlusTree.bulk_build(pool, "zeros.bpt", keys, positions)
+
+    def test_each_position_gets_its_own_zero_back(self, tmp_path):
+        tree = self.tree(tmp_path, [-0.0, 0.0, 0.0, 1.0], [0, 1, 2, 3])
+        items = list(tree.items())
+        assert [position for _, position in items] == [0, 1, 2, 3]
+        assert [math.copysign(1.0, key) for key, _ in items] == [-1.0, 1.0, 1.0, 1.0]
+        assert sorted(tree.search_eq(0.0)) == sorted(tree.search_eq(-0.0)) == [0, 1, 2]
+        assert tree.key_runs() == ([-0.0, 0.0, 1.0], [1, 2, 1], [0, 1, 3])
+
+    def test_interleaved_zeros_across_leaves(self, tmp_path):
+        keys = [-0.0 if i % 3 else 0.0 for i in range(40)] + [2.0] * 5
+        tree = self.tree(tmp_path, keys, list(range(45)), page_size=TINY_PAGE)
+        assert [(math.copysign(1.0, key), position) for key, position in tree.items()] == [
+            (math.copysign(1.0, key), position) for position, key in enumerate(keys)
+        ]
+        assert sorted(tree.search_eq(0.0)) == list(range(40))
+
+
+def test_key_runs_count_a_run_across_leaves(tmp_path):
+    keys = sorted(float(i % 5) for i in range(200))
+    positions = sorted(range(200), key=lambda i: (i % 5, i))
+    tree, _ = fresh_tree(tmp_path)
+    pool = tree.pool
+    pool.register("runs.bpt", Pager(str(tmp_path / "runs.bpt"), TINY_PAGE, create=True))
+    tree = BPlusTree.bulk_build(pool, "runs.bpt", keys, positions)
+    assert tree.key_runs() == ([0.0, 1.0, 2.0, 3.0, 4.0], [40] * 5, [0, 1, 2, 3, 4])
