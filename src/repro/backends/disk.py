@@ -24,11 +24,11 @@ on; the index files cover each table's first ``indexed`` rows, and a
 probe hands the rows past them (the tail) to the plan to verify.  Once
 a table's tail would outgrow its indexed rows, the directory is rebuilt
 whole instead — a *fold*, which indexes every row again, so the limit
-doubles each time and each row is indexed O(1) times amortized.  An
-update or delete (an epoch bump), or a stale or half-written directory
-— manifests are written last, atomically — is rebuilt whole too.  With
-no ``path`` given, the backend materializes into a private temporary
-directory removed on :meth:`close`.
+doubles each time and each row is indexed O(1) times amortized.  A
+stale or half-written directory — manifests are written last,
+atomically — is rebuilt whole too.  With no ``path`` given, the backend
+materializes into a private temporary directory removed on
+:meth:`close`.
 
 Buffer-pool counters (hits, misses, evictions, write-backs, pins) are
 emitted as tracer counter deltas after every statement, flowing into the
@@ -145,9 +145,9 @@ class DiskBackend(Backend):
             wanted = database.versions(names)
             if held != wanted:
                 indexed = self._engine.indexed
-                # rows only appended, and no tail longer than its prefix
+                # no tail longer than its prefix
                 if all(
-                    have[0] == want[0] and have[1] <= want[1] <= 2 * indexed[name]
+                    have <= want <= 2 * indexed[name]
                     for name, have, want in zip(names, held, wanted)
                 ):
                     self._append(database, tracer)

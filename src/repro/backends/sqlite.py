@@ -18,16 +18,15 @@ in-memory by default, on disk when constructed with ``path=...`` — with:
   honest.
 
 Statements are rendered with :data:`~repro.sql.render.SQLITE_DIALECT`
-(quote-everything identifiers, integer booleans, escaped LIKE wildcards,
+(identifiers quoted in backticks, integer booleans, escaped LIKE wildcards,
 ``CAST``-protected division) and executed by SQLite itself, so translator
 bugs that the in-memory executor would share cannot hide.
 
 The copy follows each table's :attr:`~repro.relational.table.Table.
 version`, lazily: the first ``execute`` after a write inserts the
-rows an appended table gained, and deletes and reloads a table whose
-epoch moved (update, delete); tables the write did not touch are not
-touched here either.  This is the only module in the repo allowed to
-import ``sqlite3`` (lint rule LR006).
+rows each appended table gained; tables the write did not touch are
+not touched here either.  This is the only module in the repo allowed
+to import ``sqlite3`` (lint rule LR006).
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ class SqliteBackend(Backend):
         self.index_hints = index_hints
         self._conn: Optional[sqlite3.Connection] = None  # guarded-by: _lock
         # table -> the version of it the SQLite side holds
-        self._loaded: Dict[str, Tuple[int, int]] = {}  # guarded-by: _lock
+        self._loaded: Dict[str, int] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -141,8 +140,7 @@ class SqliteBackend(Backend):
     def _copy_changes(
         self, conn: sqlite3.Connection, stale: List[Table], tracer: Any
     ) -> None:
-        """Bring each of *stale* up to date: the new rows of an appended
-        table, all rows of one whose epoch moved."""
+        """Bring each of *stale* up to date: insert the rows it gained."""
         rows_loaded = 0
         # a delta may name its parent rows later in the same pass (the
         # datasets load parents and children together), so enforcement
@@ -150,14 +148,7 @@ class SqliteBackend(Backend):
         conn.execute("PRAGMA foreign_keys = OFF")
         for table in stale:
             relation = table.schema
-            epoch, rows = version = table.version
-            have = self._loaded.get(relation.name)
-            start = 0
-            if have is not None:
-                if have[0] == epoch:
-                    start = have[1]
-                else:
-                    conn.execute(f"DELETE FROM {_q(relation.name)}")
+            start, rows = self._loaded.get(relation.name, 0), table.version
             placeholders = ", ".join("?" for _ in relation.columns)
             conn.executemany(
                 f"INSERT INTO {_q(relation.name)} VALUES ({placeholders})",
@@ -167,7 +158,7 @@ class SqliteBackend(Backend):
                 ),
             )
             rows_loaded += rows - start
-            self._loaded[relation.name] = version
+            self._loaded[relation.name] = rows
         conn.commit()
         conn.execute("PRAGMA foreign_keys = ON")
         tracer.count("materialized_rows", rows_loaded)

@@ -243,7 +243,7 @@ class KeywordSearchEngine:
         # every text and numeric column (see data_versions)
         self._table_names = tuple(rel.name for rel in database.schema)
 
-    def data_versions(self) -> Tuple[Tuple[int, int], ...]:
+    def data_versions(self) -> Tuple[int, ...]:
         """The stamp of what a compile or an answer reads: the
         :attr:`~repro.relational.table.Table.version` of every table.
 
@@ -523,9 +523,8 @@ class KeywordSearchEngine:
         ``docs/PLANNER.md``).  Profiles live in the executor's optimizer
         catalog, so collecting them here warms the cost-based planner.
         Afterwards they follow their table's version on their own — an
-        append continues the table's pass over the new rows, an update
-        or delete runs it again — and :meth:`clear_cache` leaves them
-        alone.  CLI entry point: ``python -m repro stats``.
+        append continues the table's pass over the new rows — and
+        :meth:`clear_cache` leaves them alone.  CLI entry point: ``python -m repro stats``.
         """
         return self.executor.statistics(tracer)
 

@@ -183,9 +183,6 @@ class CompileCatalog(Catalog):
             count = self._counts[key] = self.catalog.distinct_object_count(*key)
         return count
 
-    def value_completions(self, prefix: str, limit: int = 10) -> List[str]:
-        return self.catalog.value_completions(prefix, limit)
-
 
 class TermMatcher:
     """Produces the tag set of every basic term of a query."""

@@ -14,14 +14,13 @@ its value counts, the generator's state, null counts, min/max and the
 row total, fed a table's columns :data:`CHUNK_ROWS` rows at a time
 (:func:`feed_table`).  Because a
 reservoir pass over ``rows[:n]`` followed by ``rows[n:]`` *is* the pass
-over ``rows``, :class:`StatisticsCatalog` keeps each table's pass and,
-when the table's version says "same epoch, more rows", continues it over
-the new rows only — the profile that results equals
-:func:`profile_table` over the whole table, sample order included, so
-there is nothing to tune and no staleness to bound.  An epoch bump
-(update, delete) starts that table's pass over;
+over ``rows``, and tables are append-only, :class:`StatisticsCatalog`
+keeps each table's pass and, when the table's version (its row count)
+grew, continues it over the new rows only — the profile that results
+equals :func:`profile_table` over the whole table, sample order
+included, so there is nothing to tune and no staleness to bound.
 :meth:`StatisticsCatalog.analyze` (``engine.analyze_stats()``, ANALYZE)
-starts every table's over.
+starts every table's pass over.
 
 Lint rule LR009 confines statistics *sampling* (and the cost-model
 constants next door in ``repro.planner.cost``) to this package.
@@ -300,13 +299,12 @@ def feed_table(table_pass: TablePass, table: Any, start: int, stop: int) -> None
 
 
 class _Kept:
-    """What the catalog keeps per relation: the pass, the epoch it runs
-    under and the profile of the rows it has seen."""
+    """What the catalog keeps per relation: the pass and the profile of
+    the rows it has seen."""
 
-    __slots__ = ("epoch", "table_pass", "profile")
+    __slots__ = ("table_pass", "profile")
 
-    def __init__(self, epoch: int, table_pass: TablePass, profile: TableProfile) -> None:
-        self.epoch = epoch
+    def __init__(self, table_pass: TablePass, profile: TableProfile) -> None:
         self.table_pass = table_pass
         self.profile = profile
 
@@ -322,8 +320,7 @@ class StatisticsCatalog:
     backend's :class:`~repro.storage.engine.StorageEngine`, whose tables
     are its heap files, included.  A profile is served as long as
     its table's version stands; after an append the table's pass is
-    continued over the new rows, after an epoch bump it is run again.
-    Other tables' profiles are untouched either way.
+    continued over the new rows.  Other tables' profiles are untouched.
     """
 
     def __init__(self, database: Any, config: Optional[StatsConfig] = None) -> None:
@@ -344,12 +341,12 @@ class StatisticsCatalog:
     def profile(self, relation: str, tracer: Any = NULL_TRACER) -> TableProfile:
         """The profile of *relation* at its current version."""
         table = self.database.table(relation)
-        epoch, rows = table.version
+        rows = table.version
         key = relation.lower()
         with self._lock:
             kept = self._kept.get(key)
-            if kept is None or kept.epoch != epoch:
-                return self._full_pass(key, table, epoch, rows, tracer)
+            if kept is None:
+                return self._full_pass(key, table, rows, tracer)
             seen = kept.table_pass.total
             if seen == rows:
                 tracer.count("planner_stats_hits")
@@ -361,7 +358,7 @@ class StatisticsCatalog:
             return kept.profile
 
     def _full_pass(
-        self, key: str, table: Any, epoch: int, rows: int, tracer: Any
+        self, key: str, table: Any, rows: int, tracer: Any
     ) -> TableProfile:
         """Run a new pass over the first *rows* rows of *table* and keep
         it (caller holds ``_lock``)."""
@@ -373,7 +370,7 @@ class StatisticsCatalog:
         built = table_pass.profile()
         tracer.count("planner_stats_builds")
         tracer.count("planner_stats_rows_profiled", built.rows)
-        self._kept[key] = _Kept(epoch, table_pass, built)
+        self._kept[key] = _Kept(table_pass, built)
         self.builds += 1
         return built
 
@@ -390,9 +387,8 @@ class StatisticsCatalog:
         profiles = {}
         for relation in self.database.schema:
             table = self.database.table(relation.name)
-            epoch, rows = table.version
             with self._lock:
                 profiles[relation.name] = self._full_pass(
-                    relation.name.lower(), table, epoch, rows, tracer
+                    relation.name.lower(), table, table.version, tracer
                 )
         return profiles

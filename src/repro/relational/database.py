@@ -100,7 +100,7 @@ class Database:
     # ------------------------------------------------------------------
     # Versions and indexes
     # ------------------------------------------------------------------
-    def versions(self, table_names: Iterable[str]) -> Tuple[Tuple[int, int], ...]:
+    def versions(self, table_names: Iterable[str]) -> Tuple[int, ...]:
         """The :attr:`Table.version` of each named table, in order: what
         a cached plan, memo or backend copy is stamped with, so that a
         write invalidates only what reads the table it touched."""

@@ -15,21 +15,18 @@ The executor probes all three through one call,
 ``Database.candidates(kind, table, column, values)``, which the disk
 tier's ``StorageEngine`` answers from its own structures.
 
-All three are maintained, not rebuilt: ``catch_up()`` compares each
-table's :attr:`~repro.relational.table.Table.version` with what the
-index covers and indexes only ``rows[covered:]`` when the epoch is
-unchanged (an append: merged into the sorted arrays, appended to the
-postings), starting that table over when it is not (an update or
-delete).  **Reader/writer rule:** each index owns one lock, and
-``catch_up`` runs while holding it.  A value index mutates its
-dictionaries and arrays only then, and every probe copies what it
-returns while holding it.  A key index publishes a new array instead,
-never shifting one a reader is bisecting, so its probes take no lock.
-So a probe sees the index of some whole number of rows, and positions
-it returns are valid in ``table.rows`` because rows under one epoch
-only grow.  Updates and deletes move rows a running
-reader may hold positions for, so they need the readers of that table
-quiesced."""
+All three are built once and then maintained, not rebuilt: tables are
+append-only, so ``catch_up()`` compares each table's
+:attr:`~repro.relational.table.Table.version` (its row count) with the
+rows the index covers and indexes only ``rows[covered:]`` — merged into
+the sorted arrays, appended to the postings.  **Reader/writer rule:**
+each index owns one lock, and ``catch_up`` runs while holding it.  A
+value index mutates its dictionaries and arrays only then, and every
+probe copies what it returns while holding it.  A key index publishes a
+new array instead, never shifting one a reader is bisecting, so its
+probes take no lock.  So a probe sees the index of some whole number of
+rows, and positions it returns are valid in ``table.rows`` because rows
+only grow."""
 
 from __future__ import annotations
 
@@ -154,18 +151,19 @@ class KeyIndex:
         # called as (key, None): whether a key holds a NULL
         self._null = is_ if len(self.columns) == 1 else contains
         self.order = array(_POSITION)  # guarded-by: _writer
-        self._covered = _Covered()
+        self._covered = 0  # guarded-by: _writer
         self._writer = threading.Lock()
         self.catch_up()
 
     def catch_up(self) -> None:
-        """Publish the order with the rows the table gained merged in, or
-        with all of them after an epoch bump.  Writers take turns, so once
-        this returns the order covers at least the version read before."""
+        """Publish the order with the rows the table gained merged in.
+        Writers take turns, so once this returns the order covers at
+        least the version read before."""
         with self._writer:
-            start, stop = self._covered.advance(self.table)
-            if start < stop or start == 0:
-                self.order = self._merged(self.order if start else array(_POSITION), start, stop)
+            start, stop = self._covered, self.table.version
+            if start < stop:
+                self.order = self._merged(self.order, start, stop)
+                self._covered = stop
 
     def _merged(self, base: array, start: int, stop: int) -> array:
         """*base* with the positions ``start..stop`` merged in, as a new
@@ -211,11 +209,6 @@ class KeyIndex:
             pass
         return order, 0, 0
 
-    def position(self, key: Sequence[Any]) -> Optional[int]:
-        """The first row position holding *key*, or None."""
-        order, low, high = self._span(self._probe(key))
-        return order[low] if low < high else None
-
     def positions(self, key: Sequence[Any]) -> Set[int]:
         """Row positions holding *key* (used for index-backed scans)."""
         probe = self._probe(key)
@@ -254,29 +247,6 @@ class _Keys:
 
     def __getitem__(self, index: int) -> Any:
         return self.key(self.rows[self.order[index]])
-
-
-class _Covered:
-    """How much of one table an index holds: the version it caught up to."""
-
-    __slots__ = ("epoch", "rows")
-
-    def __init__(self) -> None:
-        self.epoch: Optional[int] = None
-        self.rows = 0
-
-    def holds(self, table: Table) -> bool:
-        """Whether the index is caught up with *table*'s version."""
-        return (self.epoch, self.rows) == table.version
-
-    def advance(self, table: Table) -> Tuple[int, int]:
-        """Move to *table*'s current version; returns the ``[start,
-        stop)`` positions left to index — ``start == 0`` says what was
-        indexed before is void (first call, or the epoch moved)."""
-        epoch, stop = table.version
-        start = self.rows if epoch == self.epoch else 0
-        self.epoch, self.rows = epoch, stop
-        return start, stop
 
 
 def _column(table: Table, col_idx: int, start: int, stop: int) -> List[Any]:
@@ -353,19 +323,18 @@ class NumericIndex:
         self._keys: Dict[Slot, array] = {}  # guarded-by: _lock
         self._positions: Dict[Slot, array] = {}  # guarded-by: _lock
         self._tables: Dict[str, Table] = {}  # guarded-by: _lock
-        self._covered: Dict[str, _Covered] = {}  # guarded-by: _lock
+        #: rows of each table indexed, once its columns are built
+        self._covered: Dict[str, int] = {}  # guarded-by: _lock
 
     def add_tables(self, tables: Iterable[Table]) -> None:
         """Register *tables* and index their numeric columns."""
         with self._lock:
             for table in tables:
                 self._tables[table.schema.name] = table
-                self._covered[table.schema.name] = _Covered()
                 self._catch_up_table(table)
 
     def catch_up(self) -> None:
-        """Index what every registered table gained since the last call
-        (a table whose epoch moved has its columns built again)."""
+        """Index what every registered table gained since the last call."""
         with self._lock:
             for table in self._tables.values():
                 self._catch_up_table(table)
@@ -373,19 +342,19 @@ class NumericIndex:
     def _catch_up_table(self, table: Table) -> None:
         """Caller holds ``_lock``."""
         schema = table.schema
-        covered = self._covered[schema.name]
-        if covered.holds(table):
+        start, stop = self._covered.get(schema.name), table.version
+        if start == stop:
             return
-        start, stop = covered.advance(table)
+        self._covered[schema.name] = stop
         for col_idx, col in enumerate(schema.columns):
             if col.dtype not in (DataType.INT, DataType.FLOAT):
                 continue
             slot = (schema.name, col.name)
-            keys, positions = _sorted_cells(table, col_idx, start, stop)
-            if start == 0:
-                self._keys[slot], self._positions[slot] = keys, positions
-            else:
+            keys, positions = _sorted_cells(table, col_idx, start or 0, stop)
+            if start:
                 _merge(self._keys[slot], self._positions[slot], keys, positions)
+            else:  # nothing indexed yet: the batch's order is the order
+                self._keys[slot], self._positions[slot] = keys, positions
 
     def _lookup(self, slot: Slot, needle: float) -> Set[int]:
         """Positions keyed *needle* in *slot* (caller holds ``_lock``)."""
@@ -427,7 +396,7 @@ class NumericIndex:
         slot = (relation, attribute)
         with self._lock:
             keys = self._keys.get(slot)
-            if keys is None or len(keys) != self._covered[relation].rows:
+            if keys is None or len(keys) != self._covered[relation]:
                 return None
             positions = self._positions[slot]
             run_keys: List[float] = []
@@ -485,19 +454,19 @@ class InvertedIndex:
         self._lock = threading.Lock()
         self._postings: Dict[str, Dict[Slot, array]] = {}  # guarded-by: _lock
         self._tables: Dict[str, Table] = {}  # guarded-by: _lock
-        self._covered: Dict[str, _Covered] = {}  # guarded-by: _lock
+        #: rows of each table indexed
+        self._covered: Dict[str, int] = {}  # guarded-by: _lock
 
     def add_tables(self, tables: Iterable[Table]) -> None:
         """Register *tables* and index their text columns."""
         with self._lock:
             for table in tables:
                 self._tables[table.schema.name] = table
-                self._covered[table.schema.name] = _Covered()
+                self._covered[table.schema.name] = 0
                 self._catch_up_table(table)
 
     def catch_up(self) -> None:
-        """Index what every registered table gained since the last call
-        (a table whose epoch moved is forgotten and indexed again)."""
+        """Index what every registered table gained since the last call."""
         with self._lock:
             for table in self._tables.values():
                 self._catch_up_table(table)
@@ -505,19 +474,16 @@ class InvertedIndex:
     def _catch_up_table(self, table: Table) -> None:
         """Caller holds ``_lock``."""
         schema = table.schema
-        covered = self._covered[schema.name]
-        if covered.holds(table):
+        start, stop = self._covered[schema.name], table.version
+        if start == stop:
             return
-        had = covered.rows
-        start, stop = covered.advance(table)
-        if start == 0 and had:
-            self._forget(schema.name)
+        self._covered[schema.name] = stop
         columns = [
             (i, (schema.name, col.name))
             for i, col in enumerate(schema.columns)
             if col.dtype in (DataType.TEXT, DataType.DATE)
         ]
-        if not columns or start == stop:
+        if not columns:
             return
         vectors = [_column(table, col_idx, start, stop) for col_idx, _ in columns]
         # per slot and value, the posting arrays its rows append to: each
@@ -548,15 +514,6 @@ class InvertedIndex:
                 positions = slots[slot] = array(_POSITION)
             arrays.append(positions)
         return arrays
-
-    def _forget(self, relation: str) -> None:
-        """Drop every posting of *relation* (caller holds ``_lock``)."""
-        for term in list(self._postings):
-            slots = self._postings[term]
-            for slot in [slot for slot in slots if slot[0] == relation]:
-                del slots[slot]
-            if not slots:
-                del self._postings[term]
 
     def postings(self) -> Dict[str, Dict[Slot, Set[int]]]:
         """A copy of the whole index (what the equivalence tests compare)."""

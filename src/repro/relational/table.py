@@ -1,26 +1,25 @@
 """Row storage for one relation.
 
 Rows are stored as tuples in insertion order.  The table enforces primary-key
-uniqueness and type coercion on insert, and answers key lookups, through
-its :class:`~repro.relational.index.KeyIndex`: the row positions in key
+uniqueness and type coercion on insert, through its
+:class:`~repro.relational.index.KeyIndex`: the row positions in key
 order.  Foreign-key enforcement happens at the
 :class:`~repro.relational.database.Database` level because it needs the
 parent table.
 
-Everything derived from a table — indexes, statistics, compiled plans,
-backend copies — keys on :attr:`Table.version`, the pair ``(epoch,
-rows)``.  :meth:`Table.insert` only grows ``rows``, so a consumer that
-covered the first *n* rows under the same epoch catches up over
-``rows[n:]``; :meth:`Table.update` and :meth:`Table.delete` change rows
-a consumer may already have covered and therefore bump ``epoch``, which
-tells every consumer to start over.  All mutation goes through these
-methods: :attr:`Table.rows` is handed out for reading only.
+A table is append-only: :meth:`Table.extend` (and :meth:`Table.insert`,
+a batch of one) is its one write, and :attr:`Table.rows` is handed out
+for reading only.  So every prefix of the rows is a state the table
+once held, and everything derived from a table — indexes, statistics,
+compiled plans, backend copies — keys on :attr:`Table.version`, the row
+count: a consumer that covered the first *n* rows catches up over
+``rows[n:]``.
 
 The executor reads a table by column (:meth:`Table.columns`).  The
 vectors behind that are derived from the rows like everything else and
 kept by the same rule: built on first use, per column a statement
-references; extended in place, under the table's lock, when the table
-only gained rows; dropped when the epoch moved.
+references, and extended in place, under the table's lock, as the table
+gains rows.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import threading
 from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import DuplicateKeyError, IntegrityError, SchemaError
+from repro.errors import DuplicateKeyError, SchemaError
 from repro.relational.index import KeyIndex
 from repro.relational.schema import RelationSchema
 from repro.relational.types import coerce_column
@@ -54,13 +53,10 @@ class Table:
         self.schema = schema
         self._rows: List[Row] = []
         self._key_indices = tuple(schema.column_index(col) for col in schema.primary_key)
-        self._epoch = 0
         #: row positions in primary-key order, current after every write
         self.key_index = KeyIndex(self, schema.primary_key)
-        # column index -> that column of the first len(vector) rows, as
-        # of _vector_epoch; guarded by _vector_lock
+        # column index -> that column of the first len(vector) rows
         self._vectors: Dict[int, List[Any]] = {}  # guarded-by: _vector_lock
-        self._vector_epoch = 0  # guarded-by: _vector_lock
         self._vector_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -162,63 +158,21 @@ class Table:
         if failure is not None:
             raise failure
 
-    def update(self, key: Sequence[Any], values: Dict[str, Any]) -> Row:
-        """Set the columns named in *values* on the row with primary key
-        *key*; returns the new row.  The row keeps its position."""
-        position = self._position_of(key)
-        old = self._rows[position]
-        changed = dict(zip(self.schema.column_names, old))
-        unknown = set(values) - set(changed)
-        if unknown:
-            raise SchemaError(
-                f"{self.schema.name}: unknown columns {sorted(unknown)}"
-            )
-        changed.update(values)
-        coerced, failure = self._coerced([[changed[name] for name in self.schema.column_names]])
-        if failure is not None:
-            raise failure
-        new = coerced[0]
-        moved = any(new[i] != old[i] for i in self._key_indices)
-        if moved and self.key_index.clash([new]) is not None:
-            raise self._key_error(new)  # before anything moves
-        self._rows[position] = new
-        self._epoch += 1
-        self.key_index.catch_up()
-        return new
-
-    def delete(self, key: Sequence[Any]) -> Row:
-        """Remove the row with primary key *key*; returns it.  Later
-        rows move up one position."""
-        position = self._position_of(key)
-        removed = self._rows.pop(position)
-        self._epoch += 1
-        self.key_index.catch_up()
-        return removed
-
-    def _position_of(self, key: Sequence[Any]) -> int:
-        position = self.key_index.position(key)
-        if position is None:
-            raise IntegrityError(
-                f"{self.schema.name}: no row with primary key {tuple(key)!r}"
-            )
-        return position
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     @property
-    def version(self) -> Tuple[int, int]:
-        """``(epoch, rows)``: ``rows`` grows on insert, ``epoch`` is
-        bumped by :meth:`update` and :meth:`delete`.  Equal versions
-        mean equal data; an equal epoch with more rows means the rows
-        covered so far are unchanged and the rest were appended."""
-        return (self._epoch, len(self._rows))
+    def version(self) -> int:
+        """The row count.  Rows are only appended, so equal versions
+        mean equal data, and a larger one means the rows covered so far
+        are unchanged and the rest were appended."""
+        return len(self._rows)
 
     @property
     def rows(self) -> List[Row]:
-        """The live row list, **read-only**: mutate through
-        :meth:`insert`, :meth:`update` and :meth:`delete`, which keep the
-        key index and :attr:`version` in step."""
+        """The live row list, **read-only**: append through
+        :meth:`extend` and :meth:`insert`, which keep the key index and
+        :attr:`version` in step."""
         return self._rows
 
     def __len__(self) -> int:
@@ -227,22 +181,13 @@ class Table:
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows)
 
-    def get_by_key(self, key: Sequence[Any]) -> Optional[Row]:
-        """The row with primary key *key* (one value per key column), or
-        None."""
-        position = self.key_index.position(key)
-        return None if position is None else self._rows[position]
-
     def column(self, index: int) -> List[Any]:
         """The live vector of column *index*: one value per row, in row
         order, covering at least the rows the table held when called.
         **Read-only**, and it may grow under a reader: cut it to a row
         count (as :meth:`columns` does) before relying on its length."""
         with self._vector_lock:
-            epoch, rows = self.version
-            if epoch != self._vector_epoch:
-                self._vectors = {}
-                self._vector_epoch = epoch
+            rows = len(self._rows)
             vector = self._vectors.get(index)
             if vector is None:
                 vector = self._vectors[index] = []
@@ -262,16 +207,6 @@ class Table:
             return [list(map(itemgetter(index), picked)) for index in indexes]
         count = len(self._rows)
         return [self.column(index)[:count] for index in indexes]
-
-    def column_values(self, column: str) -> List[Any]:
-        """All values of *column* in row order (including duplicates/NULLs)."""
-        idx = self.schema.column_index(column)
-        return [row[idx] for row in self._rows]
-
-    def distinct_key_count(self, columns: Sequence[str]) -> int:
-        """Number of distinct value combinations over *columns*."""
-        indices = [self.schema.column_index(col) for col in columns]
-        return len({tuple(row[i] for i in indices) for row in self._rows})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Table({self.schema.name!r}, rows={len(self._rows)})"

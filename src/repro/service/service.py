@@ -391,10 +391,6 @@ class QueryService:
         self.stop()
 
     @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
     def queue_depth(self) -> int:
         return self._queue.qsize()
 

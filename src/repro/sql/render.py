@@ -11,7 +11,7 @@ backends (``repro.backends``) target:
 * **identifier quoting** — the paper-style default only quotes identifiers
   that collide with keywords of our own lexer (``Order``); a real RDBMS has
   a much larger keyword list (``Date``, ``From``...), so its dialect quotes
-  every identifier;
+  every identifier, in backticks (:func:`quote_identifier`);
 * **boolean literals** — ``TRUE``/``FALSE`` versus the integers ``1``/``0``
   (SQLite stores booleans as integers);
 * **LIKE wildcard escaping** — the paper's ``contains`` predicate means a
@@ -77,7 +77,8 @@ class SqlDialect:
     """Textual conventions of one SQL implementation.
 
     ``quote_all_identifiers``
-        Quote every identifier instead of only our own lexer's keywords.
+        Quote every identifier in backticks instead of only our own
+        lexer's keywords in double quotes.
     ``boolean_literals``
         ``(true_text, false_text)`` for rendering boolean constants.
     ``escape_like_wildcards``
@@ -151,13 +152,19 @@ def escape_string(value: str) -> str:
 def quote_identifier(name: str, dialect: SqlDialect = ANSI_DIALECT) -> str:
     """Double-quote identifiers that collide with SQL keywords (``Order``).
 
-    Dialects with ``quote_all_identifiers`` quote unconditionally: a real
-    RDBMS has a far larger reserved-word list than our lexer (``Date``,
-    ``From``, ...), and quoting everything is always safe.
+    Dialects with ``quote_all_identifiers`` quote unconditionally, in
+    backticks: a real RDBMS has a far larger reserved-word list than our
+    lexer (``Date``, ``From``, ...), and quoting everything is always
+    safe.  SQLite reads a double-quoted name that matches no column as a
+    string literal, so a misspelt column would select its own name and
+    compare as text; a backtick-quoted one raises ``no such column``.
     """
     from repro.sql.lexer import KEYWORDS
 
-    if dialect.quote_all_identifiers or name.upper() in KEYWORDS:
+    if dialect.quote_all_identifiers:
+        escaped = name.replace("`", "``")
+        return f"`{escaped}`"
+    if name.upper() in KEYWORDS:
         escaped = name.replace('"', '""')
         return f'"{escaped}"'
     return name

@@ -30,11 +30,10 @@ whole.  Writes come in one shape: :meth:`StorageEngine.append` grows the
 heap files by the rows the source tables gained and leaves the index
 files alone, so the tail grows — through the same pool, so the page
 budget holds while it runs and every handle (heaps, trees, hash files,
-the executor above them) stays valid.  Anything else (update, delete)
-is a full rebuild, and so is a *fold* — once a tail outgrows its
-table's indexed rows — both :class:`~repro.backends.disk.DiskBackend`'s
-decision; ``docs/STORAGE.md`` §Writes has the protocol and its crash
-ordering.
+the executor above them) stays valid.  A *fold* — once a tail outgrows
+its table's indexed rows — is a full rebuild instead,
+:class:`~repro.backends.disk.DiskBackend`'s decision;
+``docs/STORAGE.md`` §Writes has the protocol and its crash ordering.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.storage.materialize import (
     MANIFEST_FILE,
     TEXTUAL,
     load_manifest,
-    manifest_versions,
     write_manifest,
 )
 from repro.storage.pager import BufferPool, Pager
@@ -111,7 +109,6 @@ class StorageEngine:
         return file_name
 
     def _open_files(self) -> None:
-        epochs = manifest_versions(self.manifest)
         for table_name, entry in self.manifest["tables"].items():
             relation = self.schema.find_relation(table_name)
             if relation is None:
@@ -124,7 +121,6 @@ class StorageEngine:
                 self._register(entry["heap"]),
                 relation,
                 entry["page_counts"],
-                epoch=epochs[table_name][0],
             )
             if self._heaps[table_name].row_count != entry["rows"]:
                 raise StorageError(
@@ -158,7 +154,7 @@ class StorageEngine:
             )
         return heap
 
-    def versions(self, table_names: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
+    def versions(self, table_names: Sequence[str]) -> Tuple[int, ...]:
         """The :attr:`HeapFile.version` of each named table, in order."""
         return tuple(self.table(name).version for name in table_names)
 
@@ -262,8 +258,7 @@ class StorageEngine:
         """Append to every heap file the rows *database* holds beyond
         those materialized; returns how many.  The index files are not
         touched: the rows join their tables' tails.  The caller has
-        checked that this is all that differs (same epochs, no table
-        shorter).
+        checked that no table is shorter than its heap file.
 
         Order is the rebuild's: the manifest goes first, so a crash
         anywhere below leaves a directory that reads as stale; then the
@@ -276,7 +271,7 @@ class StorageEngine:
         for name, heap in self._heaps.items():
             start = heap.row_count
             source = database.table(name)
-            stop = source.version[1]
+            stop = source.version
             if stop == start:
                 continue
             heap.append(source.rows[start:stop])

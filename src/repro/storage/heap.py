@@ -1,11 +1,10 @@
 """Heap files: a relation's rows in column-wise pages, read through the pool.
 
 A heap file is bulk-built by a materialization (:func:`build_heap`) and
-grown in place when its table is appended to (:meth:`HeapFile.append`);
-an update or delete has no in-place path and rebuilds it.  Both writers
-pack pages with the same :func:`_pack`, so an appended file is byte for
-byte the file a rebuild would write.  The unit of work on the read path
-is one column of one page: :meth:`HeapFile._page` pins a frame, decodes
+grown in place when its table is appended to (:meth:`HeapFile.append`).
+Both writers pack pages with the same :func:`_pack`, so an appended file
+is byte for byte the file a rebuild would write.  The unit of work on
+the read path is one column of one page: :meth:`HeapFile._page` pins a frame, decodes
 **only the columns asked for** (:func:`~repro.storage.page.
 decode_columns` walks past the other minipages by their length bytes)
 and leaves them **on the frame**, so they live exactly as long as the page is resident —
@@ -26,8 +25,9 @@ the same frame.
   scan — and a slice, such as the statistics catch-up's
   ``rows[seen:]`` — zips one page's columns at a time;
 * ``len(heap)`` — from the per-page row counts, no I/O;
-* ``heap.version`` — the source table's ``(epoch, rows)``, which the
-  executor's plans, memos and statistics are stamped with.
+* ``heap.version`` — the source table's version (its row count) this
+  file holds, which the executor's plans, memos and statistics are
+  stamped with.
 
 The disk tier's executor reads a heap file as its table
 (:meth:`~repro.storage.engine.StorageEngine.table`), through the same
@@ -113,24 +113,20 @@ class HeapFile:
         file_id: str,
         schema: RelationSchema,
         page_counts: Sequence[int],
-        epoch: int = 0,
     ) -> None:
         self.pool = pool
         self.file_id = file_id
         self.schema = schema
-        self.epoch = epoch
         self.page_counts = list(page_counts)
         # cumulative[i] == first row position on page i+1
         self._cumulative = list(accumulate(self.page_counts))
         self.row_count = self._cumulative[-1] if self._cumulative else 0
 
     @property
-    def version(self) -> Tuple[int, int]:
-        """The source table's ``(epoch, rows)`` this file holds: the
-        epoch the directory was built under, fixed while the file is
-        open (a new one means a rebuild, and a new file handle), and the
-        rows, which grow with every append."""
-        return (self.epoch, self.row_count)
+    def version(self) -> int:
+        """The source table's version this file holds: its row count,
+        which grows with every append."""
+        return self.row_count
 
     @property
     def page_count(self) -> int:

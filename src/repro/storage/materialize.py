@@ -37,9 +37,9 @@ manifest is either absent or inconsistent with the files (sizes are
 recorded and re-checked), which :func:`materialization_is_fresh`
 reports as stale — the backend then rebuilds instead of serving torn
 data.  The manifest also records each table's source
-:attr:`~repro.relational.table.Table.version` (``rows`` and ``epoch``),
-so ordinary staleness (a write since materialization) is detected the
-same way, per table.
+:attr:`~repro.relational.table.Table.version` (``rows``), so ordinary
+staleness (an append since materialization) is detected the same way,
+per table.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import os
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import StorageError
 from repro.relational.database import Database
@@ -64,7 +64,6 @@ __all__ = [
     "MANIFEST_FILE",
     "MANIFEST_FORMAT",
     "load_manifest",
-    "manifest_versions",
     "materialization_is_fresh",
     "materialize",
 ]
@@ -112,8 +111,7 @@ def materialize(
 
     for relation in database.schema:
         table = database.table(relation.name)
-        epoch, count = table.version
-        rows = table.rows[:count]
+        rows = table.rows[: table.version]
         heap_file = f"{relation.name}.heap"
         # each FLOAT column's decimal scales, found once for its heap
         # pages and its B+-tree
@@ -133,8 +131,6 @@ def materialize(
             "numeric": {},
             "hash": {},
         }
-        if epoch:  # absent means 0, in this manifest and in older ones
-            entry["epoch"] = epoch
         totals["rows"] += len(rows)
         totals["pages"] += len(page_counts)
 
@@ -262,7 +258,7 @@ def load_manifest(directory: str) -> Dict[str, Any]:
         )
     wrong = _malformed(manifest)
     if wrong is not None:
-        raise StorageError(f"{path}: malformed manifest ({wrong} missing or mistyped)")
+        raise StorageError(f"{path}: malformed manifest ({wrong})")
     return manifest
 
 
@@ -278,16 +274,17 @@ _INDEX_FIELDS = {"numeric": {"file": str, "root": int}, "hash": {"file": str, "b
 
 
 def _malformed(manifest: Dict[str, Any]) -> Optional[str]:
-    """The first field of *manifest* the storage engine reads that is
-    absent or of another type, as a dotted path; None when there is
-    none.  A manifest lacking one reads as stale, so the directory is
-    rebuilt rather than served until a lookup fails."""
+    """What is wrong with *manifest*: the first field the storage engine
+    reads that is absent or of another type, or a field no current
+    manifest records, as a dotted path and why; None when nothing is.
+    Such a manifest reads as stale, so the directory is rebuilt rather
+    than served until a lookup fails."""
     def wrong(record: Any, fields: Dict[str, type], where: str) -> Optional[str]:
         if not isinstance(record, dict):
-            return where
+            return f"{where} missing or mistyped"
         for name, kind in fields.items():
             if not isinstance(record.get(name), kind):
-                return f"{where}.{name}"
+                return f"{where}.{name} missing or mistyped"
         return None
 
     def problems() -> Iterator[Optional[str]]:
@@ -297,25 +294,17 @@ def _malformed(manifest: Dict[str, Any]) -> Optional[str]:
         for table, entry in manifest["tables"].items():
             where = f"tables.{table}"
             yield wrong(entry, _TABLE_FIELDS, where)
-            yield wrong({"epoch": entry.get("epoch", 0)}, {"epoch": int}, where)
+            # written when a table's rows could change in place: they
+            # may differ from the rows of the same count it holds now
+            if "epoch" in entry:
+                yield f"{where}.epoch recorded"
             if not all(isinstance(count, int) for count in entry["page_counts"]):
-                yield f"{where}.page_counts"
+                yield f"{where}.page_counts missing or mistyped"
             for family, fields in _INDEX_FIELDS.items():
                 for column, index in entry[family].items():
                     yield wrong(index, fields, f"{where}.{family}.{column}")
 
     return next(filter(None, problems()), None)
-
-
-def manifest_versions(manifest: Dict[str, Any]) -> Dict[str, Tuple[int, int]]:
-    """``{table: (epoch, rows)}`` as *manifest* records them.  An epoch
-    is recorded once it is not 0 — which also reads a manifest written
-    before epochs existed correctly: every table it describes was only
-    ever appended to."""
-    return {
-        name: (entry.get("epoch", 0), entry["rows"])
-        for name, entry in manifest["tables"].items()
-    }
 
 
 def materialization_is_fresh(
@@ -339,11 +328,12 @@ def materialization_is_fresh(
         return False
     if manifest["page_size"] != page_size:
         return False
+    recorded = {name: entry["rows"] for name, entry in manifest["tables"].items()}
     current = {
         relation.name: database.table(relation.name).version
         for relation in database.schema
     }
-    if manifest_versions(manifest) != current:
+    if recorded != current:
         return False
     for file_name, size in manifest["files"].items():
         path = os.path.join(directory, file_name)

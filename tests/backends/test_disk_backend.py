@@ -16,6 +16,7 @@ from repro.backends.normalize import canonical_rows
 from repro.datasets import university_database
 from repro.datasets.gen import generate_scaled
 from repro.errors import StorageError
+from repro.relational.database import Database
 from repro.observability import Tracer
 from repro.sql.parser import parse
 from repro.storage.materialize import MANIFEST_FORMAT
@@ -189,26 +190,40 @@ class TestRematerialization:
         finally:
             backend.close()
 
-    def test_data_version_bump_triggers_rebuild(self):
-        """An update or delete moves the table's epoch, which has no
-        in-place path: the whole directory is rebuilt."""
+    def test_a_manifest_that_records_an_epoch_is_rebuilt(self, tmp_path):
+        """A directory written when rows could change in place records
+        a per-table epoch, and may hold other rows than the table of the
+        same row count holds now: loading it rebuilds it, and no
+        statement is answered from it."""
         database = university_database()
+        directory = str(tmp_path / "disk")
+        changed = Database(database.schema)
+        for relation in database.schema:
+            rows = list(database.table(relation.name).rows)
+            if relation.name == "Student":
+                rows[0] = (rows[0][0], "Someone Else", rows[0][2])
+            changed.load(relation.name, rows)
+        first = DiskBackend(path=directory)
+        first.load(changed)
+        first.close()
+        manifest_path = os.path.join(directory, "MANIFEST.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert "epoch" not in document["tables"]["Student"]
+        document["tables"]["Student"]["epoch"] = 1
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
         tracer = Tracer()
-        backend = DiskBackend(pool_capacity=16)
-        count = parse("SELECT COUNT(*) FROM Student")
+        second = DiskBackend(path=directory)
         try:
-            backend.load(database, tracer=tracer)
-            before = backend.execute(count, tracer=tracer).scalar()
-            assert "epoch" not in backend.storage_manifest()["tables"]["Student"]
-            key = database.table("Student").rows[0][:1]
-            database.table("Student").delete(key)
-            assert backend.execute(count, tracer=tracer).scalar() == before - 1
-            assert tracer.registry.counter("materializations") == 2
-            entry = backend.storage_manifest()["tables"]["Student"]
-            assert entry["epoch"] == 1
-            assert entry["indexed"] == entry["rows"] == before - 1
+            second.load(database, tracer=tracer)
+            assert tracer.registry.counter("materializations") == 1
+            assert tracer.registry.counter("materializations_reused") == 0
+            assert "epoch" not in second.storage_manifest()["tables"]["Student"]
+            sql = parse("SELECT Sid, Sname, Age FROM Student")
+            assert sorted(second.execute(sql).rows) == sorted(database.table("Student").rows)
         finally:
-            backend.close()
+            second.close()
 
     def test_fresh_materialization_is_reused(self, tmp_path):
         database = university_database()

@@ -13,7 +13,7 @@ from repro.backends import (
 )
 from repro.backends import base as backends_base
 from repro.engine import KeywordSearchEngine
-from repro.errors import BackendError
+from repro.errors import BackendError, ReproError
 from repro.sql.parser import parse
 from repro.sql.render import render
 
@@ -56,9 +56,33 @@ class TestDialects:
         sqlite = create_backend("sqlite", university_db)
         try:
             assert render(select, memory.dialect) == "SELECT Sname FROM Student"
-            assert render(select, sqlite.dialect) == 'SELECT "Sname" FROM "Student"'
+            assert render(select, sqlite.dialect) == "SELECT `Sname` FROM `Student`"
         finally:
             sqlite.close()
+
+
+class TestMisspeltColumn:
+    """A name that is no column raises on every backend.  SQLite reads a
+    double-quoted name that matches no column as a string literal, so
+    its dialect quotes in backticks, which it never reads as text."""
+
+    @pytest.mark.parametrize("backend_name", ["memory", "disk", "sqlite"])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT Snmae FROM Student",
+            "SELECT Sid FROM Student WHERE Snmae = 'Snmae'",
+        ],
+    )
+    def test_raises_in_the_select_list_and_the_where_clause(
+        self, university_db, backend_name, sql
+    ):
+        backend = create_backend(backend_name, university_db)
+        try:
+            with pytest.raises(ReproError, match="(unknown|no such) column:? Snmae"):
+                backend.execute(parse(sql))
+        finally:
+            backend.close()
 
 
 class TestMemoryBackend:

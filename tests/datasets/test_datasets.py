@@ -11,6 +11,12 @@ from repro.datasets import (
 )
 
 
+def column(table, name):
+    """The values of column *name* of *table*, in row order."""
+    (values,) = table.columns([table.schema.column_index(name)])
+    return values
+
+
 class TestUniversity:
     def test_row_counts_match_figure1(self, university_db):
         assert university_db.row_counts() == {
@@ -25,7 +31,7 @@ class TestUniversity:
         }
 
     def test_two_students_named_green(self, university_db):
-        names = university_db.table("Student").column_values("Sname")
+        names = column(university_db.table("Student"), "Sname")
         assert names.count("Green") == 2
 
     def test_foreign_keys_hold(self, university_db):
@@ -45,7 +51,7 @@ class TestTpchShapes:
         assert first.table("Lineitem").rows == second.table("Lineitem").rows
 
     def test_planted_part_names(self, tpch_db):
-        names = tpch_db.table("Part").column_values("pname")
+        names = column(tpch_db.table("Part"), "pname")
         assert names.count("royal olive") == 8
         assert names.count("yellow tomato") == 13
         assert names.count("Indian black chocolate") == 1
@@ -66,7 +72,7 @@ class TestTpchShapes:
 
     def test_every_order_has_line_items(self, tpch_db):
         covered = {row[2] for row in tpch_db.table("Lineitem").rows}
-        assert covered == set(tpch_db.table("Order").column_values("orderkey"))
+        assert covered == set(column(tpch_db.table("Order"), "orderkey"))
 
     def test_every_planted_part_ordered(self, tpch_db):
         parts = tpch_db.table("Part")
@@ -89,13 +95,13 @@ class TestAcmdlShapes:
         assert first.table("Write").rows == second.table("Write").rows
 
     def test_planted_names(self, acmdl_db):
-        editors = acmdl_db.table("Editor").column_values("lname")
+        editors = column(acmdl_db.table("Editor"), "lname")
         assert editors.count("Smith") == 7
-        authors = acmdl_db.table("Author").column_values("lname")
+        authors = column(acmdl_db.table("Author"), "lname")
         assert authors.count("Gill") == 6
 
     def test_ieee_publishers(self, acmdl_db):
-        names = acmdl_db.table("Publisher").column_values("name")
+        names = column(acmdl_db.table("Publisher"), "name")
         assert sum("IEEE" in name for name in names) == 4
 
     def test_tuning_titles_shape(self, acmdl_db):
@@ -133,10 +139,10 @@ class TestAcmdlShapes:
     def test_every_proceeding_edited_and_every_paper_written(self, acmdl_db):
         edited = {p for _, p in acmdl_db.table("Edit").rows}
         assert edited == set(
-            acmdl_db.table("Proceeding").column_values("procid")
+            column(acmdl_db.table("Proceeding"), "procid")
         )
         written = {p for p, _ in acmdl_db.table("Write").rows}
-        assert written == set(acmdl_db.table("Paper").column_values("paperid"))
+        assert written == set(column(acmdl_db.table("Paper"), "paperid"))
 
     def test_foreign_keys_hold(self, acmdl_db):
         acmdl_db.check_foreign_keys()
@@ -154,8 +160,9 @@ class TestDenormalization:
         row = ordering.rows[0]
         partkey = row[schema.column_index("partkey")]
         pname = row[schema.column_index("pname")]
-        part = tpch_db.table("Part").get_by_key((partkey,))
-        assert part[1] == pname
+        part = tpch_db.table("Part")
+        (position,) = part.key_index.positions((partkey,))
+        assert part.rows[position][1] == pname
 
     def test_customer_gains_regionkey(self, tpch_unnorm, tpch_db):
         customer = tpch_unnorm.database.table("Customer")

@@ -82,8 +82,7 @@ class TestShapeKey:
         engine = KeywordSearchEngine(db)
         before = shape_key(engine, "COUNT Course Steven")
         engine.search("COUNT Course Steven")
-        # Steven stops being a lecturer and becomes a student
-        db.table("Lecturer").update(("l1",), {"Lname": "Stevens"})
+        # a student named Steven joins the lecturer of that name
         db.insert("Student", ("s4", "Steven", 30))
         engine.clear_cache()
         after = shape_key(engine, "COUNT Course Steven")

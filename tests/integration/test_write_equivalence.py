@@ -1,20 +1,19 @@
 """What a write maintains in place equals what a rebuild would build.
 
-Every structure derived from table data follows its table's
-``(epoch, rows)`` version: an append is applied as a delta, an update or
-delete starts the structure over.  The properties here interleave
-``load`` / ``insert`` / ``update`` / ``delete`` at random and, after
-every single write, compare each maintained structure with one built
-from scratch over the same rows:
+Tables are append-only, and every structure derived from table data
+follows its table's version, the row count: an append is applied as a
+delta.  The properties here interleave ``load`` / ``insert`` into two
+tables at random and, after every single write, compare each maintained
+structure with one built from scratch over the same rows:
 
 * in memory — the ``KeyIndex`` order, ``NumericIndex`` and
   ``InvertedIndex`` postings, and the ``TableProfile`` (``==``, sample
   order included);
 * on disk — heap rows and the heap files' bytes after every write;
   every index probe, which answers from the index files over the
-  indexed prefix plus the whole tail; and, after every rebuild (an
-  epoch bump, or a fold once a tail outgrew its prefix), every data
-  file byte for byte and the manifest.
+  indexed prefix plus the whole tail; and, after every rebuild (a fold,
+  once a tail outgrew its prefix), every data file byte for byte and
+  the manifest.
 
 They also count full passes and rebuilds, so they cannot pass by
 rebuilding on every write.  The last test is the end-to-end form: the
@@ -53,17 +52,6 @@ WRITES = st.lists(
     st.one_of(
         st.tuples(st.just("load"), st.lists(PAYLOADS, min_size=1, max_size=9)),
         st.tuples(st.just("insert"), PAYLOADS),
-        st.tuples(
-            st.just("update"),
-            st.integers(0, 1_000),
-            st.fixed_dictionaries(
-                {},
-                optional={
-                    "name": NAMES, "score": SCORES, "qty": QUANTITIES, "day": DAYS
-                },
-            ).filter(bool),
-        ),
-        st.tuples(st.just("delete"), st.integers(0, 1_000)),
         st.tuples(st.just("other"), NAMES),
     ),
     min_size=1,
@@ -100,8 +88,6 @@ class Writer:
     def __init__(self, db):
         self.db = db
         self.next_id = 1
-        #: writes applied that moved T's epoch
-        self.epoch_bumps = 0
 
     def fresh_rows(self, payloads):
         rows = [(self.next_id + i,) + payload for i, payload in enumerate(payloads)]
@@ -109,21 +95,13 @@ class Writer:
         return rows
 
     def apply(self, write):
-        table = self.db.table("T")
         kind = write[0]
         if kind == "load":
             self.db.load("T", self.fresh_rows(write[1]))
         elif kind == "insert":
             self.db.insert("T", self.fresh_rows([write[1]])[0])
-        elif kind == "other":
+        else:  # another table
             self.db.insert("U", self.fresh_rows([(write[1],)])[0])
-        elif table.rows:
-            key = table.rows[write[1] % len(table.rows)][:1]
-            if kind == "delete":
-                table.delete(key)
-            else:
-                table.update(key, write[2])
-            self.epoch_bumps += 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,9 +142,8 @@ def test_memory_indexes_and_profile_equal_from_scratch(writes):
             assert maintained.postings() == rebuilt.postings()
         columns = tuple(table.schema.column_names)
         assert catalog.profile("T") == profile_table("T", columns, table.rows, config)
-    # one full pass to start with and one per epoch bump: appends only
-    # ever continued the pass they found
-    assert catalog.builds == 1 + writer.epoch_bumps
+    # one full pass to start with: appends only ever continued it
+    assert catalog.builds == 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -184,10 +161,9 @@ def test_disk_structures_equal_from_scratch(writes):
             backend.load(db, tracer=tracer)
             for step, write in enumerate(writes):
                 indexed = dict(backend._engine.indexed)
-                bumps = writer.epoch_bumps
                 writer.apply(write)
-                # an epoch bump rebuilds; so does a tail longer than its prefix
-                rebuilds += writer.epoch_bumps > bumps or any(
+                # a tail longer than its prefix rebuilds
+                rebuilds += any(
                     len(db.table(name).rows) > 2 * held
                     for name, held in indexed.items()
                 )
@@ -249,8 +225,8 @@ def read(engine, file_name):
 
 def test_three_backends_agree_after_interleaved_writes():
     """TPC-H's workload statements on memory, SQLite and disk after each
-    of a run of writes to four tables — appends, an update, a delete, a
-    re-insert — with no cache cleared in between."""
+    of a run of appends to four tables — loads and inserts, rows that
+    repeat a name already held — with no cache cleared in between."""
     database, statements = collect_statements("tpch", k=2, skip_sqak=True)
     rng = random.Random(21)
     backends = [
@@ -279,11 +255,10 @@ def test_three_backends_agree_after_interleaved_writes():
     writes = [
         lambda: database.load("Order", new_orders(9_000_000, 50)),
         lambda: database.load("Lineitem", new_lineitem()),
-        lambda: part.update(part.rows[3][:1], {"pname": part.rows[5][1]}),
+        lambda: database.insert("Part", (9_000_000, *part.rows[5][1:])),
         lambda: database.load("Order", new_orders(9_100_000, 5)),
-        lambda: order.delete(order.rows[7][:1]),
         lambda: database.insert("Order", new_orders(9_200_000, 1)[0]),
-        lambda: customer.update(customer.rows[0][:1], {"cname": customer.rows[1][1]}),
+        lambda: database.load("Customer", [(9_000_000, *customer.rows[1][1:])]),
     ]
     try:
         for write in [lambda: None] + writes:

@@ -57,6 +57,10 @@ class TestBasicSelect:
         )
         assert result.column("Age") == [24, 22, 21]
 
+    def test_order_by_a_column_not_in_the_output_raises(self, university_db):
+        with pytest.raises(SqlExecutionError, match="must reference an output column"):
+            execute_sql(university_db, "SELECT Sname FROM Student ORDER BY Age")
+
 
 class TestJoins:
     def test_two_way_join(self, university_db):

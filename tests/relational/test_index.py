@@ -152,8 +152,6 @@ WRITES = st.lists(
         st.tuples(st.just("insert"), PAYLOADS),
         # more rows than the table holds, cycling through the payloads
         st.tuples(st.just("flood"), st.lists(PAYLOADS, min_size=1, max_size=3)),
-        st.tuples(st.just("update"), st.integers(0, 99), PAYLOADS),
-        st.tuples(st.just("delete"), st.integers(0, 99)),
     ),
     min_size=1,
     max_size=8,
@@ -205,15 +203,9 @@ def test_numeric_index_equals_dict_of_sets(writes):
             db.load("T", fresh(write[1]))
         elif kind == "insert":
             db.insert("T", fresh([write[1]])[0])
-        elif kind == "flood":
+        else:  # a flood
             count = len(table.rows) + 1
             db.load("T", fresh([write[1][i % len(write[1])] for i in range(count)]))
-        elif table.rows:
-            key = table.rows[write[1] % len(table.rows)][:1]
-            if kind == "delete":
-                table.delete(key)
-            else:
-                table.update(key, dict(zip(("n", "x", "label"), write[2])))
         numeric, text = db.numeric_index, db.text_index
         assert (numeric, text) == kept  # caught up, never replaced
         expected = dict_of_sets(db)

@@ -166,77 +166,19 @@ def test_rows_that_need_no_conversion_are_kept_as_given(student_table):
     assert student_table.rows[2:] == [("s3", "Gray", 21), ("s4", "Grey", 23)]
 
 
-class TestUpdateDelete:
-    @pytest.fixture
-    def three(self, student_table):
-        student_table.extend(
-            [("s1", "George", 22), ("s2", "Green", 24), ("s3", "Gray", 26)]
-        )
-        return student_table
-
-    def test_insert_grows_rows_under_one_epoch(self, student_table):
-        assert student_table.version == (0, 0)
-        student_table.insert(("s1", "George", 22))
-        assert student_table.version == (0, 1)
-
-    def test_update_keeps_position_and_bumps_epoch(self, three):
-        row = three.update(("s2",), {"Age": "25"})
-        assert row == ("s2", "Green", 25)  # coerced like an insert
-        assert three.rows[1] == row
-        assert three.get_by_key(("s2",)) == row
-        assert three.version == (1, 3)
-
-    def test_update_may_move_the_key(self, three):
-        three.update(("s2",), {"Sid": "s9"})
-        assert three.get_by_key(("s2",)) is None
-        assert three.get_by_key(("s9",)) == ("s9", "Green", 24)
-        three.insert(("s2", "Again", 30))  # the old key is free again
-
-    def test_update_cannot_take_a_used_or_null_key(self, three):
-        with pytest.raises(DuplicateKeyError):
-            three.update(("s2",), {"Sid": "s1"})
-        with pytest.raises(DuplicateKeyError):
-            three.update(("s2",), {"Sid": None})
-        assert three.version == (0, 3)  # nothing changed
-        assert three.get_by_key(("s2",)) == ("s2", "Green", 24)
-
-    def test_update_unknown_column_or_key(self, three):
-        with pytest.raises(SchemaError):
-            three.update(("s2",), {"Nope": 1})
-        with pytest.raises(IntegrityError):
-            three.update(("s7",), {"Age": 1})
-
-    def test_delete_moves_later_rows_up(self, three):
-        assert three.delete(("s1",)) == ("s1", "George", 22)
-        assert three.rows == [("s2", "Green", 24), ("s3", "Gray", 26)]
-        assert three.get_by_key(("s1",)) is None
-        assert three.get_by_key(("s3",)) == ("s3", "Gray", 26)
-        assert three.version == (1, 2)
-        three.insert(("s1", "Back", 20))
-        assert three.get_by_key(("s1",)) == ("s1", "Back", 20)
-
-    def test_delete_unknown_key(self, three):
-        with pytest.raises(IntegrityError):
-            three.delete(("s7",))
-        assert three.version == (0, 3)
-
-
 class TestAccess:
-    def test_get_by_key(self, student_table):
+    def test_version_is_the_row_count(self, student_table):
+        assert student_table.version == 0
         student_table.insert(("s1", "George", 22))
-        assert student_table.get_by_key(("s1",))[1] == "George"
-        assert student_table.get_by_key(("sX",)) is None
+        assert student_table.version == 1
+        with pytest.raises(DuplicateKeyError):
+            student_table.extend([("s2", "Green", 24), ("s1", "Again", 30)])
+        assert student_table.version == 2  # the rows before the clash are in
 
-    def test_column_values(self, student_table):
-        student_table.extend([("s1", "a", 1), ("s2", "b", None)])
-        assert student_table.column_values("Age") == [1, None]
-
-    def test_distinct_key_count(self, student_table):
-        student_table.extend(
-            [("s1", "Green", 1), ("s2", "Green", 2), ("s3", "Blue", 3)]
-        )
-        assert student_table.distinct_key_count(["Sname"]) == 2
-        assert student_table.distinct_key_count(["Sid", "Sname"]) == 3
+    def test_key_lookup(self, student_table):
+        student_table.insert(("s1", "George", 22))
+        assert student_table.key_index.positions(("s1",)) == {0}
+        assert student_table.key_index.positions(("sX",)) == set()
 
     def test_iteration_order_is_insertion_order(self, student_table):
         student_table.extend([("s2", "b", 2), ("s1", "a", 1)])
@@ -250,19 +192,14 @@ class TestKeyArity:
     ):
         student_table.insert(("s1", "George", 22))
         with pytest.raises(IntegrityError, match="Sid"):
-            student_table.get_by_key(key)
-        with pytest.raises(IntegrityError, match="Sid"):
-            student_table.update(key, {"Age": 30})
-        with pytest.raises(IntegrityError, match="Sid"):
-            student_table.delete(key)
+            student_table.key_index.positions(key)
         assert student_table.rows == [("s1", "George", 22)]
-        assert student_table.version == (0, 1)
+        assert student_table.version == 1
 
     def test_a_key_of_another_type_finds_nothing(self, student_table):
         student_table.insert(("s1", "George", 22))
-        assert student_table.get_by_key((1,)) is None
-        with pytest.raises(IntegrityError, match="no row"):
-            student_table.delete((None,))
+        assert student_table.key_index.positions((1,)) == set()
+        assert student_table.key_index.positions((None,)) == set()
 
 
 # ----------------------------------------------------------------------
@@ -278,10 +215,9 @@ CELLS = st.tuples(
     st.sampled_from(NAMES),
 )
 WRITE = st.tuples(
-    st.sampled_from(["insert", "extend", "update", "delete"]),
+    st.sampled_from(["insert", "extend"]),
     st.sampled_from(sorted(COLUMNS)),
     st.lists(CELLS, min_size=1, max_size=8),
-    st.integers(0, 60),
 )
 
 
@@ -305,24 +241,6 @@ class KeyOracle:
             self.rows.append(row)
         return None
 
-    def update(self, key, values):
-        at = self.keys().get(key)
-        if at is None:
-            return IntegrityError
-        new = tuple(values.get(col, old) for col, old in zip(self.columns, self.rows[at]))
-        moved = new[: self.width]
-        if moved != key and (None in moved or moved in self.keys()):
-            return DuplicateKeyError
-        self.rows[at] = new
-        return None
-
-    def delete(self, key):
-        at = self.keys().get(key)
-        if at is None:
-            return IntegrityError
-        del self.rows[at]
-        return None
-
 
 def key_database():
     return Database.from_definitions(
@@ -342,23 +260,13 @@ def probes(name):
     return list(product(range(6), ["x", "y"])) + [(None, "x"), (1, None), ("x", "y")]
 
 
-def apply(table, oracle, kind, rows, pick):
+def apply(table, oracle, kind, rows):
     """Run one write on *table* and *oracle*; returns the error class
     each raised (or None)."""
     if kind == "insert":
         expected, call, args = oracle.extend(rows[:1]), table.insert, (rows[0],)
-    elif kind == "extend":
-        expected, call, args = oracle.extend(rows), table.extend, (rows,)
     else:
-        width, held = oracle.width, oracle.rows
-        key = held[pick % len(held)][:width] if held and pick % 4 else rows[0][:width]
-        if kind == "delete":
-            expected, call, args = oracle.delete(key), table.delete, (key,)
-        else:  # an even pick moves the key, an odd one sets the name only
-            values = dict(zip(oracle.columns, rows[-1]))
-            if pick % 2:
-                values = {"name": values["name"]}
-            expected, call, args = oracle.update(key, values), table.update, (key, values)
+        expected, call, args = oracle.extend(rows), table.extend, (rows,)
     try:
         call(*args)
     except IntegrityError as exc:
@@ -371,10 +279,10 @@ def apply(table, oracle, kind, rows, pick):
 def test_key_index_equals_dict_of_keys(writes):
     db = key_database()
     oracles = {name: KeyOracle(name) for name in COLUMNS}
-    for kind, name, cells, pick in writes:
+    for kind, name, cells in writes:
         table, oracle = db.table(name), oracles[name]
         rows = [cell[:1] + cell[2:] if name == "S" else cell for cell in cells]
-        raised, expected = apply(table, oracle, kind, rows, pick)
+        raised, expected = apply(table, oracle, kind, rows)
         assert raised is expected, (kind, rows)
         # the rows, those a failed batch left in included
         assert table.rows == oracle.rows
@@ -386,7 +294,7 @@ def test_key_index_equals_dict_of_keys(writes):
         primary = db.hash_index(name, table.schema.primary_key)
         for probe in probes(name):
             at = keys.get(probe)
-            assert table.get_by_key(probe) == (None if at is None else oracle.rows[at])
+            assert table.key_index.positions(probe) == ({at} if at is not None else set())
             assert primary.positions(probe) == ({at} if at is not None else set())
         # a non-key index, NULL cells included: S.name, T.(b, name)
         columns = oracle.columns[width - 1 :] if name == "T" else ("name",)
@@ -428,7 +336,7 @@ def test_readers_never_see_a_half_published_key_order():
             elif found != sorted(found) or len(set(order)) != len(order):
                 failures.append(f"order of {len(order)} rows out of key order")
             for key in probe_rng.sample(keys[:done], min(done, 20)):
-                if table.get_by_key((key,)) is None:
+                if not table.key_index.positions((key,)):
                     failures.append(f"key {key} of a loaded batch not found")
 
     readers = [threading.Thread(target=read, args=(seed,)) for seed in range(3)]
@@ -467,7 +375,7 @@ def test_a_probe_covers_the_version_read_before_it():
     def read(seed):
         probe_rng = random.Random(seed)
         while not stop.is_set():
-            _, counted = table.version
+            counted = table.version
             for key in probe_rng.sample(keys[:counted], min(counted, 5)):
                 if not database.hash_index("K", ("k",)).positions((key,)):
                     failures.append(f"key {key} of the first {counted} rows not found")

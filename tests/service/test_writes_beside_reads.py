@@ -9,18 +9,14 @@ lock that already serializes their statements.  So a reader never sees
 a structure mid-growth: it sees the rows of the table as of some moment
 between asking and being answered — at least every row loaded before it
 asked, at most those loaded by the time it was answered — and, because
-rows under one epoch only grow, every position an index hands it is
-valid in ``table.rows``.
+tables are append-only, every position an index hands it is valid in
+``table.rows``.
 
 No one calls ``clear_cache()``: the engine's text level and the
 service's flights are stamped with the tables' versions, read before
 they match or compute.  A *coalesced* response is answered with what its
 flight's leader read, and a request joins only a flight of its own
 stamp, so a follower too sees every row loaded before it asked.
-
-(Updates and deletes move rows under positions a running reader may
-hold, so they need that table's readers quiesced; they are not part of
-this test.)
 
 The executor reads tables by column (``Table.columns``), vectors that
 are extended in place under the table's lock while readers cut them to

@@ -76,13 +76,14 @@ class TestIdentifierQuoting:
         assert quote_identifier("Order", ANSI_DIALECT) == '"Order"'
 
     def test_sqlite_quotes_everything(self):
-        assert quote_identifier("Student", SQLITE_DIALECT) == '"Student"'
-        assert quote_identifier("Date", SQLITE_DIALECT) == '"Date"'
+        assert quote_identifier("Student", SQLITE_DIALECT) == "`Student`"
+        assert quote_identifier("Date", SQLITE_DIALECT) == "`Date`"
 
     def test_embedded_quote_is_doubled(self):
-        assert quote_identifier('we"ird', SQLITE_DIALECT) == '"we""ird"'
+        assert quote_identifier("we`ird", SQLITE_DIALECT) == "`we``ird`"
+        assert quote_identifier('we"ird', SQLITE_DIALECT) == '`we"ird`'
 
-    @pytest.mark.parametrize("name", ["Order", "Group", 'col"umn', "from"])
+    @pytest.mark.parametrize("name", ["Order", "Group", 'col"umn', "we`ird", "from", "Date"])
     def test_round_trips_through_sqlite_parser(self, name, conn):
         quoted = quote_identifier(name, SQLITE_DIALECT)
         conn.execute(f"CREATE TABLE {quoted} (x INTEGER)")
@@ -128,7 +129,7 @@ class TestDialectRendering:
     def test_boolean_literals(self):
         select = parse("SELECT COUNT(*) FROM t WHERE b = TRUE")
         assert "b = TRUE" in render(select, ANSI_DIALECT)
-        assert '"b" = 1' in render(select, SQLITE_DIALECT)
+        assert "`b` = 1" in render(select, SQLITE_DIALECT)
 
     def test_division_cast_only_on_sqlite(self):
         expr = BinaryOp("/", ColumnRef("a"), Literal(2))
@@ -136,7 +137,7 @@ class TestDialectRendering:
             items=(SelectItem(expr),), from_items=(TableRef("t", "t"),)
         )
         assert "CAST" not in render(select, ANSI_DIALECT)
-        assert 'CAST("a" AS REAL) / 2' in render(select, SQLITE_DIALECT)
+        assert "CAST(`a` AS REAL) / 2" in render(select, SQLITE_DIALECT)
 
     def test_cast_makes_sqlite_divide_truly(self, conn):
         assert conn.execute("SELECT 7 / 2").fetchone() == (3,)  # the trap

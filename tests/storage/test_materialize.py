@@ -19,7 +19,6 @@ from repro.storage import (
     materialization_is_fresh,
     materialize,
 )
-from repro.storage.materialize import manifest_versions
 from repro.datasets import generate_acmdl, generate_tpch, university_database
 
 PAGE = 256
@@ -166,20 +165,13 @@ class TestManifest:
 
     def test_data_version_bump_is_stale(self, tmp_path):
         db = small_db()
-        table = db.table("T")
-        for write in (
-            lambda: db.load("T", [(5, "gamma", 9.0)]),
-            lambda: table.update((5,), {"score": 1.0}),
-            lambda: table.delete((5,)),
-            # back to the first row count, under another epoch
-            lambda: (table.delete((4,)), table.insert((4, None, None))),
-        ):
+        for row in MORE:
             materialize(db, str(tmp_path), page_size=PAGE)
             assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-            write()
+            db.insert("T", row)
             assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
         manifest = materialize(db, str(tmp_path), page_size=PAGE)
-        assert manifest_versions(manifest) == {"T": table.version} == {"T": (3, 4)}
+        assert manifest["tables"]["T"]["rows"] == db.table("T").version == 7
 
     def test_foreign_database_is_stale(self, tmp_path):
         db = small_db()
@@ -239,7 +231,7 @@ class TestAppendCrashShapes:
         }
         manifest = appended(tmp_path, db)
         assert materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-        assert manifest_versions(manifest) == {"T": (0, 7)}
+        assert manifest["tables"]["T"]["rows"] == 7
         assert manifest["totals"]["rows"] == 7
         # the rows join the tail: the index files still cover the first 4
         assert manifest["tables"]["T"]["indexed"] == 4
@@ -330,7 +322,8 @@ class TestAppendCrashShapes:
 class TestParentManifest:
     """Directories of manifest format 5: every FLOAT minipage and
     B+-tree key of a fractional value was an f64 and every DATE minipage
-    text, under a manifest of the same shape.  Such a directory reads as
+    text, under a manifest of the same shape; and of format 6 when
+    tables could still change rows in place.  Such a directory reads as
     stale and is rebuilt, and the rebuild deletes the files of older
     formats no manifest names."""
 
@@ -351,10 +344,23 @@ class TestParentManifest:
         assert load_manifest(str(tmp_path))["format"] == 6
 
     def test_is_stale_once_an_epoch_moved(self, tmp_path):
+        """A format-6 manifest that records a table's epoch, moved when
+        a row changed in place, may describe other rows than the ones a
+        table of the same row count holds now: stale, rebuilt, never
+        served."""
         db = small_db()
-        self.as_parent_wrote_it(tmp_path, db)
-        db.table("T").update((1,), {"name": "omega"})
+        changed = Database(db.schema)
+        changed.load("T", [(1, "omega", 1.5), *db.table("T").rows[1:]])
+        manifest = materialize(changed, str(tmp_path), page_size=PAGE)
+        manifest["tables"]["T"]["epoch"] = 1
+        (tmp_path / MANIFEST_FILE).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
+        )
         assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
+        with pytest.raises(StorageError, match=r"malformed manifest \(tables\.T\.epoch"):
+            StorageEngine(str(tmp_path), db.schema)
+        TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
+        assert "epoch" not in load_manifest(str(tmp_path))["tables"]["T"]
 
     def test_rebuild_deletes_what_no_manifest_names(self, tmp_path):
         """Format 3's delta postings, an index file of a dropped column:
