@@ -54,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, groupby
 from math import copysign
 from operator import itemgetter, lt, sub
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.page import (
@@ -62,6 +62,7 @@ from repro.storage.page import (
     MAX_SCALE,
     decimal_scales,
     int_width,
+    packed,
     pack_uints,
     scaled_floats,
     scaled_ints,
@@ -76,8 +77,6 @@ NO_PAGE = 0xFFFFFFFF
 
 _HEADER = struct.Struct("<BHHI")
 _LEAF, _INTERNAL = 0, 1
-#: a leaf's bytes besides its array values: the header and three codes
-_LEAF_BASE = _HEADER.size + 3
 #: key code of an f64 array; any other is ``scale << 4 | width``
 _F64 = 0
 #: position code of implicit positions, and what follows it
@@ -267,32 +266,6 @@ def _decode(data: bytearray) -> _Node:
     return node
 
 
-def _longest(fits: Callable[[int], bool], low: int, high: int, guess: int) -> int:
-    """The largest ``n`` in ``low..high`` with ``fits(n)``, for a *fits*
-    true at *low* and false from some point on: galloping from *guess*
-    either way, then bisecting the bracket found."""
-    if high == low:
-        return low
-    guess = max(low + 1, min(high, guess))
-    if fits(guess):
-        good, step = guess, 1
-        while good + step <= high and fits(good + step):
-            good, step = good + step, step * 2
-        bad = min(good + step, high + 1)
-    else:
-        bad, step = guess, 1
-        while bad - step > low and not fits(bad - step):
-            bad, step = bad - step, step * 2
-        good = max(bad - step, low)
-    while bad - good > 1:
-        middle = (good + bad) // 2
-        if fits(middle):
-            good = middle
-        else:
-            bad = middle
-    return good
-
-
 def _packed_leaves(
     keys: Sequence[float],
     positions: Sequence[int],
@@ -300,144 +273,54 @@ def _packed_leaves(
     scales: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[_Node, int]]:
     """Leaves holding the sorted *keys* — ``keys[i]`` carried by
-    ``positions[i]`` — in order, with the key code each was sized with
-    (:func:`_key_code`), each filled with as many positions as
-    fit a page before the next starts — a run of one key too, which then
-    goes on in the next leaf.  The size is kept as :func:`_encode` writes
-    it, from the leaf's widest key, count and position (the widest of a
-    whole run, for a run cut short), or with implicit positions where
-    the leaf's positions are consecutive and that is smaller.
-
-    The work is per leaf, not per key: the runs of equal keys are found
-    once (``groupby``), then each leaf takes the
-    longest stretch of whole runs that fits — found by galloping from
-    the last leaf's count, each try sized by builtins over the stretch —
-    and then as much of the next run as still fits.  ``-0.0`` and ``0.0``
-    are runs of their own (:func:`_run_lengths`), so each position's key
-    keeps its sign.  *scales*, when given, are the keys'
-    :func:`~repro.storage.page.decimal_scales` by row position, found
-    once for the column's heap pages and its tree."""
+    ``positions[i]`` — in order, with the key code each is encoded under
+    (:func:`_key_code`).  Each leaf holds the longest run of the
+    positions left that :func:`_encode` fits in a page — found by
+    :func:`~repro.storage.page.longest_fit`, galloping from the last
+    leaf's count — so a run of one key may go on in the next leaf.
+    Consecutive positions are stored implicitly where that is smaller.
+    ``-0.0`` and ``0.0`` are runs of their own (:func:`_run_lengths`),
+    so each position's key keeps its sign.  *scales*, when given, are
+    the keys' :func:`~repro.storage.page.decimal_scales` by row
+    position, found once for the column's heap pages and its tree."""
     lengths = _run_lengths(keys)
     ends = list(accumulate(lengths))
-    starts = [0, *ends[:-1]]
-    run_keys = list(map(keys.__getitem__, starts[:len(lengths)]))
+    firsts = [0, *ends[:-1]] if ends else []
+    run_keys = list(map(keys.__getitem__, firsts))
+    if any(map(lt, run_keys[1:], run_keys)):
+        raise StorageError("bulk_build requires keys in sorted order")
     if scales is None:
         run_scales = decimal_scales(run_keys)
     else:  # each run's key is the value at its first position
-        run_scales = list(map(scales.__getitem__, map(positions.__getitem__, starts[:len(lengths)])))
-    runs = len(lengths)
-    # what is known of the consecutive positions from ``since`` on: they
-    # reach at least ``good``, and not ``bad``
-    since, good, bad = -1, 0, 0
+        run_scales = list(map(scales.__getitem__, map(positions.__getitem__, firsts)))
 
-    def consecutive(begin: int, end: int) -> bool:
-        """Whether ``positions[begin:end]`` (not empty) are consecutive:
-        refused from their ends alone unless those are ``end - begin - 1``
-        apart, otherwise checked past what earlier tries from *begin*
-        checked."""
-        nonlocal since, good, bad
-        first = positions[begin]
-        if positions[end - 1] - first != end - 1 - begin:
-            return False
-        if since != begin:
-            since, good, bad = begin, begin + 1, len(positions) + 1
-        if end <= good:
-            return True
-        if end >= bad:
-            return False
-        if list(positions[good:end]) == list(range(first + good - begin, first + end - begin)):
-            good = end
-            return True
-        bad = end
-        return False
+    def leaf(begin: int, end: int) -> Tuple[_Node, int]:
+        """The leaf of ``positions[begin:end]`` (not empty)."""
+        first = bisect_right(ends, begin)
+        last = bisect_left(ends, end)
+        counts = [min(ends[first], end) - begin, *lengths[first + 1:last]]
+        if last > first:
+            counts.append(end - firsts[last])
+        code = _key_code(run_keys[first], run_keys[last], max(run_scales[first:last + 1]))
+        held: Sequence[int] = positions[begin:end]
+        start, count = held[0], end - begin
+        # implicit when consecutive and the first alone is smaller; a
+        # list otherwise, even when *positions* is a range
+        if (
+            count * uint_width(held[-1]) > _FIRST.size
+            and held[-1] - start == count - 1
+            and list(held) == list(range(start, start + count))
+        ):
+            held = range(start, start + count)
+        elif type(held) is not list:
+            held = list(held)
+        return _Node.leaf(run_keys[first:last + 1], counts, held), code
 
-    def implicit(begin: int, end: int) -> bool:
-        """Whether a leaf stores ``positions[begin:end]`` implicitly:
-        they are consecutive, and their first alone takes fewer bytes
-        than all of them."""
-        return (
-            begin < end
-            and (end - begin) * uint_width(positions[end - 1]) > _FIRST.size
-            and consecutive(begin, end)
-        )
-
-    def leaf(
-        first_run: int, leaf_keys: List[float], counts: List[int], begin: int, end: int
-    ) -> Tuple[_Node, int]:
-        scale = max(run_scales[first_run:first_run + len(leaf_keys)], default=0)
-        code = _key_code(leaf_keys[0], leaf_keys[-1], scale) if leaf_keys else 1
-        if implicit(begin, end):
-            first = positions[begin]
-            return _Node.leaf(leaf_keys, counts, range(first, first + end - begin)), code
-        # a list even when *positions* is a range: a range is what
-        # _encode stores implicitly
-        return _Node.leaf(leaf_keys, counts, list(positions[begin:end])), code
-
-    def key_count_bytes(first: int, stop: int, left: int) -> int:
-        """Key and count bytes per run of a leaf holding runs
-        ``first..stop-1``, of which the first has *left* positions."""
-        longest = max(left, max(lengths[first + 1:stop], default=0))
-        code = _key_code(run_keys[first], run_keys[stop - 1], max(run_scales[first:stop]))
-        return _key_bytes(code) + uint_width(longest)
-
-    widest_of_run: Dict[int, int] = {}
-
-    def position_width(first: int, stop: int) -> int:
-        """The position width of a leaf holding runs ``first..stop-1``:
-        a run's is that of the whole run, also when the leaf holds only
-        the end of it (its widest found once per run)."""
-        widest = widest_of_run.get(first)
-        if widest is None:
-            widest = widest_of_run[first] = max(positions[starts[first]:ends[first]])
-        return uint_width(max(widest, max(positions[ends[first]:ends[stop - 1]], default=0)))
-
-    def size(first: int, stop: int, left: int) -> int:
-        begin = ends[first] - left
-        held = ends[stop - 1] - begin
-        least = _LEAF_BASE + 2 * (stop - first) + min(held, _FIRST.size)
-        if least > page_size or held > _MAX_POSITIONS:
-            return max(least, page_size + 1)  # none of the widths looked at
-        if implicit(begin, begin + held):
-            return _LEAF_BASE + (stop - first) * key_count_bytes(first, stop, left) + _FIRST.size
-        least += held - min(held, _FIRST.size)  # every position stored
-        if least > page_size:
-            return least
-        return (
-            _LEAF_BASE + (stop - first) * key_count_bytes(first, stop, left)
-            + held * position_width(first, stop)
-        )
-
-    first, left = 0, lengths[0] if runs else 0
-    last = 1  # whole runs the last leaf took: where the next search starts
-    while first < runs:
-        # the longest stretch first..fits-1 of whole runs that fits
-        fits = _longest(
-            lambda stop: size(first, stop, left) <= page_size, first, runs, first + last
-        )
-        last = max(fits - first, 1)
-        stretch = run_keys[first:fits + 1]
-        if any(map(lt, stretch[1:], stretch)):
-            raise StorageError("bulk_build requires keys in sorted order")
-        begin = ends[first] - left
-        end = ends[fits - 1] if fits > first else begin
-        counts = [left, *lengths[first + 1:fits]][:fits - first]
-        if fits == runs:
-            yield leaf(first, run_keys[first:fits], counts, begin, end)
-            return
-        # the next run: as many of its positions as the room left holds,
-        # sized with the widths of the whole run, stored one by one
-        run_left = left if fits == first else lengths[fits]
-        key_count = key_count_bytes(first, fits + 1, left)
-        width = position_width(first, fits + 1)
-        room = page_size - _LEAF_BASE - (fits - first + 1) * key_count - (end - begin) * width
-        take = min(run_left, room // width)
-        leaf_keys = run_keys[first:fits]
-        if take > 0:
-            leaf_keys.append(run_keys[fits])
-            counts.append(take)
-            end += take
-        yield leaf(first, leaf_keys, counts, begin, end)
-        first, left = fits, run_left - max(take, 0)
+    for _, found in packed(
+        len(positions), _MAX_POSITIONS, page_size, leaf,
+        lambda found: len(_encode(*found)), "B+-tree leaf",
+    ):
+        yield found
 
 
 class BPlusTree:

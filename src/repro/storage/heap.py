@@ -48,7 +48,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.errors import StorageError
 from repro.relational.schema import RelationSchema
-from repro.storage.page import PageFill, decode_columns
+from repro.storage.page import columns_of, decode_columns, pack_pages
 from repro.storage.pager import BufferPool, Pager
 
 __all__ = ["HeapFile", "HeapRows", "build_heap"]
@@ -72,36 +72,17 @@ def build_heap(
     :class:`Pager` (no pool: nothing is re-read during a build, caching
     would only evict pages the serving side wants).
     """
+    columns = columns_of(rows, schema)
     pager = Pager(path, page_size, create=True)
     try:
         page_counts: List[int] = []
-        for count, data in _pack(PageFill(schema, page_size, scales), rows):
+        for count, data in pack_pages(schema, page_size, columns, scales):
             pager.write_page(pager.page_count, data)
             page_counts.append(count)
         pager.sync()
     finally:
         pager.close()
     return page_counts
-
-
-def _pack(fill: PageFill, rows: Iterable[Sequence[Any]]) -> Iterator[Tuple[int, bytes]]:
-    """Pack *rows* into pages after whatever *fill* already holds, each
-    page as full as it gets; yields every page's row count and bytes,
-    the last one possibly partial."""
-    rows = rows if isinstance(rows, list) else list(rows)
-    start = 0
-    while start < len(rows):
-        start += fill.take(rows, start)
-        if start == len(rows):
-            break
-        if not fill.rows:
-            raise StorageError(
-                f"{fill.schema.name}: record does not fit a blank page"
-            )
-        yield len(fill.rows), fill.encode()
-        fill.reset()
-    if fill.rows:
-        yield len(fill.rows), fill.encode()
 
 
 class HeapFile:
@@ -217,11 +198,13 @@ class HeapFile:
         pages are written through the pool (dirty frames); making them
         durable is the caller's flush and sync."""
         page_size = self.pool.pager(self.file_id).page_size
-        fill = PageFill(self.schema, page_size)
+        columns = columns_of(rows, self.schema)
         page_no = max(self.page_count - 1, 0)
         if self.page_counts:
-            fill.take(list(self._page_rows(page_no)))  # they fit: they came off one page
-        for count, data in _pack(fill, rows):
+            # the last page's rows go first: they came off one page
+            last = self._page(page_no, range(len(self.schema.columns)))
+            columns = [held + new for held, new in zip(last, columns)]
+        for count, data in pack_pages(self.schema, page_size, columns):
             if page_no < self.page_count:
                 frame = self.pool.pin(self.file_id, page_no)
                 self.page_counts[page_no] = count

@@ -51,10 +51,12 @@ never becomes ``float``, ``''`` is not NULL), which the differential
 harness depends on.  Every inconsistency a torn or corrupted page can
 show raises :class:`~repro.errors.StorageError`.
 
-:class:`PageFill` is the build side's size accounting: it tells
-:func:`~repro.storage.heap.build_heap` exactly how many bytes the rows
-admitted so far will encode to, each column in its smallest layout, so
-pages are packed full without trial encodes.
+:func:`packed` is the one packer of heap pages and B+-tree leaves: it
+cuts a sequence into runs, each the longest that encodes within a page,
+by encoding candidates and searching the length — fit is monotone in
+it, as no layout's size shrinks when an item joins.
+:func:`pack_pages` packs heap pages with it from column slices
+(:func:`encode_columns`), so a try transposes no rows.
 
 :func:`decimal_scales` is the one test of which floats a scaled-decimal
 array holds exactly, for FLOAT minipages and B+-tree leaf keys alike;
@@ -65,13 +67,12 @@ lists, in the INT minipage's width-code idiom.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from datetime import date
 from functools import lru_cache
-from itertools import accumulate, compress, count, repeat
-from math import copysign, inf
-from operator import add, eq, itemgetter, not_, sub
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import accumulate, repeat
+from math import copysign
+from operator import eq, not_
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relational.schema import RelationSchema
@@ -82,14 +83,17 @@ __all__ = [
     "INT_FORMAT",
     "MAX_PAGE_SIZE",
     "MAX_SCALE",
-    "PageFill",
     "column_scales",
+    "columns_of",
     "decimal_scales",
     "decode_columns",
     "decode_page",
+    "encode_columns",
     "encode_page",
     "int_width",
+    "pack_pages",
     "pack_uints",
+    "packed",
     "scaled_floats",
     "scaled_ints",
     "uint_width",
@@ -103,6 +107,8 @@ MAX_PAGE_SIZE = 0xFFFF
 _HEADER = struct.Struct("<HH")  # n_rows, used
 #: a page dictionary's value count
 _COUNT = struct.Struct("<H")
+#: items the first run's search is guessed from (:func:`packed`)
+_SAMPLE = 32
 
 _INT, _FLOAT, _BOOL, _TEXT, _DATE = range(5)
 _KIND = {
@@ -132,8 +138,6 @@ _INT_BOUNDS = {
     width: (-(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1)
     for width in INT_FORMAT
 }
-#: the empty range of a wide column: every value takes the digit-counting path
-_NO_BOUNDS = (1, 0)
 #: width -> struct code of the index files' unsigned arrays (and of a
 #: page dictionary's codes)
 _UINT_FORMAT = {1: "B", 2: "H", 4: "I"}
@@ -153,12 +157,9 @@ _POWER = float(_DIGITS)
 #: MAX_SCALE they stay within 2**51, where the nearest integer of the
 #: product is the integer of any exact scale
 _ONE_PASS = 2.0 ** 51 / _POWER
-#: a scaled-decimal minipage's bytes besides its integers (scale, width),
-#: and the widths it takes: 8 bytes a value are no smaller than an f64
-_SCALED_HEADER = 2
+#: the widths a scaled-decimal array takes: 8 bytes a value are no
+#: smaller than an f64
 _SCALED_WIDTHS = (1, 2, 4)
-#: the bytes of an exact ISO date, ``YYYY-MM-DD``
-_DATE_BYTES = 10
 #: the ordinal of day number 0, 1970-01-01
 _EPOCH = date(1970, 1, 1).toordinal()
 
@@ -221,8 +222,8 @@ def unpack_uints(data: bytes, offset: int, n: int) -> Tuple[Tuple[int, ...], int
 # ----------------------------------------------------------------------
 def column_scales(values: Sequence[Optional[float]]) -> List[int]:
     """:func:`decimal_scales` of a FLOAT column, NULL as ``0.0`` — the
-    filler its minipage stores — found once per build for
-    :class:`PageFill` and the B+-tree over the column."""
+    filler its minipage stores — found once per build for the column's
+    heap pages (:func:`pack_pages`) and its B+-tree."""
     if None in values:
         values = [0.0 if value is None else value for value in values]
     return decimal_scales(values)  # type: ignore[arg-type]
@@ -276,6 +277,8 @@ def _one_pass(values: Sequence[float]) -> List[int]:
 def scaled_ints(values: Iterable[float], scale: int) -> List[int]:
     """The integers a scaled-decimal array of *scale* stores *values* —
     exact at that scale (:func:`decimal_scales`) — as."""
+    if not scale:  # integral floats: ``int`` is exact, and cheaper
+        return list(map(int, values))
     return list(map(round, map(float(10 ** scale).__mul__, values)))
 
 
@@ -364,21 +367,142 @@ def _pack_floats(values: Sequence[float], scale: Optional[int] = None) -> Tuple[
     return 0, struct.pack(f"<{n}d", *values)
 
 
-def encode_page(
-    rows: Sequence[Row],
+def columns_of(rows: Iterable[Sequence[Any]], schema: RelationSchema) -> List[List[Any]]:
+    """*rows* as one list of values per column of *schema*; a row of
+    another width is a :class:`~repro.errors.StorageError`."""
+    rows = rows if isinstance(rows, list) else list(rows)
+    width = len(schema.columns)
+    for row in rows:
+        if len(row) != width:
+            raise StorageError(
+                f"{schema.name}: cannot encode {len(row)} values into {width} columns"
+            )
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
+def _longest(fits: Callable[[int], bool], low: int, high: int, guess: int) -> int:
+    """The largest ``n`` in ``low..high`` with ``fits(n)``, for a *fits*
+    true at *low* and false from some point on: galloping from *guess*
+    either way, then bisecting the bracket found."""
+    if high == low:
+        return low
+    guess = max(low + 1, min(high, guess))
+    if fits(guess):
+        good, step = guess, 1
+        while good + step <= high and fits(good + step):
+            good, step = good + step, step * 2
+        bad = min(good + step, high + 1)
+    else:
+        bad, step = guess, 1
+        while bad - step > low and not fits(bad - step):
+            bad, step = bad - step, step * 2
+        good = max(bad - step, low)
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        if fits(middle):
+            good = middle
+        else:
+            bad = middle
+    return good
+
+
+def packed(
+    total: int,
+    most: int,
+    page_size: int,
+    encode: Callable[[int, int], Any],
+    size: Callable[[Any], int],
+    name: str,
+) -> Iterator[Tuple[int, Any]]:
+    """The packer of heap pages and B+-tree leaves: cut items ``0..total``
+    into consecutive runs, each the longest — at most *most* — whose
+    ``encode(start, stop)`` takes at most *page_size* bytes by *size*;
+    yields each run's length and encoding, the last run possibly short.
+
+    Fit is monotone in the run's length — no layout's size shrinks as an
+    item joins — so the longest run is searched: galloping from the last
+    run's length (the first run's guessed from a sample's bytes), then
+    bisecting, each try an encode.  A first item that fits no page alone
+    is a :class:`~repro.errors.StorageError`."""
+    start = last = 0
+    while start < total:
+        tried: Dict[int, Any] = {}
+
+        def fits(count: int) -> bool:
+            tried[count] = encode(start, start + count)
+            return size(tried[count]) <= page_size
+
+        high = min(total - start, most)
+        if not last:
+            last = min(high, _SAMPLE)
+            if fits(last):
+                last = last * page_size // size(tried[last])
+        count = _longest(fits, 0, high, last)
+        if not count:
+            raise StorageError(f"{name}: record does not fit a blank page")
+        yield count, tried[count]
+        start += count
+        last = count
+
+
+def pack_pages(
+    schema: RelationSchema,
+    page_size: int,
+    columns: List[List[Any]],
+    scales: Optional[Dict[int, Sequence[int]]] = None,
+) -> Iterator[Tuple[int, bytes]]:
+    """The rows whose values *columns* are (:func:`columns_of`) as full
+    pages, each the longest run of the rows left that encodes within
+    *page_size* (:func:`packed`, a try encoding slices of the columns);
+    yields every page's row count and bytes.  *scales* maps FLOAT
+    columns to their values' :func:`column_scales`, found here when not
+    given."""
+    kinds = _kinds(schema)
+    floats = [c for c, kind in enumerate(kinds) if kind == _FLOAT]
+    if scales is None:
+        scales = {c: column_scales(columns[c]) for c in floats}
+
+    def encode(start: int, stop: int) -> Optional[bytes]:
+        return encode_columns(
+            [column[start:stop] for column in columns], schema, page_size,
+            [max(scales[c][start:stop], default=0) for c in floats],  # type: ignore[index]
+        )
+
+    def used(page: Optional[bytes]) -> int:
+        return page_size + 1 if page is None else _HEADER.unpack_from(page, 0)[1]
+
+    # every layout takes at least a byte a value
+    return packed(len(columns[0]), page_size // len(kinds), page_size, encode, used, schema.name)
+
+
+def encode_page(rows: Sequence[Row], schema: RelationSchema, page_size: int) -> bytes:
+    """Encode coerced *rows* (see :func:`repro.relational.types.coerce`)
+    as one page of exactly *page_size* bytes."""
+    page = encode_columns(columns_of(rows, schema), schema, page_size)
+    if page is None:
+        raise StorageError(f"{schema.name}: {len(rows)} rows overflow page size {page_size}")
+    return page
+
+
+def encode_columns(
+    columns: Sequence[Sequence[Any]],
     schema: RelationSchema,
     page_size: int,
     float_scales: Sequence[int] = (),
-) -> bytes:
-    """Encode coerced *rows* (see :func:`repro.relational.types.coerce`)
-    as one page of exactly *page_size* bytes.  *float_scales*, when
-    given, is each FLOAT column's largest :func:`decimal_scales` over
-    *rows*, in schema order (what :meth:`PageFill.encode` knows)."""
-    n = len(rows)
+) -> Optional[bytes]:
+    """One page of exactly *page_size* bytes holding the rows whose
+    values *columns* are — one sequence per column in schema order, all
+    of one length — or None when they encode to more: the packer's try,
+    which stops at the first minipage past the page.  *float_scales*,
+    when given, is each FLOAT column's largest :func:`decimal_scales`
+    over its values, in schema order."""
+    if page_size > MAX_PAGE_SIZE:
+        raise StorageError(f"page size {page_size} above maximum {MAX_PAGE_SIZE}")
     kinds = _kinds(schema)
+    n = len(columns[0]) if columns else 0
     scales = iter(float_scales or [None] * kinds.count(_FLOAT))
     out = bytearray(_HEADER.size)
-    for kind, values in zip(kinds, zip(*rows) if rows else [()] * len(kinds)):
+    for kind, values in zip(kinds, columns):
         days = list(map(_day_number, values)) if kind == _DATE else None
         nulls = None in values
         if nulls:
@@ -402,444 +526,12 @@ def encode_page(
         if nulls:
             out += mask.to_bytes((n + 7) >> 3, "little")
         out += packed
+        if len(out) > page_size:
+            return None
     used = len(out)
-    if used > page_size:
-        raise StorageError(
-            f"{schema.name}: {n} rows encode to {used} bytes, "
-            f"page size {page_size}"
-        )
     _HEADER.pack_into(out, 0, n, used)
-    return bytes(out) + bytes(page_size - used)
-
-
-class PageFill:
-    """Exact size accounting for the page being filled.
-
-    :meth:`take` admits offered rows in order while the page still
-    encodes within ``page_size`` with them, :meth:`add` one row;
-    :attr:`size` is then exactly the ``used`` :func:`encode_page` will
-    write for :attr:`rows`.  Per column it keeps what the size depends on
-    — the INT width the values so far need and the wide-integer digit
-    bytes; per text column the bytes of its values, and its distinct
-    values with the bytes of their dictionary, and per DATE column the
-    width of its day numbers while every value is a date; per FLOAT
-    column the largest decimal scale of its values and their range;
-    whether any value is NULL — and the row count, so admitting a row
-    costs one comparison per INT cell, and the other minipages' sizes
-    (each the smallest of its layouts) are worked out a column at a time
-    for all the offered rows at once.
-    """
-
-    def __init__(
-        self,
-        schema: RelationSchema,
-        page_size: int,
-        scales: Optional[Dict[int, Sequence[int]]] = None,
-    ) -> None:
-        if page_size > MAX_PAGE_SIZE:
-            raise StorageError(
-                f"page size {page_size} above maximum {MAX_PAGE_SIZE}"
-            )
-        self.schema = schema
-        self.page_size = page_size
-        kinds = _kinds(schema)
-        self._width = len(kinds)
-        self._int_columns = [c for c, kind in enumerate(kinds) if kind == _INT]
-        self._text_columns = [c for c, kind in enumerate(kinds) if kind in _TEXTUAL]
-        self._dates = [kinds[c] == _DATE for c in self._text_columns]
-        self._float_columns = [c for c, kind in enumerate(kinds) if kind == _FLOAT]
-        # header, one flag per column, one width code per INT column
-        self._base = _HEADER.size + len(kinds) + len(self._int_columns)
-        self._fixed_row_bytes = kinds.count(_BOOL)
-        #: FLOAT column -> the :func:`decimal_scales` of its values (NULL
-        #: as 0.0) in the rows :meth:`take` is given, when the builder
-        #: found them once for the column
-        self._scales = scales or {}
-        self.rows: List[Row] = []
-        self.reset()
-
-    def reset(self) -> None:
-        """Start a blank page."""
-        # the next page most likely holds about as many rows as this one
-        held = len(self.rows)
-        self._chunk = held + held // 8 + 1 if held else 0
-        self.rows = []
-        self.size = self._base
-        ints = len(self._int_columns)
-        # per INT column: the array width so far and the values it admits
-        self._widths = [1] * ints
-        self._bounds = [_INT_BOUNDS[1]] * ints
-        self._row_bytes = self._fixed_row_bytes + ints
-        self._digit_bytes = 0
-        self._null_columns: Set[int] = set()
-        texts = len(self._text_columns)
-        # per text column: the bytes of its values in the plain layout,
-        # its distinct values, their dictionary's bytes (the count
-        # included, the codes not), and for a DATE column the width of
-        # its day numbers — 0 once a value is not a date, and always for
-        # TEXT
-        self._plain = [0] * texts
-        self._distinct: List[Dict[str, None]] = [{} for _ in range(texts)]
-        self._dictionary = [2] * texts
-        self._day_widths = [1 if is_date else 0 for is_date in self._dates]
-        # per FLOAT column: the largest scale of its values, and their
-        # least and greatest
-        self._decimals = [(0, inf, -inf)] * len(self._float_columns)
-
-    def encode(self) -> bytes:
-        """:attr:`rows` as one page, each FLOAT minipage at the scale the
-        fill found (:func:`encode_page` need not look for it again)."""
-        return encode_page(
-            self.rows, self.schema, self.page_size, [scale for scale, _, _ in self._decimals]
-        )
-
-    def add(self, row: Row) -> bool:
-        """Admit *row* if the page still fits with it; otherwise leave
-        the page as it was and return False."""
-        return self.take([row]) == 1
-
-    def take(self, rows: Sequence[Row], start: int = 0) -> int:
-        """Admit ``rows[start:]`` one after another while the page still
-        fits, and return how many went in (0: the page is as it was).  A
-        row of the wrong width raises once the rows before it are in.
-
-        Rows are offered a batch at a time — first about as many as the
-        last page held, then as many as the room left could hold — and
-        the text and FLOAT minipages' sizes for every count of a batch
-        are worked out a column at a time, so admitting a row costs a
-        comparison per INT cell and no per-cell work for the others."""
-        # no more rows fit than the room left holds rows of the fewest
-        # bytes: a text value takes at least a one-byte code, a FLOAT
-        # one a one-byte integer
-        least = (
-            self._fixed_row_bytes + len(self._widths)
-            + len(self._text_columns) + len(self._float_columns)
-        )
-        chunk, self._chunk = self._chunk, 0
-        taken = 0
-        while True:
-            limit = (self.page_size - self.size) // least + 1
-            offered = rows[start + taken:start + taken + min(limit, chunk or limit)]
-            admitted = self._admit(offered, start + taken)
-            taken += admitted
-            if admitted < len(offered) or not offered:
-                break
-            chunk = 0
-        if admitted < len(offered) and len(offered[admitted]) != self._width:
-            raise StorageError(
-                f"{self.schema.name}: cannot encode {len(offered[admitted])} values "
-                f"into {self._width} columns"
-            )
-        return taken
-
-    def _admit(self, offered: Sequence[Row], at: int) -> int:
-        """Admit the rows of *offered* — ``rows[at:]`` of those given to
-        :meth:`take` — in order while they are of the schema's width and
-        the page still fits; returns how many."""
-        width = self._width
-        if set(map(len, offered)) - {width}:
-            offered = offered[:next(at for at, row in enumerate(offered) if len(row) != width)]
-        columns = _ColumnSizes(self, offered, at)
-        int_columns = self._int_columns
-        widths, bounds = self._widths, self._bounds
-        row_bytes, digit_bytes = self._row_bytes, self._digit_bytes
-        null_columns = self._null_columns
-        page_size, base = self.page_size, self._base
-        admitted = self.rows
-        taken = 0
-        for row, column_bytes in zip(offered, columns.sizes):
-            widened = None
-            for i, c in enumerate(int_columns):
-                value = row[c] or 0  # a NULL stores the filler 0
-                low, high = bounds[i]
-                if not low <= value <= high:
-                    # rare: the value needs a wider array (or the column
-                    # is wide already, whose bounds admit nothing)
-                    widened = widened or (list(widths), row_bytes, digit_bytes)
-                    row_bytes, digit_bytes = self._widen(
-                        i, c, value, widths, row_bytes, digit_bytes
-                    )
-            page_nulls = null_columns
-            if None in row:
-                page_nulls = null_columns.union(
-                    c for c, value in enumerate(row) if value is None
-                )
-            n = len(admitted) + 1
-            size = base + n * row_bytes + digit_bytes + column_bytes + len(page_nulls) * ((n + 7) >> 3)
-            if size > page_size:
-                if widened is not None:
-                    widths[:], row_bytes, digit_bytes = widened
-                break
-            admitted.append(row)
-            null_columns = page_nulls
-            if widened is not None:
-                for i, width_now in enumerate(widths):
-                    bounds[i] = _INT_BOUNDS.get(width_now, _NO_BOUNDS)
-            self.size = size
-            taken += 1
-        self._row_bytes, self._digit_bytes = row_bytes, digit_bytes
-        self._null_columns = null_columns
-        columns.admit(taken)
-        return taken
-
-    def _widen(
-        self, i: int, c: int, value: int, widths: List[int], row_bytes: int, digit_bytes: int
-    ) -> Tuple[int, int]:
-        """Row and digit bytes once INT column *c* (the *i*-th) holds
-        *value*, outside its width's bounds; *widths* is updated."""
-        width = widths[i]
-        if width == _WIDE:
-            return row_bytes, digit_bytes + len(str(value))
-        new_width = int_width(value, value)
-        widths[i] = new_width
-        if new_width == _WIDE:
-            # decimal strings from here on: an offset per row plus
-            # the digits of every value already on the page
-            return row_bytes + 2 - width, digit_bytes + len(str(value)) + sum(
-                len(str(earlier[c] or 0)) for earlier in self.rows
-            )
-        return row_bytes + new_width - width, digit_bytes
-
-
-def _widenings(
-    values: Sequence[Any], to_int: Callable[[Any], int], width: int, widest: int
-) -> List[Tuple[int, int]]:
-    """``(row, width from that row on)`` for each row where a width-coded
-    array of the integers ``to_int(value)`` of *values*, after integers
-    of *width*, must widen; *widest* is the width all of them need.  Each
-    step scans on from the last one and stops at the first integer out
-    of bounds, and none scans for the widest, so a page's values are
-    mostly not looked at."""
-    steps = [(0, width)]
-    at = 0
-    while width != widest:
-        lowest, highest = _INT_BOUNDS[width]
-        fits = range(lowest, highest + 1).__contains__  # O(1) for an int
-        at = next(compress(count(at), map(not_, map(fits, map(to_int, values[at:])))))
-        width = int_width(to_int(values[at]), to_int(values[at])) or widest
-        steps.append((at, width))
-    return steps
-
-
-def _stepped_sizes(
-    steps: Sequence[Tuple[int, int]], rows: int, held: int, header: int
-) -> List[int]:
-    """The bytes of a width-coded minipage of ``held + k`` values for
-    ``k = 1..rows``: *header* plus the values at the width of the last
-    of *steps* (``(row, width)``, ascending) at or before row ``k - 1``;
-    past 4 bytes, an f64 array (no header)."""
-    sizes: List[int] = []
-    for (row, width), (end, _) in zip(steps, [*steps[1:], (rows, 0)]):
-        extra = header if width in _SCALED_WIDTHS else 0
-        sizes += range(extra + (held + row + 1) * width, extra + (held + end) * width + 1, width)
-    return sizes
-
-
-def _float_width(low: float, high: float, values: Sequence[float], power: float) -> int:
-    """The width of the scaled integers of the values in ``low..high``
-    and of *values*, all exact at the scale of *power*: 1 for none, 8
-    past 4 bytes."""
-    least = min(low, min(values, default=inf))
-    most = max(high, max(values, default=-inf))
-    if least > most:
-        return 1
-    return int_width(round(least * power), round(most * power)) or 8
-
-
-class _ColumnSizes:
-    """The text and FLOAT minipages of a :class:`PageFill` for each count
-    of some offered rows: :attr:`sizes` ``[k]`` is the bytes of those
-    columns' values once the first ``k + 1`` of them are admitted, each
-    column in its smallest layout; :meth:`admit` then records the ones
-    that went in."""
-
-    def __init__(self, fill: PageFill, offered: Sequence[Row], at: int) -> None:
-        self.fill = fill
-        self.held = len(fill.rows)
-        self._texts: List[Tuple[Any, ...]] = []
-        self._floats: List[Tuple[List[float], List[int]]] = []
-        columns = [
-            self._text(j, c, offered) for j, c in enumerate(fill._text_columns)
-        ] + [
-            self._float(i, c, offered, at) for i, c in enumerate(fill._float_columns)
-        ]
-        self.sizes: List[int] = columns[0] if columns else [0] * len(offered)
-        for column in columns[1:]:
-            self.sizes = list(map(add, self.sizes, column))
-
-    def _text(self, j: int, c: int, offered: Sequence[Row]) -> List[int]:
-        fill, held, m = self.fill, self.held, len(offered)
-        raw = list(map(itemgetter(c), offered))
-        values = [value or "" for value in raw] if None in raw else raw
-        if "".join(values).isascii():
-            lengths = list(map(len, values))
-        else:
-            lengths = list(map(len, map(str.encode, values)))
-        # plain: an offset and the value's bytes per row
-        plain = list(accumulate(map((2).__add__, lengths), initial=fill._plain[j]))
-        del plain[0]
-        column = plain
-        # day numbers, while every value on the page is a date
-        days, day_width = None, 0
-        if fill._day_widths[j]:
-            column, day_width, days = self._days(j, c, raw, plain)
-        distinct = fill._distinct[j]
-        first_at = dict(zip(reversed(values), range(m - 1, -1, -1)))
-        new = first_at.keys() - distinct.keys()
-        # what the dictionary layout saves against the plain one: a value
-        # met before on the page saves its offset and bytes for a code
-        # (1 + its bytes), a value new to the page costs its code more
-        before = fill._plain[j] - fill._dictionary[j] - held
-        repeats = m - len(new)
-        repeat_bytes = sum(lengths) - sum(map(lengths.__getitem__, map(first_at.__getitem__, new)))
-        reach = self._dictionary_reach(j, before + repeats + repeat_bytes, m, repeats, day_width)
-        if reach:
-            reached_first, reached_new = first_at, new
-            if reach < m:  # the new values among the rows it reaches
-                reached_first = dict(zip(reversed(values[:reach]), range(reach - 1, -1, -1)))
-                reached_new = reached_first.keys() - distinct.keys()
-            saves = list(map((1).__add__, lengths[:reach]))
-            for value in reached_new:
-                saves[reached_first[value]] = -1
-            gain = list(accumulate(saves, initial=before))
-            del gain[0]
-            # codes take one byte up to the row of the 257th value
-            one_byte = _ONE_BYTE_CODES - len(distinct)  # new values that keep it
-            if len(reached_new) > one_byte:
-                narrow = sorted(map(reached_first.__getitem__, reached_new))[one_byte] if one_byte >= 0 else 0
-                gain[narrow:] = map(sub, gain[narrow:], range(held + narrow + 1, held + reach + 1))
-            if max(gain) > 0:
-                column = [*map(min, column, map(sub, plain, gain)), *column[reach:]]
-        self._texts.append((values, lengths, plain, first_at, days))
-        return column
-
-    def _days(
-        self, j: int, c: int, raw: List[Optional[str]], plain: List[int]
-    ) -> Tuple[List[int], int, Tuple[int, List[Tuple[int, int]]]]:
-        """DATE column *j* (the *c*-th) with day numbers in the running:
-        its sizes for each count of the offered rows *raw* — the smaller
-        of the *plain* and the day-number layouts while every row so far
-        is a date, plain from the first that is not —, the width of the
-        day numbers when every offered row is a date and none NULL (0
-        otherwise), and ``(rows that are dates, [(row, width from it)])``
-        for :meth:`admit`."""
-        fill, m = self.fill, len(raw)
-        numbers = list(map(_day_number, raw))
-        dated = numbers.index(None) if None in numbers else m
-        if not dated:
-            return plain, 0, (0, [])
-        dates = numbers if dated == m else numbers[:dated]
-        width = fill._day_widths[j]
-        widest = max(width, int_width(min(dates), max(dates)))  # type: ignore[type-var]
-        steps = _widenings(dates, int, width, widest)
-        column = _stepped_sizes(steps, dated, self.held, 1)
-        if None in raw or c in fill._null_columns:
-            # a NULL stores '' in the plain layout, two bytes
-            column = list(map(min, plain, column))
-            widest = widest if dated == m and None not in raw else 0
-        elif dated < m:
-            widest = 0
-        # (otherwise ten bytes and an offset a date: plain never wins)
-        return column + plain[dated:], widest, (dated, steps)
-
-    def _dictionary_reach(self, j: int, most: int, m: int, repeats: int, day_width: int) -> int:
-        """How many of the *m* offered rows text column *j*'s dictionary
-        layout can be the smallest within — 0 when never — bounded from
-        their *repeats* without the per-row arithmetic.  Against the plain
-        layout it saves at most *most* (every repeat counted, none of the
-        new values).  Against day numbers of *day_width* — given when
-        every offered row is a date — a repeat saves at most
-        ``day_width - 1`` bytes (a code for a day number), and a new value
-        costs ``13 - day_width`` more (its offset and ten bytes in the
-        dictionary), so the dictionary falls behind for good after a few
-        new values past the repeats."""
-        if most <= 0:
-            return 0
-        if not day_width:
-            return m
-        fill = self.fill
-        # days - dictionary, at most, before the new values' cost: one
-        # header byte against the dictionary's bytes so far and a code
-        # a row
-        most = 1 + self.held * (day_width - 1) - fill._dictionary[j] + (day_width - 1) * repeats
-        cost = _DATE_BYTES + 3 - day_width
-        if most - (0 if fill._distinct[j] else cost) <= 0:  # the page's first row is new
-            return 0
-        return min(m, repeats + most // cost + 1)
-
-    def _float(self, i: int, c: int, offered: Sequence[Row], at: int) -> List[int]:
-        """A FLOAT column's sizes: scaled decimals up to the first row that
-        needs a scale past MAX_SCALE or an integer past 4 bytes, f64 from
-        there.  The rows are taken a run of one page scale at a time (a
-        larger scale rescales every row before it): the width of the rows
-        before the run and of those up to its end, at its scale, from
-        their least and greatest, then where in the run it widens."""
-        m, held = len(offered), self.held
-        values = list(map(itemgetter(c), offered))
-        if None in values:
-            values = [0.0 if value is None else value for value in values]
-        known = self.fill._scales.get(c)
-        scales = list(known[at:at + m]) if known is not None else decimal_scales(values)
-        scale, low, high = self.fill._decimals[i]
-        steps: List[Tuple[int, int]] = []
-        start = 0
-        while start < m and scale <= MAX_SCALE:
-            stop = m
-            if max(scales[start:]) > scale:
-                stop = next(compress(count(start), map(scale.__lt__, scales[start:])))
-            if stop > start:
-                power = float(10 ** scale)
-                widest = _float_width(low, high, values[:stop], power)
-                steps += (
-                    (start + row, width) for row, width in _widenings(
-                        values[start:stop], lambda value: round(value * power),
-                        _float_width(low, high, values[:start], power), widest,
-                    )
-                )
-                if widest not in _SCALED_WIDTHS:
-                    break
-            start = stop
-            if stop < m:
-                scale = scales[stop]
-        # f64 from the first row the scaled layout cannot take
-        cut = next(
-            (at for at, (_, width) in enumerate(steps) if width not in _SCALED_WIDTHS),
-            len(steps),
-        )
-        f64_from = steps[cut][0] if cut < len(steps) else start
-        steps[cut:] = [(f64_from, 8)] if f64_from < m else []
-        self._floats.append((values, scales))
-        return _stepped_sizes(steps, m, held, _SCALED_HEADER)
-
-    def admit(self, taken: int) -> None:
-        """The first *taken* offered rows went onto the page."""
-        if not taken:
-            return
-        fill = self.fill
-        last = taken - 1
-        for j, (values, lengths, plain, first_at, days) in enumerate(self._texts):
-            fill._plain[j] = plain[last]
-            # the dictionary grew by the offset and bytes of each value
-            # new to the page that went in
-            distinct = fill._distinct[j]
-            went_in = dict.fromkeys(values[:taken])
-            added = went_in.keys() - distinct.keys()
-            fill._dictionary[j] += 2 * len(added) + sum(
-                map(lengths.__getitem__, map(first_at.__getitem__, added))
-            )
-            distinct.update(went_in)
-            if days is not None:
-                dated, steps = days
-                fill._day_widths[j] = (
-                    steps[bisect_left(steps, (taken,)) - 1][1] if taken <= dated else 0
-                )
-        for i, (values, scales) in enumerate(self._floats):
-            scale, low, high = fill._decimals[i]
-            fill._decimals[i] = (
-                max(scale, max(scales[:taken])),
-                min(low, min(values[:taken])),
-                max(high, max(values[:taken])),
-            )
+    out += bytes(page_size - used)
+    return bytes(out)
 
 
 # ----------------------------------------------------------------------

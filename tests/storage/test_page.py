@@ -1,4 +1,4 @@
-"""Filling column-wise pages: exact size accounting, many small pages."""
+"""Packing column-wise pages: the longest prefix that encodes, many small pages."""
 
 import math
 import struct
@@ -14,7 +14,9 @@ from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
 from repro.storage import BufferPool, HeapFile, Pager
 from repro.storage.heap import build_heap
-from repro.storage.page import MAX_PAGE_SIZE, MAX_SCALE, PageFill, decode_page, encode_page
+from repro.storage.page import (
+    MAX_PAGE_SIZE, MAX_SCALE, columns_of, decode_page, encode_columns, encode_page,
+)
 from repro.storage.pager import MIN_PAGE_SIZE
 
 #: ints on both sides of each width boundary, the last beyond 64 bits
@@ -63,42 +65,32 @@ def types_of(rows):
     return [[type(value) for value in row] for row in rows]
 
 
-class TestPageFill:
-    @settings(max_examples=150, deadline=None)
-    @given(tables(max_columns=6))
-    def test_predicted_size_is_the_encoded_size(self, table):
-        schema, rows = table
-        fill = PageFill(schema, MAX_PAGE_SIZE)
-        for row in rows:
-            assert fill.add(row)
-            page = encode_page(fill.rows, schema, MAX_PAGE_SIZE)
-            assert struct.unpack_from("<HH", page) == (len(fill.rows), fill.size)
+def overflows(rows, schema, page_size):
+    """Whether *rows* encode to more than one page."""
+    return encode_columns(columns_of(rows, schema), schema, page_size) is None
 
-    def test_refused_row_leaves_the_page_as_it_was(self):
-        schema = relation([DataType.INT, DataType.TEXT])
-        fill = PageFill(schema, 64)
-        assert fill.add((1, "a" * 20))
-        size = fill.size
-        # would widen the INT array, add a bitmap and overflow the page
-        assert not fill.add((2**40, "b" * 40))
-        assert (fill.rows, fill.size) == ([(1, "a" * 20)], size)
-        assert fill.add((None, "c"))
-        page = encode_page(fill.rows, schema, 64)
-        assert struct.unpack_from("<HH", page) == (2, fill.size)
 
-    def test_reset_starts_a_blank_page(self):
+class TestPacker:
+    def test_each_page_takes_its_own_widths(self, tmp_path):
+        # a wide integer and a NULL on the first page leave the second
+        # page's array narrow and without a bitmap
         schema = relation([DataType.INT])
-        fill = PageFill(schema, 64)
-        blank = fill.size
-        assert fill.add((2**70,)) and fill.add((None,))
-        fill.reset()
-        assert (fill.rows, fill.size) == ([], blank)
-        assert fill.add((1,))
-        assert fill.size == blank + 1  # narrow again, no bitmap
+        rows = [(2**70,), (None,)] + [(i,) for i in range(100)]
+        path = str(tmp_path / "T.heap")
+        page_counts = build_heap(path, schema, rows, 64)
+        assert len(page_counts) > 2
+        pager = Pager(path, 64)
+        try:
+            first, second = pager.read_page(0), pager.read_page(1)
+        finally:
+            pager.close()
+        assert first[4] == 1 and first[6] == 0  # a bitmap, the decimal-string escape
+        assert second[4:6] == bytes((0, 1))  # no bitmap, one-byte integers
+        assert struct.unpack_from("<HH", second) == (page_counts[1], 4 + 2 + page_counts[1])
 
     def test_page_size_ceiling(self):
         with pytest.raises(StorageError, match="above maximum"):
-            PageFill(relation([DataType.INT]), MAX_PAGE_SIZE + 1)
+            encode_page([(1,)], relation([DataType.INT]), MAX_PAGE_SIZE + 1)
 
 
 def check_heap_roundtrip(directory, schema, rows, page_size):
@@ -118,9 +110,7 @@ def check_heap_roundtrip(directory, schema, rows, page_size):
         assert points == rows and types_of(points) == types_of(rows)
         first = 0
         for page_no, count in enumerate(page_counts[:-1]):
-            fill = PageFill(schema, page_size)
-            assert all(fill.add(row) for row in rows[first:first + count])
-            assert not fill.add(rows[first + count])
+            assert overflows(rows[first:first + count + 1], schema, page_size)
             assert len(decode_page(pager.read_page(page_no), schema)) == count
             first += count
     finally:
@@ -311,9 +301,6 @@ class TestTextLayouts:
         # the smaller one (plain on a tie)
         plain, dictionary = text_layout_sizes([row[0] for row in rows])
         assert page[4] >> 1 == (0 if plain <= dictionary else 1)
-        fill = PageFill(schema, MAX_PAGE_SIZE)
-        assert fill.take(rows) == len(rows)
-        assert struct.unpack_from("<HH", page) == (len(rows), fill.size)
 
     def test_null_and_empty_text_stay_apart_in_a_dictionary(self):
         schema = relation([DataType.TEXT])
@@ -330,9 +317,6 @@ class TestTextLayouts:
         page = encode_page(rows, schema, MAX_PAGE_SIZE)
         assert page[4] >> 1 == 2
         assert decode_page(bytearray(page), schema) == rows
-        fill = PageFill(schema, MAX_PAGE_SIZE)
-        assert fill.take(rows) == len(rows)
-        assert struct.unpack_from("<HH", page)[1] == fill.size
 
     @pytest.mark.parametrize(
         "rows, layout",
@@ -346,11 +330,8 @@ class TestTextLayouts:
     )
     def test_offsets_up_to_the_u16_limit(self, rows, layout):
         schema = relation([DataType.TEXT])
-        fill = PageFill(schema, MAX_PAGE_SIZE)
-        assert fill.take(rows) == len(rows)
         page = encode_page(rows, schema, MAX_PAGE_SIZE)
         assert page[4] >> 1 == layout
-        assert struct.unpack_from("<HH", page) == (len(rows), fill.size)
         assert decode_page(bytearray(page), schema) == rows
 
     @pytest.mark.parametrize(
@@ -485,9 +466,6 @@ class TestFloatLayouts:
         assert floats_equal(decoded, values)
         assert all(type(value) is float for value in decoded if value is not None)
         assert page[4] >> 1 == float_layout(values)
-        fill = PageFill(schema, MAX_PAGE_SIZE)
-        assert fill.take(rows) == len(rows)
-        assert struct.unpack_from("<HH", page) == (len(rows), fill.size)
 
     @pytest.mark.parametrize(
         "values, layout, width",
@@ -544,9 +522,6 @@ class TestDateLayouts:
         decoded = decode_page(bytearray(page), schema)
         assert decoded == rows and types_of(decoded) == types_of(rows)
         assert page[4] >> 1 == date_layout(values)
-        fill = PageFill(schema, MAX_PAGE_SIZE)
-        assert fill.take(rows) == len(rows)
-        assert struct.unpack_from("<HH", page) == (len(rows), fill.size)
 
     def test_day_numbers_before_1970_and_at_the_ends_of_the_calendar(self):
         schema = relation([DataType.DATE])

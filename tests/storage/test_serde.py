@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import StorageError
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
-from repro.storage.page import PageFill, decode_page, encode_page
+from repro.storage.page import decode_page, encode_page
 
 PAGE_SIZE = 4096
 
@@ -141,7 +141,7 @@ class TestErrors:
 
     def test_wrong_arity(self):
         with pytest.raises(StorageError, match="cannot encode"):
-            PageFill(SCHEMA, PAGE_SIZE).add((1, 2))
+            encode_page([(1, 2.0, "a", None, True), (1, 2)], SCHEMA, PAGE_SIZE)
 
     def test_rows_that_do_not_fit_one_page(self):
         with pytest.raises(StorageError, match="page size 64"):
