@@ -10,7 +10,7 @@
 * ``postings.bin`` + ``postings.dict.json`` — one SPIMI inverted index
   over every text column of every table, serving ``contains`` lookups;
 * ``MANIFEST.json`` — written **last**, atomically (tmp + ``os.replace``);
-  its ``format`` (:data:`MANIFEST_FORMAT`, 6) names the file layouts,
+  its ``format`` (:data:`MANIFEST_FORMAT`, 7) names the file layouts,
   and it records each B+-tree's root page and each hash file's bucket
   count, so no index file spends a page on them.
 
@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 MANIFEST_FILE = "MANIFEST.json"
+#: 7: INT minipages may be offsets from the page's least value (a
+#: manifest recording a table's ``epoch``, written while rows could
+#: change in place, is of an older format);
 #: 6: FLOAT minipages and B+-tree leaf keys may be scaled decimals,
 #: and DATE minipages day numbers;
 #: 5: index files have no meta page (the manifest records B+-tree roots
@@ -79,7 +82,7 @@ MANIFEST_FILE = "MANIFEST.json"
 #: width-coded position list; 2: column-wise heap pages.  A directory
 #: written under another format reads as stale and is rebuilt, never
 #: decoded.
-MANIFEST_FORMAT = 6
+MANIFEST_FORMAT = 7
 POSTINGS_FILE = "postings.bin"
 DICT_FILE = "postings.dict.json"
 #: the names of the files this module writes end in one of these
@@ -294,10 +297,6 @@ def _malformed(manifest: Dict[str, Any]) -> Optional[str]:
         for table, entry in manifest["tables"].items():
             where = f"tables.{table}"
             yield wrong(entry, _TABLE_FIELDS, where)
-            # written when a table's rows could change in place: they
-            # may differ from the rows of the same count it holds now
-            if "epoch" in entry:
-                yield f"{where}.epoch recorded"
             if not all(isinstance(count, int) for count in entry["page_counts"]):
                 yield f"{where}.page_counts missing or mistyped"
             for family, fields in _INDEX_FIELDS.items():

@@ -120,13 +120,20 @@ _KIND = {
 }
 _TEXTUAL = (_TEXT, _DATE)
 #: what a NULL row stores in the value array, per kind
-_FILLER = {_INT: 0, _FLOAT: 0.0, _BOOL: False, _TEXT: "", _DATE: ""}
+_FILLER = {_FLOAT: 0.0, _BOOL: False, _TEXT: "", _DATE: ""}
 #: minipage layouts (the flag's bits 1-2) besides 0 and the dictionaries
-#: (1 and 2): a FLOAT's scaled decimals and a DATE's day numbers
+#: (1 and 2): an INT's offsets from the page's least value, a FLOAT's
+#: scaled decimals and a DATE's day numbers
+_OFFSETS = 1
 _SCALED = 1
 _DAYS = 3
 #: per kind, how many layouts it has: a flag naming another is damage
-_LAYOUTS = {_INT: 1, _BOOL: 1, _FLOAT: 2, _TEXT: 3, _DATE: 4}
+_LAYOUTS = {_INT: 2, _BOOL: 1, _FLOAT: 2, _TEXT: 3, _DATE: 4}
+#: an offset array's base, the page's least value
+_BASE = struct.Struct("<q")
+#: the widest span an offset array takes: past 4 bytes an offset is no
+#: narrower than a signed value
+_MAX_OFFSET = 0xFFFFFFFF
 #: INT width code of the decimal-string escape
 _WIDE = 0
 #: width -> struct code of a signed integer array (INT minipages, B+-tree keys)
@@ -324,6 +331,35 @@ def _pack_ints(width: int, values: Sequence[int]) -> bytes:
     return bytes((width,)) + struct.pack(f"<{len(values)}{INT_FORMAT[width]}", *values)
 
 
+def _pack_int_column(values: Sequence[Optional[int]], nulls: bool) -> Tuple[int, bytes]:
+    """``(layout, bytes)`` of an INT minipage's values: the signed array
+    (0) — a NULL stored as 0, the decimal-string escape past 64 bits —
+    or, when smaller, offsets from the page's least value (1), a NULL
+    stored as offset 0."""
+    present = [value for value in values if value is not None] if nulls else values
+    low, high = min(present, default=0), max(present, default=0)
+    if nulls:
+        width = int_width(min(low, 0), max(high, 0))
+    else:
+        width = int_width(low, high)
+    n = len(values)
+    lowest, highest = _INT_BOUNDS[8]
+    if lowest <= low and high <= highest and high - low <= _MAX_OFFSET:
+        offset_width = uint_width(high - low)
+        if 1 + _BASE.size + n * offset_width < 1 + n * width:
+            stored = [low if value is None else value for value in values] if nulls else values
+            return _OFFSETS, b"".join((
+                bytes((offset_width,)),
+                _BASE.pack(low),
+                struct.pack(f"<{n}{_UINT_FORMAT[offset_width]}", *map(low.__rsub__, stored)),
+            ))
+    if nulls:
+        values = [0 if value is None else value for value in values]
+    if width == _WIDE:
+        return 0, bytes((width,)) + _pack_text([str(value) for value in values])
+    return 0, _pack_ints(width, values)
+
+
 def _pack_text_column(
     values: Sequence[str], days: Optional[List[Optional[int]]]
 ) -> Tuple[int, bytes]:
@@ -507,21 +543,19 @@ def encode_columns(
         nulls = None in values
         if nulls:
             mask = sum(1 << i for i, value in enumerate(values) if value is None)
-            filler = _FILLER[kind]
-            values = [filler if value is None else value for value in values]
-        layout = 0
         if kind == _INT:
-            width = int_width(min(values, default=0), max(values, default=0))
-            if width == _WIDE:
-                packed = bytes((width,)) + _pack_text([str(value) for value in values])
-            else:
-                packed = _pack_ints(width, values)
-        elif kind == _FLOAT:
-            layout, packed = _pack_floats(values, next(scales))
-        elif kind == _BOOL:
-            packed = struct.pack(f"<{n}?", *values)
+            layout, packed = _pack_int_column(values, nulls)
         else:
-            layout, packed = _pack_text_column(values, days)
+            if nulls:
+                filler = _FILLER[kind]
+                values = [filler if value is None else value for value in values]
+            layout = 0
+            if kind == _FLOAT:
+                layout, packed = _pack_floats(values, next(scales))
+            elif kind == _BOOL:
+                packed = struct.pack(f"<{n}?", *values)
+            else:
+                layout, packed = _pack_text_column(values, days)
         out.append(nulls | layout << 1)
         if nulls:
             out += mask.to_bytes((n + 7) >> 3, "little")
@@ -626,6 +660,20 @@ def decode_columns(
                     values, offset = _unpack_text(data, offset, n)
                 else:
                     offset = _text_end(data, offset, n)
+            elif kind == _INT and layout:
+                width = data[offset]
+                if width not in _UINT_FORMAT:
+                    raise StorageError(f"unknown offset width code {width}")
+                base = _BASE.unpack_from(data, offset + 1)[0]
+                offset += 1 + _BASE.size
+                if wanted:
+                    offsets = struct.unpack_from(f"<{n}{_UINT_FORMAT[width]}", data, offset)
+                    if offsets and (min(offsets) or base + max(offsets) > _INT_BOUNDS[8][1]):
+                        raise StorageError(
+                            f"offsets from {base} are not those of the page's values"
+                        )
+                    values = list(map(base.__add__, offsets))
+                offset += width * n
             elif kind == _BOOL or kind == _FLOAT and not layout:
                 code, size = _FIXED[kind]
                 if wanted:

@@ -210,6 +210,7 @@ class TestRematerialization:
         with open(manifest_path, encoding="utf-8") as handle:
             document = json.load(handle)
         assert "epoch" not in document["tables"]["Student"]
+        document["format"] = 6  # the last format whose writer recorded epochs
         document["tables"]["Student"]["epoch"] = 1
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(document, handle)

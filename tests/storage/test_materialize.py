@@ -94,15 +94,16 @@ class TestManifest:
         """A directory of the record-at-a-time heap format (manifest
         format 1), of index files holding a key per position (format
         2), of index files covering every row (format 3), of index files
-        with a meta page and plain text minipages (format 4), or of f64
-        floats and ISO-string dates throughout (format 5), must be
+        with a meta page and plain text minipages (format 4), of f64
+        floats and ISO-string dates throughout (format 5), or of INT
+        minipages that are always signed arrays (format 6), must be
         rebuilt, never decoded as this format."""
         db = small_db()
-        for old in (1, 2, 3, 4, 5):
+        for old in (1, 2, 3, 4, 5, 6):
             materialize(db, str(tmp_path), page_size=PAGE)
             path = tmp_path / MANIFEST_FILE
             document = json.loads(path.read_text(encoding="utf-8"))
-            assert document["format"] == 6
+            assert document["format"] == 7
             document["format"] = old
             path.write_text(json.dumps(document), encoding="utf-8")
             assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
@@ -320,16 +321,15 @@ class TestAppendCrashShapes:
 
 
 class TestParentManifest:
-    """Directories of manifest format 5: every FLOAT minipage and
-    B+-tree key of a fractional value was an f64 and every DATE minipage
-    text, under a manifest of the same shape; and of format 6 when
-    tables could still change rows in place.  Such a directory reads as
-    stale and is rebuilt, and the rebuild deletes the files of older
-    formats no manifest names."""
+    """Directories of manifest format 6: every INT minipage was a signed
+    array, under a manifest of the same shape — some recording a table's
+    epoch, written when tables could still change rows in place.  Such a
+    directory reads as stale and is rebuilt, and the rebuild deletes the
+    files of older formats no manifest names."""
 
     def as_parent_wrote_it(self, directory, db):
         manifest = materialize(db, str(directory), page_size=PAGE)
-        manifest["format"] = 5
+        manifest["format"] = 6
         (directory / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
@@ -338,26 +338,27 @@ class TestParentManifest:
         db = small_db()
         self.as_parent_wrote_it(tmp_path, db)
         assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-        with pytest.raises(StorageError, match="unsupported manifest format 5"):
+        with pytest.raises(StorageError, match="unsupported manifest format 6"):
             StorageEngine(str(tmp_path), db.schema, pool_capacity=4)
         TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
-        assert load_manifest(str(tmp_path))["format"] == 6
+        assert load_manifest(str(tmp_path))["format"] == 7
 
     def test_is_stale_once_an_epoch_moved(self, tmp_path):
         """A format-6 manifest that records a table's epoch, moved when
         a row changed in place, may describe other rows than the ones a
-        table of the same row count holds now: stale, rebuilt, never
-        served."""
+        table of the same row count holds now: stale on its format,
+        rebuilt, never served."""
         db = small_db()
         changed = Database(db.schema)
         changed.load("T", [(1, "omega", 1.5), *db.table("T").rows[1:]])
         manifest = materialize(changed, str(tmp_path), page_size=PAGE)
+        manifest["format"] = 6
         manifest["tables"]["T"]["epoch"] = 1
         (tmp_path / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
         assert not materialization_is_fresh(str(tmp_path), db, page_size=PAGE)
-        with pytest.raises(StorageError, match=r"malformed manifest \(tables\.T\.epoch"):
+        with pytest.raises(StorageError, match="unsupported manifest format 6"):
             StorageEngine(str(tmp_path), db.schema)
         TestAppendCrashShapes.assert_rebuilt(tmp_path, db)
         assert "epoch" not in load_manifest(str(tmp_path))["tables"]["T"]

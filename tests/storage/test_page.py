@@ -592,3 +592,159 @@ def test_an_escaping_value_changes_only_its_own_column():
     escaped = list(rows)
     escaped[5] = ("2016-02-30", 0.1 + 0.2, rows[5][2], rows[5][3])
     assert flags(escaped) == [0, 0, 3, 1]
+
+
+# ----------------------------------------------------------------------
+# INT minipages: the signed array, or offsets from the page's least value
+# ----------------------------------------------------------------------
+#: spans of a page's values on both sides of each offset width, the last
+#: one past what an offset array takes
+SPANS = st.sampled_from([0, 1, 255, 256, 65_535, 65_536, 2**32 - 1, 2**32])
+I64 = (-(2**63), 2**63 - 1)
+
+
+@st.composite
+def int_columns(draw):
+    """A page's INT values: NULLs and values within a span of some base
+    — anywhere in the 64-bit range, at either end of it, or past it
+    (the decimal-string escape) — the base and its span's end included
+    when drawn so."""
+    span = draw(SPANS)
+    base = draw(st.one_of(
+        st.integers(I64[0], I64[1] - span),
+        st.sampled_from([I64[0], I64[1] - span, 0, -span, 2**63, -(2**63) - span - 1]),
+        st.integers(-(2**70), 2**70),
+    ))
+    values = draw(st.lists(
+        st.one_of(st.none(), st.integers(base, base + span)), min_size=1, max_size=300,
+    ))
+    for at, end in zip(draw(st.lists(st.integers(0, len(values) - 1), max_size=2)), (base, base + span)):
+        values[at] = end
+    return values
+
+
+def int_minipage(values):
+    """``(layout, bytes)`` an INT minipage of *values* should hold after
+    its flag and bitmap, worked out from the format's definition: the
+    signed array of the narrowest width (NULL as 0, the decimal strings
+    past 64 bits), or, when strictly smaller, the width of the least
+    unsigned array holding every value less the least, that least as an
+    i64, and the offsets (NULL as 0)."""
+    n = len(values)
+    stored = [0 if value is None else value for value in values]
+    width = int_width_of(min(stored), max(stored))
+    if width:
+        signed = bytes((width,)) + b"".join(
+            value.to_bytes(width, "little", signed=True) for value in stored
+        )
+    else:
+        digits = [str(value).encode() for value in stored]
+        ends = [sum(map(len, digits[:i + 1])) for i in range(n)]
+        signed = b"\0" + struct.pack(f"<{n}H", *ends) + b"".join(digits)
+    present = [value for value in values if value is not None] or [0]
+    low, high = min(present), max(present)
+    offset_width = next((w for w in (1, 2, 4) if high - low < 1 << (8 * w)), None)
+    if I64[0] <= low and high <= I64[1] and offset_width and 9 + n * offset_width < len(signed):
+        return 1, bytes((offset_width,)) + low.to_bytes(8, "little", signed=True) + b"".join(
+            (0 if value is None else value - low).to_bytes(offset_width, "little")
+            for value in values
+        )
+    return 0, signed
+
+
+class TestIntLayouts:
+    @settings(max_examples=300, deadline=None)
+    @given(int_columns())
+    def test_round_trip_against_the_format(self, values):
+        rows = [(value,) for value in values]
+        schema = relation([DataType.INT])
+        page = encode_page(rows, schema, MAX_PAGE_SIZE)
+        decoded = decode_page(bytearray(page), schema)
+        assert decoded == rows and types_of(decoded) == types_of(rows)
+        layout, minipage = int_minipage(values)
+        flag, bitmap = page[4], (len(values) + 7) >> 3 if None in values else 0
+        assert flag == (None in values) | layout << 1
+        start = 5 + bitmap
+        assert page[start:start + len(minipage)] == minipage
+        assert struct.unpack_from("<HH", page) == (len(rows), start + len(minipage))
+
+    def test_a_one_row_page_keeps_the_signed_array(self):
+        schema = relation([DataType.INT])
+        for value in (I64[0], I64[1], 1000, 2**70):
+            page = encode_page([(value,)], schema, 64)
+            assert page[4] == 0
+            assert decode_page(bytearray(page), schema) == [(value,)]
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (4, 5, "unknown null flag"),              # INT layout 2
+            (5, 3, "unknown offset width code 3"),
+            (5, 2, "corrupt page"),                   # offsets run past the used bytes
+            (6, 0xFF, "not those of the page's values"),   # base + offset past 2**63 - 1
+            (14, 1, "not those of the page's values"),     # no offset is 0
+        ],
+    )
+    def test_damaged_offsets_raise(self, offset, value, message):
+        # [flag 2][width 1][base: i64][10 u8 offsets] from byte 4; the
+        # base 2**63 - 10, the values up to 2**63 - 1
+        schema = relation([DataType.INT])
+        base = I64[1] - 9
+        page = bytearray(encode_page([(base + i,) for i in range(10)], schema, 64))
+        assert page[4:14] == bytes((1 << 1, 1)) + base.to_bytes(8, "little")
+        page[offset] = value
+        with pytest.raises(StorageError, match=message):
+            decode_page(page, schema)
+
+
+# ----------------------------------------------------------------------
+# The packer over every layout
+# ----------------------------------------------------------------------
+#: values that take each narrow layout and its escapes: INT near a base,
+#: dictionary-prone text, dates, scaled floats (NaN aside, which equals
+#: nothing: the float layouts' own test compares it bit for bit)
+PACKED_VALUES = {
+    DataType.INT: st.one_of(st.integers(10**6, 10**6 + 300), st.sampled_from(EDGE_INTS)),
+    DataType.FLOAT: st.one_of(EXACT_FLOATS, ESCAPING_FLOATS.filter(lambda value: value == value)),
+    DataType.BOOL: st.booleans(),
+    DataType.TEXT: WORDS,
+    DataType.DATE: st.one_of(DATES, ESCAPING_DATES),
+}
+
+
+@st.composite
+def packed_tables(draw):
+    """A schema of one to five columns of any types and up to 200 rows
+    for it, NULLs anywhere."""
+    dtypes = draw(st.lists(st.sampled_from(list(DataType)), min_size=1, max_size=5))
+    row = st.tuples(*(st.one_of(st.none(), PACKED_VALUES[dtype]) for dtype in dtypes))
+    return relation(dtypes), draw(st.lists(row, max_size=200))
+
+
+class TestPackerProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(packed_tables(), st.sampled_from([256, 1024]), st.data())
+    def test_every_page_but_the_last_overflows_with_one_more_row(
+        self, tmp_path_factory, table, page_size, data
+    ):
+        """Each page holds the longest run of the rows left that fits;
+        the heap decodes back to the rows; and appending the rows after
+        any split writes the file a build writes."""
+        schema, rows = table
+        directory = tmp_path_factory.mktemp("packed")
+        check_heap_roundtrip(directory, schema, rows, page_size)
+        built = (directory / "T.heap").read_bytes()
+        split = data.draw(st.integers(0, len(rows)))
+        path = str(directory / "split.heap")
+        page_counts = build_heap(path, schema, rows[:split], page_size)
+        pager = Pager(path, page_size)
+        try:
+            pool = BufferPool(2)
+            pool.register("split.heap", pager)
+            heap = HeapFile(pool, "split.heap", schema, page_counts)
+            heap.append(rows[split:])
+            pool.flush()
+            pager.sync()
+        finally:
+            pager.close()
+        assert (directory / "split.heap").read_bytes() == built
