@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, compress, count, groupby
 from math import copysign
 from operator import itemgetter, lt, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -293,6 +293,16 @@ def _packed_leaves(
         run_scales = decimal_scales(run_keys)
     else:  # each run's key is the value at its first position
         run_scales = list(map(scales.__getitem__, map(positions.__getitem__, firsts)))
+    scaled = any(run_scales)  # else every leaf's keys are integers
+
+    breaks: List[int] = []  # where consecutive positions stop, found once asked
+
+    def consecutive(begin: int, end: int) -> bool:
+        """Whether ``positions[begin:end]`` are consecutive."""
+        if not breaks:
+            breaks.extend(compress(count(1), map((1).__ne__, map(sub, positions[1:], positions))))
+            breaks.append(len(positions))
+        return bisect_right(breaks, begin) == bisect_left(breaks, end)
 
     def leaf(begin: int, end: int) -> Tuple[_Node, int]:
         """The leaf of ``positions[begin:end]`` (not empty)."""
@@ -301,20 +311,20 @@ def _packed_leaves(
         counts = [min(ends[first], end) - begin, *lengths[first + 1:last]]
         if last > first:
             counts.append(end - firsts[last])
-        code = _key_code(run_keys[first], run_keys[last], max(run_scales[first:last + 1]))
-        held: Sequence[int] = positions[begin:end]
-        start, count = held[0], end - begin
+        scale = max(run_scales[first:last + 1]) if scaled else 0
+        code = _key_code(run_keys[first], run_keys[last], scale)
+        start, held = positions[begin], end - begin
         # implicit when consecutive and the first alone is smaller; a
         # list otherwise, even when *positions* is a range
         if (
-            count * uint_width(held[-1]) > _FIRST.size
-            and held[-1] - start == count - 1
-            and list(held) == list(range(start, start + count))
+            held * uint_width(positions[end - 1]) > _FIRST.size
+            and positions[end - 1] - start == held - 1
+            and consecutive(begin, end)
         ):
-            held = range(start, start + count)
-        elif type(held) is not list:
-            held = list(held)
-        return _Node.leaf(run_keys[first:last + 1], counts, held), code
+            stored: Sequence[int] = range(start, start + held)
+        else:
+            stored = list(positions[begin:end])
+        return _Node.leaf(run_keys[first:last + 1], counts, stored), code
 
     for _, found in packed(
         len(positions), _MAX_POSITIONS, page_size, leaf,

@@ -107,7 +107,7 @@ MAX_PAGE_SIZE = 0xFFFF
 _HEADER = struct.Struct("<HH")  # n_rows, used
 #: a page dictionary's value count
 _COUNT = struct.Struct("<H")
-#: items the first run's search is guessed from (:func:`packed`)
+#: items the first run's probe encodes (:func:`packed`)
 _SAMPLE = 32
 
 _INT, _FLOAT, _BOOL, _TEXT, _DATE = range(5)
@@ -456,24 +456,24 @@ def packed(
     yields each run's length and encoding, the last run possibly short.
 
     Fit is monotone in the run's length — no layout's size shrinks as an
-    item joins — so the longest run is searched: galloping from the last
-    run's length (the first run's guessed from a sample's bytes), then
-    bisecting, each try an encode.  A first item that fits no page alone
-    is a :class:`~repro.errors.StorageError`."""
-    start = last = 0
+    item joins — so the longest run is searched, each try an encode: a
+    probe at the last run's length (at :data:`_SAMPLE` for the first),
+    scaled by the bytes it took to a guess, galloping from the guess,
+    then bisecting.  A first item that fits no page alone is a
+    :class:`~repro.errors.StorageError`."""
+    start, last = 0, _SAMPLE
     while start < total:
         tried: Dict[int, Any] = {}
 
         def fits(count: int) -> bool:
-            tried[count] = encode(start, start + count)
+            if count not in tried:
+                tried[count] = encode(start, start + count)
             return size(tried[count]) <= page_size
 
         high = min(total - start, most)
-        if not last:
-            last = min(high, _SAMPLE)
-            if fits(last):
-                last = last * page_size // size(tried[last])
-        count = _longest(fits, 0, high, last)
+        probe = max(1, min(high, last))
+        fits(probe)
+        count = _longest(fits, 0, high, probe * page_size // size(tried[probe]))
         if not count:
             raise StorageError(f"{name}: record does not fit a blank page")
         yield count, tried[count]
