@@ -239,9 +239,12 @@ class Project:
         )
         self.distinct = select.distinct and not distinct_elided
         self.distinct_elided = select.distinct and distinct_elided
+        #: ORDER BY keys the select list drops, read off the joined rows
+        #: beside the outputs and cut from the rows once they are sorted
+        self.hidden: List[Any] = []
         output_binding = Binding([(None, name) for name in self.output_columns])
         self.order_keys = [
-            (self._order_value(item.expr, output_binding), item.descending)
+            (self._order_value(item.expr, binding, output_binding), item.descending)
             for item in select.order_by
         ]
         #: the outputs anything reads: all of them, until an enclosing
@@ -259,11 +262,16 @@ class Project:
     def slots(self) -> frozenset:
         """The joined columns this operator reads."""
         slots = {slot for output in self.wanted for slot in self.items[output].slots}
+        slots.update(slot for kernel in self.hidden for slot in kernel.slots)
         return frozenset(slots | (self.group.slots if self.group else set()))
 
-    def _order_value(self, expr: Expr, output_binding: Binding) -> Callable[[Row], Any]:
+    def _order_value(
+        self, expr: Expr, binding: Binding, output_binding: Binding
+    ) -> Callable[[Row], Any]:
         """An ORDER BY key as a closure over an output row: an unqualified
-        output-column reference wins, then a select-item match."""
+        output-column reference wins, then a select-item match, then —
+        where SQL allows it, no DISTINCT and no aggregation — any
+        expression over the joined rows, carried beside the outputs."""
         if isinstance(expr, ColumnRef) and expr.qualifier is None:
             try:
                 return operator.itemgetter(output_binding.resolve(expr))
@@ -272,7 +280,10 @@ class Project:
         for index, item in enumerate(self.select.items):
             if item.expr == expr:
                 return operator.itemgetter(index)
-        return _order_error(expr)
+        if self.select.distinct or self.aggregated:
+            return _order_error(expr)
+        self.hidden.append(compile_kernel(expr, binding))
+        return operator.itemgetter(len(self.items) + len(self.hidden) - 1)
 
     # ------------------------------------------------------------------
     # Execution
@@ -288,13 +299,15 @@ class Project:
             return grouping.size, {
                 output: self.items[output](columns, grouping) for output in self.wanted
             }
-        return columns.rows, {
-            output: self.items[output](columns) for output in self.wanted
-        }
+        outputs = {output: self.items[output](columns) for output in self.wanted}
+        for at, kernel in enumerate(self.hidden, len(self.items)):
+            outputs[at] = kernel(columns)
+        return columns.rows, outputs
 
     def _finish(self, outputs: Sequence[Vector]) -> List[Row]:
         """The output columns as rows — where tuples are built — after
-        DISTINCT, ORDER BY and LIMIT, which compare or count whole rows."""
+        DISTINCT, ORDER BY and LIMIT, which compare or count whole rows;
+        the hidden ORDER BY keys are cut once the rows are sorted."""
         rows = distinct(outputs) if self.distinct else list(zip(*outputs))
         # stable multi-key sort honouring each key's direction: sort by
         # the least-significant key first, most-significant last
@@ -305,6 +318,9 @@ class Project:
             )
         if self.select.limit is not None:
             rows = rows[: self.select.limit]
+        if self.hidden:
+            width = len(self.items)
+            rows = [row[:width] for row in rows]
         return rows
 
     def rows(
@@ -327,8 +343,8 @@ class Project:
             # whole rows have to be compared: through tuples and back
             rows = self._finish(list(outputs.values()))
             count = len(rows)
-            vectors = map(list, zip(*rows)) if rows else ([] for _ in outputs)
-            outputs = dict(zip(outputs, vectors))
+            vectors = map(list, zip(*rows)) if rows else ([] for _ in self.wanted)
+            outputs = dict(zip(self.wanted, vectors))
         elif self.select.limit is not None and self.select.limit < count:
             count = self.select.limit
             outputs = {output: vector[:count] for output, vector in outputs.items()}

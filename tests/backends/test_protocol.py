@@ -85,6 +85,40 @@ class TestMisspeltColumn:
             backend.close()
 
 
+class TestOrderByADroppedColumn:
+    """SQL sorts by a column the select list drops when the statement
+    has no DISTINCT and no aggregation; every backend does."""
+
+    @pytest.mark.parametrize("backend_name", ["memory", "disk", "sqlite"])
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            ("SELECT Sid FROM Student ORDER BY Age", ["s3", "s1", "s2"]),
+            ("SELECT Sid FROM Student ORDER BY Age DESC", ["s2", "s1", "s3"]),
+            ("SELECT S.Sid FROM Student S ORDER BY S.Age DESC LIMIT 2", ["s2", "s1"]),
+            ("SELECT Sname FROM Student ORDER BY Age, Sid", ["Green", "George", "Green"]),
+            ("SELECT E.Sid FROM Enrol E, Course C WHERE E.Code = C.Code "
+             "ORDER BY C.Credit DESC, E.Sid, C.Code", None),
+            # a derived table sorted by the column it drops, and an empty one
+            ("SELECT T.Sid FROM (SELECT Sid FROM Student ORDER BY Age DESC LIMIT 2) T "
+             "ORDER BY T.Sid", ["s1", "s2"]),
+            ("SELECT T.Sid FROM (SELECT Sid FROM Student WHERE Age > 99 ORDER BY Age) T", []),
+        ],
+    )
+    def test_sorts_by_it(self, university_db, backend_name, sql, expected):
+        backend = create_backend(backend_name, university_db)
+        oracle = create_backend("sqlite", university_db)
+        try:
+            got = [row[0] for row in backend.execute(parse(sql)).rows]
+            want = [row[0] for row in oracle.execute(parse(sql)).rows]
+        finally:
+            backend.close()
+            oracle.close()
+        assert got == want
+        if expected is not None:
+            assert got == expected
+
+
 class TestMemoryBackend:
     def test_execute_without_database_raises(self):
         with pytest.raises(BackendError, match="no database loaded"):

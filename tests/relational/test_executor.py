@@ -58,8 +58,16 @@ class TestBasicSelect:
         assert result.column("Age") == [24, 22, 21]
 
     def test_order_by_a_column_not_in_the_output_raises(self, university_db):
-        with pytest.raises(SqlExecutionError, match="must reference an output column"):
-            execute_sql(university_db, "SELECT Sname FROM Student ORDER BY Age")
+        """Where SQL forbids it: a DISTINCT or aggregated output has no
+        row to read a dropped column from.  Without them the rows are
+        sorted by it (``tests/backends/test_protocol.py``)."""
+        for sql in [
+            "SELECT DISTINCT Sname FROM Student ORDER BY Age",
+            "SELECT Sname, COUNT(*) FROM Student GROUP BY Sname ORDER BY Age",
+            "SELECT COUNT(*) FROM Student ORDER BY Age",
+        ]:
+            with pytest.raises(SqlExecutionError, match="must reference an output column"):
+                execute_sql(university_db, sql)
 
 
 class TestJoins:
