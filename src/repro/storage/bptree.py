@@ -37,9 +37,10 @@ no meta page::
 Search descends with ``bisect_left``, landing on the leftmost leaf that
 can hold a key.  A tree is written once, by :meth:`BPlusTree.bulk_build`
 — the materializer's path: the sorted keys and their positions, two
-parallel columns, are packed a leaf at a time over the runs of equal
-keys, each leaf as full as it encodes (sized in bytes), leaves first
-from page 0, then the internal levels bottom-up, the root last.  Rows
+parallel columns, are packed a leaf at a time by the heap pages' packer
+(:func:`~repro.storage.page.packed`), each leaf the longest run of
+positions that encodes within a page, leaves first from page 0, then
+the internal levels bottom-up, the root last.  Rows
 appended afterwards are not inserted: the tree covers
 the table's first ``indexed`` rows, and
 :meth:`repro.storage.engine.StorageEngine.candidates` adds the rows past
@@ -182,10 +183,9 @@ def _internal_capacity(page_size: int) -> int:
     return capacity
 
 
-def _write(pool: BufferPool, file_id: str, node: _Node, code: int = _F64) -> int:
-    """Encode *node* (a leaf's keys under key *code*) onto a new page of
-    *file_id*; returns the page."""
-    raw = _encode(node, code)
+def _write(pool: BufferPool, file_id: str, raw: bytes) -> int:
+    """Write the encoded node *raw* onto a new page of *file_id*; returns
+    the page."""
     page_size = pool.pager(file_id).page_size
     if len(raw) > page_size:
         raise StorageError(f"{file_id}: a {len(raw)}-byte node, page size {page_size}")
@@ -210,7 +210,7 @@ def _groups(entries: Sequence, fan_out: int) -> List[Sequence]:
 # ----------------------------------------------------------------------
 # The node codec
 # ----------------------------------------------------------------------
-def _encode(node: _Node, code: int) -> bytes:
+def _encode(node: _Node, code: int = _F64) -> bytes:
     keys = node.keys
     if not node.is_leaf:
         n = len(keys)
@@ -271,13 +271,13 @@ def _packed_leaves(
     positions: Sequence[int],
     page_size: int,
     scales: Optional[Sequence[int]] = None,
-) -> Iterator[Tuple[_Node, int]]:
+) -> Iterator[Tuple[_Node, bytes]]:
     """Leaves holding the sorted *keys* — ``keys[i]`` carried by
-    ``positions[i]`` — in order, with the key code each is encoded under
-    (:func:`_key_code`).  Each leaf holds the longest run of the
+    ``positions[i]`` — in order, each with its bytes (:func:`_encode`,
+    keys under the leaf's :func:`_key_code`, no next leaf).  Each leaf holds the longest run of the
     positions left that :func:`_encode` fits in a page — found by
-    :func:`~repro.storage.page.longest_fit`, galloping from the last
-    leaf's count — so a run of one key may go on in the next leaf.
+    :func:`~repro.storage.page.packed`, which encodes candidates and
+    searches the count — so a run of one key may go on in the next leaf.
     Consecutive positions are stored implicitly where that is smaller.
     ``-0.0`` and ``0.0`` are runs of their own (:func:`_run_lengths`),
     so each position's key keeps its sign.  *scales*, when given, are
@@ -295,17 +295,20 @@ def _packed_leaves(
         run_scales = list(map(scales.__getitem__, map(positions.__getitem__, firsts)))
     scaled = any(run_scales)  # else every leaf's keys are integers
 
-    breaks: List[int] = []  # where consecutive positions stop, found once asked
+    #: each ``i`` with ``positions[i] != positions[i - 1] + 1``, found when
+    #: first asked; the last entry, the array's end, marks them found
+    breaks: List[int] = []
 
     def consecutive(begin: int, end: int) -> bool:
-        """Whether ``positions[begin:end]`` are consecutive."""
+        """Whether ``positions[begin:end]`` are consecutive: no break
+        after *begin* and before *end*."""
         if not breaks:
             breaks.extend(compress(count(1), map((1).__ne__, map(sub, positions[1:], positions))))
             breaks.append(len(positions))
         return bisect_right(breaks, begin) == bisect_left(breaks, end)
 
-    def leaf(begin: int, end: int) -> Tuple[_Node, int]:
-        """The leaf of ``positions[begin:end]`` (not empty)."""
+    def leaf(begin: int, end: int) -> Tuple[_Node, bytes]:
+        """The leaf of ``positions[begin:end]`` (not empty), and its bytes."""
         first = bisect_right(ends, begin)
         last = bisect_left(ends, end)
         counts = [min(ends[first], end) - begin, *lengths[first + 1:last]]
@@ -324,11 +327,12 @@ def _packed_leaves(
             stored: Sequence[int] = range(start, start + held)
         else:
             stored = list(positions[begin:end])
-        return _Node.leaf(run_keys[first:last + 1], counts, stored), code
+        node = _Node.leaf(run_keys[first:last + 1], counts, stored)
+        return node, _encode(node, code)
 
     for _, found in packed(
         len(positions), _MAX_POSITIONS, page_size, leaf,
-        lambda found: len(_encode(*found)), "B+-tree leaf",
+        lambda found: len(found[1]), "B+-tree leaf",
     ):
         yield found
 
@@ -368,19 +372,22 @@ class BPlusTree:
         capacity = _internal_capacity(page_size)
         leaves = list(_packed_leaves(keys, positions, page_size, scales))
         if not leaves:
-            leaves = [(_Node.leaf([], [], []), 1)]
+            empty = _Node.leaf([], [], [])
+            leaves = [(empty, _encode(empty, 1))]
         level: List[Tuple[int, float]] = []
-        for page_no, (leaf, code) in enumerate(leaves):
-            if page_no + 1 < len(leaves):
-                leaf.next = page_no + 1
-            if _write(pool, file_id, leaf, code) != page_no:
+        for page_no, (leaf, raw) in enumerate(leaves):
+            if page_no + 1 < len(leaves):  # chained to the next leaf
+                raw = _HEADER.pack(
+                    _LEAF, len(leaf.keys), len(leaf.positions), page_no + 1
+                ) + raw[_HEADER.size:]
+            if _write(pool, file_id, raw) != page_no:
                 raise StorageError(f"{file_id}: not an empty page file")
             level.append((page_no, leaf.keys[0] if leaf.keys else 0.0))
         # parents over each level, (page, first key) of each node in key
         # order, up to a single root
         while len(level) > 1:
             level = [
-                (_write(pool, file_id, _internal(group)), group[0][1])
+                (_write(pool, file_id, _encode(_internal(group))), group[0][1])
                 for group in _groups(level, capacity + 1)
             ]
         return cls(pool, file_id, level[0][0])

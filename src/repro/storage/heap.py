@@ -2,7 +2,7 @@
 
 A heap file is bulk-built by a materialization (:func:`build_heap`) and
 grown in place when its table is appended to (:meth:`HeapFile.append`).
-Both writers pack pages with the same :func:`_pack`, so an appended file
+Both writers pack pages with :func:`~repro.storage.page.pack_pages`, so an appended file
 is byte for byte the file a rebuild would write.  The unit of work on
 the read path is one column of one page: :meth:`HeapFile._page` pins a frame, decodes
 **only the columns asked for** (:func:`~repro.storage.page.

@@ -12,19 +12,23 @@ included; the rest of the page is zero padding.  Each minipage, in
 schema order, is::
 
     [flag: u8]                     bit 0: a NULL bitmap follows; bits 1-2:
-                                   the layout of the values (0 for INT, BOOL)
+                                   the layout of the values (0 for BOOL)
     [bitmap: ceil(n_rows / 8)]     only when bit 0 is set; bit i set = row i is NULL
     values of all n_rows rows      (a NULL row holds a filler: 0, 0.0, False,
-                                   '', day 0)
+                                   '', day 0, offset 0)
 
 and the values are, by the column's declared
 :class:`~repro.relational.types.DataType`:
 
-* INT — ``[width: u8]`` then a packed little-endian signed array of that
-  width, the narrowest of 1/2/4/8 bytes holding every value on the page;
-  width ``0`` is the escape for integers beyond 64 bits: the values as
-  decimal strings in the plain text layout below (``coerce`` accepts
-  arbitrary-precision integers, so the page format must too);
+* INT — layout 0: ``[width: u8]`` then a packed little-endian signed
+  array of that width, the narrowest of 1/2/4/8 bytes holding every
+  value on the page; width ``0`` is the escape for integers beyond 64
+  bits: the values as decimal strings in the plain text layout below
+  (``coerce`` accepts arbitrary-precision integers, so the page format
+  must too); layout 1, *offsets* (frame of reference): ``[width:
+  u8][base: i64]`` then unsigned offsets of 1, 2 or 4 bytes, each value
+  ``base + offset``, ``base`` the page's least value and a NULL row
+  offset 0 — taken when it is smaller than layout 0;
 * FLOAT — layout 0: an IEEE-754 ``f64`` array (bit patterns survive:
   ``-0.0``, NaN); layout 1, *scaled decimals*: ``[scale: u8][width: u8]``
   then signed integers ``k`` of that width, each value ``k / 10**scale``
@@ -544,22 +548,22 @@ def encode_columns(
         if nulls:
             mask = sum(1 << i for i, value in enumerate(values) if value is None)
         if kind == _INT:
-            layout, packed = _pack_int_column(values, nulls)
+            layout, body = _pack_int_column(values, nulls)
         else:
             if nulls:
                 filler = _FILLER[kind]
                 values = [filler if value is None else value for value in values]
             layout = 0
             if kind == _FLOAT:
-                layout, packed = _pack_floats(values, next(scales))
+                layout, body = _pack_floats(values, next(scales))
             elif kind == _BOOL:
-                packed = struct.pack(f"<{n}?", *values)
+                body = struct.pack(f"<{n}?", *values)
             else:
-                layout, packed = _pack_text_column(values, days)
+                layout, body = _pack_text_column(values, days)
         out.append(nulls | layout << 1)
         if nulls:
             out += mask.to_bytes((n + 7) >> 3, "little")
-        out += packed
+        out += body
         if len(out) > page_size:
             return None
     used = len(out)
