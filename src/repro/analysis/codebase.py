@@ -63,6 +63,15 @@ repro.analysis.codebase``.  It has two layers:
     bounded: no un-timed ``wait()``, queue ``get()`` or bare ``join()``
     there, held lock or not, so a request's deadline covers all of it.
 
+  * **LR014** — the value indexes stay inside ``repro/relational/``: no
+    other module names ``text_index``, ``numeric_index``,
+    ``match_phrase``, ``match_number``, ``positions_for_contains``,
+    ``positions_for_value`` or ``tokens_with_prefix`` (as an attribute,
+    a variable or an import).  Matching, counting and completion ask the
+    database (``hits``, ``candidates``, ``completions``), the calls the
+    disk tier can answer too.  Prose — a docstring's cross-reference —
+    names nothing.
+
   Lock *order* needs no static rule: the runtime sanitizer
   (:mod:`repro.analysis.runtime`) watches every lock the package creates
   and sees the calls across classes that a per-class parse cannot.
@@ -196,6 +205,21 @@ _WHOLE_VERSION_RE = re.compile(r"(^|_)version$")
 _DATABASE_NAMES = ("database", "db")
 # classes an executor reads as its database beside the ``*Database`` ones
 _DATABASE_CLASSES = ("StorageEngine",)
+
+# LR014: names of the value indexes' internals, and the package that
+# may use them; everything else asks the database
+INDEX_INTERNALS = frozenset(
+    (
+        "text_index",
+        "numeric_index",
+        "match_phrase",
+        "match_number",
+        "positions_for_contains",
+        "positions_for_value",
+        "tokens_with_prefix",
+    )
+)
+INDEX_INTERNALS_ALLOWED = ("repro/relational/",)
 
 # module-level constant-name suffix the cost model owns (LR009)
 _COST_CONSTANT_SUFFIX = "_COST_PARAMS"
@@ -362,6 +386,17 @@ def _confined_import(
     for imported in _imported_names(node):
         if imported == target or imported.startswith(target + "."):
             findings.append((source.path, node.lineno, code, message))
+
+
+def _named(node: ast.AST) -> Optional[str]:
+    """The name *node* uses: an attribute, a variable, an import."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.ImportFrom):
+        return next((a.name for a in node.names if a.name in INDEX_INTERNALS), None)
+    return None
 
 
 def _open_mode(node: ast.Call) -> Optional[str]:
@@ -759,6 +794,19 @@ def analyze_source(source: SourceFile) -> List[Finding]:
                     "LR010",
                     f"database-wide {member}; key on the versions of the "
                     f"tables read (Table.version, Database.versions) instead",
+                )
+            )
+        name = _named(node)
+        if name in INDEX_INTERNALS and not any(
+            part in posix for part in INDEX_INTERNALS_ALLOWED
+        ):
+            findings.append(
+                (
+                    source.path,
+                    node.lineno,
+                    "LR014",
+                    f"{name} named outside repro/relational/; ask the "
+                    f"database (hits, candidates, completions) instead",
                 )
             )
         if isinstance(node, ast.ExceptHandler) and node.type is None:

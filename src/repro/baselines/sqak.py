@@ -106,10 +106,11 @@ class SqakEngine:
                         best_attr = (score, relation.name, column.name)
             if best_attr is not None:
                 return SqakMatch(term, best_attr[1], "attribute", best_attr[2])
-        hits = self.database.text_index.match_phrase(term.text)
-        if hits:
-            hit = hits[0]
-            return SqakMatch(term, hit.relation, "value", hit.attribute)
+        for table, column, value in self.database.hits(term.text):
+            if value is None and self.database.candidates(
+                "contains", table, column, (term.text,)
+            ):
+                return SqakMatch(term, table, "value", column)
         raise NoMatchError(f"SQAK: term {term.text!r} matches nothing")
 
     # ------------------------------------------------------------------

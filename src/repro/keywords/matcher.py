@@ -1,24 +1,26 @@
 """Term matching: find every interpretation (tag) of each basic term.
 
 Matching runs against a *catalog*: the logical schema the ORM graph is built
-on plus a way to probe tuple values.  For a normalized database the catalog
-is the database itself; for an unnormalized database it is the normalized
-view, which maps value hits on the stored relations to the view relations
-that own the matched attribute (Algorithm 2, lines 15-19).
+on plus the stored data.  Value terms are matched once, on the base
+:class:`Catalog`: the database names the columns a term may hit
+(``Database.hits``), the catalog maps each to the logical relations that
+own it, and counts their distinct objects through the executor's probe
+(``Database.candidates``), checking each row with the predicate the
+generated SQL applies.  For a normalized database the logical relations
+are the stored ones; for an unnormalized database they are the normalized
+view's, which own the matched attribute (Algorithm 2, lines 15-19).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import NoMatchError
 from repro.keywords.query import KeywordQuery, Term
 from repro.keywords.tags import Tag, TagKind
 from repro.observability import NULL_TRACER
 from repro.orm.graph import OrmSchemaGraph
-from repro.relational.database import Database
-from repro.relational.index import parses_as_number
 from repro.relational.schema import RelationSchema
 
 
@@ -68,119 +70,131 @@ def name_match_score(term: str, name: str) -> Optional[float]:
 class Catalog:
     """Base catalog: logical relations + value probing.
 
-    ``graph`` is the ORM schema graph over the logical schema.  Subclasses
-    provide :meth:`value_matches`.
+    ``graph`` is the ORM schema graph over the logical schema;
+    ``database`` holds the stored relations and answers
+    :meth:`~repro.relational.database.Database.hits`, ``completions``,
+    ``candidates`` and ``table(name).columns``.  Subclasses say which
+    logical relations own a stored column (:meth:`owners`) and where a
+    relation's objects are counted (:meth:`source`); matching and
+    counting are the same for every catalog.
     """
 
-    def __init__(self, graph: OrmSchemaGraph) -> None:
+    def __init__(self, graph: OrmSchemaGraph, database: Any) -> None:
         self.graph = graph
+        self.database = database
 
     def relations(self) -> Iterable[RelationSchema]:
         return iter(self.graph.schema)
 
-    def value_matches(
-        self, phrase: str, counts: Optional["Catalog"] = None
-    ) -> List[ValueHit]:
-        """Value hits of *phrase*; a catalog that counts a hit's objects
-        with :meth:`distinct_object_count` asks *counts* (default: itself)."""
+    def owners(self, table: str, column: str) -> List[str]:
+        """The logical relations a value match on stored
+        ``table.column`` belongs to."""
         raise NotImplementedError
 
-    def distinct_object_count(
-        self, relation: str, attribute: str, phrase: str
-    ) -> int:
-        """Distinct identifiers among tuples whose attribute contains the
-        phrase (used again by pattern disambiguation)."""
+    def source(self, relation: str, attribute: str) -> Optional[Tuple[str, Sequence[str]]]:
+        """The stored table that holds *attribute* beside the identifier
+        of *relation*, with the identifier's columns; None if none does."""
         raise NotImplementedError
+
+    def value_matches(self, phrase: str) -> List[ValueHit]:
+        """Value hits of *phrase*: each owner of a column the database
+        hits, with its count; a column whose count is 0 is no hit."""
+        found: List[ValueHit] = []
+        seen: Set[Tuple[str, str]] = set()
+        for table, column, value in self.database.hits(phrase):
+            for relation in self.owners(table, column):
+                if (relation, column) in seen:
+                    continue
+                seen.add((relation, column))
+                count = self.distinct_object_count(relation, column, phrase, value)
+                if count:
+                    found.append(ValueHit(relation, column, count, value))
+        found.sort(key=lambda hit: (hit.relation, hit.attribute))
+        return found
+
+    def distinct_object_count(
+        self, relation: str, attribute: str, phrase: str, value: Any = None
+    ) -> int:
+        """Distinct identifiers among the tuples of *relation* whose
+        *attribute* passes the test the generated SQL applies: contains
+        *phrase* (lowered substring), or equals the number *value*.
+        Used again by pattern disambiguation."""
+        source = self.source(relation, attribute)
+        if source is None:
+            return 0
+        name, key = source
+        if value is None:
+            kind, probe, needle = "contains", phrase, phrase.lower()
+
+            def passes(cell: Any) -> bool:
+                return needle in str(cell).lower()
+
+        else:
+            kind, probe = "numeric-eq", value
+
+            def passes(cell: Any) -> bool:
+                return bool(cell == value)
+
+        positions = self.database.candidates(kind, name, attribute, (probe,))
+        table = self.database.table(name)
+        index = table.schema.column_index
+        cells, *ids = table.columns(
+            [index(attribute), *map(index, key)],
+            None if positions is None else sorted(positions),
+        )
+        return len({
+            ident for cell, ident in zip(cells, zip(*ids))
+            if cell is not None and passes(cell)
+        })
 
     def value_completions(self, prefix: str, limit: int = 10) -> List[str]:
         """Indexed value tokens completing *prefix* (for suggestions)."""
-        return []
+        return self.database.completions(prefix, limit)
 
 
 class NormalizedCatalog(Catalog):
-    """Catalog over a normalized database: logical schema == stored schema.
+    """Catalog over a normalized database: logical schema == stored
+    schema, so a column belongs to its own table and a relation's
+    objects are counted by its primary key."""
 
-    A stored table holds each primary key once (it rejects NULL and
-    duplicate keys on every write), so the distinct objects among
-    matching rows are as many as the rows."""
+    def __init__(self, database: Any, graph: Optional[OrmSchemaGraph] = None) -> None:
+        super().__init__(graph or OrmSchemaGraph(database.schema), database)
 
-    def __init__(self, database: Database, graph: Optional[OrmSchemaGraph] = None) -> None:
-        super().__init__(graph or OrmSchemaGraph(database.schema))
-        self.database = database
+    def owners(self, table: str, column: str) -> List[str]:
+        return [table]
 
-    def value_matches(
-        self, phrase: str, counts: Optional[Catalog] = None
-    ) -> List[ValueHit]:
-        hits: List[ValueHit] = []
-        for match in self.database.text_index.match_phrase(phrase):
-            count = len(match.row_positions)
-            hits.append(ValueHit(match.relation, match.attribute, count))
-        hits.extend(self._numeric_matches(phrase))
-        return hits
-
-    def _numeric_matches(self, phrase: str) -> List[ValueHit]:
-        hits: List[ValueHit] = []
-        if not parses_as_number(phrase):
-            return hits
-        for match in self.database.numeric_index.match_number(phrase):
-            count = len(match.row_positions)
-            value = float(phrase)
-            if value.is_integer():
-                value = int(value)
-            hits.append(
-                ValueHit(match.relation, match.attribute, count, value=value)
-            )
-        return hits
-
-    def value_completions(self, prefix: str, limit: int = 10) -> List[str]:
-        return self.database.text_index.tokens_with_prefix(prefix, limit)
-
-    def distinct_object_count(
-        self, relation: str, attribute: str, phrase: str
-    ) -> int:
-        positions = self.database.text_index.positions_for_contains(
-            relation, attribute, phrase
-        )
-        if positions is not None:
-            return len(positions)
-        # non-text attribute (or tokenless phrase): fall back to a scan
-        table = self.database.table(relation)
-        attr_idx = table.schema.column_index(attribute)
-        needle = phrase.lower()
-        return sum(
-            1
-            for row in table.rows
-            if row[attr_idx] is not None and needle in str(row[attr_idx]).lower()
-        )
+    def source(self, relation: str, attribute: str) -> Optional[Tuple[str, Sequence[str]]]:
+        return relation, self.database.table(relation).schema.primary_key
 
 
 class CompileCatalog(Catalog):
     """One compile's view of *catalog*: each distinct-object count is
-    probed once, whoever asks.  ``ViewCatalog.value_matches`` counts every
-    hit, and disambiguation asks again for each condition of each
-    pattern; both go through this memo.  Made per compile and dropped
-    with it, so a count never outlives the data it was read from."""
+    probed once, whoever asks.  :meth:`value_matches` counts every hit,
+    and disambiguation asks again for each condition of each pattern;
+    both go through this memo.  Made per compile and dropped with it,
+    so a count never outlives the data it was read from."""
 
     def __init__(self, catalog: Catalog) -> None:
-        super().__init__(catalog.graph)
+        super().__init__(catalog.graph, catalog.database)
         self.catalog = catalog
-        self._counts: Dict[Tuple[str, str, str], int] = {}
+        self._counts: Dict[Tuple[str, str, str, Any], int] = {}
 
     def relations(self) -> Iterable[RelationSchema]:
         return self.catalog.relations()
 
-    def value_matches(
-        self, phrase: str, counts: Optional[Catalog] = None
-    ) -> List[ValueHit]:
-        return self.catalog.value_matches(phrase, counts or self)
+    def owners(self, table: str, column: str) -> List[str]:
+        return self.catalog.owners(table, column)
+
+    def source(self, relation: str, attribute: str) -> Optional[Tuple[str, Sequence[str]]]:
+        return self.catalog.source(relation, attribute)
 
     def distinct_object_count(
-        self, relation: str, attribute: str, phrase: str
+        self, relation: str, attribute: str, phrase: str, value: Any = None
     ) -> int:
-        key = (relation, attribute, phrase)
+        key = (relation, attribute, phrase, value)
         count = self._counts.get(key)
         if count is None:
-            count = self._counts[key] = self.catalog.distinct_object_count(*key)
+            count = self._counts[key] = super().distinct_object_count(*key)
         return count
 
 

@@ -67,13 +67,9 @@ def disambiguate_pattern(
 
 
 def _distinct_objects(condition, node: PatternNode, catalog: Optional[Catalog]) -> int:
-    if condition.value is not None:
-        # exact numeric match: the substring-based catalog probe would be
-        # wrong, and the count from matching is already exact
-        return condition.distinct_objects
     if catalog is not None:
         return catalog.distinct_object_count(
-            condition.relation, condition.attribute, condition.phrase
+            condition.relation, condition.attribute, condition.phrase, condition.value
         )
     return condition.distinct_objects
 

@@ -1,8 +1,11 @@
 """The in-memory database: schema catalog + tables + indexes.
 
 This is the substrate every other layer works against: the keyword matcher
-reads its inverted index, the ORM classifier reads its schema, the pattern
-translator emits SQL that the executor runs against its tables.
+asks it where a term's values are (:meth:`Database.hits`,
+:meth:`Database.completions`) and counts them through the executor's one
+probe (:meth:`Database.candidates`), the ORM classifier reads its schema,
+the pattern translator emits SQL that the executor runs against its
+tables.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 
 from repro.errors import ForeignKeyError, SchemaError, UnknownTableError
 from repro.relational.index import (
-    InvertedIndex, KeyCounts, KeyIndex, NumericIndex, union_of,
+    InvertedIndex, KeyCounts, KeyIndex, NumericIndex, parse_number, union_of,
 )
 from repro.relational.schema import DatabaseSchema, ForeignKey, RelationSchema
 from repro.relational.table import Row, Table
@@ -129,6 +132,30 @@ class Database:
             else:
                 self._numeric_index.catch_up()
             return self._numeric_index
+
+    def hits(self, term: str) -> List[Tuple[str, str, Any]]:
+        """Where a value may match *term*, as ``(table, column, value)``:
+        each text column with a row holding every word of *term*
+        (``value`` None), then, when *term* reads as a number, each
+        numeric column holding its float key (``value`` the number,
+        :func:`~repro.relational.index.parse_number`).  Both are
+        candidates: the caller checks rows with the test the generated
+        SQL applies, substring or ``==``."""
+        found: List[Tuple[str, str, Any]] = [
+            (table, column, None)
+            for table, column in self.text_index.slots_with_words(term)
+        ]
+        number = parse_number(term)
+        if number is not None:
+            found += [
+                (table, column, number)
+                for table, column in self.numeric_index.slots_with_key(float(term))
+            ]
+        return found
+
+    def completions(self, prefix: str, limit: int = 10) -> List[str]:
+        """Indexed value tokens starting with *prefix*, shortest first."""
+        return self.text_index.tokens_with_prefix(prefix, limit)
 
     def hash_index(self, table_name: str, columns: Sequence[str]) -> KeyIndex:
         """The key index on ``table(columns)``: the table's own on its

@@ -8,12 +8,13 @@
   ``array('d')`` of ``float(value)`` sorted ascending beside an
   ``array('I')`` of row positions: a probe is two bisections and a slice.
 * :class:`InvertedIndex` — token -> (relation, attribute) -> ``array('I')``
-  of row positions over all text columns, for the keyword matcher and
-  the ``contains`` predicate of generated SQL.
+  of row positions over all text columns, for the value terms of a
+  keyword query and the ``contains`` predicate of generated SQL.
 
-The executor probes all three through one call,
+The executor and the keyword matcher probe all three through one call,
 ``Database.candidates(kind, table, column, values)``, which the disk
-tier's ``StorageEngine`` answers from its own structures.
+tier's ``StorageEngine`` answers from its own structures; the matcher
+finds the columns a term may hit through ``Database.hits``.
 
 All three are built once and then maintained, not rebuilt: tables are
 append-only, so ``catch_up()`` compares each table's
@@ -41,6 +42,7 @@ from math import isnan
 from operator import contains, is_, itemgetter, not_
 from typing import (
     TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Union,
 )
 
 from repro.errors import IntegrityError
@@ -59,15 +61,19 @@ def tokenize_text(text: str) -> List[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def parses_as_number(text: str) -> bool:
-    """Whether *text* reads as a number — the only terms
-    :meth:`NumericIndex.match_number` can match, so a matcher asks the
-    index (and builds it, on first use) only for those."""
+def parse_number(text: str) -> Union[int, float, None]:
+    """*text* as a number, None when it reads as none: an integral
+    literal by ``int()``, exact at any size; another by ``float()``,
+    made an ``int`` when integral (``24.0`` is the INT ``24``)."""
     try:
-        float(text)
+        return int(text)
     except ValueError:
-        return False
-    return True
+        pass
+    try:
+        number = float(text)
+    except ValueError:
+        return None
+    return int(number) if number.is_integer() else number
 
 
 def union_of(found: Iterable[Optional[Set[int]]]) -> Optional[Set[int]]:
@@ -364,16 +370,15 @@ class NumericIndex:
             return set()
         return set(self._positions[slot][low : bisect_right(keys, needle, low)])
 
-    def match_number(self, text: str) -> List[ValueMatch]:
-        """Matches for a term that parses as a number; [] otherwise."""
-        try:
-            needle = float(text)
-        except ValueError:
-            return []
+    def slots_with_key(self, key: float) -> List[Slot]:
+        """The slots holding *key*, sorted."""
+        found: List[Slot] = []
         with self._lock:
-            found = [(slot, self._lookup(slot, needle)) for slot in self._keys]
-        matches = (ValueMatch(rel, attr, hits) for (rel, attr), hits in found if hits)
-        return sorted(matches, key=lambda match: (match.relation, match.attribute))
+            for slot, keys in self._keys.items():
+                at = bisect_left(keys, key)
+                if at < len(keys) and keys[at] == key:  # NaN equals no key
+                    found.append(slot)
+        return sorted(found)
 
     def positions_for_value(
         self, relation: str, attribute: str, value: Any
@@ -420,23 +425,6 @@ class NumericIndex:
                 for key, pos in zip(keys, self._positions[slot]):
                     postings.setdefault(key, {}).setdefault(slot, set()).add(pos)
         return postings
-
-
-class ValueMatch:
-    """One occurrence set of a phrase inside a (relation, attribute)."""
-
-    __slots__ = ("relation", "attribute", "row_positions")
-
-    def __init__(self, relation: str, attribute: str, row_positions: Set[int]) -> None:
-        self.relation = relation
-        self.attribute = attribute
-        self.row_positions = row_positions
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ValueMatch({self.relation}.{self.attribute}, "
-            f"rows={len(self.row_positions)})"
-        )
 
 
 class InvertedIndex:
@@ -526,45 +514,27 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def match_phrase(self, phrase: str) -> List[ValueMatch]:
-        """Find every (relation, attribute) whose values contain *phrase*.
-
-        Matching is case-insensitive; a value matches when the phrase occurs
-        as a substring of the value (SQL ``contains``), which the token-level
-        candidate set is verified against.
-        """
+    def slots_with_words(self, phrase: str) -> List[Slot]:
+        """The slots with a row holding every word of *phrase* as a
+        token, sorted: where the phrase may occur, which a caller checks
+        with the substring test (:meth:`positions_for_contains`)."""
         tokens = tokenize_text(phrase)
         if not tokens:
             return []
-        by_slot: Dict[Slot, Set[int]] = {}
+        found: List[Slot] = []
         with self._lock:
-            for slot, positions in self._postings.get(tokens[0], {}).items():
-                candidates = set(positions)
+            first = self._postings.get(tokens[0], {})
+            if not tokens[1:]:
+                return sorted(first)  # no posting array is empty
+            for slot, positions in first.items():
+                held = set(positions)
                 for token in tokens[1:]:
-                    candidates.intersection_update(
-                        self._postings.get(token, {}).get(slot, ())
-                    )
-                    if not candidates:
+                    held.intersection_update(self._postings.get(token, {}).get(slot, ()))
+                    if not held:
                         break
-                if candidates:
-                    by_slot[slot] = candidates
-        results: List[ValueMatch] = []
-        needle = phrase.lower()
-        verify = tokens != [needle]  # a phrase that is one token is in every candidate
-        for (relation, attribute), candidates in by_slot.items():
-            if verify:
-                rows = self._tables[relation].rows
-                col_idx = self._tables[relation].schema.column_index(attribute)
-                candidates = {
-                    pos
-                    for pos in candidates
-                    if rows[pos][col_idx] is not None
-                    and needle in str(rows[pos][col_idx]).lower()
-                }
-            if candidates:
-                results.append(ValueMatch(relation, attribute, candidates))
-        results.sort(key=lambda match: (match.relation, match.attribute))
-        return results
+                if held:
+                    found.append(slot)
+        return sorted(found)
 
     def positions_for_contains(
         self, relation: str, attribute: str, phrase: str
@@ -580,7 +550,7 @@ class InvertedIndex:
         actual substring test, unless the lowered phrase is that one token:
         then every candidate's lowered value contains it.  Returns None
         when the phrase has no tokens or the relation is not indexed
-        (callers fall back to a scan).
+        (callers read every row instead).
         """
         table = self._tables.get(relation)
         if table is None:

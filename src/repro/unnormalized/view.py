@@ -15,23 +15,27 @@ was already in 3NF; synthesized fragments get a deterministic
 from key-attribute sets to names).  Hints matter because keyword queries
 match relation names: the TPC-H denormalizer knows the ``orderkey``-keyed
 fragment of ``Ordering`` represents orders and names it ``Order``.
+
+:class:`ViewCatalog` is the matcher's catalog over the view.  It says only
+which view relations own a value match on a stored column and which
+stored relation a view relation's objects are counted in; matching and
+counting are the base :class:`~repro.keywords.matcher.Catalog`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import NormalizationError
 from repro.fd.functional_dependency import FunctionalDependency, parse_fds
 from repro.fd.normal_forms import is_3nf
 from repro.fd.synthesis import synthesize_3nf
-from repro.keywords.matcher import Catalog, ValueHit
+from repro.keywords.matcher import Catalog
 from repro.orm.graph import OrmSchemaGraph
 from repro.relational.database import Database
-from repro.relational.index import parses_as_number
 from repro.relational.schema import Column, DatabaseSchema, ForeignKey, RelationSchema
 
 
@@ -345,109 +349,18 @@ class NormalizedView:
 class ViewCatalog(Catalog):
     """Catalog over the normalized view: metadata matching against view
     relations, value matching against the stored database mapped into the
-    view (Algorithm 2, lines 15-19)."""
+    view (Algorithm 2, lines 15-19).  A view relation's objects are
+    counted by its key in the first stored relation that holds the key
+    and the matched attribute."""
 
     def __init__(self, view: NormalizedView) -> None:
-        super().__init__(view.graph)
+        super().__init__(view.graph, view.database)
         self.view = view
 
-    def value_matches(
-        self, phrase: str, counts: Optional[Catalog] = None
-    ) -> List[ValueHit]:
-        counter = counts or self
-        hits: List[ValueHit] = []
-        seen: Set[Tuple[str, str]] = set()
-        for match in self.view.database.text_index.match_phrase(phrase):
-            for owner in self.view.owners_of_attribute(match.relation, match.attribute):
-                slot = (owner.name, match.attribute)
-                if slot in seen:
-                    continue
-                seen.add(slot)
-                count = counter.distinct_object_count(
-                    owner.name, match.attribute, phrase
-                )
-                hits.append(ValueHit(owner.name, match.attribute, count))
-        numeric_matches = (
-            self.view.database.numeric_index.match_number(phrase)
-            if parses_as_number(phrase) else []
-        )
-        for match in numeric_matches:
-            value = float(phrase)
-            if value.is_integer():
-                value = int(value)
-            for owner in self.view.owners_of_attribute(match.relation, match.attribute):
-                slot = (owner.name, match.attribute)
-                if slot in seen:
-                    continue
-                seen.add(slot)
-                count = self._distinct_count_exact(owner, match.attribute, value)
-                hits.append(
-                    ValueHit(owner.name, match.attribute, count, value=value)
-                )
-        hits.sort(key=lambda hit: (hit.relation, hit.attribute))
-        return hits
+    def owners(self, table: str, column: str) -> List[str]:
+        return [rel.name for rel in self.view.owners_of_attribute(table, column)]
 
-    def _distinct_count_exact(
-        self, view_rel: ViewRelation, attribute: str, value
-    ) -> int:
-        """Distinct view identifiers among stored tuples with
-        ``attribute == value`` (numeric matches)."""
-        index = self.view.database.numeric_index
-
-        def matches(cell: Any) -> bool:
-            return float(cell) == float(value)
-
-        def probe(table: Any, column: int) -> Optional[Set[int]]:
-            # float-keyed postings: a superset when integers collide
-            candidates = index.positions_for_value(table.schema.name, attribute, value)
-            if candidates is None:
-                return None
-            return {pos for pos in candidates if matches(table.rows[pos][column])}
-
-        return self._distinct_ids(view_rel, attribute, probe, matches)
-
-    def value_completions(self, prefix: str, limit: int = 10) -> List[str]:
-        return self.view.database.text_index.tokens_with_prefix(prefix, limit)
-
-    def distinct_object_count(
-        self, relation: str, attribute: str, phrase: str
-    ) -> int:
-        """Distinct view-relation identifiers among stored tuples whose
-        attribute contains the phrase."""
-        index = self.view.database.text_index
-        needle = phrase.lower()
-        return self._distinct_ids(
-            self.view.relation(relation),
-            attribute,
-            lambda table, _: index.positions_for_contains(
-                table.schema.name, attribute, phrase
-            ),
-            lambda cell: needle in str(cell).lower(),
-        )
-
-    def _distinct_ids(
-        self,
-        view_rel: ViewRelation,
-        attribute: str,
-        probe: Callable[[Any, int], Optional[Set[int]]],
-        matches: Callable[[Any], bool],
-    ) -> int:
-        """Distinct view identifiers among the matching tuples of the
-        first stored relation covering the key and *attribute*: the
-        positions ``probe(table, attribute index)`` returns, or, when it
-        returns None, the rows whose non-NULL cell *matches*."""
-        needed = set(view_rel.key) | {attribute}
-        fragments = view_rel.fragments_covering(needed)
-        if not fragments:
-            return 0
-        table = self.view.database.table(fragments[0].source)
-        attr_idx = table.schema.column_index(attribute)
-        key_idx = [table.schema.column_index(col) for col in view_rel.key]
-        rows = table.rows
-        positions = probe(table, attr_idx)
-        if positions is None:
-            positions = [
-                pos for pos, row in enumerate(rows)
-                if row[attr_idx] is not None and matches(row[attr_idx])
-            ]
-        return len({tuple([rows[pos][i] for i in key_idx]) for pos in positions})
+    def source(self, relation: str, attribute: str) -> Optional[Tuple[str, Sequence[str]]]:
+        view_rel = self.view.relation(relation)
+        fragments = view_rel.fragments_covering(set(view_rel.key) | {attribute})
+        return (fragments[0].source, view_rel.key) if fragments else None

@@ -70,10 +70,10 @@ class TestIndexes:
     def test_text_index_lazily_built_and_invalidated(self):
         db = make_db()
         db.load("Parent", [(1, "apple pie")])
-        assert db.text_index.match_phrase("apple")[0].relation == "Parent"
+        assert db.hits("apple")[0][0] == "Parent"
         db.load("Parent", [(2, "apple cake")])
-        hits = db.text_index.match_phrase("apple")
-        assert hits[0].row_positions == {0, 1}
+        column = db.hits("apple")[0][1]
+        assert db.candidates("contains", "Parent", column, ["apple"]) == {0, 1}
 
     def test_hash_index_cached(self):
         db = make_db()

@@ -87,36 +87,34 @@ class TestInvertedIndex:
         return idx
 
     def test_single_token(self, index):
-        matches = index.match_phrase("olive")
-        assert len(matches) == 1
-        match = matches[0]
-        assert match.relation == "Part"
-        assert match.attribute == "pname"
-        assert match.row_positions == {0, 1, 2}
+        assert index.slots_with_words("olive") == [("Part", "pname")]
+        assert index.positions_for_contains("Part", "pname", "olive") == {0, 1, 2}
 
     def test_phrase_requires_adjacency_by_substring(self, index):
-        matches = index.match_phrase("royal olive")
-        assert matches[0].row_positions == {0, 1}
+        assert index.positions_for_contains("Part", "pname", "royal olive") == {0, 1}
 
     def test_phrase_not_matching_scattered_tokens(self, index):
-        # 'olive royal' tokens both exist but never as a substring
-        assert index.match_phrase("olive royal") == []
+        # 'olive royal' tokens share rows but never form the substring:
+        # the slot is a candidate, and the check keeps no row of it
+        assert index.slots_with_words("olive royal") == [("Part", "pname")]
+        assert index.positions_for_contains("Part", "pname", "olive royal") == set()
 
     def test_case_insensitive(self, index):
-        matches = index.match_phrase("INDIAN BLACK")
-        assert matches[0].row_positions == {3}
+        assert index.slots_with_words("INDIAN BLACK") == [("Part", "pname")]
+        assert index.positions_for_contains("Part", "pname", "INDIAN BLACK") == {3}
 
     def test_unknown_token(self, index):
-        assert index.match_phrase("zzz") == []
+        assert index.slots_with_words("zzz") == []
+        assert index.slots_with_words("olive zzz") == []
 
     def test_empty_phrase(self, index):
-        assert index.match_phrase("") == []
+        assert index.slots_with_words("") == []
 
     def test_int_columns_not_indexed(self):
         idx = InvertedIndex()
         idx.add_tables([make_parts()])
         # '1' appears only as an INT partkey, never as text
-        assert idx.match_phrase("1") == []
+        assert idx.slots_with_words("1") == []
 
 
 class TestNumericIndex:
@@ -216,10 +214,7 @@ def test_numeric_index_equals_dict_of_sets(writes):
                 assert numeric.positions_for_value(*slot, probe) == found.get(
                     slot, set()
                 )
-            assert [
-                (match.relation, match.attribute, match.row_positions)
-                for match in numeric.match_number(repr(probe))
-            ] == [(rel, attr, found[(rel, attr)]) for rel, attr in sorted(found)]
+            assert numeric.slots_with_key(float(probe)) == sorted(found)
         rebuilt = InvertedIndex()
         rebuilt.add_tables(db.tables())
         assert text.postings() == rebuilt.postings()
@@ -312,7 +307,6 @@ def test_one_token_phrases_skip_verification_with_the_same_answer(values, phrase
     needle = phrase.lower()
     contains = {at for at, value in enumerate(values) if value and needle in value.lower()}
     assert index.positions_for_contains("P", "v", phrase) == (contains if tokens else None)
-    # a phrase match also needs each of the phrase's tokens among the value's
-    whole = {at for at in contains if set(tokens) <= set(tokenize_text(values[at]))}
-    found = [(m.relation, m.attribute, m.row_positions) for m in index.match_phrase(phrase)]
-    assert found == ([("P", "v", whole)] if tokens and whole else [])
+    # the slot is a candidate when a value holds each of the phrase's tokens
+    whole = [value for value in values if value and set(tokens) <= set(tokenize_text(value))]
+    assert index.slots_with_words(phrase) == ([("P", "v")] if tokens and whole else [])

@@ -12,6 +12,7 @@ import pytest
 
 from repro.backends import create_backend
 from repro.errors import UnknownTableError
+from repro.keywords.matcher import NormalizedCatalog
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
 from repro.relational.types import DataType
@@ -117,6 +118,49 @@ def test_disk_cannot_answer(tiers, kind, column, value):
 def test_non_text_hash_value_matches_nothing(tiers):
     _, engine = tiers
     assert engine.candidates("hash-eq", "T", "name", (10,)) == set()
+
+
+def object_count(catalog, column, value):
+    """The catalog's count of the rows holding *value*: a phrase's by
+    substring, a number's by ``==``."""
+    if isinstance(value, str):
+        return catalog.distinct_object_count("T", column, value)
+    return catalog.distinct_object_count("T", column, str(value), value)
+
+
+def holding(rows, column, value):
+    """The ids of *rows* whose *column* holds *value*, tested as above."""
+    at = COLUMNS.index(column)
+    if isinstance(value, str):
+        return {r[0] for r in rows if r[at] is not None and value.lower() in r[at].lower()}
+    return {r[0] for r in rows if r[at] == value}
+
+
+@pytest.mark.parametrize("kind, column, hit, miss", PROBES)
+def test_catalog_counts_alike_on_either_tier(tmp_path, kind, column, hit, miss):
+    """A catalog over the disk tier counts what one over memory counts,
+    the unindexed tail of an append included."""
+    db = make_db()
+    materialize(db, str(tmp_path), page_size=PAGE)
+    engine = StorageEngine(str(tmp_path), db.schema, pool_capacity=8)
+    rows = list(ROWS)
+    # each holds every probe's hit once
+    tail = [(7, "fresh royal olive", 10, 1.5), (8, "plain olive", 2**60, 2.5)]
+    try:
+        memory, disk = NormalizedCatalog(db), NormalizedCatalog(engine)
+        for appended in ([], tail):
+            if appended:
+                db.load("T", appended)
+                engine.append(db)
+                assert engine.indexed["T"] < engine.table("T").row_count
+                assert len(holding(appended, column, hit)) == 1
+                rows += appended
+            for value in (hit, miss):
+                expected = len(holding(rows, column, value))
+                assert object_count(memory, column, value) == expected
+                assert object_count(disk, column, value) == expected
+    finally:
+        engine.close()
 
 
 def test_unknown_table_raises(tiers):

@@ -467,6 +467,34 @@ class TestRules:
         )
 
 
+    def test_lr014_index_internals_named_outside_relational(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "keywords/x.py",
+            """
+            from repro.relational.index import tokens_with_prefix
+
+            def count(database, phrase):
+                index = database.text_index
+                return len(index.positions_for_contains("T", "a", phrase))
+            """,
+        )
+        assert [code for code, _ in findings] == ["LR014"] * 3
+        assert "tokens_with_prefix" in findings[0][1]
+
+    def test_lr014_database_calls_and_prose_are_fine(self, tmp_path):
+        source = '''
+            """Cross-reference: InvertedIndex.positions_for_contains."""
+
+            def count(database, phrase):
+                found = database.candidates("contains", "T", "a", (phrase,))
+                return database.hits(phrase), database.completions(phrase), found
+            '''
+        assert lint_source(tmp_path, "keywords/x.py", source) == []
+        index = "def probe(self):\n    return self.text_index.match_phrase('x')\n"
+        assert lint_source(tmp_path, "relational/x.py", index) == []
+
+
 class TestLockRules:
     """LR011-LR013: the lock discipline, checked from ``# guarded-by:``
     declarations, and bounded waits on the request path."""
